@@ -7,7 +7,7 @@ GO ?= go
 # internal/search + internal/dfg + internal/sched.
 COVER_MIN ?= 70
 
-.PHONY: check build vet test test-short fairness cluster-e2e bench bench-smoke bench-record bench-guard fuzz-smoke lint cover cover-check run-flexerd
+.PHONY: check build vet test test-short fairness cluster-e2e bench bench-smoke repo-bench-smoke bench-record bench-guard fuzz-smoke lint cover cover-check run-flexerd
 
 # The committed benchmark record the regression guard compares against.
 BENCH_BASELINE ?= BENCH_0009.json
@@ -59,7 +59,16 @@ bench:
 # catches benchmarks that no longer compile or crash, without the cost
 # of a real measurement run. CI uploads the output as an artifact.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/search/... ./internal/sim/...
+	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem \
+		./internal/search/... ./internal/sim/... ./internal/sched/... ./internal/spm/...
+
+# The repository benchmark (BENCHMARK.json, bench/) is a nested module,
+# so `go test ./...` never compiles it: run its own tests and its toy
+# pass here, so that a product change which breaks it fails in CI and
+# not in the benchmark pipeline.
+repo-bench-smoke:
+	cd bench && $(GO) test ./...
+	bash bench/run.sh --smoke
 
 # Fresh benchmark record of the quick presets (see docs/PERFORMANCE.md).
 bench-record:

@@ -15,7 +15,7 @@ import (
 
 // newTestEngine builds an engine in its initial state for white-box
 // tests of set evaluation and selection.
-func newTestEngine(t *testing.T, gr *dfg.Graph, cfg Config) *engine {
+func newTestEngine(t testing.TB, gr *dfg.Graph, cfg Config) *engine {
 	t.Helper()
 	cfg = cfg.withDefaults()
 	mem := spm.New(cfg.Arch.SPMBytes, cfg.MemPolicy)

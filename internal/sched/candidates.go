@@ -1,8 +1,8 @@
 package sched
 
 import (
+	"slices"
 	"sort"
-	"strconv"
 
 	"github.com/flexer-sched/flexer/internal/tile"
 )
@@ -16,10 +16,10 @@ import (
 // op can be made resident.
 func (e *engine) nextSetOoO() *setEval {
 	window := e.selectWindow()
-	if e.sigSeen == nil {
-		e.sigSeen = make(map[string]bool)
-	} else {
-		clear(e.sigSeen)
+	prune := !e.cfg.DisablePruning
+	if prune {
+		e.seen.reset()
+		e.stepFacts(window, true)
 	}
 	maxSize := e.cfg.Arch.Cores
 	if len(window) < maxSize {
@@ -44,6 +44,9 @@ func (e *engine) nextSetOoO() *setEval {
 	if best == nil && len(window) < len(e.ready) {
 		// Nothing from the window fits; fall back to single ops from
 		// the whole ready queue before reporting failure.
+		if prune {
+			e.stepFacts(e.ready, false)
+		}
 		best = e.bestSetOfSize(e.ready, 1)
 	}
 	return best
@@ -130,42 +133,31 @@ func (e *engine) selectWindow() []int {
 	return e.window
 }
 
-// bestSetOfSize enumerates combinations of size ops from window,
-// prunes, evaluates, and returns the best feasible evaluation (nil if
-// none).
+// bestSetOfSize enumerates combinations of size ops from window in
+// lexicographic order, prunes, evaluates, and returns the best feasible
+// evaluation (nil if none). With pruning on, e.facts must describe
+// window (stepFacts) and e.seen carries the step's signatures.
 func (e *engine) bestSetOfSize(window []int, size int) *setEval {
 	var best *setEval
-	evaluated := 0
 	prune := !e.cfg.DisablePruning
-	if prune && e.sigSeen == nil {
-		e.sigSeen = make(map[string]bool)
-	}
 	if cap(e.combo) < size {
 		e.combo = make([]int, size)
 		e.set = make([]int, size)
 	}
 	combo := e.combo[:size]
 	set := e.set[:size]
-	var rec func(start, depth int) bool
-	rec = func(start, depth int) bool {
-		if depth == size {
+	for i := range combo {
+		combo[i] = i
+	}
+	for evaluated := 0; evaluated < e.cfg.MaxCandidateSets; {
+		if prune && !e.seen.add(e.comboSignature(combo)) {
+			e.nPruned++
+		} else {
 			for i, wi := range combo {
 				set[i] = window[wi]
 			}
-			if prune {
-				sig := e.setSignature(set)
-				// The byte-slice key avoids allocating a string for
-				// already-seen signatures (the common case); only new
-				// signatures are interned on insert.
-				if e.sigSeen[string(sig)] {
-					e.nPruned++
-					return true
-				}
-				e.sigSeen[string(sig)] = true
-			}
-			ev := e.evalSet(set)
 			evaluated++
-			if ev != nil {
+			if ev := e.evalSet(set); ev != nil {
 				if best == nil || e.less(ev, best) {
 					e.releaseEval(best)
 					best = ev
@@ -173,121 +165,185 @@ func (e *engine) bestSetOfSize(window []int, size int) *setEval {
 					e.releaseEval(ev)
 				}
 			}
-			return evaluated < e.cfg.MaxCandidateSets
 		}
-		for i := start; i <= len(window)-(size-depth); i++ {
-			combo[depth] = i
-			if !rec(i+1, depth+1) {
-				return false
-			}
+		// Advance to the next combination: bump the rightmost index that
+		// still has room and reset everything after it.
+		i := size - 1
+		for i >= 0 && combo[i] == len(window)-size+i {
+			i--
 		}
-		return true
+		if i < 0 {
+			break
+		}
+		combo[i]++
+		for j := i + 1; j < size; j++ {
+			combo[j] = combo[j-1] + 1
+		}
 	}
-	rec(0, 0)
 	return best
 }
 
-// sigRef is one distinct operand tile of a candidate set, as classified
-// by the dataflow-map signature. gather marks a fused consumer input
-// currently assemblable on-chip — such an input moves no off-chip data,
-// so it must not be conflated with a same-sized DRAM load.
-type sigRef struct {
-	id      tile.ID
-	kind    uint8
-	present bool
-	gather  bool
-	size    int64
-	count   int
+// Residency states of an operand tile in the dataflow-map signature.
+// A gatherable tile is a fused consumer input currently assemblable
+// on-chip: it moves no off-chip data, unlike a same-sized DRAM load.
+const (
+	tileAbsent uint64 = iota
+	tileResident
+	tileGatherable
+)
+
+// sigCountBits is the width of the reference-count field in a packed
+// signature key: kind (2 bits) | state (2) | size (44) | count (16) —
+// room for 16 TiB tiles and 65 535-op sets, beyond any real machine.
+const sigCountBits = 16
+
+// stepFacts is what one scheduling step knows about the operand tiles
+// of its window, looked up once: the signature key of every distinct
+// tile and, per window position, the numbers of the op's three tiles.
+// Signatures of all candidate combinations of the step are computed
+// from this table alone — no scratchpad or graph access per candidate.
+type stepFacts struct {
+	ids   []tile.ID  // distinct tiles, for de-duplication
+	keys  []uint64   // per tile: packed kind, state and size, count zero
+	count []uint16   // per tile: comboSignature scratch, zero between calls
+	ops   [][3]int32 // per window position: tile numbers of In, Wt, Out
+	sig   []uint64   // comboSignature result buffer
 }
 
-// sigLess orders signature entries by (kind, present, gather, size,
-// count); the tile identity is deliberately not part of the order or
-// the signature.
-func sigLess(a, b *sigRef) bool {
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	if a.present != b.present {
-		return a.present
-	}
-	if a.gather != b.gather {
-		return a.gather
-	}
-	if a.size != b.size {
-		return a.size < b.size
-	}
-	return a.count < b.count
-}
-
-// setSignature classifies a candidate set by its dataflow map
-// (Section 4.2): for every distinct operand tile, its kind, residency,
-// byte size and the number of ops in the set referencing it. Sets with
-// identical signatures move the same data and are interchangeable for
-// the priority function, so duplicates are pruned. The returned bytes
-// are engine scratch, valid until the next call. A set references at
-// most 3 x #cores tiles, so the per-tile bookkeeping is a linear scan
-// and an insertion sort rather than a map and sort.Slice (both were hot
-// in profiles).
-func (e *engine) setSignature(ops []int) []byte {
-	refs := e.sigRefs[:0]
-	add := func(id tile.ID) {
-		for i := range refs {
-			if refs[i].id == id {
-				refs[i].count++
-				return
+// stepFacts fills e.facts for window from the current scratchpad. With
+// dedup, a tile shared by several window ops gets one number, so that
+// combinations count references to it; the single-op fallback over the
+// whole ready queue needs no sharing and skips the quadratic scan.
+func (e *engine) stepFacts(window []int, dedup bool) {
+	f := &e.facts
+	f.ids, f.keys, f.ops = f.ids[:0], f.keys[:0], f.ops[:0]
+	number := func(id tile.ID) int32 {
+		if dedup {
+			for i := range f.ids {
+				if f.ids[i] == id {
+					return int32(i)
+				}
 			}
+			f.ids = append(f.ids, id)
 		}
-		present := e.mem.Has(id)
-		gather := false
-		if e.fused && !present && id.Kind == tile.In && id.L > 0 {
+		state := tileAbsent
+		if e.mem.Has(id) {
+			state = tileResident
+		} else if e.fused && id.Kind == tile.In && id.L > 0 {
 			if ots := e.gr.Covering(id); len(ots) > 0 {
-				gather = true
+				state = tileGatherable
 				for _, ot := range ots {
 					if !e.mem.Has(ot) {
-						gather = false
+						state = tileAbsent
 						break
 					}
 				}
 			}
 		}
-		refs = append(refs, sigRef{
-			id: id, kind: uint8(id.Kind), present: present, gather: gather,
-			size: e.gr.Size(id), count: 1,
-		})
+		f.keys = append(f.keys, uint64(id.Kind)<<62|state<<60|uint64(e.gr.Size(id))<<sigCountBits)
+		return int32(len(f.keys) - 1)
 	}
-	for _, opIdx := range ops {
+	for _, opIdx := range window {
 		op := &e.gr.Ops[opIdx]
-		add(op.In)
-		add(op.Wt)
-		// Output tiles: first writes and psum continuations are
-		// distinguished by residency + count.
-		add(op.Out)
+		f.ops = append(f.ops, [3]int32{number(op.In), number(op.Wt), number(op.Out)})
 	}
-	for i := 1; i < len(refs); i++ {
-		for j := i; j > 0 && sigLess(&refs[j], &refs[j-1]); j-- {
-			refs[j], refs[j-1] = refs[j-1], refs[j]
+	if cap(f.count) < len(f.keys) {
+		f.count = make([]uint16, len(f.keys))
+	}
+	f.count = f.count[:len(f.keys)]
+}
+
+// comboSignature classifies the candidate set formed by the window
+// positions in combo by its dataflow map (Section 4.2): for every
+// distinct operand tile, its kind, residency, byte size and the number
+// of ops in the set referencing it (output tiles: first writes and psum
+// continuations are told apart by residency + count) — as a sorted run
+// of packed keys; tile identity is deliberately not part of it. Sets
+// with equal signatures move the same data and are interchangeable for
+// the priority function, so duplicates are pruned. The result is
+// scratch, valid until the next call.
+func (e *engine) comboSignature(combo []int) []uint64 {
+	f := &e.facts
+	for _, wi := range combo {
+		for _, t := range f.ops[wi] {
+			f.count[t]++
 		}
 	}
-	e.sigRefs = refs
-	buf := e.sigBuf[:0]
-	for i := range refs {
-		r := &refs[i]
-		buf = append(buf, r.kind)
-		switch {
-		case r.present:
-			buf = append(buf, 1)
-		case r.gather:
-			buf = append(buf, 2)
-		default:
-			buf = append(buf, 0)
+	sig := f.sig[:0]
+	for _, wi := range combo {
+		for _, t := range f.ops[wi] {
+			if f.count[t] == 0 {
+				continue // already emitted
+			}
+			k := f.keys[t] | uint64(f.count[t])
+			f.count[t] = 0
+			i := len(sig)
+			sig = append(sig, k)
+			for ; i > 0 && sig[i-1] > k; i-- {
+				sig[i] = sig[i-1]
+			}
+			sig[i] = k
 		}
-		buf = strconv.AppendInt(buf, r.size, 36)
-		buf = append(buf, ':')
-		buf = strconv.AppendInt(buf, int64(r.count), 36)
-		buf = append(buf, ';')
 	}
-	e.sigBuf = buf
-	return buf
+	f.sig = sig
+	return sig
+}
+
+// sigSet is the set of signatures seen in one scheduling step. All keys
+// live back to back in one arena and the table holds offsets into it,
+// so a new signature costs no allocation once the buffers have grown,
+// and the whole set is reused from step to step.
+type sigSet struct {
+	keys  []uint64 // arena
+	ents  []sigEnt // one per signature
+	slots []int32  // open-addressing table: 1 + index into ents, 0 empty
+}
+
+type sigEnt struct {
+	hash   uint64
+	off, n int32
+}
+
+func (s *sigSet) reset() {
+	s.keys, s.ents = s.keys[:0], s.ents[:0]
+	clear(s.slots)
+}
+
+// add inserts sig and reports whether it was new.
+func (s *sigSet) add(sig []uint64) bool {
+	if 2*len(s.ents) >= len(s.slots) {
+		s.slots = make([]int32, max(256, 2*len(s.slots)))
+		for j, en := range s.ents { // all distinct: each probe ends on an empty slot
+			s.slots[s.probe(en.hash, s.keys[en.off:en.off+en.n])] = int32(j + 1)
+		}
+	}
+	h := uint64(len(sig))
+	for _, k := range sig {
+		h = (h ^ k) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	i := s.probe(h, sig)
+	if s.slots[i] != 0 {
+		return false
+	}
+	s.ents = append(s.ents, sigEnt{hash: h, off: int32(len(s.keys)), n: int32(len(sig))})
+	s.keys = append(s.keys, sig...)
+	s.slots[i] = int32(len(s.ents))
+	return true
+}
+
+// probe walks hash's probe sequence to the slot holding sig, or to the
+// first empty one.
+func (s *sigSet) probe(hash uint64, sig []uint64) uint64 {
+	mask := uint64(len(s.slots) - 1)
+	i := hash & mask
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		en := &s.ents[s.slots[i]-1]
+		if en.hash == hash && slices.Equal(s.keys[en.off:en.off+en.n], sig) {
+			break
+		}
+	}
+	return i
 }
 
 // nextSetInOrder forms the next set following the static op order: the

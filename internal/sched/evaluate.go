@@ -14,12 +14,11 @@ type loadRec struct {
 	gather bool
 }
 
-// setEval is the outcome of simulating one candidate operation set
-// against a copy of the scratchpad: the memory operations it would
-// require and the quantities the priority function ranks.
+// setEval is the outcome of placing one candidate operation set in the
+// scratchpad: the memory operations it requires and the quantities the
+// priority function ranks.
 type setEval struct {
 	ops    []int
-	mem    *spm.SPM // scratchpad state after the set's allocations
 	loads  []loadRec
 	spills []spm.Eviction
 
@@ -45,17 +44,35 @@ func (ev *setEval) movedBytes() int64 { return ev.loadBytes + ev.spillBytes }
 // cannot hold them even after evicting every unpinned block). The ops
 // slice is copied; callers keep ownership.
 //
-// The simulation runs against a clone of the scratchpad so that many
-// candidate sets can be compared side-effect-free; the clone of the
-// winning set is adopted wholesale by the engine. Evaluations and their
-// clones are recycled through the engine's free lists (releaseEval), so
-// losing candidates cost no steady-state allocation.
+// The simulation runs in place on the engine's scratchpad between a
+// checkpoint and a rollback, so many candidate sets can be compared
+// side-effect-free without copying the scratchpad per set; apply
+// commits the winner by placing it again for real. Evaluations are
+// recycled through the engine's free list (releaseEval), so losing
+// candidates cost no steady-state allocation.
 func (e *engine) evalSet(ops []int) *setEval {
 	e.nEval++
-	mem := e.cloneMem()
 	ev := e.getEval()
-	ev.ops = append(ev.ops[:0], ops...)
-	ev.mem = mem
+	ev.ops = append(ev.ops, ops...)
+	e.mem.Checkpoint()
+	ok := e.place(ev)
+	e.mem.Rollback()
+	if !ok {
+		e.releaseEval(ev)
+		return nil
+	}
+	return ev
+}
+
+// place makes the operands of ev.ops resident and pinned in the
+// engine's scratchpad, recording in ev the loads and evictions that
+// takes and the priority inputs they add up to. It reports false when
+// an operand cannot be placed, leaving the scratchpad partly modified.
+// It is deterministic in the scratchpad and remaining-use state, which
+// is what lets apply repeat an evaluation instead of keeping its
+// scratchpad.
+func (e *engine) place(ev *setEval) bool {
+	mem := e.mem
 	cores := e.cfg.Arch.Cores
 
 	// Tiles brought on-chip by this very set: sharing them within the
@@ -146,22 +163,16 @@ func (e *engine) evalSet(ops []int) *setEval {
 		return true
 	}
 
-	for _, opIdx := range ops {
+	for _, opIdx := range ev.ops {
 		op := &e.gr.Ops[opIdx]
-		if !touch(op.In, true) || !touch(op.Wt, true) {
-			e.releaseEval(ev)
-			return nil
-		}
 		// The output tile: a first write only reserves space; an
 		// accumulation step must bring the partial sum back on-chip if
 		// it was spilled.
-		if !touch(op.Out, op.ReadsPsum) {
-			e.releaseEval(ev)
-			return nil
+		if !touch(op.In, true) || !touch(op.Wt, true) || !touch(op.Out, op.ReadsPsum) {
+			return false
 		}
 	}
 	ev.util = mem.Utilization()
-	ev.memLat = 0
 	for _, sp := range ev.spills {
 		if sp.Dirty {
 			ev.memLat += e.cfg.Model.TransferCycles(sp.Size)
@@ -174,5 +185,5 @@ func (e *engine) evalSet(ops []int) *setEval {
 			ev.memLat += e.cfg.Model.TransferCycles(ld.size)
 		}
 	}
-	return ev
+	return true
 }

@@ -226,13 +226,11 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 		writeAt: writeAt,
 		availAt: make(map[tile.ID]int64),
 		tl:      sim.NewAt(npuFree, dmaFree),
-		res:     &Result{Factors: nominal.Factors},
+		res:     newResult(gr),
 		nDone:   nDone,
 	}
+	e.res.Factors = nominal.Factors
 	e.tl.SetFaults(plan)
-	for k := range e.res.PerKind {
-		e.res.PerKind[k].MoveCounts = make(map[tile.ID]int)
-	}
 	e.rank = make([]int, len(gr.Ops))
 	for i := range e.rank {
 		e.rank[i] = i

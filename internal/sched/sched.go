@@ -205,56 +205,36 @@ type engine struct {
 	hasDRAM map[tile.ID]bool  // tiles whose current contents exist off-chip (fused runs)
 	tl      *sim.Timeline
 	res     *Result
-	pos     int   // next index into cfg.Order (in-order mode)
-	rank    []int // tie-break rank per op (hint position, or op index)
-	sigSeen map[string]bool
-	sigBuf  []byte
+	pos     int       // next index into cfg.Order (in-order mode)
+	rank    []int     // tie-break rank per op (hint position, or op index)
+	facts   stepFacts // the current step's operand table (OoO mode)
+	seen    sigSet    // the current step's candidate signatures
 	nEval   int
 	nPruned int
 	nDone   int
 
 	// Recycled scratch. The scheduler evaluates thousands of candidate
 	// sets per run and search runs thousands of schedules per layer;
-	// these free lists and buffers keep the steady state allocation-free
-	// (profile-guided: SPM clones and per-set bookkeeping dominated the
-	// heap before). All fields are nil-safe, so engines built as plain
-	// literals (Repair, tests) work unchanged.
-	spmFree  []*spm.SPM // retired scratchpad clones, reused via CloneInto
+	// this free list and these buffers keep the steady state
+	// allocation-free. All fields are nil-safe, so engines built as
+	// plain literals (Repair, tests) work unchanged.
 	evalFree []*setEval // retired set evaluations
 	window   []int      // selectWindow / nextSetInOrder result buffer
 	ranked   rankedOps  // selectWindow sort scratch
 	hinted   hintedOps  // selectWindow sort scratch (hint mode)
 	combo    []int      // bestSetOfSize combination indices
 	set      []int      // bestSetOfSize op scratch
-	sigRefs  []sigRef   // setSignature operand scratch
-	fresh    []tile.ID  // evalSet: tiles brought on-chip by the current set
+	fresh    []tile.ID  // place: tiles brought on-chip by the current set
 	refs     []tileRef  // apply: per-tile reference counts of one set
 	spDone   []bool     // apply: spills already issued early for a DRAM fallback
 }
 
-// cloneMem clones the engine's scratchpad, reusing a retired clone when
-// one is available.
-func (e *engine) cloneMem() *spm.SPM {
-	if n := len(e.spmFree); n > 0 {
-		dst := e.spmFree[n-1]
-		e.spmFree = e.spmFree[:n-1]
-		return e.mem.CloneInto(dst)
-	}
-	return e.mem.Clone()
-}
-
-// releaseEval recycles a retired set evaluation and its scratchpad
-// clone. nil is ignored, so callers can release an old best
-// unconditionally.
+// releaseEval recycles a retired set evaluation. nil is ignored, so
+// callers can release an old best unconditionally.
 func (e *engine) releaseEval(ev *setEval) {
-	if ev == nil {
-		return
+	if ev != nil {
+		e.evalFree = append(e.evalFree, ev)
 	}
-	if ev.mem != nil {
-		e.spmFree = append(e.spmFree, ev.mem)
-		ev.mem = nil
-	}
-	e.evalFree = append(e.evalFree, ev)
 }
 
 // getEval returns a zeroed set evaluation, recycled when possible. The
@@ -270,8 +250,8 @@ func (e *engine) getEval() *setEval {
 	return ev
 }
 
-// enginePool recycles engines — and with them the scratchpad free
-// lists, signature buffers, and bookkeeping maps — across Schedule
+// enginePool recycles engines — and with them the scratchpad, the
+// signature buffers, and the bookkeeping maps — across Schedule
 // calls. The search schedules tens of runs per tiling and thousands per
 // layer; per-worker reuse through the pool keeps the steady state out
 // of the allocator.
@@ -427,10 +407,7 @@ func (e *engine) reset(gr *dfg.Graph, cfg Config) {
 	}
 	e.tl.Reserve(len(gr.Ops), len(gr.Ops))
 	e.tl.SetFaults(cfg.FaultPlan)
-	e.res = &Result{Factors: gr.Grid.F}
-	for k := range e.res.PerKind {
-		e.res.PerKind[k].MoveCounts = make(map[tile.ID]int)
-	}
+	e.res = newResult(gr)
 	if cap(e.rank) >= len(gr.Ops) {
 		e.rank = e.rank[:len(gr.Ops)]
 	} else {
@@ -438,6 +415,22 @@ func (e *engine) reset(gr *dfg.Graph, cfg Config) {
 	}
 	e.pos = 0
 	e.nEval, e.nPruned, e.nDone = 0, 0, 0
+}
+
+// newResult returns an empty Result for a run over gr. Every tile of
+// a complete schedule moves at least once, so the MoveCounts maps are
+// sized for the graph's tile counts up front (growing them on demand
+// was a third of a search's allocated bytes).
+func newResult(gr *dfg.Graph) *Result {
+	res := &Result{Factors: gr.Grid.F}
+	for k := range res.PerKind {
+		n := 0
+		for _, g := range gr.Grids() {
+			n += g.NumTiles(tile.Kind(k))
+		}
+		res.PerKind[k].MoveCounts = make(map[tile.ID]int, n)
+	}
+	return res
 }
 
 // recycle returns the engine to the pool, dropping the references that
@@ -458,16 +451,20 @@ type tileRef struct {
 	n  int
 }
 
-// apply commits the chosen set: adopts the evaluated scratchpad state,
+// apply commits the chosen set: places it in the scratchpad for real,
 // schedules the memory operations and compute ops on the timeline,
-// updates bookkeeping, and wakes up successors. It consumes ev (the
-// evaluation and the replaced scratchpad are recycled). It fails only
-// when a fault plan has killed every core an op could run on.
+// updates bookkeeping, and wakes up successors. evalSet rolled its
+// placement back, so apply repeats it; placement is deterministic and
+// nothing it reads has changed since, so the loads and spills recorded
+// in ev come out the same — and whatever they are, the timeline is
+// built from the ones that actually happened. It consumes ev. It fails
+// only when a fault plan has killed every core an op could run on.
 func (e *engine) apply(ev *setEval) error {
-	e.spmFree = append(e.spmFree, e.mem)
-	e.mem = ev.mem
-	ev.mem = nil
 	defer e.releaseEval(ev)
+	*ev = setEval{ops: ev.ops, loads: ev.loads[:0], spills: ev.spills[:0]}
+	if !e.place(ev) {
+		panic("sched: committing a set whose evaluation succeeded failed")
+	}
 
 	// Memory operations on the shared DMA channel. Loads are issued
 	// first and gate the set's compute; write-backs of evicted dirty

@@ -18,7 +18,7 @@ func testArch(cores int) arch.Config {
 	return arch.New("test", cores, arch.KiB(256), 32)
 }
 
-func buildGraph(t *testing.T, l layer.Conv, f tile.Factors, a arch.Config) *dfg.Graph {
+func buildGraph(t testing.TB, l layer.Conv, f tile.Factors, a arch.Config) *dfg.Graph {
 	t.Helper()
 	g, err := tile.NewGrid(l, f)
 	if err != nil {
@@ -34,7 +34,7 @@ func smallGraph(t *testing.T, a arch.Config) *dfg.Graph {
 
 // pressureGraph has real memory pressure: psum chains and operand sets
 // that do not all fit in 256 KiB at once.
-func pressureGraph(t *testing.T, a arch.Config) *dfg.Graph {
+func pressureGraph(t testing.TB, a arch.Config) *dfg.Graph {
 	return buildGraph(t, layer.NewConv("p", 28, 28, 128, 128, 3),
 		tile.Factors{OH: 14, OW: 14, OC: 32, IC: 32}, a)
 }

@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/flexer-sched/flexer/internal/arch"
@@ -240,6 +241,60 @@ func TestMetricMonotone(t *testing.T) {
 	for _, c := range cases {
 		if got := c.m.monotone(); got != c.want {
 			t.Errorf("monotone(%+v) = %v, want %v", c.m, got, c.want)
+		}
+	}
+}
+
+// TestSearchEffortRepeatsWithOneWorker: tilings take their worker slot
+// in ascending-bound order, so with one worker every tiling prunes
+// against the same incumbents on every run and the effort counters —
+// which depend on that order — repeat exactly. The answer never
+// depended on the order: it equals the exhaustive search's.
+func TestSearchEffortRepeatsWithOneWorker(t *testing.T) {
+	cfg, err := arch.Preset("arch1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := QuickBudget()
+	b.MaxTilings = 12
+	l := layer.NewConv("effort", 28, 28, 64, 96, 3)
+	opts := Options{Arch: cfg, Budget: b, Workers: 1}
+
+	type effort struct{ pruned, aborted, sets int }
+	measure := func(lr *LayerResult) effort {
+		e := effort{pruned: lr.CandidatesPruned, aborted: lr.SchedulesAborted}
+		for _, c := range lr.Candidates {
+			for _, r := range []*sched.Result{c.OoO, c.Static} {
+				if r != nil {
+					e.sets += r.SetsEvaluated
+				}
+			}
+		}
+		return e
+	}
+	exOpts := opts
+	exOpts.DisableDominance = true
+	exhaustive, err := SearchLayer(l, exOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first effort
+	for run := 0; run < 10; run++ {
+		lr, err := SearchLayer(l, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := measure(lr)
+		if run == 0 {
+			first = got
+			if got.pruned == 0 && got.aborted == 0 {
+				t.Fatal("layer exercises no pruning; the test would prove nothing")
+			}
+		} else if got != first {
+			t.Errorf("run %d: effort %+v, run 0 had %+v", run, got, first)
+		}
+		if !reflect.DeepEqual(lr.BestOoO, exhaustive.BestOoO) || !reflect.DeepEqual(lr.BestStatic, exhaustive.BestStatic) {
+			t.Errorf("run %d: best schedules differ from the exhaustive search's", run)
 		}
 	}
 }

@@ -303,16 +303,23 @@ func searchLayerUncached(ctx context.Context, l layer.Conv, opts Options) (*Laye
 	if sem == nil {
 		sem = make(chan struct{}, opts.workers())
 	}
+	// The worker slot is taken here, not in the goroutine, so tilings are
+	// admitted in ascending-bound order. Goroutines racing for the
+	// semaphore win it in whatever order the runtime wakes them — in
+	// practice the last spawned, worst-bound tilings first, which runs
+	// the most expensive candidates against no incumbent at all. With
+	// one worker the incumbents each tiling prunes against — and so the
+	// pruned/aborted/sets counts — also repeat exactly.
+spawn:
 	for _, i := range order {
+		select {
+		case sem <- struct{}{}:
+		case <-ctx.Done():
+			break spawn // reported through ctx.Err() after the wait
+		}
 		wg.Add(1)
 		go func(i int, f tile.Factors) {
 			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
 			defer func() { <-sem }()
 			if err := ctx.Err(); err != nil {
 				errs[i] = err

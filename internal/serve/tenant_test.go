@@ -194,7 +194,10 @@ func TestStreamPreemptionEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network search is seconds of work")
 	}
-	netBody := `{"arch": "arch1", "network": "vgg16", "scale": 8,
+	// Scale 4, not smaller: the sweep has to outlast the round trip of
+	// the interactive request that preempts it (scale 8 is ~20 ms of
+	// search since tilings are admitted in bound order; this is ~300).
+	netBody := `{"arch": "arch1", "network": "vgg16", "scale": 4,
 	             "options": {"budget": "quick"}, "timeout_ms": 300000, "tenant": "sweeps"}`
 
 	// Control: the same sweep on a separate server, never interrupted.

@@ -1,0 +1,61 @@
+package spm
+
+import (
+	"testing"
+
+	"github.com/flexer-sched/flexer/internal/tile"
+)
+
+// The two ways to try a candidate set's allocations and take them back
+// (run with -benchmem): copy the scratchpad and allocate on the copy,
+// as the scheduler did, or allocate in place between a checkpoint and a
+// rollback, as it does now. Both run the same four allocations into
+// the free half of a scratchpad holding 48 blocks, so the allocations
+// are cheap and the difference is the mechanism.
+
+func benchScratchpad(b *testing.B) (s *SPM, ru func(tile.ID) int, want []tile.ID) {
+	b.Helper()
+	s = New(96<<10, PolicyFlexer)
+	uses := make(map[tile.ID]int)
+	ru = usesOf(uses)
+	for n := 0; n < 48; n++ {
+		uses[mkID(n)] = 1 + n%3
+		if _, err := s.Allocate(mkID(n), 1<<10, ru); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s.UnpinAll()
+	for n := 100; n < 104; n++ {
+		want = append(want, mkID(n))
+	}
+	return s, ru, want
+}
+
+func allocateAll(b *testing.B, s *SPM, ids []tile.ID, ru func(tile.ID) int) {
+	for i, id := range ids {
+		if _, err := s.Allocate(id, int64(1+i)<<9, ru); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCheckpointRollback(b *testing.B) {
+	s, ru, want := benchScratchpad(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Checkpoint()
+		allocateAll(b, s, want, ru)
+		s.Rollback()
+	}
+}
+
+func BenchmarkCloneInto(b *testing.B) {
+	s, ru, want := benchScratchpad(b)
+	dst := New(1, PolicyFlexer)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		allocateAll(b, s.CloneInto(dst), want, ru)
+	}
+}

@@ -80,6 +80,20 @@ type SPM struct {
 	// evScratch backs the eviction lists returned by Allocate, reused
 	// across calls so the hot allocation path stays off the heap.
 	evScratch []Eviction
+
+	// Open checkpoint: saved regions and byte count, index edits since.
+	ckActive bool
+	ckRegs   []region
+	ckUsed   int64
+	journal  []indexEdit
+}
+
+// indexEdit is one journalled change to the tile index: before the
+// edit, id was at addr when present and absent otherwise.
+type indexEdit struct {
+	id      tile.ID
+	addr    int64
+	present bool
 }
 
 // New returns an empty scratchpad of the given capacity using the given
@@ -118,11 +132,13 @@ func (s *SPM) Clone() *SPM {
 }
 
 // CloneInto overwrites dst with a deep copy of s, reusing dst's region
-// slice and index map instead of allocating fresh ones. The scheduler's
-// candidate-set evaluation clones the scratchpad once per candidate;
-// recycling retired clones through CloneInto removes the dominant
-// allocation site of a search. dst must not be s. Returns dst.
+// slice and index map instead of allocating fresh ones. dst must not be
+// s. Returns dst. Like Clone it copies the current state only — an open
+// checkpoint stays with s. The scheduler no longer clones per candidate
+// set (it evaluates in place between Checkpoint and Rollback); Clone
+// and CloneInto remain for tests and the benchmark's spm.clone_ns row.
 func (s *SPM) CloneInto(dst *SPM) *SPM {
+	dst.ckActive = false
 	dst.cap = s.cap
 	dst.regs = append(dst.regs[:0], s.regs...)
 	if dst.index == nil {
@@ -156,6 +172,42 @@ func (s *SPM) Reset(capacity int64, policy Policy) {
 	s.used = 0
 	s.policy = policy
 	s.inPlace = true
+	s.ckActive = false
+}
+
+// Checkpoint saves the scratchpad state so that a following Rollback
+// undoes every Allocate, Evict, Pin, Unpin and SetDirty made in
+// between. It copies the region slice and journals index edits instead
+// of copying the index map, so a checkpoint/rollback pair costs one
+// small memmove plus the edits actually made — the scheduler evaluates
+// every candidate set this way on its one scratchpad. At most one
+// checkpoint is open at a time: Checkpoint panics when one is, Rollback
+// when none is, and Reset discards an open one.
+func (s *SPM) Checkpoint() {
+	if s.ckActive {
+		panic("spm: Checkpoint with a checkpoint already open")
+	}
+	s.ckActive = true
+	s.ckRegs = append(s.ckRegs[:0], s.regs...)
+	s.ckUsed = s.used
+	s.journal = s.journal[:0]
+}
+
+// Rollback restores the state saved by the open checkpoint, closing it.
+func (s *SPM) Rollback() {
+	if !s.ckActive {
+		panic("spm: Rollback without an open checkpoint")
+	}
+	s.ckActive = false
+	s.regs, s.ckRegs = s.ckRegs, s.regs
+	s.used = s.ckUsed
+	for i := len(s.journal) - 1; i >= 0; i-- {
+		if ed := &s.journal[i]; ed.present {
+			s.index[ed.id] = ed.addr
+		} else {
+			delete(s.index, ed.id)
+		}
+	}
 }
 
 // Capacity returns the scratchpad size in bytes.
@@ -298,6 +350,9 @@ func (s *SPM) evictAt(i int, remainUses func(tile.ID) int) Eviction {
 		ru = remainUses(r.id)
 	}
 	ev := Eviction{ID: r.id, Size: r.size, Dirty: r.dirty, RemainUses: ru}
+	if s.ckActive {
+		s.journal = append(s.journal, indexEdit{id: r.id, addr: r.addr, present: true})
+	}
 	delete(s.index, r.id)
 	s.used -= r.size
 	r.alloc = false
@@ -430,6 +485,9 @@ func (s *SPM) place(i int, id tile.ID, size int64) {
 		copy(s.regs[i+2:], s.regs[i+1:])
 		s.regs[i] = blk
 		s.regs[i+1] = frag
+	}
+	if s.ckActive {
+		s.journal = append(s.journal, indexEdit{id: id}) // callers place absent tiles only
 	}
 	s.index[id] = blk.addr
 	s.used += size

@@ -2,6 +2,7 @@ package spm
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -271,5 +272,108 @@ func TestSpillAlwaysSatisfiesRequest(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// observed is everything a caller can see of a scratchpad.
+type observed struct {
+	Blocks        []BlockInfo
+	Has           []bool // per mkID(0..n)
+	Used, Largest int64
+}
+
+func observe(s *SPM, ids int) *observed {
+	o := &observed{Blocks: s.Blocks(), Used: s.AllocatedBytes(), Largest: s.LargestFree()}
+	for n := 0; n < ids; n++ {
+		o.Has = append(o.Has, s.Has(mkID(n)))
+	}
+	return o
+}
+
+// TestCheckpointRollbackRestores: whatever happens between a checkpoint
+// and its rollback — allocations with spills under every policy,
+// evictions, pins, dirty bits — the rollback restores every observable
+// of the scratchpad, the representation invariants hold, and the
+// scratchpad keeps working (the next round starts from the restored
+// state and reuses the checkpoint buffers).
+func TestCheckpointRollbackRestores(t *testing.T) {
+	const ids = 48
+	for _, policy := range []Policy{PolicyFlexer, PolicyFirstFit, PolicySmallestFirst} {
+		policy := policy
+		t.Run(policy.String(), func(t *testing.T) {
+			check := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				s := New(1<<12, policy)
+				uses := make(map[tile.ID]int)
+				ru := usesOf(uses)
+				mutate := func(steps int) {
+					for ; steps > 0; steps-- {
+						id := mkID(rng.Intn(ids))
+						switch rng.Intn(8) {
+						case 0, 1, 2, 3:
+							uses[id] = rng.Intn(4)
+							s.Allocate(id, int64(rng.Intn(1<<10)+1), ru)
+						case 4:
+							s.Evict(id, ru)
+						case 5:
+							s.Pin(id)
+						case 6:
+							s.SetDirty(id, rng.Intn(2) == 0)
+						case 7:
+							s.UnpinAll()
+						}
+					}
+				}
+				for round := 0; round < 8; round++ {
+					mutate(rng.Intn(30)) // committed work between checkpoints
+					s.Checkpoint()
+					want := observe(s, ids)
+					mutate(rng.Intn(40))
+					s.Rollback()
+					if got := observe(s, ids); !reflect.DeepEqual(got, want) {
+						t.Logf("seed %d round %d: rollback restored\n%+v\nwant\n%+v", seed, round, got, want)
+						return false
+					}
+					if err := s.CheckInvariants(); err != nil {
+						t.Logf("seed %d round %d: %v", seed, round, err)
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestCheckpointPairing: checkpoints do not nest and a rollback needs
+// one; Reset discards an open checkpoint and a clone never carries one.
+func TestCheckpointPairing(t *testing.T) {
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	s := New(1<<10, PolicyFlexer)
+	if !panics(s.Rollback) {
+		t.Error("Rollback without a checkpoint did not panic")
+	}
+	s.Checkpoint()
+	if !panics(s.Checkpoint) {
+		t.Error("nested Checkpoint did not panic")
+	}
+	if c := s.Clone(); !panics(c.Rollback) {
+		t.Error("clone of a checkpointed scratchpad carries the checkpoint")
+	}
+	if c := s.CloneInto(New(1, PolicyFlexer)); !panics(c.Rollback) {
+		t.Error("CloneInto of a checkpointed scratchpad carries the checkpoint")
+	}
+	s.Rollback()
+	s.Checkpoint()
+	s.Reset(1<<10, PolicyFlexer)
+	if !panics(s.Rollback) {
+		t.Error("Reset kept the open checkpoint")
 	}
 }
