@@ -7,7 +7,7 @@ GO ?= go
 # internal/search + internal/dfg + internal/sched.
 COVER_MIN ?= 70
 
-.PHONY: check build vet test test-short fairness cluster-e2e bench bench-smoke repo-bench-smoke bench-record bench-guard fuzz-smoke lint cover cover-check run-flexerd
+.PHONY: check build vet test test-short loc fairness cluster-e2e bench bench-smoke repo-bench-smoke bench-record bench-guard fuzz-smoke lint cover cover-check run-flexerd
 
 # The committed benchmark record the regression guard compares against.
 BENCH_BASELINE ?= BENCH_0009.json
@@ -22,6 +22,15 @@ vet:
 
 test:
 	$(GO) test -race ./...
+
+# Non-test Go lines of the three packages ROADMAP's collapse item
+# targets, and of the repository outside bench/. CI's check job echoes
+# this, so each PR's log records progress against the line target.
+loc:
+	@for d in internal/sched internal/search internal/serve; do \
+		printf '%-16s %6d\n' $$d $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	done
+	@printf '%-16s %6d\n' 'total (no bench)' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 
 # Faster inner-loop variant (skips the slower network-level tests).
 test-short:

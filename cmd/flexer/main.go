@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	flexer "github.com/flexer-sched/flexer"
@@ -33,10 +34,10 @@ func run() error {
 	netName := flag.String("net", "vgg16", "network (vgg16, resnet50, squeezenet, yolov2)")
 	layerName := flag.String("layer", "", "single layer to schedule (default: whole network)")
 	scale := flag.Int("scale", 1, "divide spatial dimensions by this factor")
-	budgetName := flag.String("budget", "default", "search budget: quick or default")
-	priority := flag.String("priority", "default", "set priority: default, min-transfer, min-spill")
-	mempolicy := flag.String("mempolicy", "flexer", "spill policy: flexer, first-fit, small-spill")
-	metricName := flag.String("metric", "default", "ranking metric: default (latency x traffic) or min-transfer")
+	budgetName := flag.String("budget", "default", "search budget: "+strings.Join(flexer.BudgetNames(), ", "))
+	priority := flag.String("priority", "default", "set priority: "+strings.Join(flexer.PriorityNames(), ", "))
+	mempolicy := flag.String("mempolicy", "flexer", "spill policy: "+strings.Join(flexer.MemPolicyNames(), ", "))
+	metricName := flag.String("metric", "default", "ranking metric (default = latency x traffic): "+strings.Join(flexer.MetricNames(), ", "))
 	jsonPath := flag.String("json", "", "write the best OoO schedule as JSON to this file")
 	csvPath := flag.String("csv", "", "write the best OoO schedule timeline as CSV to this file")
 	gantt := flag.Bool("gantt", false, "print a textual Gantt chart of both schedules (layer mode)")
@@ -63,41 +64,17 @@ func run() error {
 	net = net.Scale(*scale)
 
 	opts := flexer.Options{Arch: cfg, Workers: *workers, Cache: flexer.NewCache()}
-	switch *budgetName {
-	case "quick":
-		opts.Budget = flexer.QuickBudget()
-	case "default":
-		opts.Budget = flexer.DefaultBudget()
-	default:
-		return fmt.Errorf("unknown budget %q", *budgetName)
+	if opts.Budget, err = flexer.BudgetByName(*budgetName); err != nil {
+		return err
 	}
-	switch *priority {
-	case "default":
-		opts.Priority = flexer.PriorityDefault
-	case "min-transfer":
-		opts.Priority = flexer.PriorityMinTransfer
-	case "min-spill":
-		opts.Priority = flexer.PriorityMinSpill
-	default:
-		return fmt.Errorf("unknown priority %q", *priority)
+	if opts.Priority, err = flexer.ParsePriority(*priority); err != nil {
+		return err
 	}
-	switch *mempolicy {
-	case "flexer":
-		opts.MemPolicy = flexer.MemPolicyFlexer
-	case "first-fit":
-		opts.MemPolicy = flexer.MemPolicyFirstFit
-	case "small-spill":
-		opts.MemPolicy = flexer.MemPolicySmallestFirst
-	default:
-		return fmt.Errorf("unknown mempolicy %q", *mempolicy)
+	if opts.MemPolicy, err = flexer.ParseMemPolicy(*mempolicy); err != nil {
+		return err
 	}
-	switch *metricName {
-	case "default":
-		opts.Metric = flexer.MetricDefault()
-	case "min-transfer":
-		opts.Metric = flexer.MetricMinTransfer()
-	default:
-		return fmt.Errorf("unknown metric %q", *metricName)
+	if opts.Metric, err = flexer.ParseMetric(*metricName); err != nil {
+		return err
 	}
 
 	if *faultSpec != "" {

@@ -45,7 +45,7 @@ func mainExit() int {
 		strings.Join(experiments.Names(), ", "))
 	exp := flag.String("exp", "all", expHelp)
 	scale := flag.Int("scale", 4, "divide network spatial dimensions by this factor (1 = full size)")
-	budget := flag.String("budget", "quick", "search budget: quick or default")
+	budget := flag.String("budget", "quick", "search budget: "+strings.Join(search.BudgetNames(), ", "))
 	workers := flag.Int("workers", 0, "search parallelism (0 = GOMAXPROCS)")
 	jsonOut := flag.String("json", "", "run benchmark presets and write a BENCH record to this file")
 	guard := flag.String("guard", "", "compare the benchmark run against this committed BENCH_*.json; exit 1 on regression")
@@ -130,13 +130,9 @@ func runExperiments(exp string, scale int, budget string, workers int) int {
 		Workers: workers,
 		Cache:   search.NewCache(),
 	}
-	switch budget {
-	case "quick":
-		cfg.Budget = search.QuickBudget()
-	case "default":
-		cfg.Budget = search.DefaultBudget()
-	default:
-		fmt.Fprintf(os.Stderr, "flexerbench: unknown budget %q (want quick or default)\n", budget)
+	var err error
+	if cfg.Budget, err = search.BudgetByName(budget); err != nil {
+		fmt.Fprintln(os.Stderr, "flexerbench:", err)
 		return 2
 	}
 

@@ -18,7 +18,7 @@
 //	POST /v1/schedule/network  schedule a whole network
 //	POST /v1/schedule/*?stream=1  same, streaming NDJSON progress
 //	GET  /v1/presets           archs, networks and option enums
-//	GET  /v1/healthz           liveness probe (also legacy /healthz)
+//	GET  /v1/healthz           liveness probe
 //	GET  /v1/readyz            readiness (503 while warming/draining)
 //	GET  /v1/cluster/snapshot  a peer's cache shard (cluster mode)
 //	GET  /debug/vars           metrics (expvar JSON)

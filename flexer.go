@@ -101,6 +101,19 @@ const (
 	MemPolicySmallestFirst = spm.PolicySmallestFirst
 )
 
+// ParsePriority, ParseMemPolicy, ParseMetric and BudgetByName turn an
+// option name into its value; the matching *Names functions list the
+// names each accepts. Commands and services take option names from
+// here, so no two of them can disagree about what exists.
+func ParsePriority(name string) (Priority, error)   { return sched.ParsePriority(name) }
+func ParseMemPolicy(name string) (MemPolicy, error) { return spm.ParsePolicy(name) }
+func ParseMetric(name string) (Metric, error)       { return search.ParseMetric(name) }
+func BudgetByName(name string) (Budget, error)      { return search.BudgetByName(name) }
+func PriorityNames() []string                       { return sched.PriorityNames() }
+func MemPolicyNames() []string                      { return spm.PolicyNames() }
+func MetricNames() []string                         { return search.MetricNames() }
+func BudgetNames() []string                         { return search.BudgetNames() }
+
 // Preset returns one of the eight Table 1 hardware configurations
 // ("arch1".."arch8").
 func Preset(name string) (Arch, error) { return arch.Preset(name) }
@@ -172,43 +185,29 @@ func Tilings(l Conv, a Arch, b Budget) []Factors {
 // ScheduleLayer generates an out-of-order schedule for one layer under
 // one tiling.
 func ScheduleLayer(l Conv, f Factors, opts Options) (*Schedule, error) {
-	return scheduleWithOrder(l, f, opts, nil)
+	return schedule(l, f, opts, nil)
 }
 
 // ScheduleStatic generates the fixed loop-order schedule of df for one
 // layer under one tiling.
 func ScheduleStatic(l Conv, f Factors, df Dataflow, opts Options) (*Schedule, error) {
+	return schedule(l, f, opts, &df)
+}
+
+// schedule builds the layer's graph under tiling f and schedules it:
+// out of order, or in df's loop order when one is given.
+func schedule(l Conv, f Factors, opts Options, df *Dataflow) (*Schedule, error) {
 	grid, err := tile.NewGrid(l, f)
 	if err != nil {
 		return nil, err
 	}
 	m := model.New(opts.Arch)
 	graph := dfg.Build(grid, m)
-	return sched.Schedule(graph, schedConfig(opts, m, loop.Order(graph, df)))
-}
-
-func scheduleWithOrder(l Conv, f Factors, opts Options, order []int) (*Schedule, error) {
-	grid, err := tile.NewGrid(l, f)
-	if err != nil {
-		return nil, err
+	cfg := opts.SchedConfig(m)
+	if df != nil {
+		cfg.Order = loop.Order(graph, *df)
 	}
-	m := model.New(opts.Arch)
-	graph := dfg.Build(grid, m)
-	return sched.Schedule(graph, schedConfig(opts, m, order))
-}
-
-func schedConfig(opts Options, m model.Model, order []int) sched.Config {
-	return sched.Config{
-		Arch:             opts.Arch,
-		Model:            m,
-		Priority:         opts.Priority,
-		MemPolicy:        opts.MemPolicy,
-		DisableInPlace:   opts.DisableInPlace,
-		DisablePruning:   opts.DisablePruning,
-		MaxReadyWindow:   opts.Budget.MaxReadyWindow,
-		MaxCandidateSets: opts.Budget.MaxCandidateSets,
-		Order:            order,
-	}
+	return sched.Schedule(graph, cfg)
 }
 
 // SearchLayer explores tilings and dataflows for one layer and returns

@@ -141,6 +141,41 @@ func TestPolicyAndPriorityOptions(t *testing.T) {
 	}
 }
 
+// TestOptionNames checks the names commands take options by: each
+// list round-trips through its parse function, and chain-depth — which
+// the flexer CLI once rejected while the daemon accepted it — is one.
+func TestOptionNames(t *testing.T) {
+	if p, err := flexer.ParsePriority("chain-depth"); err != nil || p != flexer.PriorityChainDepth {
+		t.Errorf("ParsePriority(chain-depth) = %v, %v", p, err)
+	}
+	for _, name := range flexer.PriorityNames() {
+		if p, err := flexer.ParsePriority(name); err != nil || p.String() != name {
+			t.Errorf("ParsePriority(%q) = %v, %v", name, p, err)
+		}
+	}
+	for _, name := range flexer.MemPolicyNames() {
+		if p, err := flexer.ParseMemPolicy(name); err != nil || p.String() != name {
+			t.Errorf("ParseMemPolicy(%q) = %v, %v", name, p, err)
+		}
+	}
+	if m, err := flexer.ParseMetric("min-transfer"); err != nil || m != flexer.MetricMinTransfer() {
+		t.Errorf("ParseMetric(min-transfer) = %v, %v", m, err)
+	}
+	if b, err := flexer.BudgetByName("quick"); err != nil || b.MaxTilings != flexer.QuickBudget().MaxTilings {
+		t.Errorf("BudgetByName(quick) = %+v, %v", b, err)
+	}
+	for _, name := range append(flexer.MetricNames(), flexer.BudgetNames()...) {
+		_, merr := flexer.ParseMetric(name)
+		_, berr := flexer.BudgetByName(name)
+		if merr != nil && berr != nil {
+			t.Errorf("%q is listed but parses as neither a metric nor a budget", name)
+		}
+	}
+	if _, err := flexer.BudgetByName("lavish"); err == nil {
+		t.Error("BudgetByName accepted an unknown name")
+	}
+}
+
 func TestExportFormats(t *testing.T) {
 	cfg := arch1(t)
 	l := flexer.NewConv("l", 14, 14, 64, 64, 3)

@@ -137,14 +137,9 @@ type BenchRecord struct {
 // RunBenchPreset runs one preset and measures it. The search uses a
 // fresh cache so measurements do not depend on what ran before.
 func RunBenchPreset(p BenchPreset, workers int) (BenchResult, error) {
-	var budget search.Budget
-	switch p.Budget {
-	case "quick":
-		budget = search.QuickBudget()
-	case "default":
-		budget = search.DefaultBudget()
-	default:
-		return BenchResult{}, fmt.Errorf("preset %s: unknown budget %q", p.Name, p.Budget)
+	budget, err := search.BudgetByName(p.Budget)
+	if err != nil {
+		return BenchResult{}, fmt.Errorf("preset %s: %w", p.Name, err)
 	}
 	a, err := arch.Preset(p.Arch)
 	if err != nil {

@@ -86,10 +86,6 @@ func (m Model) GatherCycles(n int64) int64 {
 // computations use it to price op counts without enumerating ops.
 func (m Model) FillCycles() int64 { return computeFillCycles }
 
-// SetupCycles returns the fixed DMA descriptor-setup cost charged to
-// every non-empty transfer, the additive constant of TransferCycles.
-func (m Model) SetupCycles() int64 { return dmaSetupCycles }
-
 // PERows returns the PE-array row count (input-channel parallelism).
 func (m Model) PERows() int { return m.peRows }
 

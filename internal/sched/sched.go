@@ -15,6 +15,8 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"github.com/flexer-sched/flexer/internal/arch"
@@ -48,19 +50,26 @@ const (
 	PriorityChainDepth
 )
 
+// priorityNames holds the name of every Priority, indexed by value.
+var priorityNames = [...]string{"default", "min-transfer", "min-spill", "chain-depth"}
+
 // String names the priority function.
 func (p Priority) String() string {
-	switch p {
-	case PriorityDefault:
-		return "default"
-	case PriorityMinTransfer:
-		return "min-transfer"
-	case PriorityMinSpill:
-		return "min-spill"
-	case PriorityChainDepth:
-		return "chain-depth"
+	if int(p) < len(priorityNames) {
+		return priorityNames[p]
 	}
 	return fmt.Sprintf("Priority(%d)", uint8(p))
+}
+
+// PriorityNames lists the names ParsePriority accepts, in value order.
+func PriorityNames() []string { return slices.Clone(priorityNames[:]) }
+
+// ParsePriority is the inverse of Priority.String.
+func ParsePriority(name string) (Priority, error) {
+	if i := slices.Index(priorityNames[:], name); i >= 0 {
+		return Priority(i), nil
+	}
+	return 0, fmt.Errorf("unknown priority %q (want %s)", name, strings.Join(priorityNames[:], ", "))
 }
 
 // Config controls one scheduling run.

@@ -387,6 +387,24 @@ func TestPriorityStrings(t *testing.T) {
 	}
 }
 
+// TestParsePriorityInvertsString checks the one name table: every
+// listed name parses to the priority that prints it, default first.
+func TestParsePriorityInvertsString(t *testing.T) {
+	names := PriorityNames()
+	if len(names) != 4 || names[0] != PriorityDefault.String() {
+		t.Fatalf("PriorityNames() = %v, want the 4 priorities, default first", names)
+	}
+	for _, name := range names {
+		p, err := ParsePriority(name)
+		if err != nil || p.String() != name {
+			t.Errorf("ParsePriority(%q) = %v, %v", name, p, err)
+		}
+	}
+	if _, err := ParsePriority(""); err == nil {
+		t.Error("ParsePriority accepted the empty name; defaults belong to callers")
+	}
+}
+
 func TestResultMetric(t *testing.T) {
 	r := &Result{LatencyCycles: 10, LoadBytes: 3, SpillBytes: 2, WritebackBytes: 5}
 	if r.TrafficBytes() != 10 {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/fault"
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/loop"
@@ -267,7 +268,8 @@ func (s *cacheShard) complete(c *Cache, e *cacheEntry) {
 // except the layer's name. Every result-relevant Options field must
 // participate — metric, budget (including the identity of each
 // baseline dataflow, not just their count), arch, priority, memory
-// policy and the ablation switches — so two requests differing in any
+// policy and the ablation switches (TestCacheKeyCoversOptions walks
+// the field list) — so two requests differing in any
 // of them are never coalesced onto one search. FuseDepth participates
 // too: layer results themselves are fusion-independent today, but
 // keeping the keys disjoint guarantees a fused network request can
@@ -285,13 +287,23 @@ func cacheKey(l layer.Conv, opts Options) string {
 // per-layer cache keys and whole-network routing keys.
 func optionsKey(opts Options) string {
 	b := opts.Budget
-	return fmt.Sprintf("%s/%d/%d/%d|%v|%v|%d|%s|%v%v%v%v|%d:%d:%d:%d:%d|f%d|%s",
-		opts.Arch.Name, opts.Arch.Cores, opts.Arch.SPMBytes, opts.Arch.BandwidthBytesPerCycle,
+	return fmt.Sprintf("%s/%d/%d/%d%s|%v|%v|%d|%s|%v%v%v%v|%d:%d:%d:%d:%d|f%d|%s",
+		opts.Arch.Name, opts.Arch.Cores, opts.Arch.SPMBytes, opts.Arch.BandwidthBytesPerCycle, peKey(opts.Arch),
 		opts.Metric, opts.Priority, opts.MemPolicy, dataflowsKey(b.Dataflows),
 		opts.DisableInPlace, opts.DisablePruning, opts.DisableDominance, b.HintedOoO,
 		b.MaxTilings, b.MaxOps, b.MaxValuesPerDim, b.MaxReadyWindow, b.MaxCandidateSets,
 		opts.FuseDepth,
 		faultKey(opts.FaultPlan))
+}
+
+// peKey fingerprints the PE-array geometry, which sets op cycles. The
+// default geometry maps to "" so that every key minted before geometry
+// was fingerprinted — snapshots, ring homes — keeps its bytes.
+func peKey(a arch.Config) string {
+	if a.PERows == arch.DefaultPERows && a.PECols == arch.DefaultPECols {
+		return ""
+	}
+	return fmt.Sprintf("/pe%dx%d", a.PERows, a.PECols)
 }
 
 // CacheKey exposes the cache fingerprint of one layer search. The

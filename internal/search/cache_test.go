@@ -4,17 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/flexer-sched/flexer/internal/arch"
+	"github.com/flexer-sched/flexer/internal/fault"
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/loop"
 	"github.com/flexer-sched/flexer/internal/nets"
-	"github.com/flexer-sched/flexer/internal/sched"
-	"github.com/flexer-sched/flexer/internal/spm"
 )
 
 // TestCacheStatsHitMiss checks the observable miss-then-hit sequence a
@@ -463,66 +461,125 @@ func TestCacheCoalescedJoinerCancelled(t *testing.T) {
 	}
 }
 
-// TestCacheKeyCoversOptions is the regression test for the coalescing
-// key: every search-relevant Options field must change the key, and
-// result-irrelevant plumbing must not, so requests are coalesced if
-// and only if they would compute identical results.
+// keyPlumbing names the fields that cannot change a search result and
+// therefore must not change its cache key: requests differing only in
+// these share one search. Every other field of Options, Budget and
+// arch.Config must change the key — so a field added later without
+// either keying it or listing it here fails this test.
+var keyPlumbing = map[string]bool{
+	"Workers": true, "Cache": true, "CacheMisses": true, "Progress": true, "CheckIn": true,
+	"Arch.ClockHz": true, // converts cycles to seconds in reports only
+	"sem":          true, // unexported: the shared worker-pool semaphore
+}
+
+// perturb changes v to a different value of its type, reporting false
+// for kinds it has no rule for.
+func perturb(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint8:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 0.5)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Slice:
+		v.Set(v.Slice(0, v.Len()-1))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Func:
+		v.Set(reflect.MakeFunc(v.Type(), func([]reflect.Value) []reflect.Value {
+			return make([]reflect.Value, v.Type().NumOut())
+		}))
+	default:
+		return false
+	}
+	return true
+}
+
+// TestCacheKeyCoversOptions is the regression test for wrong cache
+// hits from a forgotten field: it walks every field of Options — into
+// Budget, Metric and arch.Config — perturbs one at a time, and requires
+// the key to change unless the field is listed as plumbing, in which
+// case it must not.
 func TestCacheKeyCoversOptions(t *testing.T) {
 	l := layer.NewConv("l", 14, 14, 64, 64, 3)
 	base := quickOpts(t, "arch1")
 	baseKey := cacheKey(l, base)
 
-	distinct := map[string]Options{}
-	withOpt := func(name string, mutate func(*Options)) {
-		o := base
-		mutate(&o)
-		distinct[name] = o
-	}
-	withOpt("metric", func(o *Options) { o.Metric = MetricMinTransfer() })
-	withOpt("arch", func(o *Options) {
-		cfg, err := arch.Preset("arch2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.Arch = cfg
-	})
-	withOpt("priority", func(o *Options) { o.Priority = sched.PriorityMinTransfer })
-	withOpt("mem-policy", func(o *Options) { o.MemPolicy = spm.PolicyFirstFit })
-	withOpt("budget-tilings", func(o *Options) { o.Budget.MaxTilings++ })
-	withOpt("budget-hinted", func(o *Options) { o.Budget.HintedOoO = !o.Budget.HintedOoO })
-	withOpt("ablation", func(o *Options) { o.DisableInPlace = true })
-	// Two dataflow sets of equal length but different content: before
-	// the fix only len(Dataflows) was keyed, coalescing these.
-	withOpt("dataflows-front", func(o *Options) { o.Budget.Dataflows = loop.Canonical()[:3] })
-	withOpt("dataflows-back", func(o *Options) { o.Budget.Dataflows = loop.Canonical()[3:] })
-
-	seen := map[string]string{"base": baseKey}
-	for name, o := range distinct {
-		key := cacheKey(l, o)
-		for other, otherKey := range seen {
-			if key == otherKey {
-				t.Errorf("options %q and %q share a cache key; they must never coalesce", name, other)
+	var walk func(path string, index []int, typ reflect.Type)
+	walk = func(path string, index []int, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name, idx := path+f.Name, append(index[:len(index):len(index)], i)
+			if f.Type.Kind() == reflect.Struct {
+				walk(name+".", idx, f.Type)
+				continue
+			}
+			o := base
+			field := reflect.ValueOf(&o).Elem().FieldByIndex(idx)
+			switch {
+			case name == "FaultPlan":
+				// A fresh pointer would be the empty plan, which keys as nil.
+				o.FaultPlan = &fault.Plan{CoreDown: []fault.CoreDown{{Core: 1, Cycle: 1000}}}
+			case !field.CanSet() || !perturb(field):
+				if !keyPlumbing[name] {
+					t.Errorf("field %s cannot be perturbed by this test: key it and teach perturb its kind, or list it in keyPlumbing", name)
+				}
+				continue
+			}
+			switch changed := cacheKey(l, o) != baseKey; {
+			case keyPlumbing[name] && changed:
+				t.Errorf("plumbing field %s changed the cache key; identical searches would not coalesce", name)
+			case !keyPlumbing[name] && !changed:
+				t.Errorf("field %s does not change the cache key; requests differing in it would share a result", name)
 			}
 		}
-		seen[name] = key
 	}
+	walk("", nil, reflect.TypeOf(base))
 
-	// Plumbing that cannot change the result must share the base key,
-	// so such requests do coalesce.
-	same := map[string]Options{}
-	withSame := func(name string, mutate func(*Options)) {
-		o := base
-		mutate(&o)
-		same[name] = o
+	// The dataflow set is keyed by content, not length (two equal-length
+	// sets once coalesced), and nil means the canonical set.
+	front, back, unset := base, base, base
+	front.Budget.Dataflows = loop.Canonical()[:3]
+	back.Budget.Dataflows = loop.Canonical()[3:]
+	unset.Budget.Dataflows = nil
+	if cacheKey(l, front) == cacheKey(l, back) {
+		t.Error("equal-length dataflow sets with different content share a cache key")
 	}
-	withSame("workers", func(o *Options) { o.Workers = 3 })
-	withSame("progress", func(o *Options) { o.Progress = func(ProgressEvent) {} })
-	withSame("cache-misses", func(o *Options) { o.CacheMisses = new(atomic.Int64) })
-	withSame("nil-dataflows-vs-canonical", func(o *Options) { o.Budget.Dataflows = nil })
-	for name, o := range same {
-		if key := cacheKey(l, o); key != baseKey {
-			t.Errorf("options %q changed the cache key; identical searches would not coalesce", name)
-		}
+	if cacheKey(l, unset) != baseKey {
+		t.Error("nil dataflows and the explicit canonical set have different cache keys")
+	}
+}
+
+// TestCachePEGeometryNotCoalesced is the behavioral half for the PE
+// array: two archs equal in name, cores, scratchpad and bandwidth but
+// not in PE geometry have different op cycles, so they run two
+// searches and get different schedules.
+func TestCachePEGeometryNotCoalesced(t *testing.T) {
+	opts := quickOpts(t, "arch1")
+	opts.Cache = NewCache()
+	l := layer.NewConv("l", 8, 8, 64, 64, 3)
+
+	wide, err := SearchLayer(l, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow := opts
+	narrow.Arch.PERows, narrow.Arch.PECols = 8, 8
+	small, err := SearchLayer(l, narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := opts.Cache.Stats(); s.Misses != 2 || s.Hits != 0 {
+		t.Errorf("stats = %+v, want 2 misses 0 hits (PE geometries must not share a result)", s)
+	}
+	if small.BestOoO.LatencyCycles <= wide.BestOoO.LatencyCycles {
+		t.Errorf("8x8 PEs took %d cycles, 32x32 took %d; the smaller array must be slower",
+			small.BestOoO.LatencyCycles, wide.BestOoO.LatencyCycles)
 	}
 }
 

@@ -181,19 +181,10 @@ func scheduleFusedSegment(nr *NetworkResult, first, last int, m model.Model, opt
 	if err != nil {
 		return nil, err.Error(), nil
 	}
-	cfg := sched.Config{
-		Arch:             opts.Arch,
-		Model:            m,
-		Priority:         opts.Priority,
-		MemPolicy:        opts.MemPolicy,
-		DisableInPlace:   opts.DisableInPlace,
-		DisablePruning:   opts.DisablePruning,
-		MaxReadyWindow:   opts.Budget.MaxReadyWindow,
-		MaxCandidateSets: opts.Budget.MaxCandidateSets,
-		// The fused schedule only matters if it beats the layerwise sum,
-		// so a run that exceeds it is abandoned mid-way.
-		CutoffCycles: sumCycles,
-	}
+	// The fused schedule only matters if it beats the layerwise sum, so
+	// a run that exceeds it is abandoned mid-way.
+	cfg := opts.SchedConfig(m)
+	cfg.CutoffCycles = sumCycles
 	res, err := sched.Schedule(gr, cfg)
 	switch {
 	case errors.Is(err, sched.ErrCutoff):

@@ -19,6 +19,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -46,6 +47,20 @@ func MetricDefault() Metric { return Metric{LatExp: 1, TrafficExp: 1} }
 // MetricMinTransfer weights traffic reduction far above latency,
 // matching the Figure 9(b) experiment.
 func MetricMinTransfer() Metric { return Metric{LatExp: 0.1, TrafficExp: 1} }
+
+// MetricNames lists the names ParseMetric accepts.
+func MetricNames() []string { return []string{"default", "min-transfer"} }
+
+// ParseMetric returns the metric a name from MetricNames stands for.
+func ParseMetric(name string) (Metric, error) {
+	switch name {
+	case "default":
+		return MetricDefault(), nil
+	case "min-transfer":
+		return MetricMinTransfer(), nil
+	}
+	return Metric{}, fmt.Errorf("unknown metric %q (want %s)", name, strings.Join(MetricNames(), ", "))
+}
 
 // Score computes the metric value; lower is better.
 func (m Metric) Score(latency, traffic int64) float64 {
@@ -88,6 +103,20 @@ func QuickBudget() Budget {
 	return Budget{MaxTilings: 4, MaxOps: 512, MaxValuesPerDim: 6,
 		Dataflows: loop.Canonical(), MaxReadyWindow: 12, MaxCandidateSets: 32,
 		HintedOoO: true}
+}
+
+// BudgetNames lists the names BudgetByName accepts.
+func BudgetNames() []string { return []string{"quick", "default"} }
+
+// BudgetByName returns the budget a name from BudgetNames stands for.
+func BudgetByName(name string) (Budget, error) {
+	switch name {
+	case "quick":
+		return QuickBudget(), nil
+	case "default":
+		return DefaultBudget(), nil
+	}
+	return Budget{}, fmt.Errorf("unknown budget %q (want %s)", name, strings.Join(BudgetNames(), ", "))
 }
 
 // Options configure a search.
@@ -158,6 +187,22 @@ type Options struct {
 	// sem is a shared worker-pool semaphore; SearchNetwork installs one
 	// so nested layer searches share a single parallelism budget.
 	sem chan struct{}
+}
+
+// SchedConfig derives the scheduler configuration of one run from the
+// search options: everything except what differs per run (Order, Hint,
+// CutoffCycles), which callers set on the result.
+func (o Options) SchedConfig(m model.Model) sched.Config {
+	return sched.Config{
+		Arch:             o.Arch,
+		Model:            m,
+		Priority:         o.Priority,
+		MemPolicy:        o.MemPolicy,
+		DisableInPlace:   o.DisableInPlace,
+		DisablePruning:   o.DisablePruning,
+		MaxReadyWindow:   o.Budget.MaxReadyWindow,
+		MaxCandidateSets: o.Budget.MaxCandidateSets,
+	}
 }
 
 func (o Options) workers() int {
@@ -434,16 +479,7 @@ func RepairResult(l layer.Conv, r *sched.Result, plan *fault.Plan, opts Options)
 		return nil, err
 	}
 	m := model.New(opts.Arch)
-	return sched.Repair(dfg.Build(grid, m), r, plan, sched.Config{
-		Arch:             opts.Arch,
-		Model:            m,
-		Priority:         opts.Priority,
-		MemPolicy:        opts.MemPolicy,
-		DisableInPlace:   opts.DisableInPlace,
-		DisablePruning:   opts.DisablePruning,
-		MaxReadyWindow:   opts.Budget.MaxReadyWindow,
-		MaxCandidateSets: opts.Budget.MaxCandidateSets,
-	})
+	return sched.Repair(dfg.Build(grid, m), r, plan, opts.SchedConfig(m))
 }
 
 // enumerateWithEscalation relaxes the op-count cap until at least one
@@ -511,16 +547,7 @@ func scheduleTiling(ctx context.Context, l layer.Conv, f tile.Factors, m model.M
 		return Candidate{}, 0, err
 	}
 	graph := dfg.Build(grid, m)
-	base := sched.Config{
-		Arch:             opts.Arch,
-		Model:            m,
-		Priority:         opts.Priority,
-		MemPolicy:        opts.MemPolicy,
-		DisableInPlace:   opts.DisableInPlace,
-		DisablePruning:   opts.DisablePruning,
-		MaxReadyWindow:   opts.Budget.MaxReadyWindow,
-		MaxCandidateSets: opts.Budget.MaxCandidateSets,
-	}
+	base := opts.SchedConfig(m)
 	metric := opts.Metric
 	aborted := 0
 	c := Candidate{Factors: f}

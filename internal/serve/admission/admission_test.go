@@ -81,38 +81,42 @@ func TestWeightedFairness(t *testing.T) {
 		},
 	})
 
-	// Hold the only slot until every worker is queued, so both tenants
-	// compete from the very first grant (otherwise one tenant's pair
-	// can ping-pong the slot before the other's goroutines are even
-	// scheduled).
+	// Hold the only slot until every request is queued, and queue more
+	// per tenant than the measured window grants in total: both tenants
+	// then have a waiter at every release by construction, whatever the
+	// goroutine scheduler does. (Workers that re-queue in a loop leave
+	// their tenant's queue empty whenever both are descheduled between
+	// release and re-acquire, and the other tenant then ping-pongs the
+	// slot — under -race on two cores that failed four runs in ten.)
 	blocker := mustAcquire(t, s, Request{Tenant: "warmup"})
 
-	const totalGrants = 400
+	const window = 400 // grants measured
 	var granted atomic.Int64
+	var atWindow Stats
 	var wg sync.WaitGroup
 	for _, tenant := range []string{"heavy", "light"} {
-		// Two workers per tenant keep the pool saturated: whenever a
-		// grant releases, both tenants always have a queued waiter.
-		for w := 0; w < 2; w++ {
+		for w := 0; w < window; w++ {
 			wg.Add(1)
 			go func(tenant string) {
 				defer wg.Done()
-				for granted.Load() < totalGrants {
-					g := mustAcquire(t, s, Request{Tenant: tenant})
-					granted.Add(1)
-					// Charge exactly one search-second per grant so the
-					// served ratio is deterministic.
-					g.ReleaseCharge(1)
+				g := mustAcquire(t, s, Request{Tenant: tenant})
+				if granted.Add(1) == window {
+					// The one slot is held here, so the snapshot is the
+					// exact account of the window-1 grants before it.
+					atWindow = s.Stats()
 				}
+				// Charge exactly one search-second per grant so the
+				// served ratio is deterministic.
+				g.ReleaseCharge(1)
 			}(tenant)
 		}
 	}
-	waitFor(t, "all workers to queue", func() bool { return s.Stats().Queued == 4 })
+	waitFor(t, "every request to queue", func() bool { return s.Stats().Queued == 2*window })
 	blocker.ReleaseCharge(0)
 	wg.Wait()
 
 	var heavy, light float64
-	for _, ts := range s.Stats().Tenants {
+	for _, ts := range atWindow.Tenants {
 		switch ts.Name {
 		case "heavy":
 			heavy = ts.ServedSeconds

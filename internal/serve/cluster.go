@@ -164,29 +164,18 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, route cluster.R
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	flushCopy(w, resp.Body)
+	_, _ = io.Copy(flushWriter{w}, resp.Body)
 	return nil
 }
 
-// flushCopy streams src to w, flushing after every read so proxied
-// NDJSON progress events arrive live instead of buffered to the end.
-func flushCopy(w http.ResponseWriter, src io.Reader) {
-	f, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
-	for {
-		n, err := src.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			if f != nil {
-				f.Flush()
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
+// flushWriter flushes after every write, so proxied NDJSON progress
+// events arrive live instead of buffered to the end.
+type flushWriter struct{ w http.ResponseWriter }
+
+func (f flushWriter) Write(p []byte) (int, error) {
+	n, err := f.w.Write(p)
+	_ = http.NewResponseController(f.w).Flush()
+	return n, err
 }
 
 // handleClusterSnapshot serves GET /v1/cluster/snapshot?home=<peer>:
@@ -195,10 +184,6 @@ func flushCopy(w http.ResponseWriter, src io.Reader) {
 // this from its ring successor to warm up with its own shard instead
 // of starting cold.
 func (s *Server) handleClusterSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, http.MethodGet)
-		return
-	}
 	cl := s.cluster
 	if cl == nil || !cl.Enabled() {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "clustering is not enabled on this node"})
@@ -285,10 +270,6 @@ func (s *Server) Ready() (bool, string) {
 // Distinct from /v1/healthz (liveness): a draining node is alive but
 // not ready, and restarting it for failing readiness would be wrong.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, http.MethodGet)
-		return
-	}
 	if ready, reason := s.Ready(); !ready {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": reason,

@@ -148,17 +148,6 @@ func (h *latencyHist) Observe(d time.Duration) {
 	h.buckets[len(h.buckets)-1]++
 }
 
-// MeanMS returns the lifetime mean observed latency in milliseconds,
-// or 0 before any observation.
-func (h *latencyHist) MeanMS() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sumMS / float64(h.count)
-}
-
 // DecayedMeanMS returns the exponentially-decayed mean latency in
 // milliseconds, or 0 before any observation. Admission control derives
 // Retry-After estimates from it instead of the lifetime mean, which

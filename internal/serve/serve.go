@@ -17,21 +17,10 @@
 // final result is identical to an uninterrupted run.
 //
 // The daemon binary cmd/flexerd is a thin wrapper around this package;
-// Client is the matching Go client. The HTTP surface:
-//
-//	POST /v1/schedule/layer    schedule one layer (cached, bounded)
-//	POST /v1/schedule/network  schedule a whole network
-//	POST /v1/schedule/*?stream=1  same, streaming NDJSON progress events
-//	GET  /v1/presets           hardware presets, networks, option enums
-//	GET  /v1/healthz           liveness probe (also legacy /healthz)
-//	GET  /v1/readyz            readiness: 503 while warming or draining
-//	GET  /v1/cluster/snapshot  one peer's cache shard (cluster mode)
-//	GET  /debug/vars           metrics (expvar JSON)
-//	GET  /debug/pprof/...      profiling, when Config.EnablePprof is set
-//
-// With Config.Cluster set, schedule requests are additionally routed
-// across the peer set by consistent hashing with health-gated failover
-// (see cluster.go and internal/cluster).
+// Client is the matching Go client. Handler holds the routing table of
+// the HTTP surface. With Config.Cluster set, schedule requests are
+// additionally routed across the peer set by consistent hashing with
+// health-gated failover (see cluster.go and internal/cluster).
 //
 // Request and response bodies are documented in docs/API.md; schedule
 // payloads reuse the trace package's JSON schema, so a daemon response
@@ -39,6 +28,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -47,18 +37,17 @@ import (
 	"io"
 	"io/fs"
 	"log"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
-	"strconv"
 	"sync/atomic"
 	"time"
 
+	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/cluster"
+	"github.com/flexer-sched/flexer/internal/fault"
 	"github.com/flexer-sched/flexer/internal/search"
 	"github.com/flexer-sched/flexer/internal/serve/admission"
 )
@@ -153,13 +142,7 @@ func New(cfg Config) *Server {
 	} else if cfg.CacheSize < 0 {
 		cacheSize = 0 // unbounded
 	}
-	if cfg.DefaultTenant == "" {
-		cfg.DefaultTenant = "default"
-	}
-	logger := cfg.Log
-	if logger == nil {
-		logger = log.Default()
-	}
+	cfg.DefaultTenant = cmp.Or(cfg.DefaultTenant, "default")
 	s := &Server{
 		cfg:   cfg,
 		cache: search.NewCacheSized(cacheSize),
@@ -170,7 +153,7 @@ func New(cfg Config) *Server {
 		}),
 		metrics:       newMetrics(),
 		start:         time.Now(),
-		log:           logger,
+		log:           cmp.Or(cfg.Log, log.Default()),
 		cluster:       cfg.Cluster,
 		forwardClient: newForwardClient(),
 	}
@@ -243,13 +226,12 @@ func (s *Server) LoadCacheFile(path string) (int, error) {
 // here is documented in docs/API.md.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/schedule/layer", s.instrument("/v1/schedule/layer", s.handleLayer))
-	mux.HandleFunc("/v1/schedule/network", s.instrument("/v1/schedule/network", s.handleNetwork))
-	mux.HandleFunc("/v1/presets", s.instrument("/v1/presets", s.handlePresets))
-	mux.HandleFunc("/v1/healthz", s.instrument("/v1/healthz", s.handleHealthz))
-	mux.HandleFunc("/v1/readyz", s.instrument("/v1/readyz", s.handleReadyz))
-	mux.HandleFunc("/v1/cluster/snapshot", s.instrument("/v1/cluster/snapshot", s.handleClusterSnapshot))
-	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz)) // legacy alias of /v1/healthz
+	mux.HandleFunc("/v1/schedule/layer", s.instrument(http.MethodPost, "/v1/schedule/layer", s.handleLayer))
+	mux.HandleFunc("/v1/schedule/network", s.instrument(http.MethodPost, "/v1/schedule/network", s.handleNetwork))
+	mux.HandleFunc("/v1/presets", s.instrument(http.MethodGet, "/v1/presets", s.handlePresets))
+	mux.HandleFunc("/v1/healthz", s.instrument(http.MethodGet, "/v1/healthz", s.handleHealthz))
+	mux.HandleFunc("/v1/readyz", s.instrument(http.MethodGet, "/v1/readyz", s.handleReadyz))
+	mux.HandleFunc("/v1/cluster/snapshot", s.instrument(http.MethodGet, "/v1/cluster/snapshot", s.handleClusterSnapshot))
 	mux.Handle("/debug/vars", s.metrics)
 	if s.cfg.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -261,19 +243,25 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// instrument wraps a handler with the request counters, the in-flight
+// instrument wraps a handler with the method check (405 with the
+// allowed method advertised), the request counters, the in-flight
 // gauge and one log line per request. Successful probe hits (health
 // and readiness) are counted but not logged: peers probe every couple
 // of seconds and would otherwise drown real traffic in the log.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	probe := endpoint == "/healthz" || endpoint == "/v1/healthz" || endpoint == "/v1/readyz"
+func (s *Server) instrument(method, endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	probe := endpoint == "/v1/healthz" || endpoint == "/v1/readyz"
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.requests.Add(endpoint, 1)
 		s.metrics.inflight.Add(1)
 		defer s.metrics.inflight.Add(-1)
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
+		if r.Method == method {
+			h(sw, r)
+		} else {
+			sw.Header().Set("Allow", method)
+			writeJSON(sw, http.StatusMethodNotAllowed, ErrorResponse{Error: "method not allowed; use " + method})
+		}
 		if sw.code >= 400 {
 			s.metrics.errors.Add(fmt.Sprint(sw.code), 1)
 		}
@@ -299,185 +287,127 @@ func (w *statusWriter) WriteHeader(code int) {
 // Flush forwards to the underlying writer so instrumented handlers can
 // stream; without it the wrapper hides the http.Flusher the net/http
 // ResponseWriter implements.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
+func (w *statusWriter) Flush() { _ = http.NewResponseController(w.ResponseWriter).Flush() }
 
 // Unwrap exposes the wrapped writer to http.ResponseController.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// handleLayer serves POST /v1/schedule/layer.
+// handleLayer serves POST /v1/schedule/layer. Layers are the
+// latency-bound class: they overtake queued network sweeps and preempt
+// running preemptible ones. Cluster routing keys off the exact cache
+// fingerprint, so identical requests coalesce onto one home peer's
+// search.
 func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 	var req LayerRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	cfg, err := resolveArch(req.Arch, req.CustomArch)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	l, err := resolveLayer(req)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	opts, err := resolveOptions(req.Options, cfg)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	opts.FaultPlan, err = resolveFaultPlan(req.FaultPlan, cfg)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	opts.Cache = s.cache
-	opts.Workers = s.cfg.SearchParallelism
-
-	// Cluster routing keys off the exact cache fingerprint, so
-	// identical layer requests coalesce onto one home peer's search.
-	rt, handled := s.routeSchedule(w, r, search.CacheKey(l, opts), req.TimeoutMS, req)
-	if handled {
-		return
-	}
-
-	// Single-layer requests are the latency-bound class: they overtake
-	// queued network sweeps and preempt running preemptible ones.
-	adm := admission.Request{Tenant: s.tenant(r, req.Tenant), Tier: admission.TierInteractive}
-	start := time.Now()
-	run := func(ctx context.Context, progress search.ProgressFunc, checkIn search.CheckInFunc) (any, error) {
-		o := opts
-		o.Progress = progress
-		o.CheckIn = checkIn
-		lr, err := search.SearchLayerCtx(ctx, l, o)
+	s.serveJob(w, r, func() (job, error) {
+		cfg, err := resolveArch(req.Arch, req.CustomArch)
 		if err != nil {
-			return nil, err
+			return job{}, err
 		}
-		resp := buildLayerResponse(lr, cfg.Name, req.Full, msSince(start))
-		resp.ServedBy = rt.servedBy
-		resp.DegradedRouting = rt.degraded
-		return resp, nil
-	}
-	if wantStream(r) {
-		s.streamSearch(w, r, req.TimeoutMS, adm, s.metrics.latency, run, func(v any) StreamEvent {
-			lr := v.(LayerResponse)
-			return StreamEvent{Event: "result", LayerResult: &lr}
-		})
-		return
-	}
-	res, err := s.search(r.Context(), req.TimeoutMS, adm, func(ctx context.Context, checkIn search.CheckInFunc) (any, error) {
-		return run(ctx, nil, checkIn)
+		l, err := resolveLayer(req)
+		if err != nil {
+			return job{}, err
+		}
+		opts, err := s.searchOptions(req.Options, req.FaultPlan, cfg)
+		if err != nil {
+			return job{}, err
+		}
+		return job{
+			key:       search.CacheKey(l, opts),
+			body:      &req,
+			timeoutMS: req.TimeoutMS,
+			adm:       admission.Request{Tenant: req.Tenant, Tier: admission.TierInteractive},
+			hist:      s.metrics.latency,
+			run: func(ctx context.Context, a attempt) (any, error) {
+				lr, err := search.SearchLayerCtx(ctx, l, a.options(opts))
+				if err != nil {
+					return nil, err
+				}
+				resp := buildLayerResponse(lr, cfg.Name, req.Full, msSince(a.start))
+				resp.ServedBy, resp.DegradedRouting = a.route.servedBy, a.route.degraded
+				return &resp, nil
+			},
+		}, nil
 	})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.metrics.latency.Observe(time.Since(start))
-	writeJSON(w, http.StatusOK, res)
 }
 
-// handleNetwork serves POST /v1/schedule/network.
+// handleNetwork serves POST /v1/schedule/network. Sweeps are the
+// throughput-bound class: preemptible, so an interactive arrival can
+// take their slot at the next candidate boundary (the sweep is then
+// requeued and restarted). A sweep routes as one unit by its
+// request-level key, so identical sweeps coalesce on one home peer.
 func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 	var req NetworkRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	cfg, err := resolveArch(req.Arch, req.CustomArch)
+	s.serveJob(w, r, func() (job, error) {
+		cfg, err := resolveArch(req.Arch, req.CustomArch)
+		if err != nil {
+			return job{}, err
+		}
+		if req.Network == "" {
+			return job{}, badf("request needs a network name")
+		}
+		n, err := resolveNetwork(req.Network, req.Scale)
+		if err != nil {
+			return job{}, err
+		}
+		opts, err := s.searchOptions(req.Options, req.FaultPlan, cfg)
+		if err != nil {
+			return job{}, err
+		}
+		// Per-request miss counter: the cache's global Misses delta would
+		// count searches run on behalf of concurrent requests too.
+		misses := new(atomic.Int64)
+		opts.CacheMisses = misses
+		return job{
+			key:       search.NetworkKey(req.Network, req.Scale, opts),
+			body:      &req,
+			timeoutMS: req.TimeoutMS,
+			adm:       admission.Request{Tenant: req.Tenant, Tier: admission.TierBatch, Preemptible: true},
+			hist:      s.metrics.netLat,
+			run: func(ctx context.Context, a attempt) (any, error) {
+				// Reset the miss counter: a preempted-and-requeued run
+				// would otherwise report the aborted attempt's misses too.
+				misses.Store(0)
+				nr, err := search.SearchNetworkCtx(ctx, n, a.options(opts))
+				if err != nil {
+					return nil, err
+				}
+				resp := buildNetworkResponse(nr, int(misses.Load()), msSince(a.start))
+				resp.ServedBy, resp.DegradedRouting = a.route.servedBy, a.route.degraded
+				return &resp, nil
+			},
+		}, nil
+	})
+}
+
+// searchOptions resolves a request's option block and fault plan into
+// the options the server runs the search with.
+func (s *Server) searchOptions(o SearchOptionsJSON, plan *fault.Plan, cfg arch.Config) (search.Options, error) {
+	opts, err := resolveOptions(o, cfg)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return opts, err
 	}
-	if req.Network == "" {
-		s.fail(w, badf("request needs a network name"))
-		return
-	}
-	n, err := resolveNetwork(req.Network, req.Scale)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	opts, err := resolveOptions(req.Options, cfg)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	opts.FaultPlan, err = resolveFaultPlan(req.FaultPlan, cfg)
-	if err != nil {
-		s.fail(w, err)
-		return
+	if opts.FaultPlan, err = resolveFaultPlan(plan, cfg); err != nil {
+		return opts, err
 	}
 	opts.Cache = s.cache
 	opts.Workers = s.cfg.SearchParallelism
-
-	// Per-request miss counter: the cache's global Misses delta would
-	// count searches run on behalf of concurrent requests too.
-	var misses atomic.Int64
-	opts.CacheMisses = &misses
-
-	// Whole sweeps route as one unit by their request-level key, so
-	// identical sweeps coalesce on a single home peer.
-	rt, handled := s.routeSchedule(w, r, search.NetworkKey(req.Network, req.Scale, opts), req.TimeoutMS, req)
-	if handled {
-		return
-	}
-
-	// Network sweeps are the throughput-bound class: preemptible, so
-	// an interactive arrival can take their slot at the next candidate
-	// boundary (the sweep is then requeued and restarted).
-	adm := admission.Request{Tenant: s.tenant(r, req.Tenant), Tier: admission.TierBatch, Preemptible: true}
-	start := time.Now()
-	run := func(ctx context.Context, progress search.ProgressFunc, checkIn search.CheckInFunc) (any, error) {
-		// Reset the miss counter: a preempted-and-requeued run would
-		// otherwise report the aborted attempt's misses too.
-		misses.Store(0)
-		o := opts
-		o.Progress = progress
-		o.CheckIn = checkIn
-		nr, err := search.SearchNetworkCtx(ctx, n, o)
-		if err != nil {
-			return nil, err
-		}
-		resp := buildNetworkResponse(nr, int(misses.Load()), msSince(start))
-		resp.ServedBy = rt.servedBy
-		resp.DegradedRouting = rt.degraded
-		return resp, nil
-	}
-	if wantStream(r) {
-		s.streamSearch(w, r, req.TimeoutMS, adm, s.metrics.netLat, run, func(v any) StreamEvent {
-			nr := v.(NetworkResponse)
-			return StreamEvent{Event: "result", NetworkResult: &nr}
-		})
-		return
-	}
-	res, err := s.search(r.Context(), req.TimeoutMS, adm, func(ctx context.Context, checkIn search.CheckInFunc) (any, error) {
-		return run(ctx, nil, checkIn)
-	})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.metrics.netLat.Observe(time.Since(start))
-	writeJSON(w, http.StatusOK, res)
+	return opts, nil
 }
 
 // handlePresets serves GET /v1/presets.
 func (s *Server) handlePresets(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, http.MethodGet)
-		return
-	}
 	writeJSON(w, http.StatusOK, buildPresets())
 }
 
-// handleHealthz serves GET /healthz.
+// handleHealthz serves GET /v1/healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, http.MethodGet)
-		return
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": time.Since(s.start).Seconds(),
@@ -492,119 +422,22 @@ const tenantHeader = "X-Flexer-Tenant"
 // tenant field, else the X-Flexer-Tenant header, else the server's
 // default tenant.
 func (s *Server) tenant(r *http.Request, bodyTenant string) string {
-	if bodyTenant != "" {
-		return bodyTenant
-	}
-	if h := r.Header.Get(tenantHeader); h != "" {
-		return h
-	}
-	return s.cfg.DefaultTenant
+	return cmp.Or(bodyTenant, r.Header.Get(tenantHeader), s.cfg.DefaultTenant)
 }
 
 // effectiveTimeout resolves the search deadline for one request: the
 // client's timeout_ms clamped to the server maximum, or the server
 // default when the client named none.
 func (s *Server) effectiveTimeout(timeoutMS int64) time.Duration {
-	timeout := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		timeout = time.Duration(timeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
+	if timeoutMS <= 0 {
+		return s.cfg.DefaultTimeout
 	}
-	return timeout
+	return min(time.Duration(timeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
 }
 
-// acquire runs admission control and takes one worker-pool slot from
-// the tenant scheduler; the returned grant must be released exactly
-// once. Shed requests get an overloadedError carrying their tenant's
-// queue view; a context that ends while queueing returns ctx.Err().
-func (s *Server) acquire(ctx context.Context, adm admission.Request) (*admission.Grant, error) {
-	g, err := s.admit.Acquire(ctx, adm)
-	if err != nil {
-		var qf *admission.QueueFullError
-		if errors.As(err, &qf) {
-			s.metrics.shed.Add(1)
-			return nil, overloadedError{retryAfter: s.retryAfter(), queue: qf}
-		}
-		return nil, err
-	}
-	s.metrics.searching.Add(1)
-	return g, nil
-}
-
-// searchOutcome carries a finished search across its result channel.
-type searchOutcome struct {
-	v   any
-	err error
-}
-
-// runOnGrant runs f to completion on a held grant, converting a panic
-// into a panicError so the outcome channel always receives exactly one
-// value, and — panic or not — restores the searching gauge and
-// releases the worker slot. This is the only place a slot is returned,
-// so one panicking request can never shrink the pool.
-func (s *Server) runOnGrant(ctx context.Context, g *admission.Grant, f func(context.Context, search.CheckInFunc) (any, error), out chan<- searchOutcome) {
-	var o searchOutcome
-	defer func() {
-		if r := recover(); r != nil {
-			s.metrics.panics.Add(1)
-			s.log.Printf("panic in search: %v\n%s", r, debug.Stack())
-			o = searchOutcome{nil, panicError{val: r}}
-		}
-		s.metrics.searching.Add(-1)
-		g.Release()
-		out <- o
-	}()
-	v, err := f(ctx, g.CheckIn)
-	o = searchOutcome{v, err}
-}
-
-// search runs f on the worker pool under the request's effective
-// deadline, re-enqueueing and restarting it transparently when a
-// higher-priority arrival preempts it at a candidate boundary. It
-// returns promptly when the context ends — even while f is still
-// winding down in the background, where it aborts at its next
-// cancellation or check-in and frees its slot.
-func (s *Server) search(ctx context.Context, timeoutMS int64, adm admission.Request, f func(context.Context, search.CheckInFunc) (any, error)) (any, error) {
-	ctx, cancel := context.WithTimeout(ctx, s.effectiveTimeout(timeoutMS))
-	defer cancel()
-	for {
-		g, err := s.acquire(ctx, adm)
-		if err != nil {
-			return nil, err
-		}
-		ch := make(chan searchOutcome, 1)
-		go s.runOnGrant(ctx, g, f, ch)
-		select {
-		case o := <-ch:
-			if errors.Is(o.err, admission.ErrPreempted) {
-				if err := ctx.Err(); err != nil {
-					// Preempted right as the deadline hit; report the
-					// deadline, not the internal yield.
-					return nil, err
-				}
-				// Preempted at a candidate boundary: the partial
-				// incumbents are gone (the cache forgot the yielded
-				// entry), so re-enqueue and recompute from scratch.
-				s.metrics.preempted.Add(1)
-				s.metrics.requeued.Add(1)
-				continue
-			}
-			return o.v, o.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// decode reads a JSON request body, rejecting non-POST methods,
-// oversized bodies and unknown fields.
+// decode reads a JSON request body, rejecting oversized bodies and
+// unknown fields.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		s.methodNotAllowed(w, http.MethodPost)
-		return false
-	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -625,22 +458,13 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 // one cold multi-minute sweep must not inflate every later hint for
 // the life of the process.
 func (s *Server) retryAfter() time.Duration {
-	mean := s.metrics.latency.DecayedMeanMS()
-	if nm := s.metrics.netLat.DecayedMeanMS(); nm > mean {
-		mean = nm
-	}
+	mean := max(s.metrics.latency.DecayedMeanMS(), s.metrics.netLat.DecayedMeanMS())
 	if mean <= 0 {
 		mean = 1000
 	}
-	backlog := float64(int64(s.admit.Stats().Queued) + 1)
+	backlog := float64(s.admit.Stats().Queued + 1)
 	d := time.Duration(mean*backlog/float64(s.cfg.Workers)) * time.Millisecond
-	if d < time.Second {
-		d = time.Second
-	}
-	if d > 5*time.Minute {
-		d = 5 * time.Minute
-	}
-	return d
+	return min(max(d, time.Second), 5*time.Minute)
 }
 
 // state snapshots the queues and cache for degraded-mode error bodies,
@@ -654,50 +478,6 @@ func (s *Server) state() *ServerStateJSON {
 		Workers:    s.cfg.Workers,
 		Cache:      s.cache.Stats(),
 	}
-}
-
-// fail maps an error to its HTTP status: 400 for malformed requests,
-// 429 for shed load (with a Retry-After header and the tenant's queue
-// view), 500 for a panicking search, 504 for deadlines, 499-style
-// client-closed for cancellations, and 422 for well-formed requests
-// the search cannot satisfy. Shed and timed-out responses carry the
-// queue/cache state so clients can degrade gracefully.
-func (s *Server) fail(w http.ResponseWriter, err error) {
-	var bad badRequestError
-	var over overloadedError
-	var pan panicError
-	switch {
-	case errors.As(err, &bad):
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: bad.Error()})
-	case errors.As(err, &over):
-		secs := int(math.Ceil(over.retryAfter.Seconds()))
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		st := s.state()
-		st.Tenant = tenantState(over.queue)
-		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-			Error:             "server overloaded: schedule queue is full; retry after the advertised delay",
-			RetryAfterSeconds: secs,
-			State:             st,
-		})
-	case errors.As(err, &pan):
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: pan.Error()})
-	case errors.Is(err, context.DeadlineExceeded):
-		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{
-			Error: "search timed out; retry with a larger timeout_ms or budget=quick",
-			State: s.state(),
-		})
-	case errors.Is(err, context.Canceled):
-		// Client went away; 499 is nginx's convention for it.
-		writeJSON(w, 499, ErrorResponse{Error: "request cancelled"})
-	default:
-		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{Error: err.Error()})
-	}
-}
-
-// methodNotAllowed writes a 405 with the allowed method advertised.
-func (s *Server) methodNotAllowed(w http.ResponseWriter, allow string) {
-	w.Header().Set("Allow", allow)
-	writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "method not allowed; use " + allow})
 }
 
 // writeJSON writes one JSON response body with the given status.

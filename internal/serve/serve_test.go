@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/flexer-sched/flexer/internal/arch"
 )
 
 // newTestServer returns a quiet server with a small worker pool and
@@ -52,13 +54,13 @@ const smallShape = `{"in_h": 14, "in_w": 14, "in_c": 64, "out_c": 64, "ker_h": 3
 
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /healthz = %d, want 200", resp.StatusCode)
+		t.Fatalf("GET /v1/healthz = %d, want 200", resp.StatusCode)
 	}
 	var body struct {
 		Status string `json:"status"`
@@ -66,6 +68,15 @@ func TestHealthz(t *testing.T) {
 	decodeBody(t, resp, &body)
 	if body.Status != "ok" {
 		t.Fatalf("status = %q, want ok", body.Status)
+	}
+	// The unversioned alias is gone.
+	legacy, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy.Body.Close()
+	if legacy.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /healthz = %d, want 404", legacy.StatusCode)
 	}
 }
 
@@ -87,8 +98,19 @@ func TestPresets(t *testing.T) {
 	if len(body.Networks) != 4 {
 		t.Errorf("networks = %d, want 4", len(body.Networks))
 	}
-	if len(body.Budgets) == 0 || len(body.Priorities) == 0 || len(body.MemPolicies) == 0 {
-		t.Error("missing option enums")
+	// Every advertised option name is one the schedule endpoints accept.
+	for _, o := range []SearchOptionsJSON{
+		{Budget: body.Budgets[len(body.Budgets)-1]},
+		{Priority: body.Priorities[len(body.Priorities)-1]},
+		{MemPolicy: body.MemPolicies[len(body.MemPolicies)-1]},
+		{Metric: body.Metrics[len(body.Metrics)-1]},
+	} {
+		if _, err := resolveOptions(o, arch.Config{}); err != nil {
+			t.Errorf("advertised option %+v rejected: %v", o, err)
+		}
+	}
+	if len(body.Priorities) != 4 || len(body.MemPolicies) != 3 || len(body.Budgets) != 2 || len(body.Metrics) != 2 {
+		t.Errorf("option enums = %v %v %v %v", body.Budgets, body.Priorities, body.MemPolicies, body.Metrics)
 	}
 }
 

@@ -12,15 +12,12 @@ package serve
 // silence. The wire format is documented in docs/API.md.
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
-	"math"
+	"expvar"
 	"net/http"
 	"time"
 
 	"github.com/flexer-sched/flexer/internal/search"
-	"github.com/flexer-sched/flexer/internal/serve/admission"
 )
 
 // StreamEvent is one NDJSON line of a ?stream=1 response. Event is
@@ -71,128 +68,90 @@ func wantStream(r *http.Request) bool {
 	return false
 }
 
+// resultEvent wraps a schedule response as the terminal "result" event.
+func resultEvent(v any) StreamEvent {
+	ev := StreamEvent{Event: "result"}
+	switch v := v.(type) {
+	case *LayerResponse:
+		ev.LayerResult = v
+	case *NetworkResponse:
+		ev.NetworkResult = v
+	}
+	return ev
+}
+
+// errorEvent wraps a classified failure as a terminal "error" event.
+func errorEvent(status int, body ErrorResponse) StreamEvent {
+	return StreamEvent{
+		Event:             "error",
+		Status:            status,
+		Error:             body.Error,
+		RetryAfterSeconds: body.RetryAfterSeconds,
+		State:             body.State,
+	}
+}
+
 // streamEventBuffer bounds the progress-event queue between the search
 // goroutines and the response writer. Events beyond it are dropped —
 // progress is advisory and must never block the search — but the
 // terminal result always goes out.
 const streamEventBuffer = 256
 
-// streamSearch runs one schedule search on the worker pool and streams
-// its progress as NDJSON. Admission failures (shed load, a deadline
-// spent queueing) are still reported as plain JSON errors with their
-// real HTTP status; once a worker slot is held the response commits to
-// 200 + NDJSON and any later failure becomes a terminal "error" event.
-// A preemption by a higher-priority request is reported as a progress
-// event with "preempted": true; the search re-enqueues, restarts when
-// its tenant gets a slot again, and still ends with the normal
-// terminal event.
-func (s *Server) streamSearch(w http.ResponseWriter, r *http.Request, timeoutMS int64, adm admission.Request, hist *latencyHist,
-	run func(context.Context, search.ProgressFunc, search.CheckInFunc) (any, error), result func(any) StreamEvent) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.effectiveTimeout(timeoutMS))
-	defer cancel()
-	g, err := s.acquire(ctx, adm)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
+// streamSink is the NDJSON half of a ?stream=1 request: the search
+// goroutines queue progress on events and the request's own goroutine
+// writes them out, one JSON object per line, flushed after every
+// event. The zero streamSink is a unary request's sink: its nil queue
+// is never ready, it writes nothing and never commits.
+type streamSink struct {
+	w         http.ResponseWriter
+	enc       *json.Encoder
+	events    chan StreamEvent
+	written   *expvar.Int // progress_events_total
+	committed bool
+}
 
-	start := time.Now()
-	events := make(chan StreamEvent, streamEventBuffer)
-	progress := func(ev search.ProgressEvent) {
+// progressFunc returns the search callback that queues progress on the
+// sink, dropping events when the buffer is full.
+func (k *streamSink) progressFunc(start time.Time) search.ProgressFunc {
+	events := k.events
+	return func(ev search.ProgressEvent) {
 		select {
 		case events <- streamProgress(ev, msSince(start)):
-		default: // full buffer: drop, never stall the search
+		default:
 		}
 	}
-	done := make(chan searchOutcome, 1)
-	attempt := func(ctx context.Context, checkIn search.CheckInFunc) (any, error) {
-		return run(ctx, progress, checkIn)
-	}
-	go s.runOnGrant(ctx, g, attempt, done)
+}
 
-	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	emit := func(ev StreamEvent) {
-		if ev.Event == "progress" {
-			s.metrics.progress.Add(1)
-		}
-		// A write error means the client went away; r.Context cancels
-		// the search, so just keep draining until it unwinds.
-		_ = enc.Encode(ev)
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
+// commit switches the response to 200 + NDJSON, once: from here on a
+// failure can only be reported as a terminal event.
+func (k *streamSink) commit() {
+	if k.w == nil || k.committed {
+		return
 	}
-	drain := func() {
-		// Flush progress that raced the completion so every buffered
-		// event precedes the next milestone.
-		for {
-			select {
-			case ev := <-events:
-				emit(ev)
-				continue
-			default:
-			}
-			break
-		}
-	}
+	k.committed = true
+	k.w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
+	k.w.Header().Set("X-Content-Type-Options", "nosniff")
+	k.w.WriteHeader(http.StatusOK)
+}
 
-	// finish handles one attempt's outcome; it reports whether the
-	// stream is over (false = the search was preempted and restarted).
-	finish := func(o searchOutcome) bool {
-		drain()
-		if errors.Is(o.err, admission.ErrPreempted) && ctx.Err() == nil {
-			// Preempted at a candidate boundary: tell the client, then
-			// re-enqueue. The 200 is already committed, so a failure to
-			// re-acquire becomes a terminal error event.
-			s.metrics.preempted.Add(1)
-			s.metrics.requeued.Add(1)
-			emit(StreamEvent{Event: "progress", Preempted: true, ElapsedMS: msSince(start)})
-			g, err := s.acquire(ctx, adm)
-			if err != nil {
-				emit(s.streamError(err))
-				return true
-			}
-			go s.runOnGrant(ctx, g, attempt, done)
-			return false
-		}
-		if o.err != nil {
-			if errors.Is(o.err, admission.ErrPreempted) {
-				// Preempted right as the deadline hit; report the
-				// deadline, not the internal yield.
-				o.err = ctx.Err()
-			}
-			emit(s.streamError(o.err))
-			return true
-		}
-		hist.Observe(time.Since(start))
-		emit(result(o.v))
-		return true
+// emit writes one event and flushes it.
+func (k *streamSink) emit(ev StreamEvent) {
+	if k.w == nil {
+		return
 	}
-	for {
-		select {
-		case ev := <-events:
-			emit(ev)
-		case o := <-done:
-			if finish(o) {
-				return
-			}
-		case <-ctx.Done():
-			// A finished search can make both cases ready at once;
-			// prefer its outcome over a spurious cancellation error.
-			select {
-			case o := <-done:
-				finish(o)
-			default:
-				// Deadline or client cancellation while the search is
-				// still winding down; it frees its slot at the next
-				// check.
-				emit(s.streamError(ctx.Err()))
-			}
-			return
-		}
+	if ev.Event == "progress" {
+		k.written.Add(1)
+	}
+	// A write error means the client went away; the request context
+	// cancels the search, so just keep going until it unwinds.
+	_ = k.enc.Encode(ev)
+	_ = http.NewResponseController(k.w).Flush()
+}
+
+// drain writes out every event already queued.
+func (k *streamSink) drain() {
+	for len(k.events) > 0 { // this goroutine is the only receiver
+		k.emit(<-k.events)
 	}
 }
 
@@ -211,38 +170,4 @@ func streamProgress(ev search.ProgressEvent, elapsedMS float64) StreamEvent {
 		Coalesced:       ev.Coalesced,
 		ElapsedMS:       elapsedMS,
 	}
-}
-
-// streamError maps a search failure to a terminal error event, using
-// the same status taxonomy as the non-streaming fail path.
-func (s *Server) streamError(err error) StreamEvent {
-	ev := StreamEvent{Event: "error"}
-	var bad badRequestError
-	var over overloadedError
-	var pan panicError
-	switch {
-	case errors.As(err, &bad):
-		ev.Status = http.StatusBadRequest
-		ev.Error = bad.Error()
-	case errors.As(err, &over):
-		ev.Status = http.StatusTooManyRequests
-		ev.Error = "server overloaded: schedule queue is full; retry after the advertised delay"
-		ev.RetryAfterSeconds = int(math.Ceil(over.retryAfter.Seconds()))
-		ev.State = s.state()
-		ev.State.Tenant = tenantState(over.queue)
-	case errors.As(err, &pan):
-		ev.Status = http.StatusInternalServerError
-		ev.Error = pan.Error()
-	case errors.Is(err, context.DeadlineExceeded):
-		ev.Status = http.StatusGatewayTimeout
-		ev.Error = "search timed out; retry with a larger timeout_ms or budget=quick"
-		ev.State = s.state()
-	case errors.Is(err, context.Canceled):
-		ev.Status = 499
-		ev.Error = "request cancelled"
-	default:
-		ev.Status = http.StatusUnprocessableEntity
-		ev.Error = err.Error()
-	}
-	return ev
 }

@@ -289,3 +289,23 @@ func TestClientStreamRoundTrip(t *testing.T) {
 		t.Fatalf("streamed bad request = %v, want *APIError with 400", err)
 	}
 }
+
+// TestAwaitPrefersFinishedOutcome pins the rule both request modes now
+// share: a search that finished in the same instant its context ended
+// reports its result, not the context error.
+func TestAwaitPrefersFinishedOutcome(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	done := make(chan searchOutcome, 1)
+	// select picks among ready cases at random, so try often enough to
+	// take both the done and the ctx.Done branch.
+	for i := 0; i < 64; i++ {
+		done <- searchOutcome{v: "result"}
+		if o := await(ctx, done, &streamSink{}); o.err != nil || o.v != "result" {
+			t.Fatalf("await = %+v, want the finished outcome", o)
+		}
+	}
+	if o := await(ctx, done, &streamSink{}); !errors.Is(o.err, context.Canceled) {
+		t.Fatalf("await with nothing finished = %+v, want the context error", o)
+	}
+}

@@ -8,11 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"github.com/flexer-sched/flexer/internal/search"
 	"github.com/flexer-sched/flexer/internal/serve/admission"
 )
 
@@ -298,22 +299,38 @@ func TestStreamPreemptionEndToEnd(t *testing.T) {
 	}
 }
 
+// serveFake pushes a job with the given run function through the
+// schedule pipeline, unary or streamed, and returns what it wrote.
+func serveFake(srv *Server, stream bool, run func(context.Context, attempt) (any, error)) *httptest.ResponseRecorder {
+	url := "/v1/schedule/layer"
+	if stream {
+		url += "?stream=1"
+	}
+	rec := httptest.NewRecorder()
+	srv.serveJob(rec, httptest.NewRequest(http.MethodPost, url, nil), func() (job, error) {
+		return job{
+			adm:  admission.Request{Tier: admission.TierInteractive},
+			hist: srv.metrics.latency,
+			run:  run,
+		}, nil
+	})
+	return rec
+}
+
 // TestPanicReleasesSlot checks the panic-safe release path: a search
-// that panics becomes a 500-mapped panicError, the worker slot comes
-// back, and the next request runs normally.
+// that panics becomes a 500 carrying the panic value, the worker slot
+// comes back, and the next request runs normally.
 func TestPanicReleasesSlot(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Workers: 1})
-	adm := admission.Request{Tenant: "t", Tier: admission.TierInteractive}
 
-	_, err := srv.search(context.Background(), 0, adm, func(context.Context, search.CheckInFunc) (any, error) {
+	rec := serveFake(srv, false, func(context.Context, attempt) (any, error) {
 		panic("kaboom")
 	})
-	var pan panicError
-	if !errors.As(err, &pan) {
-		t.Fatalf("panicking search returned %v, want panicError", err)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking search wrote %d, want 500", rec.Code)
 	}
-	if !strings.Contains(pan.Error(), "kaboom") {
-		t.Errorf("panicError = %q, want the panic value", pan.Error())
+	if !strings.Contains(rec.Body.String(), "kaboom") {
+		t.Errorf("500 body = %q, want the panic value", rec.Body)
 	}
 	if got := srv.metrics.panics.Value(); got != 1 {
 		t.Errorf("search_panics_total = %d, want 1", got)
@@ -323,18 +340,90 @@ func TestPanicReleasesSlot(t *testing.T) {
 	}
 
 	// The single slot must be back: a normal search completes.
-	v, err := srv.search(context.Background(), 0, adm, func(context.Context, search.CheckInFunc) (any, error) {
-		return "ok", nil
+	rec = serveFake(srv, false, func(context.Context, attempt) (any, error) {
+		return &LayerResponse{Layer: "ok"}, nil
 	})
-	if err != nil || v != "ok" {
-		t.Fatalf("post-panic search = %v, %v; want ok (slot leaked?)", v, err)
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"layer": "ok"`) {
+		t.Fatalf("post-panic search = %d %q; want 200 (slot leaked?)", rec.Code, rec.Body)
 	}
+}
 
-	// And fail maps it to 500 for HTTP clients.
-	rec := httptest.NewRecorder()
-	srv.fail(rec, pan)
-	if rec.Code != http.StatusInternalServerError {
-		t.Errorf("fail(panicError) wrote %d, want 500", rec.Code)
+// TestErrorTaxonomy asserts every error class twice from one table
+// row: as the status and body of a plain response, and as the terminal
+// event of a stream that had already committed to 200. Both come from
+// the one classification, so they must agree field for field.
+func TestErrorTaxonomy(t *testing.T) {
+	shed := &admission.QueueFullError{Tenant: "t", Queued: 1, Limit: 1, Position: 2}
+	for _, tc := range []struct {
+		name       string
+		run        func(context.Context, attempt) (any, error)
+		status     int
+		text       string
+		retryAfter int
+		state      bool
+	}{
+		{name: "malformed", status: http.StatusBadRequest, text: "nope",
+			run: func(context.Context, attempt) (any, error) { return nil, badf("nope") }},
+		{name: "shed", status: http.StatusTooManyRequests, text: "server overloaded", retryAfter: 1, state: true,
+			run: func(context.Context, attempt) (any, error) { return nil, shed }},
+		{name: "panic", status: http.StatusInternalServerError, text: "kaboom",
+			run: func(context.Context, attempt) (any, error) { panic("kaboom") }},
+		{name: "deadline", status: http.StatusGatewayTimeout, text: "timed out", state: true,
+			run: func(context.Context, attempt) (any, error) {
+				return nil, context.DeadlineExceeded
+			}},
+		{name: "cancelled", status: 499, text: "request cancelled",
+			run: func(context.Context, attempt) (any, error) { return nil, context.Canceled }},
+		{name: "infeasible", status: http.StatusUnprocessableEntity, text: "no feasible tiling",
+			run: func(context.Context, attempt) (any, error) {
+				return nil, errors.New("search: no feasible tiling")
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _ := newTestServer(t, Config{Workers: 1})
+
+			rec := serveFake(srv, false, tc.run)
+			if rec.Code != tc.status {
+				t.Fatalf("unary status = %d, want %d", rec.Code, tc.status)
+			}
+			var body ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+				t.Fatalf("unary body %q: %v", rec.Body, err)
+			}
+			if !strings.Contains(body.Error, tc.text) {
+				t.Errorf("unary error = %q, want it to mention %q", body.Error, tc.text)
+			}
+			if body.RetryAfterSeconds != tc.retryAfter {
+				t.Errorf("retry_after_seconds = %d, want %d", body.RetryAfterSeconds, tc.retryAfter)
+			}
+			wantHeader := ""
+			if tc.retryAfter > 0 {
+				wantHeader = strconv.Itoa(tc.retryAfter)
+			}
+			if got := rec.Header().Get("Retry-After"); got != wantHeader {
+				t.Errorf("Retry-After = %q, want %q", got, wantHeader)
+			}
+			if (body.State != nil) != tc.state {
+				t.Errorf("state present = %v, want %v", body.State != nil, tc.state)
+			}
+			if tc.name == "shed" && (body.State.Tenant == nil || body.State.Tenant.Position != 2) {
+				t.Errorf("shed state = %+v, want the tenant's queue view", body.State)
+			}
+
+			rec = serveFake(srv, true, tc.run)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("streamed status = %d, want 200 (the stream had committed)", rec.Code)
+			}
+			events := readStream(t, rec.Body)
+			if len(events) != 1 {
+				t.Fatalf("stream has %d events, want only the terminal one", len(events))
+			}
+			want := StreamEvent{Event: "error", Status: tc.status, Error: body.Error,
+				RetryAfterSeconds: body.RetryAfterSeconds, State: body.State}
+			if !reflect.DeepEqual(events[0], want) {
+				t.Errorf("terminal event = %+v, want the unary response's fields %+v", events[0], want)
+			}
+		})
 	}
 }
 
@@ -353,8 +442,14 @@ func TestRetryAfterRecoversFromOutlier(t *testing.T) {
 		srv.metrics.latency.Observe(50 * time.Millisecond)
 	}
 
-	if mean := srv.metrics.latency.MeanMS(); mean < 5000 {
-		t.Errorf("lifetime MeanMS = %.0f, want still dominated by the outlier", mean)
+	var published struct {
+		MeanMS float64 `json:"mean_ms"`
+	}
+	if err := json.Unmarshal([]byte(srv.metrics.latency.String()), &published); err != nil {
+		t.Fatal(err)
+	}
+	if published.MeanMS < 5000 {
+		t.Errorf("lifetime mean_ms = %.0f, want still dominated by the outlier", published.MeanMS)
 	}
 	if dm := srv.metrics.latency.DecayedMeanMS(); dm > 1000 {
 		t.Errorf("DecayedMeanMS = %.0f after fast burst, want < 1000 (recovered)", dm)

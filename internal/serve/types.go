@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
-	"time"
+	"strings"
 
 	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/fault"
@@ -46,27 +48,13 @@ func (c ConvJSON) Conv() layer.Conv {
 		PadH: c.PadH, PadW: c.PadW,
 		ElemBytes: c.ElemBytes,
 	}
-	if l.Name == "" {
-		l.Name = "adhoc"
-	}
-	if l.KerW == 0 {
-		l.KerW = l.KerH
-	}
-	if l.StrideH == 0 {
-		l.StrideH = 1
-	}
-	if l.StrideW == 0 {
-		l.StrideW = 1
-	}
-	if l.PadH == 0 {
-		l.PadH = l.KerH / 2
-	}
-	if l.PadW == 0 {
-		l.PadW = l.KerW / 2
-	}
-	if l.ElemBytes == 0 {
-		l.ElemBytes = 2
-	}
+	l.Name = cmp.Or(l.Name, "adhoc")
+	l.KerW = cmp.Or(l.KerW, l.KerH)
+	l.StrideH = cmp.Or(l.StrideH, 1)
+	l.StrideW = cmp.Or(l.StrideW, 1)
+	l.PadH = cmp.Or(l.PadH, l.KerH/2)
+	l.PadW = cmp.Or(l.PadW, l.KerW/2)
+	l.ElemBytes = cmp.Or(l.ElemBytes, 2)
 	return l
 }
 
@@ -82,11 +70,7 @@ type ArchJSON struct {
 
 // Config converts the wire form into an arch.Config.
 func (a ArchJSON) Config() arch.Config {
-	name := a.Name
-	if name == "" {
-		name = "custom"
-	}
-	return arch.New(name, a.Cores, arch.KiB(a.SPMKiB), a.BandwidthBytesPerCycle)
+	return arch.New(cmp.Or(a.Name, "custom"), a.Cores, arch.KiB(a.SPMKiB), a.BandwidthBytesPerCycle)
 }
 
 // SearchOptionsJSON is the option block shared by layer and network
@@ -285,12 +269,7 @@ type NetworkResponse struct {
 }
 
 // PresetArchJSON is one hardware preset row of GET /v1/presets.
-type PresetArchJSON struct {
-	Name                   string `json:"name"`
-	Cores                  int    `json:"cores"`
-	SPMKiB                 int64  `json:"spm_kib"`
-	BandwidthBytesPerCycle int    `json:"bandwidth_bytes_per_cycle"`
-}
+type PresetArchJSON = ArchJSON
 
 // PresetNetworkJSON is one network row of GET /v1/presets.
 type PresetNetworkJSON struct {
@@ -358,11 +337,8 @@ type TenantStateJSON struct {
 }
 
 // tenantState converts an admission shed error into the wire view
-// attached to 429 bodies; nil stays nil.
+// attached to 429 bodies.
 func tenantState(qf *admission.QueueFullError) *TenantStateJSON {
-	if qf == nil {
-		return nil
-	}
 	return &TenantStateJSON{
 		Name:       qf.Tenant,
 		Queued:     qf.Queued,
@@ -371,27 +347,9 @@ func tenantState(qf *admission.QueueFullError) *TenantStateJSON {
 	}
 }
 
-// overloadedError is returned by the admission check when the tenant's
-// schedule queue is full; the handler maps it to 429 with a
-// Retry-After header and the tenant's queue view.
-type overloadedError struct {
-	retryAfter time.Duration
-	queue      *admission.QueueFullError
-}
-
-// Error describes the shed.
-func (e overloadedError) Error() string {
-	return fmt.Sprintf("server overloaded: schedule queue is full, retry in %v", e.retryAfter)
-}
-
-// panicError wraps a panic recovered from a search function so the
-// handler can map it to a 500 after the worker slot was restored.
-type panicError struct{ val any }
-
-// Error describes the panic.
-func (e panicError) Error() string {
-	return fmt.Sprintf("internal error: search panicked: %v", e.val)
-}
+// errSearchPanicked marks (and prefixes) a panic recovered from a search
+// function, so it maps to a 500 after the worker slot was restored.
+var errSearchPanicked = errors.New("internal error: search panicked")
 
 // badRequestError marks client mistakes (unknown names, invalid
 // shapes) so the handler maps them to a 4xx instead of a 5xx.
@@ -425,52 +383,40 @@ func resolveArch(preset string, custom *ArchJSON) (arch.Config, error) {
 }
 
 // resolveOptions translates the wire option block into search.Options
-// (without the Cache and Workers fields, which the server owns).
+// (without the Cache and Workers fields, which the server owns). The
+// wire's rule that an empty name means a default lives here, as do the
+// defaults; which names exist is the parse functions' business.
 func resolveOptions(o SearchOptionsJSON, cfg arch.Config) (search.Options, error) {
-	opts := search.Options{Arch: cfg}
-	switch o.Budget {
-	case "", "quick":
-		opts.Budget = search.QuickBudget()
-	case "default":
-		opts.Budget = search.DefaultBudget()
-	default:
-		return opts, badf("unknown budget %q (want quick or default)", o.Budget)
+	opts := search.Options{Arch: cfg, FuseDepth: o.FuseDepth}
+	var err error
+	if opts.Budget, err = namedOption("budget", cmp.Or(o.Budget, "quick"), search.BudgetByName, search.BudgetNames); err != nil {
+		return opts, err
 	}
-	switch o.Priority {
-	case "", "default":
-		opts.Priority = sched.PriorityDefault
-	case "min-transfer":
-		opts.Priority = sched.PriorityMinTransfer
-	case "min-spill":
-		opts.Priority = sched.PriorityMinSpill
-	case "chain-depth":
-		opts.Priority = sched.PriorityChainDepth
-	default:
-		return opts, badf("unknown priority %q (want default, min-transfer, min-spill or chain-depth)", o.Priority)
+	if opts.Priority, err = namedOption("priority", cmp.Or(o.Priority, "default"), sched.ParsePriority, sched.PriorityNames); err != nil {
+		return opts, err
 	}
-	switch o.MemPolicy {
-	case "", "flexer":
-		opts.MemPolicy = spm.PolicyFlexer
-	case "first-fit":
-		opts.MemPolicy = spm.PolicyFirstFit
-	case "small-spill":
-		opts.MemPolicy = spm.PolicySmallestFirst
-	default:
-		return opts, badf("unknown mem_policy %q (want flexer, first-fit or small-spill)", o.MemPolicy)
+	if opts.MemPolicy, err = namedOption("mem_policy", cmp.Or(o.MemPolicy, "flexer"), spm.ParsePolicy, spm.PolicyNames); err != nil {
+		return opts, err
 	}
-	switch o.Metric {
-	case "", "default":
-		opts.Metric = search.MetricDefault()
-	case "min-transfer":
-		opts.Metric = search.MetricMinTransfer()
-	default:
-		return opts, badf("unknown metric %q (want default or min-transfer)", o.Metric)
+	if opts.Metric, err = namedOption("metric", cmp.Or(o.Metric, "default"), search.ParseMetric, search.MetricNames); err != nil {
+		return opts, err
 	}
 	if o.FuseDepth < 0 {
 		return opts, badf("fuse_depth must be >= 0, got %d", o.FuseDepth)
 	}
-	opts.FuseDepth = o.FuseDepth
 	return opts, nil
+}
+
+// namedOption parses one enumerated option of the wire, turning a name
+// parse rejects into a 400 that lists what names() offers.
+func namedOption[T any](field, name string, parse func(string) (T, error), names func() []string) (T, error) {
+	v, err := parse(name)
+	if err != nil {
+		all := names()
+		last := len(all) - 1
+		return v, badf("unknown %s %q (want %s or %s)", field, name, strings.Join(all[:last], ", "), all[last])
+	}
+	return v, nil
 }
 
 // resolveFaultPlan validates a request's fault plan against the
@@ -608,10 +554,10 @@ func buildNetworkResponse(nr *search.NetworkResult, distinct int, elapsedMS floa
 // buildPresets enumerates everything a request can name.
 func buildPresets() PresetsResponse {
 	resp := PresetsResponse{
-		Budgets:     []string{"quick", "default"},
-		Priorities:  []string{"default", "min-transfer", "min-spill", "chain-depth"},
-		MemPolicies: []string{"flexer", "first-fit", "small-spill"},
-		Metrics:     []string{"default", "min-transfer"},
+		Budgets:     search.BudgetNames(),
+		Priorities:  sched.PriorityNames(),
+		MemPolicies: spm.PolicyNames(),
+		Metrics:     search.MetricNames(),
 	}
 	for _, a := range arch.Presets() {
 		resp.Archs = append(resp.Archs, PresetArchJSON{

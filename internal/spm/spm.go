@@ -15,7 +15,9 @@ package spm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/flexer-sched/flexer/internal/tile"
 )
@@ -35,17 +37,26 @@ const (
 	PolicySmallestFirst
 )
 
+// policyNames holds the name of every Policy, indexed by value.
+var policyNames = [...]string{"flexer", "first-fit", "small-spill"}
+
 // String names the policy as in the paper.
 func (p Policy) String() string {
-	switch p {
-	case PolicyFlexer:
-		return "flexer"
-	case PolicyFirstFit:
-		return "first-fit"
-	case PolicySmallestFirst:
-		return "small-spill"
+	if int(p) < len(policyNames) {
+		return policyNames[p]
 	}
 	return fmt.Sprintf("Policy(%d)", uint8(p))
+}
+
+// PolicyNames lists the names ParsePolicy accepts, in value order.
+func PolicyNames() []string { return slices.Clone(policyNames[:]) }
+
+// ParsePolicy is the inverse of Policy.String.
+func ParsePolicy(name string) (Policy, error) {
+	if i := slices.Index(policyNames[:], name); i >= 0 {
+		return Policy(i), nil
+	}
+	return 0, fmt.Errorf("unknown spill policy %q (want %s)", name, strings.Join(policyNames[:], ", "))
 }
 
 // region is one address range of the scratchpad: either an allocated

@@ -429,3 +429,21 @@ func TestErrNoSpaceMessage(t *testing.T) {
 		t.Fatal("empty error message")
 	}
 }
+
+// TestParsePolicyInvertsString checks the one name table: every listed
+// name parses to the policy that prints it, default first.
+func TestParsePolicyInvertsString(t *testing.T) {
+	names := PolicyNames()
+	if len(names) != 3 || names[0] != PolicyFlexer.String() {
+		t.Fatalf("PolicyNames() = %v, want the 3 policies, flexer first", names)
+	}
+	for _, name := range names {
+		p, err := ParsePolicy(name)
+		if err != nil || p.String() != name {
+			t.Errorf("ParsePolicy(%q) = %v, %v", name, p, err)
+		}
+	}
+	if _, err := ParsePolicy("lru"); err == nil {
+		t.Error("ParsePolicy accepted an unknown name")
+	}
+}

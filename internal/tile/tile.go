@@ -211,15 +211,6 @@ func (g *Grid) WtTile(oc, ic int) ID { return ID{Kind: Wt, A: oc, B: ic} }
 // (oh, ow, oc, *).
 func (g *Grid) OutTile(oh, ow, oc int) ID { return ID{Kind: Out, A: oh, B: ow, C: oc} }
 
-// OutRowRange returns the output-row interval [lo, lo+n) of row block h.
-func (g *Grid) OutRowRange(h int) (lo, n int) { return h * g.F.OH, g.rowSize[h] }
-
-// OutColRange returns the output-column interval of column block w.
-func (g *Grid) OutColRange(w int) (lo, n int) { return w * g.F.OW, g.colSize[w] }
-
-// OCRange returns the output-channel interval of channel block c.
-func (g *Grid) OCRange(c int) (lo, n int) { return c * g.F.OC, g.ocSize[c] }
-
 // ICRange returns the input-channel interval of channel block i.
 func (g *Grid) ICRange(i int) (lo, n int) { return i * g.F.IC, g.icSize[i] }
 
