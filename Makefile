@@ -24,10 +24,12 @@ test:
 	$(GO) test -race ./...
 
 # Non-test Go lines of the three packages ROADMAP's collapse item
-# targets, and of the repository outside bench/. CI's check job echoes
-# this, so each PR's log records progress against the line target.
+# targets, of the two the dense tile index runs through with sched
+# (spm, dfg), and of the repository outside bench/. CI's check job
+# echoes this, so each PR's log records progress against the line
+# targets.
 loc:
-	@for d in internal/sched internal/search internal/serve; do \
+	@for d in internal/sched internal/search internal/serve internal/spm internal/dfg; do \
 		printf '%-16s %6d\n' $$d $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
 	@printf '%-16s %6d\n' 'total (no bench)' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
@@ -69,7 +71,7 @@ bench:
 # of a real measurement run. CI uploads the output as an artifact.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem \
-		./internal/search/... ./internal/sim/... ./internal/sched/... ./internal/spm/...
+		./internal/search/... ./internal/sim/... ./internal/sched/... ./internal/spm/... ./internal/dfg/...
 
 # The repository benchmark (BENCHMARK.json, bench/) is a nested module,
 # so `go test ./...` never compiles it: run its own tests and its toy

@@ -3,6 +3,7 @@ package flexer_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -209,5 +210,40 @@ func TestMetrics(t *testing.T) {
 	if mt.Score(100, 10) >= mt.Score(1, 100) {
 		t.Errorf("min-transfer metric does not prioritize traffic: %f vs %f",
 			mt.Score(100, 10), mt.Score(1, 100))
+	}
+}
+
+// TestRepairScheduleRejectsForeignSchedule: RepairSchedule re-plans the
+// schedule it is handed on the graph of the layer it is handed. Given a
+// schedule of another layer it used to return, without an error, a
+// "repair" mixing the two tilings — more op records than the schedule
+// had ops. It must fail and say why; so must a schedule that moves a
+// tile the layer's grid does not have.
+func TestRepairScheduleRejectsForeignSchedule(t *testing.T) {
+	opts := flexer.Options{Arch: arch1(t), Budget: flexer.QuickBudget()}
+	f := flexer.Factors{OH: 7, OW: 7, OC: 32, IC: 32}
+	small := flexer.NewConv("small", 14, 14, 64, 64, 3)
+	big := flexer.NewConv("big", 28, 28, 64, 128, 3)
+	s, err := flexer.ScheduleLayer(small, f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := flexer.ParseFaultPlan(fmt.Sprintf("core1@%d", s.LatencyCycles/2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flexer.RepairSchedule(small, s, plan, opts); err != nil {
+		t.Fatalf("repair on the schedule's own layer: %v", err)
+	}
+	if r, err := flexer.RepairSchedule(big, s, plan, opts); err == nil {
+		t.Errorf("a %d-op schedule of %s was repaired as %s: %d op records, no error", len(s.OpRecords), small.Name, big.Name, len(r.OpRecords))
+	} else if !strings.Contains(err.Error(), "repair") {
+		t.Errorf("error does not say what failed: %v", err)
+	}
+	offGrid := *s
+	offGrid.MemRecords = append(offGrid.MemRecords[:0:0], s.MemRecords...)
+	offGrid.MemRecords[0].Tile.A = 99
+	if _, err := flexer.RepairSchedule(small, &offGrid, plan, opts); err == nil {
+		t.Errorf("a schedule moving %v, off the layer's grid, was repaired without an error", offGrid.MemRecords[0].Tile)
 	}
 }

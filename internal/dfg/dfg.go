@@ -58,61 +58,90 @@ func (o Op) String() string {
 // which each consumer-layer input tile depends on the producer-layer
 // output tiles covering its halo.
 type Graph struct {
-	// Grid is the first (or only) layer's grid; kept as a field so the
-	// single-layer scheduler path is unchanged.
+	// Grid is the first (or only) layer's grid.
 	Grid *tile.Grid
 	Ops  []Op
-	// uses[id] is the total number of op accesses to each tile: every
-	// op touches its IN and WT once and its OT once (write or
+	// uses[Num(id)] is the total number of op accesses to each tile:
+	// every op touches its IN and WT once and its OT once (write or
 	// read-modify-write). In a fused graph each producer output tile is
 	// additionally charged one use per consumer input tile it covers
 	// (released when that input tile's own uses are exhausted). Spill
 	// heuristics derive remaining-use counts from these totals.
-	uses map[tile.ID]int
+	uses []int32
 
-	// Fused-graph state; all nil/zero for single-layer graphs.
-	grids      []*tile.Grid          // per-layer grids, grids[0] == Grid
-	opOffset   []int                 // first op index of each layer
-	cover      map[tile.ID][]tile.ID // consumer IN tile -> covering producer OTs
-	crossSuccs map[int][]int         // producer final op -> dependent consumer ops
-	crossPreds map[int][]int         // consumer op -> producer final ops of its IN's cover
-	lastLayer  int
+	grids    []*tile.Grid // per-layer grids, grids[0] == Grid
+	base     []int        // base[kind*NumLayers+layer]: number of that kind and layer's first tile
+	opOffset []int        // first op index of each layer
+
+	// Fused-graph state; nil for single-layer graphs.
+	cover      [][]tile.ID // by consumer IN tile number -> covering producer OTs
+	crossSuccs [][]int     // by producer final op -> dependent consumer ops
+	crossPreds [][]int     // by consumer op -> producer final ops of its IN's cover
 }
 
 // Fused reports whether the graph spans more than one layer.
-func (gr *Graph) Fused() bool { return gr.lastLayer > 0 }
+func (gr *Graph) Fused() bool { return len(gr.grids) > 1 }
 
 // NumLayers returns the number of stitched layers (1 for Build graphs).
-func (gr *Graph) NumLayers() int { return gr.lastLayer + 1 }
+func (gr *Graph) NumLayers() int { return len(gr.grids) }
 
 // LastLayer returns the index of the final layer (0 for Build graphs).
-func (gr *Graph) LastLayer() int { return gr.lastLayer }
+func (gr *Graph) LastLayer() int { return len(gr.grids) - 1 }
 
-// Grids returns the per-layer grids (length NumLayers). For
-// single-layer graphs it returns a one-element view of Grid.
-func (gr *Graph) Grids() []*tile.Grid {
-	if gr.grids == nil {
-		return []*tile.Grid{gr.Grid}
-	}
-	return gr.grids
-}
+// Grids returns the per-layer grids (length NumLayers). The slice is
+// shared; callers must not modify it.
+func (gr *Graph) Grids() []*tile.Grid { return gr.grids }
 
 // Size returns the byte size of id, dispatching on its layer.
-func (gr *Graph) Size(id tile.ID) int64 {
-	if id.L == 0 {
-		return gr.Grid.Size(id)
+func (gr *Graph) Size(id tile.ID) int64 { return gr.grids[id.L].Size(id) }
+
+// Tile numbers. Every tile of a graph has a dense number in
+// [0, NumTiles()), computed from its coordinates alone: kind-major,
+// then layer, then (A, B, C) row-major within the layer's grid —
+// ascending numbers are ascending (Kind, L, A, B, C). Nothing is built
+// for it. The scheduler and the scratchpad it binds index their
+// per-tile state by these numbers; tile.ID stays the name everywhere a
+// tile leaves the scheduler (results, records, traces, the verifier).
+
+// NumTiles returns the number of tiles of the graph.
+func (gr *Graph) NumTiles() int { return len(gr.uses) }
+
+// Num returns the number of id, which must be a tile of the graph (see
+// NumOK for IDs of unknown origin).
+func (gr *Graph) Num(id tile.ID) int {
+	return gr.base[int(id.Kind)*len(gr.grids)+id.L] + gr.grids[id.L].Index(id)
+}
+
+// NumOK is Num for an ID that arrives from outside — a schedule handed
+// in for repair, a lookup by a test: ok is false when id is not a tile
+// of the graph (unknown kind, no such layer, coordinates off the grid).
+func (gr *Graph) NumOK(id tile.ID) (n int, ok bool) {
+	if int(id.Kind) >= tile.NumKinds || uint(id.L) >= uint(len(gr.grids)) || gr.grids[id.L].Index(id) < 0 {
+		return 0, false
 	}
-	return gr.grids[id.L].Size(id)
+	return gr.Num(id), true
+}
+
+// Tile returns the tile numbered n, the inverse of Num.
+func (gr *Graph) Tile(n int) tile.ID {
+	j := len(gr.base) - 1
+	for gr.base[j] > n {
+		j--
+	}
+	l := j % len(gr.grids)
+	id := gr.grids[l].TileAt(tile.Kind(j/len(gr.grids)), n-gr.base[j])
+	id.L = l
+	return id
 }
 
 // Covering returns the producer output tiles covering the fused
 // consumer input tile id (nil for first-layer inputs and single-layer
 // graphs). The returned slice is shared; callers must not modify it.
 func (gr *Graph) Covering(id tile.ID) []tile.ID {
-	if gr.cover == nil {
-		return nil
+	if n, ok := gr.NumOK(id); ok && gr.cover != nil && id.Kind == tile.In {
+		return gr.cover[n]
 	}
-	return gr.cover[id]
+	return nil
 }
 
 // CrossPreds returns the producer-layer ops that must complete before
@@ -139,13 +168,8 @@ func (gr *Graph) CrossSuccs(i int) []int {
 // FinalOp returns the index of the op that finally produces output tile
 // ot (its last accumulation step).
 func (gr *Graph) FinalOp(ot tile.ID) int {
-	g := gr.Grid
-	off := 0
-	if ot.L > 0 {
-		g = gr.grids[ot.L]
-		off = gr.opOffset[ot.L]
-	}
-	return off + ((ot.A*g.NOW+ot.B)*g.NOC+ot.C)*g.NIC + (g.NIC - 1)
+	g := gr.grids[ot.L]
+	return gr.opOffset[ot.L] + (g.Index(ot)+1)*g.NIC - 1
 }
 
 // PendingInto fills dst with every op's dependency in-degree (chain
@@ -174,34 +198,57 @@ func (gr *Graph) PendingInto(dst []int) []int {
 // indexed in canonical (oh, ow, oc, ic) row-major order; the chain
 // predecessor of op x (when x.IC > 0) is always op x-1.
 func Build(g *tile.Grid, m model.Model) *Graph {
-	n := g.NumOps()
-	gr := &Graph{
-		Grid: g,
-		Ops:  make([]Op, 0, n),
-		uses: make(map[tile.ID]int, g.NumTiles(tile.In)+g.NumTiles(tile.Wt)+g.NumTiles(tile.Out)),
+	return build([]*tile.Grid{g}, m)
+}
+
+// build lays out the ops of grids layer by layer and fills the
+// per-tile use counts of each layer on its own; BuildFused adds the
+// cross-layer parts.
+func build(grids []*tile.Grid, m model.Model) *Graph {
+	nl := len(grids)
+	offs := make([]int, (tile.NumKinds+1)*nl)
+	gr := &Graph{Grid: grids[0], grids: grids, base: offs[:tile.NumKinds*nl], opOffset: offs[tile.NumKinds*nl:]}
+	tiles, ops := 0, 0
+	for k := 0; k < tile.NumKinds; k++ {
+		for l, g := range grids {
+			gr.base[k*nl+l] = tiles
+			tiles += g.NumTiles(tile.Kind(k))
+		}
 	}
-	l := g.Layer
-	id := 0
-	for oh := 0; oh < g.NOH; oh++ {
-		for ow := 0; ow < g.NOW; ow++ {
-			for oc := 0; oc < g.NOC; oc++ {
-				for ic := 0; ic < g.NIC; ic++ {
-					rows, cols, ochs, ichs := g.OpDims(oh, ow, oc, ic)
-					op := Op{
-						ID: id,
-						OH: oh, OW: ow, OC: oc, IC: ic,
-						In:        g.InTile(oh, ow, ic),
-						Wt:        g.WtTile(oc, ic),
-						Out:       g.OutTile(oh, ow, oc),
-						ReadsPsum: ic > 0,
-						Final:     ic == g.NIC-1,
-						Cycles:    m.ConvCycles(rows, cols, ochs, ichs, l.KerH, l.KerW),
+	for l, g := range grids {
+		gr.opOffset[l] = ops
+		ops += g.NumOps()
+	}
+	gr.Ops = make([]Op, 0, ops)
+	gr.uses = make([]int32, tiles)
+	for l, g := range grids {
+		// Within a layer every tile of a kind is touched equally often:
+		// an input tile by each out-channel block, a weight tile by each
+		// spatial block, an output tile by each accumulation step.
+		for k, n := range [tile.NumKinds]int{tile.In: g.NOC, tile.Wt: g.NOH * g.NOW, tile.Out: g.NIC} {
+			seg := gr.uses[gr.base[k*nl+l]:][:g.NumTiles(tile.Kind(k))]
+			for i := range seg {
+				seg[i] = int32(n)
+			}
+		}
+		conv := g.Layer
+		for oh := 0; oh < g.NOH; oh++ {
+			for ow := 0; ow < g.NOW; ow++ {
+				for oc := 0; oc < g.NOC; oc++ {
+					for ic := 0; ic < g.NIC; ic++ {
+						rows, cols, ochs, ichs := g.OpDims(oh, ow, oc, ic)
+						gr.Ops = append(gr.Ops, Op{
+							ID: len(gr.Ops),
+							OH: oh, OW: ow, OC: oc, IC: ic,
+							In:        tile.ID{Kind: tile.In, A: oh, B: ow, C: ic, L: l},
+							Wt:        tile.ID{Kind: tile.Wt, A: oc, B: ic, L: l},
+							Out:       tile.ID{Kind: tile.Out, A: oh, B: ow, C: oc, L: l},
+							ReadsPsum: ic > 0,
+							Final:     ic == g.NIC-1,
+							Layer:     l,
+							Cycles:    m.ConvCycles(rows, cols, ochs, ichs, conv.KerH, conv.KerW),
+						})
 					}
-					gr.Ops = append(gr.Ops, op)
-					gr.uses[op.In]++
-					gr.uses[op.Wt]++
-					gr.uses[op.Out]++
-					id++
 				}
 			}
 		}
@@ -247,26 +294,33 @@ func (gr *Graph) AppendInitialReady(dst []int) []int {
 
 // TotalUses returns the total number of op accesses to tile id over the
 // whole layer (0 for tiles not in this grid).
-func (gr *Graph) TotalUses(id tile.ID) int { return gr.uses[id] }
-
-// Uses returns a copy of the access-count table, keyed by tile. The
-// scheduler decrements a copy as ops issue to obtain remaining-use
-// counts for the spill and priority heuristics.
-func (gr *Graph) Uses() map[tile.ID]int {
-	return gr.UsesInto(make(map[tile.ID]int, len(gr.uses)))
+func (gr *Graph) TotalUses(id tile.ID) int {
+	if n, ok := gr.NumOK(id); ok {
+		return int(gr.uses[n])
+	}
+	return 0
 }
 
+// AppendUses appends the access-count table, indexed by tile number, to
+// dst and returns it. The scheduler decrements a copy as ops issue to
+// obtain remaining-use counts for the spill and priority heuristics.
+func (gr *Graph) AppendUses(dst []int32) []int32 { return append(dst, gr.uses...) }
+
+// Uses returns the access-count table as a fresh map keyed by tile: the
+// view of AppendUses for callers outside the scheduler.
+func (gr *Graph) Uses() map[tile.ID]int { return gr.UsesInto(nil) }
+
 // UsesInto fills dst (cleared first) with the access-count table and
-// returns it, letting callers that schedule many graphs reuse one map.
-// A nil dst allocates, like Uses.
+// returns it, letting callers that walk many graphs reuse one map. A
+// nil dst allocates, like Uses.
 func (gr *Graph) UsesInto(dst map[tile.ID]int) map[tile.ID]int {
 	if dst == nil {
 		dst = make(map[tile.ID]int, len(gr.uses))
 	} else {
 		clear(dst)
 	}
-	for k, v := range gr.uses {
-		dst[k] = v
+	for n, u := range gr.uses {
+		dst[gr.Tile(n)] = int(u)
 	}
 	return dst
 }

@@ -52,51 +52,10 @@ func BuildFused(grids []*tile.Grid, m model.Model) (*Graph, error) {
 			return nil, err
 		}
 	}
-	total := 0
-	for _, g := range grids {
-		total += g.NumOps()
-	}
-	gr := &Graph{
-		Grid:       grids[0],
-		Ops:        make([]Op, 0, total),
-		uses:       make(map[tile.ID]int),
-		grids:      grids,
-		opOffset:   make([]int, len(grids)),
-		cover:      make(map[tile.ID][]tile.ID),
-		crossSuccs: make(map[int][]int),
-		crossPreds: make(map[int][]int),
-		lastLayer:  len(grids) - 1,
-	}
-	id := 0
-	for l, g := range grids {
-		gr.opOffset[l] = id
-		conv := g.Layer
-		for oh := 0; oh < g.NOH; oh++ {
-			for ow := 0; ow < g.NOW; ow++ {
-				for oc := 0; oc < g.NOC; oc++ {
-					for ic := 0; ic < g.NIC; ic++ {
-						rows, cols, ochs, ichs := g.OpDims(oh, ow, oc, ic)
-						op := Op{
-							ID: id,
-							OH: oh, OW: ow, OC: oc, IC: ic,
-							In:        tile.ID{Kind: tile.In, A: oh, B: ow, C: ic, L: l},
-							Wt:        tile.ID{Kind: tile.Wt, A: oc, B: ic, L: l},
-							Out:       tile.ID{Kind: tile.Out, A: oh, B: ow, C: oc, L: l},
-							ReadsPsum: ic > 0,
-							Final:     ic == g.NIC-1,
-							Layer:     l,
-							Cycles:    m.ConvCycles(rows, cols, ochs, ichs, conv.KerH, conv.KerW),
-						}
-						gr.Ops = append(gr.Ops, op)
-						gr.uses[op.In]++
-						gr.uses[op.Wt]++
-						gr.uses[op.Out]++
-						id++
-					}
-				}
-			}
-		}
-	}
+	gr := build(grids, m)
+	gr.cover = make([][]tile.ID, gr.base[int(tile.Wt)*len(grids)]) // IN tiles number first
+	gr.crossSuccs = make([][]int, len(gr.Ops))
+	gr.crossPreds = make([][]int, len(gr.Ops))
 
 	// Stitch each boundary: map every consumer input tile's halo onto
 	// the producer's output blocks. The covering tiles gain one use per
@@ -125,11 +84,11 @@ func BuildFused(grids []*tile.Grid, m model.Model) (*Graph, error) {
 							for c := c0; c <= c1; c++ {
 								ot := tile.ID{Kind: tile.Out, A: h, B: w, C: c, L: l - 1}
 								ots = append(ots, ot)
-								gr.uses[ot]++
+								gr.uses[gr.Num(ot)]++
 							}
 						}
 					}
-					gr.cover[in] = ots
+					gr.cover[gr.Num(in)] = ots
 				}
 			}
 		}
@@ -143,7 +102,7 @@ func BuildFused(grids []*tile.Grid, m model.Model) (*Graph, error) {
 		if op.Layer == 0 {
 			continue
 		}
-		ots := gr.cover[op.In]
+		ots := gr.cover[gr.Num(op.In)]
 		if len(ots) == 0 {
 			continue
 		}

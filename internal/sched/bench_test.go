@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/flexer-sched/flexer/internal/arch"
@@ -90,6 +91,52 @@ func BenchmarkNextSetOoO(b *testing.B) {
 			}
 			b.ReportMetric(float64(e.nEval)/float64(b.N), "evals/op")
 			b.ReportMetric(float64(e.nPruned)/float64(b.N), "pruned/op")
+		})
+	}
+}
+
+var sinkResult *Result
+
+// BenchmarkScheduleTiny is one whole Schedule of a 16-op graph under
+// the quick budget's limits on a two-core machine, out of order and in
+// a static order — the repository benchmark's setup_s in miniature,
+// which is a few hundred such calls: per-Schedule fixed cost, not the
+// inner loop. "warm" reuses a pooled engine; "cold" runs after two
+// collections have emptied the pool, as each of the benchmark's cold
+// jobs does, so it also pays the engine's and the scratchpad's
+// first-touch allocations.
+func BenchmarkScheduleTiny(b *testing.B) {
+	a := arch.New("arch4", 2, arch.KiB(512), 64)
+	gr := buildGraph(b, layer.NewConv("tiny", 8, 8, 32, 24, 3), tile.Factors{OH: 4, OW: 4, OC: 12, IC: 16}, a)
+	static := make([]int, len(gr.Ops))
+	for i := range static {
+		static[i] = i
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		cold bool
+	}{
+		{"ooo/warm", Config{Arch: a, MaxReadyWindow: 12, MaxCandidateSets: 32}, false},
+		{"ooo/cold", Config{Arch: a, MaxReadyWindow: 12, MaxCandidateSets: 32}, true},
+		{"static/warm", Config{Arch: a, Order: static}, false},
+		{"static/cold", Config{Arch: a, Order: static}, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if c.cold {
+					b.StopTimer()
+					runtime.GC()
+					runtime.GC()
+					b.StartTimer()
+				}
+				r, err := Schedule(gr, c.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkResult = r
+			}
 		})
 	}
 }

@@ -13,6 +13,10 @@ import (
 	"github.com/flexer-sched/flexer/internal/tile"
 )
 
+// remainUses is the engine's remaining-use table as the function of a
+// tile that spm.Allocate takes, for tests that allocate by hand.
+func (e *engine) remainUses(id tile.ID) int { return int(e.remain[e.gr.Num(id)]) }
+
 // newTestEngine builds an engine in its initial state for white-box
 // tests of set evaluation and selection.
 func newTestEngine(t testing.TB, gr *dfg.Graph, cfg Config) *engine {
@@ -21,10 +25,11 @@ func newTestEngine(t testing.TB, gr *dfg.Graph, cfg Config) *engine {
 	mem := spm.New(cfg.Arch.SPMBytes, cfg.MemPolicy)
 	e := &engine{
 		cfg: cfg, gr: gr, mem: mem,
-		remain:  gr.Uses(),
+		remain:  gr.AppendUses(nil),
 		ready:   gr.InitialReady(),
 		opDone:  make([]int64, len(gr.Ops)),
-		writeAt: map[tile.ID]int64{},
+		writeAt: make([]int64, gr.NumTiles()),
+		availAt: make([]int64, gr.NumTiles()),
 		tl:      sim.New(cfg.Arch.Cores),
 		res:     &Result{},
 	}

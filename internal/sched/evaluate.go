@@ -127,13 +127,13 @@ func (e *engine) place(ev *setEval) bool {
 			}
 		}
 		e.fresh = append(e.fresh, id)
-		evs, err := mem.Allocate(id, size, e.remainUses)
+		evs, err := mem.AllocateBound(id, size, e.remain)
 		if err != nil && gather {
 			for _, ot := range pinned {
 				mem.Unpin(ot)
 			}
 			gather = false
-			evs, err = mem.Allocate(id, size, e.remainUses)
+			evs, err = mem.AllocateBound(id, size, e.remain)
 		}
 		if err != nil {
 			return false

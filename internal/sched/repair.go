@@ -9,8 +9,9 @@ package sched
 // cycle with the reduced machine.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/flexer-sched/flexer/internal/dfg"
 	"github.com/flexer-sched/flexer/internal/fault"
@@ -18,6 +19,31 @@ import (
 	"github.com/flexer-sched/flexer/internal/spm"
 	"github.com/flexer-sched/flexer/internal/tile"
 )
+
+// checkNominal reports whether nominal can be a schedule of gr — every
+// op of gr issued exactly once, every transfer moving a tile of gr —
+// before Repair indexes its tables by nominal's op indices and tile
+// numbers. A schedule of another layer or tiling fails here instead of
+// coming back "repaired" as a mix of two. seen is scratch, one false
+// per op.
+func checkNominal(gr *dfg.Graph, nominal *Result, seen []bool) error {
+	if len(nominal.OpRecords) != len(gr.Ops) {
+		return fmt.Errorf("sched: repair: schedule issues %d ops, the graph has %d (a schedule of another layer or tiling?)",
+			len(nominal.OpRecords), len(gr.Ops))
+	}
+	for _, rec := range nominal.OpRecords {
+		if rec.Op < 0 || rec.Op >= len(gr.Ops) || seen[rec.Op] {
+			return fmt.Errorf("sched: repair: schedule issues op %d twice or outside the graph's %d ops", rec.Op, len(gr.Ops))
+		}
+		seen[rec.Op] = true
+	}
+	for _, rec := range nominal.MemRecords {
+		if _, ok := gr.NumOK(rec.Tile); !ok {
+			return fmt.Errorf("sched: repair: schedule moves %v, which is not a tile of the graph", rec.Tile)
+		}
+	}
+	return nil
+}
 
 // Repair re-plans nominal around plan and returns the degraded
 // schedule. Work that started before the plan's first disruption is
@@ -37,7 +63,8 @@ import (
 // proven from the schedule alone and reusing it could read overwritten
 // data on a real machine.
 //
-// An empty plan returns nominal unchanged. cfg should be the config
+// An empty plan returns nominal unchanged; otherwise nominal must be a
+// complete schedule of gr (checkNominal). cfg should be the config
 // nominal was built with; Order and Hint are ignored (repair is always
 // out-of-order — the nominal op sequence is unachievable on the
 // degraded machine, which is the point).
@@ -52,12 +79,16 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 	if err := plan.Validate(cfg.Arch.Cores); err != nil {
 		return nil, err
 	}
+	committed := make([]bool, len(gr.Ops))
+	if err := checkNominal(gr, nominal, committed); err != nil {
+		return nil, err
+	}
+	clear(committed)
 	fc := plan.FirstDisruption()
 
 	// Partition the nominal schedule at the fault cycle: records that
 	// started before it ran at nominal timing on a healthy machine and
 	// are kept; the rest is discarded and re-planned.
-	committed := make([]bool, len(gr.Ops))
 	var commitOps []sim.OpRecord
 	var commitMems []sim.MemRecord
 	npuFree := make([]int64, cfg.Arch.Cores)
@@ -66,8 +97,8 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 	}
 	dmaFree := fc
 	opDone := make([]int64, len(gr.Ops))
-	writeAt := make(map[tile.ID]int64)
-	remain := gr.Uses()
+	writeAt := make([]int64, gr.NumTiles())
+	remain := gr.AppendUses(nil)
 	nDone := 0
 	for _, rec := range nominal.OpRecords {
 		if rec.Start >= fc {
@@ -78,18 +109,17 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 		nDone++
 		opDone[rec.Op] = rec.End
 		op := &gr.Ops[rec.Op]
-		if rec.End > writeAt[op.Out] {
-			writeAt[op.Out] = rec.End
-		}
-		remain[op.In]--
-		remain[op.Wt]--
-		remain[op.Out]--
+		in, out := gr.Num(op.In), gr.Num(op.Out)
+		writeAt[out] = max(writeAt[out], rec.End)
+		remain[in]--
+		remain[gr.Num(op.Wt)]--
+		remain[out]--
 		// A fused consumer input's covering producer outputs carry one
 		// extra use per covered input; release it when the input's own
 		// uses are exhausted, mirroring the nominal engine.
-		if gr.Fused() && op.In.L > 0 && remain[op.In] == 0 {
+		if gr.Fused() && op.In.L > 0 && remain[in] == 0 {
 			for _, ot := range gr.Covering(op.In) {
-				remain[ot]--
+				remain[gr.Num(ot)]--
 			}
 		}
 		if rec.NPU >= 0 && rec.NPU < len(npuFree) && rec.End > npuFree[rec.NPU] {
@@ -112,7 +142,7 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 	// finishes before its consumer starts; a spill starts no earlier
 	// than the write it flushes), so the last event decides.
 	type tileEvent struct {
-		id     tile.ID
+		num    int // tile number
 		start  int64
 		effect int8 // 0 load/gather (clean), 1 evict, 2 op write (dirty)
 	}
@@ -122,65 +152,55 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 		if m.Kind == sim.Load || m.Kind == sim.Gather {
 			effect = 0
 		}
-		events = append(events, tileEvent{m.Tile, m.Start, effect})
+		events = append(events, tileEvent{gr.Num(m.Tile), m.Start, effect})
 	}
 	for _, o := range commitOps {
-		events = append(events, tileEvent{gr.Ops[o.Op].Out, o.Start, 2})
+		events = append(events, tileEvent{gr.Num(gr.Ops[o.Op].Out), o.Start, 2})
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].start < events[j].start })
-	dirtyAt := make(map[tile.ID]int64) // dirty-resident tile -> last write start
-	var hasDRAM map[tile.ID]bool       // tile -> DRAM copy current as of last write
+	// Events of different tiles may start together; how such a tie falls
+	// changes nothing, each tile's own events being strictly ordered.
+	slices.SortFunc(events, func(a, b tileEvent) int { return cmp.Compare(a.start, b.start) })
+	dirtyAt := make([]int64, gr.NumTiles()) // 1 + last write start of a dirty-resident tile, else 0
+	var hasDRAM []bool                      // tile -> DRAM copy current as of last write
 	if gr.Fused() {
-		hasDRAM = make(map[tile.ID]bool)
+		hasDRAM = make([]bool, gr.NumTiles())
 	}
 	for _, ev := range events {
-		switch ev.effect {
-		case 2:
-			dirtyAt[ev.id] = ev.start
-			if hasDRAM != nil {
-				delete(hasDRAM, ev.id)
-			}
-		case 1:
-			delete(dirtyAt, ev.id)
-			if hasDRAM != nil {
-				hasDRAM[ev.id] = true
-			}
-		default:
-			delete(dirtyAt, ev.id)
+		dirtyAt[ev.num] = 0
+		if ev.effect == 2 {
+			dirtyAt[ev.num] = ev.start + 1
 		}
-	}
-	// Dead fused intermediates are dropped traceless by the nominal
-	// engine (no writeback, no spill), so their residency at the fault
-	// cycle cannot be proven and nothing will ever read them again —
-	// exclude them from the rebuilt scratchpad like flush excludes them.
-	if gr.Fused() {
-		for id := range dirtyAt {
-			if id.Kind == tile.Out && id.L < gr.LastLayer() && remain[id] == 0 {
-				delete(dirtyAt, id)
-			}
+		if hasDRAM != nil && ev.effect != 0 {
+			hasDRAM[ev.num] = ev.effect == 1
 		}
 	}
 
-	// Rebuild the scratchpad with exactly the dirty survivors. They are
-	// guaranteed to fit: all were simultaneously resident in the
-	// nominal schedule and the rebuilt scratchpad is unfragmented.
-	// Everything stays pinned while placing so no pick evicts another.
-	dirtyTiles := make([]tile.ID, 0, len(dirtyAt))
-	for id := range dirtyAt {
-		dirtyTiles = append(dirtyTiles, id)
-	}
-	sort.Slice(dirtyTiles, func(i, j int) bool {
-		a, b := dirtyTiles[i], dirtyTiles[j]
-		if dirtyAt[a] != dirtyAt[b] {
-			return dirtyAt[a] > dirtyAt[b]
+	// Rebuild the scratchpad with exactly the dirty survivors, latest
+	// written first, equal times in tile-number order (the stable sort
+	// of an ascending list). They are guaranteed to fit: all were
+	// simultaneously resident in the nominal schedule and the rebuilt
+	// scratchpad is unfragmented. Everything stays pinned while placing
+	// so no pick evicts another. Dead fused intermediates are dropped
+	// traceless by the nominal engine (no writeback, no spill), so their
+	// residency at the fault cycle cannot be proven and nothing will
+	// ever read them again — they are left out, like flush leaves them.
+	var dirtyTiles []int
+	for n, at := range dirtyAt {
+		if at == 0 {
+			continue
 		}
-		return lessID(a, b)
-	})
+		if id := gr.Tile(n); id.Kind == tile.Out && id.L < gr.LastLayer() && remain[n] == 0 {
+			continue
+		}
+		dirtyTiles = append(dirtyTiles, n)
+	}
+	slices.SortStableFunc(dirtyTiles, func(a, b int) int { return cmp.Compare(dirtyAt[b], dirtyAt[a]) })
 	mem := spm.New(cfg.Arch.SPMBytes, cfg.MemPolicy)
 	mem.SetInPlace(!cfg.DisableInPlace)
-	remainFn := func(id tile.ID) int { return remain[id] }
-	for _, id := range dirtyTiles {
-		if _, err := mem.Allocate(id, gr.Size(id), remainFn); err != nil {
+	mem.Bind(gr)
+	for _, n := range dirtyTiles {
+		id := gr.Tile(n)
+		if _, err := mem.AllocateBound(id, gr.Size(id), remain); err != nil {
 			return nil, fmt.Errorf("sched: repair cannot retain live tile %s: %w", id, err)
 		}
 		mem.SetDirty(id, true)
@@ -224,7 +244,7 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 		hasDRAM: hasDRAM,
 		opDone:  opDone,
 		writeAt: writeAt,
-		availAt: make(map[tile.ID]int64),
+		availAt: make([]int64, gr.NumTiles()),
 		tl:      sim.NewAt(npuFree, dmaFree),
 		res:     newResult(gr),
 		nDone:   nDone,
@@ -283,21 +303,4 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 	e.res.SetsEvaluated = e.nEval
 	e.res.SetsPruned = e.nPruned
 	return e.res, nil
-}
-
-// lessID orders tile IDs for deterministic iteration.
-func lessID(a, b tile.ID) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.L != b.L {
-		return a.L < b.L
-	}
-	if a.A != b.A {
-		return a.A < b.A
-	}
-	if a.B != b.B {
-		return a.B < b.B
-	}
-	return a.C < b.C
 }

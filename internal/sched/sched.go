@@ -199,19 +199,20 @@ func (r *Result) Metric() float64 {
 	return float64(r.LatencyCycles) * float64(r.TrafficBytes())
 }
 
-// engine holds the mutable scheduling state.
+// engine holds the mutable scheduling state. Per-tile state is slices by
+// the graph's tile numbers (dfg.Graph.Num), which the scratchpad binds.
 type engine struct {
 	cfg     Config
 	gr      *dfg.Graph
 	fused   bool // gr spans multiple layers
 	mem     *spm.SPM
-	remain  map[tile.ID]int
+	remain  []int32 // remaining accesses to a tile
 	ready   []int
 	pending []int // per-op count of unissued predecessors (chain + cross)
 	opDone  []int64
-	writeAt map[tile.ID]int64 // completion time of the last write to a tile
-	availAt map[tile.ID]int64 // arrival time of the last load of a tile
-	hasDRAM map[tile.ID]bool  // tiles whose current contents exist off-chip (fused runs)
+	writeAt []int64 // completion time of the last write to a tile
+	availAt []int64 // arrival time of the last load of a tile
+	hasDRAM []bool  // tiles whose current contents exist off-chip (fused runs)
 	tl      *sim.Timeline
 	res     *Result
 	pos     int       // next index into cfg.Order (in-order mode)
@@ -235,7 +236,17 @@ type engine struct {
 	set      []int      // bestSetOfSize op scratch
 	fresh    []tile.ID  // place: tiles brought on-chip by the current set
 	refs     []tileRef  // apply: per-tile reference counts of one set
-	spDone   []bool     // apply: spills already issued early for a DRAM fallback
+	marks    []bool     // validateOrder: ops seen; apply: spills already issued early for a DRAM fallback
+}
+
+// zeroed returns s with length n and every element zero, reusing it.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // releaseEval recycles a retired set evaluation. nil is ignored, so
@@ -260,7 +271,7 @@ func (e *engine) getEval() *setEval {
 }
 
 // enginePool recycles engines — and with them the scratchpad, the
-// signature buffers, and the bookkeeping maps — across Schedule
+// signature buffers, and the per-tile tables — across Schedule
 // calls. The search schedules tens of runs per tiling and thousands per
 // layer; per-worker reuse through the pool keeps the steady state out
 // of the allocator.
@@ -285,11 +296,6 @@ func Schedule(gr *dfg.Graph, cfg Config) (*Result, error) {
 	if err := cfg.Arch.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Order != nil {
-		if err := validateOrder(gr, cfg.Order); err != nil {
-			return nil, err
-		}
-	}
 	if !cfg.FaultPlan.Empty() {
 		if err := cfg.FaultPlan.Validate(cfg.Arch.Cores); err != nil {
 			return nil, err
@@ -298,8 +304,13 @@ func Schedule(gr *dfg.Graph, cfg Config) (*Result, error) {
 	e := enginePool.Get().(*engine)
 	defer e.recycle()
 	e.reset(gr, cfg)
+	if cfg.Order != nil {
+		if err := e.validateOrder(cfg.Order); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Hint != nil && cfg.Order == nil {
-		if err := validateOrder(gr, cfg.Hint); err != nil {
+		if err := e.validateOrder(cfg.Hint); err != nil {
 			return nil, fmt.Errorf("sched: invalid hint: %w", err)
 		}
 		for pos, op := range cfg.Hint {
@@ -338,11 +349,13 @@ func Schedule(gr *dfg.Graph, cfg Config) (*Result, error) {
 	return e.res, nil
 }
 
-func validateOrder(gr *dfg.Graph, order []int) error {
+func (e *engine) validateOrder(order []int) error {
+	gr := e.gr
 	if len(order) != len(gr.Ops) {
 		return fmt.Errorf("sched: order has %d ops, graph has %d", len(order), len(gr.Ops))
 	}
-	seen := make([]bool, len(gr.Ops))
+	e.marks = zeroed(e.marks, len(gr.Ops))
+	seen := e.marks
 	for _, op := range order {
 		if op < 0 || op >= len(gr.Ops) {
 			return fmt.Errorf("sched: order references op %d outside graph", op)
@@ -361,7 +374,7 @@ func validateOrder(gr *dfg.Graph, order []int) error {
 // reset prepares a (possibly recycled) engine for one run. Everything
 // handed out through the Result — the Result itself, the timeline's
 // record slices, the MoveCounts maps — is freshly allocated; all other
-// state is reused in place.
+// state is reused in place, at a cost linear in this graph's size.
 func (e *engine) reset(gr *dfg.Graph, cfg Config) {
 	e.cfg = cfg
 	e.gr = gr
@@ -371,8 +384,14 @@ func (e *engine) reset(gr *dfg.Graph, cfg Config) {
 		e.mem.Reset(cfg.Arch.SPMBytes, cfg.MemPolicy)
 	}
 	e.mem.SetInPlace(!cfg.DisableInPlace)
+	e.mem.Bind(gr)
 	e.fused = gr.Fused()
-	e.remain = gr.UsesInto(e.remain)
+	e.remain = gr.AppendUses(e.remain[:0])
+	e.writeAt = zeroed(e.writeAt, gr.NumTiles())
+	e.availAt = zeroed(e.availAt, gr.NumTiles())
+	if e.fused {
+		e.hasDRAM = zeroed(e.hasDRAM, gr.NumTiles())
+	}
 	// Readiness is in-degree based: ops with no unissued predecessor
 	// (chain or cross-layer) are ready. For single-layer graphs this is
 	// exactly the IC == 0 set in canonical order, bit-identical to the
@@ -384,31 +403,7 @@ func (e *engine) reset(gr *dfg.Graph, cfg Config) {
 			e.ready = append(e.ready, i)
 		}
 	}
-	if e.fused {
-		if e.hasDRAM == nil {
-			e.hasDRAM = make(map[tile.ID]bool)
-		} else {
-			clear(e.hasDRAM)
-		}
-	}
-	if cap(e.opDone) >= len(gr.Ops) {
-		e.opDone = e.opDone[:len(gr.Ops)]
-		for i := range e.opDone {
-			e.opDone[i] = 0
-		}
-	} else {
-		e.opDone = make([]int64, len(gr.Ops))
-	}
-	if e.writeAt == nil {
-		e.writeAt = make(map[tile.ID]int64)
-	} else {
-		clear(e.writeAt)
-	}
-	if e.availAt == nil {
-		e.availAt = make(map[tile.ID]int64)
-	} else {
-		clear(e.availAt)
-	}
+	e.opDone = zeroed(e.opDone, len(gr.Ops))
 	if e.tl == nil {
 		e.tl = sim.New(cfg.Arch.Cores)
 	} else {
@@ -417,11 +412,9 @@ func (e *engine) reset(gr *dfg.Graph, cfg Config) {
 	e.tl.Reserve(len(gr.Ops), len(gr.Ops))
 	e.tl.SetFaults(cfg.FaultPlan)
 	e.res = newResult(gr)
-	if cap(e.rank) >= len(gr.Ops) {
-		e.rank = e.rank[:len(gr.Ops)]
-	} else {
-		e.rank = make([]int, len(gr.Ops))
-	}
+	// A set holds at most one op per core, so this many sets at least.
+	e.res.Sets = make([]SetRecord, 0, (len(gr.Ops)+cfg.Arch.Cores-1)/cfg.Arch.Cores)
+	e.rank = zeroed(e.rank, len(gr.Ops))
 	e.pos = 0
 	e.nEval, e.nPruned, e.nDone = 0, 0, 0
 }
@@ -443,16 +436,15 @@ func newResult(gr *dfg.Graph) *Result {
 }
 
 // recycle returns the engine to the pool, dropping the references that
-// would otherwise pin the caller's graph and result in the pool.
+// would otherwise pin the caller's graph and result in the pool (the
+// scratchpad's, to the graph as its numbering, by emptying it).
 func (e *engine) recycle() {
+	e.mem.Reset(e.mem.Capacity(), e.cfg.MemPolicy)
 	e.gr = nil
 	e.res = nil
 	e.cfg = Config{}
 	enginePool.Put(e)
 }
-
-// remainUses adapts the remaining-access table for the spill heuristics.
-func (e *engine) remainUses(id tile.ID) int { return e.remain[id] }
 
 // tileRef counts one set's references to a distinct operand tile.
 type tileRef struct {
@@ -492,25 +484,18 @@ func (e *engine) apply(ev *setEval) error {
 	// of this load (evicted by this very set), so the round-trip reads
 	// data that has actually been written.
 	var memEnd int64
-	if cap(e.spDone) >= len(ev.spills) {
-		e.spDone = e.spDone[:len(ev.spills)]
-		for i := range e.spDone {
-			e.spDone[i] = false
-		}
-	} else {
-		e.spDone = make([]bool, len(ev.spills))
-	}
+	e.marks = zeroed(e.marks, len(ev.spills))
 	for _, ld := range ev.loads {
 		if ld.gather {
 			var notBefore int64
 			for _, ot := range e.gr.Covering(ld.id) {
-				if w := e.writeAt[ot]; w > notBefore {
+				if w := e.writeAt[e.gr.Num(ot)]; w > notBefore {
 					notBefore = w
 				}
 			}
 			rec := e.tl.Transfer(ld.id, sim.Gather, ld.size, e.cfg.Model.GatherCycles(ld.size), notBefore)
 			e.account(rec)
-			e.availAt[ld.id] = rec.End
+			e.availAt[e.gr.Num(ld.id)] = rec.End
 			if rec.End > memEnd {
 				memEnd = rec.End
 			}
@@ -524,13 +509,13 @@ func (e *engine) apply(ev *setEval) error {
 		lat := e.cfg.Model.TransferCycles(ld.size)
 		rec := e.tl.Transfer(ld.id, sim.Load, ld.size, lat, 0)
 		e.account(rec)
-		e.availAt[ld.id] = rec.End
+		e.availAt[e.gr.Num(ld.id)] = rec.End
 		if rec.End > memEnd {
 			memEnd = rec.End
 		}
 	}
 	for i, sp := range ev.spills {
-		if !sp.Dirty || e.spDone[i] {
+		if !sp.Dirty || e.marks[i] {
 			continue // clean evictions drop data without traffic
 		}
 		if e.fused && sp.ID.Kind == tile.Out && sp.ID.L < e.gr.LastLayer() && sp.RemainUses == 0 {
@@ -541,10 +526,10 @@ func (e *engine) apply(ev *setEval) error {
 			kind = sim.Writeback // finished output evicted: its one required write
 		}
 		lat := e.cfg.Model.TransferCycles(sp.Size)
-		rec := e.tl.Transfer(sp.ID, kind, sp.Size, lat, e.writeAt[sp.ID])
+		rec := e.tl.Transfer(sp.ID, kind, sp.Size, lat, e.writeAt[e.gr.Num(sp.ID)])
 		e.account(rec)
 		if e.fused {
-			e.hasDRAM[sp.ID] = true
+			e.hasDRAM[e.gr.Num(sp.ID)] = true
 		}
 	}
 
@@ -563,22 +548,16 @@ func (e *engine) apply(ev *setEval) error {
 	}
 	for _, opIdx := range ev.ops {
 		op := &e.gr.Ops[opIdx]
+		in, wt, out := e.gr.Num(op.In), e.gr.Num(op.Wt), e.gr.Num(op.Out)
 		earliest := memEnd
 		if p := e.gr.Pred(opIdx); p >= 0 && e.opDone[p] > earliest {
 			earliest = e.opDone[p]
 		}
 		// An operand reused from an earlier set may still be in flight
 		// on the DMA channel: compute cannot start before it arrives.
-		if at := e.availAt[op.In]; at > earliest {
-			earliest = at
-		}
-		if at := e.availAt[op.Wt]; at > earliest {
-			earliest = at
-		}
+		earliest = max(earliest, e.availAt[in], e.availAt[wt])
 		if op.ReadsPsum {
-			if at := e.availAt[op.Out]; at > earliest {
-				earliest = at
-			}
+			earliest = max(earliest, e.availAt[out])
 		}
 		npu := e.tl.BestNPU(earliest, op.Cycles)
 		if npu < 0 {
@@ -586,23 +565,23 @@ func (e *engine) apply(ev *setEval) error {
 		}
 		rec := e.tl.Issue(opIdx, npu, earliest, op.Cycles)
 		e.opDone[opIdx] = rec.End
-		e.writeAt[op.Out] = rec.End
+		e.writeAt[out] = rec.End
 		e.mem.SetDirty(op.Out, true)
 		if e.fused {
 			// The write makes any off-chip copy of the tile stale (a
 			// mid-chain spill leaves a partial sum in DRAM).
-			delete(e.hasDRAM, op.Out)
+			e.hasDRAM[out] = false
 		}
-		e.remain[op.In]--
-		e.remain[op.Wt]--
-		e.remain[op.Out]--
-		if e.fused && op.In.L > 0 && e.remain[op.In] == 0 {
+		e.remain[in]--
+		e.remain[wt]--
+		e.remain[out]--
+		if e.fused && op.In.L > 0 && e.remain[in] == 0 {
 			// The consumer input tile is exhausted: release its hold on
 			// the producer outputs covering it. Until this point each
 			// covering tile stays live (resident or backed by DRAM), so
 			// a reload of the input always has a data source.
 			for _, ot := range e.gr.Covering(op.In) {
-				e.remain[ot]--
+				e.remain[e.gr.Num(ot)]--
 			}
 		}
 		addRef(op.In)
@@ -659,38 +638,39 @@ func (e *engine) wake(j int) {
 // input id exist off-chip before id is loaded from DRAM. Producers
 // still resident are flushed now (they stay resident, now clean);
 // producers evicted dirty by the current set have their spill pulled
-// ahead of the load (marked in spDone so the main spill pass skips
+// ahead of the load (marked in e.marks so the main spill pass skips
 // them). Any other case breaks the liveness invariant and is an
 // internal error.
 func (e *engine) ensureDRAM(id tile.ID, ev *setEval) error {
 	for _, ot := range e.gr.Covering(id) {
-		if e.hasDRAM[ot] {
+		n := e.gr.Num(ot)
+		if e.hasDRAM[n] {
 			continue
 		}
 		if e.mem.Has(ot) {
 			size := e.gr.Size(ot)
-			rec := e.tl.Transfer(ot, sim.Spill, size, e.cfg.Model.TransferCycles(size), e.writeAt[ot])
+			rec := e.tl.Transfer(ot, sim.Spill, size, e.cfg.Model.TransferCycles(size), e.writeAt[n])
 			e.account(rec)
 			e.mem.SetDirty(ot, false)
-			e.hasDRAM[ot] = true
+			e.hasDRAM[n] = true
 			continue
 		}
 		found := false
 		for i := range ev.spills {
 			sp := &ev.spills[i]
-			if sp.ID != ot || e.spDone[i] {
+			if sp.ID != ot || e.marks[i] {
 				continue
 			}
 			if sp.Dirty {
-				rec := e.tl.Transfer(ot, sim.Spill, sp.Size, e.cfg.Model.TransferCycles(sp.Size), e.writeAt[ot])
+				rec := e.tl.Transfer(ot, sim.Spill, sp.Size, e.cfg.Model.TransferCycles(sp.Size), e.writeAt[n])
 				e.account(rec)
-				e.hasDRAM[ot] = true
+				e.hasDRAM[n] = true
 			}
-			e.spDone[i] = true
+			e.marks[i] = true
 			found = true
 			break
 		}
-		if !found || !e.hasDRAM[ot] {
+		if !found || !e.hasDRAM[n] {
 			return fmt.Errorf("sched: internal: producer %v has no resident or off-chip copy for consumer %v", ot, id)
 		}
 	}
@@ -731,11 +711,12 @@ func (e *engine) flush() {
 		if !b.Dirty {
 			continue
 		}
-		if e.fused && b.ID.Kind == tile.Out && b.ID.L < e.gr.LastLayer() && e.remain[b.ID] == 0 {
+		n := e.gr.Num(b.ID)
+		if e.fused && b.ID.Kind == tile.Out && b.ID.L < e.gr.LastLayer() && e.remain[n] == 0 {
 			continue
 		}
 		lat := e.cfg.Model.TransferCycles(b.Size)
-		rec := e.tl.Transfer(b.ID, sim.Writeback, b.Size, lat, e.writeAt[b.ID])
+		rec := e.tl.Transfer(b.ID, sim.Writeback, b.Size, lat, e.writeAt[n])
 		e.account(rec)
 		e.mem.SetDirty(b.ID, false)
 	}

@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -334,8 +334,18 @@ func searchLayerUncached(ctx context.Context, l layer.Conv, opts Options) (*Laye
 		order[i] = i
 	}
 	if pruning {
-		sort.SliceStable(order, func(a, b int) bool {
-			return bounds[order[a]].Score(opts.Metric) < bounds[order[b]].Score(opts.Metric)
+		// Stable, so unique: the order sort.SliceStable gave, without
+		// its reflective swapper. Spelled with < (not cmp.Compare) so a
+		// NaN score keeps comparing as it did.
+		slices.SortStableFunc(order, func(a, b int) int {
+			sa, sb := bounds[a].Score(opts.Metric), bounds[b].Score(opts.Metric)
+			switch {
+			case sa < sb:
+				return -1
+			case sb < sa:
+				return 1
+			}
+			return 0
 		})
 	}
 	inc := &incumbents{}

@@ -59,3 +59,33 @@ func BenchmarkCloneInto(b *testing.B) {
 		allocateAll(b, s.CloneInto(dst), want, ru)
 	}
 }
+
+// BenchmarkAllocateSpill is Algorithm 2 on a full scratchpad: 48 blocks
+// of four sizes and three remaining-use counts, no free space, a
+// request that takes a window of several blocks — the allocation a
+// scheduler under memory pressure makes for every operand of every
+// candidate set. The victim search is the whole cost.
+func BenchmarkAllocateSpill(b *testing.B) {
+	s := New(120<<10, PolicyFlexer)
+	uses := make(map[tile.ID]int)
+	ru := usesOf(uses)
+	for n := 0; n < 48; n++ {
+		uses[mkID(n)] = 1 + n%3
+		if _, err := s.Allocate(mkID(n), int64(1+n%4)<<10, ru); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s.UnpinAll()
+	if s.FreeBytes() != 0 {
+		b.Fatalf("scratchpad not full: %d bytes free", s.FreeBytes())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Checkpoint()
+		if _, err := s.Allocate(mkID(100), 7<<10, ru); err != nil {
+			b.Fatal(err)
+		}
+		s.Rollback()
+	}
+}

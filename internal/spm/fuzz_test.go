@@ -10,8 +10,10 @@ import (
 // FuzzAllocator drives the scratchpad with an operation stream decoded
 // from fuzz input bytes: every byte pair (op, arg) performs one
 // allocator action. The representation invariants must hold after each
-// step under every policy, and a rollback must restore everything
-// observable at its checkpoint. Run with `go test -fuzz=FuzzAllocator`
+// step under every policy, a rollback must restore everything
+// observable at its checkpoint, and — the stream drives a twin — a
+// bound and an interned scratchpad must agree on every eviction and
+// every block. Run with `go test -fuzz=FuzzAllocator`
 // for continuous fuzzing; the seed corpus runs in normal test mode.
 func FuzzAllocator(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 20, 2, 0, 0, 200, 3, 1})
@@ -20,7 +22,7 @@ func FuzzAllocator(f *testing.F) {
 	f.Add([]byte{0, 200, 0, 201, 2, 0, 6, 0, 0, 202, 0, 203, 1, 200, 4, 201, 7, 0, 6, 0, 0, 90, 7, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, policy := range []Policy{PolicyFlexer, PolicyFirstFit, PolicySmallestFirst} {
-			s := New(4096, policy)
+			s := newTwin(t, 4096, policy)
 			uses := make(map[tile.ID]int)
 			ru := usesOf(uses)
 			var saved *observed // state at the open checkpoint, if any

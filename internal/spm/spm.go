@@ -64,9 +64,37 @@ func ParsePolicy(name string) (Policy, error) {
 type region struct {
 	addr, size int64
 	id         tile.ID
+	num        int32 // id's tile number (see Numbering)
 	alloc      bool
 	dirty      bool
 	pin        bool
+}
+
+// Numbering gives every tile a scratchpad will hold a dense number in
+// [0, NumTiles()); a dfg.Graph numbers the tiles of its grids from
+// their coordinates. The scratchpad's tile index is a slice by that
+// number, so no lookup on the allocation path hashes a tile.ID.
+type Numbering interface {
+	NumTiles() int
+	Num(tile.ID) int
+}
+
+// useCounts is where a resident block's remaining-use count comes from:
+// the caller's function of the tile, or — on a bound scratchpad — the
+// caller's table by tile number. The zero value answers 0.
+type useCounts struct {
+	fn  func(tile.ID) int
+	tab []int32
+}
+
+func (u useCounts) of(r *region) int {
+	if u.tab != nil {
+		return int(u.tab[r.num])
+	}
+	if u.fn != nil {
+		return u.fn(r.id)
+	}
+	return 0
 }
 
 // Eviction records one block removed from the scratchpad. Dirty
@@ -82,9 +110,16 @@ type Eviction struct {
 
 // SPM manages one scratchpad. It is not safe for concurrent use.
 type SPM struct {
-	cap     int64
-	regs    []region
-	index   map[tile.ID]int64 // tile -> block address
+	cap  int64
+	regs []region
+	// index[n] is 1 + the block address of the tile numbered n, 0 when
+	// it is not resident: all zero whenever the scratchpad is empty. The
+	// numbers are nums' when one is bound (Bind); otherwise tiles are
+	// numbered as first allocated, in seen, len(index) being the next
+	// number. A block carries its number: only num asks for the source.
+	index   []int64
+	nums    Numbering
+	seen    map[tile.ID]int32
 	used    int64
 	policy  Policy
 	inPlace bool
@@ -97,89 +132,107 @@ type SPM struct {
 	ckRegs   []region
 	ckUsed   int64
 	journal  []indexEdit
+
+	weight []int64 // findAlg2Run scratch: per region, size x remaining uses
 }
 
 // indexEdit is one journalled change to the tile index: before the
-// edit, id was at addr when present and absent otherwise.
+// edit, index[num] was slot.
 type indexEdit struct {
-	id      tile.ID
-	addr    int64
-	present bool
+	num  int32
+	slot int64
 }
 
 // New returns an empty scratchpad of the given capacity using the given
 // spill policy. In-place replacement is enabled by default.
 func New(capacity int64, policy Policy) *SPM {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("spm: capacity must be positive, got %d", capacity))
+	s := &SPM{}
+	s.Reset(capacity, policy)
+	return s
+}
+
+// Bind makes the empty scratchpad index its tiles by nums' numbers —
+// every tile it is handed from now on must be one nums numbers —
+// instead of numbering them as first seen. It lasts until Reset, and
+// costs nothing per tile: the index is sized to nums once and reused.
+func (s *SPM) Bind(nums Numbering) {
+	if s.used != 0 {
+		panic("spm: Bind on a scratchpad that holds blocks")
 	}
-	return &SPM{
-		cap:     capacity,
-		regs:    []region{{addr: 0, size: capacity}},
-		index:   make(map[tile.ID]int64),
-		policy:  policy,
-		inPlace: true,
+	n := nums.NumTiles()
+	s.nums, s.index = nums, slices.Grow(s.index[:0], n)[:n] // all zero, see the field
+}
+
+// num returns id's tile number, or -1 for a tile the first-seen
+// numbering has not met (which therefore is not resident).
+func (s *SPM) num(id tile.ID) int {
+	if s.nums != nil {
+		return s.nums.Num(id)
 	}
+	if n, ok := s.seen[id]; ok {
+		return int(n)
+	}
+	return -1
+}
+
+// intern gives id, new to the first-seen numbering, the number n.
+func (s *SPM) intern(id tile.ID, n int) {
+	if s.seen == nil {
+		s.seen = make(map[tile.ID]int32)
+	}
+	s.seen[id] = int32(n)
 }
 
 // SetInPlace enables or disables the in-place replacement fast path
 // (used by the ablation benchmarks).
 func (s *SPM) SetInPlace(enabled bool) { s.inPlace = enabled }
 
-// Clone returns a deep copy sharing no state with s.
-func (s *SPM) Clone() *SPM {
-	c := &SPM{
-		cap:     s.cap,
-		regs:    append([]region(nil), s.regs...),
-		index:   make(map[tile.ID]int64, len(s.index)),
-		used:    s.used,
-		policy:  s.policy,
-		inPlace: s.inPlace,
-	}
-	for k, v := range s.index {
-		c.index[k] = v
-	}
-	return c
-}
+// Clone returns a deep copy sharing no state with s (a bound Numbering,
+// which a scratchpad only reads, aside).
+func (s *SPM) Clone() *SPM { return s.CloneInto(&SPM{}) }
 
-// CloneInto overwrites dst with a deep copy of s, reusing dst's region
-// slice and index map instead of allocating fresh ones. dst must not be
-// s. Returns dst. Like Clone it copies the current state only — an open
-// checkpoint stays with s. The scheduler no longer clones per candidate
-// set (it evaluates in place between Checkpoint and Rollback); Clone
-// and CloneInto remain for tests and the benchmark's spm.clone_ns row.
+// CloneInto overwrites dst with a deep copy of s, reusing dst's
+// storage. dst must not be s. Returns dst. Like Clone it copies the
+// current state only — an open checkpoint stays with s — and of a
+// first-seen numbering only the resident tiles' numbers: any other
+// tile is as good as new to the copy. The scheduler no longer clones
+// per candidate set (it evaluates in place between Checkpoint and
+// Rollback); Clone and CloneInto remain for tests and the benchmark's
+// spm.clone_ns row.
 func (s *SPM) CloneInto(dst *SPM) *SPM {
-	dst.ckActive = false
-	dst.cap = s.cap
+	dst.Reset(s.cap, s.policy)
 	dst.regs = append(dst.regs[:0], s.regs...)
-	if dst.index == nil {
-		dst.index = make(map[tile.ID]int64, len(s.index))
-	} else {
-		clear(dst.index)
+	dst.used, dst.inPlace, dst.nums = s.used, s.inPlace, s.nums
+	dst.index = slices.Grow(dst.index[:0], len(s.index))[:len(s.index)]
+	for i := range s.regs {
+		if r := &s.regs[i]; r.alloc {
+			dst.index[r.num] = r.addr + 1
+			if s.nums == nil {
+				dst.intern(r.id, int(r.num))
+			}
+		}
 	}
-	for k, v := range s.index {
-		dst.index[k] = v
-	}
-	dst.used = s.used
-	dst.policy = s.policy
-	dst.inPlace = s.inPlace
 	return dst
 }
 
 // Reset returns s to an empty scratchpad of the given capacity and
-// policy, reusing its storage. In-place replacement is re-enabled, as
-// after New.
+// policy, reusing its storage, as after New: in-place replacement is
+// re-enabled, a bound Numbering dropped. It un-sets the index entries
+// of the resident blocks only: the cost is in what the scratchpad
+// holds, not in the largest graph it has served.
 func (s *SPM) Reset(capacity int64, policy Policy) {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("spm: capacity must be positive, got %d", capacity))
 	}
+	for i := range s.regs {
+		if r := &s.regs[i]; r.alloc {
+			s.index[r.num] = 0
+		}
+	}
+	s.index, s.nums = s.index[:0], nil
+	clear(s.seen)
 	s.cap = capacity
 	s.regs = append(s.regs[:0], region{addr: 0, size: capacity})
-	if s.index == nil {
-		s.index = make(map[tile.ID]int64)
-	} else {
-		clear(s.index)
-	}
 	s.used = 0
 	s.policy = policy
 	s.inPlace = true
@@ -189,8 +242,8 @@ func (s *SPM) Reset(capacity int64, policy Policy) {
 // Checkpoint saves the scratchpad state so that a following Rollback
 // undoes every Allocate, Evict, Pin, Unpin and SetDirty made in
 // between. It copies the region slice and journals index edits instead
-// of copying the index map, so a checkpoint/rollback pair costs one
-// small memmove plus the edits actually made — the scheduler evaluates
+// of copying the index, so a checkpoint/rollback pair costs one small
+// memmove plus the edits actually made — the scheduler evaluates
 // every candidate set this way on its one scratchpad. At most one
 // checkpoint is open at a time: Checkpoint panics when one is, Rollback
 // when none is, and Reset discards an open one.
@@ -213,11 +266,7 @@ func (s *SPM) Rollback() {
 	s.regs, s.ckRegs = s.ckRegs, s.regs
 	s.used = s.ckUsed
 	for i := len(s.journal) - 1; i >= 0; i-- {
-		if ed := &s.journal[i]; ed.present {
-			s.index[ed.id] = ed.addr
-		} else {
-			delete(s.index, ed.id)
-		}
+		s.index[s.journal[i].num] = s.journal[i].slot
 	}
 }
 
@@ -235,19 +284,26 @@ func (s *SPM) Utilization() float64 { return float64(s.used) / float64(s.cap) }
 
 // Has reports whether tile id currently resides in the scratchpad.
 func (s *SPM) Has(id tile.ID) bool {
-	_, ok := s.index[id]
-	return ok
+	n := s.num(id)
+	return n >= 0 && s.index[n] != 0
 }
 
 // NumBlocks returns the number of allocated blocks.
-func (s *SPM) NumBlocks() int { return len(s.index) }
+func (s *SPM) NumBlocks() int {
+	n := 0
+	for i := range s.regs {
+		if s.regs[i].alloc {
+			n++
+		}
+	}
+	return n
+}
 
 func (s *SPM) regionOf(id tile.ID) int {
-	addr, ok := s.index[id]
-	if !ok {
-		return -1
+	if n := s.num(id); n >= 0 && s.index[n] != 0 {
+		return s.find(s.index[n] - 1)
 	}
-	return s.find(addr)
+	return -1
 }
 
 // find returns the index of the region starting at addr (which must
@@ -316,7 +372,7 @@ type BlockInfo struct {
 
 // Blocks returns the allocated blocks in address order.
 func (s *SPM) Blocks() []BlockInfo {
-	out := make([]BlockInfo, 0, len(s.index))
+	out := make([]BlockInfo, 0, s.NumBlocks())
 	for _, r := range s.regs {
 		if r.alloc {
 			out = append(out, BlockInfo{ID: r.id, Addr: r.addr, Size: r.size, Dirty: r.dirty, Pinned: r.pin})
@@ -344,27 +400,23 @@ func (s *SPM) Evict(id tile.ID, remainUses func(tile.ID) int) (Eviction, bool) {
 	if i < 0 {
 		return Eviction{}, false
 	}
-	ev := s.evictAt(i, remainUses)
+	ev := s.evictAt(i, useCounts{fn: remainUses})
 	s.coalesceAround(i)
 	return ev, true
 }
 
 // evictAt turns the allocated region at index i into free space and
 // returns the eviction record. It does not coalesce.
-func (s *SPM) evictAt(i int, remainUses func(tile.ID) int) Eviction {
+func (s *SPM) evictAt(i int, remain useCounts) Eviction {
 	r := &s.regs[i]
 	if !r.alloc {
 		panic("spm: evictAt on free region")
 	}
-	ru := 0
-	if remainUses != nil {
-		ru = remainUses(r.id)
-	}
-	ev := Eviction{ID: r.id, Size: r.size, Dirty: r.dirty, RemainUses: ru}
+	ev := Eviction{ID: r.id, Size: r.size, Dirty: r.dirty, RemainUses: remain.of(r)}
 	if s.ckActive {
-		s.journal = append(s.journal, indexEdit{id: r.id, addr: r.addr, present: true})
+		s.journal = append(s.journal, indexEdit{num: r.num, slot: r.addr + 1})
 	}
-	delete(s.index, r.id)
+	s.index[r.num] = 0
 	s.used -= r.size
 	r.alloc = false
 	r.dirty = false
@@ -415,11 +467,27 @@ func (e *ErrNoSpace) Error() string {
 // owned by the SPM, valid only until the next Allocate call; callers
 // that keep evictions must copy them out.
 func (s *SPM) Allocate(id tile.ID, size int64, remainUses func(tile.ID) int) ([]Eviction, error) {
+	return s.allocate(id, size, useCounts{fn: remainUses})
+}
+
+// AllocateBound is Allocate on a bound scratchpad (Bind) for a caller
+// that keeps the remaining-use counts in a table by tile number: the
+// victim search then reads a block's count without naming its tile.
+func (s *SPM) AllocateBound(id tile.ID, size int64, remain []int32) ([]Eviction, error) {
+	return s.allocate(id, size, useCounts{tab: remain})
+}
+
+func (s *SPM) allocate(id tile.ID, size int64, remain useCounts) ([]Eviction, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("spm: allocation size must be positive, got %d for %v", size, id)
 	}
-	if i := s.regionOf(id); i >= 0 {
-		s.regs[i].pin = true
+	n := s.num(id)
+	if n < 0 {
+		n = len(s.index)
+		s.intern(id, n)
+		s.index = append(s.index, 0)
+	} else if s.index[n] != 0 {
+		s.regs[s.find(s.index[n]-1)].pin = true
 		return nil, nil
 	}
 	if size > s.cap {
@@ -432,7 +500,7 @@ func (s *SPM) Allocate(id tile.ID, size int64, remainUses func(tile.ID) int) ([]
 		best := -1
 		for i := range s.regs {
 			r := &s.regs[i]
-			if !r.alloc || r.pin || r.size != size || remainUses(r.id) != 0 {
+			if !r.alloc || r.pin || r.size != size || remain.of(r) != 0 {
 				continue
 			}
 			if best < 0 || (!r.dirty && s.regs[best].dirty) {
@@ -443,51 +511,57 @@ func (s *SPM) Allocate(id tile.ID, size int64, remainUses func(tile.ID) int) ([]
 			}
 		}
 		if best >= 0 {
-			ev := s.evictAt(best, remainUses)
-			s.place(best, id, size)
+			ev := s.evictAt(best, remain)
+			s.place(best, id, n, size)
 			s.evScratch = append(s.evScratch[:0], ev)
 			return s.evScratch, nil
 		}
 	}
 
 	// 2. Best-fit free region.
-	best := -1
-	for i := range s.regs {
-		r := &s.regs[i]
-		if r.alloc || r.size < size {
-			continue
-		}
-		if best < 0 || r.size < s.regs[best].size {
-			best = i
-		}
-	}
-	if best >= 0 {
-		s.place(best, id, size)
+	if best := s.bestFit(size); best >= 0 {
+		s.place(best, id, n, size)
 		return nil, nil
 	}
 
 	// 3. Spill victims according to the policy.
+	var victims run
+	var ok bool
 	switch s.policy {
 	case PolicySmallestFirst:
-		return s.allocateSmallestFirst(id, size, remainUses)
+		return s.allocateSmallestFirst(id, n, size, remain)
+	case PolicyFirstFit:
+		victims, ok = s.findFirstFitRun(size)
 	default:
-		run, ok := s.findVictimRun(size, remainUses)
-		if !ok {
-			return nil, &ErrNoSpace{ID: id, Size: size}
-		}
-		return s.evictRunAndPlace(run, id, size, remainUses)
+		victims, ok = s.findAlg2Run(size, remain)
 	}
+	if !ok {
+		return nil, &ErrNoSpace{ID: id, Size: size}
+	}
+	return s.evictRunAndPlace(victims, id, n, size, remain)
 }
 
-// place installs tile id into the free region at index i, splitting a
-// trailing fragment if the region is larger than size. The new block is
-// pinned.
-func (s *SPM) place(i int, id tile.ID, size int64) {
+// bestFit returns the index of the smallest free region that holds
+// size bytes, or -1.
+func (s *SPM) bestFit(size int64) int {
+	best := -1
+	for i := range s.regs {
+		if r := &s.regs[i]; !r.alloc && r.size >= size && (best < 0 || r.size < s.regs[best].size) {
+			best = i
+		}
+	}
+	return best
+}
+
+// place installs tile id, numbered n and not resident, into the free
+// region at index i, splitting a trailing fragment if the region is
+// larger than size. The new block is pinned.
+func (s *SPM) place(i int, id tile.ID, n int, size int64) {
 	r := s.regs[i]
 	if r.alloc || r.size < size {
 		panic("spm: place on unsuitable region")
 	}
-	blk := region{addr: r.addr, size: size, id: id, alloc: true, pin: true}
+	blk := region{addr: r.addr, size: size, id: id, num: int32(n), alloc: true, pin: true}
 	if r.size == size {
 		s.regs[i] = blk
 	} else {
@@ -498,73 +572,65 @@ func (s *SPM) place(i int, id tile.ID, size int64) {
 		s.regs[i+1] = frag
 	}
 	if s.ckActive {
-		s.journal = append(s.journal, indexEdit{id: id}) // callers place absent tiles only
+		s.journal = append(s.journal, indexEdit{num: blk.num})
 	}
-	s.index[id] = blk.addr
+	s.index[n] = blk.addr + 1
 	s.used += size
 }
 
 // run identifies a contiguous window of region indices [lo, hi].
 type run struct{ lo, hi int }
 
-// findVictimRun implements the policy-specific search for a contiguous
-// window of evictable (unpinned) and free regions whose total size
-// covers the request.
-func (s *SPM) findVictimRun(size int64, remainUses func(tile.ID) int) (run, bool) {
-	switch s.policy {
-	case PolicyFirstFit:
-		return s.findFirstFitRun(size)
-	default:
-		return s.findAlg2Run(size, remainUses)
-	}
-}
-
-// findAlg2Run is Algorithm 2 of the paper: over all (start, end) windows
-// of consecutive unpinned regions with total size >= required, choose
-// the window minimizing (fragment size, sum of size x remaining uses,
-// block count). Free regions contribute size but no disadvantage.
-func (s *SPM) findAlg2Run(size int64, remainUses func(tile.ID) int) (run, bool) {
-	bestFrag := int64(-1)
-	bestDisadv := int64(-1)
-	bestBlocks := 0
+// findAlg2Run is Algorithm 2 of the paper: over all windows of
+// consecutive unpinned regions with total size >= required, choose the
+// one minimizing (fragment size, sum of size x remaining uses, block
+// count), the earliest on a full tie. Free regions contribute size but
+// no disadvantage. Only the shortest window from each start matters —
+// a longer one only adds fragmentation — and the end of the shortest
+// window never moves left as its start moves right, so one pass with
+// two indices visits exactly those windows, in start order, keeping the
+// three sums by adding the region that enters and subtracting the one
+// that leaves: each block's remaining-use count is read once per call.
+func (s *SPM) findAlg2Run(size int64, remain useCounts) (run, bool) {
 	var best run
-	found := false
-	for lo := 0; lo < len(s.regs); lo++ {
-		if s.regs[lo].pin {
-			continue
-		}
-		var spillSize, disadv int64
-		blocks := 0
-		for hi := lo; hi < len(s.regs); hi++ {
-			r := &s.regs[hi]
-			if r.pin {
-				break
-			}
-			spillSize += r.size
+	var bestFrag, bestDisadv int64
+	bestBlocks, found := 0, false
+	s.weight = slices.Grow(s.weight[:0], len(s.regs))
+	weight := s.weight[:len(s.regs)]
+	var total, disadv int64 // over the window [lo, end)
+	blocks, end := 0, 0
+	for lo := 0; lo < len(s.regs); {
+		for total < size && end < len(s.regs) && !s.regs[end].pin {
+			r := &s.regs[end]
+			weight[end] = 0
 			if r.alloc {
-				disadv += r.size * int64(remainUses(r.id))
+				weight[end] = r.size * int64(remain.of(r))
 				blocks++
 			}
-			if spillSize < size {
-				continue
-			}
-			frag := spillSize - size
-			pick := false
-			switch {
-			case !found || frag < bestFrag:
-				pick = true
-			case frag == bestFrag && disadv < bestDisadv:
-				pick = true
-			case frag == bestFrag && disadv == bestDisadv && blocks < bestBlocks:
-				pick = true
-			}
-			if pick {
-				best = run{lo, hi}
-				bestFrag, bestDisadv, bestBlocks = frag, disadv, blocks
-				found = true
-			}
-			break // longer windows only add fragmentation
+			total += r.size
+			disadv += weight[end]
+			end++
 		}
+		if total < size {
+			// A pin or the end of the scratchpad stops the window short:
+			// no window from lo, or from any later start before it, fits.
+			lo, end = end+1, end+1
+			total, disadv, blocks = 0, 0, 0
+			continue
+		}
+		frag := total - size
+		if !found || frag < bestFrag ||
+			frag == bestFrag && (disadv < bestDisadv || disadv == bestDisadv && blocks < bestBlocks) {
+			best = run{lo, end - 1}
+			bestFrag, bestDisadv, bestBlocks = frag, disadv, blocks
+			found = true
+		}
+		total -= s.regs[lo].size
+		disadv -= weight[lo]
+		if s.regs[lo].alloc {
+			blocks--
+		}
+		lo++
 	}
 	return best, found
 }
@@ -617,12 +683,12 @@ func (s *SPM) findFirstFitRun(size int64) (run, bool) {
 // evictRunAndPlace evicts the allocated regions inside the window,
 // coalesces the result into one free region, and places the new block
 // at its start.
-func (s *SPM) evictRunAndPlace(w run, id tile.ID, size int64, remainUses func(tile.ID) int) ([]Eviction, error) {
+func (s *SPM) evictRunAndPlace(w run, id tile.ID, n int, size int64, remain useCounts) ([]Eviction, error) {
 	startAddr := s.regs[w.lo].addr
 	evs := s.evScratch[:0]
 	for i := w.lo; i <= w.hi; i++ {
 		if s.regs[i].alloc {
-			evs = append(evs, s.evictAt(i, remainUses))
+			evs = append(evs, s.evictAt(i, remain))
 		}
 	}
 	s.evScratch = evs
@@ -635,29 +701,19 @@ func (s *SPM) evictRunAndPlace(w run, id tile.ID, size int64, remainUses func(ti
 	if i == len(s.regs) || s.regs[i].alloc {
 		panic("spm: evicted window is not free")
 	}
-	s.place(i, id, size)
+	s.place(i, id, n, size)
 	return evs, nil
 }
 
 // allocateSmallestFirst is MemPolicy2: repeatedly evict the smallest
 // unpinned block until a free region large enough exists.
-func (s *SPM) allocateSmallestFirst(id tile.ID, size int64, remainUses func(tile.ID) int) ([]Eviction, error) {
+func (s *SPM) allocateSmallestFirst(id tile.ID, n int, size int64, remain useCounts) ([]Eviction, error) {
 	evs := s.evScratch[:0]
 	defer func() { s.evScratch = evs }()
 	for {
 		// A free region may have become large enough.
-		best := -1
-		for i := range s.regs {
-			r := &s.regs[i]
-			if r.alloc || r.size < size {
-				continue
-			}
-			if best < 0 || r.size < s.regs[best].size {
-				best = i
-			}
-		}
-		if best >= 0 {
-			s.place(best, id, size)
+		if best := s.bestFit(size); best >= 0 {
+			s.place(best, id, n, size)
 			return evs, nil
 		}
 		smallest := -1
@@ -673,7 +729,7 @@ func (s *SPM) allocateSmallestFirst(id tile.ID, size int64, remainUses func(tile
 		if smallest < 0 {
 			return evs, &ErrNoSpace{ID: id, Size: size}
 		}
-		evs = append(evs, s.evictAt(smallest, remainUses))
+		evs = append(evs, s.evictAt(smallest, remain))
 		s.coalesceAround(smallest)
 	}
 }
@@ -684,7 +740,6 @@ func (s *SPM) allocateSmallestFirst(id tile.ID, size int64, remainUses func(tile
 func (s *SPM) CheckInvariants() error {
 	var addr int64
 	allocBytes := int64(0)
-	allocated := make(map[tile.ID]bool)
 	for i, r := range s.regs {
 		if r.addr != addr {
 			return fmt.Errorf("region %d: addr %#x, want %#x", i, r.addr, addr)
@@ -694,12 +749,9 @@ func (s *SPM) CheckInvariants() error {
 		}
 		if r.alloc {
 			allocBytes += r.size
-			if allocated[r.id] {
-				return fmt.Errorf("tile %v allocated twice", r.id)
-			}
-			allocated[r.id] = true
-			if got, ok := s.index[r.id]; !ok || got != r.addr {
-				return fmt.Errorf("index for %v: got %#x ok=%v, want %#x", r.id, got, ok, r.addr)
+			// A tile held twice fails here too: its one slot names one block.
+			if n := s.num(r.id); n != int(r.num) || s.index[n] != r.addr+1 {
+				return fmt.Errorf("index for %v: numbered %d, block carries %d at slot %#x, want %#x", r.id, n, r.num, s.index[r.num], r.addr+1)
 			}
 		} else if i+1 < len(s.regs) && !s.regs[i+1].alloc {
 			return fmt.Errorf("regions %d and %d both free (not coalesced)", i, i+1)
@@ -712,8 +764,14 @@ func (s *SPM) CheckInvariants() error {
 	if allocBytes != s.used {
 		return fmt.Errorf("allocated bytes %d, tracked %d", allocBytes, s.used)
 	}
-	if len(allocated) != len(s.index) {
-		return fmt.Errorf("%d allocated regions, %d index entries", len(allocated), len(s.index))
+	entries := 0
+	for _, slot := range s.index {
+		if slot != 0 {
+			entries++
+		}
+	}
+	if s.NumBlocks() != entries {
+		return fmt.Errorf("%d allocated regions, %d index entries", s.NumBlocks(), entries)
 	}
 	return nil
 }

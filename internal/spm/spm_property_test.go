@@ -11,14 +11,16 @@ import (
 
 // TestRandomOpSequences drives each policy with random allocate /
 // evict / pin / dirty traffic and checks the representation invariants
-// after every operation.
+// after every operation — on a twin, so also that a scratchpad bound to
+// a numbering and one numbering tiles as first seen stay block for
+// block the same.
 func TestRandomOpSequences(t *testing.T) {
 	for _, policy := range []Policy{PolicyFlexer, PolicyFirstFit, PolicySmallestFirst} {
 		policy := policy
 		t.Run(policy.String(), func(t *testing.T) {
 			check := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
-				s := New(1<<12, policy)
+				s := newTwin(t, 1<<12, policy)
 				uses := make(map[tile.ID]int)
 				ru := usesOf(uses)
 				live := []tile.ID{}
@@ -208,7 +210,7 @@ func TestAlg2MatchesBruteForce(t *testing.T) {
 		}
 		size := int64(rng.Intn(700) + 100)
 		wantFrag, wantDis, wantBlocks, wantOK := bruteBestRun(s, size, ru)
-		run, ok := s.findAlg2Run(size, ru)
+		run, ok := s.findAlg2Run(size, useCounts{fn: ru})
 		if ok != wantOK {
 			t.Logf("seed %d: ok=%v want %v", seed, ok, wantOK)
 			return false
@@ -282,7 +284,12 @@ type observed struct {
 	Used, Largest int64
 }
 
-func observe(s *SPM, ids int) *observed {
+func observe(s interface {
+	Blocks() []BlockInfo
+	AllocatedBytes() int64
+	LargestFree() int64
+	Has(tile.ID) bool
+}, ids int) *observed {
 	o := &observed{Blocks: s.Blocks(), Used: s.AllocatedBytes(), Largest: s.LargestFree()}
 	for n := 0; n < ids; n++ {
 		o.Has = append(o.Has, s.Has(mkID(n)))
@@ -295,7 +302,8 @@ func observe(s *SPM, ids int) *observed {
 // evictions, pins, dirty bits — the rollback restores every observable
 // of the scratchpad, the representation invariants hold, and the
 // scratchpad keeps working (the next round starts from the restored
-// state and reuses the checkpoint buffers).
+// state and reuses the checkpoint buffers). Run on a twin: bound and
+// interned scratchpads must agree throughout.
 func TestCheckpointRollbackRestores(t *testing.T) {
 	const ids = 48
 	for _, policy := range []Policy{PolicyFlexer, PolicyFirstFit, PolicySmallestFirst} {
@@ -303,7 +311,7 @@ func TestCheckpointRollbackRestores(t *testing.T) {
 		t.Run(policy.String(), func(t *testing.T) {
 			check := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
-				s := New(1<<12, policy)
+				s := newTwin(t, 1<<12, policy)
 				uses := make(map[tile.ID]int)
 				ru := usesOf(uses)
 				mutate := func(steps int) {

@@ -1,6 +1,8 @@
 package tile
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"github.com/flexer-sched/flexer/internal/layer"
@@ -185,19 +187,13 @@ func Enumerate(l layer.Conv, lim EnumLimits) []Factors {
 	return out
 }
 
+// sortFactors orders tilings canonically. Enumerated tilings are
+// pairwise distinct, so the order is total and no sort, stable or not,
+// can produce another: slices.SortFunc returns what sort.Slice did,
+// without moving the structs through a reflective swapper.
 func sortFactors(fs []Factors) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
-		if a.OH != b.OH {
-			return a.OH < b.OH
-		}
-		if a.OW != b.OW {
-			return a.OW < b.OW
-		}
-		if a.OC != b.OC {
-			return a.OC < b.OC
-		}
-		return a.IC < b.IC
+	slices.SortFunc(fs, func(a, b Factors) int {
+		return cmp.Or(cmp.Compare(a.OH, b.OH), cmp.Compare(a.OW, b.OW), cmp.Compare(a.OC, b.OC), cmp.Compare(a.IC, b.IC))
 	})
 }
 
@@ -230,7 +226,9 @@ func sampleTilings(l layer.Conv, fs []Factors, lim EnumLimits) []Factors {
 		}
 		sc[i] = scored{f, fill + align}
 	}
-	sort.SliceStable(sc, func(i, j int) bool { return sc[i].s > sc[j].s })
+	// Descending score, ties in canonical order: a stable sort's result
+	// is unique, so this is sort.SliceStable's without its reflection.
+	slices.SortStableFunc(sc, func(a, b scored) int { return cmp.Compare(b.s, a.s) })
 	// Take the top third by score, and stride-sample the rest for
 	// diversity across the space.
 	n := lim.MaxTilings

@@ -174,15 +174,40 @@ func (g *Grid) NumOps() int { return g.NOH * g.NOW * g.NOC * g.NIC }
 
 // NumTiles returns the number of distinct data tiles of the given kind.
 func (g *Grid) NumTiles(k Kind) int {
+	a, b, c := g.dims(k)
+	return a * b * c
+}
+
+// dims returns the extents of the three coordinates of kind k's tiles.
+func (g *Grid) dims(k Kind) (a, b, c int) {
 	switch k {
 	case In:
-		return g.NOH * g.NOW * g.NIC
+		return g.NOH, g.NOW, g.NIC
 	case Wt:
-		return g.NOC * g.NIC
+		return g.NOC, g.NIC, 1
 	case Out:
-		return g.NOH * g.NOW * g.NOC
+		return g.NOH, g.NOW, g.NOC
 	}
-	return 0
+	return 0, 0, 0
+}
+
+// Index returns id's position among the grid's tiles of its kind in
+// (A, B, C) row-major order, in [0, NumTiles(id.Kind)), or -1 when the
+// coordinates lie outside the grid. id.L is not looked at: a grid does
+// not know which layer of a fused graph it is.
+func (g *Grid) Index(id ID) int {
+	a, b, c := g.dims(id.Kind)
+	if uint(id.A) >= uint(a) || uint(id.B) >= uint(b) || uint(id.C) >= uint(c) {
+		return -1
+	}
+	return (id.A*b+id.B)*c + id.C
+}
+
+// TileAt is the inverse of Index: the tile of kind k at position i
+// (L zero).
+func (g *Grid) TileAt(k Kind, i int) ID {
+	_, b, c := g.dims(k)
+	return ID{Kind: k, A: i / (b * c), B: i / c % b, C: i % c}
 }
 
 // Size returns the byte size of the tile identified by id.
