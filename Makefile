@@ -7,7 +7,7 @@ GO ?= go
 # internal/search + internal/dfg + internal/sched.
 COVER_MIN ?= 70
 
-.PHONY: check build vet test test-short loc fairness cluster-e2e bench bench-smoke repo-bench-smoke bench-record bench-guard fuzz-smoke lint cover cover-check run-flexerd
+.PHONY: check build vet test hit-allocs test-short loc fairness cluster-e2e bench bench-smoke repo-bench-smoke bench-record bench-guard fuzz-smoke lint cover cover-check run-flexerd
 
 # The committed benchmark record the regression guard compares against.
 BENCH_BASELINE ?= BENCH_0009.json
@@ -33,6 +33,12 @@ loc:
 		printf '%-16s %6d\n' $$d $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
 	@printf '%-16s %6d\n' 'total (no bench)' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
+
+# The allocation ceilings of the cache-hit path (a unary layer hit
+# through the handler, the cache key). They are `//go:build !race`
+# tests — the race detector allocates too — so `make check` skips them.
+hit-allocs:
+	$(GO) test -run 'TestHitAllocs|TestCacheKeyAllocs' ./internal/serve ./internal/search
 
 # Faster inner-loop variant (skips the slower network-level tests).
 test-short:
@@ -71,7 +77,7 @@ bench:
 # of a real measurement run. CI uploads the output as an artifact.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem \
-		./internal/search/... ./internal/sim/... ./internal/sched/... ./internal/spm/... ./internal/dfg/...
+		./internal/search/... ./internal/sim/... ./internal/sched/... ./internal/spm/... ./internal/dfg/... ./internal/serve/...
 
 # The repository benchmark (BENCHMARK.json, bench/) is a nested module,
 # so `go test ./...` never compiles it: run its own tests and its toy

@@ -4,7 +4,10 @@
 // depthwise-style layers via the channel parameters.
 package layer
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Conv describes a convolution layer's shape. All dimensions are in
 // elements; ElemBytes converts to bytes (e.g. 2 for fp16, 1 for int8).
@@ -125,8 +128,25 @@ func InputRange(lo, n, ker, stride, pad, in int) (start, count int) {
 	return first, last - first + 1
 }
 
-// String returns a compact human-readable shape summary.
-func (c Conv) String() string {
-	return fmt.Sprintf("%s: in %dx%dx%d, ker %dx%d/%d, out %dx%dx%d",
-		c.Name, c.InH, c.InW, c.InC, c.KerH, c.KerW, c.StrideH, c.OutH(), c.OutW(), c.OutC)
+// String returns a compact human-readable shape summary, e.g.
+// "conv1: in 56x56x64, ker 3x3/1, out 56x56x128".
+func (c Conv) String() string { return string(c.Append(nil)) }
+
+// Append appends the String form to b. The search cache key is this
+// form of every request's shape without its name, so it avoids fmt; a
+// zero stride, which Validate rejects, has output extent 0x0.
+func (c Conv) Append(b []byte) []byte {
+	oh, ow := 0, 0
+	if c.StrideH != 0 && c.StrideW != 0 {
+		oh, ow = c.OutH(), c.OutW()
+	}
+	b = append(b, c.Name...)
+	for _, f := range [...]struct {
+		sep string
+		v   int
+	}{{": in ", c.InH}, {"x", c.InW}, {"x", c.InC}, {", ker ", c.KerH}, {"x", c.KerW}, {"/", c.StrideH},
+		{", out ", oh}, {"x", ow}, {"x", c.OutC}} {
+		b = strconv.AppendInt(append(b, f.sep...), int64(f.v), 10)
+	}
+	return b
 }

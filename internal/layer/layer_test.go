@@ -1,6 +1,8 @@
 package layer
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -183,6 +185,33 @@ func TestStringContainsShape(t *testing.T) {
 	for _, frag := range []string{"conv3_1", "56x56x128", "3x3", "56x56x256"} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("String() = %q, missing %q", s, frag)
+		}
+	}
+}
+
+// TestAppendMatchesFmt pins Append (and String, built on it) to the
+// Sprintf it replaced, over random shapes with zero and negative fields.
+func TestAppendMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	dim := func() int { return rng.Intn(300) - 20 }
+	for i := 0; i < 2000; i++ {
+		c := Conv{Name: fmt.Sprint("l<", i, ">"), InH: dim(), InW: dim(), InC: dim(), OutC: dim(), KerH: dim(), KerW: dim(),
+			StrideH: dim(), StrideW: dim(), PadH: dim(), PadW: dim(), ElemBytes: dim()}
+		if c.StrideH == 0 || c.StrideW == 0 {
+			// The Sprintf divided by zero here; the layer is invalid.
+			c.StrideH = 0
+			if s := c.String(); !strings.HasSuffix(s, fmt.Sprintf("/0, out 0x0x%d", c.OutC)) {
+				t.Errorf("zero-stride String() = %q", s)
+			}
+			continue
+		}
+		want := fmt.Sprintf("%s: in %dx%dx%d, ker %dx%d/%d, out %dx%dx%d",
+			c.Name, c.InH, c.InW, c.InC, c.KerH, c.KerW, c.StrideH, c.OutH(), c.OutW(), c.OutC)
+		if got := c.String(); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+		if got := string(c.Append([]byte("pre|"))); got != "pre|"+want {
+			t.Fatalf("Append = %q, want %q", got, "pre|"+want)
 		}
 	}
 }

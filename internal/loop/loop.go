@@ -56,8 +56,19 @@ type Dataflow struct {
 }
 
 // String renders the dataflow, e.g. "output-stationary (oh,ow,oc,ic)".
-func (d Dataflow) String() string {
-	return fmt.Sprintf("%s (%s,%s,%s,%s)", d.Name, d.Perm[0], d.Perm[1], d.Perm[2], d.Perm[3])
+func (d Dataflow) String() string { return string(d.Append(nil)) }
+
+// Append appends the String form to b. The search cache key spells out
+// every baseline dataflow of every request, so this avoids fmt.
+func (d Dataflow) Append(b []byte) []byte {
+	b = append(append(b, d.Name...), " ("...)
+	for i, dim := range d.Perm {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, dim.String()...)
+	}
+	return append(b, ')')
 }
 
 // Canonical returns the six named stationary dataflows used as the

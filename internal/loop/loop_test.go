@@ -1,6 +1,7 @@
 package loop
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/flexer-sched/flexer/internal/arch"
@@ -139,8 +140,18 @@ func TestDimAndDataflowStrings(t *testing.T) {
 	if Dim(9).String() == "" {
 		t.Error("unknown dim renders empty")
 	}
-	df := Canonical()[0]
-	if df.String() == "" {
-		t.Error("dataflow renders empty")
+	// The rendering is part of every search cache key: pin it against
+	// the fmt form it replaced, unknown dims included.
+	for _, df := range append(All(), Canonical()[0], Dataflow{Name: "odd", Perm: [4]Dim{9, OC, 200, IC}}, Dataflow{}) {
+		want := fmt.Sprintf("%s (%s,%s,%s,%s)", df.Name, df.Perm[0], df.Perm[1], df.Perm[2], df.Perm[3])
+		if got := df.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+		if got := string(df.Append([]byte("x,"))); got != "x,"+want {
+			t.Errorf("Append = %q, want %q", got, "x,"+want)
+		}
+	}
+	if got := Canonical()[0].String(); got != "output-stationary (oh,ow,oc,ic)" {
+		t.Errorf("String() = %q", got)
 	}
 }

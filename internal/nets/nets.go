@@ -198,11 +198,20 @@ func YOLOv2() Network {
 	}}
 }
 
+// table lists the evaluation networks in All's order. ByName and Names
+// read the names alone, so only the network asked for is ever built.
+var table = []struct {
+	name  string
+	build func() Network
+}{
+	{"vgg16", VGG16}, {"resnet50", ResNet50}, {"squeezenet", SqueezeNet}, {"yolov2", YOLOv2},
+}
+
 // ByName returns a network by its lower-case name.
 func ByName(name string) (Network, error) {
-	for _, n := range All() {
-		if n.Name == name {
-			return n, nil
+	for _, e := range table {
+		if e.name == name {
+			return e.build(), nil
 		}
 	}
 	return Network{}, fmt.Errorf("nets: unknown network %q (want one of %v)", name, Names())
@@ -210,15 +219,18 @@ func ByName(name string) (Network, error) {
 
 // All returns all four evaluation networks.
 func All() []Network {
-	return []Network{VGG16(), ResNet50(), SqueezeNet(), YOLOv2()}
+	ns := make([]Network, len(table))
+	for i, e := range table {
+		ns[i] = e.build()
+	}
+	return ns
 }
 
 // Names returns the available network names, sorted.
 func Names() []string {
-	ns := All()
-	names := make([]string, len(ns))
-	for i, n := range ns {
-		names[i] = n.Name
+	names := make([]string, len(table))
+	for i, e := range table {
+		names[i] = e.name
 	}
 	sort.Strings(names)
 	return names

@@ -117,8 +117,23 @@ func TestYOLOv2Backbone(t *testing.T) {
 }
 
 func TestByNameUnknown(t *testing.T) {
-	if _, err := ByName("lenet"); err == nil {
-		t.Fatal("unknown network accepted")
+	_, err := ByName("lenet")
+	const want = `nets: unknown network "lenet" (want one of [resnet50 squeezenet vgg16 yolov2])`
+	if err == nil || err.Error() != want {
+		t.Fatalf("ByName(lenet) error = %v, want %s", err, want)
+	}
+}
+
+// TestTableNames checks the name each constructor is listed under
+// against the name of the network it builds, in All's order.
+func TestTableNames(t *testing.T) {
+	for i, n := range All() {
+		if table[i].name != n.Name {
+			t.Errorf("table[%d] is listed as %q but builds %q", i, table[i].name, n.Name)
+		}
+		if got, err := ByName(n.Name); err != nil || got.Name != n.Name || len(got.Layers) != len(n.Layers) {
+			t.Errorf("ByName(%q) = %q with %d layers, %v", n.Name, got.Name, len(got.Layers), err)
+		}
 	}
 }
 

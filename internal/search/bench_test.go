@@ -54,6 +54,6 @@ func BenchmarkCacheKey(b *testing.B) {
 	l := layer.NewConv("bench", 14, 14, 64, 64, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = cacheKey(l, opts)
+		_ = CacheKey(l, opts)
 	}
 }

@@ -4,14 +4,11 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"fmt"
-	"hash/fnv"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"github.com/flexer-sched/flexer/internal/arch"
-	"github.com/flexer-sched/flexer/internal/fault"
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/loop"
 )
@@ -61,6 +58,8 @@ type cacheEntry struct {
 	// inheriting the cancellation.
 	cancelled bool
 	elem      *list.Element // LRU position once completed, nil while in flight
+	// memo backs LayerResult.Memo: freed with the entry, in no snapshot.
+	memo atomic.Pointer[[]byte]
 }
 
 // cacheShards is the fixed shard count. Sixteen shards keep the map
@@ -147,20 +146,25 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// shard maps a key to its shard by FNV-1a hash.
+// shard maps a key to its shard by FNV-1a hash, inlined: no hasher, no
+// copy of the key.
 func (c *Cache) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%cacheShards]
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return &c.shards[h%cacheShards]
 }
 
-// layer returns the memoized result for l under opts, computing it at
-// most once per key. A context cancellation while waiting on another
+// Layer returns the memoized result for l under opts, computing it at
+// most once per key. It exists for internal/serve, which has the key
+// from routing the request: key is trusted to be CacheKey(l, opts),
+// unchecked (TestJobKeyIsCacheKey holds serve to it); everyone else
+// calls SearchLayerCtx. A context cancellation while waiting on another
 // caller's in-flight search returns ctx.Err() without disturbing the
 // entry; a cancellation of the computing caller removes the entry so a
 // later request retries.
-func (c *Cache) layer(ctx context.Context, l layer.Conv, opts Options) (*LayerResult, error) {
-	key := cacheKey(l, opts)
+func (c *Cache) Layer(ctx context.Context, key string, l layer.Conv, opts Options) (*LayerResult, error) {
 	s := c.shard(key)
 
 	for {
@@ -247,7 +251,26 @@ func finishLookup(e *cacheEntry, l layer.Conv) (*LayerResult, error) {
 	}
 	lr := *e.lr
 	lr.Layer = l
+	lr.memo = &e.memo
 	return &lr, nil
+}
+
+// Memo returns what build derives from lr, kept with lr's cache entry
+// and freed with it. An entry has one slot, filled by the first build
+// (racing ones store equal bytes), so Memo has one user: serve's summary
+// layer body. The bytes must depend on the entry alone, not on the
+// caller's lr.Layer.Name, and are shared: read-only. Outside a cache
+// every call builds.
+func (lr *LayerResult) Memo(build func() []byte) []byte {
+	if lr.memo == nil {
+		return build()
+	}
+	if b := lr.memo.Load(); b != nil {
+		return *b
+	}
+	b := build()
+	lr.memo.Store(&b)
+	return b
 }
 
 // complete moves a finished entry onto the LRU list and evicts beyond
@@ -264,54 +287,85 @@ func (s *cacheShard) complete(c *Cache, e *cacheEntry) {
 	}
 }
 
-// cacheKey fingerprints everything that affects a layer search result
+// CacheKey fingerprints everything that affects a layer search result
 // except the layer's name. Every result-relevant Options field must
 // participate — metric, budget (including the identity of each
 // baseline dataflow, not just their count), arch, priority, memory
 // policy and the ablation switches (TestCacheKeyCoversOptions walks
-// the field list) — so two requests differing in any
-// of them are never coalesced onto one search. FuseDepth participates
-// too: layer results themselves are fusion-independent today, but
-// keeping the keys disjoint guarantees a fused network request can
-// never serve stale entries to (or poison) a layerwise one. Fields that
-// cannot change the result (Workers, Cache, CacheMisses, Progress,
-// CheckIn) are deliberately excluded so requests differing only in
-// plumbing share one search.
-func cacheKey(l layer.Conv, opts Options) string {
-	shape := l
-	shape.Name = ""
-	return fmt.Sprintf("%+v|%s", shape, optionsKey(opts))
+// the field list) — so two requests differing in any of them are never
+// coalesced onto one search. FuseDepth participates too: layer results
+// themselves are fusion-independent today, but keeping the keys
+// disjoint guarantees a fused network request can never serve stale
+// entries to (or poison) a layerwise one. Fields that cannot change the
+// result (Workers, Cache, CacheMisses, Progress, CheckIn) are
+// deliberately excluded so requests differing only in plumbing share
+// one search. Every request builds the key, hit or miss, so it is
+// appended, not formatted; key_oracle_test.go keeps the fmt form.
+//
+// The cluster layer routes layer requests and filters snapshot shards
+// by this key, so every node assigns the same home peer to the same
+// search and single-search-per-key coalescing holds cluster-wide.
+func CacheKey(l layer.Conv, opts Options) string {
+	var buf [512]byte
+	return layerKey(l, appendOptionsKey(buf[:0], opts))
 }
 
-// optionsKey is the options half of the fingerprint, shared between
-// per-layer cache keys and whole-network routing keys.
-func optionsKey(opts Options) string {
-	b := opts.Budget
-	return fmt.Sprintf("%s/%d/%d/%d%s|%v|%v|%d|%s|%v%v%v%v|%d:%d:%d:%d:%d|f%d|%s",
-		opts.Arch.Name, opts.Arch.Cores, opts.Arch.SPMBytes, opts.Arch.BandwidthBytesPerCycle, peKey(opts.Arch),
-		opts.Metric, opts.Priority, opts.MemPolicy, dataflowsKey(b.Dataflows),
-		opts.DisableInPlace, opts.DisablePruning, opts.DisableDominance, b.HintedOoO,
-		b.MaxTilings, b.MaxOps, b.MaxValuesPerDim, b.MaxReadyWindow, b.MaxCandidateSets,
-		opts.FuseDepth,
-		faultKey(opts.FaultPlan))
+// layerKey joins the shape half of the fingerprint, l's String form
+// without its name, to the options half.
+func layerKey(l layer.Conv, optsKey []byte) string {
+	var buf [512]byte // a quick-budget key is ~330 bytes: built on the stack
+	l.Name = ""
+	return string(append(append(l.Append(buf[:0]), '|'), optsKey...))
 }
 
-// peKey fingerprints the PE-array geometry, which sets op cycles. The
-// default geometry maps to "" so that every key minted before geometry
-// was fingerprinted — snapshots, ring homes — keeps its bytes.
-func peKey(a arch.Config) string {
-	if a.PERows == arch.DefaultPERows && a.PECols == arch.DefaultPECols {
-		return ""
+// appendInts appends vs in decimal, separated by sep.
+func appendInts[T int | int64](b []byte, sep byte, vs ...T) []byte {
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, sep)
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return fmt.Sprintf("/pe%dx%d", a.PERows, a.PECols)
+	return b
 }
 
-// CacheKey exposes the cache fingerprint of one layer search. The
-// cluster layer routes layer requests and filters snapshot shards by
-// this key, so every node assigns the same home peer to the same
-// search and the single-search-per-key coalescing invariant holds
-// cluster-wide.
-func CacheKey(l layer.Conv, opts Options) string { return cacheKey(l, opts) }
+// appendOptionsKey appends the options half of the fingerprint, shared
+// between per-layer cache keys and whole-network routing keys.
+func appendOptionsKey(b []byte, o Options) []byte {
+	a, bu := o.Arch, o.Budget
+	b = appendInts(append(append(b, a.Name...), '/'), '/', int64(a.Cores), a.SPMBytes, int64(a.BandwidthBytesPerCycle))
+	// The default PE geometry adds nothing: keys older than it hold.
+	if a.PERows != arch.DefaultPERows || a.PECols != arch.DefaultPECols {
+		b = appendInts(append(b, "/pe"...), 'x', a.PERows, a.PECols)
+	}
+	b = strconv.AppendFloat(append(b, "|{"...), o.Metric.LatExp, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ' '), o.Metric.TrafficExp, 'g', -1, 64)
+	b = append(append(b, "}|"...), o.Priority.String()...)
+	b = strconv.AppendInt(append(b, '|'), int64(o.MemPolicy), 10)
+	// Each baseline dataflow's name and permutation; nil is Canonical().
+	dfs := bu.Dataflows
+	if dfs == nil {
+		dfs = loop.Canonical()
+	}
+	b = append(b, '|')
+	for i, df := range dfs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = df.Append(b)
+	}
+	b = append(b, '|')
+	for _, off := range [...]bool{o.DisableInPlace, o.DisablePruning, o.DisableDominance, bu.HintedOoO} {
+		b = strconv.AppendBool(b, off)
+	}
+	b = appendInts(append(b, '|'), ':', bu.MaxTilings, bu.MaxOps, bu.MaxValuesPerDim, bu.MaxReadyWindow, bu.MaxCandidateSets)
+	b = append(strconv.AppendInt(append(b, "|f"...), int64(o.FuseDepth), 10), '|')
+	// A fault plan gets its own entries; empty and nil ones add nothing.
+	if !o.FaultPlan.Empty() {
+		b = append(b, o.FaultPlan.String()...)
+	}
+	return b
+}
 
 // NetworkKey fingerprints a whole-network schedule request (network
 // name, spatial scale and every result-relevant option) for cluster
@@ -319,37 +373,7 @@ func CacheKey(l layer.Conv, opts Options) string { return cacheKey(l, opts) }
 // coalesce there; the per-layer cache entries the sweep creates still
 // carry their own CacheKey homes for snapshot sharding.
 func NetworkKey(network string, scale int, opts Options) string {
-	if scale <= 0 {
-		scale = 1
-	}
-	return fmt.Sprintf("net|%s|x%d|%s", network, scale, optionsKey(opts))
-}
-
-// faultKey fingerprints the fault plan for the cache key: results with
-// and without degraded-mode evaluation — or under different plans —
-// must not share an entry. Empty and nil plans collapse to "".
-func faultKey(p *fault.Plan) string {
-	if p.Empty() {
-		return ""
-	}
-	return p.String()
-}
-
-// dataflowsKey fingerprints the baseline dataflow set by the name and
-// permutation of every entry. A nil set means loop.Canonical() at
-// search time, so it maps to the same key as the explicit canonical
-// list; previously only the length participated, which coalesced
-// different same-length sets onto one cached result.
-func dataflowsKey(dfs []loop.Dataflow) string {
-	if dfs == nil {
-		dfs = loop.Canonical()
-	}
-	var sb strings.Builder
-	for i, df := range dfs {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(df.String())
-	}
-	return sb.String()
+	var buf [512]byte
+	b := append(append(append(buf[:0], "net|"...), network...), "|x"...)
+	return string(appendOptionsKey(append(strconv.AppendInt(b, int64(max(scale, 1)), 10), '|'), opts))
 }

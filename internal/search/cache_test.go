@@ -508,7 +508,7 @@ func perturb(v reflect.Value) bool {
 func TestCacheKeyCoversOptions(t *testing.T) {
 	l := layer.NewConv("l", 14, 14, 64, 64, 3)
 	base := quickOpts(t, "arch1")
-	baseKey := cacheKey(l, base)
+	baseKey := CacheKey(l, base)
 
 	var walk func(path string, index []int, typ reflect.Type)
 	walk = func(path string, index []int, typ reflect.Type) {
@@ -531,7 +531,7 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 				}
 				continue
 			}
-			switch changed := cacheKey(l, o) != baseKey; {
+			switch changed := CacheKey(l, o) != baseKey; {
 			case keyPlumbing[name] && changed:
 				t.Errorf("plumbing field %s changed the cache key; identical searches would not coalesce", name)
 			case !keyPlumbing[name] && !changed:
@@ -547,10 +547,10 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 	front.Budget.Dataflows = loop.Canonical()[:3]
 	back.Budget.Dataflows = loop.Canonical()[3:]
 	unset.Budget.Dataflows = nil
-	if cacheKey(l, front) == cacheKey(l, back) {
+	if CacheKey(l, front) == CacheKey(l, back) {
 		t.Error("equal-length dataflow sets with different content share a cache key")
 	}
-	if cacheKey(l, unset) != baseKey {
+	if CacheKey(l, unset) != baseKey {
 		t.Error("nil dataflows and the explicit canonical set have different cache keys")
 	}
 }

@@ -64,19 +64,19 @@ func TestSearchLayerRejectsLethalFaultPlan(t *testing.T) {
 func TestFaultPlanChangesCacheKey(t *testing.T) {
 	l := layer.NewConv("l", 28, 28, 64, 64, 3)
 	opts := quickOpts(t, "arch1")
-	base := cacheKey(l, opts)
+	base := CacheKey(l, opts)
 
 	opts.FaultPlan = &fault.Plan{} // empty plan is the nominal key
-	if cacheKey(l, opts) != base {
+	if CacheKey(l, opts) != base {
 		t.Error("empty fault plan changed the cache key")
 	}
 	opts.FaultPlan = &fault.Plan{CoreDown: []fault.CoreDown{{Core: 1, Cycle: 500}}}
-	k1 := cacheKey(l, opts)
+	k1 := CacheKey(l, opts)
 	if k1 == base {
 		t.Error("fault plan did not change the cache key")
 	}
 	opts.FaultPlan = &fault.Plan{CoreDown: []fault.CoreDown{{Core: 1, Cycle: 501}}}
-	if cacheKey(l, opts) == k1 {
+	if CacheKey(l, opts) == k1 {
 		t.Error("different fault plans share a cache key")
 	}
 }

@@ -175,14 +175,14 @@ func TestFuseNetworkDegraded(t *testing.T) {
 func TestFuseDepthChangesCacheKey(t *testing.T) {
 	l := layer.NewConv("k", 8, 8, 16, 16, 3)
 	opts := fuseOpts(t)
-	k0 := cacheKey(l, opts)
+	k0 := CacheKey(l, opts)
 	opts.FuseDepth = 1
-	k1 := cacheKey(l, opts)
+	k1 := CacheKey(l, opts)
 	if k0 == k1 {
 		t.Fatalf("cache key ignores FuseDepth: %q", k0)
 	}
 	opts.FuseDepth = 2
-	if k2 := cacheKey(l, opts); k2 == k1 {
+	if k2 := CacheKey(l, opts); k2 == k1 {
 		t.Fatalf("cache key conflates fuse depths 1 and 2: %q", k1)
 	}
 }

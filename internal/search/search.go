@@ -252,6 +252,8 @@ type LayerResult struct {
 	Degraded *sched.Result
 	// FaultPlan echoes the plan Degraded was evaluated under.
 	FaultPlan *fault.Plan
+	// memo is the cache entry's slot behind Memo; nil outside a cache.
+	memo *atomic.Pointer[[]byte]
 }
 
 // Speedup returns baseline latency / OoO latency (>1 means OoO wins).
@@ -286,7 +288,7 @@ func SearchLayer(l layer.Conv, opts Options) (*LayerResult, error) {
 // use it to bound search time per request.
 func SearchLayerCtx(ctx context.Context, l layer.Conv, opts Options) (*LayerResult, error) {
 	if opts.Cache != nil {
-		return opts.Cache.layer(ctx, l, opts)
+		return opts.Cache.Layer(ctx, CacheKey(l, opts), l, opts)
 	}
 	if opts.CacheMisses != nil {
 		opts.CacheMisses.Add(1)
@@ -772,6 +774,7 @@ func SearchNetworkCtx(ctx context.Context, n nets.Network, opts Options) (*Netwo
 	emit := opts.Progress
 	var layersDone atomic.Int64
 	total := len(n.Layers)
+	optsKey := appendOptionsKey(make([]byte, 0, 512), opts) // once for all layers' keys
 	for i, l := range n.Layers {
 		wg.Add(1)
 		go func(i int, l layer.Conv) {
@@ -784,7 +787,7 @@ func SearchNetworkCtx(ctx context.Context, n nets.Network, opts Options) (*Netwo
 					emit(ev)
 				}
 			}
-			nr.Layers[i], errs[i] = SearchLayerCtx(ctx, l, lopts)
+			nr.Layers[i], errs[i] = opts.Cache.Layer(ctx, layerKey(l, optsKey), l, lopts)
 			if emit != nil && errs[i] == nil {
 				emit(ProgressEvent{
 					Layer:       l.Name,

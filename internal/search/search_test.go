@@ -236,18 +236,18 @@ func TestCacheCoalescesConcurrentLookups(t *testing.T) {
 
 func TestCacheKeyIgnoresName(t *testing.T) {
 	opts := quickOpts(t, "arch1")
-	a := cacheKey(layer.NewConv("a", 8, 8, 4, 4, 3), opts)
-	b := cacheKey(layer.NewConv("b", 8, 8, 4, 4, 3), opts)
+	a := CacheKey(layer.NewConv("a", 8, 8, 4, 4, 3), opts)
+	b := CacheKey(layer.NewConv("b", 8, 8, 4, 4, 3), opts)
 	if a != b {
 		t.Error("cache key depends on layer name")
 	}
-	c := cacheKey(layer.NewConv("a", 8, 8, 4, 8, 3), opts)
+	c := CacheKey(layer.NewConv("a", 8, 8, 4, 8, 3), opts)
 	if a == c {
 		t.Error("cache key ignores layer shape")
 	}
 	opts2 := opts
 	opts2.Priority = 2
-	if cacheKey(layer.NewConv("a", 8, 8, 4, 4, 3), opts2) == a {
+	if CacheKey(layer.NewConv("a", 8, 8, 4, 4, 3), opts2) == a {
 		t.Error("cache key ignores priority")
 	}
 }

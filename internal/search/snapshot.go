@@ -24,7 +24,7 @@ import (
 // non-snapshot file) to LoadFrom.
 const snapshotMagic = "flexer-cache-snapshot"
 
-// snapshotVersion is bumped whenever cacheKey's format or LayerResult's
+// snapshotVersion is bumped whenever CacheKey's format or LayerResult's
 // wire shape changes incompatibly; LoadFrom rejects other versions so a
 // stale snapshot degrades to a cold start instead of corrupt hits.
 const snapshotVersion = 2

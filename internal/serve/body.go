@@ -1,0 +1,88 @@
+package serve
+
+// Response bodies are encoded into pooled buffers and written with one
+// Write. Hits and misses share the path: docs/ARCHITECTURE.md, Hit path.
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"sync"
+
+	"github.com/flexer-sched/flexer/internal/search"
+)
+
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBuf() *bytes.Buffer { return bodyBufs.Get().(*bytes.Buffer) }
+
+// putBuf recycles b, unless a full-timeline body grew it to megabytes.
+func putBuf(b *bytes.Buffer) {
+	if b.Cap() <= 64<<10 {
+		b.Reset()
+		bodyBufs.Put(b)
+	}
+}
+
+// encodeJSON returns v as the indented JSON every endpoint answers in,
+// in a buffer from getBuf: the one encoder of response bodies. Like an
+// Encoder with SetIndent it indents in a second step, but into a pooled
+// buffer.
+func encodeJSON(v any) *bytes.Buffer {
+	buf, compact := getBuf(), getBuf()
+	_ = json.NewEncoder(compact).Encode(v) // response types always encode
+	_ = json.Indent(buf, compact.Bytes(), "", "  ")
+	putBuf(compact)
+	return buf
+}
+
+// writeJSON writes one JSON response body with the given status.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := encodeJSON(v)
+	writeBody(w, code, buf.Bytes())
+	putBuf(buf)
+}
+
+// writeBody writes an encoded JSON body with the given status.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(code)
+	_, _ = w.Write(body) // an error means the client went away
+}
+
+// layerEnvelope is a LayerResponse's per-request fields, names the same.
+type layerEnvelope struct {
+	Layer           string  `json:"layer"`
+	ElapsedMS       float64 `json:"elapsed_ms"`
+	ServedBy        string  `json:"served_by,omitempty"`
+	DegradedRouting bool    `json:"degraded_routing,omitempty"`
+}
+
+// layerBody returns lr's response in a buffer from getBuf, byte for byte
+// what encodeJSON makes of its LayerResponse. The summary shape is
+// assembled: the lines from "arch" to "elapsed_ms" are encoded once,
+// kept with lr's cache entry, and each request encodes its envelope
+// around them. Full timelines run to megabytes: encoded per request.
+func layerBody(lr *search.LayerResult, archName string, full bool, elapsedMS float64, rt routeInfo) *bytes.Buffer {
+	if full {
+		resp := buildLayerResponse(lr, archName, true, elapsedMS)
+		resp.ServedBy, resp.DegradedRouting = rt.servedBy, rt.degraded
+		return encodeJSON(&resp)
+	}
+	// Both encodings open with the brace's line and the name's, which
+	// end at the second newline: a JSON string holds no raw one.
+	nameEnd := func(body []byte) int { return bytes.IndexByte(body[2:], '\n') + 3 }
+	fixed := lr.Memo(func() []byte {
+		resp := buildLayerResponse(lr, archName, false, 0)
+		b := encodeJSON(&resp)
+		defer putBuf(b)
+		return bytes.Clone(b.Bytes()[nameEnd(b.Bytes()) : b.Len()-len("  \"elapsed_ms\": 0\n}\n")])
+	})
+	env := encodeJSON(&layerEnvelope{lr.Layer.Name, elapsedMS, rt.servedBy, rt.degraded})
+	defer putBuf(env)
+	buf, i := getBuf(), nameEnd(env.Bytes())
+	buf.Write(env.Bytes()[:i])
+	buf.Write(fixed)
+	buf.Write(env.Bytes()[i:])
+	return buf
+}

@@ -31,6 +31,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"sync"
 	"time"
 
 	"github.com/flexer-sched/flexer/internal/cluster"
@@ -164,9 +165,14 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, route cluster.R
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(flushWriter{w}, resp.Body)
+	buf := hopBufs.Get().(*[32 << 10]byte)
+	defer hopBufs.Put(buf)
+	_, _ = io.CopyBuffer(flushWriter{w}, resp.Body, buf[:])
 	return nil
 }
+
+// hopBufs recycles forward's copy buffers; io.Copy allocates one a reply.
+var hopBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
 
 // flushWriter flushes after every write, so proxied NDJSON progress
 // events arrive live instead of buffered to the end.

@@ -56,7 +56,7 @@ func (n *clusterNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // newServeCluster boots n fully wired flexerd nodes probing each other
 // at a test-friendly cadence: suspect after 1 failed probe, down after
 // 2, healthy again after 2 successes.
-func newServeCluster(t *testing.T, n int) []*clusterNode {
+func newServeCluster(t testing.TB, n int) []*clusterNode {
 	t.Helper()
 	nodes := make([]*clusterNode, n)
 	urls := make([]string, n)
@@ -92,7 +92,7 @@ func newServeCluster(t *testing.T, n int) []*clusterNode {
 }
 
 // waitPeerState polls one node's view of a peer until it reaches want.
-func waitPeerState(t *testing.T, cl *cluster.Cluster, peer string, want cluster.State) {
+func waitPeerState(t testing.TB, cl *cluster.Cluster, peer string, want cluster.State) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -111,7 +111,7 @@ func testShape(outC int) ConvJSON {
 }
 
 // shapeBody is the /v1/schedule/layer request body for testShape(outC).
-func shapeBody(t *testing.T, outC int) string {
+func shapeBody(t testing.TB, outC int) string {
 	t.Helper()
 	b, err := json.Marshal(map[string]any{"arch": "arch1", "shape": testShape(outC)})
 	if err != nil {
@@ -122,7 +122,7 @@ func shapeBody(t *testing.T, outC int) string {
 
 // routingKey reproduces the server's routing fingerprint for
 // testShape(outC) under the default arch1 quick options.
-func routingKey(t *testing.T, outC int) string {
+func routingKey(t testing.TB, outC int) string {
 	t.Helper()
 	cfg, err := resolveArch("arch1", nil)
 	if err != nil {
@@ -137,7 +137,7 @@ func routingKey(t *testing.T, outC int) string {
 
 // shapeHomedOn scans output-channel counts from lo upward for a shape
 // whose routing key is homed on the given peer.
-func shapeHomedOn(t *testing.T, cl *cluster.Cluster, peer string, lo int) int {
+func shapeHomedOn(t testing.TB, cl *cluster.Cluster, peer string, lo int) int {
 	t.Helper()
 	for outC := lo; outC < lo+200; outC++ {
 		if cl.Home(routingKey(t, outC)) == peer {

@@ -5,6 +5,7 @@ package serve
 // unary versus streamed is whether the run has a sink for progress.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,9 +33,11 @@ type job struct {
 	adm admission.Request
 	// hist records the latency of a successful request.
 	hist *latencyHist
+	// result opens a streamed request's terminal event up to the body.
+	result string
 	// run performs the search on a held worker slot and returns the
-	// response body (a *LayerResponse or *NetworkResponse).
-	run func(context.Context, attempt) (any, error)
+	// unary endpoint's body in a buffer from getBuf.
+	run func(context.Context, attempt) (*bytes.Buffer, error)
 }
 
 // attempt is what the pipeline hands one run of a job. A preempted job
@@ -82,12 +85,13 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, describe func(
 	a := attempt{start: time.Now(), route: rt}
 	var sink streamSink
 	if wantStream(r) {
-		sink = streamSink{w: w, enc: json.NewEncoder(w), events: make(chan StreamEvent, streamEventBuffer), written: s.metrics.progress}
+		sink = streamSink{w: w, enc: json.NewEncoder(w), events: make(chan *StreamEvent, streamEventBuffer), written: s.metrics.progress}
 		a.progress = sink.progressFunc(a.start)
 	}
-	v, err := s.execute(ctx, j, a, &sink)
+	body, err := s.execute(ctx, j, a, &sink)
 	if err == nil {
 		j.hist.Observe(time.Since(a.start))
+		defer putBuf(body)
 	}
 	switch {
 	case err != nil && sink.committed:
@@ -95,9 +99,9 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, describe func(
 	case err != nil:
 		s.fail(w, err)
 	case sink.w != nil:
-		sink.emit(resultEvent(v))
+		sink.result(j.result, body.Bytes())
 	default:
-		writeJSON(w, http.StatusOK, v)
+		writeBody(w, http.StatusOK, body.Bytes())
 	}
 }
 
@@ -110,7 +114,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, describe func(
 // progress meanwhile; a unary request's zero sink has a nil event
 // queue, which is never selected, so it pays nothing for the
 // streaming half.
-func (s *Server) execute(ctx context.Context, j job, a attempt, sink *streamSink) (any, error) {
+func (s *Server) execute(ctx context.Context, j job, a attempt, sink *streamSink) (*bytes.Buffer, error) {
 	done := make(chan searchOutcome, 1)
 	for {
 		g, err := s.acquire(ctx, j.adm)
@@ -125,7 +129,7 @@ func (s *Server) execute(ctx context.Context, j job, a attempt, sink *streamSink
 		// event precedes the next milestone.
 		sink.drain()
 		if !errors.Is(o.err, admission.ErrPreempted) {
-			return o.v, o.err
+			return o.body, o.err
 		}
 		if err := ctx.Err(); err != nil {
 			// Preempted right as the deadline hit; report the deadline,
@@ -147,7 +151,7 @@ func await(ctx context.Context, done <-chan searchOutcome, sink *streamSink) sea
 	for {
 		select {
 		case ev := <-sink.events:
-			sink.emit(ev)
+			sink.emit(*ev)
 		case o := <-done:
 			return o
 		case <-ctx.Done():
@@ -181,8 +185,8 @@ func (s *Server) acquire(ctx context.Context, adm admission.Request) (*admission
 
 // searchOutcome carries a finished run across its result channel.
 type searchOutcome struct {
-	v   any
-	err error
+	body *bytes.Buffer
+	err  error
 }
 
 // runOnGrant runs one attempt to completion on a held grant, converting
@@ -190,7 +194,7 @@ type searchOutcome struct {
 // exactly one value, and — panic or not — restores the searching gauge
 // and releases the worker slot. This is the only place a slot is
 // returned, so one panicking request can never shrink the pool.
-func (s *Server) runOnGrant(ctx context.Context, g *admission.Grant, run func(context.Context, attempt) (any, error), a attempt, out chan<- searchOutcome) {
+func (s *Server) runOnGrant(ctx context.Context, g *admission.Grant, run func(context.Context, attempt) (*bytes.Buffer, error), a attempt, out chan<- searchOutcome) {
 	var o searchOutcome
 	defer func() {
 		if r := recover(); r != nil {
@@ -203,7 +207,7 @@ func (s *Server) runOnGrant(ctx context.Context, g *admission.Grant, run func(co
 		out <- o
 	}()
 	a.checkIn = g.CheckIn
-	o.v, o.err = run(ctx, a)
+	o.body, o.err = run(ctx, a)
 }
 
 // classify is the error taxonomy of the schedule endpoints, shared by

@@ -28,6 +28,7 @@
 package serve
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -315,20 +316,20 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return job{}, err
 		}
+		key := search.CacheKey(l, opts)
 		return job{
-			key:       search.CacheKey(l, opts),
+			key:       key,
 			body:      &req,
 			timeoutMS: req.TimeoutMS,
 			adm:       admission.Request{Tenant: req.Tenant, Tier: admission.TierInteractive},
 			hist:      s.metrics.latency,
-			run: func(ctx context.Context, a attempt) (any, error) {
-				lr, err := search.SearchLayerCtx(ctx, l, a.options(opts))
+			result:    `{"event":"result","layer_result":`,
+			run: func(ctx context.Context, a attempt) (*bytes.Buffer, error) {
+				lr, err := s.cache.Layer(ctx, key, l, a.options(opts))
 				if err != nil {
 					return nil, err
 				}
-				resp := buildLayerResponse(lr, cfg.Name, req.Full, msSince(a.start))
-				resp.ServedBy, resp.DegradedRouting = a.route.servedBy, a.route.degraded
-				return &resp, nil
+				return layerBody(lr, cfg.Name, req.Full, msSince(a.start), a.route), nil
 			},
 		}, nil
 	})
@@ -370,7 +371,8 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 			timeoutMS: req.TimeoutMS,
 			adm:       admission.Request{Tenant: req.Tenant, Tier: admission.TierBatch, Preemptible: true},
 			hist:      s.metrics.netLat,
-			run: func(ctx context.Context, a attempt) (any, error) {
+			result:    `{"event":"result","network_result":`,
+			run: func(ctx context.Context, a attempt) (*bytes.Buffer, error) {
 				// Reset the miss counter: a preempted-and-requeued run
 				// would otherwise report the aborted attempt's misses too.
 				misses.Store(0)
@@ -380,7 +382,7 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 				}
 				resp := buildNetworkResponse(nr, int(misses.Load()), msSince(a.start))
 				resp.ServedBy, resp.DegradedRouting = a.route.servedBy, a.route.degraded
-				return &resp, nil
+				return encodeJSON(&resp), nil
 			},
 		}, nil
 	})
@@ -478,17 +480,6 @@ func (s *Server) state() *ServerStateJSON {
 		Workers:    s.cfg.Workers,
 		Cache:      s.cache.Stats(),
 	}
-}
-
-// writeJSON writes one JSON response body with the given status.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// Encoding errors past the header are unrecoverable mid-stream;
-	// the client sees a truncated body and fails its own decode.
-	_ = enc.Encode(v)
 }
 
 // msSince returns the elapsed wall-clock since start in milliseconds.

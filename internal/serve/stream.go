@@ -68,18 +68,6 @@ func wantStream(r *http.Request) bool {
 	return false
 }
 
-// resultEvent wraps a schedule response as the terminal "result" event.
-func resultEvent(v any) StreamEvent {
-	ev := StreamEvent{Event: "result"}
-	switch v := v.(type) {
-	case *LayerResponse:
-		ev.LayerResult = v
-	case *NetworkResponse:
-		ev.NetworkResult = v
-	}
-	return ev
-}
-
 // errorEvent wraps a classified failure as a terminal "error" event.
 func errorEvent(status int, body ErrorResponse) StreamEvent {
 	return StreamEvent{
@@ -94,7 +82,8 @@ func errorEvent(status int, body ErrorResponse) StreamEvent {
 // streamEventBuffer bounds the progress-event queue between the search
 // goroutines and the response writer. Events beyond it are dropped —
 // progress is advisory and must never block the search — but the
-// terminal result always goes out.
+// terminal result always goes out. The queue holds pointers, so a hit's
+// one-event stream does not pay for 256 events.
 const streamEventBuffer = 256
 
 // streamSink is the NDJSON half of a ?stream=1 request: the search
@@ -105,7 +94,7 @@ const streamEventBuffer = 256
 type streamSink struct {
 	w         http.ResponseWriter
 	enc       *json.Encoder
-	events    chan StreamEvent
+	events    chan *StreamEvent
 	written   *expvar.Int // progress_events_total
 	committed bool
 }
@@ -115,8 +104,9 @@ type streamSink struct {
 func (k *streamSink) progressFunc(start time.Time) search.ProgressFunc {
 	events := k.events
 	return func(ev search.ProgressEvent) {
+		sev := streamProgress(ev, msSince(start))
 		select {
-		case events <- streamProgress(ev, msSince(start)):
+		case events <- &sev:
 		default:
 		}
 	}
@@ -148,10 +138,21 @@ func (k *streamSink) emit(ev StreamEvent) {
 	_ = http.NewResponseController(k.w).Flush()
 }
 
+// result writes the terminal "result" event: open, then the unary body compacted.
+func (k *streamSink) result(open string, body []byte) {
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.WriteString(open)
+	_ = json.Compact(buf, body) // body is encodeJSON's output: valid
+	buf.WriteString("}\n")
+	_, _ = k.w.Write(buf.Bytes()) // an error means the client went away, as in emit
+	_ = http.NewResponseController(k.w).Flush()
+}
+
 // drain writes out every event already queued.
 func (k *streamSink) drain() {
 	for len(k.events) > 0 { // this goroutine is the only receiver
-		k.emit(<-k.events)
+		k.emit(*<-k.events)
 	}
 }
 

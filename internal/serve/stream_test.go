@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -299,9 +300,10 @@ func TestAwaitPrefersFinishedOutcome(t *testing.T) {
 	done := make(chan searchOutcome, 1)
 	// select picks among ready cases at random, so try often enough to
 	// take both the done and the ctx.Done branch.
+	result := new(bytes.Buffer)
 	for i := 0; i < 64; i++ {
-		done <- searchOutcome{v: "result"}
-		if o := await(ctx, done, &streamSink{}); o.err != nil || o.v != "result" {
+		done <- searchOutcome{body: result}
+		if o := await(ctx, done, &streamSink{}); o.err != nil || o.body != result {
 			t.Fatalf("await = %+v, want the finished outcome", o)
 		}
 	}

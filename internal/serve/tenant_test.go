@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -301,7 +302,7 @@ func TestStreamPreemptionEndToEnd(t *testing.T) {
 
 // serveFake pushes a job with the given run function through the
 // schedule pipeline, unary or streamed, and returns what it wrote.
-func serveFake(srv *Server, stream bool, run func(context.Context, attempt) (any, error)) *httptest.ResponseRecorder {
+func serveFake(srv *Server, stream bool, run func(context.Context, attempt) (*bytes.Buffer, error)) *httptest.ResponseRecorder {
 	url := "/v1/schedule/layer"
 	if stream {
 		url += "?stream=1"
@@ -323,7 +324,7 @@ func serveFake(srv *Server, stream bool, run func(context.Context, attempt) (any
 func TestPanicReleasesSlot(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Workers: 1})
 
-	rec := serveFake(srv, false, func(context.Context, attempt) (any, error) {
+	rec := serveFake(srv, false, func(context.Context, attempt) (*bytes.Buffer, error) {
 		panic("kaboom")
 	})
 	if rec.Code != http.StatusInternalServerError {
@@ -340,8 +341,8 @@ func TestPanicReleasesSlot(t *testing.T) {
 	}
 
 	// The single slot must be back: a normal search completes.
-	rec = serveFake(srv, false, func(context.Context, attempt) (any, error) {
-		return &LayerResponse{Layer: "ok"}, nil
+	rec = serveFake(srv, false, func(context.Context, attempt) (*bytes.Buffer, error) {
+		return encodeJSON(&LayerResponse{Layer: "ok"}), nil
 	})
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"layer": "ok"`) {
 		t.Fatalf("post-panic search = %d %q; want 200 (slot leaked?)", rec.Code, rec.Body)
@@ -356,26 +357,26 @@ func TestErrorTaxonomy(t *testing.T) {
 	shed := &admission.QueueFullError{Tenant: "t", Queued: 1, Limit: 1, Position: 2}
 	for _, tc := range []struct {
 		name       string
-		run        func(context.Context, attempt) (any, error)
+		run        func(context.Context, attempt) (*bytes.Buffer, error)
 		status     int
 		text       string
 		retryAfter int
 		state      bool
 	}{
 		{name: "malformed", status: http.StatusBadRequest, text: "nope",
-			run: func(context.Context, attempt) (any, error) { return nil, badf("nope") }},
+			run: func(context.Context, attempt) (*bytes.Buffer, error) { return nil, badf("nope") }},
 		{name: "shed", status: http.StatusTooManyRequests, text: "server overloaded", retryAfter: 1, state: true,
-			run: func(context.Context, attempt) (any, error) { return nil, shed }},
+			run: func(context.Context, attempt) (*bytes.Buffer, error) { return nil, shed }},
 		{name: "panic", status: http.StatusInternalServerError, text: "kaboom",
-			run: func(context.Context, attempt) (any, error) { panic("kaboom") }},
+			run: func(context.Context, attempt) (*bytes.Buffer, error) { panic("kaboom") }},
 		{name: "deadline", status: http.StatusGatewayTimeout, text: "timed out", state: true,
-			run: func(context.Context, attempt) (any, error) {
+			run: func(context.Context, attempt) (*bytes.Buffer, error) {
 				return nil, context.DeadlineExceeded
 			}},
 		{name: "cancelled", status: 499, text: "request cancelled",
-			run: func(context.Context, attempt) (any, error) { return nil, context.Canceled }},
+			run: func(context.Context, attempt) (*bytes.Buffer, error) { return nil, context.Canceled }},
 		{name: "infeasible", status: http.StatusUnprocessableEntity, text: "no feasible tiling",
-			run: func(context.Context, attempt) (any, error) {
+			run: func(context.Context, attempt) (*bytes.Buffer, error) {
 				return nil, errors.New("search: no feasible tiling")
 			}},
 	} {
