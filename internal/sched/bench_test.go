@@ -27,18 +27,9 @@ var benchMachines = []arch.Config{
 func midRunEngine(b *testing.B, a arch.Config) *engine {
 	b.Helper()
 	gr := buildGraph(b, layer.NewConv("bench", 28, 28, 128, 128, 3), tile.Factors{OH: 7, OW: 7, OC: 32, IC: 32}, a)
-	e := &engine{}
-	e.reset(gr, Config{Arch: a}.withDefaults())
-	for i := range e.rank {
-		e.rank[i] = i
-	}
+	e := newTestEngine(b, gr, Config{Arch: a})
 	for e.nDone < len(gr.Ops)/2 {
-		e.mem.UnpinAll()
-		ev := e.nextSetOoO()
-		if ev == nil {
-			b.Fatal("no feasible set")
-		}
-		if err := e.apply(ev); err != nil {
+		if err := e.step(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,8 +8,6 @@ import (
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/loop"
 	"github.com/flexer-sched/flexer/internal/model"
-	"github.com/flexer-sched/flexer/internal/sim"
-	"github.com/flexer-sched/flexer/internal/spm"
 	"github.com/flexer-sched/flexer/internal/tile"
 )
 
@@ -17,34 +15,13 @@ import (
 // tile that spm.Allocate takes, for tests that allocate by hand.
 func (e *engine) remainUses(id tile.ID) int { return int(e.remain[e.gr.Num(id)]) }
 
-// newTestEngine builds an engine in its initial state for white-box
+// newTestEngine starts an engine, as Schedule would, for white-box
 // tests of set evaluation and selection.
 func newTestEngine(t testing.TB, gr *dfg.Graph, cfg Config) *engine {
 	t.Helper()
-	cfg = cfg.withDefaults()
-	mem := spm.New(cfg.Arch.SPMBytes, cfg.MemPolicy)
-	e := &engine{
-		cfg: cfg, gr: gr, mem: mem,
-		remain:  gr.AppendUses(nil),
-		ready:   gr.InitialReady(),
-		opDone:  make([]int64, len(gr.Ops)),
-		writeAt: make([]int64, gr.NumTiles()),
-		availAt: make([]int64, gr.NumTiles()),
-		tl:      sim.New(cfg.Arch.Cores),
-		res:     &Result{},
-	}
-	for k := range e.res.PerKind {
-		e.res.PerKind[k].MoveCounts = map[tile.ID]int{}
-	}
-	e.rank = make([]int, len(gr.Ops))
-	if cfg.Hint != nil {
-		for pos, op := range cfg.Hint {
-			e.rank[op] = pos
-		}
-	} else {
-		for i := range e.rank {
-			e.rank[i] = i
-		}
+	e := &engine{}
+	if err := e.start(gr, cfg.withDefaults()); err != nil {
+		t.Fatal(err)
 	}
 	return e
 }

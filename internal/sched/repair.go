@@ -16,7 +16,6 @@ import (
 	"github.com/flexer-sched/flexer/internal/dfg"
 	"github.com/flexer-sched/flexer/internal/fault"
 	"github.com/flexer-sched/flexer/internal/sim"
-	"github.com/flexer-sched/flexer/internal/spm"
 	"github.com/flexer-sched/flexer/internal/tile"
 )
 
@@ -49,9 +48,12 @@ func checkNominal(gr *dfg.Graph, nominal *Result, seen []bool) error {
 // schedule. Work that started before the plan's first disruption is
 // committed verbatim (an op already running when its core dies drains
 // to completion — fail-stop with drain); every other op is rescheduled
-// by the out-of-order list scheduler starting at the fault cycle, on a
-// timeline whose resources are charged with the committed prefix and
-// which has the fault plan injected.
+// by the out-of-order list scheduler starting at the fault cycle. It is
+// the one engine started differently: instead of an empty machine at
+// cycle 0, the committed prefix is replayed into a reset engine — every
+// committed op retired, every committed transfer accounted, the
+// timeline charged with both and busy until the fault cycle — the
+// scratchpad is rebuilt, and the same run loop takes over.
 //
 // Scratchpad state is reconstructed from the committed records: dirty
 // tiles (partial sums and unflushed outputs, which have no off-chip
@@ -65,19 +67,20 @@ func checkNominal(gr *dfg.Graph, nominal *Result, seen []bool) error {
 //
 // An empty plan returns nominal unchanged; otherwise nominal must be a
 // complete schedule of gr (checkNominal). cfg should be the config
-// nominal was built with; Order and Hint are ignored (repair is always
-// out-of-order — the nominal op sequence is unachievable on the
-// degraded machine, which is the point).
+// nominal was built with; its Order, Hint and CutoffCycles are ignored
+// (repair is always out-of-order — the nominal op sequence is
+// unachievable on the degraded machine, which is the point — and a
+// degraded schedule is expected to overrun whatever target a cutoff
+// encoded for the healthy one).
 func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Arch.Validate(); err != nil {
+	cfg.Order, cfg.Hint, cfg.CutoffCycles = nil, nil, 0
+	cfg.FaultPlan = plan
+	cfg, err := cfg.checked()
+	if err != nil {
 		return nil, err
 	}
 	if plan.Empty() {
 		return nominal, nil
-	}
-	if err := plan.Validate(cfg.Arch.Cores); err != nil {
-		return nil, err
 	}
 	committed := make([]bool, len(gr.Ops))
 	if err := checkNominal(gr, nominal, committed); err != nil {
@@ -85,95 +88,53 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 	}
 	clear(committed)
 	fc := plan.FirstDisruption()
+	e := enginePool.Get().(*engine)
+	defer e.recycle()
+	e.reset(gr, cfg)
 
-	// Partition the nominal schedule at the fault cycle: records that
-	// started before it ran at nominal timing on a healthy machine and
-	// are kept; the rest is discarded and re-planned.
+	// Replay the part of the nominal schedule that started before the
+	// fault cycle: it ran at nominal timing on a healthy machine and is
+	// kept; the rest is discarded and re-planned. Along the way find
+	// which tiles are dirty-resident at the fault cycle. Per tile the
+	// last of its writes and transfers decides: a tile is dirty iff no
+	// committed transfer of it starts after its last committed write,
+	// and (fused runs) its off-chip copy is current iff a spill or
+	// write-back does. Starts order them because a load finishes before
+	// its consumer starts and a spill starts no earlier than the write
+	// it flushes ends; the one tie goes to the write — a partial sum
+	// evicted and re-loaded within one set has its spill wait for the
+	// previous chain op, which ends as the next one, writing it, starts.
 	var commitOps []sim.OpRecord
 	var commitMems []sim.MemRecord
-	npuFree := make([]int64, cfg.Arch.Cores)
-	for i := range npuFree {
-		npuFree[i] = fc
-	}
-	dmaFree := fc
-	opDone := make([]int64, len(gr.Ops))
-	writeAt := make([]int64, gr.NumTiles())
-	remain := gr.AppendUses(nil)
-	nDone := 0
+	dirtyAt := make([]int64, gr.NumTiles()) // 1 + last write start of a dirty-resident tile, else 0
 	for _, rec := range nominal.OpRecords {
 		if rec.Start >= fc {
 			continue
 		}
 		commitOps = append(commitOps, rec)
 		committed[rec.Op] = true
-		nDone++
-		opDone[rec.Op] = rec.End
-		op := &gr.Ops[rec.Op]
-		in, out := gr.Num(op.In), gr.Num(op.Out)
-		writeAt[out] = max(writeAt[out], rec.End)
-		remain[in]--
-		remain[gr.Num(op.Wt)]--
-		remain[out]--
-		// A fused consumer input's covering producer outputs carry one
-		// extra use per covered input; release it when the input's own
-		// uses are exhausted, mirroring the nominal engine.
-		if gr.Fused() && op.In.L > 0 && remain[in] == 0 {
-			for _, ot := range gr.Covering(op.In) {
-				remain[gr.Num(ot)]--
-			}
-		}
-		if rec.NPU >= 0 && rec.NPU < len(npuFree) && rec.End > npuFree[rec.NPU] {
-			npuFree[rec.NPU] = rec.End
-		}
+		e.retire(rec)
+		dirtyAt[gr.Num(gr.Ops[rec.Op].Out)] = rec.Start + 1
 	}
 	for _, rec := range nominal.MemRecords {
 		if rec.Start >= fc {
 			continue
 		}
 		commitMems = append(commitMems, rec)
-		if rec.End > dmaFree {
-			dmaFree = rec.End
+		e.account(rec)
+		if n := gr.Num(rec.Tile); rec.Start >= dirtyAt[n] {
+			dirtyAt[n] = 0
+			if e.fused && (rec.Kind == sim.Spill || rec.Kind == sim.Writeback) {
+				e.hasDRAM[n] = true
+			}
 		}
 	}
-
-	// Reconstruct which tiles are dirty-resident at the fault cycle by
-	// replaying the committed residency events in time order. Per tile
-	// the event starts are strictly ordered by construction (a load
-	// finishes before its consumer starts; a spill starts no earlier
-	// than the write it flushes), so the last event decides.
-	type tileEvent struct {
-		num    int // tile number
-		start  int64
-		effect int8 // 0 load/gather (clean), 1 evict, 2 op write (dirty)
-	}
-	var events []tileEvent
-	for _, m := range commitMems {
-		var effect int8 = 1
-		if m.Kind == sim.Load || m.Kind == sim.Gather {
-			effect = 0
-		}
-		events = append(events, tileEvent{gr.Num(m.Tile), m.Start, effect})
-	}
-	for _, o := range commitOps {
-		events = append(events, tileEvent{gr.Num(gr.Ops[o.Op].Out), o.Start, 2})
-	}
-	// Events of different tiles may start together; how such a tie falls
-	// changes nothing, each tile's own events being strictly ordered.
-	slices.SortFunc(events, func(a, b tileEvent) int { return cmp.Compare(a.start, b.start) })
-	dirtyAt := make([]int64, gr.NumTiles()) // 1 + last write start of a dirty-resident tile, else 0
-	var hasDRAM []bool                      // tile -> DRAM copy current as of last write
-	if gr.Fused() {
-		hasDRAM = make([]bool, gr.NumTiles())
-	}
-	for _, ev := range events {
-		dirtyAt[ev.num] = 0
-		if ev.effect == 2 {
-			dirtyAt[ev.num] = ev.start + 1
-		}
-		if hasDRAM != nil && ev.effect != 0 {
-			hasDRAM[ev.num] = ev.effect == 1
-		}
-	}
+	e.tl.Charge(commitOps, commitMems, fc)
+	// What retiring the prefix woke includes the prefix itself. Ascending
+	// op index is the order a from-scratch ready list starts in, and the
+	// single-op fallback of nextSetOoO enumerates in list order.
+	e.ready = slices.DeleteFunc(e.ready, func(op int) bool { return committed[op] })
+	slices.Sort(e.ready)
 
 	// Rebuild the scratchpad with exactly the dirty survivors, latest
 	// written first, equal times in tile-number order (the stable sort
@@ -189,118 +150,48 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 		if at == 0 {
 			continue
 		}
-		if id := gr.Tile(n); id.Kind == tile.Out && id.L < gr.LastLayer() && remain[n] == 0 {
+		if id := gr.Tile(n); id.Kind == tile.Out && id.L < gr.LastLayer() && e.remain[n] == 0 {
 			continue
 		}
 		dirtyTiles = append(dirtyTiles, n)
 	}
 	slices.SortStableFunc(dirtyTiles, func(a, b int) int { return cmp.Compare(dirtyAt[b], dirtyAt[a]) })
-	mem := spm.New(cfg.Arch.SPMBytes, cfg.MemPolicy)
-	mem.SetInPlace(!cfg.DisableInPlace)
-	mem.Bind(gr)
 	for _, n := range dirtyTiles {
 		id := gr.Tile(n)
-		if _, err := mem.AllocateBound(id, gr.Size(id), remain); err != nil {
+		if _, err := e.mem.AllocateBound(id, gr.Size(id), e.remain); err != nil {
 			return nil, fmt.Errorf("sched: repair cannot retain live tile %s: %w", id, err)
 		}
-		mem.SetDirty(id, true)
+		e.mem.SetDirty(id, true)
 	}
-	mem.UnpinAll()
 
-	// Resume the list scheduler on the leftover ops with the committed
-	// prefix charged to the timeline and the fault plan injected. An
-	// uncommitted op waits on every uncommitted predecessor, chain and
-	// cross-layer alike (committed ops never have uncommitted preds:
-	// a pred finishes before its successor starts, hence before fc).
-	pending := make([]int, len(gr.Ops))
-	var ready []int
-	for i := range gr.Ops {
-		if committed[i] {
-			continue
-		}
-		p := 0
-		if cp := gr.Pred(i); cp >= 0 && !committed[cp] {
-			p++
-		}
-		for _, c := range gr.CrossPreds(i) {
-			if !committed[c] {
-				p++
-			}
-		}
-		pending[i] = p
-		if p == 0 {
-			ready = append(ready, i)
-		}
+	// Resume: the loop every schedule runs, from the replayed state.
+	res, err := e.run()
+	if err != nil {
+		return nil, err
 	}
-	cfg.Order, cfg.Hint = nil, nil
-	e := &engine{
-		cfg:     cfg,
-		gr:      gr,
-		mem:     mem,
-		remain:  remain,
-		ready:   ready,
-		pending: pending,
-		fused:   gr.Fused(),
-		hasDRAM: hasDRAM,
-		opDone:  opDone,
-		writeAt: writeAt,
-		availAt: make([]int64, gr.NumTiles()),
-		tl:      sim.NewAt(npuFree, dmaFree),
-		res:     newResult(gr),
-		nDone:   nDone,
-	}
-	e.res.Factors = nominal.Factors
-	e.tl.SetFaults(plan)
-	e.rank = make([]int, len(gr.Ops))
-	for i := range e.rank {
-		e.rank[i] = i
-	}
-	for _, m := range commitMems {
-		e.account(m)
-	}
-	total := len(gr.Ops)
-	for e.nDone < total {
-		e.mem.UnpinAll()
-		ev := e.nextSetOoO()
-		if ev == nil {
-			return nil, errNoProgress
-		}
-		if err := e.apply(ev); err != nil {
-			return nil, err
-		}
-	}
-	e.flush()
 
 	// Merge the committed prefix with the re-planned suffix. Both record
 	// slices stay start-ordered: every new record starts at or after the
-	// seeded resource-free cycles, which cover all committed ends.
+	// fault cycle the timeline was charged to.
 	var sets []SetRecord
 	for _, s := range nominal.Sets {
-		var kept []int
-		for _, op := range s.Ops {
-			if committed[op] {
-				kept = append(kept, op)
-			}
-		}
+		kept := slices.DeleteFunc(slices.Clone(s.Ops), func(op int) bool { return !committed[op] })
 		if len(kept) > 0 {
 			sets = append(sets, SetRecord{Ops: kept, Shared: s.Shared})
 		}
 	}
-	e.res.Sets = append(sets, e.res.Sets...)
-	e.res.OpRecords = append(commitOps, e.tl.Ops()...)
-	e.res.MemRecords = append(commitMems, e.tl.Mems()...)
-	// The makespan is when the merged work actually finishes — not
-	// tl.Makespan(), whose resource seeds sit at the fault cycle even
+	res.Sets = append(sets, res.Sets...)
+	res.OpRecords = append(commitOps, res.OpRecords...)
+	res.MemRecords = append(commitMems, res.MemRecords...)
+	// The makespan is when the merged work actually finishes — not the
+	// timeline's, whose resources were charged to the fault cycle even
 	// when the plan disrupts nothing (fault past the nominal makespan).
-	var makespan int64
-	for _, rec := range e.res.OpRecords {
-		makespan = max(makespan, rec.End)
+	res.LatencyCycles = 0
+	for _, rec := range res.OpRecords {
+		res.LatencyCycles = max(res.LatencyCycles, rec.End)
 	}
-	for _, rec := range e.res.MemRecords {
-		makespan = max(makespan, rec.End)
+	for _, rec := range res.MemRecords {
+		res.LatencyCycles = max(res.LatencyCycles, rec.End)
 	}
-	e.res.LatencyCycles = makespan
-	e.res.SetsEvaluated = e.nEval
-	e.res.SetsPruned = e.nPruned
-	return e.res, nil
+	return res, nil
 }

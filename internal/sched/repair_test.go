@@ -1,9 +1,15 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 
+	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/fault"
+	"github.com/flexer-sched/flexer/internal/layer"
+	"github.com/flexer-sched/flexer/internal/sim"
+	"github.com/flexer-sched/flexer/internal/spm"
+	"github.com/flexer-sched/flexer/internal/tile"
 )
 
 // TestRepairKillOneOfFourMidMakespan is the acceptance scenario: one of
@@ -227,5 +233,107 @@ func TestRepairKeepsPartialSums(t *testing.T) {
 	if repaired.TrafficBytes() > nominal.TrafficBytes()+restart.TrafficBytes() {
 		t.Errorf("repair traffic %d exceeds nominal %d + restart %d",
 			repaired.TrafficBytes(), nominal.TrafficBytes(), restart.TrafficBytes())
+	}
+}
+
+// TestRepairIgnoresCutoff: a cutoff encodes a target for the healthy
+// machine, which a degraded schedule is expected to overrun; the run
+// loop Repair shares with Schedule honours Config.CutoffCycles, so
+// Repair must clear it.
+func TestRepairIgnoresCutoff(t *testing.T) {
+	a := testArch(4)
+	gr := pressureGraph(t, a)
+	nominal, err := Schedule(gr, Config{Arch: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &fault.Plan{CoreDown: []fault.CoreDown{{Core: 1, Cycle: nominal.LatencyCycles / 2}}}
+	want, err := Repair(gr, nominal, plan, Config{Arch: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Repair(gr, nominal, plan, Config{Arch: a, CutoffCycles: 1})
+	if err != nil {
+		t.Fatalf("repair under CutoffCycles 1: %v", err)
+	}
+	validateSchedule(t, gr, got, a.Cores)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("CutoffCycles changed the repair: %d cycles / %d bytes, want %d / %d",
+			got.LatencyCycles, got.TrafficBytes(), want.LatencyCycles, want.TrafficBytes())
+	}
+}
+
+// TestRepairFallbackKeepsReadyOrder pins a repair that takes the
+// scheduler's last resort: the scratchpad holds barely more than one
+// op's operands, so after the fault no op of the ranked window can be
+// placed and nextSetOoO falls back to single ops from the whole ready
+// list — enumerated, and pruned by signature, in list order. Replaying
+// the committed prefix wakes ops in issue order; Repair sorts the list
+// back to ascending op index, the order a from-scratch run starts in.
+// The numbers are those of the Repair that built its ready list by
+// scanning the ops in index order (PR 17); leaving the list in wake
+// order gives 30 583 cycles / 137 056 bytes instead.
+func TestRepairFallbackKeepsReadyOrder(t *testing.T) {
+	a := arch.New("sliver4", 4, 1479, 32)
+	gr := buildGraph(t, layer.NewConv("fb", 29, 29, 8, 16, 3), tile.Factors{OH: 5, OW: 4, OC: 8, IC: 4}, a)
+	cfg := Config{Arch: a}
+	nominal, err := Schedule(gr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &fault.Plan{CoreDown: []fault.CoreDown{{Core: 1, Cycle: 15257}}}
+	repaired, err := Repair(gr, nominal, plan, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	validateSchedule(t, gr, repaired, a.Cores)
+	if repaired.LatencyCycles != 30628 || repaired.TrafficBytes() != 137632 {
+		t.Errorf("repair = %d cycles / %d bytes, want 30628 / 137632", repaired.LatencyCycles, repaired.TrafficBytes())
+	}
+}
+
+// TestRepairKeepsTileWrittenAsItsSpillStarts: a partial sum evicted and
+// re-loaded while its own set is placed has its spill queued behind the
+// set's loads, waiting for the previous chain op — so the spill starts
+// on the very cycle the next chain op, which writes the tile again,
+// does. The engine's scratchpad holds that tile dirty afterwards, and
+// so must the one Repair rebuilds: a same-cycle write decides over the
+// transfer. (Before PR 18 an unstable sort decided; here it dropped the
+// tile and the repair re-loaded the stale spilled copy.)
+func TestRepairKeepsTileWrittenAsItsSpillStarts(t *testing.T) {
+	a := arch.New("tie3", 3, 13312, 32)
+	gr := buildGraph(t, layer.NewConv("tie", 16, 16, 16, 32, 5), tile.Factors{OH: 9, OW: 15, OC: 13, IC: 5}, a)
+	cfg := Config{Arch: a, Priority: PriorityChainDepth, MemPolicy: spm.PolicySmallestFirst}
+	nominal, err := Schedule(gr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fc = 10620
+	var tied tile.ID
+	found := false
+	for _, m := range nominal.MemRecords {
+		for _, o := range nominal.OpRecords {
+			if m.Kind == sim.Spill && m.Start == o.Start && o.Start < fc && gr.Ops[o.Op].Out == m.Tile {
+				tied, found = m.Tile, true
+			}
+		}
+	}
+	if !found {
+		t.Fatal("nominal schedule has no spill starting with a write of its tile before the fault cycle")
+	}
+	plan := &fault.Plan{DMA: []fault.Derate{{From: fc, Factor: 2}}}
+	repaired, err := Repair(gr, nominal, plan, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	validateSchedule(t, gr, repaired, a.Cores)
+	for _, m := range repaired.MemRecords {
+		if m.Tile != tied || m.Start < fc {
+			continue
+		}
+		if m.Kind == sim.Load {
+			t.Errorf("repair re-loads %v at %d: it was dirty-resident at the fault cycle", tied, m.Start)
+		}
+		break
 	}
 }

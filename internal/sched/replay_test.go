@@ -18,7 +18,8 @@ import (
 // placement back and apply places the winner again, so on every step of
 // every kind of schedule the committed placement must come out exactly
 // as evaluated — same loads, same evictions, same utilisation — and the
-// hand-driven run must end where Schedule does.
+// hand-driven run (step's two halves with the comparison in between)
+// must end where Schedule does.
 func TestCommitReplaysWinningEvaluation(t *testing.T) {
 	roomy, tight := arch.New("replay", 4, arch.KiB(96), 32), arch.New("replay-fused", 4, arch.KiB(12), 32)
 	single := buildGraph(t, layer.NewConv("p", 28, 28, 64, 64, 3), tile.Factors{OH: 7, OW: 14, OC: 16, IC: 16}, roomy)
@@ -59,22 +60,9 @@ func TestCommitReplaysWinningEvaluation(t *testing.T) {
 							t.Fatalf("%s: %v", name, err)
 						}
 
-						cfg = cfg.withDefaults()
-						e := &engine{}
-						e.reset(gr, cfg)
-						for i := range e.rank {
-							e.rank[i] = i
-						}
-						for pos, op := range cfg.Hint {
-							e.rank[op] = pos
-						}
+						e := newTestEngine(t, gr, cfg)
 						for e.nDone < len(gr.Ops) {
-							e.mem.UnpinAll()
-							next := e.nextSetOoO
-							if cfg.Order != nil {
-								next = e.nextSetInOrder
-							}
-							won := next()
+							won := e.nextSet()
 							if won == nil {
 								t.Fatalf("%s: no feasible set at step %d", name, steps)
 							}
@@ -103,10 +91,9 @@ func TestCommitReplaysWinningEvaluation(t *testing.T) {
 								}
 							}
 						}
-						e.flush()
-						if got := e.tl.Makespan(); got != want.LatencyCycles || e.res.TrafficBytes() != want.TrafficBytes() {
+						if got := e.finish(); got.LatencyCycles != want.LatencyCycles || got.TrafficBytes() != want.TrafficBytes() {
 							t.Fatalf("%s: hand-driven run ends at %d cycles / %d bytes, Schedule at %d / %d",
-								name, got, e.res.TrafficBytes(), want.LatencyCycles, want.TrafficBytes())
+								name, got.LatencyCycles, got.TrafficBytes(), want.LatencyCycles, want.TrafficBytes())
 						}
 					}
 				}

@@ -150,9 +150,6 @@ type KindStats struct {
 	// the DMA engine but are not off-chip traffic.
 	GatherBytes int64
 	GatherCount int
-	// MoveCounts is the number of DMA movements per tile, the basis of
-	// the reload histograms of Figure 10.
-	MoveCounts map[tile.ID]int
 }
 
 // TotalBytes returns all off-chip traffic of this kind (gathers are
@@ -226,8 +223,8 @@ type engine struct {
 	// Recycled scratch. The scheduler evaluates thousands of candidate
 	// sets per run and search runs thousands of schedules per layer;
 	// this free list and these buffers keep the steady state
-	// allocation-free. All fields are nil-safe, so engines built as
-	// plain literals (Repair, tests) work unchanged.
+	// allocation-free. All fields are nil-safe: reset of a zero engine
+	// works, the buffers grow on first use.
 	evalFree []*setEval // retired set evaluations
 	window   []int      // selectWindow / nextSetInOrder result buffer
 	ranked   rankedOps  // selectWindow sort scratch
@@ -289,64 +286,103 @@ var ErrCutoff = errors.New("sched: schedule abandoned, partial makespan exceeds 
 // a survivor, so BestNPU cannot run out of cores on a validated plan.
 var errAllCoresDead = errors.New("sched: every core is dead before the remaining ops could start")
 
+// checked returns c with its defaults filled in, or the reason no run
+// can use it: an invalid machine, or a fault plan that machine cannot
+// survive.
+func (c Config) checked() (Config, error) {
+	c = c.withDefaults()
+	if err := c.Arch.Validate(); err != nil {
+		return c, err
+	}
+	if !c.FaultPlan.Empty() {
+		if err := c.FaultPlan.Validate(c.Arch.Cores); err != nil {
+			return c, err
+		}
+	}
+	return c, nil
+}
+
 // Schedule generates a schedule for the DFG under cfg and returns its
 // cost breakdown.
 func Schedule(gr *dfg.Graph, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Arch.Validate(); err != nil {
+	cfg, err := cfg.checked()
+	if err != nil {
 		return nil, err
-	}
-	if !cfg.FaultPlan.Empty() {
-		if err := cfg.FaultPlan.Validate(cfg.Arch.Cores); err != nil {
-			return nil, err
-		}
 	}
 	e := enginePool.Get().(*engine)
 	defer e.recycle()
-	e.reset(gr, cfg)
-	if cfg.Order != nil {
-		if err := e.validateOrder(cfg.Order); err != nil {
-			return nil, err
-		}
+	if err := e.start(gr, cfg); err != nil {
+		return nil, err
 	}
-	if cfg.Hint != nil && cfg.Order == nil {
+	return e.run()
+}
+
+// start readies e to schedule gr under cfg from an empty machine at
+// cycle 0: reset, then cfg's static order checked or its hint checked
+// and made the tie-break rank.
+func (e *engine) start(gr *dfg.Graph, cfg Config) error {
+	e.reset(gr, cfg)
+	switch {
+	case cfg.Order != nil:
+		return e.validateOrder(cfg.Order)
+	case cfg.Hint != nil:
 		if err := e.validateOrder(cfg.Hint); err != nil {
-			return nil, fmt.Errorf("sched: invalid hint: %w", err)
+			return fmt.Errorf("sched: invalid hint: %w", err)
 		}
 		for pos, op := range cfg.Hint {
 			e.rank[op] = pos
 		}
-	} else {
-		for i := range e.rank {
-			e.rank[i] = i
-		}
 	}
-	total := len(gr.Ops)
-	for e.nDone < total {
-		e.mem.UnpinAll()
-		var ev *setEval
-		if cfg.Order != nil {
-			ev = e.nextSetInOrder()
-		} else {
-			ev = e.nextSetOoO()
-		}
-		if ev == nil {
-			return nil, errNoProgress
-		}
-		if err := e.apply(ev); err != nil {
+	return nil
+}
+
+// run is the scheduler's one loop: from whatever state the engine is in
+// — empty after start, or mid-schedule after Repair's replay — form and
+// commit sets until every op has issued, then flush and hand out the
+// result. It fails when nothing ready fits the scratchpad, when a fault
+// plan leaves an op no core, or with ErrCutoff.
+func (e *engine) run() (*Result, error) {
+	for e.nDone < len(e.gr.Ops) {
+		if err := e.step(); err != nil {
 			return nil, err
 		}
-		if cfg.CutoffCycles > 0 && e.tl.Makespan() > cfg.CutoffCycles {
+		if e.cfg.CutoffCycles > 0 && e.tl.Makespan() > e.cfg.CutoffCycles {
 			return nil, ErrCutoff
 		}
 	}
+	return e.finish(), nil
+}
+
+// step forms the next operation set and commits it.
+func (e *engine) step() error {
+	ev := e.nextSet()
+	if ev == nil {
+		return errNoProgress
+	}
+	return e.apply(ev)
+}
+
+// nextSet forms the next operation set — following the static order
+// when cfg has one, out of order otherwise — or nil when not even one
+// op can be made resident.
+func (e *engine) nextSet() *setEval {
+	e.mem.UnpinAll()
+	if e.cfg.Order != nil {
+		return e.nextSetInOrder()
+	}
+	return e.nextSetOoO()
+}
+
+// finish writes back what is still dirty and completes the result from
+// the timeline.
+func (e *engine) finish() *Result {
 	e.flush()
 	e.res.LatencyCycles = e.tl.Makespan()
 	e.res.OpRecords = e.tl.Ops()
 	e.res.MemRecords = e.tl.Mems()
 	e.res.SetsEvaluated = e.nEval
 	e.res.SetsPruned = e.nPruned
-	return e.res, nil
+	return e.res
 }
 
 func (e *engine) validateOrder(order []int) error {
@@ -371,10 +407,12 @@ func (e *engine) validateOrder(order []int) error {
 	return nil
 }
 
-// reset prepares a (possibly recycled) engine for one run. Everything
-// handed out through the Result — the Result itself, the timeline's
-// record slices, the MoveCounts maps — is freshly allocated; all other
-// state is reused in place, at a cost linear in this graph's size.
+// reset returns a (possibly recycled) engine to the state before the
+// first step of a run: nothing issued, the scratchpad empty, the
+// timeline idle at cycle 0 with cfg's fault plan injected, ops ranked
+// by index. Everything handed out through the Result — the Result
+// itself, the timeline's record slices — is freshly allocated; all
+// other state is reused in place, at a cost linear in this graph's size.
 func (e *engine) reset(gr *dfg.Graph, cfg Config) {
 	e.cfg = cfg
 	e.gr = gr
@@ -411,28 +449,15 @@ func (e *engine) reset(gr *dfg.Graph, cfg Config) {
 	}
 	e.tl.Reserve(len(gr.Ops), len(gr.Ops))
 	e.tl.SetFaults(cfg.FaultPlan)
-	e.res = newResult(gr)
+	e.res = &Result{Factors: gr.Grid.F}
 	// A set holds at most one op per core, so this many sets at least.
 	e.res.Sets = make([]SetRecord, 0, (len(gr.Ops)+cfg.Arch.Cores-1)/cfg.Arch.Cores)
 	e.rank = zeroed(e.rank, len(gr.Ops))
+	for i := range e.rank {
+		e.rank[i] = i
+	}
 	e.pos = 0
 	e.nEval, e.nPruned, e.nDone = 0, 0, 0
-}
-
-// newResult returns an empty Result for a run over gr. Every tile of
-// a complete schedule moves at least once, so the MoveCounts maps are
-// sized for the graph's tile counts up front (growing them on demand
-// was a third of a search's allocated bytes).
-func newResult(gr *dfg.Graph) *Result {
-	res := &Result{Factors: gr.Grid.F}
-	for k := range res.PerKind {
-		n := 0
-		for _, g := range gr.Grids() {
-			n += g.NumTiles(tile.Kind(k))
-		}
-		res.PerKind[k].MoveCounts = make(map[tile.ID]int, n)
-	}
-	return res
 }
 
 // recycle returns the engine to the pool, dropping the references that
@@ -453,66 +478,69 @@ type tileRef struct {
 }
 
 // apply commits the chosen set: places it in the scratchpad for real,
-// schedules the memory operations and compute ops on the timeline,
-// updates bookkeeping, and wakes up successors. evalSet rolled its
-// placement back, so apply repeats it; placement is deterministic and
-// nothing it reads has changed since, so the loads and spills recorded
-// in ev come out the same — and whatever they are, the timeline is
-// built from the ones that actually happened. It consumes ev. It fails
-// only when a fault plan has killed every core an op could run on.
+// schedules its memory operations and then its compute ops on the
+// timeline, and retires the ops. evalSet rolled its placement back, so
+// apply repeats it; placement is deterministic and nothing it reads has
+// changed since, so the loads and spills recorded in ev come out the
+// same — and whatever they are, the timeline is built from the ones
+// that actually happened. It consumes ev. It fails only when a fault
+// plan has killed every core an op could run on.
 func (e *engine) apply(ev *setEval) error {
 	defer e.releaseEval(ev)
 	*ev = setEval{ops: ev.ops, loads: ev.loads[:0], spills: ev.spills[:0]}
 	if !e.place(ev) {
 		panic("sched: committing a set whose evaluation succeeded failed")
 	}
+	memEnd, err := e.memOps(ev)
+	if err != nil {
+		return err
+	}
+	if err := e.issue(ev.ops, memEnd); err != nil {
+		return err
+	}
+	e.mem.UnpinAll()
+	return nil
+}
 
-	// Memory operations on the shared DMA channel. Loads are issued
-	// first and gate the set's compute; write-backs of evicted dirty
-	// tiles follow — they occupy DMA bandwidth (delaying later sets'
-	// loads) and extend the makespan, but hardware double-buffers the
-	// vacated space, so they do not stall this set's compute. Ordering
-	// loads first keeps the DMA channel from idling on a write-back
-	// whose producing op has not finished yet.
-	//
-	// Fused runs add two wrinkles. A gather load assembles a consumer
-	// input tile from resident producer outputs: it starts no earlier
-	// than the last covering write and moves no off-chip bytes. A DRAM
-	// load of a consumer input instead requires every covering producer
-	// tile to exist off-chip first; producers that do not are flushed
-	// now (still resident) or have their eviction's spill pulled ahead
-	// of this load (evicted by this very set), so the round-trip reads
-	// data that has actually been written.
+// memOps schedules the memory operations of a placed set on the shared
+// DMA channel and returns when the last load arrives. Loads are issued
+// first and gate the set's compute; write-backs of evicted dirty tiles
+// follow — they occupy DMA bandwidth (delaying later sets' loads) and
+// extend the makespan, but hardware double-buffers the vacated space,
+// so they do not stall this set's compute. Ordering loads first keeps
+// the DMA channel from idling on a write-back whose producing op has
+// not finished yet.
+//
+// Fused runs add two wrinkles. A gather load assembles a consumer input
+// tile from resident producer outputs: it starts no earlier than the
+// last covering write and moves no off-chip bytes. A DRAM load of a
+// consumer input instead requires every covering producer tile to exist
+// off-chip first; producers that do not are flushed now (still
+// resident) or have their eviction's spill pulled ahead of this load
+// (evicted by this very set), so the round-trip reads data that has
+// actually been written.
+func (e *engine) memOps(ev *setEval) (int64, error) {
 	var memEnd int64
 	e.marks = zeroed(e.marks, len(ev.spills))
 	for _, ld := range ev.loads {
+		var rec sim.MemRecord
 		if ld.gather {
 			var notBefore int64
 			for _, ot := range e.gr.Covering(ld.id) {
-				if w := e.writeAt[e.gr.Num(ot)]; w > notBefore {
-					notBefore = w
+				notBefore = max(notBefore, e.writeAt[e.gr.Num(ot)])
+			}
+			rec = e.tl.Transfer(ld.id, sim.Gather, ld.size, e.cfg.Model.GatherCycles(ld.size), notBefore)
+		} else {
+			if e.fused && ld.id.Kind == tile.In && ld.id.L > 0 {
+				if err := e.ensureDRAM(ld.id, ev); err != nil {
+					return 0, err
 				}
 			}
-			rec := e.tl.Transfer(ld.id, sim.Gather, ld.size, e.cfg.Model.GatherCycles(ld.size), notBefore)
-			e.account(rec)
-			e.availAt[e.gr.Num(ld.id)] = rec.End
-			if rec.End > memEnd {
-				memEnd = rec.End
-			}
-			continue
+			rec = e.tl.Transfer(ld.id, sim.Load, ld.size, e.cfg.Model.TransferCycles(ld.size), 0)
 		}
-		if e.fused && ld.id.Kind == tile.In && ld.id.L > 0 {
-			if err := e.ensureDRAM(ld.id, ev); err != nil {
-				return err
-			}
-		}
-		lat := e.cfg.Model.TransferCycles(ld.size)
-		rec := e.tl.Transfer(ld.id, sim.Load, ld.size, lat, 0)
 		e.account(rec)
 		e.availAt[e.gr.Num(ld.id)] = rec.End
-		if rec.End > memEnd {
-			memEnd = rec.End
-		}
+		memEnd = max(memEnd, rec.End)
 	}
 	for i, sp := range ev.spills {
 		if !sp.Dirty || e.marks[i] {
@@ -532,9 +560,13 @@ func (e *engine) apply(ev *setEval) error {
 			e.hasDRAM[e.gr.Num(sp.ID)] = true
 		}
 	}
+	return memEnd, nil
+}
 
-	// Compute operations, one per core, after the set's memory ops and
-	// their chain predecessors.
+// issue puts the ops of a placed set on the timeline, one per core, no
+// earlier than the set's loads (memEnd) and their chain predecessors,
+// retires them, and records the set.
+func (e *engine) issue(ops []int, memEnd int64) error {
 	var setRec SetRecord
 	e.refs = e.refs[:0]
 	addRef := func(id tile.ID) {
@@ -546,83 +578,77 @@ func (e *engine) apply(ev *setEval) error {
 		}
 		e.refs = append(e.refs, tileRef{id: id, n: 1})
 	}
-	for _, opIdx := range ev.ops {
+	for _, opIdx := range ops {
 		op := &e.gr.Ops[opIdx]
-		in, wt, out := e.gr.Num(op.In), e.gr.Num(op.Wt), e.gr.Num(op.Out)
 		earliest := memEnd
 		if p := e.gr.Pred(opIdx); p >= 0 && e.opDone[p] > earliest {
 			earliest = e.opDone[p]
 		}
 		// An operand reused from an earlier set may still be in flight
 		// on the DMA channel: compute cannot start before it arrives.
-		earliest = max(earliest, e.availAt[in], e.availAt[wt])
+		earliest = max(earliest, e.availAt[e.gr.Num(op.In)], e.availAt[e.gr.Num(op.Wt)])
 		if op.ReadsPsum {
-			earliest = max(earliest, e.availAt[out])
+			earliest = max(earliest, e.availAt[e.gr.Num(op.Out)])
 		}
 		npu := e.tl.BestNPU(earliest, op.Cycles)
 		if npu < 0 {
 			return errAllCoresDead
 		}
-		rec := e.tl.Issue(opIdx, npu, earliest, op.Cycles)
-		e.opDone[opIdx] = rec.End
-		e.writeAt[out] = rec.End
+		e.retire(e.tl.Issue(opIdx, npu, earliest, op.Cycles))
 		e.mem.SetDirty(op.Out, true)
-		if e.fused {
-			// The write makes any off-chip copy of the tile stale (a
-			// mid-chain spill leaves a partial sum in DRAM).
-			e.hasDRAM[out] = false
-		}
-		e.remain[in]--
-		e.remain[wt]--
-		e.remain[out]--
-		if e.fused && op.In.L > 0 && e.remain[in] == 0 {
-			// The consumer input tile is exhausted: release its hold on
-			// the producer outputs covering it. Until this point each
-			// covering tile stays live (resident or backed by DRAM), so
-			// a reload of the input always has a data source.
-			for _, ot := range e.gr.Covering(op.In) {
-				e.remain[e.gr.Num(ot)]--
-			}
-		}
 		addRef(op.In)
 		addRef(op.Wt)
 		if op.ReadsPsum {
 			addRef(op.Out)
 		}
-		if succ := e.gr.Succ(opIdx); succ >= 0 {
-			e.wake(succ)
-		}
-		for _, cs := range e.gr.CrossSuccs(opIdx) {
-			e.wake(cs)
-		}
-		e.nDone++
 	}
 	for _, r := range e.refs {
 		if r.n >= 2 {
 			setRec.Shared[r.id.Kind] = true
 		}
 	}
-	setRec.Ops = append([]int(nil), ev.ops...)
+	setRec.Ops = append([]int(nil), ops...)
 	e.res.Sets = append(e.res.Sets, setRec)
 
 	// Remove the issued ops from the ready list (a set holds at most
 	// #cores ops, so the scan is cheap).
-	kept := e.ready[:0]
-	for _, op := range e.ready {
-		issued := false
-		for _, s := range ev.ops {
-			if s == op {
-				issued = true
-				break
-			}
-		}
-		if !issued {
-			kept = append(kept, op)
+	e.ready = slices.DeleteFunc(e.ready, func(op int) bool { return slices.Contains(ops, op) })
+	return nil
+}
+
+// retire is the bookkeeping of one op that has run as rec says, whether
+// issue just put it on the timeline or Repair replays it from a
+// committed schedule: its finish and write times, its operands' uses,
+// its successors' readiness.
+func (e *engine) retire(rec sim.OpRecord) {
+	op := &e.gr.Ops[rec.Op]
+	in, wt, out := e.gr.Num(op.In), e.gr.Num(op.Wt), e.gr.Num(op.Out)
+	e.opDone[rec.Op] = rec.End
+	e.writeAt[out] = rec.End
+	if e.fused {
+		// The write makes any off-chip copy of the tile stale (a
+		// mid-chain spill leaves a partial sum in DRAM).
+		e.hasDRAM[out] = false
+	}
+	e.remain[in]--
+	e.remain[wt]--
+	e.remain[out]--
+	if e.fused && op.In.L > 0 && e.remain[in] == 0 {
+		// The consumer input tile is exhausted: release its hold on
+		// the producer outputs covering it. Until this point each
+		// covering tile stays live (resident or backed by DRAM), so
+		// a reload of the input always has a data source.
+		for _, ot := range e.gr.Covering(op.In) {
+			e.remain[e.gr.Num(ot)]--
 		}
 	}
-	e.ready = kept
-	e.mem.UnpinAll()
-	return nil
+	if succ := e.gr.Succ(rec.Op); succ >= 0 {
+		e.wake(succ)
+	}
+	for _, cs := range e.gr.CrossSuccs(rec.Op) {
+		e.wake(cs)
+	}
+	e.nDone++
 }
 
 // wake records that one predecessor of op j has issued; j becomes ready
@@ -698,7 +724,6 @@ func (e *engine) account(rec sim.MemRecord) {
 		ks.GatherCount++
 		e.res.GatherBytes += rec.Bytes
 	}
-	ks.MoveCounts[rec.Tile]++
 }
 
 // flush writes back every dirty tile remaining in the scratchpad; after

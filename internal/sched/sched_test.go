@@ -325,28 +325,6 @@ func TestInPlaceAblation(t *testing.T) {
 	validateSchedule(t, gr, r, a.Cores)
 }
 
-func TestMoveCountsMatchTransferCounts(t *testing.T) {
-	a := testArch(2)
-	gr := pressureGraph(t, a)
-	r, err := Schedule(gr, Config{Arch: a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < tile.NumKinds; k++ {
-		ks := r.PerKind[k]
-		sum := 0
-		for _, n := range ks.MoveCounts {
-			sum += n
-		}
-		if want := ks.LoadCount + ks.SpillCount + ks.WritebackCount; sum != want {
-			t.Errorf("%v: move counts sum %d, transfers %d", tile.Kind(k), sum, want)
-		}
-	}
-	if len(r.MemRecords) == 0 {
-		t.Fatal("no memory operations recorded")
-	}
-}
-
 func TestSingleCoreDegeneratesToSequential(t *testing.T) {
 	a := testArch(1)
 	gr := smallGraph(t, a)

@@ -119,10 +119,8 @@ func fuseNetwork(ctx context.Context, nr *NetworkResult, opts Options) error {
 			}
 			if !opts.FaultPlan.Empty() {
 				// A degraded machine is expected to be slower than the
-				// layerwise sum; the acceptance cutoff must not apply.
-				rcfg := seg.cfg
-				rcfg.CutoffCycles = 0
-				deg, err := sched.Repair(seg.gr, seg.res, opts.FaultPlan, rcfg)
+				// layerwise sum; Repair ignores seg.cfg's acceptance cutoff.
+				deg, err := sched.Repair(seg.gr, seg.res, opts.FaultPlan, seg.cfg)
 				if err != nil {
 					return fmt.Errorf("search: degraded evaluation of fused segment %s..%s: %w",
 						nr.Layers[i].Layer.Name, nr.Layers[last].Layer.Name, err)

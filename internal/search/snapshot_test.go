@@ -68,6 +68,39 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCacheSnapshotIsDeterministic: a snapshot is a function of the
+// cache's contents — nothing in a LayerResult is a map, so two saves of
+// one cache, and a save of the cache loaded from one, are the same
+// bytes, and snapshots can be compared or content-addressed as files.
+func TestCacheSnapshotIsDeterministic(t *testing.T) {
+	opts := quickOpts(t, "arch1")
+	opts.Cache = NewCache()
+	for _, l := range []layer.Conv{layer.NewConv("a", 8, 8, 4, 4, 3), layer.NewConv("b", 16, 16, 8, 8, 3)} {
+		if _, err := SearchLayer(l, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var first, second, reloaded bytes.Buffer
+	for _, buf := range []*bytes.Buffer{&first, &second} {
+		if n, err := opts.Cache.SaveTo(buf); err != nil || n != 2 {
+			t.Fatalf("SaveTo = %d, %v", n, err)
+		}
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Error("two snapshots of one cache differ")
+	}
+	warm := NewCache()
+	if n, err := warm.LoadFrom(bytes.NewReader(first.Bytes())); err != nil || n != 2 {
+		t.Fatalf("LoadFrom = %d, %v", n, err)
+	}
+	if _, err := warm.SaveTo(&reloaded); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), reloaded.Bytes()) {
+		t.Error("the snapshot of a cache loaded from a snapshot differs from it")
+	}
+}
+
 // TestCacheSnapshotSkipsFailures checks that cached negative results
 // (a layer whose search failed) are not persisted: a failure may be
 // transient, and a restart should get a fresh chance.

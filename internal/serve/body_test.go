@@ -223,8 +223,8 @@ func TestMemoEvictedWithEntry(t *testing.T) {
 }
 
 // TestSnapshotUnchangedByHits checks that the memo is no part of a
-// snapshot: what a node saves after serving hits decodes to what it
-// would have saved before them, in as many bytes.
+// snapshot: what a node saves after serving hits is, byte for byte,
+// what it would have saved before them.
 func TestSnapshotUnchangedByHits(t *testing.T) {
 	srv, _ := newTestServer(t, Config{SearchParallelism: 1})
 	h := srv.Handler()
@@ -241,10 +241,8 @@ func TestSnapshotUnchangedByHits(t *testing.T) {
 	if _, err := srv.Cache().SaveTo(&after); err != nil {
 		t.Fatal(err)
 	}
-	// gob writes a result's maps in iteration order, so two snapshots of
-	// one cache differ in byte order; size and content do not.
-	if before.Len() != after.Len() {
-		t.Errorf("snapshot is %d bytes after hits, %d before", after.Len(), before.Len())
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Errorf("snapshot after hits (%d bytes) differs from the one before (%d bytes)", after.Len(), before.Len())
 	}
 	warm, _ := newTestServer(t, Config{SearchParallelism: 1})
 	if n, err := warm.Cache().LoadFrom(&after); err != nil || n != 1 {

@@ -78,18 +78,25 @@ func New(cores int) *Timeline {
 	return &Timeline{npuFree: make([]int64, cores)}
 }
 
-// NewAt returns a timeline whose resources start busy until the given
-// cycles: core i is first free at npuFree[i] and the DMA channel at
-// dmaFree. sched.Repair uses this to resume scheduling mid-makespan
-// with the committed prefix of an existing schedule already "charged"
-// to the resources. The slice is copied.
-func NewAt(npuFree []int64, dmaFree int64) *Timeline {
-	if len(npuFree) == 0 {
-		panic("sim: NewAt needs at least one core")
+// Charge marks the resources busy with work that has already run: each
+// core until the end of the last of ops on it, the DMA channel until the
+// end of the last of mems, and all of them until at least floor.
+// sched.Repair uses this to resume scheduling mid-makespan behind the
+// committed prefix of an existing schedule; the records themselves stay
+// with the caller. Ops naming a core the timeline lacks are ignored.
+func (t *Timeline) Charge(ops []OpRecord, mems []MemRecord, floor int64) {
+	for i := range t.npuFree {
+		t.npuFree[i] = max(t.npuFree[i], floor)
 	}
-	t := &Timeline{npuFree: make([]int64, len(npuFree)), dmaFree: dmaFree}
-	copy(t.npuFree, npuFree)
-	return t
+	for _, rec := range ops {
+		if rec.NPU >= 0 && rec.NPU < len(t.npuFree) {
+			t.npuFree[rec.NPU] = max(t.npuFree[rec.NPU], rec.End)
+		}
+	}
+	t.dmaFree = max(t.dmaFree, floor)
+	for _, rec := range mems {
+		t.dmaFree = max(t.dmaFree, rec.End)
+	}
 }
 
 // Reset returns t to an empty timeline for the given core count,

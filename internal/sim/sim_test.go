@@ -96,24 +96,27 @@ func TestMemKindStrings(t *testing.T) {
 	}
 }
 
-func TestNewAtSeedsResources(t *testing.T) {
-	tl := NewAt([]int64{100, 50}, 200)
-	if tl.Cores() != 2 || tl.NPUFree(0) != 100 || tl.NPUFree(1) != 50 || tl.DMAFree() != 200 {
-		t.Fatalf("seeded timeline: cores=%d npu0=%d npu1=%d dma=%d", tl.Cores(), tl.NPUFree(0), tl.NPUFree(1), tl.DMAFree())
+func TestChargeSeedsResources(t *testing.T) {
+	tl := New(2)
+	ops := []OpRecord{{Op: 0, NPU: 0, Start: 10, End: 100}, {Op: 1, NPU: 0, Start: 0, End: 10}, {Op: 2, NPU: 7, Start: 0, End: 900}}
+	mems := []MemRecord{{Start: 0, End: 200}, {Start: 200, End: 120}}
+	tl.Charge(ops, mems, 50)
+	if tl.NPUFree(0) != 100 || tl.NPUFree(1) != 50 || tl.DMAFree() != 200 {
+		t.Fatalf("charged timeline: npu0=%d npu1=%d dma=%d, want 100 50 200", tl.NPUFree(0), tl.NPUFree(1), tl.DMAFree())
 	}
 	if got := tl.Makespan(); got != 200 {
-		t.Fatalf("seeded makespan = %d, want 200", got)
+		t.Fatalf("charged makespan = %d, want 200", got)
+	}
+	if len(tl.Ops()) != 0 || len(tl.Mems()) != 0 {
+		t.Fatalf("Charge kept %d op and %d DMA records, want none", len(tl.Ops()), len(tl.Mems()))
 	}
 	rec := tl.Transfer(tile.ID{}, Load, 8, 10, 0)
 	if rec.Start != 200 {
-		t.Fatalf("transfer started at %d, want 200 (seeded dmaFree)", rec.Start)
+		t.Fatalf("transfer started at %d, want 200 (charged dmaFree)", rec.Start)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewAt(nil, 0) did not panic")
-		}
-	}()
-	NewAt(nil, 0)
+	if op := tl.Issue(3, 1, 0, 5); op.Start != 50 {
+		t.Fatalf("op started at %d, want 50 (the floor)", op.Start)
+	}
 }
 
 func TestFaultsFlakySlowdown(t *testing.T) {

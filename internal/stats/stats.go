@@ -26,24 +26,28 @@ type KindMovement struct {
 	MaxMoves int
 }
 
-// Movements breaks a schedule's traffic down by tile kind.
+// Movements breaks a schedule's traffic down by tile kind. A tile's
+// movement count is the number of the schedule's DMA records naming it
+// (loads, spills, write-backs and on-chip gathers alike).
 func Movements(r *sched.Result) [tile.NumKinds]KindMovement {
 	var out [tile.NumKinds]KindMovement
-	for k := 0; k < tile.NumKinds; k++ {
+	for k := range out {
 		ks := r.PerKind[k]
-		m := KindMovement{
+		out[k] = KindMovement{
 			Kind:            tile.Kind(k),
 			TotalBytes:      ks.TotalBytes(),
 			Transfers:       ks.LoadCount + ks.SpillCount + ks.WritebackCount,
 			ReloadHistogram: make(map[int]int),
 		}
-		for _, n := range ks.MoveCounts {
-			m.ReloadHistogram[n]++
-			if n > m.MaxMoves {
-				m.MaxMoves = n
-			}
-		}
-		out[k] = m
+	}
+	moves := make(map[tile.ID]int)
+	for _, rec := range r.MemRecords {
+		moves[rec.Tile]++
+	}
+	for id, n := range moves {
+		m := &out[id.Kind]
+		m.ReloadHistogram[n]++
+		m.MaxMoves = max(m.MaxMoves, n)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/flexer-sched/flexer/internal/arch"
@@ -8,6 +9,7 @@ import (
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/model"
 	"github.com/flexer-sched/flexer/internal/sched"
+	"github.com/flexer-sched/flexer/internal/sim"
 	"github.com/flexer-sched/flexer/internal/tile"
 )
 
@@ -53,6 +55,68 @@ func TestMovementsConsistent(t *testing.T) {
 	}
 	if total != r.TrafficBytes() {
 		t.Errorf("movements total %d != schedule traffic %d", total, r.TrafficBytes())
+	}
+}
+
+// TestHistogramCountsEveryTransfer: the reload histogram of a kind
+// accounts for every DMA record of that kind — loads, spills,
+// write-backs and, in a fused schedule, on-chip gathers.
+func TestHistogramCountsEveryTransfer(t *testing.T) {
+	_, single := schedulePressure(t)
+	a := arch.New("fused", 4, arch.KiB(12), 32)
+	g1, err := tile.NewGrid(layer.NewConv("a", 10, 10, 16, 16, 3), tile.Factors{OH: 4, OW: 4, OC: 8, IC: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := tile.NewGrid(layer.NewConv("b", 10, 10, 16, 8, 3), tile.Factors{OH: 4, OW: 5, OC: 4, IC: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr, err := dfg.BuildFused([]*tile.Grid{g1, g2}, model.New(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused, err := sched.Schedule(gr, sched.Config{Arch: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fused.GatherBytes == 0 {
+		t.Fatal("fused schedule gathers nothing")
+	}
+	for name, r := range map[string]*sched.Result{"single": single, "fused": fused} {
+		for k, m := range Movements(r) {
+			ks := r.PerKind[k]
+			sum := 0
+			for moves, tiles := range m.ReloadHistogram {
+				sum += moves * tiles
+			}
+			if want := ks.LoadCount + ks.SpillCount + ks.WritebackCount + ks.GatherCount; sum != want {
+				t.Errorf("%s %v: histogram accounts %d movements, schedule has %d", name, m.Kind, sum, want)
+			}
+		}
+	}
+}
+
+// TestMovementsCountsMemRecords: a hand-built timeline with a known
+// histogram.
+func TestMovementsCountsMemRecords(t *testing.T) {
+	in0, in1 := tile.ID{Kind: tile.In}, tile.ID{Kind: tile.In, A: 1}
+	wt := tile.ID{Kind: tile.Wt}
+	out := tile.ID{Kind: tile.Out}
+	r := &sched.Result{MemRecords: []sim.MemRecord{
+		{Tile: in0, Kind: sim.Load}, {Tile: wt, Kind: sim.Load}, {Tile: in1, Kind: sim.Load},
+		{Tile: out, Kind: sim.Spill}, {Tile: in0, Kind: sim.Load}, {Tile: out, Kind: sim.Load},
+		{Tile: in0, Kind: sim.Load}, {Tile: out, Kind: sim.Writeback},
+	}}
+	ms := Movements(r)
+	want := [tile.NumKinds]map[int]int{tile.In: {3: 1, 1: 1}, tile.Wt: {1: 1}, tile.Out: {3: 1}}
+	for k, m := range ms {
+		if !reflect.DeepEqual(m.ReloadHistogram, want[k]) {
+			t.Errorf("%v: histogram %v, want %v", m.Kind, m.ReloadHistogram, want[k])
+		}
+	}
+	if ms[tile.In].MaxMoves != 3 || ms[tile.Wt].MaxMoves != 1 || ms[tile.Out].MaxMoves != 3 {
+		t.Errorf("MaxMoves = %d/%d/%d, want 3/1/3", ms[tile.In].MaxMoves, ms[tile.Wt].MaxMoves, ms[tile.Out].MaxMoves)
 	}
 }
 
