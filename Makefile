@@ -101,9 +101,12 @@ bench-guard:
 
 # Short native-fuzzing run over the packages with fuzz targets: the
 # schedule verifier (repaired schedules under random fault plans), the
-# scratchpad allocator, and the fused-graph pipeline (random two-layer
-# fusions scheduled and verified end to end, including the cross-layer
-# residency checks). Each package must hold exactly one Fuzz* function
+# scratchpad allocator (nested checkpoints included), the fused-graph
+# pipeline (random two-layer fusions scheduled and verified end to end,
+# including the cross-layer residency checks), and the scheduler's set
+# formation (the prefix walk against the per-width reference enumerator,
+# step by step, on a random graph, machine and limits). Each package
+# must hold exactly one Fuzz* function
 # for -fuzz=Fuzz to select. Skipped with a hint on toolchains without
 # native fuzzing support, so the target never hard-fails on an old
 # local Go (CI always has a current one).
@@ -113,7 +116,8 @@ fuzz-smoke:
 	@if $(GO) help testflag 2>/dev/null | grep -q -- '-fuzz '; then \
 		$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) -run='^$$' ./internal/verify && \
 		$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) -run='^$$' ./internal/spm && \
-		$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dfg; \
+		$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dfg && \
+		$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sched; \
 	else \
 		echo "fuzz-smoke: this Go toolchain lacks native fuzzing, skipping"; \
 	fi

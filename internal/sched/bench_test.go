@@ -10,8 +10,8 @@ import (
 )
 
 // Micro-benchmarks of one scheduling step (run with -benchmem): the
-// signature of one candidate combination, the in-place evaluation of
-// one candidate set, and one whole out-of-order step. Each runs on an
+// signature of one candidate combination, the placement of one
+// candidate set, and one whole out-of-order step. Each runs on an
 // engine stopped halfway through a schedule on the repository
 // benchmark's two 4-core machines — tight4 keeps the scratchpad under
 // pressure (placement and victim search dominate a step), roomy4 never
@@ -39,6 +39,13 @@ func midRunEngine(b *testing.B, a arch.Config) *engine {
 
 var sinkSig []uint64
 
+// BenchmarkComboSignature is the signature work per full-width
+// candidate as the set walk does it: going through the width-#cores
+// combinations of the window in lexicographic order, each one pops back
+// to the prefix it shares with the one before and pushes the rest, one
+// push deriving a signature from the prefix's. (Up to PR 18 this
+// benchmark timed signing such a combination from scratch, which is now
+// the test oracle's comboSignature.)
 func BenchmarkComboSignature(b *testing.B) {
 	for _, a := range benchMachines {
 		b.Run(a.Name, func(b *testing.B) {
@@ -47,26 +54,65 @@ func BenchmarkComboSignature(b *testing.B) {
 			e.stepFacts(window, true)
 			var combos [][]int
 			forEachCombo(len(window), a.Cores, func(c []int) { combos = append(combos, append([]int(nil), c...)) })
+			w := &e.walk
+			e.beginWalk()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sinkSig = e.comboSignature(combos[i%len(combos)])
+				c := combos[i%len(combos)]
+				shared := 0
+				for shared < len(w.combo) && w.combo[shared] == c[shared] {
+					shared++
+				}
+				for len(w.combo) > shared {
+					e.pop(true)
+				}
+				for _, wi := range c[shared:] {
+					e.push(window[wi], wi, true)
+				}
+				sinkSig = w.sig[w.sigAt[len(c)]:]
 			}
 		})
 	}
 }
 
+// BenchmarkEvalSet is the placement of one full-width candidate set in
+// place on the engine's scratchpad and taking it back: "whole" places
+// every op of the set, one checkpoint each (a candidate sharing no
+// placed prefix with the one before); "extend" places the last op on a
+// prefix that is already there (the common case along the walk).
 func BenchmarkEvalSet(b *testing.B) {
 	for _, a := range benchMachines {
-		b.Run(a.Name, func(b *testing.B) {
-			e := midRunEngine(b, a)
-			set := append([]int(nil), e.selectWindow()[:a.Cores]...)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.releaseEval(e.evalSet(set))
+		for _, extend := range []bool{false, true} {
+			name := a.Name + "/whole"
+			if extend {
+				name = a.Name + "/extend"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				e := midRunEngine(b, a)
+				set := append([]int(nil), e.selectWindow()[:a.Cores]...)
+				w := &e.walk
+				e.beginWalk()
+				w.cur.ops = append(w.cur.ops, set...)
+				keep := 0
+				if extend {
+					keep = len(set) - 1
+				}
+				if !e.placeTo(keep) {
+					b.Fatal("prefix does not fit")
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !e.placeTo(len(set)) {
+						b.Fatal("set does not fit")
+					}
+					for w.placed > keep {
+						e.unplace()
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -8,12 +8,15 @@ import (
 )
 
 // nextSetOoO forms the next operation set out of order: it ranks the
-// ready queue, enumerates candidate combinations of up to #cores ops
+// ready queue, walks the candidate combinations of up to #cores ops
 // from the best-ranked window, prunes duplicates with identical
 // dataflow maps, evaluates the survivors, and returns the highest
-// priority feasible set. It degrades to smaller sets when no full-width
-// set fits in the scratchpad, and returns nil only if not even a single
-// op can be made resident.
+// priority feasible set. Every set width competes: under the default
+// priority a narrower set can legitimately beat a full-width one when
+// the extra ops would thrash the scratchpad (benefit ranks above
+// width), and when no full-width set fits only narrower ones are
+// feasible. It returns nil only if not even a single op can be made
+// resident.
 func (e *engine) nextSetOoO() *setEval {
 	window := e.selectWindow()
 	prune := !e.cfg.DisablePruning
@@ -21,35 +24,219 @@ func (e *engine) nextSetOoO() *setEval {
 		e.seen.reset()
 		e.stepFacts(window, true)
 	}
-	maxSize := e.cfg.Arch.Cores
-	if len(window) < maxSize {
-		maxSize = len(window)
-	}
-	// Evaluate every set width: under the default priority a narrower
-	// set can legitimately beat a full-width one when the extra ops
-	// would thrash the scratchpad (benefit ranks above width).
-	var best *setEval
-	for size := maxSize; size >= 1; size-- {
-		cand := e.bestSetOfSize(window, size)
-		if cand == nil {
-			continue
-		}
-		if best == nil || e.less(cand, best) {
-			e.releaseEval(best)
-			best = cand
-		} else {
-			e.releaseEval(cand)
-		}
-	}
+	best := e.walkSets(window, min(e.cfg.Arch.Cores, len(window)))
 	if best == nil && len(window) < len(e.ready) {
 		// Nothing from the window fits; fall back to single ops from
 		// the whole ready queue before reporting failure.
 		if prune {
 			e.stepFacts(e.ready, false)
 		}
-		best = e.bestSetOfSize(e.ready, 1)
+		best = e.walkSets(e.ready, 1)
 	}
 	return best
+}
+
+// setWalk is the state of one walk over candidate sets: the current
+// combination, and for each of its prefixes what the prefix has in
+// common with every set that extends it — its dataflow-map signature,
+// and its operands placed in the engine's scratchpad under one
+// checkpoint per op. In-order set formation uses the placement half.
+type setWalk struct {
+	cur    setEval // ops of the current combination; loads, spills and sums of its placed prefix
+	combo  []int   // window positions of cur.ops
+	marks  []mark  // per placed op: cur as it was before the op
+	placed int     // leading ops of cur.ops placed, each under its own open checkpoint
+	failed int     // length of the shortest prefix of cur.ops that does not fit, 0 if none is known
+	left   []int   // per set width: evaluations left under MaxCandidateSets
+
+	// sig holds the signatures of cur's prefixes back to back, the
+	// prefix of d ops starting at sigAt[d] (the empty one included): a
+	// sorted run of packed keys, see stepFacts.
+	sig   []uint64
+	sigAt []int
+}
+
+// mark is what placing one op can change of the walk's evaluation.
+type mark struct {
+	sums
+	loads, spills, fresh int
+}
+
+// walkSets visits the combinations of 1..maxSize positions of window in
+// pre-order — a combination right after the one it extends by its last
+// op — prunes those whose dataflow map has been seen this step,
+// evaluates the rest, at most MaxCandidateSets of each width, and
+// returns the best feasible evaluation (nil if none). Restricted to one
+// width, pre-order is lexicographic order, so each width sees the
+// candidates, in the order, that enumerating it alone would; one
+// running best does for all widths because less is a total order on
+// distinct sets. What the order buys is that a candidate's prefix was
+// visited just before it: its signature is the prefix's with three
+// tiles' reference counts bumped (push), and its placement is the
+// prefix's — still in the scratchpad — plus one op (placeTo). With
+// pruning on, e.facts must describe window (stepFacts) and e.seen
+// carries the step's signatures. Every checkpoint it opens is closed
+// when it returns.
+func (e *engine) walkSets(window []int, maxSize int) *setEval {
+	w := &e.walk
+	e.beginWalk()
+	w.left = append(w.left[:0], 0) // width 0: no empty set
+	for size := 1; size <= maxSize; size++ {
+		w.left = append(w.left, e.cfg.MaxCandidateSets)
+	}
+	prune := !e.cfg.DisablePruning
+	var best *setEval
+	// open is the widest width with evaluations left — nothing deeper is
+	// worth visiting — and next the window position that extends the
+	// current combination next.
+	for open, next := maxSize, 0; ; {
+		d := len(w.combo)
+		if d >= open || next >= len(window) {
+			if d == 0 {
+				return best
+			}
+			next = e.pop(prune) + 1 // on to the sibling
+			continue
+		}
+		e.push(window[next], next, prune)
+		next++
+		d++
+		if w.left[d] == 0 {
+			continue // this width is spent: on the way to a wider set only
+		}
+		if prune && !e.seen.add(w.sig[w.sigAt[d]:]) {
+			e.nPruned++
+			continue
+		}
+		w.left[d]--
+		e.nEval++
+		if e.placeTo(d) {
+			w.cur.util = e.mem.Utilization()
+			if best == nil || e.less(&w.cur, best) {
+				best = e.snapshot(best)
+			}
+		}
+		for open > 0 && w.left[open] == 0 {
+			open--
+		}
+	}
+}
+
+// beginWalk empties the walk state: no op chosen, none placed.
+func (e *engine) beginWalk() {
+	w := &e.walk
+	w.cur = setEval{ops: w.cur.ops[:0], loads: w.cur.loads[:0], spills: w.cur.spills[:0]}
+	w.combo, w.marks, w.placed, w.failed = w.combo[:0], w.marks[:0], 0, 0
+	w.sig, w.sigAt = w.sig[:0], append(w.sigAt[:0], 0)
+	e.fresh = e.fresh[:0]
+}
+
+// push extends the current combination by op, at window position wi,
+// and — with sign — derives its signature from the one it extends: a
+// copy of that sorted run in which each of the op's three tiles has its
+// key's reference count raised by one, or enters with count one. A key
+// whose count goes up moves nowhere: the last of its equals is raised,
+// and whatever follows was larger already.
+func (e *engine) push(op, wi int, sign bool) {
+	w := &e.walk
+	w.combo = append(w.combo, wi)
+	w.cur.ops = append(w.cur.ops, op)
+	if !sign {
+		return
+	}
+	f := &e.facts
+	start := len(w.sig)
+	w.sig = append(w.sig, w.sig[w.sigAt[len(w.sigAt)-1]:]...)
+	w.sigAt = append(w.sigAt, start)
+	for _, t := range f.ops[wi] {
+		n := f.count[t]
+		f.count[t] = n + 1
+		if n > 0 {
+			k := f.keys[t] | uint64(n)
+			i := len(w.sig) - 1
+			for w.sig[i] != k {
+				i--
+			}
+			w.sig[i]++
+			continue
+		}
+		k := f.keys[t] | 1
+		w.sig = append(w.sig, k)
+		i := len(w.sig) - 1
+		for ; i > start && w.sig[i-1] > k; i-- {
+			w.sig[i] = w.sig[i-1]
+		}
+		w.sig[i] = k
+	}
+}
+
+// pop drops the last op of the current combination, taking its
+// placement back if it was placed, and returns its window position.
+func (e *engine) pop(signed bool) int {
+	w := &e.walk
+	d := len(w.combo)
+	if w.placed == d {
+		e.unplace()
+	}
+	if w.failed == d {
+		w.failed = 0
+	}
+	wi := w.combo[d-1]
+	w.combo, w.cur.ops = w.combo[:d-1], w.cur.ops[:d-1]
+	if signed {
+		w.sig, w.sigAt = w.sig[:w.sigAt[d]], w.sigAt[:d]
+		for _, t := range e.facts.ops[wi] {
+			e.facts.count[t]--
+		}
+	}
+	return wi
+}
+
+// placeTo makes the first d ops of the current combination placed in
+// the scratchpad, placing only those that are not yet — lazily, so a
+// prefix no evaluated set extends is never placed — and reports whether
+// they fit. A prefix that does not is remembered until it is popped:
+// the sets extending it are infeasible without placing anything.
+func (e *engine) placeTo(d int) bool {
+	w := &e.walk
+	if w.failed != 0 {
+		return false
+	}
+	for w.placed < d {
+		w.marks = append(w.marks[:w.placed], mark{sums: w.cur.sums, loads: len(w.cur.loads), spills: len(w.cur.spills), fresh: len(e.fresh)})
+		e.mem.Checkpoint()
+		w.placed++
+		if !e.placeOp(&w.cur, w.cur.ops[w.placed-1]) {
+			e.unplace()
+			w.failed = w.placed + 1
+			return false
+		}
+	}
+	return true
+}
+
+// unplace takes back the placement of the last placed op.
+func (e *engine) unplace() {
+	w := &e.walk
+	w.placed--
+	e.mem.Rollback()
+	m := &w.marks[w.placed]
+	w.cur.sums = m.sums
+	w.cur.loads, w.cur.spills, e.fresh = w.cur.loads[:m.loads], w.cur.spills[:m.spills], e.fresh[:m.fresh]
+}
+
+// snapshot copies the walk's current evaluation into into (a recycled
+// evaluation when nil) and returns it.
+func (e *engine) snapshot(into *setEval) *setEval {
+	if into == nil {
+		into = e.getEval()
+	}
+	cur := &e.walk.cur
+	into.ops = append(into.ops[:0], cur.ops...)
+	into.loads = append(into.loads[:0], cur.loads...)
+	into.spills = append(into.spills[:0], cur.spills...)
+	into.sums, into.util = cur.sums, cur.util
+	return into
 }
 
 // rankedOps sorts ready ops by descending resident-operand bytes, ties
@@ -133,56 +320,6 @@ func (e *engine) selectWindow() []int {
 	return e.window
 }
 
-// bestSetOfSize enumerates combinations of size ops from window in
-// lexicographic order, prunes, evaluates, and returns the best feasible
-// evaluation (nil if none). With pruning on, e.facts must describe
-// window (stepFacts) and e.seen carries the step's signatures.
-func (e *engine) bestSetOfSize(window []int, size int) *setEval {
-	var best *setEval
-	prune := !e.cfg.DisablePruning
-	if cap(e.combo) < size {
-		e.combo = make([]int, size)
-		e.set = make([]int, size)
-	}
-	combo := e.combo[:size]
-	set := e.set[:size]
-	for i := range combo {
-		combo[i] = i
-	}
-	for evaluated := 0; evaluated < e.cfg.MaxCandidateSets; {
-		if prune && !e.seen.add(e.comboSignature(combo)) {
-			e.nPruned++
-		} else {
-			for i, wi := range combo {
-				set[i] = window[wi]
-			}
-			evaluated++
-			if ev := e.evalSet(set); ev != nil {
-				if best == nil || e.less(ev, best) {
-					e.releaseEval(best)
-					best = ev
-				} else {
-					e.releaseEval(ev)
-				}
-			}
-		}
-		// Advance to the next combination: bump the rightmost index that
-		// still has room and reset everything after it.
-		i := size - 1
-		for i >= 0 && combo[i] == len(window)-size+i {
-			i--
-		}
-		if i < 0 {
-			break
-		}
-		combo[i]++
-		for j := i + 1; j < size; j++ {
-			combo[j] = combo[j-1] + 1
-		}
-	}
-	return best
-}
-
 // Residency states of an operand tile in the dataflow-map signature.
 // A gatherable tile is a fused consumer input currently assemblable
 // on-chip: it moves no off-chip data, unlike a same-sized DRAM load.
@@ -202,12 +339,19 @@ const sigCountBits = 16
 // tile and, per window position, the numbers of the op's three tiles.
 // Signatures of all candidate combinations of the step are computed
 // from this table alone — no scratchpad or graph access per candidate.
+//
+// A candidate set is classified by its dataflow map (Section 4.2): for
+// every distinct operand tile, its kind, residency, byte size and the
+// number of ops in the set referencing it (output tiles: first writes
+// and psum continuations are told apart by residency + count) — as a
+// sorted run of packed keys; tile identity is deliberately not part of
+// it. Sets with equal signatures move the same data and are
+// interchangeable for the priority function, so duplicates are pruned.
 type stepFacts struct {
 	ids   []tile.ID  // distinct tiles, for de-duplication
 	keys  []uint64   // per tile: packed kind, state and size, count zero
-	count []uint16   // per tile: comboSignature scratch, zero between calls
+	count []uint16   // per tile: references from the walk's current combination, zero between walks
 	ops   [][3]int32 // per window position: tile numbers of In, Wt, Out
-	sig   []uint64   // comboSignature result buffer
 }
 
 // stepFacts fills e.facts for window from the current scratchpad. With
@@ -251,42 +395,6 @@ func (e *engine) stepFacts(window []int, dedup bool) {
 		f.count = make([]uint16, len(f.keys))
 	}
 	f.count = f.count[:len(f.keys)]
-}
-
-// comboSignature classifies the candidate set formed by the window
-// positions in combo by its dataflow map (Section 4.2): for every
-// distinct operand tile, its kind, residency, byte size and the number
-// of ops in the set referencing it (output tiles: first writes and psum
-// continuations are told apart by residency + count) — as a sorted run
-// of packed keys; tile identity is deliberately not part of it. Sets
-// with equal signatures move the same data and are interchangeable for
-// the priority function, so duplicates are pruned. The result is
-// scratch, valid until the next call.
-func (e *engine) comboSignature(combo []int) []uint64 {
-	f := &e.facts
-	for _, wi := range combo {
-		for _, t := range f.ops[wi] {
-			f.count[t]++
-		}
-	}
-	sig := f.sig[:0]
-	for _, wi := range combo {
-		for _, t := range f.ops[wi] {
-			if f.count[t] == 0 {
-				continue // already emitted
-			}
-			k := f.keys[t] | uint64(f.count[t])
-			f.count[t] = 0
-			i := len(sig)
-			sig = append(sig, k)
-			for ; i > 0 && sig[i-1] > k; i-- {
-				sig[i] = sig[i-1]
-			}
-			sig[i] = k
-		}
-	}
-	f.sig = sig
-	return sig
 }
 
 // sigSet is the set of signatures seen in one scheduling step. All keys
@@ -348,35 +456,34 @@ func (s *sigSet) probe(hash uint64, sig []uint64) uint64 {
 
 // nextSetInOrder forms the next set following the static op order: the
 // longest prefix of unissued ops, up to #cores, that are pairwise
-// independent (no op may depend on another op of the same set). When
-// the scratchpad cannot hold a full set, the set shrinks from the tail
-// until it fits.
+// independent (no op may depend on another op of the same set) and
+// whose operands, placed op by op, fit the scratchpad together: the set
+// shrinks from the tail until it fits, each dropped op counting as one
+// more set evaluated.
 func (e *engine) nextSetInOrder() *setEval {
 	order := e.cfg.Order
-	set := e.window[:0]
-	for i := e.pos; i < len(order) && len(set) < e.cfg.Arch.Cores; i++ {
+	w := &e.walk
+	e.beginWalk()
+	for i := e.pos; i < len(order) && len(w.cur.ops) < e.cfg.Arch.Cores; i++ {
 		op := order[i]
-		if p := e.gr.Pred(op); p >= 0 {
-			inSet := false
-			for _, s := range set {
-				if s == p {
-					inSet = true
-					break
-				}
-			}
-			if inSet {
-				break // in-order issue stalls at the dependent op
-			}
+		if p := e.gr.Pred(op); p >= 0 && slices.Contains(w.cur.ops, p) {
+			break // in-order issue stalls at the dependent op
 		}
-		set = append(set, op)
+		w.cur.ops = append(w.cur.ops, op)
 	}
-	e.window = set[:0]
-	for len(set) > 0 {
-		if ev := e.evalSet(set); ev != nil {
-			e.pos += len(set)
-			return ev
-		}
-		set = set[:len(set)-1]
+	n := len(w.cur.ops)
+	e.placeTo(n)
+	fit := w.placed
+	e.nEval += n - fit
+	if fit == 0 {
+		return nil
 	}
-	return nil
+	e.nEval++
+	e.pos += fit
+	w.cur.ops, w.cur.util = w.cur.ops[:fit], e.mem.Utilization()
+	ev := e.snapshot(nil)
+	for w.placed > 0 {
+		e.unplace()
+	}
+	return ev
 }

@@ -216,6 +216,7 @@ type engine struct {
 	rank    []int     // tie-break rank per op (hint position, or op index)
 	facts   stepFacts // the current step's operand table (OoO mode)
 	seen    sigSet    // the current step's candidate signatures
+	walk    setWalk   // the current step's candidate walk
 	nEval   int
 	nPruned int
 	nDone   int
@@ -226,12 +227,11 @@ type engine struct {
 	// allocation-free. All fields are nil-safe: reset of a zero engine
 	// works, the buffers grow on first use.
 	evalFree []*setEval // retired set evaluations
-	window   []int      // selectWindow / nextSetInOrder result buffer
+	window   []int      // selectWindow result buffer
 	ranked   rankedOps  // selectWindow sort scratch
 	hinted   hintedOps  // selectWindow sort scratch (hint mode)
-	combo    []int      // bestSetOfSize combination indices
-	set      []int      // bestSetOfSize op scratch
-	fresh    []tile.ID  // place: tiles brought on-chip by the current set
+	fresh    []tile.ID  // placeOp: tiles brought on-chip by the ops placed so far
+	pinned   []tile.ID  // touch: gather sources pinned for one fused input
 	refs     []tileRef  // apply: per-tile reference counts of one set
 	marks    []bool     // validateOrder: ops seen; apply: spills already issued early for a DRAM fallback
 }
@@ -479,11 +479,11 @@ type tileRef struct {
 
 // apply commits the chosen set: places it in the scratchpad for real,
 // schedules its memory operations and then its compute ops on the
-// timeline, and retires the ops. evalSet rolled its placement back, so
-// apply repeats it; placement is deterministic and nothing it reads has
-// changed since, so the loads and spills recorded in ev come out the
-// same — and whatever they are, the timeline is built from the ones
-// that actually happened. It consumes ev. It fails only when a fault
+// timeline, and retires the ops. Set formation rolled its placement
+// back, so apply repeats it; placement is deterministic and nothing it
+// reads has changed since, so the loads and spills recorded in ev come
+// out the same — and whatever they are, the timeline is built from the
+// ones that actually happened. It consumes ev. It fails only when a fault
 // plan has killed every core an op could run on.
 func (e *engine) apply(ev *setEval) error {
 	defer e.releaseEval(ev)

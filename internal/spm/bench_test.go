@@ -9,9 +9,13 @@ import (
 // The two ways to try a candidate set's allocations and take them back
 // (run with -benchmem): copy the scratchpad and allocate on the copy,
 // as the scheduler did, or allocate in place between a checkpoint and a
-// rollback, as it does now. Both run the same four allocations into
-// the free half of a scratchpad holding 48 blocks, so the allocations
-// are cheap and the difference is the mechanism.
+// rollback, as it does now — under one frame ("flat", how a whole set
+// was evaluated) or under one frame per allocation ("nested", what the
+// scheduler's set walk pays when it places every op of a set anew; its
+// point is that a set sharing a prefix with the last one does not).
+// All run the same four allocations into the free half of a scratchpad
+// holding 48 blocks, so the allocations are cheap and the difference
+// is the mechanism.
 
 func benchScratchpad(b *testing.B) (s *SPM, ru func(tile.ID) int, want []tile.ID) {
 	b.Helper()
@@ -40,14 +44,32 @@ func allocateAll(b *testing.B, s *SPM, ids []tile.ID, ru func(tile.ID) int) {
 }
 
 func BenchmarkCheckpointRollback(b *testing.B) {
-	s, ru, want := benchScratchpad(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Checkpoint()
-		allocateAll(b, s, want, ru)
-		s.Rollback()
-	}
+	b.Run("flat", func(b *testing.B) {
+		s, ru, want := benchScratchpad(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Checkpoint()
+			allocateAll(b, s, want, ru)
+			s.Rollback()
+		}
+	})
+	b.Run("nested", func(b *testing.B) {
+		s, ru, want := benchScratchpad(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j, id := range want {
+				s.Checkpoint()
+				if _, err := s.Allocate(id, int64(1+j)<<9, ru); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for range want {
+				s.Rollback()
+			}
+		}
+	})
 }
 
 func BenchmarkCloneInto(b *testing.B) {

@@ -127,11 +127,13 @@ type SPM struct {
 	// across calls so the hot allocation path stays off the heap.
 	evScratch []Eviction
 
-	// Open checkpoint: saved regions and byte count, index edits since.
-	ckActive bool
-	ckRegs   []region
-	ckUsed   int64
-	journal  []indexEdit
+	// Open checkpoints, innermost last: frames[:open]. The frames beyond
+	// keep their region buffers for the next Checkpoint. journal holds
+	// the index edits made under all of them, each frame owning the tail
+	// from its mark.
+	frames  []frame
+	open    int
+	journal []indexEdit
 
 	weight []int64 // findAlg2Run scratch: per region, size x remaining uses
 }
@@ -141,6 +143,14 @@ type SPM struct {
 type indexEdit struct {
 	num  int32
 	slot int64
+}
+
+// frame is one open checkpoint: the regions and byte count it saved,
+// and the length of the journal when it was taken.
+type frame struct {
+	regs    []region
+	used    int64
+	journal int
 }
 
 // New returns an empty scratchpad of the given capacity using the given
@@ -193,7 +203,7 @@ func (s *SPM) Clone() *SPM { return s.CloneInto(&SPM{}) }
 
 // CloneInto overwrites dst with a deep copy of s, reusing dst's
 // storage. dst must not be s. Returns dst. Like Clone it copies the
-// current state only — an open checkpoint stays with s — and of a
+// current state only — open checkpoints stay with s — and of a
 // first-seen numbering only the resident tiles' numbers: any other
 // tile is as good as new to the copy. The scheduler no longer clones
 // per candidate set (it evaluates in place between Checkpoint and
@@ -232,42 +242,55 @@ func (s *SPM) Reset(capacity int64, policy Policy) {
 	s.index, s.nums = s.index[:0], nil
 	clear(s.seen)
 	s.cap = capacity
-	s.regs = append(s.regs[:0], region{addr: 0, size: capacity})
+	// Room for a few regions from the start: a fresh scratchpad would
+	// otherwise grow through 1, 2, 4 and 8 on its first allocations, and
+	// every checkpoint frame after it.
+	s.regs = append(slices.Grow(s.regs[:0], 16), region{addr: 0, size: capacity})
 	s.used = 0
 	s.policy = policy
 	s.inPlace = true
-	s.ckActive = false
+	s.open, s.journal = 0, s.journal[:0]
 }
 
-// Checkpoint saves the scratchpad state so that a following Rollback
+// Checkpoint saves the scratchpad state so that the matching Rollback
 // undoes every Allocate, Evict, Pin, Unpin and SetDirty made in
 // between. It copies the region slice and journals index edits instead
 // of copying the index, so a checkpoint/rollback pair costs one small
-// memmove plus the edits actually made — the scheduler evaluates
-// every candidate set this way on its one scratchpad. At most one
-// checkpoint is open at a time: Checkpoint panics when one is, Rollback
-// when none is, and Reset discards an open one.
+// memmove plus the edits actually made. Checkpoints nest: each opens a
+// frame on a stack, and Rollback closes the innermost open one,
+// returning to the state that frame saved — the scheduler walks its
+// candidate sets this way on its one scratchpad, one frame per placed
+// op, so a set that extends another places only the op it adds.
+// Rollback panics when no frame is open; Reset discards every open one.
 func (s *SPM) Checkpoint() {
-	if s.ckActive {
-		panic("spm: Checkpoint with a checkpoint already open")
+	if s.open == len(s.frames) {
+		s.frames = append(s.frames, frame{})
 	}
-	s.ckActive = true
-	s.ckRegs = append(s.ckRegs[:0], s.regs...)
-	s.ckUsed = s.used
-	s.journal = s.journal[:0]
+	f := &s.frames[s.open]
+	s.open++
+	if cap(f.regs) < len(s.regs) {
+		// Rollback swaps this buffer in as the region slice: give it the
+		// room that one has, or the next split grows it all over again.
+		f.regs = make([]region, 0, cap(s.regs))
+	}
+	f.regs = append(f.regs[:0], s.regs...)
+	f.used, f.journal = s.used, len(s.journal)
 }
 
-// Rollback restores the state saved by the open checkpoint, closing it.
+// Rollback restores the state saved by the innermost open checkpoint,
+// closing it.
 func (s *SPM) Rollback() {
-	if !s.ckActive {
+	if s.open == 0 {
 		panic("spm: Rollback without an open checkpoint")
 	}
-	s.ckActive = false
-	s.regs, s.ckRegs = s.ckRegs, s.regs
-	s.used = s.ckUsed
-	for i := len(s.journal) - 1; i >= 0; i-- {
+	s.open--
+	f := &s.frames[s.open]
+	s.regs, f.regs = f.regs, s.regs
+	s.used = f.used
+	for i := len(s.journal) - 1; i >= f.journal; i-- {
 		s.index[s.journal[i].num] = s.journal[i].slot
 	}
+	s.journal = s.journal[:f.journal]
 }
 
 // Capacity returns the scratchpad size in bytes.
@@ -413,7 +436,7 @@ func (s *SPM) evictAt(i int, remain useCounts) Eviction {
 		panic("spm: evictAt on free region")
 	}
 	ev := Eviction{ID: r.id, Size: r.size, Dirty: r.dirty, RemainUses: remain.of(r)}
-	if s.ckActive {
+	if s.open > 0 {
 		s.journal = append(s.journal, indexEdit{num: r.num, slot: r.addr + 1})
 	}
 	s.index[r.num] = 0
@@ -571,7 +594,7 @@ func (s *SPM) place(i int, id tile.ID, n int, size int64) {
 		s.regs[i] = blk
 		s.regs[i+1] = frag
 	}
-	if s.ckActive {
+	if s.open > 0 {
 		s.journal = append(s.journal, indexEdit{num: blk.num})
 	}
 	s.index[n] = blk.addr + 1

@@ -299,11 +299,14 @@ func observe(s interface {
 
 // TestCheckpointRollbackRestores: whatever happens between a checkpoint
 // and its rollback — allocations with spills under every policy,
-// evictions, pins, dirty bits — the rollback restores every observable
-// of the scratchpad, the representation invariants hold, and the
+// evictions, pins, dirty bits, further checkpoints opened and closed —
+// the rollback restores every observable of the scratchpad as it was
+// at that depth, the representation invariants hold, and the
 // scratchpad keeps working (the next round starts from the restored
-// state and reuses the checkpoint buffers). Run on a twin: bound and
-// interned scratchpads must agree throughout.
+// state and reuses the frames' buffers). Each round nests to a random
+// depth and sometimes closes and re-opens inner frames on the way. Run
+// on a twin: bound and interned scratchpads must agree throughout, and
+// every rollback must land on the clone taken at its checkpoint.
 func TestCheckpointRollbackRestores(t *testing.T) {
 	const ids = 48
 	for _, policy := range []Policy{PolicyFlexer, PolicyFirstFit, PolicySmallestFirst} {
@@ -332,19 +335,33 @@ func TestCheckpointRollbackRestores(t *testing.T) {
 						}
 					}
 				}
-				for round := 0; round < 8; round++ {
-					mutate(rng.Intn(30)) // committed work between checkpoints
-					s.Checkpoint()
-					want := observe(s, ids)
-					mutate(rng.Intn(40))
+				var want []*observed // per open checkpoint
+				rollback := func(round int) bool {
 					s.Rollback()
-					if got := observe(s, ids); !reflect.DeepEqual(got, want) {
-						t.Logf("seed %d round %d: rollback restored\n%+v\nwant\n%+v", seed, round, got, want)
+					got := observe(s, ids)
+					if !reflect.DeepEqual(got, want[len(want)-1]) {
+						t.Logf("seed %d round %d: rollback to depth %d restored\n%+v\nwant\n%+v", seed, round, len(want)-1, got, want[len(want)-1])
 						return false
 					}
-					if err := s.CheckInvariants(); err != nil {
-						t.Logf("seed %d round %d: %v", seed, round, err)
-						return false
+					want = want[:len(want)-1]
+					return true
+				}
+				for round := 0; round < 8; round++ {
+					mutate(rng.Intn(30)) // committed work between checkpoints
+					for depth := 1 + rng.Intn(6); depth > 0; depth-- {
+						s.Checkpoint()
+						want = append(want, observe(s, ids))
+						mutate(rng.Intn(15))
+						if rng.Intn(4) == 0 { // a sibling: close this frame, open the next on its parent
+							if !rollback(round) {
+								return false
+							}
+						}
+					}
+					for len(want) > 0 {
+						if !rollback(round) {
+							return false
+						}
 					}
 				}
 				return true
@@ -356,8 +373,10 @@ func TestCheckpointRollbackRestores(t *testing.T) {
 	}
 }
 
-// TestCheckpointPairing: checkpoints do not nest and a rollback needs
-// one; Reset discards an open checkpoint and a clone never carries one.
+// TestCheckpointPairing: checkpoints nest and close innermost first —
+// each Rollback returns to the state its own Checkpoint saved; a
+// rollback with none open panics; Reset discards every open checkpoint
+// and a clone never carries one.
 func TestCheckpointPairing(t *testing.T) {
 	panics := func(f func()) (p bool) {
 		defer func() { p = recover() != nil }()
@@ -368,20 +387,35 @@ func TestCheckpointPairing(t *testing.T) {
 	if !panics(s.Rollback) {
 		t.Error("Rollback without a checkpoint did not panic")
 	}
-	s.Checkpoint()
-	if !panics(s.Checkpoint) {
-		t.Error("nested Checkpoint did not panic")
+	ru := func(tile.ID) int { return 1 }
+	const depth = 5
+	var want []*observed
+	for d := 0; d < depth; d++ {
+		s.Checkpoint()
+		want = append(want, observe(s, depth))
+		if _, err := s.Allocate(mkID(d), 100, ru); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if c := s.Clone(); !panics(c.Rollback) {
-		t.Error("clone of a checkpointed scratchpad carries the checkpoint")
+		t.Error("clone of a checkpointed scratchpad carries a checkpoint")
 	}
 	if c := s.CloneInto(New(1, PolicyFlexer)); !panics(c.Rollback) {
-		t.Error("CloneInto of a checkpointed scratchpad carries the checkpoint")
+		t.Error("CloneInto of a checkpointed scratchpad carries a checkpoint")
 	}
-	s.Rollback()
+	for d := depth - 1; d >= 0; d-- {
+		s.Rollback()
+		if got := observe(s, depth); !reflect.DeepEqual(got, want[d]) {
+			t.Fatalf("rollback to depth %d restored\n%+v\nwant\n%+v", d, got, want[d])
+		}
+	}
+	if !panics(s.Rollback) {
+		t.Errorf("a %d-th Rollback closed one of %d checkpoints twice", depth+1, depth)
+	}
+	s.Checkpoint()
 	s.Checkpoint()
 	s.Reset(1<<10, PolicyFlexer)
 	if !panics(s.Rollback) {
-		t.Error("Reset kept the open checkpoint")
+		t.Error("Reset kept an open checkpoint")
 	}
 }

@@ -20,12 +20,16 @@ func (testNums) Num(id tile.ID) int { return id.A }
 // number (how the scheduler does). Every operation goes to both, and
 // after every operation both must report the same evictions, the same
 // error or none, the same blocks and sound invariants: the number's
-// source must not show. The random-sequence property, the
-// checkpoint/rollback property and FuzzAllocator all drive a twin.
+// source must not show. A checkpoint also takes a clone, and the
+// matching rollback — however many frames were opened and closed above
+// it — must land on that clone block for block. The random-sequence
+// property, the checkpoint/rollback property and FuzzAllocator all
+// drive a twin.
 type twin struct {
 	t               testing.TB
 	interned, bound *SPM
 	tab             []int32 // remaining uses by number, refreshed from the caller's function
+	marks           []*SPM  // per open checkpoint, a clone taken as it opened
 }
 
 // twinIDs bounds the tile numbers the twin tests draw from (mkID(0..63)).
@@ -94,12 +98,28 @@ func (w *twin) Has(id tile.ID) bool {
 
 func (w *twin) SetDirty(id tile.ID, d bool) { w.interned.SetDirty(id, d); w.bound.SetDirty(id, d) }
 func (w *twin) UnpinAll()                   { w.interned.UnpinAll(); w.bound.UnpinAll() }
-func (w *twin) Checkpoint()                 { w.interned.Checkpoint(); w.bound.Checkpoint() }
-func (w *twin) Rollback()                   { w.interned.Rollback(); w.bound.Rollback(); w.agree("Rollback") }
 func (w *twin) Blocks() []BlockInfo         { w.agree("Blocks"); return w.bound.Blocks() }
 func (w *twin) AllocatedBytes() int64       { return w.bound.AllocatedBytes() }
 func (w *twin) LargestFree() int64          { return w.bound.LargestFree() }
 func (w *twin) Capacity() int64             { return w.bound.Capacity() }
+
+func (w *twin) Checkpoint() {
+	w.marks = append(w.marks, w.bound.Clone())
+	w.interned.Checkpoint()
+	w.bound.Checkpoint()
+}
+
+func (w *twin) Rollback() {
+	w.t.Helper()
+	w.interned.Rollback()
+	w.bound.Rollback()
+	w.agree("Rollback")
+	depth := len(w.marks) - 1
+	if got, want := w.bound.Blocks(), w.marks[depth].Blocks(); !slices.Equal(got, want) {
+		w.t.Fatalf("Rollback to depth %d restored\n%+v\nthe clone taken there holds\n%+v", depth, got, want)
+	}
+	w.marks = w.marks[:depth]
+}
 
 // CheckInvariants checks both scratchpads, and that they agree.
 func (w *twin) CheckInvariants() error { w.agree("CheckInvariants"); return nil }
