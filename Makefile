@@ -105,9 +105,11 @@ bench-guard:
 # pipeline (random two-layer fusions scheduled and verified end to end,
 # including the cross-layer residency checks), and the scheduler's set
 # formation (the prefix walk against the per-width reference enumerator,
-# step by step, on a random graph, machine and limits). Each package
-# must hold exactly one Fuzz* function
-# for -fuzz=Fuzz to select. Skipped with a hint on toolchains without
+# step by step, on a random graph, machine and limits) and look-ahead
+# floors (never falling, never above what the run reaches, on the same
+# draws plus a random fault plan). -fuzz must select one Fuzz* function:
+# sched holds two and names each, the other packages hold one.
+# Skipped with a hint on toolchains without
 # native fuzzing support, so the target never hard-fails on an old
 # local Go (CI always has a current one).
 FUZZTIME ?= 20s
@@ -117,7 +119,8 @@ fuzz-smoke:
 		$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) -run='^$$' ./internal/verify && \
 		$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) -run='^$$' ./internal/spm && \
 		$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dfg && \
-		$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sched; \
+		$(GO) test -fuzz='^FuzzSetWalk$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sched && \
+		$(GO) test -fuzz='^FuzzFloors$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sched; \
 	else \
 		echo "fuzz-smoke: this Go toolchain lacks native fuzzing, skipping"; \
 	fi

@@ -144,7 +144,8 @@ func runLayer(l flexer.Conv, opts flexer.Options, jsonPath, csvPath string, gant
 		lr.Degraded = deg
 		lr.FaultPlan = plan
 	}
-	fmt.Printf("# searched %d tilings in %v\n\n", len(lr.Candidates), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("# searched %d tilings (%d scheduled to completion, %d pruned, %d runs aborted) in %v\n\n",
+		lr.CandidatesEnumerated, len(lr.Candidates), lr.CandidatesPruned, lr.SchedulesAborted, time.Since(start).Round(time.Millisecond))
 	printSchedule("flexer (OoO)", lr.BestOoO)
 	printSchedule("best static ("+lr.BestStaticOrder.Name+")", lr.BestStatic)
 	if lr.Degraded != nil {

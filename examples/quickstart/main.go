@@ -44,7 +44,8 @@ func main() {
 
 	fmt.Printf("layer   : %s\n", layer)
 	fmt.Printf("hardware: %s\n", cfg)
-	fmt.Printf("tilings : %d searched\n\n", len(result.Candidates))
+	fmt.Printf("tilings : %d searched (%d scheduled to completion, %d pruned, %d runs aborted)\n\n",
+		result.CandidatesEnumerated, len(result.Candidates), result.CandidatesPruned, result.SchedulesAborted)
 
 	ooo, static := result.BestOoO, result.BestStatic
 	fmt.Printf("out-of-order: tiling %-14s %9d cycles, %9d bytes moved\n",

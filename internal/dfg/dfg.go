@@ -72,12 +72,34 @@ type Graph struct {
 	grids    []*tile.Grid // per-layer grids, grids[0] == Grid
 	base     []int        // base[kind*NumLayers+layer]: number of that kind and layer's first tile
 	opOffset []int        // first op index of each layer
+	floor    Floor
 
 	// Fused-graph state; nil for single-layer graphs.
 	cover      [][]tile.ID // by consumer IN tile number -> covering producer OTs
 	crossSuccs [][]int     // by producer final op -> dependent consumer ops
 	crossPreds [][]int     // by consumer op -> producer final ops of its IN's cover
 }
+
+// Floor totals the work no schedule of a graph avoids, under the model
+// the graph was built with. The scheduler counts it down as a run
+// issues it: what is left is a floor on what the run still has to do
+// (sched.Config.Cutoff).
+type Floor struct {
+	// OpCycles is the summed nominal latency of the ops.
+	OpCycles int64
+	// LoadBytes and LoadCycles are the size and DMA latency of the
+	// mandatory loads: each first-layer IN tile and each WT tile comes
+	// from off-chip at least once. A fused consumer's IN tiles may be
+	// gathered on-chip instead and are not counted.
+	LoadBytes, LoadCycles int64
+	// WritebackBytes is the size of the last layer's OT tiles, each
+	// written off-chip exactly once, when finished. A fused producer's
+	// OT tiles may never leave the chip and are not counted.
+	WritebackBytes int64
+}
+
+// Floor returns the graph's totals; see Floor.
+func (gr *Graph) Floor() Floor { return gr.floor }
 
 // Fused reports whether the graph spans more than one layer.
 func (gr *Graph) Fused() bool { return len(gr.grids) > 1 }
@@ -221,7 +243,18 @@ func build(grids []*tile.Grid, m model.Model) *Graph {
 	}
 	gr.Ops = make([]Op, 0, ops)
 	gr.uses = make([]int32, tiles)
+	gr.floor.WritebackBytes = grids[nl-1].TotalTileBytes(tile.Out)
 	for l, g := range grids {
+		for _, k := range []tile.Kind{tile.In, tile.Wt} {
+			if k == tile.In && l > 0 {
+				continue // a consumer's input may be gathered on-chip
+			}
+			for i := 0; i < g.NumTiles(k); i++ {
+				sz := g.Size(g.TileAt(k, i))
+				gr.floor.LoadBytes += sz
+				gr.floor.LoadCycles += m.TransferCycles(sz)
+			}
+		}
 		// Within a layer every tile of a kind is touched equally often:
 		// an input tile by each out-channel block, a weight tile by each
 		// spatial block, an output tile by each accumulation step.
@@ -237,6 +270,8 @@ func build(grids []*tile.Grid, m model.Model) *Graph {
 				for oc := 0; oc < g.NOC; oc++ {
 					for ic := 0; ic < g.NIC; ic++ {
 						rows, cols, ochs, ichs := g.OpDims(oh, ow, oc, ic)
+						cycles := m.ConvCycles(rows, cols, ochs, ichs, conv.KerH, conv.KerW)
+						gr.floor.OpCycles += cycles
 						gr.Ops = append(gr.Ops, Op{
 							ID: len(gr.Ops),
 							OH: oh, OW: ow, OC: oc, IC: ic,
@@ -246,7 +281,7 @@ func build(grids []*tile.Grid, m model.Model) *Graph {
 							ReadsPsum: ic > 0,
 							Final:     ic == g.NIC-1,
 							Layer:     l,
-							Cycles:    m.ConvCycles(rows, cols, ochs, ichs, conv.KerH, conv.KerW),
+							Cycles:    cycles,
 						})
 					}
 				}

@@ -216,3 +216,40 @@ func TestBuildFusedRejectsMismatch(t *testing.T) {
 		t.Error("empty grid list accepted")
 	}
 }
+
+// TestFloorCountsWhatNoScheduleAvoids: a graph's Floor is every op's
+// cycles, every tile that exists only off-chip before the run (layer 0's
+// inputs, every layer's weights) loaded once, and the last layer's
+// outputs written once — a fused consumer's inputs and a fused
+// producer's outputs are not in it.
+func TestFloorCountsWhatNoScheduleAvoids(t *testing.T) {
+	g1, g2 := fusedPair(t)
+	m := model.New(arch.New("t", 2, arch.KiB(256), 32))
+	loads := func(g *tile.Grid, kinds ...tile.Kind) (bytes, dma int64) {
+		for _, k := range kinds {
+			for i := 0; i < g.NumTiles(k); i++ {
+				bytes += g.Size(g.TileAt(k, i))
+				dma += m.TransferCycles(g.Size(g.TileAt(k, i)))
+			}
+		}
+		return
+	}
+	opCycles := func(gr *Graph) (sum int64) {
+		for _, op := range gr.Ops {
+			sum += op.Cycles
+		}
+		return
+	}
+
+	single := Build(g1, m)
+	loadBytes, loadCycles := loads(g1, tile.In, tile.Wt)
+	if got, want := single.Floor(), (Floor{opCycles(single), loadBytes, loadCycles, g1.TotalTileBytes(tile.Out)}); got != want {
+		t.Errorf("single-layer floor %+v, want %+v", got, want)
+	}
+
+	fused := buildFusedPair(t)
+	wtBytes, wtCycles := loads(g2, tile.Wt)
+	if got, want := fused.Floor(), (Floor{opCycles(fused), loadBytes + wtBytes, loadCycles + wtCycles, g2.TotalTileBytes(tile.Out)}); got != want {
+		t.Errorf("fused floor %+v, want %+v", got, want)
+	}
+}

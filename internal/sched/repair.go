@@ -67,13 +67,13 @@ func checkNominal(gr *dfg.Graph, nominal *Result, seen []bool) error {
 //
 // An empty plan returns nominal unchanged; otherwise nominal must be a
 // complete schedule of gr (checkNominal). cfg should be the config
-// nominal was built with; its Order, Hint and CutoffCycles are ignored
+// nominal was built with; its Order, Hint and cutoff are ignored
 // (repair is always out-of-order — the nominal op sequence is
 // unachievable on the degraded machine, which is the point — and a
 // degraded schedule is expected to overrun whatever target a cutoff
 // encoded for the healthy one).
 func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Result, error) {
-	cfg.Order, cfg.Hint, cfg.CutoffCycles = nil, nil, 0
+	cfg.Order, cfg.Hint, cfg.Cutoff, cfg.CutoffCycles = nil, nil, nil, 0
 	cfg.FaultPlan = plan
 	cfg, err := cfg.checked()
 	if err != nil {

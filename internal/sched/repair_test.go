@@ -238,8 +238,8 @@ func TestRepairKeepsPartialSums(t *testing.T) {
 
 // TestRepairIgnoresCutoff: a cutoff encodes a target for the healthy
 // machine, which a degraded schedule is expected to overrun; the run
-// loop Repair shares with Schedule honours Config.CutoffCycles, so
-// Repair must clear it.
+// loop Repair shares with Schedule honours Config.Cutoff (and its
+// CutoffCycles shorthand), so Repair must clear both.
 func TestRepairIgnoresCutoff(t *testing.T) {
 	a := testArch(4)
 	gr := pressureGraph(t, a)
@@ -252,14 +252,19 @@ func TestRepairIgnoresCutoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Repair(gr, nominal, plan, Config{Arch: a, CutoffCycles: 1})
-	if err != nil {
-		t.Fatalf("repair under CutoffCycles 1: %v", err)
-	}
-	validateSchedule(t, gr, got, a.Cores)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("CutoffCycles changed the repair: %d cycles / %d bytes, want %d / %d",
-			got.LatencyCycles, got.TrafficBytes(), want.LatencyCycles, want.TrafficBytes())
+	for name, cfg := range map[string]Config{
+		"Cutoff":       {Arch: a, Cutoff: func(int64, int64) bool { return true }},
+		"CutoffCycles": {Arch: a, CutoffCycles: 1},
+	} {
+		got, err := Repair(gr, nominal, plan, cfg)
+		if err != nil {
+			t.Fatalf("repair under %s: %v", name, err)
+		}
+		validateSchedule(t, gr, got, a.Cores)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s changed the repair: %d cycles / %d bytes, want %d / %d",
+				name, got.LatencyCycles, got.TrafficBytes(), want.LatencyCycles, want.TrafficBytes())
+		}
 	}
 }
 

@@ -76,8 +76,9 @@ func ParsePriority(name string) (Priority, error) {
 type Config struct {
 	// Arch is the hardware configuration.
 	Arch arch.Config
-	// Model supplies op and transfer latencies. The zero Model is
-	// replaced by model.New(Arch).
+	// Model supplies transfer latencies and must be the one the graph
+	// was built with, which its op latencies and its Floor come from.
+	// The zero Model is replaced by model.New(Arch).
 	Model model.Model
 	// Priority selects the set priority function.
 	Priority Priority
@@ -108,13 +109,19 @@ type Config struct {
 	// inside a derate window take proportionally longer. The plan must
 	// leave at least one core alive (Validate enforces this).
 	FaultPlan *fault.Plan
-	// CutoffCycles, when positive, aborts the run with ErrCutoff as
-	// soon as the partial schedule's makespan exceeds it. The timeline
-	// only ever grows, so a partial makespan is a lower bound on the
-	// final latency: a run that trips the cutoff is provably worse
-	// than whatever target the cutoff encodes. The search uses this to
-	// abandon candidate schedules dominated by the incumbent best
-	// without running them to completion.
+	// Cutoff, when non-nil, is asked after every step whether no
+	// schedule this run can still become is wanted; the run then ends
+	// with ErrCutoff. Its arguments are admissible floors (see
+	// engine.floors): no completion of the partial schedule has a
+	// smaller makespan before the final write-backs — hence none a
+	// smaller LatencyCycles — or smaller TrafficBytes, and neither
+	// floor ever falls from one step to the next. The search abandons
+	// the runs its incumbent dominates this way, as soon as that is
+	// provable and not when the partial makespan finally shows it.
+	Cutoff func(cyclesFloor, bytesFloor int64) bool
+	// CutoffCycles, when positive and Cutoff is nil, is short for a
+	// Cutoff of cyclesFloor > CutoffCycles. The repository benchmark
+	// (bench/) sets it; nothing else should.
 	CutoffCycles int64
 }
 
@@ -133,6 +140,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxCandidateSets <= 0 {
 		c.MaxCandidateSets = DefaultMaxCandidateSets
+	}
+	if k := c.CutoffCycles; c.Cutoff == nil && k > 0 {
+		c.Cutoff = func(cycles, _ int64) bool { return cycles > k }
 	}
 	return c
 }
@@ -220,6 +230,11 @@ type engine struct {
 	nEval   int
 	nPruned int
 	nDone   int
+	// What is left of the graph's Floor — ops to issue, mandatory loads
+	// to make (loaded marks the ones made, by tile number), final
+	// write-backs to pay — for floors.
+	owed   dfg.Floor
+	loaded []bool
 
 	// Recycled scratch. The scheduler evaluates thousands of candidate
 	// sets per run and search runs thousands of schedules per layer;
@@ -276,11 +291,11 @@ var enginePool = sync.Pool{New: func() any { return &engine{} }}
 
 var errNoProgress = errors.New("sched: no feasible operation set (tiling too large for SPM?)")
 
-// ErrCutoff reports a run abandoned because its partial makespan
-// exceeded Config.CutoffCycles. It marks dominated work, not failure:
-// callers skip the schedule but must not treat the tiling as
-// infeasible.
-var ErrCutoff = errors.New("sched: schedule abandoned, partial makespan exceeds cutoff")
+// ErrCutoff reports a run abandoned because Config.Cutoff said that
+// nothing it could still become was wanted. It marks dominated work,
+// not failure: callers skip the schedule but must not treat the tiling
+// as infeasible.
+var ErrCutoff = errors.New("sched: schedule abandoned by its cutoff")
 
 // errAllCoresDead is defensive: Config.FaultPlan validation guarantees
 // a survivor, so BestNPU cannot run out of cores on a validated plan.
@@ -346,11 +361,31 @@ func (e *engine) run() (*Result, error) {
 		if err := e.step(); err != nil {
 			return nil, err
 		}
-		if e.cfg.CutoffCycles > 0 && e.tl.Makespan() > e.cfg.CutoffCycles {
+		if e.cfg.Cutoff != nil && e.cfg.Cutoff(e.floors()) {
 			return nil, ErrCutoff
 		}
 	}
 	return e.finish(), nil
+}
+
+// floors returns what Config.Cutoff is asked with: lower bounds on the
+// makespan before flush and on the off-chip traffic of every schedule
+// the run can still become. Cycles: the partial makespan; the cores'
+// busy time so far plus the ops still to issue, spread evenly over all
+// cores; and the DMA channel's busy time plus the mandatory loads still
+// to make, which all precede the last op. Bytes: what has moved, plus
+// those loads, plus the final write-backs still owed — TrafficBytes
+// once the run has flushed. A fault plan only stretches ops and
+// transfers and takes cores away, so nominal latencies stay floors.
+func (e *engine) floors() (cycles, bytes int64) {
+	n := e.tl.Cores()
+	busy := e.owed.OpCycles
+	for i := 0; i < n; i++ {
+		busy += e.tl.NPUFree(i)
+	}
+	spread := (busy + int64(n) - 1) / int64(n)
+	cycles = max(e.tl.Makespan(), spread, e.tl.DMAFree()+e.owed.LoadCycles)
+	return cycles, e.res.TrafficBytes() + e.owed.LoadBytes + e.owed.WritebackBytes
 }
 
 // step forms the next operation set and commits it.
@@ -458,6 +493,8 @@ func (e *engine) reset(gr *dfg.Graph, cfg Config) {
 	}
 	e.pos = 0
 	e.nEval, e.nPruned, e.nDone = 0, 0, 0
+	e.owed = gr.Floor()
+	e.loaded = zeroed(e.loaded, gr.NumTiles())
 }
 
 // recycle returns the engine to the pool, dropping the references that
@@ -649,6 +686,7 @@ func (e *engine) retire(rec sim.OpRecord) {
 		e.wake(cs)
 	}
 	e.nDone++
+	e.owed.OpCycles -= op.Cycles
 }
 
 // wake records that one predecessor of op j has issued; j becomes ready
@@ -703,7 +741,9 @@ func (e *engine) ensureDRAM(id tile.ID, ev *setEval) error {
 	return nil
 }
 
-// account records one DMA transfer in the per-kind statistics.
+// account records one DMA transfer in the per-kind statistics, and
+// takes a mandatory load's first occurrence or a final write-back off
+// what the run still owes.
 func (e *engine) account(rec sim.MemRecord) {
 	ks := &e.res.PerKind[rec.Tile.Kind]
 	switch rec.Kind {
@@ -711,6 +751,11 @@ func (e *engine) account(rec sim.MemRecord) {
 		ks.LoadBytes += rec.Bytes
 		ks.LoadCount++
 		e.res.LoadBytes += rec.Bytes
+		if n := e.gr.Num(rec.Tile); !e.loaded[n] && (rec.Tile.Kind == tile.Wt || rec.Tile.Kind == tile.In && rec.Tile.L == 0) {
+			e.loaded[n] = true
+			e.owed.LoadBytes -= rec.Bytes
+			e.owed.LoadCycles -= e.cfg.Model.TransferCycles(rec.Bytes)
+		}
 	case sim.Spill:
 		ks.SpillBytes += rec.Bytes
 		ks.SpillCount++
@@ -719,6 +764,9 @@ func (e *engine) account(rec sim.MemRecord) {
 		ks.WritebackBytes += rec.Bytes
 		ks.WritebackCount++
 		e.res.WritebackBytes += rec.Bytes
+		if rec.Tile.Kind == tile.Out && rec.Tile.L == e.gr.LastLayer() {
+			e.owed.WritebackBytes -= rec.Bytes
+		}
 	case sim.Gather:
 		ks.GatherBytes += rec.Bytes
 		ks.GatherCount++

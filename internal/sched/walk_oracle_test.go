@@ -355,6 +355,19 @@ func TestSetWalkMatchesOracle(t *testing.T) {
 	}
 }
 
+// fuzzDraws turns a fuzz input into the source of small numbers a case
+// is drawn from: one byte a draw, zeros once the input runs out.
+func fuzzDraws(data []byte) func(n int) int {
+	return func(n int) int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b) % n
+	}
+}
+
 // FuzzSetWalk draws the scheduling problem — graph, machine, priority,
 // policy and limits — from the fuzz input and runs the walk against
 // the oracle step by step. Run with `go test -fuzz=FuzzSetWalk`; the
@@ -365,15 +378,7 @@ func FuzzSetWalk(f *testing.F) {
 	f.Add([]byte{0, 50, 1, 1, 3, 1, 0, 1, 0, 2, 1, 8, 8, 24, 8, 3, 3, 12, 4, 0, 0, 16, 1, 2, 2, 8, 8, 3})
 	f.Add(bytes.Repeat([]byte{7, 1, 4}, 12))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, ok := drawWalkCase(func(n int) int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b) % n
-		})
-		if ok {
+		if c, ok := drawWalkCase(fuzzDraws(data)); ok {
 			walkVsOracle(t, c.name, c.gr, c.cfg)
 		}
 	})

@@ -5,6 +5,7 @@ import (
 
 	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/layer"
+	"github.com/flexer-sched/flexer/internal/nets"
 )
 
 func benchOpts(b *testing.B, archName string) Options {
@@ -26,6 +27,32 @@ func BenchmarkSearchLayerQuick(b *testing.B) {
 		if _, err := SearchLayer(l, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSearchLayerPressured is the regime the look-ahead cutoff is
+// for: vgg16/2's conv3_1 on arch5, whose scratchpad the layer's tiles
+// overflow, so candidate schedules differ in traffic and most runs end
+// up dominated. One worker, so the incumbents — and the work — repeat.
+func BenchmarkSearchLayerPressured(b *testing.B) {
+	l, err := nets.VGG16().Scale(2).Layer("conv3_1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, budget := range BudgetNames() {
+		b.Run(budget, func(b *testing.B) {
+			opts := benchOpts(b, "arch5")
+			opts.Workers = 1
+			if opts.Budget, err = BudgetByName(budget); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SearchLayer(l, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

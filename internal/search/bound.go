@@ -193,41 +193,3 @@ func (in *incumbents) dominated(b Bound, m Metric) bool {
 	s := b.Score(m)
 	return s > in.ooo.value() && s > in.static.value()
 }
-
-// cutoffLatency converts a target metric score into the largest
-// latency an aspiring schedule may reach given a traffic floor:
-// schedules whose partial makespan already exceeds the returned value
-// are provably worse than the target and can be aborted mid-run
-// (sched.Config.CutoffCycles). Returns 0 (no cutoff) when the target
-// is +Inf, the metric is not invertible in latency (LatExp <= 0), or
-// the bound is degenerate.
-func cutoffLatency(m Metric, target float64, trafficFloor int64) int64 {
-	if math.IsInf(target, 1) || target <= 0 || trafficFloor <= 0 {
-		return 0
-	}
-	eff := m
-	if eff.LatExp == 0 && eff.TrafficExp == 0 {
-		eff = MetricDefault()
-	}
-	if eff.LatExp <= 0 {
-		return 0
-	}
-	lat := math.Pow(target/math.Pow(float64(trafficFloor), eff.TrafficExp), 1/eff.LatExp)
-	if math.IsNaN(lat) || lat <= 0 {
-		return 0
-	}
-	if lat > math.MaxInt64/4 {
-		return 0 // no effective cutoff; avoid overflow
-	}
-	c := int64(lat)
-	// Float round-trip safety: widen until c+1 is provably worse than
-	// the target, shrink while c itself already is. The abort test is
-	// "makespan > c", so correctness needs Score(c+1) > target.
-	for c > 0 && m.Score(c, trafficFloor) > target {
-		c--
-	}
-	for m.Score(c+1, trafficFloor) <= target {
-		c++
-	}
-	return c
-}

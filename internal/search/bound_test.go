@@ -185,44 +185,6 @@ func TestPruningReportsEffort(t *testing.T) {
 	}
 }
 
-// TestCutoffLatencyInverse checks the float-safety contract of the
-// cutoff inversion: the abort test is "makespan > c", so correctness
-// requires Score(c+1, traffic) > target, and usefulness requires
-// Score(c, traffic) <= target whenever a cutoff is returned.
-func TestCutoffLatencyInverse(t *testing.T) {
-	metrics := []Metric{{}, MetricDefault(), MetricMinTransfer(), {LatExp: 2, TrafficExp: 0.5}, {LatExp: 1, TrafficExp: 0}}
-	rng := rand.New(rand.NewSource(7))
-	for _, m := range metrics {
-		for i := 0; i < 200; i++ {
-			traffic := int64(1 + rng.Intn(1<<24))
-			lat := int64(1 + rng.Intn(1<<28))
-			target := m.Score(lat, traffic)
-			c := cutoffLatency(m, target, traffic)
-			if c == 0 {
-				continue // no cutoff: always safe
-			}
-			if got := m.Score(c+1, traffic); got <= target {
-				t.Fatalf("metric %+v: Score(c+1=%d, %d) = %v <= target %v (unsound cutoff)",
-					m, c+1, traffic, got, target)
-			}
-			if got := m.Score(c, traffic); got > target {
-				t.Fatalf("metric %+v: Score(c=%d, %d) = %v > target %v (cutoff too tight)",
-					m, c, traffic, got, target)
-			}
-		}
-	}
-	// Degenerate inputs must disable the cutoff rather than invent one.
-	if c := cutoffLatency(MetricDefault(), math.Inf(1), 100); c != 0 {
-		t.Errorf("cutoff for +Inf target = %d, want 0", c)
-	}
-	if c := cutoffLatency(Metric{LatExp: -1, TrafficExp: 1}, 100, 100); c != 0 {
-		t.Errorf("cutoff for non-invertible metric = %d, want 0", c)
-	}
-	if c := cutoffLatency(Metric{LatExp: 0, TrafficExp: 1}, 100, 100); c != 0 {
-		t.Errorf("cutoff for latency-blind metric = %d, want 0", c)
-	}
-}
-
 // TestMetricMonotone pins the monotonicity gate: dominance pruning must
 // stay off for metrics that reward higher latency or traffic.
 func TestMetricMonotone(t *testing.T) {

@@ -182,7 +182,7 @@ func scheduleFusedSegment(nr *NetworkResult, first, last int, m model.Model, opt
 	// The fused schedule only matters if it beats the layerwise sum, so
 	// a run that exceeds it is abandoned mid-way.
 	cfg := opts.SchedConfig(m)
-	cfg.CutoffCycles = sumCycles
+	cfg.Cutoff = func(cycles, _ int64) bool { return cycles > sumCycles }
 	res, err := sched.Schedule(gr, cfg)
 	switch {
 	case errors.Is(err, sched.ErrCutoff):

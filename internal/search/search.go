@@ -191,7 +191,7 @@ type Options struct {
 
 // SchedConfig derives the scheduler configuration of one run from the
 // search options: everything except what differs per run (Order, Hint,
-// CutoffCycles), which callers set on the result.
+// Cutoff), which callers set on the result.
 func (o Options) SchedConfig(m model.Model) sched.Config {
 	return sched.Config{
 		Arch:             o.Arch,
@@ -225,19 +225,24 @@ type Candidate struct {
 // candidates plus the best OoO and best static schedules overall.
 //
 // With dominance pruning active (the default), Candidates holds only
-// the candidates that were actually scheduled: tilings whose lower
-// bound exceeded the incumbent are skipped entirely, and a surviving
-// candidate's Static may be nil when every static run for it was
-// abandoned as dominated. BestOoO, BestStatic and BestStaticOrder are
-// identical with and without pruning. Set Options.DisableDominance to
-// recover the exhaustive candidate list.
+// the tilings with an out-of-order schedule that ran to completion:
+// tilings whose lower bound exceeded the incumbent are skipped
+// entirely, runs are abandoned as soon as the scheduler's floors on
+// their final cycles and bytes score above the incumbent (which is
+// most losing runs, early), and a surviving candidate's Static may be
+// nil when every static run for it was abandoned. BestOoO, BestStatic
+// and BestStaticOrder are identical with and without pruning;
+// len(Candidates) and the effort counters are not. Set
+// Options.DisableDominance to recover the exhaustive candidate list.
 type LayerResult struct {
 	Layer      layer.Conv
 	Candidates []Candidate
 	// CandidatesEnumerated / CandidatesPruned / SchedulesAborted count
 	// search effort: tilings enumerated, tilings skipped by dominance
 	// pruning before scheduling, and individual schedule runs
-	// abandoned mid-way by the incumbent cutoff.
+	// abandoned mid-way by the incumbent cutoff. The last two depend on
+	// how well the search prunes (and, with several workers, on
+	// timing), never the other way round.
 	CandidatesEnumerated int
 	CandidatesPruned     int
 	SchedulesAborted     int
@@ -395,11 +400,11 @@ spawn:
 				reporter.candidatePruned()
 				return
 			}
-			var cutoffs *tilingCutoffs
+			var cut *incumbents // nil: every run goes to completion
 			if pruning {
-				cutoffs = &tilingCutoffs{inc: inc, traffic: bounds[i].Traffic}
+				cut = inc
 			}
-			results[i], aborted[i], errs[i] = scheduleTiling(ctx, l, f, m, dataflows, opts, cutoffs)
+			results[i], aborted[i], errs[i] = scheduleTiling(ctx, l, f, m, dataflows, opts, cut)
 			if errs[i] == nil {
 				c := results[i]
 				if c.OoO != nil {
@@ -526,34 +531,18 @@ const maxOoOHints = 3
 // just provably-worse work the search did not perform.
 var errDominated = errors.New("search: tiling dominated by incumbent")
 
-// tilingCutoffs carries the shared incumbents and one tiling's traffic
-// floor into scheduleTiling, so each schedule run can derive the
-// latency at which it becomes provably worse than the incumbent and
-// abort early (sched.Config.CutoffCycles). nil disables cutoffs.
-type tilingCutoffs struct {
-	inc     *incumbents
-	traffic int64
-}
-
-// forTarget converts a target metric score into an abort latency for
-// one run of this tiling, or 0 (no cutoff) when tc is nil or the
-// target is not yet set.
-func (tc *tilingCutoffs) forTarget(m Metric, target float64) int64 {
-	if tc == nil {
-		return 0
-	}
-	return cutoffLatency(m, target, tc.traffic)
-}
-
 // scheduleTiling produces the OoO schedule and the best static schedule
 // for one tiling. It aborts between dataflow evaluations when ctx is
-// cancelled. With cutoffs installed, individual runs whose partial
-// makespan proves them worse than the incumbent are abandoned; aborted
-// counts them. A candidate may then come back with a nil Static (every
-// static run dominated) or nil OoO (the unhinted run dominated while a
-// later hinted run was not attempted or also dominated); a candidate
-// with neither is reported as errDominated.
-func scheduleTiling(ctx context.Context, l layer.Conv, f tile.Factors, m model.Model, dataflows []loop.Dataflow, opts Options, tc *tilingCutoffs) (Candidate, int, error) {
+// cancelled. With inc non-nil, each run carries a sched.Config.Cutoff
+// that abandons it as soon as the scheduler's cycles and bytes floors
+// score above the incumbent it would have to beat — by the very metric
+// the final reduction compares with, so a run is dropped only when
+// every schedule it could become loses that comparison; aborted counts
+// them. A candidate may then come back with a nil Static (every static
+// run dominated) or nil OoO (the unhinted run dominated while a later
+// hinted run was not attempted or also dominated); a candidate with
+// neither is reported as errDominated.
+func scheduleTiling(ctx context.Context, l layer.Conv, f tile.Factors, m model.Model, dataflows []loop.Dataflow, opts Options, inc *incumbents) (Candidate, int, error) {
 	grid, err := tile.NewGrid(l, f)
 	if err != nil {
 		return Candidate{}, 0, err
@@ -563,10 +552,13 @@ func scheduleTiling(ctx context.Context, l layer.Conv, f tile.Factors, m model.M
 	metric := opts.Metric
 	aborted := 0
 	c := Candidate{Factors: f}
+	over := func(target float64) func(cycles, bytes int64) bool {
+		return func(cycles, bytes int64) bool { return metric.Score(cycles, bytes) > target }
+	}
 
 	ocfg := base
-	if tc != nil {
-		ocfg.CutoffCycles = tc.forTarget(metric, tc.inc.ooo.value())
+	if inc != nil {
+		ocfg.Cutoff = over(inc.ooo.value())
 	}
 	ooo, err := sched.Schedule(graph, ocfg)
 	switch {
@@ -589,8 +581,8 @@ func scheduleTiling(ctx context.Context, l layer.Conv, f tile.Factors, m model.M
 		// can never become BestStatic; its own candidate-local best is
 		// then irrelevant too, because the whole candidate is already
 		// dominated on the static axis.
-		if tc != nil {
-			cfg.CutoffCycles = tc.forTarget(metric, tc.inc.static.value())
+		if inc != nil {
+			cfg.Cutoff = over(inc.static.value())
 		}
 		res, err := cutoffRun(graph, cfg, &aborted)
 		if err == nil {
@@ -603,17 +595,17 @@ func scheduleTiling(ctx context.Context, l layer.Conv, f tile.Factors, m model.M
 		if opts.Budget.HintedOoO && i < maxOoOHints {
 			hcfg := base
 			hcfg.Hint = order
-			if tc != nil {
+			if inc != nil {
 				// A hinted run must strictly beat both the global OoO
 				// incumbent and this candidate's own current OoO to
 				// matter, so the tighter of the two bounds it.
-				target := tc.inc.ooo.value()
+				target := inc.ooo.value()
 				if c.OoO != nil {
 					if s := metric.Score(c.OoO.LatencyCycles, c.OoO.TrafficBytes()); s < target {
 						target = s
 					}
 				}
-				hcfg.CutoffCycles = tc.forTarget(metric, target)
+				hcfg.Cutoff = over(target)
 			}
 			if h, err := cutoffRun(graph, hcfg, &aborted); err == nil &&
 				(c.OoO == nil || metric.Score(h.LatencyCycles, h.TrafficBytes()) <

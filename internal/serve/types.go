@@ -162,7 +162,8 @@ type LayerResponse struct {
 	// Layer and Arch echo what was scheduled.
 	Layer string `json:"layer"`
 	Arch  string `json:"arch"`
-	// Candidates is the number of tilings the search evaluated.
+	// Candidates is the number of tilings with an out-of-order schedule
+	// the search ran to completion (not pruned, not every run abandoned).
 	Candidates int `json:"candidates"`
 	// OoO and Static are the best out-of-order and static loop-order
 	// schedules, in the same JSON shape as the flexer CLI's -json
