@@ -6,6 +6,7 @@ import (
 
 	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/layer"
+	"github.com/flexer-sched/flexer/internal/loop"
 	"github.com/flexer-sched/flexer/internal/tile"
 )
 
@@ -22,12 +23,17 @@ var benchMachines = []arch.Config{
 	arch.New("roomy4", 4, arch.KiB(1024), 64),
 }
 
-// midRunEngine schedules half of a 256-op layer on a and returns the
-// engine as it stands before the next step.
-func midRunEngine(b *testing.B, a arch.Config) *engine {
+// midRunEngine schedules half of a 256-op layer on a — out of order,
+// or with hinted following the weight-stationary loop order — and
+// returns the engine as it stands before the next step.
+func midRunEngine(b *testing.B, a arch.Config, hinted bool) *engine {
 	b.Helper()
 	gr := buildGraph(b, layer.NewConv("bench", 28, 28, 128, 128, 3), tile.Factors{OH: 7, OW: 7, OC: 32, IC: 32}, a)
-	e := newTestEngine(b, gr, Config{Arch: a})
+	cfg := Config{Arch: a}
+	if hinted {
+		cfg.Hint = loop.Order(gr, loop.Canonical()[2])
+	}
+	e := newTestEngine(b, gr, cfg)
 	for e.nDone < len(gr.Ops)/2 {
 		if err := e.step(); err != nil {
 			b.Fatal(err)
@@ -49,7 +55,7 @@ var sinkSig []uint64
 func BenchmarkComboSignature(b *testing.B) {
 	for _, a := range benchMachines {
 		b.Run(a.Name, func(b *testing.B) {
-			e := midRunEngine(b, a)
+			e := midRunEngine(b, a, false)
 			window := e.selectWindow()
 			e.stepFacts(window, true)
 			var combos [][]int
@@ -89,7 +95,7 @@ func BenchmarkEvalSet(b *testing.B) {
 				name = a.Name + "/extend"
 			}
 			b.Run(name, func(b *testing.B) {
-				e := midRunEngine(b, a)
+				e := midRunEngine(b, a, false)
 				set := append([]int(nil), e.selectWindow()[:a.Cores]...)
 				w := &e.walk
 				e.beginWalk()
@@ -116,19 +122,30 @@ func BenchmarkEvalSet(b *testing.B) {
 	}
 }
 
+// BenchmarkNextSetOoO is one whole out-of-order step, on each machine
+// with the window ranked by resident bytes and with it following a
+// weight-stationary hint, where consecutive window ops share one operand
+// and differ in private, equal-shaped ones — the windows the walk's
+// interchangeable-op rule shortens most.
 func BenchmarkNextSetOoO(b *testing.B) {
 	for _, a := range benchMachines {
-		b.Run(a.Name, func(b *testing.B) {
-			e := midRunEngine(b, a)
-			e.nEval, e.nPruned = 0, 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.releaseEval(e.nextSetOoO())
+		for _, hinted := range []bool{false, true} {
+			name := a.Name
+			if hinted {
+				name += "/hinted"
 			}
-			b.ReportMetric(float64(e.nEval)/float64(b.N), "evals/op")
-			b.ReportMetric(float64(e.nPruned)/float64(b.N), "pruned/op")
-		})
+			b.Run(name, func(b *testing.B) {
+				e := midRunEngine(b, a, hinted)
+				e.nEval, e.nPruned = 0, 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.releaseEval(e.nextSetOoO())
+				}
+				b.ReportMetric(float64(e.nEval)/float64(b.N), "evals/op")
+				b.ReportMetric(float64(e.nPruned)/float64(b.N), "pruned/op")
+			})
+		}
 	}
 }
 

@@ -75,8 +75,13 @@ type mark struct {
 // tiles' reference counts bumped (push), and its placement is the
 // prefix's — still in the scratchpad — plus one op (placeTo). With
 // pruning on, e.facts must describe window (stepFacts) and e.seen
-// carries the step's signatures. Every checkpoint it opens is closed
-// when it returns.
+// carries the step's signatures; two rules then spare work, every count
+// and the winner unchanged. A position whose twin (stepFacts) is not in
+// the combination roots a subtree of duplicates — each set of it signs
+// as the earlier one with the twin in the position's place: counted as
+// pruned, not visited. A new set that cannot beat the running best
+// (cannotWin) is counted as evaluated, not placed. Every checkpoint it
+// opens is closed when it returns.
 func (e *engine) walkSets(window []int, maxSize int) *setEval {
 	w := &e.walk
 	e.beginWalk()
@@ -98,6 +103,18 @@ func (e *engine) walkSets(window []int, maxSize int) *setEval {
 			next = e.pop(prune) + 1 // on to the sibling
 			continue
 		}
+		if prune && e.facts.twin[next] >= 0 && !slices.Contains(w.combo, e.facts.twin[next]) {
+			// The subtree holds C(m, k) sets k ops wider than its root, all
+			// duplicates: they spend no evaluation, so left and open stand.
+			m := len(window) - next - 1
+			for c, k := 1, 0; d+1+k <= open; c, k = c*(m-k)/(k+1), k+1 {
+				if w.left[d+1+k] > 0 {
+					e.nPruned += c
+				}
+			}
+			next++
+			continue
+		}
 		e.push(window[next], next, prune)
 		next++
 		d++
@@ -110,7 +127,7 @@ func (e *engine) walkSets(window []int, maxSize int) *setEval {
 		}
 		w.left[d]--
 		e.nEval++
-		if e.placeTo(d) {
+		if !(prune && best != nil && e.cannotWin(best)) && e.placeTo(d) {
 			w.cur.util = e.mem.Utilization()
 			if best == nil || e.less(&w.cur, best) {
 				best = e.snapshot(best)
@@ -120,6 +137,23 @@ func (e *engine) walkSets(window []int, maxSize int) *setEval {
 			open--
 		}
 	}
+}
+
+// cannotWin reports whether the current combination ranks below best
+// however its placement turns out: under the width-first priorities
+// when it is narrower, under the default one when the bounds of its ops
+// (stepFacts) add up to less than best's benefit — touch credits reuse
+// once per op and operand on-chip before the set, and spill cost is
+// never negative, so that sum is the most its own benefit can reach.
+func (e *engine) cannotWin(best *setEval) bool {
+	if e.cfg.Priority != PriorityDefault {
+		return len(e.walk.combo) < len(best.ops)
+	}
+	var bound int64
+	for _, wi := range e.walk.combo {
+		bound += e.facts.bound[wi]
+	}
+	return bound < best.benefit()
 }
 
 // beginWalk empties the walk state: no op chosen, none placed.
@@ -347,24 +381,35 @@ const sigCountBits = 16
 // sorted run of packed keys; tile identity is deliberately not part of
 // it. Sets with equal signatures move the same data and are
 // interchangeable for the priority function, so duplicates are pruned.
+//
+// Two window positions are interchangeable when operand by operand they
+// name one tile, or two tiles of equal key that no other window op
+// names: a set holding the later but not the earlier then signs as the
+// set with the earlier in its place. The relation is transitive; twin is
+// the nearest earlier interchangeable position, -1 if none.
 type stepFacts struct {
 	ids   []tile.ID  // distinct tiles, for de-duplication
 	keys  []uint64   // per tile: packed kind, state and size, count zero
+	refs  []uint16   // per tile: window ops naming it
 	count []uint16   // per tile: references from the walk's current combination, zero between walks
 	ops   [][3]int32 // per window position: tile numbers of In, Wt, Out
+	twin  []int      // per window position, see above
+	bound []int64    // per window position: the most the op can add to a set's reused bytes
 }
 
 // stepFacts fills e.facts for window from the current scratchpad. With
 // dedup, a tile shared by several window ops gets one number, so that
 // combinations count references to it; the single-op fallback over the
-// whole ready queue needs no sharing and skips the quadratic scan.
+// whole ready queue needs no sharing, skips both quadratic scans and so
+// has no twins.
 func (e *engine) stepFacts(window []int, dedup bool) {
 	f := &e.facts
-	f.ids, f.keys, f.ops = f.ids[:0], f.keys[:0], f.ops[:0]
+	f.ids, f.keys, f.refs, f.ops, f.twin, f.bound = f.ids[:0], f.keys[:0], f.refs[:0], f.ops[:0], f.twin[:0], f.bound[:0]
 	number := func(id tile.ID) int32 {
 		if dedup {
 			for i := range f.ids {
 				if f.ids[i] == id {
+					f.refs[i]++
 					return int32(i)
 				}
 			}
@@ -385,11 +430,33 @@ func (e *engine) stepFacts(window []int, dedup bool) {
 			}
 		}
 		f.keys = append(f.keys, uint64(id.Kind)<<62|state<<60|uint64(e.gr.Size(id))<<sigCountBits)
+		f.refs = append(f.refs, 1)
 		return int32(len(f.keys) - 1)
 	}
 	for _, opIdx := range window {
 		op := &e.gr.Ops[opIdx]
-		f.ops = append(f.ops, [3]int32{number(op.In), number(op.Wt), number(op.Out)})
+		ts := [3]int32{number(op.In), number(op.Wt), number(op.Out)}
+		// Reuse is credited for operands on-chip or gatherable now; a fused
+		// input is allowed it in any state, so the proof needs touch alone.
+		var bound int64
+		for s, t := range ts {
+			if k := f.keys[t]; k>>60&3 != tileAbsent || s == 0 && e.fused && op.In.L > 0 {
+				bound += int64(k << 4 >> (4 + sigCountBits)) // the key's size field
+			}
+		}
+		f.ops, f.twin, f.bound = append(f.ops, ts), append(f.twin, -1), append(f.bound, bound)
+	}
+	for j := 1; dedup && j < len(f.ops); j++ {
+	earlier:
+		for i := j - 1; i >= 0; i-- {
+			for s, tj := range f.ops[j] {
+				if ti := f.ops[i][s]; ti != tj && (f.keys[ti] != f.keys[tj] || f.refs[ti] > 1 || f.refs[tj] > 1) {
+					continue earlier
+				}
+			}
+			f.twin[j] = i
+			break
+		}
 	}
 	if cap(f.count) < len(f.keys) {
 		f.count = make([]uint16, len(f.keys))

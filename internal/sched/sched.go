@@ -91,8 +91,8 @@ type Config struct {
 	// MaxReadyWindow bounds the number of ready ops considered for set
 	// formation (0 means DefaultMaxReadyWindow).
 	MaxReadyWindow int
-	// MaxCandidateSets bounds the number of sets fully evaluated per
-	// step (0 means DefaultMaxCandidateSets).
+	// MaxCandidateSets bounds the sets evaluated per set width per step
+	// (0 means DefaultMaxCandidateSets).
 	MaxCandidateSets int
 	// Order, when non-nil, switches the scheduler to in-order issue
 	// following this op sequence (the static loop-order baseline).
@@ -193,7 +193,9 @@ type Result struct {
 	// OpRecords and MemRecords are the scheduled timeline.
 	OpRecords  []sim.OpRecord
 	MemRecords []sim.MemRecord
-	// SetsEvaluated and SetsPruned count scheduler work.
+	// SetsEvaluated counts candidate sets that spent one of their width's
+	// MaxCandidateSets, placed or ruled out unplaced; SetsPruned those,
+	// visited or not, whose dataflow map an earlier set of the step had.
 	SetsEvaluated, SetsPruned int
 }
 

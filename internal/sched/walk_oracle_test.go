@@ -377,6 +377,9 @@ func FuzzSetWalk(f *testing.F) {
 	f.Add([]byte{2, 3, 0, 1, 2, 1, 1, 2, 1, 0, 11, 4, 30, 20, 1, 3, 5, 9, 1, 0, 8, 2, 1, 4, 4, 0})
 	f.Add([]byte{0, 50, 1, 1, 3, 1, 0, 1, 0, 2, 1, 8, 8, 24, 8, 3, 3, 12, 4, 0, 0, 16, 1, 2, 2, 8, 8, 3})
 	f.Add(bytes.Repeat([]byte{7, 1, 4}, 12))
+	for _, seed := range twinRichSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if c, ok := drawWalkCase(fuzzDraws(data)); ok {
 			walkVsOracle(t, c.name, c.gr, c.cfg)

@@ -82,7 +82,8 @@ type Budget struct {
 	// loop.Canonical()).
 	Dataflows []loop.Dataflow
 	// MaxReadyWindow and MaxCandidateSets bound the OoO scheduler's
-	// per-step work (0 = scheduler defaults).
+	// per-step work: the ready ops sets are formed from, and the sets
+	// evaluated of each set width (0 = scheduler defaults).
 	MaxReadyWindow, MaxCandidateSets int
 	// HintedOoO additionally generates one OoO schedule seeded with
 	// each dataflow (Algorithm 1 runs GetSchedule per tiling AND

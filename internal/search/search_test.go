@@ -109,6 +109,30 @@ func TestSearchLayerHinted(t *testing.T) {
 	}
 }
 
+// TestDisablePruningPlacesEverySet pins the pruning ablation's work on
+// the inputs of the root BenchmarkAblationPruningAndInPlace (vgg16/2
+// conv4_2 on arch5, quick budget): with DisablePruning the scheduler
+// signs nothing, so neither signature pruning nor the two walk rules
+// that ride on the step's operand table may spare a set — the winning
+// schedule evaluated 17 195 sets and pruned none when every candidate
+// was placed from scratch, and still must.
+func TestDisablePruningPlacesEverySet(t *testing.T) {
+	opts := quickOpts(t, "arch5")
+	opts.DisablePruning = true
+	l, err := nets.VGG16().Scale(2).Layer("conv4_2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr, err := SearchLayer(l, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := lr.BestOoO; r.SetsEvaluated != 17195 || r.SetsPruned != 0 || r.LatencyCycles != 257085 || r.TrafficBytes() != 6574096 {
+		t.Errorf("best OoO schedule: %d sets evaluated, %d pruned, %d cycles, %d bytes; want 17195, 0, 257085, 6574096",
+			r.SetsEvaluated, r.SetsPruned, r.LatencyCycles, r.TrafficBytes())
+	}
+}
+
 func TestEscalationFindsTilingsForHugeLayer(t *testing.T) {
 	opts := quickOpts(t, "arch1")
 	opts.Budget.MaxOps = 64 // deliberately too small for this layer

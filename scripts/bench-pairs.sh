@@ -6,6 +6,7 @@
 #   scripts/bench-pairs.sh <parent-ref> <workload> [pairs=10]
 #
 #   SEED=11 RUN_SECONDS=18 TRACE=0 OUT=dir scripts/bench-pairs.sh HEAD~1 cold-variants
+#   SHOW_JOBS=1 scripts/bench-pairs.sh HEAD~1 cold-variants 3
 #
 # The parent is unpacked from its committed files (git archive) into a
 # temporary directory — what the benchmark driver measures, and nothing
@@ -13,10 +14,12 @@
 # own, unmodified bench/run.sh, so each side's benchmark code is the one
 # committed with it. Records (one JSON line a run) go to $OUT, by
 # default .bench_build/pairs/<workload>; per-pair values of the metrics
-# named in $SHOW are printed as the pairs complete.
+# named in $SHOW are printed as the pairs complete, and with SHOW_JOBS=1
+# each side's "# job" rows under them (wall time and effort counters per
+# job; the cold workloads print them, the hot ones have none).
 set -euo pipefail
 if [ $# -lt 2 ]; then
-	sed -n '2,17p' "$0" >&2
+	sed -n '2,20p' "$0" >&2
 	exit 2
 fi
 ref=$1 workload=$2 pairs=${3:-10}
@@ -65,5 +68,10 @@ for i in $(seq 1 "$pairs"); do
 		printf ' %s %s' "$(value "$out/parent.jsonl" "$m")" "$(value "$out/change.jsonl" "$m")"
 	done
 	printf '\n'
+	if [ "${SHOW_JOBS:-0}" = 1 ]; then
+		for side in parent change; do
+			sed -n "s/^# job /     $side /p" "$out/$side.last.txt"
+		done
+	fi
 done
 bash "$root/bench/run.sh" --compare "$out/parent.jsonl" "$out/change.jsonl"
