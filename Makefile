@@ -78,7 +78,8 @@ bench:
 # of a real measurement run. CI uploads the output as an artifact.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem \
-		./internal/search/... ./internal/sim/... ./internal/sched/... ./internal/spm/... ./internal/dfg/... ./internal/serve/...
+		./internal/search/... ./internal/sim/... ./internal/sched/... ./internal/spm/... ./internal/dfg/... ./internal/serve/... \
+		./internal/tile/... ./internal/loop/...
 
 # The repository benchmark (BENCHMARK.json, bench/) is a nested module,
 # so `go test ./...` never compiles it: run its own tests and its toy

@@ -17,7 +17,9 @@
 package loop
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/flexer-sched/flexer/internal/dfg"
 	"github.com/flexer-sched/flexer/internal/tile"
@@ -120,30 +122,54 @@ func permName(p [4]Dim) string {
 	}
 }
 
+// counts returns the grid's iteration count per loop, indexed by Dim.
+func counts(g *tile.Grid) [4]int {
+	return [4]int{OC: g.NOC, OH: g.NOH, OW: g.NOW, IC: g.NIC}
+}
+
 // Order materializes the operation sequence of the dataflow over the
 // graph's tile grid: the loops iterate in Perm order (outermost first)
 // and each innermost iteration emits the op at the current block
 // coordinates. Every sequence respects the partial-sum chains because
-// all loops ascend.
+// all loops ascend. A Perm naming a loop that does not exist iterates
+// nothing.
 func Order(gr *dfg.Graph, df Dataflow) []int {
-	g := gr.Grid
-	counts := map[Dim]int{OC: g.NOC, OH: g.NOH, OW: g.NOW, IC: g.NIC}
-	idx := map[Dim]int{}
+	n, p := counts(gr.Grid), df.Perm
 	order := make([]int, 0, gr.Grid.NumOps())
-	var walk func(level int)
-	walk = func(level int) {
-		if level == 4 {
-			order = append(order, gr.OpAt(idx[OH], idx[OW], idx[OC], idx[IC]))
-			return
-		}
-		d := df.Perm[level]
-		for i := 0; i < counts[d]; i++ {
-			idx[d] = i
-			walk(level + 1)
+	if max(p[0], p[1], p[2], p[3]) > IC {
+		return order
+	}
+	var idx [4]int
+	for a := 0; a < n[p[0]]; a++ {
+		idx[p[0]] = a
+		for b := 0; b < n[p[1]]; b++ {
+			idx[p[1]] = b
+			for c := 0; c < n[p[2]]; c++ {
+				idx[p[2]] = c
+				for d := 0; d < n[p[3]]; d++ {
+					idx[p[3]] = d
+					order = append(order, gr.OpAt(idx[OH], idx[OW], idx[OC], idx[IC]))
+				}
+			}
 		}
 	}
-	walk(0)
 	return order
+}
+
+// Reduce returns the representative of the loop orders that walk g in
+// perm's op sequence: perm with g's one-iteration loops moved outermost,
+// in Dim order. Such a loop orders nothing, so two dataflows have the
+// same Order over g exactly when they reduce to the same permutation.
+func Reduce(g *tile.Grid, perm [4]Dim) [4]Dim {
+	n := counts(g)
+	key := func(d Dim) Dim { // a one-iteration loop sorts by name, the others stay put behind
+		if d <= IC && n[d] == 1 {
+			return d
+		}
+		return IC + 1
+	}
+	slices.SortStableFunc(perm[:], func(a, b Dim) int { return cmp.Compare(key(a), key(b)) })
+	return perm
 }
 
 // StationaryKind returns the tile kind that the dataflow keeps

@@ -3,10 +3,16 @@ package sched
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/dfg"
 	"github.com/flexer-sched/flexer/internal/fault"
+	"github.com/flexer-sched/flexer/internal/layer"
+	"github.com/flexer-sched/flexer/internal/loop"
+	"github.com/flexer-sched/flexer/internal/model"
+	"github.com/flexer-sched/flexer/internal/tile"
 )
 
 // The look-ahead cutoff's contract, checked against the run itself: what
@@ -172,9 +178,83 @@ func FuzzFloors(f *testing.F) {
 	f.Add([]byte{1, 20, 0, 0, 0, 0, 1, 1, 3, 3, 0, 6, 6, 16, 16, 2, 2, 8, 8, 1, 2, 1, 9})
 	f.Add([]byte{2, 3, 0, 1, 2, 1, 1, 2, 1, 0, 11, 4, 30, 20, 1, 3, 5, 9, 1, 0, 8, 2, 1, 4, 4, 0, 1, 200})
 	f.Add([]byte{0, 50, 1, 1, 3, 1, 0, 1, 0, 2, 1, 8, 8, 24, 8, 3, 3, 12, 4, 0, 0, 16, 1, 2, 2, 8, 8, 3, 0})
+	// Pressured: a hinted run whose owed reloads reach a third of its
+	// traffic, and a fused one (DMA derated) that owes fused consumer
+	// inputs — the debt a gather may settle, cycles only.
+	f.Add([]byte{118, 120, 159, 124, 134, 4, 74, 31, 58, 171, 177, 85, 40, 70, 38, 229, 239, 91, 169, 164, 55, 169, 191, 227, 130, 131, 102, 216, 137})
+	f.Add([]byte{31, 12, 244, 93, 64, 147, 57, 59, 184, 94, 62, 86, 120, 208, 224, 170, 159, 80, 191, 225, 93, 59, 181, 178, 63, 131, 175, 233, 242})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if c, ok := drawFloorCase(fuzzDraws(data)); ok {
 			checkFloors(t, c)
 		}
 	})
+}
+
+// parentFloors are the floors as they were before they counted reload
+// debt: of loads, only the mandatory ones not yet made.
+func parentFloors(e *engine) (cycles, bytes int64) {
+	var loadBytes, loadCycles int64
+	for n := 0; n < e.gr.NumTiles(); n++ {
+		if id := e.gr.Tile(n); !e.loaded[n] && (id.Kind == tile.Wt || id.Kind == tile.In && id.L == 0) {
+			loadBytes += e.gr.Size(id)
+			loadCycles += e.cfg.Model.TransferCycles(e.gr.Size(id))
+		}
+	}
+	busy := e.owed.OpCycles
+	for i := 0; i < e.tl.Cores(); i++ {
+		busy += e.tl.NPUFree(i)
+	}
+	n := int64(e.tl.Cores())
+	return max(e.tl.Makespan(), (busy+n-1)/n, e.tl.DMAFree()+loadCycles), e.res.TrafficBytes() + loadBytes + e.owed.WritebackBytes
+}
+
+// TestFloorsCountReloadDebt forces a thrash — an input-stationary static
+// order cycling sixteen weight tiles and the partial sums of four
+// chains through a scratchpad that holds a handful — and requires what
+// the debt term is for: the floors never below the parent's, both
+// strictly above it mid-run (a tile evicted with uses left is not free
+// to bring back), every floor still at or below what the run reaches
+// (checkFloors), and nothing owed once the run has finished.
+func TestFloorsCountReloadDebt(t *testing.T) {
+	a := arch.New("thrash", 2, arch.KiB(3), 2) // a slow DMA channel: its term is the cycles floor
+	m := model.New(a)
+	g, err := tile.NewGrid(layer.NewConv("t", 8, 8, 32, 32, 3), tile.Factors{OH: 4, OW: 4, OC: 8, IC: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr := dfg.Build(g, m)
+	cfg := Config{Arch: a, Model: m, Order: loop.Order(gr, loop.Canonical()[1])}
+	if st := checkFloors(t, walkCase{name: "thrash", gr: gr, cfg: cfg}); st.stalled {
+		t.Fatal("the thrash case stalls")
+	}
+	e := newTestEngine(t, gr, cfg)
+	var steps, bytesAbove, cyclesAbove int
+	var peak int64
+	for e.nDone < len(gr.Ops) {
+		if err := e.step(); err != nil {
+			t.Fatal(err)
+		}
+		steps++
+		cf, bf := e.floors()
+		pcf, pbf := parentFloors(e)
+		if cf < pcf || bf < pbf {
+			t.Fatalf("step %d: floors %d cycles / %d bytes below the parent's %d / %d", steps, cf, bf, pcf, pbf)
+		}
+		if bf > pbf {
+			bytesAbove++
+			peak = max(peak, bf-pbf)
+		}
+		if cf > pcf {
+			cyclesAbove++
+		}
+	}
+	res := e.finish()
+	t.Logf("%d steps: bytes floor above the parent's after %d (by up to %d of %d bytes moved), cycles floor after %d",
+		steps, bytesAbove, peak, res.TrafficBytes(), cyclesAbove)
+	if bytesAbove == 0 || cyclesAbove == 0 {
+		t.Error("no step owed a reload: the case does not thrash")
+	}
+	if slices.Contains(e.reload, true) || e.owed != (dfg.Floor{}) {
+		t.Errorf("a finished run still owes %+v", e.owed)
+	}
 }

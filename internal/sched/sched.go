@@ -115,7 +115,9 @@ type Config struct {
 	// engine.floors): no completion of the partial schedule has a
 	// smaller makespan before the final write-backs — hence none a
 	// smaller LatencyCycles — or smaller TrafficBytes, and neither
-	// floor ever falls from one step to the next. The search abandons
+	// floor ever falls from one step to the next. Both count what the
+	// run has done, what its graph still requires, and the reload of
+	// every tile it has evicted with uses left. The search abandons
 	// the runs its incumbent dominates this way, as soon as that is
 	// provable and not when the partial makespan finally shows it.
 	Cutoff func(cyclesFloor, bytesFloor int64) bool
@@ -234,9 +236,11 @@ type engine struct {
 	nDone   int
 	// What is left of the graph's Floor — ops to issue, mandatory loads
 	// to make (loaded marks the ones made, by tile number), final
-	// write-backs to pay — for floors.
+	// write-backs to pay — plus the reloads the run has come to owe
+	// (reload marks the tiles evicted with uses left), for floors.
 	owed   dfg.Floor
 	loaded []bool
+	reload []bool
 
 	// Recycled scratch. The scheduler evaluates thousands of candidate
 	// sets per run and search runs thousands of schedules per layer;
@@ -374,8 +378,9 @@ func (e *engine) run() (*Result, error) {
 // makespan before flush and on the off-chip traffic of every schedule
 // the run can still become. Cycles: the partial makespan; the cores'
 // busy time so far plus the ops still to issue, spread evenly over all
-// cores; and the DMA channel's busy time plus the mandatory loads still
-// to make, which all precede the last op. Bytes: what has moved, plus
+// cores; and the DMA channel's busy time plus the loads still to make,
+// which all precede the last op — the mandatory ones, and the reload of
+// every tile evicted with uses left (owe). Bytes: what has moved, plus
 // those loads, plus the final write-backs still owed — TrafficBytes
 // once the run has flushed. A fault plan only stretches ops and
 // transfers and takes cores away, so nominal latencies stay floors.
@@ -497,6 +502,7 @@ func (e *engine) reset(gr *dfg.Graph, cfg Config) {
 	e.nEval, e.nPruned, e.nDone = 0, 0, 0
 	e.owed = gr.Floor()
 	e.loaded = zeroed(e.loaded, gr.NumTiles())
+	e.reload = zeroed(e.reload, gr.NumTiles())
 }
 
 // recycle returns the engine to the pool, dropping the references that
@@ -508,6 +514,29 @@ func (e *engine) recycle() {
 	e.res = nil
 	e.cfg = Config{}
 	enginePool.Put(e)
+}
+
+// owe books (owing) the reload of a tile evicted with uses left, which no
+// completion of the run avoids, or takes it off again at the tile's
+// next load: its bytes and nominal transfer time; for a fused consumer
+// input, which may come back by gather, the cheaper of the two ways and
+// no bytes; for a fused producer output nothing — what it has left may
+// all be its consumers' holds, which no load serves.
+func (e *engine) owe(id tile.ID, size int64, owing bool) {
+	n := e.gr.Num(id)
+	if e.reload[n] == owing || id.Kind == tile.Out && id.L < e.gr.LastLayer() {
+		return
+	}
+	e.reload[n] = owing
+	bytes, cycles := size, e.cfg.Model.TransferCycles(size)
+	if id.Kind == tile.In && id.L > 0 {
+		bytes, cycles = 0, min(cycles, e.cfg.Model.GatherCycles(size))
+	}
+	if !owing {
+		bytes, cycles = -bytes, -cycles
+	}
+	e.owed.LoadBytes += bytes
+	e.owed.LoadCycles += cycles
 }
 
 // tileRef counts one set's references to a distinct operand tile.
@@ -529,6 +558,11 @@ func (e *engine) apply(ev *setEval) error {
 	*ev = setEval{ops: ev.ops, loads: ev.loads[:0], spills: ev.spills[:0]}
 	if !e.place(ev) {
 		panic("sched: committing a set whose evaluation succeeded failed")
+	}
+	// Every eviction before any load: one op of a set may evict what a
+	// later op of it reloads. (A tile that was resident owed nothing.)
+	for _, sp := range ev.spills {
+		e.owe(sp.ID, sp.Size, sp.RemainUses > 0)
 	}
 	memEnd, err := e.memOps(ev)
 	if err != nil {
@@ -744,8 +778,8 @@ func (e *engine) ensureDRAM(id tile.ID, ev *setEval) error {
 }
 
 // account records one DMA transfer in the per-kind statistics, and
-// takes a mandatory load's first occurrence or a final write-back off
-// what the run still owes.
+// takes a mandatory load's first occurrence, an owed reload or a final
+// write-back off what the run still owes.
 func (e *engine) account(rec sim.MemRecord) {
 	ks := &e.res.PerKind[rec.Tile.Kind]
 	switch rec.Kind {
@@ -758,6 +792,7 @@ func (e *engine) account(rec sim.MemRecord) {
 			e.owed.LoadBytes -= rec.Bytes
 			e.owed.LoadCycles -= e.cfg.Model.TransferCycles(rec.Bytes)
 		}
+		e.owe(rec.Tile, rec.Bytes, false)
 	case sim.Spill:
 		ks.SpillBytes += rec.Bytes
 		ks.SpillCount++
@@ -773,6 +808,7 @@ func (e *engine) account(rec sim.MemRecord) {
 		ks.GatherBytes += rec.Bytes
 		ks.GatherCount++
 		e.res.GatherBytes += rec.Bytes
+		e.owe(rec.Tile, rec.Bytes, false)
 	}
 }
 

@@ -23,6 +23,11 @@ func TestDiagHeavyLayer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range lr.Candidates {
+		if c.Static == nil { // every static run of a surviving candidate abandoned: see LayerResult
+			t.Logf("tiling %-14s ooo: lat=%-9d traf=%-9d | static: every run abandoned",
+				c.Factors, c.OoO.LatencyCycles, c.OoO.TrafficBytes())
+			continue
+		}
 		t.Logf("tiling %-14s ooo: lat=%-9d traf=%-9d | static(%-22s): lat=%-9d traf=%-9d",
 			c.Factors, c.OoO.LatencyCycles, c.OoO.TrafficBytes(),
 			c.StaticOrder.Name, c.Static.LatencyCycles, c.Static.TrafficBytes())

@@ -79,16 +79,19 @@ type Budget struct {
 	// MaxValuesPerDim caps the candidate factor values per dimension.
 	MaxValuesPerDim int
 	// Dataflows is the static baseline search space (nil means
-	// loop.Canonical()).
+	// loop.Canonical()). Per tiling, an entry that walks the grid in the
+	// op sequence of an earlier entry — a literal repeat, or a
+	// permutation differing only in where the grid's one-iteration loops
+	// sit — is skipped: the earlier entry's runs already stand for it.
 	Dataflows []loop.Dataflow
 	// MaxReadyWindow and MaxCandidateSets bound the OoO scheduler's
 	// per-step work: the ready ops sets are formed from, and the sets
 	// evaluated of each set width (0 = scheduler defaults).
 	MaxReadyWindow, MaxCandidateSets int
 	// HintedOoO additionally generates one OoO schedule seeded with
-	// each dataflow (Algorithm 1 runs GetSchedule per tiling AND
-	// dataflow) and keeps the best; costs one extra OoO run per
-	// dataflow per tiling.
+	// each of the first maxOoOHints dataflows (Algorithm 1 runs
+	// GetSchedule per tiling AND dataflow) and keeps the best; costs
+	// one extra OoO run per such dataflow per tiling.
 	HintedOoO bool
 }
 
@@ -241,9 +244,10 @@ type LayerResult struct {
 	// CandidatesEnumerated / CandidatesPruned / SchedulesAborted count
 	// search effort: tilings enumerated, tilings skipped by dominance
 	// pruning before scheduling, and individual schedule runs
-	// abandoned mid-way by the incumbent cutoff. The last two depend on
-	// how well the search prunes (and, with several workers, on
-	// timing), never the other way round.
+	// abandoned mid-way by the incumbent cutoff — runs made, so not the
+	// dataflows skipped as repeats of an earlier op sequence. The last
+	// two depend on how well the search prunes (and, with several
+	// workers, on timing), never the other way round.
 	CandidatesEnumerated int
 	CandidatesPruned     int
 	SchedulesAborted     int
@@ -303,6 +307,12 @@ func SearchLayerCtx(ctx context.Context, l layer.Conv, opts Options) (*LayerResu
 }
 
 func searchLayerUncached(ctx context.Context, l layer.Conv, opts Options) (*LayerResult, error) {
+	return searchLayerWith(ctx, l, opts, scheduleTiling)
+}
+
+// searchLayerWith is the layer search around schedule, which is
+// scheduleTiling — or, in tests, the per-tiling loop it replaced.
+func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule func(context.Context, layer.Conv, tile.Factors, model.Model, []loop.Dataflow, Options, *incumbents) (Candidate, int, error)) (*LayerResult, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
@@ -405,7 +415,7 @@ spawn:
 			if pruning {
 				cut = inc
 			}
-			results[i], aborted[i], errs[i] = scheduleTiling(ctx, l, f, m, dataflows, opts, cut)
+			results[i], aborted[i], errs[i] = schedule(ctx, l, f, m, dataflows, opts, cut)
 			if errs[i] == nil {
 				c := results[i]
 				if c.OoO != nil {
@@ -525,6 +535,9 @@ func enumerateWithEscalation(l layer.Conv, cfg arch.Config, b Budget) []tile.Fac
 // runs per tiling (the first entries of the dataflow list; the
 // canonical order starts with the output-, input- and
 // weight-stationary flows, which cover the three sharing patterns).
+// Eligibility is by index in the list, also where an entry is skipped
+// as a repeat: not the first three distinct sequences, which would hint
+// with dataflows the full list never hinted with.
 const maxOoOHints = 3
 
 // errDominated marks a tiling skipped by dominance pruning (or one
@@ -571,10 +584,22 @@ func scheduleTiling(ctx context.Context, l layer.Conv, f tile.Factors, m model.M
 		return Candidate{}, aborted, err
 	}
 
+	// A loop of one iteration orders nothing, so on most grids several
+	// dataflows are one op sequence (loop.Reduce). A run is a function of
+	// graph and config, cutoff targets only fall and both reductions
+	// below are strict: an entry repeating an earlier one's sequence
+	// could only lose or tie, as a static order and — the earlier entry
+	// being as eligible — as a hint, and is skipped whole.
+	seen := make([][4]loop.Dim, 0, 24) // room for every permutation, off the heap
 	for i, df := range dataflows {
 		if err := ctx.Err(); err != nil {
 			return Candidate{}, aborted, err
 		}
+		seq := loop.Reduce(grid, df.Perm)
+		if slices.Contains(seen, seq) {
+			continue
+		}
+		seen = append(seen, seq)
 		order := loop.Order(graph, df)
 		cfg := base
 		cfg.Order = order

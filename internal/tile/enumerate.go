@@ -2,8 +2,8 @@ package tile
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"github.com/flexer-sched/flexer/internal/layer"
 )
@@ -41,27 +41,16 @@ const (
 // the smallest extent ceil(total/n) realizing it. The result is sorted
 // ascending and contains O(sqrt(total)) values.
 func CandidateValues(total int) []int {
-	if total <= 0 {
-		return nil
-	}
-	seen := make(map[int]bool)
 	var out []int
-	for n := 1; n <= total; {
-		v := ceilDiv(total, n)
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-		// Jump to the next block count that changes the extent; the
-		// jump target can fall at or before n for small extents, so
-		// always advance by at least one.
-		if next := ceilDiv(total, v) + 1; next > n {
-			n = next
-		} else {
-			n++
+	// Extents fall as the block count rises: start from one block, step
+	// to the first count whose extent is smaller, take that extent.
+	for v := total; v >= 1; v = ceilDiv(total, ceilDiv(total, v-1)) {
+		out = append(out, v)
+		if v == 1 {
+			break
 		}
 	}
-	sort.Ints(out)
+	slices.Reverse(out)
 	return out
 }
 
@@ -149,6 +138,9 @@ func Enumerate(l layer.Conv, lim EnumLimits) []Factors {
 	ocs := subsample(CandidateValues(l.OutC), maxVals)
 	ics := subsample(CandidateValues(l.InC), maxVals)
 
+	cores := max(lim.Cores, 1)
+	// Ascending extents, outermost loop first: the tilings come out in
+	// canonical order, ascending (OH, OW, OC, IC).
 	var out []Factors
 	for _, oh := range ohs {
 		nOH := ceilDiv(outH, oh)
@@ -168,10 +160,6 @@ func Enumerate(l layer.Conv, lim EnumLimits) []Factors {
 						continue
 					}
 					f := Factors{OH: oh, OW: ow, OC: oc, IC: ic}
-					cores := lim.Cores
-					if cores <= 0 {
-						cores = 1
-					}
 					if minSetFootprintFast(l, f, cores) > lim.SPMBytes {
 						continue
 					}
@@ -180,36 +168,20 @@ func Enumerate(l layer.Conv, lim EnumLimits) []Factors {
 			}
 		}
 	}
-	sortFactors(out)
 	if lim.MaxTilings > 0 && len(out) > lim.MaxTilings {
 		out = sampleTilings(l, out, lim)
 	}
 	return out
 }
 
-// sortFactors orders tilings canonically. Enumerated tilings are
-// pairwise distinct, so the order is total and no sort, stable or not,
-// can produce another: slices.SortFunc returns what sort.Slice did,
-// without moving the structs through a reflective swapper.
-func sortFactors(fs []Factors) {
-	slices.SortFunc(fs, func(a, b Factors) int {
-		return cmp.Or(cmp.Compare(a.OH, b.OH), cmp.Compare(a.OW, b.OW), cmp.Compare(a.OC, b.OC), cmp.Compare(a.IC, b.IC))
-	})
-}
-
-// sampleTilings keeps lim.MaxTilings tilings, ranked by how well a full
-// set of Cores concurrent ops fills (but does not overflow) the SPM and
-// by PE-friendly channel extents, then re-sorted canonically.
+// sampleTilings keeps lim.MaxTilings of fs, which holds more and is in
+// canonical order, in that order: the top third by how well a full set
+// of Cores concurrent ops fills (but does not overflow) the SPM and by
+// PE-friendly channel extents, then an even stride through the rest in
+// score order for diversity across the space.
 func sampleTilings(l layer.Conv, fs []Factors, lim EnumLimits) []Factors {
-	cores := lim.Cores
-	if cores <= 0 {
-		cores = 1
-	}
-	type scored struct {
-		f Factors
-		s float64
-	}
-	sc := make([]scored, len(fs))
+	cores := max(lim.Cores, 1)
+	ks := make([]sampleKey, len(fs))
 	for i, f := range fs {
 		foot := maxOperandBytesFast(l, f) * int64(cores)
 		// fill in (0,1]: 1 means cores ops exactly fill the SPM.
@@ -224,33 +196,75 @@ func sampleTilings(l layer.Conv, fs []Factors, lim EnumLimits) []Factors {
 		if f.IC%16 == 0 || f.IC == l.InC {
 			align += 0.10
 		}
-		sc[i] = scored{f, fill + align}
+		ks[i] = sampleKey{fill + align, int32(i)}
 	}
-	// Descending score, ties in canonical order: a stable sort's result
-	// is unique, so this is sort.SliceStable's without its reflection.
-	slices.SortStableFunc(sc, func(a, b scored) int { return cmp.Compare(b.s, a.s) })
-	// Take the top third by score, and stride-sample the rest for
-	// diversity across the space.
+	// The sample reads n ranks of the order; nearly every tiling would be
+	// sorted only to be passed over, so only those ranks are resolved.
 	n := lim.MaxTilings
-	keep := make([]Factors, 0, n)
-	top := n / 3
-	if top < 1 {
-		top = 1
-	}
-	for i := 0; i < top && i < len(sc); i++ {
-		keep = append(keep, sc[i].f)
-	}
-	rest := sc[top:]
-	need := n - len(keep)
-	if need > 0 && len(rest) > 0 {
-		step := float64(len(rest)) / float64(need)
-		if step < 1 {
-			step = 1
-		}
-		for i := 0.0; int(i) < len(rest) && len(keep) < n; i += step {
-			keep = append(keep, rest[int(i)].f)
+	top := max(n/3, 1)
+	ranks := make([]int, 0, n)
+	ranks = append(ranks, top-1) // puts the top third, in any order, before it
+	rest := len(ks) - top
+	if need := n - top; need > 0 {
+		step := max(float64(rest)/float64(need), 1)
+		for i := 0.0; int(i) < rest && len(ranks) < need+1; i += step {
+			ranks = append(ranks, top+int(i))
 		}
 	}
-	sortFactors(keep)
+	selectRanks(ks, 0, len(ks), ranks, 2*bits.Len(uint(len(ks))))
+	picked := make([]int32, 0, n)
+	for _, k := range ks[:top] {
+		picked = append(picked, k.i)
+	}
+	for _, r := range ranks[1:] {
+		picked = append(picked, ks[r].i)
+	}
+	slices.Sort(picked)
+	keep := make([]Factors, len(picked))
+	for j, i := range picked {
+		keep[j] = fs[i]
+	}
 	return keep
+}
+
+// sampleKey ranks one tiling of a sample: by score, descending, and
+// among equal scores by position in the canonical list — the order a
+// stable sort by score gives, and a total one.
+type sampleKey struct {
+	s float64
+	i int32
+}
+
+func (a sampleKey) before(b sampleKey) bool { return a.s > b.s || a.s == b.s && a.i < b.i }
+
+// selectRanks permutes ks[lo:hi] until each position in ranks (ascending,
+// within [lo, hi)) holds the key a sort would put there, with the keys
+// ranking before it on its left: a quickselect around the middle key
+// that descends only into the sides holding a wanted rank, and sorts a
+// range outright once it is small or depth pivots have not made it so.
+func selectRanks(ks []sampleKey, lo, hi int, ranks []int, depth int) {
+	for len(ranks) > 0 && hi-lo > 1 {
+		if depth--; depth < 0 || hi-lo <= 12 {
+			slices.SortFunc(ks[lo:hi], func(a, b sampleKey) int {
+				return cmp.Or(cmp.Compare(b.s, a.s), cmp.Compare(a.i, b.i))
+			})
+			return
+		}
+		mid := lo + (hi-lo)/2
+		ks[mid], ks[hi-1] = ks[hi-1], ks[mid]
+		pivot, p := ks[hi-1], lo
+		for i := lo; i < hi-1; i++ {
+			if ks[i].before(pivot) {
+				ks[i], ks[p] = ks[p], ks[i]
+				p++
+			}
+		}
+		ks[p], ks[hi-1] = ks[hi-1], ks[p]
+		i, found := slices.BinarySearch(ranks, p)
+		selectRanks(ks, lo, p, ranks[:i], depth)
+		if found {
+			i++
+		}
+		lo, ranks = p+1, ranks[i:]
+	}
 }
