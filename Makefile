@@ -7,10 +7,7 @@ GO ?= go
 # internal/search + internal/dfg + internal/sched.
 COVER_MIN ?= 70
 
-.PHONY: check build vet test hit-allocs test-short loc fairness cluster-e2e bench bench-smoke repo-bench-smoke bench-record bench-guard fuzz-smoke lint cover cover-check run-flexerd
-
-# The committed benchmark record the regression guard compares against.
-BENCH_BASELINE ?= BENCH_0009.json
+.PHONY: check build vet test hit-allocs test-short loc fairness cluster-e2e bench bench-smoke repo-bench-smoke experiments bench-guard fuzz-smoke lint cover cover-check run-flexerd
 
 check: build vet test
 
@@ -26,14 +23,16 @@ test:
 # Non-test Go lines of the three packages ROADMAP's collapse item
 # targets, of the two the dense tile index runs through with sched
 # (spm, dfg), of the one file ROADMAP sets a target for (repair.go),
-# and of the repository outside bench/. CI's check job echoes this, so
-# each PR's log records progress against the line targets.
+# of the experiment harness (the registry and its command), and of the
+# repository outside bench/. CI's check job echoes this, so each PR's
+# log records progress against the line targets.
 loc:
 	@for d in internal/sched internal/search internal/serve internal/spm internal/dfg; do \
-		printf '%-16s %6d\n' $$d $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+		printf '%-24s %6d\n' $$d $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
-	@printf '%-16s %6d\n' sched/repair.go $$(wc -l < internal/sched/repair.go)
-	@printf '%-16s %6d\n' 'total (no bench)' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
+	@printf '%-24s %6d\n' sched/repair.go $$(wc -l < internal/sched/repair.go)
+	@printf '%-24s %6d\n' experiments+flexerbench $$(find internal/experiments cmd/flexerbench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	@printf '%-24s %6d\n' 'total (no bench)' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 
 # The allocation ceilings of the cache-hit path (a unary layer hit
 # through the handler, the cache key). They are `//go:build !race`
@@ -89,16 +88,30 @@ repo-bench-smoke:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --smoke
 
-# Fresh benchmark record of the quick presets (see docs/PERFORMANCE.md).
-bench-record:
-	$(GO) run ./cmd/flexerbench -preset quick -json bench-new.json
+# The committed record of the paper's evaluation, EXPERIMENTS.json: every
+# experiment in the quick regime (scale 4, quick budget — what
+# bench-guard re-runs) and in the paper's (scale 1, default budget), and
+# Figure 8 at scale 2. One worker, so the effort counters repeat; about
+# four minutes. Then EXPERIMENTS.md's table blocks are rendered from it.
+# Running it twice leaves `git diff` empty.
+FLEXERBENCH = $(GO) run ./cmd/flexerbench -workers 1
 
-# Regression guard: re-run the quick presets and fail if any preset's
-# best simulated cycles regressed against the committed record. Cycles
-# are deterministic and machine-independent, so the comparison is
-# exact; wall time and allocations are recorded but not gated.
+experiments:
+	rm -f EXPERIMENTS.json
+	$(FLEXERBENCH) -exp all -scale 4 -budget quick -json EXPERIMENTS.json > /dev/null
+	$(FLEXERBENCH) -exp all -scale 1 -budget default -json EXPERIMENTS.json > /dev/null
+	$(FLEXERBENCH) -exp fig8 -scale 2 -budget default -json EXPERIMENTS.json > /dev/null
+	$(GO) test ./internal/experiments -run 'TestExperimentsMDInSync' -update-experiments-md
+
+# The guard: re-run the quick regime — all 32 Figure 8 cells and every
+# other table — and demand equality with the committed record, cell for
+# cell. Everything recorded is simulated, so a changed schedule fails
+# whether it got worse or better: regenerate the record (`make
+# experiments`) in the change that means it. The fresh tables are left
+# in experiments-new.json (CI uploads it).
 bench-guard:
-	$(GO) run ./cmd/flexerbench -preset quick -json bench-new.json -guard $(BENCH_BASELINE)
+	rm -f experiments-new.json
+	$(FLEXERBENCH) -exp all -scale 4 -budget quick -json experiments-new.json -guard EXPERIMENTS.json > /dev/null
 
 # Short native-fuzzing run over the packages with fuzz targets: the
 # schedule verifier (repaired schedules under random fault plans), the
