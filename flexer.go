@@ -171,16 +171,8 @@ func NewCache() *Cache { return search.NewCache() }
 func NewCacheSized(capacity int) *Cache { return search.NewCacheSized(capacity) }
 
 // Tilings enumerates the feasible tilings of a layer on an arch under
-// the given budget, as the search would consider them.
-func Tilings(l Conv, a Arch, b Budget) []Factors {
-	return tile.Enumerate(l, tile.EnumLimits{
-		SPMBytes:        a.SPMBytes,
-		Cores:           a.Cores,
-		MaxOps:          b.MaxOps,
-		MaxTilings:      b.MaxTilings,
-		MaxValuesPerDim: b.MaxValuesPerDim,
-	})
-}
+// the given budget: the ones SearchLayer schedules.
+func Tilings(l Conv, a Arch, b Budget) []Factors { return search.Tilings(l, a, b) }
 
 // ScheduleLayer generates an out-of-order schedule for one layer under
 // one tiling.

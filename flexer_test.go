@@ -66,6 +66,28 @@ func TestTilings(t *testing.T) {
 	if len(ts) == 0 {
 		t.Fatal("no tilings")
 	}
+
+	// A layer whose tilings all exceed the budget's op cap: the search
+	// relaxes the cap until some tiling fits, and Tilings lists those.
+	vgg, err := flexer.NetworkByName("vgg16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch5, err := flexer.Preset("arch5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv22, err := vgg.Layer("conv2_2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr, err := flexer.SearchLayer(conv22, flexer.Options{Arch: arch5, Budget: flexer.QuickBudget(), DisableDominance: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := flexer.Tilings(conv22, arch5, flexer.QuickBudget()); len(got) != lr.CandidatesEnumerated || len(got) == 0 {
+		t.Errorf("Tilings(%s, arch5, quick) lists %d tilings, SearchLayer enumerates %d", conv22.Name, len(got), lr.CandidatesEnumerated)
+	}
 }
 
 func TestScheduleLayerAndStatic(t *testing.T) {

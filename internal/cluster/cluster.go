@@ -36,30 +36,17 @@ type Config struct {
 	Self string
 	// Peers is the full static peer set, Self included or not.
 	Peers []string
-	// VirtualNodes is the per-peer vnode count (<= 0 = 64).
-	VirtualNodes int
 	// ProbeInterval is the health-probe period for live peers
 	// (<= 0 = 2s).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe request (<= 0 = min(ProbeInterval, 1s)).
 	ProbeTimeout time.Duration
-	// MaxProbeInterval caps the exponential probe backoff against down
-	// peers (<= 0 = 8x ProbeInterval).
-	MaxProbeInterval time.Duration
 	// Thresholds tune the peer FSM; the zero value means
 	// suspect after 1 failure, down after 3, rejoin after 2 successes.
 	Thresholds Thresholds
-	// HTTPClient issues probes (nil = a client with a short dial
-	// timeout). Forwarded requests use internal/serve's client, not
-	// this one.
-	HTTPClient *http.Client
 	// Log receives one line per peer state transition (nil =
 	// log.Default()).
 	Log *log.Logger
-	// OnTransition, when non-nil, is called (from the prober
-	// goroutine, without internal locks held) after every peer state
-	// change.
-	OnTransition func(peer string, from, to State)
 }
 
 // Cluster is one node's live membership view: the immutable ring plus
@@ -68,7 +55,7 @@ type Config struct {
 type Cluster struct {
 	cfg    Config
 	ring   *Ring
-	client *http.Client
+	client *http.Client // probes only; forwards use internal/serve's client
 	log    *log.Logger
 
 	mu    sync.Mutex
@@ -100,6 +87,10 @@ type peerState struct {
 	lastChange  time.Time
 	kick        chan struct{} // poke the prober for an immediate probe
 }
+
+// maxBackoff caps the probe period against a down peer, in probe
+// intervals.
+const maxBackoff = 8
 
 // probeEWMAAlpha weights the newest probe latency in the decayed mean,
 // matching internal/serve's latency histograms.
@@ -136,23 +127,17 @@ func New(cfg Config) (*Cluster, error) {
 			cfg.ProbeTimeout = time.Second
 		}
 	}
-	if cfg.MaxProbeInterval <= 0 {
-		cfg.MaxProbeInterval = 8 * cfg.ProbeInterval
-	}
 	cfg.Thresholds = cfg.Thresholds.withDefaults()
 	if cfg.Log == nil {
 		cfg.Log = log.Default()
 	}
 	c := &Cluster{
 		cfg:    cfg,
-		ring:   NewRing(peers, cfg.VirtualNodes),
-		client: cfg.HTTPClient,
+		ring:   NewRing(peers, DefaultVirtualNodes),
+		client: &http.Client{Timeout: cfg.ProbeTimeout},
 		log:    cfg.Log,
 		peers:  make(map[string]*peerState),
 		stop:   make(chan struct{}),
-	}
-	if c.client == nil {
-		c.client = &http.Client{Timeout: cfg.ProbeTimeout}
 	}
 	for _, p := range c.ring.Peers() {
 		if p == cfg.Self {
@@ -203,9 +188,9 @@ func (c *Cluster) Stop() {
 }
 
 // probeLoop probes one peer forever: every ProbeInterval while the
-// peer answers, backing off exponentially (capped at MaxProbeInterval)
-// while it is down, and immediately when kicked by a forward failure.
-// A +-10% jitter decorrelates the probers of a restarted fleet.
+// peer answers, backing off exponentially (capped at maxBackoff
+// intervals) while it is down, and immediately when kicked by a forward
+// failure. A +-10% jitter decorrelates the probers of a restarted fleet.
 func (c *Cluster) probeLoop(addr string, ps *peerState) {
 	defer c.wg.Done()
 	timer := time.NewTimer(0) // first probe immediately
@@ -219,15 +204,11 @@ func (c *Cluster) probeLoop(addr string, ps *peerState) {
 		}
 		fails := c.probeOnce(addr, ps)
 		d := c.cfg.ProbeInterval
-		if fails > 0 {
-			// Back off against a failing peer: 1x, 2x, 4x... capped.
-			for i := 1; i < fails && d < c.cfg.MaxProbeInterval; i++ {
-				d *= 2
-			}
-			if d > c.cfg.MaxProbeInterval {
-				d = c.cfg.MaxProbeInterval
-			}
+		// Back off against a failing peer: 1x, 2x, 4x... capped.
+		for i := 1; i < fails && d < maxBackoff*c.cfg.ProbeInterval; i++ {
+			d *= 2
 		}
+		d = min(d, maxBackoff*c.cfg.ProbeInterval)
 		d += time.Duration(rand.Int63n(int64(d)/5+1)) - time.Duration(int64(d)/10)
 		if !timer.Stop() {
 			select {
@@ -268,7 +249,7 @@ func (c *Cluster) probe(ctx context.Context, addr string) (bool, error) {
 }
 
 // observe records one probe (or forward) outcome, running the FSM and
-// firing transition hooks. Returns the consecutive-failure streak.
+// logging a transition. Returns the consecutive-failure streak.
 func (c *Cluster) observe(addr string, ps *peerState, ok bool, err error, elapsedMS float64) int {
 	c.mu.Lock()
 	prev := ps.state
@@ -300,9 +281,6 @@ func (c *Cluster) observe(addr string, ps *peerState, ok bool, err error, elapse
 			c.rejoins.Add(1)
 		}
 		c.log.Printf("cluster: peer %s %s -> %s", addr, prev, st)
-		if c.cfg.OnTransition != nil {
-			c.cfg.OnTransition(addr, prev, st)
-		}
 	}
 	return fails
 }

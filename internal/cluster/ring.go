@@ -7,12 +7,12 @@ import (
 )
 
 // Ring is a consistent-hash ring over the peer set. Every peer owns
-// VirtualNodes points on a 64-bit circle; a key's home is the peer
-// owning the first point at or after the key's hash. Virtual nodes
-// smooth the per-peer key share (with 64 vnodes the imbalance across a
-// handful of peers stays within a few percent), and consistent hashing
-// keeps reassignment minimal: adding or removing one peer moves only
-// the keys homed on it, never reshuffles the rest.
+// the same number of virtual-node points on a 64-bit circle; a key's
+// home is the peer owning the first point at or after the key's hash.
+// Virtual nodes smooth the per-peer key share (with 64 vnodes the
+// imbalance across a handful of peers stays within a few percent), and
+// consistent hashing keeps reassignment minimal: adding or removing one
+// peer moves only the keys homed on it, never reshuffles the rest.
 //
 // The ring is immutable after construction and therefore trivially
 // safe for concurrent lookups. Membership in this PR is static (the
@@ -30,9 +30,9 @@ type ringPoint struct {
 	peer string
 }
 
-// DefaultVirtualNodes is the per-peer vnode count used when a Config
-// names none. 64 points per peer keeps the key-share imbalance low
-// without making ring construction or the sorted-points slice costly.
+// DefaultVirtualNodes is the per-peer vnode count of a Cluster's ring.
+// 64 points per peer keeps the key-share imbalance low without making
+// ring construction or the sorted-points slice costly.
 const DefaultVirtualNodes = 64
 
 // NewRing builds a ring over the given peers (duplicates are dropped)

@@ -101,6 +101,25 @@ type Floor struct {
 // Floor returns the graph's totals; see Floor.
 func (gr *Graph) Floor() Floor { return gr.floor }
 
+// FloorOf returns one grid's share of a Floor under m: the summed op
+// cycles, and per tile kind the summed size and DMA latency of its
+// tiles, each moved once. An op's cycles are its channel passes times
+// its output area and taps, plus a fill (model.ConvCycles), so one op
+// per channel pair spanning the whole output stands for its blocks.
+func FloorOf(g *tile.Grid, m model.Model) (opCycles int64, bytes, cycles [tile.NumKinds]int64) {
+	for oc := range g.NOC {
+		for ic := range g.NIC {
+			_, _, ochs, ichs := g.OpDims(0, 0, oc, ic)
+			opCycles += m.ConvCycles(g.OutH, g.OutW, ochs, ichs, g.Layer.KerH, g.Layer.KerW)
+		}
+	}
+	opCycles += int64(g.NumOps()-g.NOC*g.NIC) * m.FillCycles() // the other ops' fills
+	for k := range tile.NumKinds {
+		bytes[k], cycles[k] = g.SumTiles(tile.Kind(k), m.TransferCycles)
+	}
+	return opCycles, bytes, cycles
+}
+
 // Fused reports whether the graph spans more than one layer.
 func (gr *Graph) Fused() bool { return len(gr.grids) > 1 }
 
@@ -243,18 +262,16 @@ func build(grids []*tile.Grid, m model.Model) *Graph {
 	}
 	gr.Ops = make([]Op, 0, ops)
 	gr.uses = make([]int32, tiles)
-	gr.floor.WritebackBytes = grids[nl-1].TotalTileBytes(tile.Out)
 	for l, g := range grids {
-		for _, k := range []tile.Kind{tile.In, tile.Wt} {
-			if k == tile.In && l > 0 {
-				continue // a consumer's input may be gathered on-chip
-			}
-			for i := 0; i < g.NumTiles(k); i++ {
-				sz := g.Size(g.TileAt(k, i))
-				gr.floor.LoadBytes += sz
-				gr.floor.LoadCycles += m.TransferCycles(sz)
-			}
+		opCycles, bytes, cycles := FloorOf(g, m)
+		gr.floor.OpCycles += opCycles
+		gr.floor.LoadBytes += bytes[tile.Wt]
+		gr.floor.LoadCycles += cycles[tile.Wt]
+		if l == 0 { // a consumer's input may be gathered on-chip
+			gr.floor.LoadBytes += bytes[tile.In]
+			gr.floor.LoadCycles += cycles[tile.In]
 		}
+		gr.floor.WritebackBytes = bytes[tile.Out] // the last layer's stands
 		// Within a layer every tile of a kind is touched equally often:
 		// an input tile by each out-channel block, a weight tile by each
 		// spatial block, an output tile by each accumulation step.
@@ -270,8 +287,6 @@ func build(grids []*tile.Grid, m model.Model) *Graph {
 				for oc := 0; oc < g.NOC; oc++ {
 					for ic := 0; ic < g.NIC; ic++ {
 						rows, cols, ochs, ichs := g.OpDims(oh, ow, oc, ic)
-						cycles := m.ConvCycles(rows, cols, ochs, ichs, conv.KerH, conv.KerW)
-						gr.floor.OpCycles += cycles
 						gr.Ops = append(gr.Ops, Op{
 							ID: len(gr.Ops),
 							OH: oh, OW: ow, OC: oc, IC: ic,
@@ -281,7 +296,7 @@ func build(grids []*tile.Grid, m model.Model) *Graph {
 							ReadsPsum: ic > 0,
 							Final:     ic == g.NIC-1,
 							Layer:     l,
-							Cycles:    cycles,
+							Cycles:    m.ConvCycles(rows, cols, ochs, ichs, conv.KerH, conv.KerW),
 						})
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"github.com/flexer-sched/flexer/internal/dfg"
 	"github.com/flexer-sched/flexer/internal/model"
 	"github.com/flexer-sched/flexer/internal/tile"
 )
@@ -61,82 +62,25 @@ func (m Metric) monotone() bool {
 //     on the single DMA channel.
 //
 // The traffic floor is the byte sum of the same minimal transfer set.
+// All but the chain are the grid's dfg.FloorOf, the totals the
+// scheduler's own cutoff floors count down from.
 func LowerBound(g *tile.Grid, m model.Model, cores int) Bound {
-	taps := int64(g.Layer.KerH) * int64(g.Layer.KerW)
-	fill := m.FillCycles()
-
-	// Per-dimension pass counts (utilization-rounded, exactly as
-	// model.ConvCycles computes them).
-	var sumIcPasses int64
-	for ic := 0; ic < g.NIC; ic++ {
-		_, _, _, ichs := g.OpDims(0, 0, 0, ic)
-		sumIcPasses += int64(ceilDiv(ichs, m.PERows()))
+	opCycles, bytes, cycles := dfg.FloorOf(g, m)
+	var dma, traffic int64
+	for k := range tile.NumKinds {
+		dma += cycles[k]
+		traffic += bytes[k]
 	}
-	var sumOcPasses int64
-	ocPasses := make([]int64, g.NOC)
-	for oc := 0; oc < g.NOC; oc++ {
-		_, _, ochs, _ := g.OpDims(0, 0, oc, 0)
-		ocPasses[oc] = int64(ceilDiv(ochs, m.PECols()))
-		sumOcPasses += ocPasses[oc]
+	// The first output tile is the largest on every axis, so its chain —
+	// its accumulation steps, then its write-back — is the longest.
+	chain := m.TransferCycles(g.Size(g.OutTile(0, 0, 0)))
+	for ic := range g.NIC {
+		rows, cols, ochs, ichs := g.OpDims(0, 0, 0, ic)
+		chain += m.ConvCycles(rows, cols, ochs, ichs, g.Layer.KerH, g.Layer.KerW)
 	}
-
-	// Total compute cycles factorize over the four block dimensions:
-	// sum over (oh,ow) of rows*cols is exactly OutH*OutW.
-	numOps := int64(g.NumOps())
-	spatialSum := int64(g.OutH) * int64(g.OutW)
-	totalCompute := taps*spatialSum*sumOcPasses*sumIcPasses + numOps*fill
-	computeFloor := (totalCompute + int64(cores) - 1) / int64(cores)
-
-	// DMA and traffic floors over the distinct tiles, plus the longest
-	// chain (compute of one output tile's accumulation steps, which a
-	// single chain serializes, followed by its mandatory write-back).
-	var dmaFloor, traffic int64
-	for oh := 0; oh < g.NOH; oh++ {
-		for ow := 0; ow < g.NOW; ow++ {
-			for ic := 0; ic < g.NIC; ic++ {
-				sz := g.Size(g.InTile(oh, ow, ic))
-				traffic += sz
-				dmaFloor += m.TransferCycles(sz)
-			}
-		}
-	}
-	for oc := 0; oc < g.NOC; oc++ {
-		for ic := 0; ic < g.NIC; ic++ {
-			sz := g.Size(g.WtTile(oc, ic))
-			traffic += sz
-			dmaFloor += m.TransferCycles(sz)
-		}
-	}
-	var chainFloor int64
-	for oh := 0; oh < g.NOH; oh++ {
-		for ow := 0; ow < g.NOW; ow++ {
-			rows, cols, _, _ := g.OpDims(oh, ow, 0, 0)
-			spatial := int64(rows) * int64(cols)
-			for oc := 0; oc < g.NOC; oc++ {
-				sz := g.Size(g.OutTile(oh, ow, oc))
-				traffic += sz
-				wb := m.TransferCycles(sz)
-				dmaFloor += wb
-				chain := taps*spatial*ocPasses[oc]*sumIcPasses +
-					int64(g.NIC)*fill + wb
-				if chain > chainFloor {
-					chainFloor = chain
-				}
-			}
-		}
-	}
-
-	cycles := computeFloor
-	if chainFloor > cycles {
-		cycles = chainFloor
-	}
-	if dmaFloor > cycles {
-		cycles = dmaFloor
-	}
-	return Bound{Cycles: cycles, Traffic: traffic}
+	compute := (opCycles + int64(cores) - 1) / int64(cores)
+	return Bound{Cycles: max(compute, chain, dma), Traffic: traffic}
 }
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // incumbent tracks the best actual metric score observed so far across
 // the worker pool of one layer search, as an atomically-updated
@@ -165,7 +109,7 @@ func (in *incumbent) observe(s float64) {
 	}
 	for {
 		ob := in.bits.Load()
-		if ob != 0 && math.Float64frombits(ob) <= s {
+		if ob != 0 && !better(s, math.Float64frombits(ob)) {
 			return
 		}
 		if in.bits.CompareAndSwap(ob, nb) {
@@ -191,5 +135,15 @@ type incumbents struct {
 // tie-break, so they are never skipped.
 func (in *incumbents) dominated(b Bound, m Metric) bool {
 	s := b.Score(m)
-	return s > in.ooo.value() && s > in.static.value()
+	return better(in.ooo.value(), s) && better(in.static.value(), s)
+}
+
+// observe lowers the incumbents to c's scores where c beats them.
+func (in *incumbents) observe(c Candidate, m Metric) {
+	if c.OoO != nil {
+		in.ooo.observe(m.score(c.OoO))
+	}
+	if c.Static != nil {
+		in.static.observe(m.score(c.Static))
+	}
 }

@@ -175,9 +175,6 @@ func (c *Cache) Layer(ctx context.Context, key string, l layer.Conv, opts Option
 			s.m[key] = e
 			s.mu.Unlock()
 			c.misses.Add(1)
-			if opts.CacheMisses != nil {
-				opts.CacheMisses.Add(1)
-			}
 
 			e.lr, e.err = searchLayerUncached(ctx, l, opts)
 
@@ -195,7 +192,7 @@ func (c *Cache) Layer(ctx context.Context, key string, l layer.Conv, opts Option
 			}
 			close(e.done)
 			s.mu.Unlock()
-			return finishLookup(e, l)
+			return finishLookup(e, l, true)
 		}
 		// A completed entry (success or cached failure) has an LRU
 		// position; an entry without one is still in flight, so this
@@ -229,7 +226,7 @@ func (c *Cache) Layer(ctx context.Context, key string, l layer.Conv, opts Option
 			}
 			continue
 		}
-		return finishLookup(e, l)
+		return finishLookup(e, l, false)
 	}
 }
 
@@ -244,14 +241,16 @@ func isCancellation(err error) bool {
 }
 
 // finishLookup unwraps a completed entry for one caller, shallow-copying
-// the result so each caller sees its own layer name.
-func finishLookup(e *cacheEntry, l layer.Conv) (*LayerResult, error) {
+// the result so each caller sees its own layer name; searched marks the
+// caller that ran the search.
+func finishLookup(e *cacheEntry, l layer.Conv, searched bool) (*LayerResult, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
 	lr := *e.lr
 	lr.Layer = l
 	lr.memo = &e.memo
+	lr.searched = searched
 	return &lr, nil
 }
 
@@ -297,7 +296,7 @@ func (s *cacheShard) complete(c *Cache, e *cacheEntry) {
 // themselves are fusion-independent today, but keeping the keys
 // disjoint guarantees a fused network request can never serve stale
 // entries to (or poison) a layerwise one. Fields that cannot change the
-// result (Workers, Cache, CacheMisses, Progress, CheckIn) are
+// result (Workers, Cache, Progress, CheckIn) are
 // deliberately excluded so requests differing only in plumbing share
 // one search. Every request builds the key, hit or miss, so it is
 // appended, not formatted; key_oracle_test.go keeps the fmt form.

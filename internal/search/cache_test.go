@@ -467,7 +467,7 @@ func TestCacheCoalescedJoinerCancelled(t *testing.T) {
 // arch.Config must change the key — so a field added later without
 // either keying it or listing it here fails this test.
 var keyPlumbing = map[string]bool{
-	"Workers": true, "Cache": true, "CacheMisses": true, "Progress": true, "CheckIn": true,
+	"Workers": true, "Cache": true, "Progress": true, "CheckIn": true,
 	"Arch.ClockHz": true, // converts cycles to seconds in reports only
 	"sem":          true, // unexported: the shared worker-pool semaphore
 }

@@ -34,6 +34,13 @@ func oracleScheduleTiling(ctx context.Context, l layer.Conv, f tile.Factors, m m
 	over := func(target float64) func(cycles, bytes int64) bool {
 		return func(cycles, bytes int64) bool { return metric.Score(cycles, bytes) > target }
 	}
+	cutoffRun := func(graph *dfg.Graph, cfg sched.Config, aborted *int) (*sched.Result, error) {
+		res, err := sched.Schedule(graph, cfg)
+		if err != nil && errors.Is(err, sched.ErrCutoff) {
+			*aborted++
+		}
+		return res, err
+	}
 
 	ocfg := base
 	if inc != nil {

@@ -1,6 +1,10 @@
 package search
 
-import "sync"
+import (
+	"sync"
+
+	"github.com/flexer-sched/flexer/internal/sched"
+)
 
 // ProgressEvent is one report from a running search. Layer-level
 // events carry the candidate counters; SearchNetworkCtx additionally
@@ -49,6 +53,7 @@ type ProgressFunc func(ProgressEvent)
 type progressReporter struct {
 	mu     sync.Mutex
 	fn     ProgressFunc
+	metric Metric
 	layer  string
 	total  int
 	done   int
@@ -59,44 +64,29 @@ type progressReporter struct {
 
 // newProgressReporter returns a reporter for one layer search, or nil
 // when no callback is installed (the nil reporter ignores events).
-func newProgressReporter(fn ProgressFunc, layer string, total int) *progressReporter {
+func newProgressReporter(fn ProgressFunc, metric Metric, layer string, total int) *progressReporter {
 	if fn == nil {
 		return nil
 	}
-	return &progressReporter{fn: fn, layer: layer, total: total}
+	return &progressReporter{fn: fn, metric: metric, layer: layer, total: total}
 }
 
-// candidateDone records one scheduled tiling — ok is false for a
-// tiling that could not be scheduled — and reports progress.
-func (p *progressReporter) candidateDone(score float64, ok bool) {
+// record counts one tiling done and reports progress. ooo is its OoO
+// schedule, nil when it has none; pruned marks a tiling skipped by
+// dominance pruning, which counts as done so Done reaches Total.
+func (p *progressReporter) record(ooo *sched.Result, pruned bool) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.done++
-	if ok && (!p.has || score < p.best) {
-		p.best, p.has = score, true
+	if pruned {
+		p.pruned++
 	}
-	p.fn(ProgressEvent{
-		Layer:            p.layer,
-		CandidatesDone:   p.done,
-		CandidatesTotal:  p.total,
-		CandidatesPruned: p.pruned,
-		BestScore:        p.best,
-	})
-}
-
-// candidatePruned records one tiling skipped by dominance pruning and
-// reports progress; pruned tilings count as done so Done reaches Total.
-func (p *progressReporter) candidatePruned() {
-	if p == nil {
-		return
+	if ooo != nil && (!p.has || better(p.metric.score(ooo), p.best)) {
+		p.best, p.has = p.metric.score(ooo), true
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.done++
-	p.pruned++
 	p.fn(ProgressEvent{
 		Layer:            p.layer,
 		CandidatesDone:   p.done,

@@ -70,6 +70,21 @@ func (m Metric) Score(latency, traffic int64) float64 {
 	return math.Pow(float64(latency), m.LatExp) * math.Pow(float64(traffic), m.TrafficExp)
 }
 
+// better reports whether score a beats score b: strictly lower. It is
+// the search's one comparison — the keeps of a tiling and of a layer,
+// the incumbents, the cutoffs, progress — and it is spelled with < so a
+// NaN score neither beats nor is beaten.
+func better(a, b float64) bool { return a < b }
+
+// score is r's metric value.
+func (m Metric) score(r *sched.Result) float64 { return m.Score(r.LatencyCycles, r.TrafficBytes()) }
+
+// beats reports whether r beats best, the schedule kept so far (nil
+// while there is none).
+func (m Metric) beats(r, best *sched.Result) bool {
+	return best == nil || better(m.score(r), m.score(best))
+}
+
 // Budget bounds the search effort.
 type Budget struct {
 	// MaxTilings caps the candidate tilings per layer.
@@ -146,12 +161,6 @@ type Options struct {
 	Workers int
 	// Cache, when non-nil, memoizes layer results across calls.
 	Cache *Cache
-	// CacheMisses, when non-nil, is incremented once per layer search
-	// actually executed on behalf of this Options value (i.e. per cache
-	// miss, or per layer when Cache is nil). Serving layers install a
-	// fresh counter per request for per-request accounting; the Cache's
-	// own Stats counters are process-global and unsuitable for that.
-	CacheMisses *atomic.Int64
 	// FuseDepth, when positive, lets a network search schedule across
 	// layer boundaries: after the per-layer search, runs of up to
 	// FuseDepth+1 consecutive shape-compatible layers are rescheduled as
@@ -264,6 +273,9 @@ type LayerResult struct {
 	FaultPlan *fault.Plan
 	// memo is the cache entry's slot behind Memo; nil outside a cache.
 	memo *atomic.Pointer[[]byte]
+	// searched marks the copy a cache hands to the caller that ran the
+	// search, not a hit or a coalesced wait.
+	searched bool
 }
 
 // Speedup returns baseline latency / OoO latency (>1 means OoO wins).
@@ -300,9 +312,6 @@ func SearchLayerCtx(ctx context.Context, l layer.Conv, opts Options) (*LayerResu
 	if opts.Cache != nil {
 		return opts.Cache.Layer(ctx, CacheKey(l, opts), l, opts)
 	}
-	if opts.CacheMisses != nil {
-		opts.CacheMisses.Add(1)
-	}
 	return searchLayerUncached(ctx, l, opts)
 }
 
@@ -319,20 +328,16 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule f
 	if err := opts.checkIn(); err != nil {
 		return nil, err
 	}
-	b := opts.Budget
-	if b.MaxOps <= 0 {
-		b.MaxOps = tile.DefaultMaxOps
-	}
-	tilings := enumerateWithEscalation(l, opts.Arch, b)
+	tilings := enumerateWithEscalation(l, opts.Arch, opts.Budget)
 	if len(tilings) == 0 {
 		return nil, fmt.Errorf("search: no feasible tiling for layer %s on %s", l.Name, opts.Arch.Name)
 	}
-	dataflows := b.Dataflows
+	dataflows := opts.Budget.Dataflows
 	if dataflows == nil {
 		dataflows = loop.Canonical()
 	}
 	m := model.New(opts.Arch)
-	reporter := newProgressReporter(opts.Progress, l.Name, len(tilings))
+	reporter := newProgressReporter(opts.Progress, opts.Metric, l.Name, len(tilings))
 
 	// Dominance pruning: bound every tiling up front (linear in tile
 	// counts, no DFG), then schedule candidates in ascending-bound
@@ -353,14 +358,13 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule f
 	}
 	if pruning {
 		// Stable, so unique: the order sort.SliceStable gave, without
-		// its reflective swapper. Spelled with < (not cmp.Compare) so a
-		// NaN score keeps comparing as it did.
+		// its reflective swapper.
 		slices.SortStableFunc(order, func(a, b int) int {
 			sa, sb := bounds[a].Score(opts.Metric), bounds[b].Score(opts.Metric)
 			switch {
-			case sa < sb:
+			case better(sa, sb):
 				return -1
-			case sb < sa:
+			case better(sb, sa):
 				return 1
 			}
 			return 0
@@ -408,7 +412,7 @@ spawn:
 			}
 			if pruning && inc.dominated(bounds[i], opts.Metric) {
 				errs[i] = errDominated
-				reporter.candidatePruned()
+				reporter.record(nil, true)
 				return
 			}
 			var cut *incumbents // nil: every run goes to completion
@@ -417,20 +421,10 @@ spawn:
 			}
 			results[i], aborted[i], errs[i] = schedule(ctx, l, f, m, dataflows, opts, cut)
 			if errs[i] == nil {
-				c := results[i]
-				if c.OoO != nil {
-					inc.ooo.observe(opts.Metric.Score(c.OoO.LatencyCycles, c.OoO.TrafficBytes()))
-				}
-				if c.Static != nil {
-					inc.static.observe(opts.Metric.Score(c.Static.LatencyCycles, c.Static.TrafficBytes()))
-				}
-				if c.OoO != nil {
-					reporter.candidateDone(opts.Metric.Score(c.OoO.LatencyCycles, c.OoO.TrafficBytes()), true)
-				} else {
-					reporter.candidateDone(0, false)
-				}
+				inc.observe(results[i], opts.Metric)
+				reporter.record(results[i].OoO, false)
 			} else if !isCancellation(errs[i]) {
-				reporter.candidateDone(0, false)
+				reporter.record(nil, false)
 			}
 		}(i, tilings[i])
 	}
@@ -448,7 +442,6 @@ spawn:
 	}
 
 	lr := &LayerResult{Layer: l, CandidatesEnumerated: len(tilings)}
-	metric := opts.Metric
 	for i := range results {
 		lr.SchedulesAborted += aborted[i]
 		if errs[i] == errDominated {
@@ -464,17 +457,12 @@ spawn:
 		c := results[i]
 		if c.OoO != nil {
 			lr.Candidates = append(lr.Candidates, c)
+			if opts.Metric.beats(c.OoO, lr.BestOoO) {
+				lr.BestOoO = c.OoO
+			}
 		}
-		if c.OoO != nil && (lr.BestOoO == nil ||
-			metric.Score(c.OoO.LatencyCycles, c.OoO.TrafficBytes()) <
-				metric.Score(lr.BestOoO.LatencyCycles, lr.BestOoO.TrafficBytes())) {
-			lr.BestOoO = c.OoO
-		}
-		if c.Static != nil && (lr.BestStatic == nil ||
-			metric.Score(c.Static.LatencyCycles, c.Static.TrafficBytes()) <
-				metric.Score(lr.BestStatic.LatencyCycles, lr.BestStatic.TrafficBytes())) {
-			lr.BestStatic = c.Static
-			lr.BestStaticOrder = c.StaticOrder
+		if c.Static != nil && opts.Metric.beats(c.Static, lr.BestStatic) {
+			lr.BestStatic, lr.BestStaticOrder = c.Static, c.StaticOrder
 		}
 	}
 	if lr.BestOoO == nil || lr.BestStatic == nil {
@@ -510,10 +498,18 @@ func RepairResult(l layer.Conv, r *sched.Result, plan *fault.Plan, opts Options)
 	return sched.Repair(dfg.Build(grid, m), r, plan, opts.SchedConfig(m))
 }
 
+// Tilings returns the tilings a search of l on cfg under b schedules.
+func Tilings(l layer.Conv, cfg arch.Config, b Budget) []tile.Factors {
+	return enumerateWithEscalation(l, cfg, b)
+}
+
 // enumerateWithEscalation relaxes the op-count cap until at least one
 // tiling is feasible; very large layers need more (smaller) tiles than
 // the default cap allows.
 func enumerateWithEscalation(l layer.Conv, cfg arch.Config, b Budget) []tile.Factors {
+	if b.MaxOps <= 0 {
+		b.MaxOps = tile.DefaultMaxOps // doubled below, unlike Enumerate's own default
+	}
 	lim := tile.EnumLimits{
 		SPMBytes:        cfg.SPMBytes,
 		Cores:           cfg.Cores,
@@ -546,16 +542,17 @@ const maxOoOHints = 3
 var errDominated = errors.New("search: tiling dominated by incumbent")
 
 // scheduleTiling produces the OoO schedule and the best static schedule
-// for one tiling. It aborts between dataflow evaluations when ctx is
-// cancelled. With inc non-nil, each run carries a sched.Config.Cutoff
-// that abandons it as soon as the scheduler's cycles and bytes floors
-// score above the incumbent it would have to beat — by the very metric
-// the final reduction compares with, so a run is dropped only when
-// every schedule it could become loses that comparison; aborted counts
-// them. A candidate may then come back with a nil Static (every static
-// run dominated) or nil OoO (the unhinted run dominated while a later
-// hinted run was not attempted or also dominated); a candidate with
-// neither is reported as errDominated.
+// for one tiling: the unhinted OoO run, then every distinct static
+// order, then OoO hinted with the eligible ones. It aborts between runs
+// when ctx is cancelled. With inc non-nil, each run carries a
+// sched.Config.Cutoff that abandons it as soon as the scheduler's
+// cycles and bytes floors score above the incumbent it would have to
+// beat — by the very metric the final reduction compares with, so a run
+// is dropped only when every schedule it could become loses that
+// comparison; aborted counts them. A candidate may then come back with
+// a nil Static (every static run dominated) or nil OoO (the unhinted
+// run dominated while a later hinted run was not attempted or also
+// dominated); a candidate with neither is reported as errDominated.
 func scheduleTiling(ctx context.Context, l layer.Conv, f tile.Factors, m model.Model, dataflows []loop.Dataflow, opts Options, inc *incumbents) (Candidate, int, error) {
 	grid, err := tile.NewGrid(l, f)
 	if err != nil {
@@ -566,31 +563,46 @@ func scheduleTiling(ctx context.Context, l layer.Conv, f tile.Factors, m model.M
 	metric := opts.Metric
 	aborted := 0
 	c := Candidate{Factors: f}
-	over := func(target float64) func(cycles, bytes int64) bool {
-		return func(cycles, bytes int64) bool { return metric.Score(cycles, bytes) > target }
+	var oooInc, staticInc *incumbent // nil: an exhaustive search, no cutoffs
+	if inc != nil {
+		oooInc, staticInc = &inc.ooo, &inc.static
+	}
+	// run schedules cfg. Its cutoff target is the incumbent in, tightened
+	// to own — the tiling's schedule the run must also beat — where own
+	// scores lower; a run abandoned by it is counted.
+	run := func(cfg sched.Config, in *incumbent, own *sched.Result) (*sched.Result, error) {
+		if in != nil {
+			target := in.value()
+			if own != nil && better(metric.score(own), target) {
+				target = metric.score(own)
+			}
+			cfg.Cutoff = func(cycles, bytes int64) bool { return better(target, metric.Score(cycles, bytes)) }
+		}
+		res, err := sched.Schedule(graph, cfg)
+		if errors.Is(err, sched.ErrCutoff) {
+			aborted++
+		}
+		return res, err
 	}
 
-	ocfg := base
-	if inc != nil {
-		ocfg.Cutoff = over(inc.ooo.value())
-	}
-	ooo, err := sched.Schedule(graph, ocfg)
+	ooo, err := run(base, oooInc, nil)
 	switch {
 	case err == nil:
 		c.OoO = ooo
-	case errors.Is(err, sched.ErrCutoff):
-		aborted++
-	default:
+	case !errors.Is(err, sched.ErrCutoff):
 		return Candidate{}, aborted, err
 	}
 
 	// A loop of one iteration orders nothing, so on most grids several
 	// dataflows are one op sequence (loop.Reduce). A run is a function of
-	// graph and config, cutoff targets only fall and both reductions
-	// below are strict: an entry repeating an earlier one's sequence
-	// could only lose or tie, as a static order and — the earlier entry
-	// being as eligible — as a hint, and is skipped whole.
+	// graph and config, cutoff targets only fall and both keeps are
+	// strict: an entry repeating an earlier one's sequence could only
+	// lose or tie, as a static order and — the earlier entry being as
+	// eligible — as a hint, and is skipped whole. A static run that
+	// cannot beat the static incumbent can never become BestStatic, so
+	// the tiling's own static best does not tighten its cutoff.
 	seen := make([][4]loop.Dim, 0, 24) // room for every permutation, off the heap
+	hints := make([][]int, 0, maxOoOHints)
 	for i, df := range dataflows {
 		if err := ctx.Err(); err != nil {
 			return Candidate{}, aborted, err
@@ -600,67 +612,32 @@ func scheduleTiling(ctx context.Context, l layer.Conv, f tile.Factors, m model.M
 			continue
 		}
 		seen = append(seen, seq)
-		order := loop.Order(graph, df)
 		cfg := base
-		cfg.Order = order
-		// A static run that cannot strictly beat the static incumbent
-		// can never become BestStatic; its own candidate-local best is
-		// then irrelevant too, because the whole candidate is already
-		// dominated on the static axis.
-		if inc != nil {
-			cfg.Cutoff = over(inc.static.value())
-		}
-		res, err := cutoffRun(graph, cfg, &aborted)
-		if err == nil {
-			if c.Static == nil || metric.Score(res.LatencyCycles, res.TrafficBytes()) <
-				metric.Score(c.Static.LatencyCycles, c.Static.TrafficBytes()) {
-				c.Static = res
-				c.StaticOrder = df
-			}
+		cfg.Order = loop.Order(graph, df)
+		if res, err := run(cfg, staticInc, nil); err == nil && metric.beats(res, c.Static) {
+			c.Static, c.StaticOrder = res, df
 		}
 		if opts.Budget.HintedOoO && i < maxOoOHints {
-			hcfg := base
-			hcfg.Hint = order
-			if inc != nil {
-				// A hinted run must strictly beat both the global OoO
-				// incumbent and this candidate's own current OoO to
-				// matter, so the tighter of the two bounds it.
-				target := inc.ooo.value()
-				if c.OoO != nil {
-					if s := metric.Score(c.OoO.LatencyCycles, c.OoO.TrafficBytes()); s < target {
-						target = s
-					}
-				}
-				hcfg.Cutoff = over(target)
-			}
-			if h, err := cutoffRun(graph, hcfg, &aborted); err == nil &&
-				(c.OoO == nil || metric.Score(h.LatencyCycles, h.TrafficBytes()) <
-					metric.Score(c.OoO.LatencyCycles, c.OoO.TrafficBytes())) {
-				c.OoO = h
-			}
+			hints = append(hints, cfg.Order)
 		}
 	}
-	if c.OoO == nil && c.Static == nil {
-		if aborted > 0 {
-			return Candidate{}, aborted, errDominated
+	for _, hint := range hints {
+		if err := ctx.Err(); err != nil {
+			return Candidate{}, aborted, err
 		}
-		return Candidate{}, aborted, fmt.Errorf("search: no static schedule for tiling %s", f)
+		cfg := base
+		cfg.Hint = hint
+		if res, err := run(cfg, oooInc, c.OoO); err == nil && metric.beats(res, c.OoO) {
+			c.OoO = res
+		}
 	}
-	if c.Static == nil && aborted == 0 {
+	switch {
+	case c.Static == nil && aborted == 0:
 		return Candidate{}, aborted, fmt.Errorf("search: no static schedule for tiling %s", f)
+	case c.Static == nil && c.OoO == nil:
+		return Candidate{}, aborted, errDominated
 	}
 	return c, aborted, nil
-}
-
-// cutoffRun schedules under cfg, folding a cutoff abort into the
-// aborted counter and returning ErrCutoff to the caller as a plain
-// skip.
-func cutoffRun(graph *dfg.Graph, cfg sched.Config, aborted *int) (*sched.Result, error) {
-	res, err := sched.Schedule(graph, cfg)
-	if err != nil && errors.Is(err, sched.ErrCutoff) {
-		*aborted++
-	}
-	return res, err
 }
 
 // NetworkResult aggregates per-layer results end to end.
@@ -668,6 +645,10 @@ type NetworkResult struct {
 	Network string
 	Arch    string
 	Layers  []*LayerResult
+	// LayerSearches counts the layer searches the call ran: one per
+	// distinct layer shape neither cached nor being searched by another
+	// caller when the call looked it up.
+	LayerSearches int
 	// FuseDepth echoes Options.FuseDepth; Segments and Boundaries are
 	// populated by the fusion pass when it is positive. Each segment
 	// replaces its member layers' BestOoO schedules in Totals; every
@@ -823,6 +804,9 @@ func SearchNetworkCtx(ctx context.Context, n nets.Network, opts Options) (*Netwo
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("search: layer %s: %w", n.Layers[i].Name, err)
+		}
+		if nr.Layers[i].searched {
+			nr.LayerSearches++
 		}
 	}
 	if err := fuseNetwork(ctx, nr, opts); err != nil {

@@ -90,15 +90,14 @@ func ParseTier(s string) (Tier, error) {
 }
 
 // TenantConfig pre-registers one tenant. Tenants not configured are
-// created on first use with weight DefaultWeight, no quota and
-// TierAuto.
+// created on first use with weight 1, no quota and TierAuto.
 type TenantConfig struct {
 	// Name identifies the tenant (the request's tenant field or
 	// X-Flexer-Tenant header value).
 	Name string
 	// Weight is the tenant's fair share: under saturation, tenants
 	// receive served search-seconds proportional to their weights
-	// (<= 0 means the scheduler's DefaultWeight).
+	// (<= 0 means 1).
 	Weight float64
 	// Quota caps the tenant's concurrently running grants (0 = no cap
 	// beyond the pool size).
@@ -122,9 +121,6 @@ type Config struct {
 	// Tenants pre-registers tenants with non-default weights, quotas
 	// or tiers.
 	Tenants []TenantConfig
-	// DefaultWeight is the weight of tenants not listed in Tenants
-	// (0 = 1).
-	DefaultWeight float64
 }
 
 // QueueFullError is returned by Acquire when the tenant's queue is at
@@ -195,7 +191,6 @@ type Scheduler struct {
 	slots           int
 	free            int
 	depth           int // per-tenant queue bound; -1 = unlimited
-	defaultWeight   float64
 	tenants         map[string]*tenant
 	seq             uint64
 	pendingPreempts int // grants signalled but not yet released
@@ -216,17 +211,12 @@ func NewScheduler(cfg Config) *Scheduler {
 	} else if depth < 0 {
 		depth = -1
 	}
-	w := cfg.DefaultWeight
-	if w <= 0 {
-		w = 1
-	}
 	s := &Scheduler{
-		slots:         slots,
-		free:          slots,
-		depth:         depth,
-		defaultWeight: w,
-		tenants:       make(map[string]*tenant),
-		now:           time.Now,
+		slots:   slots,
+		free:    slots,
+		depth:   depth,
+		tenants: make(map[string]*tenant),
+		now:     time.Now,
 	}
 	for _, tc := range cfg.Tenants {
 		if tc.Name == "" {
@@ -256,7 +246,7 @@ func (s *Scheduler) tenantLocked(name string) *tenant {
 	}
 	t, ok := s.tenants[name]
 	if !ok {
-		t = &tenant{name: name, weight: s.defaultWeight, running: make(map[*Grant]struct{})}
+		t = &tenant{name: name, weight: 1, running: make(map[*Grant]struct{})}
 		s.tenants[name] = t
 	}
 	return t
@@ -484,9 +474,6 @@ type Grant struct {
 	preemptCh   chan struct{}
 	preempted   bool // guarded by s.mu
 	once        sync.Once
-
-	pauseMu sync.Mutex
-	pauseCh chan struct{} // non-nil while paused; closed on Resume
 }
 
 // Tenant returns the tenant the grant bills.
@@ -498,48 +485,16 @@ func (g *Grant) Tier() Tier { return g.tier }
 // Preempted returns a channel closed when the grant is preempted.
 func (g *Grant) Preempted() <-chan struct{} { return g.preemptCh }
 
-// Pause makes subsequent CheckIn calls block until Resume, pausing the
-// holder at its next candidate boundary without giving up the slot.
-func (g *Grant) Pause() {
-	g.pauseMu.Lock()
-	if g.pauseCh == nil {
-		g.pauseCh = make(chan struct{})
-	}
-	g.pauseMu.Unlock()
-}
-
-// Resume releases a Pause.
-func (g *Grant) Resume() {
-	g.pauseMu.Lock()
-	if g.pauseCh != nil {
-		close(g.pauseCh)
-		g.pauseCh = nil
-	}
-	g.pauseMu.Unlock()
-}
-
 // CheckIn is the holder's candidate-boundary check-in: it returns
-// ErrPreempted once the grant has been preempted, blocks while the
-// grant is paused, and returns nil otherwise. It is safe to call from
-// multiple goroutines (a parallel search checks in from every worker).
+// ErrPreempted once the grant has been preempted, and nil otherwise. It
+// is safe to call from multiple goroutines (a parallel search checks in
+// from every worker).
 func (g *Grant) CheckIn() error {
-	for {
-		select {
-		case <-g.preemptCh:
-			return ErrPreempted
-		default:
-		}
-		g.pauseMu.Lock()
-		ch := g.pauseCh
-		g.pauseMu.Unlock()
-		if ch == nil {
-			return nil
-		}
-		select {
-		case <-ch:
-		case <-g.preemptCh:
-			return ErrPreempted
-		}
+	select {
+	case <-g.preemptCh:
+		return ErrPreempted
+	default:
+		return nil
 	}
 }
 

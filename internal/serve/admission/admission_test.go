@@ -223,38 +223,6 @@ func TestNonPreemptibleIsNotPreempted(t *testing.T) {
 	(<-done).ReleaseCharge(0)
 }
 
-// TestPauseResume: Pause makes CheckIn block at the next boundary
-// until Resume; a preemption while paused unblocks it with
-// ErrPreempted.
-func TestPauseResume(t *testing.T) {
-	s := NewScheduler(Config{Slots: 1, MaxQueueDepth: -1})
-	g := mustAcquire(t, s, Request{Tier: TierBatch, Preemptible: true})
-
-	g.Pause()
-	unblocked := make(chan error, 1)
-	go func() { unblocked <- g.CheckIn() }()
-	select {
-	case err := <-unblocked:
-		t.Fatalf("CheckIn returned %v while paused, want it to block", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	g.Resume()
-	if err := <-unblocked; err != nil {
-		t.Fatalf("CheckIn after Resume = %v, want nil", err)
-	}
-
-	// Pause again; a preemption must unblock the checked-in holder.
-	g.Pause()
-	go func() { unblocked <- g.CheckIn() }()
-	interactive := make(chan *Grant, 1)
-	go func() { interactive <- mustAcquire(t, s, Request{Tier: TierInteractive}) }()
-	if err := <-unblocked; !errors.Is(err, ErrPreempted) {
-		t.Fatalf("paused CheckIn under preemption = %v, want ErrPreempted", err)
-	}
-	g.Release()
-	(<-interactive).ReleaseCharge(0)
-}
-
 // TestQuota: a tenant's quota caps its concurrent grants even when
 // slots are free; other tenants still get the spare capacity.
 func TestQuota(t *testing.T) {

@@ -361,10 +361,6 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return job{}, err
 		}
-		// Per-request miss counter: the cache's global Misses delta would
-		// count searches run on behalf of concurrent requests too.
-		misses := new(atomic.Int64)
-		opts.CacheMisses = misses
 		return job{
 			key:       search.NetworkKey(req.Network, req.Scale, opts),
 			body:      &req,
@@ -373,14 +369,11 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 			hist:      s.metrics.netLat,
 			result:    `{"event":"result","network_result":`,
 			run: func(ctx context.Context, a attempt) (*bytes.Buffer, error) {
-				// Reset the miss counter: a preempted-and-requeued run
-				// would otherwise report the aborted attempt's misses too.
-				misses.Store(0)
 				nr, err := search.SearchNetworkCtx(ctx, n, a.options(opts))
 				if err != nil {
 					return nil, err
 				}
-				resp := buildNetworkResponse(nr, int(misses.Load()), msSince(a.start))
+				resp := buildNetworkResponse(nr, msSince(a.start))
 				resp.ServedBy, resp.DegradedRouting = a.route.servedBy, a.route.degraded
 				return encodeJSON(&resp), nil
 			},

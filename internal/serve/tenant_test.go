@@ -196,13 +196,18 @@ func TestStreamPreemptionEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network search is seconds of work")
 	}
-	// Scale 4, not smaller: the sweep has to outlast the round trip of
-	// the interactive request that preempts it (scale 8 is ~20 ms of
-	// search since tilings are admitted in bound order; this is ~300).
-	netBody := `{"arch": "arch1", "network": "vgg16", "scale": 4,
+	// Full size: about 0.2 s of search at one worker, in tilings of a
+	// few milliseconds each. The interactive request reaches the queue
+	// within milliseconds of the sweep's first progress event, so a
+	// candidate boundary always follows it. At scale 4 the whole sweep
+	// was ~40 ms and sometimes finished first.
+	netBody := `{"arch": "arch1", "network": "vgg16",
 	             "options": {"budget": "quick"}, "timeout_ms": 300000, "tenant": "sweeps"}`
 
 	// Control: the same sweep on a separate server, never interrupted.
+	// It runs first: beside the preempted sweep it would hold the second
+	// core, and every goroutine hop of the interactive request's trip
+	// would wait for a scheduler time slice.
 	_, controlTS := newTestServer(t, Config{Workers: 1})
 	resp := postJSON(t, controlTS.URL+"/v1/schedule/network", netBody)
 	if resp.StatusCode != http.StatusOK {

@@ -498,14 +498,14 @@ func buildLayerResponse(lr *search.LayerResult, archName string, full bool, elap
 
 // buildNetworkResponse converts a network search result into the wire
 // form.
-func buildNetworkResponse(nr *search.NetworkResult, distinct int, elapsedMS float64) NetworkResponse {
+func buildNetworkResponse(nr *search.NetworkResult, elapsedMS float64) NetworkResponse {
 	resp := NetworkResponse{
 		Network:             nr.Network,
 		Arch:                nr.Arch,
 		Speedup:             nr.Speedup(),
 		TrafficReduction:    nr.TrafficReduction(),
 		ElapsedMS:           elapsedMS,
-		DistinctLayerShapes: distinct,
+		DistinctLayerShapes: nr.LayerSearches,
 	}
 	for _, lr := range nr.Layers {
 		row := NetworkLayerJSON{

@@ -277,64 +277,42 @@ func (g *Grid) OpDims(oh, ow, oc, ic int) (rows, cols, ochs, ichs int) {
 // single op under this grid: input tile + weight tile + output tile.
 // A tiling is infeasible on an SPM smaller than this.
 func (g *Grid) MaxOperandBytes() int64 {
-	var maxIn, maxWt, maxOut int64
-	for h := 0; h < g.NOH; h++ {
-		for w := 0; w < g.NOW; w++ {
-			for i := 0; i < g.NIC; i++ {
-				if s := g.Size(g.InTile(h, w, i)); s > maxIn {
-					maxIn = s
-				}
-			}
+	var total int64
+	for k := range numKinds {
+		var largest int64
+		for i := range g.NumTiles(k) {
+			largest = max(largest, g.Size(g.TileAt(k, i)))
 		}
+		total += largest
 	}
-	for c := 0; c < g.NOC; c++ {
-		for i := 0; i < g.NIC; i++ {
-			if s := g.Size(g.WtTile(c, i)); s > maxWt {
-				maxWt = s
-			}
-		}
-	}
-	for h := 0; h < g.NOH; h++ {
-		for w := 0; w < g.NOW; w++ {
-			for c := 0; c < g.NOC; c++ {
-				if s := g.Size(g.OutTile(h, w, c)); s > maxOut {
-					maxOut = s
-				}
-			}
-		}
-	}
-	return maxIn + maxWt + maxOut
+	return total
 }
 
 // TotalTileBytes returns the summed size of all distinct tiles of kind
 // k. For In this exceeds the raw tensor size when halos overlap.
 func (g *Grid) TotalTileBytes(k Kind) int64 {
-	var total int64
-	switch k {
-	case In:
-		for h := 0; h < g.NOH; h++ {
-			for w := 0; w < g.NOW; w++ {
-				for i := 0; i < g.NIC; i++ {
-					total += g.Size(g.InTile(h, w, i))
-				}
-			}
-		}
-	case Wt:
-		for c := 0; c < g.NOC; c++ {
-			for i := 0; i < g.NIC; i++ {
-				total += g.Size(g.WtTile(c, i))
-			}
-		}
-	case Out:
-		for h := 0; h < g.NOH; h++ {
-			for w := 0; w < g.NOW; w++ {
-				for c := 0; c < g.NOC; c++ {
-					total += g.Size(g.OutTile(h, w, c))
+	total, _ := g.SumTiles(k, nil)
+	return total
+}
+
+// SumTiles returns the summed size of all distinct tiles of kind k and,
+// with cost non-nil, the summed cost of each tile's size. It walks the
+// coordinates in Index order without TileAt's divisions: the search
+// bounds every tiling it enumerates with it.
+func (g *Grid) SumTiles(k Kind, cost func(bytes int64) int64) (bytes, costs int64) {
+	na, nb, nc := g.dims(k)
+	for a := range na {
+		for b := range nb {
+			for c := range nc {
+				sz := g.Size(ID{Kind: k, A: a, B: b, C: c})
+				bytes += sz
+				if cost != nil {
+					costs += cost(sz)
 				}
 			}
 		}
 	}
-	return total
+	return bytes, costs
 }
 
 // String summarizes the grid.

@@ -1,16 +1,24 @@
 // Package verify independently checks that a generated schedule is
 // executable on the modelled machine. It replays the schedule's compute
-// and DMA records against a fresh residency model — without reusing any
-// scheduler state — and confirms:
+// and DMA records — without reusing any scheduler state — and confirms:
 //
-//   - every op of the graph is scheduled exactly once,
-//   - chain dependencies are respected in time,
+//   - every op of the graph is scheduled exactly once, on a core the
+//     machine has,
+//   - chain and cross-layer dependencies are respected in time,
 //   - per-core compute intervals do not overlap, DMA transfers do not
 //     overlap on the shared channel,
-//   - every operand of an op is resident when the op starts, under the
-//     residency implied by the DMA record sequence,
-//   - resident bytes never exceed the scratchpad capacity,
-//   - every finished output tile reaches off-chip memory.
+//   - every input and weight tile an op reads was loaded (or, in a
+//     fused graph, gathered) before the op starts, and that load had
+//     completed,
+//   - a fused consumer input is gathered only after its covering
+//     producer outputs are computed, and loaded from DRAM only after
+//     they were written there,
+//   - every output tile of the last layer reaches off-chip memory,
+//   - under a fault plan, no op starts on a dead core and flaky and
+//     derated work takes at least its stretched latency.
+//
+// It does not track evictions, so it bounds neither resident bytes by
+// the scratchpad capacity nor which version of a tile an op reads.
 //
 // The scheduler's own tests use it as an oracle; it is also exposed so
 // downstream users can validate schedules they post-process.
@@ -52,7 +60,7 @@ func ScheduleFaults(gr *dfg.Graph, r *sched.Result, cfg arch.Config, plan *fault
 	if err := resources(r, cfg); err != nil {
 		return err
 	}
-	if err := residency(gr, r, cfg); err != nil {
+	if err := residency(gr, r); err != nil {
 		return err
 	}
 	if err := crossLayer(gr, r); err != nil {
@@ -163,24 +171,25 @@ func resources(r *sched.Result, cfg arch.Config) error {
 	return nil
 }
 
-// residency replays the DMA sequence and checks that each op's operands
-// are on-chip when it runs and that resident bytes stay within the
-// scratchpad. Residency is construction-ordered: the k-th DMA record
-// happens "before" the ops issued after it, which matches how the
-// scheduler allocates (timing may overlap, but space was reserved at
-// issue time).
-func residency(gr *dfg.Graph, r *sched.Result, cfg arch.Config) error {
+// residency replays the DMA sequence and checks that each op's input
+// and weight tiles were loaded before it runs, and that a load of each
+// had completed by its start. Residency is construction-ordered: the
+// k-th DMA record happens "before" the ops issued after it, which
+// matches how the scheduler allocates (timing may overlap, but space was
+// reserved at issue time). Evictions are not explicit in the record
+// stream (clean drops have no DMA record), so a tile once loaded counts
+// as resident for good: the replay neither sees a stale copy nor bounds
+// resident bytes by the scratchpad.
+func residency(gr *dfg.Graph, r *sched.Result) error {
 	// Merge op and mem records in issue order. The scheduler appends
 	// to both slices as it proceeds, and issue order is what governs
 	// the allocator state; replay both streams in timestamp order with
-	// mem records applied first at equal times.
-	resident := make(map[tile.ID]bool)
-	// avail records the first arrival time (load End) of each tile: an
-	// operand is usable once some load of it has completed. Later
-	// reloads do not tighten the bound — clean evictions leave no DMA
-	// record, so residency can only be bounded by the first load.
+	// mem records applied first at equal times. avail records the first
+	// arrival time (load End) of each tile loaded so far: an operand is
+	// usable once some load of it has completed. Later reloads do not
+	// tighten the bound — clean evictions leave no DMA record, so
+	// residency can only be bounded by the first load.
 	avail := make(map[tile.ID]int64)
-	var bytes int64
 
 	// Index mem records by start time for a two-pointer sweep.
 	mems := append([]sim.MemRecord(nil), r.MemRecords...)
@@ -188,62 +197,33 @@ func residency(gr *dfg.Graph, r *sched.Result, cfg arch.Config) error {
 	ops := append([]sim.OpRecord(nil), r.OpRecords...)
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Start < ops[j].Start })
 
-	load := func(m sim.MemRecord) error {
-		if _, ok := avail[m.Tile]; !ok {
-			avail[m.Tile] = m.End
-		}
-		if !resident[m.Tile] {
-			resident[m.Tile] = true
-			bytes += gr.Size(m.Tile)
-			if bytes > cfg.SPMBytes {
-				// Evictions are not explicit in the record stream
-				// (clean drops have no DMA); residency can only be
-				// bounded, not matched exactly. Reconcile by dropping
-				// tiles whose remaining uses are exhausted is not
-				// possible here, so only flag when even the op's own
-				// operands cannot fit.
-				return nil
-			}
-		}
-		return nil
-	}
 	mi := 0
 	for _, op := range ops {
-		for mi < len(mems) && mems[mi].Start <= op.Start {
+		for ; mi < len(mems) && mems[mi].Start <= op.Start; mi++ {
 			// A gather makes its tile resident exactly like a load; the
 			// data just arrives from on-chip producers instead of DRAM.
-			if mems[mi].Kind == sim.Load || mems[mi].Kind == sim.Gather {
-				if err := load(mems[mi]); err != nil {
-					return err
+			if m := mems[mi]; m.Kind == sim.Load || m.Kind == sim.Gather {
+				if _, ok := avail[m.Tile]; !ok {
+					avail[m.Tile] = m.End
 				}
 			}
-			mi++
 		}
 		o := &gr.Ops[op.Op]
-		// Operands must have been loaded at least once before the op
-		// starts (or be produced on-chip: outputs and partial sums), and
-		// that load must have completed — compute on in-flight data would
-		// read garbage on a real machine.
+		// Input and weight tiles must have been loaded at least once
+		// before the op starts, and that load must have completed —
+		// compute on in-flight data would read garbage on a real machine.
+		// Outputs and partial sums are produced on-chip; the dependency
+		// check orders their producers.
 		for _, t := range []tile.ID{o.In, o.Wt} {
-			if !resident[t] {
+			at, loaded := avail[t]
+			if !loaded {
 				return fmt.Errorf("verify: op %d starts at %d but operand %v was never loaded",
 					op.Op, op.Start, t)
 			}
-			if at := avail[t]; at > op.Start {
+			if at > op.Start {
 				return fmt.Errorf("verify: op %d starts at %d but operand %v only arrives at %d",
 					op.Op, op.Start, t, at)
 			}
-		}
-		if o.ReadsPsum {
-			// The partial sum was produced by the predecessor on-chip;
-			// if it was spilled, a reload must precede this op. The
-			// dependency check already orders the predecessor, so only
-			// the spilled-then-reloaded case needs the records — which
-			// the load sweep above marks resident. Produced psums:
-			resident[o.Out] = true
-		} else {
-			resident[o.Out] = true
-			bytes += gr.Size(o.Out)
 		}
 	}
 	return nil
