@@ -76,12 +76,12 @@ type mark struct {
 // prefix's — still in the scratchpad — plus one op (placeTo). With
 // pruning on, e.facts must describe window (stepFacts) and e.seen
 // carries the step's signatures; two rules then spare work, every count
-// and the winner unchanged. A position whose twin (stepFacts) is not in
-// the combination roots a subtree of duplicates — each set of it signs
-// as the earlier one with the twin in the position's place: counted as
-// pruned, not visited. A new set that cannot beat the running best
-// (cannotWin) is counted as evaluated, not placed. Every checkpoint it
-// opens is closed when it returns.
+// and the winner unchanged. A position that would extend the combination
+// by a duplicate (stepFacts.duplicates) roots a subtree of duplicates —
+// each set of it signs as an earlier one: counted as pruned, not
+// visited. A new set that cannot beat the running best (cannotWin) is
+// counted as evaluated, not placed. Every checkpoint it opens is closed
+// when it returns.
 func (e *engine) walkSets(window []int, maxSize int) *setEval {
 	w := &e.walk
 	e.beginWalk()
@@ -103,7 +103,7 @@ func (e *engine) walkSets(window []int, maxSize int) *setEval {
 			next = e.pop(prune) + 1 // on to the sibling
 			continue
 		}
-		if prune && e.facts.twin[next] >= 0 && !slices.Contains(w.combo, e.facts.twin[next]) {
+		if prune && e.facts.duplicates(next, w.combo) {
 			// The subtree holds C(m, k) sets k ops wider than its root, all
 			// duplicates: they spend no evaluation, so left and open stand.
 			m := len(window) - next - 1
@@ -387,24 +387,49 @@ const sigCountBits = 16
 // names: a set holding the later but not the earlier then signs as the
 // set with the earlier in its place. The relation is transitive; twin is
 // the nearest earlier interchangeable position, -1 if none.
+//
+// The same holds of whole operand tiles. An In or Wt tile t' mirrors a
+// tile t of equal key when the window ops naming t' pair one to one with
+// those naming t, each t' op with a t op at an earlier position, and in
+// each other operand slot a pair names one tile, or two tiles of equal
+// key that no other window op names (see duplicates). mirror is the
+// nearest such t, -1 if none.
 type stepFacts struct {
-	ids   []tile.ID  // distinct tiles, for de-duplication
-	keys  []uint64   // per tile: packed kind, state and size, count zero
-	refs  []uint16   // per tile: window ops naming it
-	count []uint16   // per tile: references from the walk's current combination, zero between walks
-	ops   [][3]int32 // per window position: tile numbers of In, Wt, Out
-	twin  []int      // per window position, see above
-	bound []int64    // per window position: the most the op can add to a set's reused bytes
+	ids    []tile.ID  // distinct tiles, for de-duplication
+	keys   []uint64   // per tile: packed kind, state and size, count zero
+	refs   []uint16   // per tile: window ops naming it
+	count  []uint16   // per tile: references from the walk's current combination, zero between walks
+	mirror []int32    // per tile, see above
+	multi  []int32    // findMirrors: the In and Wt tiles two window ops or more name
+	at     []int32    // window positions grouped by tile: tile t's, ascending, from start[t]
+	start  []int32    // per tile: its first entry in at
+	ops    [][3]int32 // per window position: tile numbers of In, Wt, Out
+	twin   []int      // per window position, see above
+	bound  []int64    // per window position: the most the op can add to a set's reused bytes
+}
+
+// duplicates reports whether every set S extending combo (window
+// positions) by position wi signs as an earlier set of its width: wi's
+// twin is not in combo, or wi names a tile t' mirroring a tile t that
+// combo names nowhere. Swapping each pair of a t and a t' op keeps every
+// key's count or trades it for an equal key's. S has no t op below wi, so
+// the lowest position the swap changes is a t' op of S's, moved down.
+func (f *stepFacts) duplicates(wi int, combo []int) bool {
+	if t := f.twin[wi]; t >= 0 && !slices.Contains(combo, t) {
+		return true
+	}
+	ts := f.ops[wi]
+	return f.mirror[ts[0]] >= 0 && f.count[f.mirror[ts[0]]] == 0 || f.mirror[ts[1]] >= 0 && f.count[f.mirror[ts[1]]] == 0
 }
 
 // stepFacts fills e.facts for window from the current scratchpad. With
 // dedup, a tile shared by several window ops gets one number, so that
 // combinations count references to it; the single-op fallback over the
-// whole ready queue needs no sharing, skips both quadratic scans and so
-// has no twins.
+// whole ready queue needs no sharing, skips the scans for twins and
+// mirrors and so has none.
 func (e *engine) stepFacts(window []int, dedup bool) {
 	f := &e.facts
-	f.ids, f.keys, f.refs, f.ops, f.twin, f.bound = f.ids[:0], f.keys[:0], f.refs[:0], f.ops[:0], f.twin[:0], f.bound[:0]
+	f.ids, f.keys, f.refs, f.mirror, f.ops, f.twin, f.bound = f.ids[:0], f.keys[:0], f.refs[:0], f.mirror[:0], f.ops[:0], f.twin[:0], f.bound[:0]
 	number := func(id tile.ID) int32 {
 		if dedup {
 			for i := range f.ids {
@@ -430,7 +455,7 @@ func (e *engine) stepFacts(window []int, dedup bool) {
 			}
 		}
 		f.keys = append(f.keys, uint64(id.Kind)<<62|state<<60|uint64(e.gr.Size(id))<<sigCountBits)
-		f.refs = append(f.refs, 1)
+		f.refs, f.mirror = append(f.refs, 1), append(f.mirror, -1)
 		return int32(len(f.keys) - 1)
 	}
 	for _, opIdx := range window {
@@ -462,6 +487,62 @@ func (e *engine) stepFacts(window []int, dedup bool) {
 		f.count = make([]uint16, len(f.keys))
 	}
 	f.count = f.count[:len(f.keys)]
+	if dedup {
+		f.findMirrors()
+	}
+}
+
+// findMirrors fills in mirror (see stepFacts), pairing the k-th op naming
+// one tile with the k-th naming the other, for tiles two ops name or more.
+func (f *stepFacts) findMirrors() {
+	f.multi = f.multi[:0]
+	for t, k := range f.keys {
+		if f.refs[t] >= 2 && k>>62 != uint64(tile.Out) {
+			f.multi = append(f.multi, int32(t))
+		}
+	}
+	if len(f.multi) < 2 {
+		return
+	}
+	// Group positions by tile: runs counted out, filled from the end.
+	f.start, f.at = f.start[:0], zeroed(f.at, 3*len(f.ops))
+	var end int32
+	for _, r := range f.refs {
+		end += int32(r)
+		f.start = append(f.start, end)
+	}
+	for wi := len(f.ops) - 1; wi >= 0; wi-- {
+		for _, t := range f.ops[wi] {
+			f.start[t]--
+			f.at[f.start[t]] = int32(wi)
+		}
+	}
+	for _, t2 := range f.multi {
+		k := f.keys[t2]
+		// Nearest first. A tile numbered after t2 fails on its first pair:
+		// the earlier-partner clause orients the relation.
+	earlier:
+		for j := len(f.multi) - 1; j >= 0; j-- {
+			t := f.multi[j]
+			if t == t2 || f.keys[t] != k || f.refs[t] != f.refs[t2] {
+				continue
+			}
+			for n := range int32(f.refs[t]) {
+				p, q := f.at[f.start[t]+n], f.at[f.start[t2]+n]
+				if p >= q {
+					continue earlier
+				}
+				for s := range 3 {
+					a, b := f.ops[p][s], f.ops[q][s]
+					if s != int(k>>62) && a != b && (f.keys[a] != f.keys[b] || f.refs[a] > 1 || f.refs[b] > 1) {
+						continue earlier
+					}
+				}
+			}
+			f.mirror[t2] = t
+			break
+		}
+	}
 }
 
 // sigSet is the set of signatures seen in one scheduling step. All keys

@@ -28,17 +28,30 @@ import (
 // private, equal-shaped weight and output tiles: on 4 cores under the
 // default priority hinted output-stationary, on 8 cores under
 // min-transfer hinted input-stationary, and on 2 cores with the cap at 5
-// hinted weight-stationary.
+// hinted weight-stationary. The rest are grids of row tiles by six
+// output-channel tiles, two input-channel tiles deep, whose windows name
+// each input and weight tile several times — the windows of tile
+// mirrors: three rows on a roomy 4-core machine out of order, two on a
+// pressured one hinted weight-stationary with the window cut to 6, and
+// three on a pressured 8-core machine under min-transfer with the
+// window cut to 12.
 var twinRichSeeds = [][]byte{
 	{1, 20, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 8, 39, 4, 4, 0, 4, 1, 1, 0},
 	{2, 40, 0, 1, 1, 1, 1, 1, 3, 0, 0, 0, 0, 0, 39, 4, 4, 0, 0, 1, 1, 1},
 	{0, 8, 0, 0, 0, 2, 1, 1, 0, 2, 1, 0, 0, 4, 39, 4, 4, 0, 0, 1, 1, 2},
+	{1, 59, 1, 1, 0, 0, 1, 1, 0, 0, 1, 6, 0, 8, 16, 2, 4, 0, 4, 1, 2, 0},
+	{1, 20, 0, 0, 0, 1, 1, 1, 2, 3, 1, 2, 0, 8, 16, 2, 4, 0, 4, 1, 1, 2},
+	{2, 30, 0, 1, 1, 2, 1, 1, 3, 0, 1, 6, 0, 8, 16, 2, 4, 0, 4, 1, 2, 0},
 }
 
 // twinRichCases are built by hand where drawWalkCase's ranges do not
 // reach: one spatial tile by sixteen output-channel tiles by two
 // input-channel tiles, hinted by each of the six canonical dataflows and
-// unhinted, on a pressured and a roomy 4-core machine.
+// unhinted, on a pressured and a roomy 4-core machine; and grids of two
+// and three row tiles by six output-channel tiles by two input-channel
+// tiles, whose input and weight tiles several window ops name, unhinted
+// and hinted output- and weight-stationary, on the same two machines,
+// with the default window and with one cut short of a step's ready ops.
 func twinRichCases(t *testing.T) []walkCase {
 	var cases []walkCase
 	for _, kib := range []int64{24, 256} {
@@ -50,6 +63,20 @@ func twinRichCases(t *testing.T) []walkCase {
 				name: fmt.Sprintf("twins/%dKiB/%s", kib, df.Name), gr: gr,
 				cfg: Config{Arch: a, Hint: loop.Order(gr, df), MemPolicy: spm.Policy(len(cases) % 3)},
 			})
+		}
+		for _, rows := range []int{2, 3} {
+			gr := buildGraph(t, layer.NewConv("g", 4*rows, 8, 32, 96, 3), tile.Factors{OH: 4, OW: 8, OC: 16, IC: 16}, a)
+			for _, window := range []int{0, 5*rows - 1} {
+				for _, hint := range []int{-1, 0, 2} {
+					cfg := Config{Arch: a, MaxReadyWindow: window}
+					name := fmt.Sprintf("grid%dx6/%dKiB/w%d/ooo", rows, kib, window)
+					if hint >= 0 {
+						df := loop.Canonical()[hint]
+						cfg.Hint, name = loop.Order(gr, df), fmt.Sprintf("grid%dx6/%dKiB/w%d/%s", rows, kib, window, df.Name)
+					}
+					cases = append(cases, walkCase{name: name, gr: gr, cfg: cfg})
+				}
+			}
 		}
 	}
 	return cases
@@ -68,8 +95,8 @@ func ruleCases(t *testing.T, draws int) []walkCase {
 	}
 	for _, seed := range twinRichSeeds {
 		c, ok := drawWalkCase(fuzzDraws(seed))
-		if !ok || c.cfg.Hint == nil || c.cfg.DisablePruning {
-			t.Fatalf("twin-rich seed %v does not draw a hinted, pruning case: %v %s", seed, ok, c.name)
+		if !ok || c.cfg.Order != nil || c.cfg.DisablePruning {
+			t.Fatalf("twin-rich seed %v does not draw an out-of-order, pruning case: %v %s", seed, ok, c.name)
 		}
 		cases = append(cases, c)
 	}
@@ -166,6 +193,92 @@ func TestTwinSwapKeepsSignature(t *testing.T) {
 	t.Logf("%d steps, %d positions with a twin, %d interchangeable pairs, %d combinations swapped", steps, twinned, pairs, checked)
 	if pairs == 0 || checked < 10*pairs {
 		t.Error("the draw found too few interchangeable pairs to say anything")
+	}
+}
+
+// TestMirrorSwapKeepsSignature is the tile-symmetry lemma: for every
+// tile t' of every step that mirrors a tile t (stepFacts.mirror), and
+// every combination up to #cores wide that the walk skips for it — one
+// holding an op naming t' and no op naming t below it (every one where a
+// width has at most 40, evenly spaced ones beyond) — the combination and
+// its image with each op naming t swapped for its partner naming t', the
+// k-th for the k-th, and vice versa, have the same from-scratch
+// signature, and the image is the lexicographically earlier of the two.
+func TestMirrorSwapKeepsSignature(t *testing.T) {
+	draws := 90
+	if testing.Short() {
+		draws = 25
+	}
+	steps, mirrors, checked := 0, 0, 0
+	for _, c := range ruleCases(t, draws) {
+		if c.cfg.DisablePruning {
+			continue
+		}
+		forEachStep(t, c, func(e *engine, window []int) {
+			steps++
+			f, n := &e.facts, len(window)
+			for t2, t1 := range f.mirror {
+				if t1 < 0 {
+					continue
+				}
+				mirrors++
+				slot := int(f.keys[t2] >> 62)
+				var ops1, ops2 []int // window positions naming t1 and t2, ascending
+				for wi, ts := range f.ops {
+					switch ts[slot] {
+					case t1:
+						ops1 = append(ops1, wi)
+					case int32(t2):
+						ops2 = append(ops2, wi)
+					}
+				}
+				if len(ops1) != len(ops2) {
+					t.Fatalf("%s: tile %d mirrors tile %d, but %d window ops name it and %d the other", c.name, t2, t1, len(ops2), len(ops1))
+				}
+				swap := map[int]int{}
+				for k := range ops1 {
+					swap[ops1[k]], swap[ops2[k]] = ops2[k], ops1[k]
+				}
+				for _, q := range ops2 {
+					for k := 0; k < c.cfg.Arch.Cores && k <= n-1; k++ {
+						sampled(n-1, k, 40, func(rest []int) {
+							with := []int{q}
+							for _, p := range rest { // positions other than q
+								if p >= q {
+									p++
+								}
+								if p < q && slices.Contains(ops1, p) {
+									return // names t1 below q: the walk does not skip it for q
+								}
+								with = append(with, p)
+							}
+							image := make([]int, len(with))
+							for i, p := range with {
+								image[i] = p
+								if s, ok := swap[p]; ok {
+									image[i] = s
+								}
+							}
+							slices.Sort(with)
+							slices.Sort(image)
+							checked++
+							if a, b := e.comboSignature(with), e.comboSignature(image); !slices.Equal(a, b) {
+								t.Fatalf("%s: window %v: tile %d mirrors tile %d, but %v signs %x and its image %v signs %x",
+									c.name, window, t2, t1, with, a, image, b)
+							}
+							if slices.Compare(image, with) >= 0 {
+								t.Fatalf("%s: window %v: tile %d mirrors tile %d, but the image %v of %v does not come first",
+									c.name, window, t2, t1, image, with)
+							}
+						})
+					}
+				}
+			}
+		})
+	}
+	t.Logf("%d steps, %d mirroring tiles, %d combinations swapped", steps, mirrors, checked)
+	if mirrors == 0 || checked < 10*mirrors {
+		t.Error("the draw found too few mirroring tiles to say anything")
 	}
 }
 

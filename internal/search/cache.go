@@ -53,9 +53,9 @@ type cacheEntry struct {
 	done chan struct{} // closed when lr/err are valid
 	lr   *LayerResult
 	err  error
-	// cancelled marks a search aborted by its caller's context rather
-	// than failed; waiters with live contexts retry instead of
-	// inheriting the cancellation.
+	// cancelled marks a search aborted by its caller's context (or by a
+	// panic) rather than failed; waiters with live contexts retry instead
+	// of inheriting the cancellation.
 	cancelled bool
 	elem      *list.Element // LRU position once completed, nil while in flight
 	// memo backs LayerResult.Memo: freed with the entry, in no snapshot.
@@ -175,23 +175,7 @@ func (c *Cache) Layer(ctx context.Context, key string, l layer.Conv, opts Option
 			s.m[key] = e
 			s.mu.Unlock()
 			c.misses.Add(1)
-
-			e.lr, e.err = searchLayerUncached(ctx, l, opts)
-
-			s.mu.Lock()
-			if isCancellation(e.err) {
-				// The search was cancelled, not infeasible: forget the
-				// entry so a later caller with a live context
-				// recomputes. A genuine search failure that merely
-				// raced past its deadline stays cached, so waiters
-				// inherit the verdict instead of recomputing it.
-				e.cancelled = true
-				delete(s.m, key)
-			} else {
-				s.complete(c, e)
-			}
-			close(e.done)
-			s.mu.Unlock()
+			c.lead(ctx, s, e, l, opts)
 			return finishLookup(e, l, true)
 		}
 		// A completed entry (success or cached failure) has an LRU
@@ -228,6 +212,25 @@ func (c *Cache) Layer(ctx context.Context, key string, l layer.Conv, opts Option
 		}
 		return finishLookup(e, l, false)
 	}
+}
+
+// lead runs the search of e, a new entry of s, and completes it: a
+// cancelled or panicking search forgets e so waiters retry; a failure,
+// even one that raced past its deadline, stays cached for them to inherit.
+func (c *Cache) lead(ctx context.Context, s *cacheShard, e *cacheEntry, l layer.Conv, opts Options) {
+	e.cancelled = true // until the search returns
+	defer func() {
+		s.mu.Lock()
+		if e.cancelled {
+			delete(s.m, e.key)
+		} else {
+			s.complete(c, e)
+		}
+		close(e.done)
+		s.mu.Unlock()
+	}()
+	e.lr, e.err = searchLayerUncached(ctx, l, opts)
+	e.cancelled = isCancellation(e.err)
 }
 
 // isCancellation reports whether err is the caller's context ending or

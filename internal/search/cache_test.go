@@ -618,3 +618,56 @@ func TestSearchNetworkCtxCancelled(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
+
+// TestPanickingLeaderReleasesWaiters: a leader whose search panics — here
+// its first check-in, once a waiter has coalesced onto its entry —
+// forgets the entry on the panic's way up and closes it, so the waiter
+// runs its own search at once instead of waiting out its deadline.
+func TestPanickingLeaderReleasesWaiters(t *testing.T) {
+	opts := quickOpts(t, "arch1")
+	cache := NewCache()
+	opts.Cache = cache
+	l := layer.NewConv("l", 14, 14, 64, 64, 3)
+
+	started, release := make(chan struct{}), make(chan struct{})
+	leader := opts
+	leader.CheckIn = func() error {
+		close(started)
+		<-release
+		panic("leader check-in")
+	}
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		_, _ = SearchLayer(l, leader)
+	}()
+	<-started
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	type outcome struct {
+		lr  *LayerResult
+		err error
+	}
+	waiter := make(chan outcome, 1)
+	go func() {
+		lr, err := SearchLayerCtx(ctx, l, opts)
+		waiter <- outcome{lr, err}
+	}()
+	waitForCoalesced(t, cache, 1)
+	close(release)
+	if r := <-recovered; r != "leader check-in" {
+		t.Fatalf("leader recovered %v, want its check-in's panic", r)
+	}
+	select {
+	case o := <-waiter:
+		if o.err != nil || o.lr.BestOoO == nil {
+			t.Fatalf("waiter: %v", o.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the waiter is still waiting on the panicked leader's entry")
+	}
+	if s := cache.Stats(); s.Misses != 2 || s.Entries != 1 {
+		t.Errorf("stats = %+v, want 2 misses (leader, then waiter) and 1 entry", s)
+	}
+}

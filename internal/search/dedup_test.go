@@ -21,11 +21,8 @@ import (
 // oracleScheduleTiling is scheduleTiling as it was before it skipped
 // repeated op sequences: every dataflow of the list gets its static run
 // and, by its index, its hinted run.
-func oracleScheduleTiling(ctx context.Context, l layer.Conv, f tile.Factors, m model.Model, dataflows []loop.Dataflow, opts Options, inc *incumbents) (Candidate, int, error) {
-	grid, err := tile.NewGrid(l, f)
-	if err != nil {
-		return Candidate{}, 0, err
-	}
+func oracleScheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflows []loop.Dataflow, opts Options, inc *incumbents) (Candidate, int, error) {
+	f := grid.F
 	graph := dfg.Build(grid, m)
 	base := opts.SchedConfig(m)
 	metric := opts.Metric

@@ -40,11 +40,11 @@ type ProgressEvent struct {
 	Coalesced bool
 }
 
-// ProgressFunc receives progress events. It may be invoked from
-// multiple search goroutines concurrently (candidate events for one
-// layer are serialized, but different layers of a network report
-// independently), so implementations must be safe for concurrent use
-// and should return quickly — a slow callback stalls the search.
+// ProgressFunc receives progress events: at one worker on the caller's
+// goroutine, in order, and above one from several goroutines at once
+// (candidate events for one layer are serialized, different layers of a
+// network report independently) — so it must be safe for concurrent use
+// and should return quickly: a slow callback stalls the search.
 type ProgressFunc func(ProgressEvent)
 
 // progressReporter serializes the candidate-level events of one layer

@@ -157,7 +157,8 @@ type Options struct {
 	// that sweep the full tiling space (Figure 1 scatter plots, the
 	// layersweep example) set this.
 	DisableDominance bool
-	// Workers is the parallelism of the search (0 = GOMAXPROCS).
+	// Workers is the parallelism of the search (0 = GOMAXPROCS): the
+	// caller plus at most Workers-1 helpers, whose panics reach the caller.
 	Workers int
 	// Cache, when non-nil, memoizes layer results across calls.
 	Cache *Cache
@@ -223,6 +224,52 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// forEach runs work(0), ..., work(n-1) on the caller and at most
+// workers-1 helpers: at one worker it starts no goroutine. A worker takes
+// a slot of sem, if any, before it takes the next item and gives it back
+// after, so items start in order even when other searches share the
+// slots; none is taken once ctx is done or work has panicked. A panic is
+// raised again on the caller, with its value, once every worker returned.
+func forEach(ctx context.Context, n, workers int, sem chan struct{}, work func(i int)) {
+	var next atomic.Int64
+	var panicked atomic.Pointer[any]
+	item := func() bool { // runs the next item, if any is left
+		if sem != nil {
+			select {
+			case sem <- struct{}{}:
+			case <-ctx.Done():
+				return false
+			}
+			defer func() { <-sem }()
+		}
+		i := int(next.Add(1) - 1)
+		more := i < n && panicked.Load() == nil && ctx.Err() == nil
+		if more {
+			work(i)
+		}
+		return more
+	}
+	worker := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				panicked.CompareAndSwap(nil, &r)
+			}
+		}()
+		for item() {
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(workers, n) - 1 {
+		wg.Add(1)
+		go func() { defer wg.Done(); worker() }()
+	}
+	worker()
+	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(*p)
+	}
 }
 
 // Candidate is the outcome of one tiling: its out-of-order schedule and
@@ -321,7 +368,7 @@ func searchLayerUncached(ctx context.Context, l layer.Conv, opts Options) (*Laye
 
 // searchLayerWith is the layer search around schedule, which is
 // scheduleTiling — or, in tests, the per-tiling loop it replaced.
-func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule func(context.Context, layer.Conv, tile.Factors, model.Model, []loop.Dataflow, Options, *incumbents) (Candidate, int, error)) (*LayerResult, error) {
+func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule func(context.Context, *tile.Grid, model.Model, []loop.Dataflow, Options, *incumbents) (Candidate, int, error)) (*LayerResult, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
@@ -346,15 +393,13 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule f
 	// the final reduction — and therefore every tie-break — is
 	// identical to the exhaustive search.
 	pruning := !opts.DisableDominance && opts.Metric.monotone()
-	bounds := make([]Bound, len(tilings))
+	grids, bounds, order := make([]*tile.Grid, len(tilings)), make([]Bound, len(tilings)), make([]int, len(tilings))
 	for i, f := range tilings {
-		if g, err := tile.NewGrid(l, f); err == nil {
-			bounds[i] = LowerBound(g, m, opts.Arch.Cores)
+		g, err := tile.NewGrid(l, f)
+		if err != nil {
+			return nil, err
 		}
-	}
-	order := make([]int, len(tilings))
-	for i := range order {
-		order[i] = i
+		grids[i], bounds[i], order[i] = g, LowerBound(g, m, opts.Arch.Cores), i
 	}
 	if pruning {
 		// Stable, so unique: the order sort.SliceStable gave, without
@@ -371,64 +416,40 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule f
 		})
 	}
 	inc := &incumbents{}
+	cut := inc // what runs are cut off against; nil: every run completes
+	if !pruning {
+		cut = nil
+	}
 
 	results := make([]Candidate, len(tilings))
 	errs := make([]error, len(tilings))
 	aborted := make([]int, len(tilings))
-	var wg sync.WaitGroup
-	sem := opts.sem
-	if sem == nil {
-		sem = make(chan struct{}, opts.workers())
-	}
-	// The worker slot is taken here, not in the goroutine, so tilings are
-	// admitted in ascending-bound order. Goroutines racing for the
-	// semaphore win it in whatever order the runtime wakes them — in
-	// practice the last spawned, worst-bound tilings first, which runs
-	// the most expensive candidates against no incumbent at all. With
-	// one worker the incumbents each tiling prunes against — and so the
+	// Tilings start in ascending-bound order (forEach). With one worker
+	// the incumbents each tiling prunes against — and so the
 	// pruned/aborted/sets counts — also repeat exactly.
-spawn:
-	for _, i := range order {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			break spawn // reported through ctx.Err() after the wait
+	forEach(ctx, len(order), opts.workers(), opts.sem, func(k int) {
+		i := order[k]
+		// Candidate boundary: the safe yield point. A preempting
+		// check-in aborts this tiling before any scheduling work;
+		// tilings already scheduled are simply discarded with the
+		// rest of the aborted search.
+		if err := opts.checkIn(); err != nil {
+			errs[i] = err
+			return
 		}
-		wg.Add(1)
-		go func(i int, f tile.Factors) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			// Candidate boundary: the safe yield point. A preempting
-			// check-in aborts this tiling before any scheduling work;
-			// tilings already scheduled are simply discarded with the
-			// rest of the aborted search.
-			if err := opts.checkIn(); err != nil {
-				errs[i] = err
-				return
-			}
-			if pruning && inc.dominated(bounds[i], opts.Metric) {
-				errs[i] = errDominated
-				reporter.record(nil, true)
-				return
-			}
-			var cut *incumbents // nil: every run goes to completion
-			if pruning {
-				cut = inc
-			}
-			results[i], aborted[i], errs[i] = schedule(ctx, l, f, m, dataflows, opts, cut)
-			if errs[i] == nil {
-				inc.observe(results[i], opts.Metric)
-				reporter.record(results[i].OoO, false)
-			} else if !isCancellation(errs[i]) {
-				reporter.record(nil, false)
-			}
-		}(i, tilings[i])
-	}
-	wg.Wait()
+		if pruning && inc.dominated(bounds[i], opts.Metric) {
+			errs[i] = errDominated
+			reporter.record(nil, true)
+			return
+		}
+		results[i], aborted[i], errs[i] = schedule(ctx, grids[i], m, dataflows, opts, cut)
+		if errs[i] == nil {
+			inc.observe(results[i], opts.Metric)
+			reporter.record(results[i].OoO, false)
+		} else if !isCancellation(errs[i]) {
+			reporter.record(nil, false)
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -503,12 +524,15 @@ func Tilings(l layer.Conv, cfg arch.Config, b Budget) []tile.Factors {
 	return enumerateWithEscalation(l, cfg, b)
 }
 
-// enumerateWithEscalation relaxes the op-count cap until at least one
-// tiling is feasible; very large layers need more (smaller) tiles than
-// the default cap allows.
+// enumerateWithEscalation relaxes the op-count cap and the values per
+// dimension until at least one tiling is feasible; very large layers need
+// more (smaller) tiles than the default cap allows.
 func enumerateWithEscalation(l layer.Conv, cfg arch.Config, b Budget) []tile.Factors {
-	if b.MaxOps <= 0 {
-		b.MaxOps = tile.DefaultMaxOps // doubled below, unlike Enumerate's own default
+	if b.MaxOps <= 0 { // relaxed below from the defaults, unlike Enumerate's own
+		b.MaxOps = tile.DefaultMaxOps
+	}
+	if b.MaxValuesPerDim <= 0 {
+		b.MaxValuesPerDim = tile.DefaultMaxValuesPerDim
 	}
 	lim := tile.EnumLimits{
 		SPMBytes:        cfg.SPMBytes,
@@ -542,7 +566,7 @@ const maxOoOHints = 3
 var errDominated = errors.New("search: tiling dominated by incumbent")
 
 // scheduleTiling produces the OoO schedule and the best static schedule
-// for one tiling: the unhinted OoO run, then every distinct static
+// for one tiling's grid: the unhinted OoO run, then every distinct static
 // order, then OoO hinted with the eligible ones. It aborts between runs
 // when ctx is cancelled. With inc non-nil, each run carries a
 // sched.Config.Cutoff that abandons it as soon as the scheduler's
@@ -553,16 +577,12 @@ var errDominated = errors.New("search: tiling dominated by incumbent")
 // a nil Static (every static run dominated) or nil OoO (the unhinted
 // run dominated while a later hinted run was not attempted or also
 // dominated); a candidate with neither is reported as errDominated.
-func scheduleTiling(ctx context.Context, l layer.Conv, f tile.Factors, m model.Model, dataflows []loop.Dataflow, opts Options, inc *incumbents) (Candidate, int, error) {
-	grid, err := tile.NewGrid(l, f)
-	if err != nil {
-		return Candidate{}, 0, err
-	}
+func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflows []loop.Dataflow, opts Options, inc *incumbents) (Candidate, int, error) {
 	graph := dfg.Build(grid, m)
 	base := opts.SchedConfig(m)
 	metric := opts.Metric
 	aborted := 0
-	c := Candidate{Factors: f}
+	c := Candidate{Factors: grid.F}
 	var oooInc, staticInc *incumbent // nil: an exhaustive search, no cutoffs
 	if inc != nil {
 		oooInc, staticInc = &inc.ooo, &inc.static
@@ -633,7 +653,7 @@ func scheduleTiling(ctx context.Context, l layer.Conv, f tile.Factors, m model.M
 	}
 	switch {
 	case c.Static == nil && aborted == 0:
-		return Candidate{}, aborted, fmt.Errorf("search: no static schedule for tiling %s", f)
+		return Candidate{}, aborted, fmt.Errorf("search: no static schedule for tiling %s", grid.F)
 	case c.Static == nil && c.OoO == nil:
 		return Candidate{}, aborted, errDominated
 	}
@@ -743,7 +763,8 @@ func (nr *NetworkResult) DegradedRatio() float64 {
 }
 
 // SearchNetwork searches every layer of the network. Layers run
-// concurrently; repeated layer shapes are served from the cache.
+// concurrently above one worker; repeated layer shapes are served from
+// the cache.
 func SearchNetwork(n nets.Network, opts Options) (*NetworkResult, error) {
 	return SearchNetworkCtx(context.Background(), n, opts)
 }
@@ -758,14 +779,11 @@ func SearchNetworkCtx(ctx context.Context, n nets.Network, opts Options) (*Netwo
 	if opts.Cache == nil {
 		opts.Cache = NewCache()
 	}
-	if opts.sem == nil {
-		// One shared pool: layer goroutines are cheap coordinators, the
-		// per-tiling scheduling work acquires the slots.
+	if opts.sem == nil { // one pool, whose slots every layer search's tilings take
 		opts.sem = make(chan struct{}, opts.workers())
 	}
 	nr := &NetworkResult{Network: n.Name, Arch: opts.Arch.Name, Layers: make([]*LayerResult, len(n.Layers))}
 	errs := make([]error, len(n.Layers))
-	var wg sync.WaitGroup
 	// Network-level progress: candidate events from the per-layer
 	// searches are stamped with the layers-done counter, and each
 	// finished layer emits one LayerDone event (cache hits included —
@@ -774,30 +792,23 @@ func SearchNetworkCtx(ctx context.Context, n nets.Network, opts Options) (*Netwo
 	var layersDone atomic.Int64
 	total := len(n.Layers)
 	optsKey := appendOptionsKey(make([]byte, 0, 512), opts) // once for all layers' keys
-	for i, l := range n.Layers {
-		wg.Add(1)
-		go func(i int, l layer.Conv) {
-			defer wg.Done()
-			lopts := opts
-			if emit != nil {
-				lopts.Progress = func(ev ProgressEvent) {
-					ev.LayersDone = int(layersDone.Load())
-					ev.LayersTotal = total
-					emit(ev)
-				}
-			}
-			nr.Layers[i], errs[i] = opts.Cache.Layer(ctx, layerKey(l, optsKey), l, lopts)
-			if emit != nil && errs[i] == nil {
-				emit(ProgressEvent{
-					Layer:       l.Name,
-					LayerDone:   true,
-					LayersDone:  int(layersDone.Add(1)),
-					LayersTotal: total,
-				})
-			}
-		}(i, l)
+	lopts := opts
+	if emit != nil {
+		lopts.Progress = func(ev ProgressEvent) {
+			ev.LayersDone = int(layersDone.Load())
+			ev.LayersTotal = total
+			emit(ev)
+		}
 	}
-	wg.Wait()
+	// No slot is held for a layer: a layer waiting on another's search for
+	// its shape must not keep that search's tilings from the pool.
+	forEach(ctx, len(n.Layers), opts.workers(), nil, func(i int) {
+		l := n.Layers[i]
+		nr.Layers[i], errs[i] = opts.Cache.Layer(ctx, layerKey(l, optsKey), l, lopts)
+		if emit != nil && errs[i] == nil {
+			emit(ProgressEvent{Layer: l.Name, LayerDone: true, LayersDone: int(layersDone.Add(1)), LayersTotal: total})
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -1,12 +1,14 @@
 package search
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/nets"
+	"github.com/flexer-sched/flexer/internal/tile"
 )
 
 func quickOpts(t *testing.T, archName string) Options {
@@ -287,5 +289,19 @@ func TestNetworkResultFields(t *testing.T) {
 	}
 	if nr.Network != "mini" || nr.Arch != "arch2" {
 		t.Errorf("identity fields: %q %q", nr.Network, nr.Arch)
+	}
+}
+
+// TestTilingsDefaultValuesPerDim: a budget that leaves MaxValuesPerDim 0
+// means the default of 10 values, also where the op cap has to be
+// relaxed until some tiling fits — the values are relaxed from 10 too,
+// not from Enumerate's own default, which escalating from 0 would
+// tighten to 4, 8, 12.
+func TestTilingsDefaultValuesPerDim(t *testing.T) {
+	l := layer.NewConv("big", 224, 224, 3, 64, 3)
+	cfg := arch.New("small", 4, arch.KiB(8), 32)
+	got, want := Tilings(l, cfg, Budget{}), Tilings(l, cfg, Budget{MaxValuesPerDim: tile.DefaultMaxValuesPerDim})
+	if len(want) < 2 || !slices.Equal(got, want) {
+		t.Errorf("Budget{} gives %d tilings, Budget{MaxValuesPerDim: 10} %d: want the same list of several", len(got), len(want))
 	}
 }

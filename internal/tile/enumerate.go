@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"github.com/flexer-sched/flexer/internal/layer"
 )
@@ -55,10 +56,14 @@ func CandidateValues(total int) []int {
 }
 
 // subsample reduces vs to at most max values, always keeping the first
-// and last, sampling the rest evenly.
+// and last, sampling the rest evenly; at max 1 it keeps the last alone,
+// the whole dimension.
 func subsample(vs []int, max int) []int {
 	if max <= 0 || len(vs) <= max {
 		return vs
+	}
+	if max == 1 {
+		return vs[len(vs)-1:]
 	}
 	out := make([]int, 0, max)
 	step := float64(len(vs)-1) / float64(max-1)
@@ -139,22 +144,25 @@ func Enumerate(l layer.Conv, lim EnumLimits) []Factors {
 	ics := subsample(CandidateValues(l.InC), maxVals)
 
 	cores := max(lim.Cores, 1)
-	// Ascending extents, outermost loop first: the tilings come out in
-	// canonical order, ascending (OH, OW, OC, IC).
-	var out []Factors
-	for _, oh := range ohs {
+	// One key per viable tiling, not its Factors: ascending extents,
+	// outermost loop first, so the tilings come in canonical order,
+	// ascending (OH, OW, OC, IC), and so does the mixed-radix index of
+	// their four value choices that each key holds.
+	buf := keyBufs.Get().(*[]sampleKey)
+	ks := (*buf)[:0]
+	for a, oh := range ohs {
 		nOH := ceilDiv(outH, oh)
-		for _, ow := range ows {
+		for b, ow := range ows {
 			nOW := ceilDiv(outW, ow)
 			if nOH*nOW > maxOps {
 				continue
 			}
-			for _, oc := range ocs {
+			for c, oc := range ocs {
 				nOC := ceilDiv(l.OutC, oc)
 				if nOH*nOW*nOC > maxOps {
 					continue
 				}
-				for _, ic := range ics {
+				for d, ic := range ics {
 					nIC := ceilDiv(l.InC, ic)
 					if nOH*nOW*nOC*nIC > maxOps {
 						continue
@@ -163,47 +171,55 @@ func Enumerate(l layer.Conv, lim EnumLimits) []Factors {
 					if minSetFootprintFast(l, f, cores) > lim.SPMBytes {
 						continue
 					}
-					out = append(out, f)
+					ks = append(ks, sampleKey{sampleScore(l, f, lim.SPMBytes, cores), int64(((a*len(ows)+b)*len(ocs)+c)*len(ics) + d)})
 				}
 			}
 		}
 	}
-	if lim.MaxTilings > 0 && len(out) > lim.MaxTilings {
-		out = sampleTilings(l, out, lim)
+	if n := lim.MaxTilings; n > 0 && len(ks) > n {
+		ks = sampleTilings(ks, n)
 	}
+	out := make([]Factors, len(ks))
+	for j, k := range ks {
+		i := int(k.i)
+		out[j] = Factors{ohs[i/len(ics)/len(ocs)/len(ows)], ows[i/len(ics)/len(ocs)%len(ows)], ocs[i/len(ics)%len(ocs)], ics[i%len(ics)]}
+	}
+	*buf = ks[:0]
+	keyBufs.Put(buf)
 	return out
 }
 
-// sampleTilings keeps lim.MaxTilings of fs, which holds more and is in
-// canonical order, in that order: the top third by how well a full set
-// of Cores concurrent ops fills (but does not overflow) the SPM and by
-// PE-friendly channel extents, then an even stride through the rest in
-// score order for diversity across the space.
-func sampleTilings(l layer.Conv, fs []Factors, lim EnumLimits) []Factors {
-	cores := max(lim.Cores, 1)
-	ks := make([]sampleKey, len(fs))
-	for i, f := range fs {
-		foot := maxOperandBytesFast(l, f) * int64(cores)
-		// fill in (0,1]: 1 means cores ops exactly fill the SPM.
-		fill := float64(foot) / float64(lim.SPMBytes)
-		if fill > 1 {
-			fill = 1 / fill
-		}
-		align := 0.0
-		if f.OC%16 == 0 || f.OC == l.OutC {
-			align += 0.10
-		}
-		if f.IC%16 == 0 || f.IC == l.InC {
-			align += 0.10
-		}
-		ks[i] = sampleKey{fill + align, int32(i)}
+// keyBufs recycles Enumerate's key buffers.
+var keyBufs = sync.Pool{New: func() any { return new([]sampleKey) }}
+
+// sampleScore ranks a tiling for the sample: how well a full set of
+// cores concurrent ops fills (but does not overflow) the SPM, plus a
+// bonus for each PE-friendly channel extent.
+func sampleScore(l layer.Conv, f Factors, spm int64, cores int) float64 {
+	// fill in (0,1]: 1 means cores ops exactly fill the SPM.
+	fill := float64(maxOperandBytesFast(l, f)*int64(cores)) / float64(spm)
+	if fill > 1 {
+		fill = 1 / fill
 	}
+	align := 0.0
+	if f.OC%16 == 0 || f.OC == l.OutC {
+		align += 0.10
+	}
+	if f.IC%16 == 0 || f.IC == l.InC {
+		align += 0.10
+	}
+	return fill + align
+}
+
+// sampleTilings keeps n of the keys ks, which hold more and are in
+// canonical order, and returns them in that order: the top third by
+// score, then an even stride through the rest in score order for
+// diversity across the space.
+func sampleTilings(ks []sampleKey, n int) []sampleKey {
 	// The sample reads n ranks of the order; nearly every tiling would be
 	// sorted only to be passed over, so only those ranks are resolved.
-	n := lim.MaxTilings
 	top := max(n/3, 1)
-	ranks := make([]int, 0, n)
-	ranks = append(ranks, top-1) // puts the top third, in any order, before it
+	ranks := append(make([]int, 0, n), top-1) // puts the top third, in any order, before it
 	rest := len(ks) - top
 	if need := n - top; need > 0 {
 		step := max(float64(rest)/float64(need), 1)
@@ -212,27 +228,21 @@ func sampleTilings(l layer.Conv, fs []Factors, lim EnumLimits) []Factors {
 		}
 	}
 	selectRanks(ks, 0, len(ks), ranks, 2*bits.Len(uint(len(ks))))
-	picked := make([]int32, 0, n)
-	for _, k := range ks[:top] {
-		picked = append(picked, k.i)
+	// The stride's ranks ascend from top, so each moves down over keys read.
+	for j, r := range ranks[1:] {
+		ks[top+j] = ks[r]
 	}
-	for _, r := range ranks[1:] {
-		picked = append(picked, ks[r].i)
-	}
-	slices.Sort(picked)
-	keep := make([]Factors, len(picked))
-	for j, i := range picked {
-		keep[j] = fs[i]
-	}
-	return keep
+	ks = ks[:top+len(ranks)-1]
+	slices.SortFunc(ks, func(a, b sampleKey) int { return cmp.Compare(a.i, b.i) })
+	return ks
 }
 
 // sampleKey ranks one tiling of a sample: by score, descending, and
-// among equal scores by position in the canonical list — the order a
+// among equal scores by canonical position (its index) — the order a
 // stable sort by score gives, and a total one.
 type sampleKey struct {
 	s float64
-	i int32
+	i int64
 }
 
 func (a sampleKey) before(b sampleKey) bool { return a.s > b.s || a.s == b.s && a.i < b.i }

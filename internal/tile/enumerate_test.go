@@ -86,6 +86,23 @@ func TestSubsampleKeepsEnds(t *testing.T) {
 	if g := subsample(vs, 0); !reflect.DeepEqual(g, vs) {
 		t.Errorf("subsample with max 0 changed input: %v", g)
 	}
+	// One value is the last, the whole dimension; two are both ends.
+	if g := subsample(vs, 1); !reflect.DeepEqual(g, []int{10}) {
+		t.Errorf("subsample to 1 value = %v, want [10]", g)
+	}
+	if g := subsample(vs, 2); !reflect.DeepEqual(g, []int{1, 10}) {
+		t.Errorf("subsample to 2 values = %v, want [1 10]", g)
+	}
+}
+
+// TestEnumerateOneValuePerDim: at one value per dimension the one tiling
+// left is the whole layer.
+func TestEnumerateOneValuePerDim(t *testing.T) {
+	l := layer.NewConv("e", 28, 28, 64, 96, 3)
+	lim := EnumLimits{SPMBytes: 64 << 20, Cores: 4, MaxValuesPerDim: 1}
+	if got, want := Enumerate(l, lim), []Factors{{OH: 28, OW: 28, OC: 96, IC: 64}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Enumerate at one value per dimension = %v, want %v", got, want)
+	}
 }
 
 func enumLimits() EnumLimits {
