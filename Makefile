@@ -35,11 +35,11 @@ loc:
 	@printf '%-24s %6d\n' 'total (no bench)' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 
 # The allocation ceilings of the cache-hit path (a unary layer hit
-# through the handler, the cache key) and of the tiling enumeration.
-# They are `//go:build !race` tests — the race detector allocates too —
-# so `make check` skips them.
+# through the handler, the cache key), of the tiling enumeration and of
+# a warm Schedule. They are `//go:build !race` tests — the race
+# detector allocates too — so `make check` skips them.
 hit-allocs:
-	$(GO) test -run 'TestHitAllocs|TestCacheKeyAllocs|TestEnumerateAllocs' ./internal/serve ./internal/search ./internal/tile
+	$(GO) test -run 'TestHitAllocs|TestCacheKeyAllocs|TestEnumerateAllocs|TestScheduleAllocs' ./internal/serve ./internal/search ./internal/tile ./internal/sched
 
 # Faster inner-loop variant (skips the slower network-level tests).
 test-short:

@@ -68,6 +68,10 @@ type Graph struct {
 	// (released when that input tile's own uses are exhausted). Spill
 	// heuristics derive remaining-use counts from these totals.
 	uses []int32
+	// operands[i] numbers op i's In, Wt and Out tiles; sizes[n] is the
+	// byte size of tile n. The scheduler reads them instead of naming tiles.
+	operands [][3]int32
+	sizes    []int64
 
 	grids    []*tile.Grid // per-layer grids, grids[0] == Grid
 	base     []int        // base[kind*NumLayers+layer]: number of that kind and layer's first tile
@@ -107,6 +111,12 @@ func (gr *Graph) Floor() Floor { return gr.floor }
 // its output area and taps, plus a fill (model.ConvCycles), so one op
 // per channel pair spanning the whole output stands for its blocks.
 func FloorOf(g *tile.Grid, m model.Model) (opCycles int64, bytes, cycles [tile.NumKinds]int64) {
+	return floorOf(g, m, [tile.NumKinds][]int64{})
+}
+
+// floorOf is FloorOf that also writes every tile's byte size, where
+// sizes[kind] is not nil, to it in Index order: the walk that sums them.
+func floorOf(g *tile.Grid, m model.Model, sizes [tile.NumKinds][]int64) (opCycles int64, bytes, cycles [tile.NumKinds]int64) {
 	for oc := range g.NOC {
 		for ic := range g.NIC {
 			_, _, ochs, ichs := g.OpDims(0, 0, oc, ic)
@@ -115,7 +125,11 @@ func FloorOf(g *tile.Grid, m model.Model) (opCycles int64, bytes, cycles [tile.N
 	}
 	opCycles += int64(g.NumOps()-g.NOC*g.NIC) * m.FillCycles() // the other ops' fills
 	for k := range tile.NumKinds {
-		bytes[k], cycles[k] = g.SumTiles(tile.Kind(k), m.TransferCycles)
+		cost := m.TransferCycles
+		if dst := sizes[k]; dst != nil {
+			cost = func(sz int64) int64 { dst[0], dst = sz, dst[1:]; return m.TransferCycles(sz) }
+		}
+		bytes[k], cycles[k] = g.SumTiles(tile.Kind(k), cost)
 	}
 	return opCycles, bytes, cycles
 }
@@ -136,13 +150,22 @@ func (gr *Graph) Grids() []*tile.Grid { return gr.grids }
 // Size returns the byte size of id, dispatching on its layer.
 func (gr *Graph) Size(id tile.ID) int64 { return gr.grids[id.L].Size(id) }
 
+// SizeOf returns the byte size of the tile numbered n: Size(Tile(n)).
+func (gr *Graph) SizeOf(n int32) int64 { return gr.sizes[n] }
+
+// Operands returns the numbers of op i's In, Wt and Out tiles, in that
+// order: Num of each.
+func (gr *Graph) Operands(i int) [3]int32 { return gr.operands[i] }
+
 // Tile numbers. Every tile of a graph has a dense number in
 // [0, NumTiles()), computed from its coordinates alone: kind-major,
 // then layer, then (A, B, C) row-major within the layer's grid —
-// ascending numbers are ascending (Kind, L, A, B, C). Nothing is built
-// for it. The scheduler and the scratchpad it binds index their
-// per-tile state by these numbers; tile.ID stays the name everywhere a
-// tile leaves the scheduler (results, records, traces, the verifier).
+// ascending numbers are ascending (Kind, L, A, B, C). Build records two
+// tables by them, each op's operand numbers (Operands) and each tile's
+// size (SizeOf), so that a scheduling step names no tile. The scheduler
+// and the scratchpad it binds index their per-tile state by these
+// numbers; tile.ID stays the name everywhere a tile leaves the
+// scheduler (results, records, traces, the verifier).
 
 // NumTiles returns the number of tiles of the graph.
 func (gr *Graph) NumTiles() int { return len(gr.uses) }
@@ -261,9 +284,11 @@ func build(grids []*tile.Grid, m model.Model) *Graph {
 		ops += g.NumOps()
 	}
 	gr.Ops = make([]Op, 0, ops)
+	gr.operands = make([][3]int32, 0, ops)
 	gr.uses = make([]int32, tiles)
+	gr.sizes = make([]int64, tiles)
 	for l, g := range grids {
-		opCycles, bytes, cycles := FloorOf(g, m)
+		opCycles, bytes, cycles := floorOf(g, m, [tile.NumKinds][]int64{gr.sizes[gr.base[l]:], gr.sizes[gr.base[nl+l]:], gr.sizes[gr.base[2*nl+l]:]})
 		gr.floor.OpCycles += opCycles
 		gr.floor.LoadBytes += bytes[tile.Wt]
 		gr.floor.LoadCycles += cycles[tile.Wt]
@@ -282,10 +307,13 @@ func build(grids []*tile.Grid, m model.Model) *Graph {
 			}
 		}
 		conv := g.Layer
+		inBase, wtBase, outBase := int32(gr.base[int(tile.In)*nl+l]), int32(gr.base[int(tile.Wt)*nl+l]), int32(gr.base[int(tile.Out)*nl+l])
 		for oh := 0; oh < g.NOH; oh++ {
 			for ow := 0; ow < g.NOW; ow++ {
+				sp := int32(oh*g.NOW + ow) // (oh, ow) row-major: Num numbers In and Out tiles from it
 				for oc := 0; oc < g.NOC; oc++ {
 					for ic := 0; ic < g.NIC; ic++ {
+						gr.operands = append(gr.operands, [3]int32{inBase + sp*int32(g.NIC) + int32(ic), wtBase + int32(oc*g.NIC+ic), outBase + sp*int32(g.NOC) + int32(oc)})
 						rows, cols, ochs, ichs := g.OpDims(oh, ow, oc, ic)
 						gr.Ops = append(gr.Ops, Op{
 							ID: len(gr.Ops),

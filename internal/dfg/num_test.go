@@ -125,6 +125,55 @@ func TestNumIsAnOrderedBijection(t *testing.T) {
 	}
 }
 
+// TestTablesMatchNames: the tables by number that Build records are
+// the names they stand for — for every op, Operands is Num of its In,
+// Wt and Out; for every tile, SizeOf its number is its Size — on the
+// graphs of BenchmarkBuild and BenchmarkBuildFused and on a three-layer
+// fused graph.
+func TestTablesMatchNames(t *testing.T) {
+	m := model.New(arch.New("t", 4, arch.KiB(128), 32))
+	grid := func(l layer.Conv, f tile.Factors) *tile.Grid {
+		g, err := tile.NewGrid(l, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	cases := map[string][]*tile.Grid{
+		"16ops":  {grid(layer.NewConv("tiny", 8, 8, 32, 24, 3), tile.Factors{OH: 4, OW: 4, OC: 12, IC: 16})},
+		"256ops": {grid(layer.NewConv("mid", 28, 28, 128, 128, 3), tile.Factors{OH: 7, OW: 7, OC: 32, IC: 32})},
+		"fused2": {
+			grid(layer.NewConv("a", 28, 28, 64, 64, 3), tile.Factors{OH: 7, OW: 7, OC: 32, IC: 32}),
+			grid(layer.NewConv("b", 28, 28, 64, 32, 3), tile.Factors{OH: 7, OW: 14, OC: 16, IC: 32}),
+		},
+		"fused3": {
+			grid(layer.NewConv("a", 14, 14, 16, 24, 3), tile.Factors{OH: 5, OW: 4, OC: 8, IC: 16}),
+			grid(layer.NewConv("b", 14, 14, 24, 32, 3), tile.Factors{OH: 7, OW: 3, OC: 16, IC: 8}),
+			grid(layer.NewConv("c", 14, 14, 32, 8, 1), tile.Factors{OH: 4, OW: 14, OC: 8, IC: 24}),
+		},
+	}
+	for name, grids := range cases {
+		gr, err := BuildFused(grids, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gr.NumLayers() != len(grids) {
+			t.Fatalf("%s: %d layers, want %d", name, gr.NumLayers(), len(grids))
+		}
+		for i, op := range gr.Ops {
+			want := [3]int32{int32(gr.Num(op.In)), int32(gr.Num(op.Wt)), int32(gr.Num(op.Out))}
+			if got := gr.Operands(i); got != want {
+				t.Fatalf("%s: op %v has operands %v, its tiles number %v", name, op, got, want)
+			}
+		}
+		for n := range gr.NumTiles() {
+			if id := gr.Tile(n); gr.SizeOf(int32(gr.Num(id))) != gr.Size(id) {
+				t.Fatalf("%s: tile %v has SizeOf %d, Size %d", name, id, gr.SizeOf(int32(gr.Num(id))), gr.Size(id))
+			}
+		}
+	}
+}
+
 // TestUsesViewsAgree: the tile-keyed views are the table by number.
 func TestUsesViewsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

@@ -16,19 +16,30 @@ import (
 // engine stopped halfway through a schedule on the repository
 // benchmark's two 4-core machines — tight4 keeps the scratchpad under
 // pressure (placement and victim search dominate a step), roomy4 never
-// spills (signatures dominate).
+// spills (signatures dominate) — and, for a wide ready queue, on the
+// 2-core arch4.
 
 var benchMachines = []arch.Config{
 	arch.New("tight4", 4, arch.KiB(128), 32),
 	arch.New("roomy4", 4, arch.KiB(1024), 64),
 }
 
+// arch4 is the machine of BenchmarkScheduleTiny, and of the repository
+// benchmark's exhaustive job, whose ready queue reaches hundreds of ops.
+var arch4 = arch.New("arch4", 2, arch.KiB(512), 64)
+
 // midRunEngine schedules half of a 256-op layer on a — out of order,
 // or with hinted following the weight-stationary loop order — and
-// returns the engine as it stands before the next step.
-func midRunEngine(b *testing.B, a arch.Config, hinted bool) *engine {
+// returns the engine as it stands before the next step. With wide the
+// layer is one of 448 ops that are all ready from the start (a single
+// input-channel tile), so that halfway 224 wait in the ready queue.
+func midRunEngine(b *testing.B, a arch.Config, wide, hinted bool) *engine {
 	b.Helper()
-	gr := buildGraph(b, layer.NewConv("bench", 28, 28, 128, 128, 3), tile.Factors{OH: 7, OW: 7, OC: 32, IC: 32}, a)
+	l, f := layer.NewConv("bench", 28, 28, 128, 128, 3), tile.Factors{OH: 7, OW: 7, OC: 32, IC: 32}
+	if wide {
+		l, f = layer.NewConv("wide", 28, 28, 64, 512, 3), tile.Factors{OH: 4, OW: 7, OC: 32, IC: 64}
+	}
+	gr := buildGraph(b, l, f, a)
 	cfg := Config{Arch: a}
 	if hinted {
 		cfg.Hint = loop.Order(gr, loop.Canonical()[2])
@@ -40,6 +51,9 @@ func midRunEngine(b *testing.B, a arch.Config, hinted bool) *engine {
 		}
 	}
 	e.mem.UnpinAll()
+	if wide && len(e.ready) < 200 {
+		b.Fatalf("%d ops ready halfway, want at least 200", len(e.ready))
+	}
 	return e
 }
 
@@ -55,7 +69,7 @@ var sinkSig []uint64
 func BenchmarkComboSignature(b *testing.B) {
 	for _, a := range benchMachines {
 		b.Run(a.Name, func(b *testing.B) {
-			e := midRunEngine(b, a, false)
+			e := midRunEngine(b, a, false, false)
 			window := e.selectWindow()
 			e.stepFacts(window, true)
 			var combos [][]int
@@ -95,7 +109,7 @@ func BenchmarkEvalSet(b *testing.B) {
 				name = a.Name + "/extend"
 			}
 			b.Run(name, func(b *testing.B) {
-				e := midRunEngine(b, a, false)
+				e := midRunEngine(b, a, false, false)
 				set := append([]int(nil), e.selectWindow()[:a.Cores]...)
 				w := &e.walk
 				e.beginWalk()
@@ -126,16 +140,22 @@ func BenchmarkEvalSet(b *testing.B) {
 // with the window ranked by resident bytes and with it following a
 // weight-stationary hint, where consecutive window ops share one operand
 // and differ in private, equal-shaped ones — the windows the walk's
-// interchangeable-op rule shortens most.
+// interchangeable-op rule shortens most. "wide" is the step on arch4
+// with 224 ops ready, of which the window keeps 16: what selecting the
+// window costs, next to what weighing its sets does.
 func BenchmarkNextSetOoO(b *testing.B) {
-	for _, a := range benchMachines {
+	for _, a := range append(benchMachines, arch4) {
 		for _, hinted := range []bool{false, true} {
+			wide := a.Name == arch4.Name
 			name := a.Name
+			if wide {
+				name = "wide"
+			}
 			if hinted {
 				name += "/hinted"
 			}
 			b.Run(name, func(b *testing.B) {
-				e := midRunEngine(b, a, hinted)
+				e := midRunEngine(b, a, wide, hinted)
 				e.nEval, e.nPruned = 0, 0
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -160,12 +180,9 @@ var sinkResult *Result
 // jobs does, so it also pays the engine's and the scratchpad's
 // first-touch allocations.
 func BenchmarkScheduleTiny(b *testing.B) {
-	a := arch.New("arch4", 2, arch.KiB(512), 64)
-	gr := buildGraph(b, layer.NewConv("tiny", 8, 8, 32, 24, 3), tile.Factors{OH: 4, OW: 4, OC: 12, IC: 16}, a)
-	static := make([]int, len(gr.Ops))
-	for i := range static {
-		static[i] = i
-	}
+	a := arch4
+	gr := smallGraph(b, a)
+	static := seq(len(gr.Ops))
 	for _, c := range []struct {
 		name string
 		cfg  Config

@@ -1,8 +1,8 @@
 package sched
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"github.com/flexer-sched/flexer/internal/tile"
 )
@@ -273,85 +273,76 @@ func (e *engine) snapshot(into *setEval) *setEval {
 	return into
 }
 
-// rankedOps sorts ready ops by descending resident-operand bytes, ties
-// broken by rank. It lives on the engine so sorting allocates nothing
-// (sort.Slice's reflection-based swapper was a measurable share of the
-// search's heap).
-type rankedOps struct {
-	ops    []int
-	scores []int64
-	rank   []int
+// windowOp is a ready op with the key selectWindow orders it by.
+type windowOp struct {
+	bytes int64 // operand bytes on-chip, 0 under a hint
+	rank  int
+	op    int
 }
 
-func (r *rankedOps) Len() int { return len(r.ops) }
-func (r *rankedOps) Less(i, j int) bool {
-	if r.scores[i] != r.scores[j] {
-		return r.scores[i] > r.scores[j]
-	}
-	return r.rank[r.ops[i]] < r.rank[r.ops[j]]
+// compare orders the window: more operand bytes on-chip first, then the
+// lower rank. Ranks are distinct, so the order is total.
+func (a windowOp) compare(b windowOp) int {
+	return cmp.Or(cmp.Compare(b.bytes, a.bytes), cmp.Compare(a.rank, b.rank))
 }
-func (r *rankedOps) Swap(i, j int) {
-	r.ops[i], r.ops[j] = r.ops[j], r.ops[i]
-	r.scores[i], r.scores[j] = r.scores[j], r.scores[i]
-}
-
-// hintedOps sorts ops by their hint rank.
-type hintedOps struct {
-	ops  []int
-	rank []int
-}
-
-func (h *hintedOps) Len() int           { return len(h.ops) }
-func (h *hintedOps) Less(i, j int) bool { return h.rank[h.ops[i]] < h.rank[h.ops[j]] }
-func (h *hintedOps) Swap(i, j int)      { h.ops[i], h.ops[j] = h.ops[j], h.ops[i] }
 
 // selectWindow returns the most promising ready ops, at most
-// MaxReadyWindow. In pure OoO mode ops are ranked by the bytes of
-// their operands already resident (aligning the window with the
-// memory-benefit priority). With a dataflow hint, the window follows
-// the hint order outright — the run explores combinations around the
-// loop order, deviating only where the set priority says so, which is
-// how Algorithm 1's per-dataflow GetSchedule stays anchored to its
-// dataflow. The returned slice is engine scratch, valid until the next
-// call.
+// MaxReadyWindow, best first. In pure OoO mode ops are ranked by the
+// bytes of their operands already resident (aligning the window with
+// the memory-benefit priority), then by rank. With a dataflow hint, the
+// window follows the hint order outright — the run explores
+// combinations around the loop order, deviating only where the set
+// priority says so, which is how Algorithm 1's per-dataflow GetSchedule
+// stays anchored to its dataflow. The order being total, the window is
+// the prefix of the sorted ready queue, but nothing else is sorted: one
+// pass inserts each op into the kept ones, best first, and drops what
+// falls off the end — or, when the window holds the whole queue, keeps
+// all and sorts them. e.ready keeps its order. The returned slice is
+// engine scratch, valid until the next call.
 func (e *engine) selectWindow() []int {
-	if e.cfg.Hint != nil {
-		e.hinted.ops = append(e.hinted.ops[:0], e.ready...)
-		e.hinted.rank = e.rank
-		sort.Sort(&e.hinted)
-		window := e.hinted.ops
-		if n := e.cfg.MaxReadyWindow; len(window) > n {
-			window = window[:n]
+	k, all := e.cfg.MaxReadyWindow, len(e.ready) <= e.cfg.MaxReadyWindow
+	kept := e.kept[:0]
+	for _, op := range e.ready {
+		c := windowOp{rank: e.rank[op], op: op}
+		if e.cfg.Hint == nil {
+			c.bytes = e.residentBytes(op)
 		}
-		return window
-	}
-	e.ranked.ops = append(e.ranked.ops[:0], e.ready...)
-	if cap(e.ranked.scores) < len(e.ready) {
-		e.ranked.scores = make([]int64, len(e.ready))
-	}
-	e.ranked.scores = e.ranked.scores[:len(e.ready)]
-	for i, opIdx := range e.ranked.ops {
-		op := &e.gr.Ops[opIdx]
-		var score int64
-		if e.mem.Has(op.In) {
-			score += e.gr.Size(op.In)
+		if all {
+			kept = append(kept, c)
+			continue
 		}
-		if e.mem.Has(op.Wt) {
-			score += e.gr.Size(op.Wt)
+		if len(kept) == k {
+			if c.compare(kept[k-1]) > 0 {
+				continue
+			}
+			kept = kept[:k-1]
 		}
-		if op.ReadsPsum && e.mem.Has(op.Out) {
-			score += e.gr.Size(op.Out)
+		i := len(kept)
+		for kept = append(kept, c); i > 0 && c.compare(kept[i-1]) < 0; i-- {
+			kept[i] = kept[i-1]
 		}
-		e.ranked.scores[i] = score
+		kept[i] = c
 	}
-	e.ranked.rank = e.rank
-	sort.Stable(&e.ranked)
-	n := e.cfg.MaxReadyWindow
-	if n > len(e.ranked.ops) {
-		n = len(e.ranked.ops)
+	if all {
+		slices.SortFunc(kept, windowOp.compare)
 	}
-	e.window = append(e.window[:0], e.ranked.ops[:n]...)
+	e.window, e.kept = e.window[:0], kept
+	for _, c := range kept {
+		e.window = append(e.window, c.op)
+	}
 	return e.window
+}
+
+// residentBytes is the bytes of op's operands on-chip: its input and
+// weight tiles, and its output tile when it reads a partial sum.
+func (e *engine) residentBytes(op int) int64 {
+	var bytes int64
+	for s, n := range e.gr.Operands(op) {
+		if (s < 2 || e.gr.Ops[op].ReadsPsum) && e.mem.HasNum(n) {
+			bytes += e.gr.SizeOf(n)
+		}
+	}
+	return bytes
 }
 
 // Residency states of an operand tile in the dataflow-map signature.
@@ -395,7 +386,8 @@ const sigCountBits = 16
 // key that no other window op names (see duplicates). mirror is the
 // nearest such t, -1 if none.
 type stepFacts struct {
-	ids    []tile.ID  // distinct tiles, for de-duplication
+	tiles  []int32    // per tile: its graph number, for de-duplication
+	slot   []int32    // by graph number: 1 + the tile's number here while stepFacts runs, else 0
 	keys   []uint64   // per tile: packed kind, state and size, count zero
 	refs   []uint16   // per tile: window ops naming it
 	count  []uint16   // per tile: references from the walk's current combination, zero between walks
@@ -426,25 +418,29 @@ func (f *stepFacts) duplicates(wi int, combo []int) bool {
 // dedup, a tile shared by several window ops gets one number, so that
 // combinations count references to it; the single-op fallback over the
 // whole ready queue needs no sharing, skips the scans for twins and
-// mirrors and so has none.
+// mirrors and so has none. Tiles are numbered here as first met, through
+// slot, which they leave all zero again: a step pays for its window's
+// tiles, not for the graph's.
 func (e *engine) stepFacts(window []int, dedup bool) {
 	f := &e.facts
-	f.ids, f.keys, f.refs, f.mirror, f.ops, f.twin, f.bound = f.ids[:0], f.keys[:0], f.refs[:0], f.mirror[:0], f.ops[:0], f.twin[:0], f.bound[:0]
-	number := func(id tile.ID) int32 {
+	f.tiles, f.keys, f.refs, f.mirror, f.ops, f.twin, f.bound = f.tiles[:0], f.keys[:0], f.refs[:0], f.mirror[:0], f.ops[:0], f.twin[:0], f.bound[:0]
+	if dedup && len(f.slot) < e.gr.NumTiles() {
+		f.slot = make([]int32, e.gr.NumTiles())
+	}
+	number := func(id *tile.ID, n int32) int32 {
 		if dedup {
-			for i := range f.ids {
-				if f.ids[i] == id {
-					f.refs[i]++
-					return int32(i)
-				}
+			if i := f.slot[n]; i != 0 {
+				f.refs[i-1]++
+				return i - 1
 			}
-			f.ids = append(f.ids, id)
+			f.tiles = append(f.tiles, n)
+			f.slot[n] = int32(len(f.tiles))
 		}
 		state := tileAbsent
-		if e.mem.Has(id) {
+		if e.mem.HasNum(n) {
 			state = tileResident
 		} else if e.fused && id.Kind == tile.In && id.L > 0 {
-			if ots := e.gr.Covering(id); len(ots) > 0 {
+			if ots := e.gr.Covering(*id); len(ots) > 0 {
 				state = tileGatherable
 				for _, ot := range ots {
 					if !e.mem.Has(ot) {
@@ -454,13 +450,13 @@ func (e *engine) stepFacts(window []int, dedup bool) {
 				}
 			}
 		}
-		f.keys = append(f.keys, uint64(id.Kind)<<62|state<<60|uint64(e.gr.Size(id))<<sigCountBits)
+		f.keys = append(f.keys, uint64(id.Kind)<<62|state<<60|uint64(e.gr.SizeOf(n))<<sigCountBits)
 		f.refs, f.mirror = append(f.refs, 1), append(f.mirror, -1)
 		return int32(len(f.keys) - 1)
 	}
 	for _, opIdx := range window {
-		op := &e.gr.Ops[opIdx]
-		ts := [3]int32{number(op.In), number(op.Wt), number(op.Out)}
+		op, ns := &e.gr.Ops[opIdx], e.gr.Operands(opIdx)
+		ts := [3]int32{number(&op.In, ns[0]), number(&op.Wt, ns[1]), number(&op.Out, ns[2])}
 		// Reuse is credited for operands on-chip or gatherable now; a fused
 		// input is allowed it in any state, so the proof needs touch alone.
 		var bound int64
@@ -470,6 +466,9 @@ func (e *engine) stepFacts(window []int, dedup bool) {
 			}
 		}
 		f.ops, f.twin, f.bound = append(f.ops, ts), append(f.twin, -1), append(f.bound, bound)
+	}
+	for _, n := range f.tiles {
+		f.slot[n] = 0
 	}
 	for j := 1; dedup && j < len(f.ops); j++ {
 	earlier:

@@ -7,11 +7,12 @@ import (
 	"github.com/flexer-sched/flexer/internal/tile"
 )
 
-// loadRec is one pending load memory operation. gather marks a fused
-// consumer input assembled on-chip from resident producer outputs
-// instead of loaded from DRAM.
+// loadRec is one pending load memory operation of the tile id,
+// numbered n. gather marks a fused consumer input assembled on-chip from
+// resident producer outputs instead of loaded from DRAM.
 type loadRec struct {
 	id     tile.ID
+	n      int32
 	size   int64
 	gather bool
 }
@@ -68,30 +69,29 @@ func (e *engine) place(ev *setEval) bool {
 // on top of the ops placed before it (e.fresh lists what those brought
 // on-chip). On failure the scratchpad and ev are left partly modified.
 func (e *engine) placeOp(ev *setEval, opIdx int) bool {
-	op := &e.gr.Ops[opIdx]
+	op, ns := &e.gr.Ops[opIdx], e.gr.Operands(opIdx)
 	// The output tile: a first write only reserves space; an
 	// accumulation step must bring the partial sum back on-chip if it
 	// was spilled.
-	return e.touch(ev, op.In, true) && e.touch(ev, op.Wt, true) && e.touch(ev, op.Out, op.ReadsPsum)
+	return e.touch(ev, &op.In, ns[0], true) && e.touch(ev, &op.Wt, ns[1], true) && e.touch(ev, &op.Out, ns[2], op.ReadsPsum)
 }
 
-// touch makes tile id resident and pinned for the set ev describes; a
-// tile that has to be brought on-chip is a load of the set when load is
-// set, and only reserved space otherwise.
-func (e *engine) touch(ev *setEval, id tile.ID, load bool) bool {
+// touch makes tile id, numbered n, resident and pinned for the set ev
+// describes; a tile that has to be brought on-chip is a load of the set
+// when load is set, and only reserved space otherwise.
+func (e *engine) touch(ev *setEval, id *tile.ID, n int32, load bool) bool {
 	mem := e.mem
-	size := e.gr.Size(id)
-	if mem.Has(id) {
+	size := e.gr.SizeOf(n)
+	if mem.PinNum(n) {
 		// Tiles brought on-chip by this very set: sharing them within
 		// the set avoids a second load but is "new data", not reuse —
 		// the paper's dataflow maps (Fig. 7) keep the two separate and
 		// the memory benefit only credits data that was already
 		// resident. A set touches at most 3 x #cores tiles, so a linear
 		// scan beats a map.
-		if !slices.Contains(e.fresh, id) {
+		if !slices.Contains(e.fresh, n) {
 			ev.reused += size
 		}
-		mem.Pin(id)
 		return true
 	}
 	// A fused consumer input whose covering producer outputs are all
@@ -103,7 +103,7 @@ func (e *engine) touch(ev *setEval, id tile.ID, load bool) bool {
 	gather := false
 	e.pinned = e.pinned[:0]
 	if load && e.fused && id.Kind == tile.In && id.L > 0 {
-		if ots := e.gr.Covering(id); len(ots) > 0 {
+		if ots := e.gr.Covering(*id); len(ots) > 0 {
 			gather = true
 			for _, ot := range ots {
 				if !mem.Has(ot) {
@@ -121,20 +121,20 @@ func (e *engine) touch(ev *setEval, id tile.ID, load bool) bool {
 			}
 		}
 	}
-	e.fresh = append(e.fresh, id)
-	evs, err := mem.AllocateBound(id, size, e.remain)
+	e.fresh = append(e.fresh, n)
+	evs, err := mem.AllocateBound(*id, n, size, e.remain)
 	if err != nil && gather {
 		for _, ot := range e.pinned {
 			mem.Unpin(ot)
 		}
 		gather = false
-		evs, err = mem.AllocateBound(id, size, e.remain)
+		evs, err = mem.AllocateBound(*id, n, size, e.remain)
 	}
 	if err != nil {
 		return false
 	}
 	if load {
-		ev.loads = append(ev.loads, loadRec{id: id, size: size, gather: gather})
+		ev.loads = append(ev.loads, loadRec{id: *id, n: n, size: size, gather: gather})
 		if gather {
 			// Served from on-chip producers: counts as reuse for the
 			// memory-benefit priority and moves no off-chip bytes.

@@ -158,10 +158,10 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 	slices.SortStableFunc(dirtyTiles, func(a, b int) int { return cmp.Compare(dirtyAt[b], dirtyAt[a]) })
 	for _, n := range dirtyTiles {
 		id := gr.Tile(n)
-		if _, err := e.mem.AllocateBound(id, gr.Size(id), e.remain); err != nil {
+		if _, err := e.mem.AllocateBound(id, int32(n), gr.SizeOf(int32(n)), e.remain); err != nil {
 			return nil, fmt.Errorf("sched: repair cannot retain live tile %s: %w", id, err)
 		}
-		e.mem.SetDirty(id, true)
+		e.mem.SetDirtyNum(int32(n), true)
 	}
 
 	// Resume: the loop every schedule runs, from the replayed state.

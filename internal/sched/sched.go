@@ -249,9 +249,8 @@ type engine struct {
 	// works, the buffers grow on first use.
 	evalFree []*setEval // retired set evaluations
 	window   []int      // selectWindow result buffer
-	ranked   rankedOps  // selectWindow sort scratch
-	hinted   hintedOps  // selectWindow sort scratch (hint mode)
-	fresh    []tile.ID  // placeOp: tiles brought on-chip by the ops placed so far
+	kept     []windowOp // selectWindow: the best ready ops so far, with their keys
+	fresh    []int32    // placeOp: numbers of the tiles brought on-chip by the ops placed so far
 	pinned   []tile.ID  // touch: gather sources pinned for one fused input
 	refs     []tileRef  // apply: per-tile reference counts of one set
 	marks    []bool     // validateOrder: ops seen; apply: spills already issued early for a DRAM fallback
@@ -541,8 +540,9 @@ func (e *engine) owe(id tile.ID, size int64, owing bool) {
 
 // tileRef counts one set's references to a distinct operand tile.
 type tileRef struct {
-	id tile.ID
-	n  int
+	kind tile.Kind
+	num  int32
+	n    int
 }
 
 // apply commits the chosen set: places it in the scratchpad for real,
@@ -612,7 +612,7 @@ func (e *engine) memOps(ev *setEval) (int64, error) {
 			rec = e.tl.Transfer(ld.id, sim.Load, ld.size, e.cfg.Model.TransferCycles(ld.size), 0)
 		}
 		e.account(rec)
-		e.availAt[e.gr.Num(ld.id)] = rec.End
+		e.availAt[ld.n] = rec.End
 		memEnd = max(memEnd, rec.End)
 	}
 	for i, sp := range ev.spills {
@@ -642,42 +642,42 @@ func (e *engine) memOps(ev *setEval) (int64, error) {
 func (e *engine) issue(ops []int, memEnd int64) error {
 	var setRec SetRecord
 	e.refs = e.refs[:0]
-	addRef := func(id tile.ID) {
+	addRef := func(kind tile.Kind, num int32) {
 		for i := range e.refs {
-			if e.refs[i].id == id {
+			if e.refs[i].num == num {
 				e.refs[i].n++
 				return
 			}
 		}
-		e.refs = append(e.refs, tileRef{id: id, n: 1})
+		e.refs = append(e.refs, tileRef{kind: kind, num: num, n: 1})
 	}
 	for _, opIdx := range ops {
-		op := &e.gr.Ops[opIdx]
+		op, ns := &e.gr.Ops[opIdx], e.gr.Operands(opIdx)
 		earliest := memEnd
 		if p := e.gr.Pred(opIdx); p >= 0 && e.opDone[p] > earliest {
 			earliest = e.opDone[p]
 		}
 		// An operand reused from an earlier set may still be in flight
 		// on the DMA channel: compute cannot start before it arrives.
-		earliest = max(earliest, e.availAt[e.gr.Num(op.In)], e.availAt[e.gr.Num(op.Wt)])
+		earliest = max(earliest, e.availAt[ns[0]], e.availAt[ns[1]])
 		if op.ReadsPsum {
-			earliest = max(earliest, e.availAt[e.gr.Num(op.Out)])
+			earliest = max(earliest, e.availAt[ns[2]])
 		}
 		npu := e.tl.BestNPU(earliest, op.Cycles)
 		if npu < 0 {
 			return errAllCoresDead
 		}
 		e.retire(e.tl.Issue(opIdx, npu, earliest, op.Cycles))
-		e.mem.SetDirty(op.Out, true)
-		addRef(op.In)
-		addRef(op.Wt)
+		e.mem.SetDirtyNum(ns[2], true)
+		addRef(tile.In, ns[0])
+		addRef(tile.Wt, ns[1])
 		if op.ReadsPsum {
-			addRef(op.Out)
+			addRef(tile.Out, ns[2])
 		}
 	}
 	for _, r := range e.refs {
 		if r.n >= 2 {
-			setRec.Shared[r.id.Kind] = true
+			setRec.Shared[r.kind] = true
 		}
 	}
 	setRec.Ops = append([]int(nil), ops...)
@@ -694,8 +694,8 @@ func (e *engine) issue(ops []int, memEnd int64) error {
 // committed schedule: its finish and write times, its operands' uses,
 // its successors' readiness.
 func (e *engine) retire(rec sim.OpRecord) {
-	op := &e.gr.Ops[rec.Op]
-	in, wt, out := e.gr.Num(op.In), e.gr.Num(op.Wt), e.gr.Num(op.Out)
+	op, ns := &e.gr.Ops[rec.Op], e.gr.Operands(rec.Op)
+	in, wt, out := ns[0], ns[1], ns[2]
 	e.opDone[rec.Op] = rec.End
 	e.writeAt[out] = rec.End
 	if e.fused {
@@ -829,6 +829,6 @@ func (e *engine) flush() {
 		lat := e.cfg.Model.TransferCycles(b.Size)
 		rec := e.tl.Transfer(b.ID, sim.Writeback, b.Size, lat, e.writeAt[n])
 		e.account(rec)
-		e.mem.SetDirty(b.ID, false)
+		e.mem.SetDirtyNum(int32(n), false)
 	}
 }

@@ -27,7 +27,7 @@ func buildGraph(t testing.TB, l layer.Conv, f tile.Factors, a arch.Config) *dfg.
 	return dfg.Build(g, model.New(a))
 }
 
-func smallGraph(t *testing.T, a arch.Config) *dfg.Graph {
+func smallGraph(t testing.TB, a arch.Config) *dfg.Graph {
 	return buildGraph(t, layer.NewConv("s", 8, 8, 32, 24, 3),
 		tile.Factors{OH: 4, OW: 4, OC: 12, IC: 16}, a)
 }

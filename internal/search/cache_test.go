@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -272,6 +273,12 @@ func TestCacheCancelledEntryRetryLoop(t *testing.T) {
 		_, err := SearchLayerCtx(dead, l, opts)
 		cancelledErr <- err
 	}()
+	// The dead caller must be the computing one: a lookup that finds a
+	// completed entry picks at random between it and the dead context.
+	// Its entry exists once its miss is counted.
+	for opts.Cache.Stats().Misses == 0 {
+		runtime.Gosched()
+	}
 	results := make([]*LayerResult, waiters)
 	errs := make([]error, waiters)
 	for i := 0; i < waiters; i++ {

@@ -175,22 +175,22 @@ func (s *SPM) Bind(nums Numbering) {
 
 // num returns id's tile number, or -1 for a tile the first-seen
 // numbering has not met (which therefore is not resident).
-func (s *SPM) num(id tile.ID) int {
+func (s *SPM) num(id tile.ID) int32 {
 	if s.nums != nil {
-		return s.nums.Num(id)
+		return int32(s.nums.Num(id))
 	}
 	if n, ok := s.seen[id]; ok {
-		return int(n)
+		return n
 	}
 	return -1
 }
 
 // intern gives id, new to the first-seen numbering, the number n.
-func (s *SPM) intern(id tile.ID, n int) {
+func (s *SPM) intern(id tile.ID, n int32) {
 	if s.seen == nil {
 		s.seen = make(map[tile.ID]int32)
 	}
-	s.seen[id] = int32(n)
+	s.seen[id] = n
 }
 
 // SetInPlace enables or disables the in-place replacement fast path
@@ -218,7 +218,7 @@ func (s *SPM) CloneInto(dst *SPM) *SPM {
 		if r := &s.regs[i]; r.alloc {
 			dst.index[r.num] = r.addr + 1
 			if s.nums == nil {
-				dst.intern(r.id, int(r.num))
+				dst.intern(r.id, r.num)
 			}
 		}
 	}
@@ -305,11 +305,16 @@ func (s *SPM) FreeBytes() int64 { return s.cap - s.used }
 // Utilization returns allocated/capacity in [0,1].
 func (s *SPM) Utilization() float64 { return float64(s.used) / float64(s.cap) }
 
+// Tile numbers. On a bound scratchpad (Bind) the caller usually holds a
+// tile's number already: HasNum, PinNum, SetDirtyNum and AllocateBound
+// take it. The tile.ID forms number the tile and call them; a negative
+// number is a tile the scratchpad does not hold.
+
 // Has reports whether tile id currently resides in the scratchpad.
-func (s *SPM) Has(id tile.ID) bool {
-	n := s.num(id)
-	return n >= 0 && s.index[n] != 0
-}
+func (s *SPM) Has(id tile.ID) bool { return s.HasNum(s.num(id)) }
+
+// HasNum is Has for the tile numbered n.
+func (s *SPM) HasNum(n int32) bool { return n >= 0 && s.index[n] != 0 }
 
 // NumBlocks returns the number of allocated blocks.
 func (s *SPM) NumBlocks() int {
@@ -322,8 +327,10 @@ func (s *SPM) NumBlocks() int {
 	return n
 }
 
-func (s *SPM) regionOf(id tile.ID) int {
-	if n := s.num(id); n >= 0 && s.index[n] != 0 {
+// regionAt returns the index of the region holding the tile numbered
+// n, or -1 when it is not resident.
+func (s *SPM) regionAt(n int32) int {
+	if s.HasNum(n) {
 		return s.find(s.index[n] - 1)
 	}
 	return -1
@@ -341,8 +348,11 @@ func (s *SPM) find(addr int64) int {
 
 // Pin marks tile id unevictable until Unpin. Pinning a tile not present
 // is a no-op returning false.
-func (s *SPM) Pin(id tile.ID) bool {
-	if i := s.regionOf(id); i >= 0 {
+func (s *SPM) Pin(id tile.ID) bool { return s.PinNum(s.num(id)) }
+
+// PinNum is Pin for the tile numbered n.
+func (s *SPM) PinNum(n int32) bool {
+	if i := s.regionAt(n); i >= 0 {
 		s.regs[i].pin = true
 		return true
 	}
@@ -353,13 +363,13 @@ func (s *SPM) Pin(id tile.ID) bool {
 // scheduler uses it to tell its own gather-source pins apart from pins
 // placed earlier in the same candidate set before rolling them back.
 func (s *SPM) Pinned(id tile.ID) bool {
-	i := s.regionOf(id)
+	i := s.regionAt(s.num(id))
 	return i >= 0 && s.regs[i].pin
 }
 
 // Unpin clears the pin on tile id if present.
 func (s *SPM) Unpin(id tile.ID) {
-	if i := s.regionOf(id); i >= 0 {
+	if i := s.regionAt(s.num(id)); i >= 0 {
 		s.regs[i].pin = false
 	}
 }
@@ -374,15 +384,18 @@ func (s *SPM) UnpinAll() {
 // SetDirty marks whether tile id holds state not yet written off-chip
 // (partial sums and finished outputs). Dirty tiles cost a write-back
 // when evicted.
-func (s *SPM) SetDirty(id tile.ID, dirty bool) {
-	if i := s.regionOf(id); i >= 0 {
+func (s *SPM) SetDirty(id tile.ID, dirty bool) { s.SetDirtyNum(s.num(id), dirty) }
+
+// SetDirtyNum is SetDirty for the tile numbered n.
+func (s *SPM) SetDirtyNum(n int32, dirty bool) {
+	if i := s.regionAt(n); i >= 0 {
 		s.regs[i].dirty = dirty
 	}
 }
 
 // IsDirty reports whether tile id is present and dirty.
 func (s *SPM) IsDirty(id tile.ID) bool {
-	i := s.regionOf(id)
+	i := s.regionAt(s.num(id))
 	return i >= 0 && s.regs[i].dirty
 }
 
@@ -419,7 +432,7 @@ func (s *SPM) LargestFree() int64 {
 // record. It reports false when the tile is not present. remainUses is
 // consulted for the eviction record; it may be nil.
 func (s *SPM) Evict(id tile.ID, remainUses func(tile.ID) int) (Eviction, bool) {
-	i := s.regionOf(id)
+	i := s.regionAt(s.num(id))
 	if i < 0 {
 		return Eviction{}, false
 	}
@@ -490,23 +503,25 @@ func (e *ErrNoSpace) Error() string {
 // owned by the SPM, valid only until the next Allocate call; callers
 // that keep evictions must copy them out.
 func (s *SPM) Allocate(id tile.ID, size int64, remainUses func(tile.ID) int) ([]Eviction, error) {
-	return s.allocate(id, size, useCounts{fn: remainUses})
+	return s.allocate(id, s.num(id), size, useCounts{fn: remainUses})
 }
 
-// AllocateBound is Allocate on a bound scratchpad (Bind) for a caller
-// that keeps the remaining-use counts in a table by tile number: the
-// victim search then reads a block's count without naming its tile.
-func (s *SPM) AllocateBound(id tile.ID, size int64, remain []int32) ([]Eviction, error) {
-	return s.allocate(id, size, useCounts{tab: remain})
+// AllocateBound is Allocate on a bound scratchpad (Bind) of tile id
+// numbered n, for a caller that keeps the remaining-use counts in a
+// table by tile number: the victim search then reads a block's count
+// without naming its tile. The block keeps id, its evictions' name.
+func (s *SPM) AllocateBound(id tile.ID, n int32, size int64, remain []int32) ([]Eviction, error) {
+	return s.allocate(id, n, size, useCounts{tab: remain})
 }
 
-func (s *SPM) allocate(id tile.ID, size int64, remain useCounts) ([]Eviction, error) {
+// allocate places tile id numbered n, -1 when the first-seen numbering
+// has not met it yet.
+func (s *SPM) allocate(id tile.ID, n int32, size int64, remain useCounts) ([]Eviction, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("spm: allocation size must be positive, got %d for %v", size, id)
 	}
-	n := s.num(id)
 	if n < 0 {
-		n = len(s.index)
+		n = int32(len(s.index))
 		s.intern(id, n)
 		s.index = append(s.index, 0)
 	} else if s.index[n] != 0 {
@@ -579,12 +594,12 @@ func (s *SPM) bestFit(size int64) int {
 // place installs tile id, numbered n and not resident, into the free
 // region at index i, splitting a trailing fragment if the region is
 // larger than size. The new block is pinned.
-func (s *SPM) place(i int, id tile.ID, n int, size int64) {
+func (s *SPM) place(i int, id tile.ID, n int32, size int64) {
 	r := s.regs[i]
 	if r.alloc || r.size < size {
 		panic("spm: place on unsuitable region")
 	}
-	blk := region{addr: r.addr, size: size, id: id, num: int32(n), alloc: true, pin: true}
+	blk := region{addr: r.addr, size: size, id: id, num: n, alloc: true, pin: true}
 	if r.size == size {
 		s.regs[i] = blk
 	} else {
@@ -706,7 +721,7 @@ func (s *SPM) findFirstFitRun(size int64) (run, bool) {
 // evictRunAndPlace evicts the allocated regions inside the window,
 // coalesces the result into one free region, and places the new block
 // at its start.
-func (s *SPM) evictRunAndPlace(w run, id tile.ID, n int, size int64, remain useCounts) ([]Eviction, error) {
+func (s *SPM) evictRunAndPlace(w run, id tile.ID, n int32, size int64, remain useCounts) ([]Eviction, error) {
 	startAddr := s.regs[w.lo].addr
 	evs := s.evScratch[:0]
 	for i := w.lo; i <= w.hi; i++ {
@@ -730,7 +745,7 @@ func (s *SPM) evictRunAndPlace(w run, id tile.ID, n int, size int64, remain useC
 
 // allocateSmallestFirst is MemPolicy2: repeatedly evict the smallest
 // unpinned block until a free region large enough exists.
-func (s *SPM) allocateSmallestFirst(id tile.ID, n int, size int64, remain useCounts) ([]Eviction, error) {
+func (s *SPM) allocateSmallestFirst(id tile.ID, n int32, size int64, remain useCounts) ([]Eviction, error) {
 	evs := s.evScratch[:0]
 	defer func() { s.evScratch = evs }()
 	for {
@@ -773,7 +788,7 @@ func (s *SPM) CheckInvariants() error {
 		if r.alloc {
 			allocBytes += r.size
 			// A tile held twice fails here too: its one slot names one block.
-			if n := s.num(r.id); n != int(r.num) || s.index[n] != r.addr+1 {
+			if n := s.num(r.id); n != r.num || s.index[n] != r.addr+1 {
 				return fmt.Errorf("index for %v: numbered %d, block carries %d at slot %#x, want %#x", r.id, n, r.num, s.index[r.num], r.addr+1)
 			}
 		} else if i+1 < len(s.regs) && !s.regs[i+1].alloc {

@@ -14,10 +14,12 @@ func (n testNums) NumTiles() int    { return int(n) }
 func (testNums) Num(id tile.ID) int { return id.A }
 
 // twin is one scratchpad run twice in lockstep: interned — tiles
-// numbered as first seen, remaining uses asked of the caller's function
-// (how bench/'s walk, the fuzz target and most tests use a scratchpad)
-// — and bound to a Numbering, remaining uses read from a table by tile
-// number (how the scheduler does). Every operation goes to both, and
+// numbered as first seen, named by tile.ID, remaining uses asked of the
+// caller's function (how bench/'s walk, the fuzz target and most tests
+// use a scratchpad) — and bound to a Numbering, named by number where a
+// number form exists (HasNum, PinNum, SetDirtyNum, AllocateBound),
+// remaining uses read from a table by tile number (how the scheduler
+// does). Every operation goes to both, and
 // after every operation both must report the same evictions, the same
 // error or none, the same blocks and sound invariants: the number's
 // source must not show. A checkpoint also takes a clone, and the
@@ -61,7 +63,7 @@ func (w *twin) Allocate(id tile.ID, size int64, ru func(tile.ID) int) ([]Evictio
 	}
 	evA, errA := w.interned.Allocate(id, size, ru)
 	evA = slices.Clone(evA)
-	evB, errB := w.bound.AllocateBound(id, size, w.tab)
+	evB, errB := w.bound.AllocateBound(id, num(id), size, w.tab)
 	if !slices.Equal(evA, evB) || (errA == nil) != (errB == nil) {
 		w.t.Fatalf("Allocate(%v, %d): interned evicts %+v (%v), bound evicts %+v (%v)", id, size, evA, errA, evB, errB)
 	}
@@ -80,8 +82,11 @@ func (w *twin) Evict(id tile.ID, ru func(tile.ID) int) (Eviction, bool) {
 	return evB, okB
 }
 
+// num is id's number under the bound side's testNums.
+func num(id tile.ID) int32 { return int32(testNums(twinIDs).Num(id)) }
+
 func (w *twin) Pin(id tile.ID) bool {
-	a, b := w.interned.Pin(id), w.bound.Pin(id)
+	a, b := w.interned.Pin(id), w.bound.PinNum(num(id))
 	if a != b {
 		w.t.Fatalf("Pin(%v): interned %v, bound %v", id, a, b)
 	}
@@ -89,19 +94,22 @@ func (w *twin) Pin(id tile.ID) bool {
 }
 
 func (w *twin) Has(id tile.ID) bool {
-	a, b := w.interned.Has(id), w.bound.Has(id)
+	a, b := w.interned.Has(id), w.bound.HasNum(num(id))
 	if a != b {
 		w.t.Fatalf("Has(%v): interned %v, bound %v", id, a, b)
 	}
 	return b
 }
 
-func (w *twin) SetDirty(id tile.ID, d bool) { w.interned.SetDirty(id, d); w.bound.SetDirty(id, d) }
-func (w *twin) UnpinAll()                   { w.interned.UnpinAll(); w.bound.UnpinAll() }
-func (w *twin) Blocks() []BlockInfo         { w.agree("Blocks"); return w.bound.Blocks() }
-func (w *twin) AllocatedBytes() int64       { return w.bound.AllocatedBytes() }
-func (w *twin) LargestFree() int64          { return w.bound.LargestFree() }
-func (w *twin) Capacity() int64             { return w.bound.Capacity() }
+func (w *twin) SetDirty(id tile.ID, d bool) {
+	w.interned.SetDirty(id, d)
+	w.bound.SetDirtyNum(num(id), d)
+}
+func (w *twin) UnpinAll()             { w.interned.UnpinAll(); w.bound.UnpinAll() }
+func (w *twin) Blocks() []BlockInfo   { w.agree("Blocks"); return w.bound.Blocks() }
+func (w *twin) AllocatedBytes() int64 { return w.bound.AllocatedBytes() }
+func (w *twin) LargestFree() int64    { return w.bound.LargestFree() }
+func (w *twin) Capacity() int64       { return w.bound.Capacity() }
 
 func (w *twin) Checkpoint() {
 	w.marks = append(w.marks, w.bound.Clone())
