@@ -23,15 +23,18 @@ test:
 # Non-test Go lines of the three packages ROADMAP's collapse item
 # targets, of the two the dense tile index runs through with sched
 # (spm, dfg), of the one file ROADMAP sets a target for (repair.go),
-# of the experiment harness (the registry and its command), and of the
-# repository outside bench/. CI's check job echoes this, so each PR's
-# log records progress against the line targets.
+# of the experiment harness (the registry and its command), of the
+# schedule replay's readers (verify, trace, stats: ROADMAP's replay
+# item budgets against their sum), and of the repository outside
+# bench/. CI's check job echoes this, so each PR's log records progress
+# against the line targets.
 loc:
 	@for d in internal/sched internal/search internal/serve internal/spm internal/dfg; do \
 		printf '%-24s %6d\n' $$d $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
 	@printf '%-24s %6d\n' sched/repair.go $$(wc -l < internal/sched/repair.go)
 	@printf '%-24s %6d\n' experiments+flexerbench $$(find internal/experiments cmd/flexerbench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	@printf '%-24s %6d\n' verify+trace+stats $$(find internal/verify internal/trace internal/stats -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 	@printf '%-24s %6d\n' 'total (no bench)' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 
 # The allocation ceilings of the cache-hit path (a unary layer hit
@@ -79,7 +82,7 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem \
 		./internal/search/... ./internal/sim/... ./internal/sched/... ./internal/spm/... ./internal/dfg/... ./internal/serve/... \
-		./internal/tile/... ./internal/loop/...
+		./internal/tile/... ./internal/loop/... ./internal/verify/...
 
 # The repository benchmark (BENCHMARK.json, bench/) is a nested module,
 # so `go test ./...` never compiles it: run its own tests and its toy
@@ -115,7 +118,9 @@ bench-guard:
 	$(FLEXERBENCH) -exp all -scale 4 -budget quick -json experiments-new.json -guard EXPERIMENTS.json > /dev/null
 
 # Short native-fuzzing run over the packages with fuzz targets: the
-# schedule verifier (repaired schedules under random fault plans), the
+# schedule verifier (repaired schedules under random fault plans, and
+# real schedules with one record corrupted, which it must judge without
+# panicking), the
 # scratchpad allocator (nested checkpoints included), the fused-graph
 # pipeline (random two-layer fusions scheduled and verified end to end,
 # including the cross-layer residency checks), and the scheduler's set
@@ -123,7 +128,8 @@ bench-guard:
 # step by step, on a random graph, machine and limits) and look-ahead
 # floors (never falling, never above what the run reaches, on the same
 # draws plus a random fault plan). -fuzz must select one Fuzz* function:
-# sched holds two and names each, the other packages hold one.
+# verify and sched hold two each and name each, the other packages hold
+# one.
 # Skipped with a hint on toolchains without
 # native fuzzing support, so the target never hard-fails on an old
 # local Go (CI always has a current one).
@@ -131,7 +137,8 @@ FUZZTIME ?= 20s
 
 fuzz-smoke:
 	@if $(GO) help testflag 2>/dev/null | grep -q -- '-fuzz '; then \
-		$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) -run='^$$' ./internal/verify && \
+		$(GO) test -fuzz='^FuzzRepair$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/verify && \
+		$(GO) test -fuzz='^FuzzVerify$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/verify && \
 		$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) -run='^$$' ./internal/spm && \
 		$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dfg && \
 		$(GO) test -fuzz='^FuzzSetWalk$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sched && \

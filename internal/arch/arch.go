@@ -27,17 +27,13 @@ type Config struct {
 	BandwidthBytesPerCycle int
 	// PERows and PECols give the dimensions of each core's PE array.
 	PERows, PECols int
-	// ClockHz is the nominal clock frequency, used only for converting
-	// cycle counts to wall-clock time in reports.
-	ClockHz int64
 }
 
-// Default PE-array geometry and clock used by all presets, matching the
-// evaluation platform of the paper (32x32 PEs at 1 GHz).
+// Default PE-array geometry used by all presets, matching the
+// evaluation platform of the paper (32x32 PEs).
 const (
-	DefaultPERows  = 32
-	DefaultPECols  = 32
-	DefaultClockHz = 1_000_000_000
+	DefaultPERows = 32
+	DefaultPECols = 32
 )
 
 // Validate reports whether the configuration is internally consistent.
@@ -51,8 +47,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("arch %q: bandwidth must be positive, got %d", c.Name, c.BandwidthBytesPerCycle)
 	case c.PERows <= 0 || c.PECols <= 0:
 		return fmt.Errorf("arch %q: PE array must be non-empty, got %dx%d", c.Name, c.PERows, c.PECols)
-	case c.ClockHz <= 0:
-		return fmt.Errorf("arch %q: clock must be positive, got %d", c.Name, c.ClockHz)
 	}
 	return nil
 }
@@ -75,7 +69,6 @@ func New(name string, cores int, spmBytes int64, bwBytesPerCycle int) Config {
 		BandwidthBytesPerCycle: bwBytesPerCycle,
 		PERows:                 DefaultPERows,
 		PECols:                 DefaultPECols,
-		ClockHz:                DefaultClockHz,
 	}
 }
 

@@ -87,7 +87,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero bandwidth", func(c *Config) { c.BandwidthBytesPerCycle = 0 }},
 		{"zero PE rows", func(c *Config) { c.PERows = 0 }},
 		{"zero PE cols", func(c *Config) { c.PECols = 0 }},
-		{"zero clock", func(c *Config) { c.ClockHz = 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -475,8 +475,7 @@ func TestCacheCoalescedJoinerCancelled(t *testing.T) {
 // either keying it or listing it here fails this test.
 var keyPlumbing = map[string]bool{
 	"Workers": true, "Cache": true, "Progress": true, "CheckIn": true,
-	"Arch.ClockHz": true, // converts cycles to seconds in reports only
-	"sem":          true, // unexported: the shared worker-pool semaphore
+	"sem": true, // unexported: the shared worker-pool semaphore
 }
 
 // perturb changes v to a different value of its type, reporting false

@@ -136,7 +136,7 @@ func TestKeysMatchOracle(t *testing.T) {
 		}
 		o := base
 		o.Arch = arch.Config{Name: fmt.Sprint("m|", i), Cores: dim(), SPMBytes: rng.Int63() - 1<<62, BandwidthBytesPerCycle: dim(),
-			PERows: 32 - rng.Intn(2)*dim(), PECols: 32 - rng.Intn(2)*dim(), ClockHz: rng.Int63()}
+			PERows: 32 - rng.Intn(2)*dim(), PECols: 32 - rng.Intn(2)*dim()}
 		o.Metric = Metric{floats[rng.Intn(len(floats))], floats[rng.Intn(len(floats))]}
 		o.Priority = sched.Priority(rng.Intn(7))
 		o.MemPolicy = spm.Policy(rng.Intn(5))

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,7 +17,7 @@ import (
 
 // buildFused returns a two-layer fused graph: 16x16x32 -> conv3x3(32)
 // -> conv3x3(16), tiled so each layer has a few blocks per dimension.
-func buildFused(t *testing.T, spmKiB int64) (*dfg.Graph, arch.Config) {
+func buildFused(t testing.TB, spmKiB int64) (*dfg.Graph, arch.Config) {
 	t.Helper()
 	a := arch.New("vf", 2, arch.KiB(spmKiB), 32)
 	l1 := layer.NewConv("f1", 16, 16, 32, 32, 3)
@@ -104,20 +106,45 @@ func TestVerifyRejectsCorruptedFusedSchedules(t *testing.T) {
 	if gatherIdx < 0 {
 		t.Fatal("no gather to corrupt")
 	}
-	// Moving the gather ahead of its producers trips the cross-layer
-	// check; exercised against crossLayer directly because on the full
-	// pipeline the relocated record also overlaps other DMA transfers
-	// and the resource check fires first.
+	// Moving a gather into an idle stretch of the DMA channel that opens
+	// before its producers finish trips the producer rule alone: no
+	// transfer overlaps, and the tile arrives no later than it did.
 	t.Run("gather before its producers", func(t *testing.T) {
-		bad := clone()
-		m := bad.MemRecords[gatherIdx]
-		m.End -= m.Start
-		m.Start = 0
-		bad.MemRecords[gatherIdx] = m
-		err := crossLayer(gr, bad)
-		if err == nil || !strings.Contains(err.Error(), "before producer") {
-			t.Fatalf("early gather: %v", err)
+		end := make([]int64, len(gr.Ops))
+		for _, rec := range good.OpRecords {
+			end[rec.Op] = rec.End
 		}
+		mems := slices.Clone(good.MemRecords)
+		slices.SortStableFunc(mems, func(a, b sim.MemRecord) int { return cmp.Compare(a.Start, b.Start) })
+		for i, g := range good.MemRecords {
+			if g.Kind != sim.Gather {
+				continue
+			}
+			var fin int64 // when the last of its producers finishes
+			for _, ot := range gr.Covering(g.Tile) {
+				fin = max(fin, end[gr.FinalOp(ot)])
+			}
+			var free int64 // the channel is idle from here to the next transfer
+			for _, m := range mems {
+				if m == g {
+					continue
+				}
+				if free >= fin {
+					break
+				}
+				if m.Start-free >= g.End-g.Start {
+					bad := clone()
+					bad.MemRecords[i].Start, bad.MemRecords[i].End = free, free+g.End-g.Start
+					err := Schedule(gr, bad, a)
+					if err == nil || !strings.Contains(err.Error(), "before producer") {
+						t.Fatalf("gather of %v moved from %d to %d: %v", g.Tile, g.Start, free, err)
+					}
+					return
+				}
+				free = max(free, m.End)
+			}
+		}
+		t.Fatal("no idle DMA stretch before a gather's producers finish")
 	})
 	cases := []struct {
 		name    string

@@ -134,9 +134,8 @@ func TestRepairKnownPlacementFailure(t *testing.T) {
 }
 
 // FuzzRepair is the native-fuzzing entry point for the same property,
-// exercised by `make fuzz-smoke` and the CI fuzz job. It must stay the
-// only Fuzz* target in this package so `go test -fuzz=Fuzz` resolves
-// unambiguously.
+// exercised by `make fuzz-smoke` and the CI fuzz job, which name it
+// `-fuzz='^FuzzRepair$'`: FuzzVerify shares the package.
 func FuzzRepair(f *testing.F) {
 	f.Add(int64(1), int64(1))
 	f.Add(int64(7), int64(3))

@@ -14,7 +14,7 @@ import (
 	"github.com/flexer-sched/flexer/internal/tile"
 )
 
-func build(t *testing.T, cores int) (*dfg.Graph, arch.Config) {
+func build(t testing.TB, cores int) (*dfg.Graph, arch.Config) {
 	t.Helper()
 	a := arch.New("v", cores, arch.KiB(256), 32)
 	l := layer.NewConv("p", 28, 28, 128, 128, 3)
@@ -129,6 +129,11 @@ func TestVerifyRejectsCorruptedSchedules(t *testing.T) {
 			"never loaded",
 		},
 		{
+			"move a tile off the grid",
+			func(r *sched.Result) { r.MemRecords[0].Tile.A = 99 },
+			"not a tile of the graph",
+		},
+		{
 			"lose an output",
 			func(r *sched.Result) {
 				kept := r.MemRecords[:0]
@@ -159,5 +164,24 @@ func TestVerifyRejectsCorruptedSchedules(t *testing.T) {
 	// The pristine schedule still verifies (mutations worked on copies).
 	if err := Schedule(gr, good, a); err != nil {
 		t.Fatalf("pristine schedule rejected: %v", err)
+	}
+}
+
+// BenchmarkVerify times one verification of each of goodCases'
+// out-of-order schedules.
+func BenchmarkVerify(b *testing.B) {
+	layerwise, fused := goodCases(b)
+	for _, c := range []struct {
+		name string
+		goodCase
+	}{{"layerwise", layerwise}, {"fused", fused}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if err := Schedule(c.gr, c.r, c.a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
