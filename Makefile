@@ -20,6 +20,19 @@ vet:
 test:
 	$(GO) test -race ./...
 
+# $(call named-tests,FLAGS,NAMES,PACKAGES) runs `go test FLAGS -run
+# NAMES PACKAGES` for a |-separated list of test names, after checking
+# with `go test -list` that each name matches a test in PACKAGES: a -run
+# pattern that matches nothing passes with "no tests to run", so a
+# deleted or renamed test would turn the target into a no-op.
+define named-tests
+	@for n in $(subst |, ,$(2)); do \
+		out=$$($(GO) test -list "$$n" $(3)) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | grep -q '^Test' || { echo "named-tests: $$n matches no test in $(3)"; exit 1; }; \
+	done
+	$(GO) test $(1) -run '$(2)' $(3)
+endef
+
 # Non-test Go lines of the three packages ROADMAP's collapse item
 # targets, of the two the dense tile index runs through with sched
 # (spm, dfg), of the one file ROADMAP sets a target for (repair.go),
@@ -42,7 +55,7 @@ loc:
 # a warm Schedule. They are `//go:build !race` tests — the race
 # detector allocates too — so `make check` skips them.
 hit-allocs:
-	$(GO) test -run 'TestHitAllocs|TestCacheKeyAllocs|TestEnumerateAllocs|TestScheduleAllocs' ./internal/serve ./internal/search ./internal/tile ./internal/sched
+	$(call named-tests,,TestHitAllocs|TestCacheKeyAllocs|TestEnumerateAllocs|TestScheduleAllocs,./internal/serve ./internal/search ./internal/tile ./internal/sched)
 
 # Faster inner-loop variant (skips the slower network-level tests).
 test-short:
@@ -53,11 +66,9 @@ test-short:
 # the preempt-requeue determinism property. All of these also run as
 # part of `make check` via `go test -race ./...`.
 fairness:
-	$(GO) test -race -v \
-		-run 'TestWeightedFairness|TestInteractiveOvertakesBatch|TestPreemption|TestGrantOrderIsFIFO|TestQuota' \
-		./internal/serve/admission/
-	$(GO) test -race -v -run 'TestPreemptedRequeueIsBitIdentical' ./internal/search/
-	$(GO) test -race -v -run 'TestStreamPreemptionEndToEnd|TestPerTenant429State' ./internal/serve/
+	$(call named-tests,-race -v,TestWeightedFairness|TestInteractiveOvertakesBatch|TestPreemption|TestGrantOrderIsFIFO|TestQuota,./internal/serve/admission/)
+	$(call named-tests,-race -v,TestPreemptedRequeueIsBitIdentical,./internal/search/)
+	$(call named-tests,-race -v,TestStreamPreemptionEndToEnd|TestPerTenant429State,./internal/serve/)
 
 # Cluster end-to-end, on its own for visibility (all of it also runs
 # under `make check`): three in-process flexerd nodes probing each
@@ -66,12 +77,8 @@ fairness:
 # resuming its ring segment — plus the snapshot warm-up, streamed
 # forwarding and prober FSM suites, all under the race detector.
 cluster-e2e:
-	$(GO) test -race -v \
-		-run 'TestClusterKillAndRejoinScenario|TestClusterSnapshotWarmup|TestClusterForwardStreaming|TestClusterHopGuard|TestReadyzLifecycle' \
-		./internal/serve/
-	$(GO) test -race -v \
-		-run 'TestProberKillAndRejoin|TestRouteFailsOverAroundDownPeer|TestFSM' \
-		./internal/cluster/
+	$(call named-tests,-race -v,TestClusterKillAndRejoinScenario|TestClusterSnapshotWarmup|TestClusterForwardStreaming|TestClusterHopGuard|TestReadyzLifecycle,./internal/serve/)
+	$(call named-tests,-race -v,TestProberKillAndRejoin|TestRouteFailsOverAroundDownPeer|TestFSM,./internal/cluster/)
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

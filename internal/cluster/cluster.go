@@ -41,9 +41,6 @@ type Config struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe request (<= 0 = min(ProbeInterval, 1s)).
 	ProbeTimeout time.Duration
-	// Thresholds tune the peer FSM; the zero value means
-	// suspect after 1 failure, down after 3, rejoin after 2 successes.
-	Thresholds Thresholds
 	// Log receives one line per peer state transition (nil =
 	// log.Default()).
 	Log *log.Logger
@@ -127,7 +124,6 @@ func New(cfg Config) (*Cluster, error) {
 			cfg.ProbeTimeout = time.Second
 		}
 	}
-	cfg.Thresholds = cfg.Thresholds.withDefaults()
 	if cfg.Log == nil {
 		cfg.Log = log.Default()
 	}
@@ -144,7 +140,7 @@ func New(cfg Config) (*Cluster, error) {
 			continue
 		}
 		c.peers[p] = &peerState{
-			fsm:   NewFSM(cfg.Thresholds),
+			fsm:   NewFSM(),
 			state: StateHealthy,
 			kick:  make(chan struct{}, 1),
 		}

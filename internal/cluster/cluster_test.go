@@ -53,7 +53,6 @@ func testCluster(t *testing.T, peers ...*healthzPeer) *Cluster {
 		Self:          "http://self.invalid:1",
 		ProbeInterval: 15 * time.Millisecond,
 		ProbeTimeout:  250 * time.Millisecond,
-		Thresholds:    Thresholds{SuspectAfter: 1, DownAfter: 2, UpAfter: 2},
 		Log:           log.New(io.Discard, "", 0),
 	}
 	for _, p := range peers {
@@ -182,13 +181,14 @@ func TestSuspectStillRoutes(t *testing.T) {
 func TestReportForwardFailureDemotes(t *testing.T) {
 	peer := newHealthzPeer(t)
 	c := testCluster(t, peer) // not started: only forward failures observe
-	c.ReportForwardFailure(peer.ts.URL, errors.New("connection refused"))
-	c.ReportForwardFailure(peer.ts.URL, errors.New("connection refused"))
-	if got := c.PeerState(peer.ts.URL); got != StateDown {
-		t.Fatalf("state after 2 forward failures = %v, want down (DownAfter=2)", got)
+	for i := 0; i < downAfter; i++ {
+		c.ReportForwardFailure(peer.ts.URL, errors.New("connection refused"))
 	}
-	if st := c.Stats(); st.ForwardErrorsTotal != 2 {
-		t.Errorf("forward_errors_total = %d, want 2", st.ForwardErrorsTotal)
+	if got := c.PeerState(peer.ts.URL); got != StateDown {
+		t.Fatalf("state after %d forward failures = %v, want down", downAfter, got)
+	}
+	if st := c.Stats(); st.ForwardErrorsTotal != downAfter {
+		t.Errorf("forward_errors_total = %d, want %d", st.ForwardErrorsTotal, downAfter)
 	}
 }
 

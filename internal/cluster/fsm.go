@@ -4,15 +4,15 @@ import "fmt"
 
 // State is one peer's position in the health FSM.
 //
-//	healthy --fail x SuspectAfter--> suspect
-//	suspect --fail x DownAfter------> down      (counted from the first failure)
+//	healthy --fail x suspectAfter--> suspect
+//	suspect --fail x downAfter------> down      (counted from the first failure)
 //	suspect --ok--------------------> healthy   (one success clears suspicion)
-//	down ----ok x UpAfter-----------> healthy   (rejoin)
+//	down ----ok x upAfter-----------> healthy   (rejoin)
 //
 // Suspect is a routing-neutral warning state: a suspect peer still
 // receives its homed requests (one dropped probe must not reshuffle
 // the ring), but the operator can see the probe failures building up.
-// Only Down triggers failover, and only a run of UpAfter consecutive
+// Only Down triggers failover, and only a run of upAfter consecutive
 // probe successes ends it, so a flapping peer cannot oscillate its
 // ring segment on every probe.
 type State int
@@ -23,7 +23,7 @@ const (
 	// StateSuspect means recent probes failed but not enough to divert
 	// traffic; the prober keeps probing at full cadence.
 	StateSuspect
-	// StateDown means the peer missed DownAfter consecutive probes;
+	// StateDown means the peer missed downAfter consecutive probes;
 	// requests homed on it fail over to its ring successors and the
 	// prober backs off exponentially.
 	StateDown
@@ -43,52 +43,32 @@ func (s State) String() string {
 	}
 }
 
-// Thresholds tune the FSM's transition counts. The zero value maps to
-// the defaults noted on each field.
-type Thresholds struct {
-	// SuspectAfter is the consecutive-failure count that demotes a
-	// healthy peer to suspect (<= 0 = 1: the first failed probe).
-	SuspectAfter int
-	// DownAfter is the consecutive-failure count that marks a peer
-	// down, counted from the first failure (<= 0 = 3). Values below
-	// SuspectAfter are raised to SuspectAfter+1 so suspect is always
-	// visited on the way down.
-	DownAfter int
-	// UpAfter is the consecutive-success count that rejoins a down
-	// peer (<= 0 = 2). Suspect needs only one success.
-	UpAfter int
-}
-
-// withDefaults resolves the zero values.
-func (t Thresholds) withDefaults() Thresholds {
-	if t.SuspectAfter <= 0 {
-		t.SuspectAfter = 1
-	}
-	if t.DownAfter <= 0 {
-		t.DownAfter = 3
-	}
-	if t.DownAfter <= t.SuspectAfter {
-		t.DownAfter = t.SuspectAfter + 1
-	}
-	if t.UpAfter <= 0 {
-		t.UpAfter = 2
-	}
-	return t
-}
+// The FSM's transition counts.
+const (
+	// suspectAfter is the consecutive-failure count that demotes a
+	// healthy peer to suspect: the first failed probe.
+	suspectAfter = 1
+	// downAfter is the consecutive-failure count that marks a peer
+	// down, counted from the first failure; it exceeds suspectAfter,
+	// so suspect is always visited on the way down.
+	downAfter = 3
+	// upAfter is the consecutive-success count that rejoins a down
+	// peer. Suspect needs only one success.
+	upAfter = 2
+)
 
 // FSM tracks one peer's health from a stream of probe outcomes. It is
 // not safe for concurrent use; Cluster serializes Observe calls under
 // its own lock. The zero value is not usable; construct with NewFSM.
 type FSM struct {
-	th    Thresholds
 	state State
 	fails int // consecutive failures
 	oks   int // consecutive successes
 }
 
-// NewFSM returns a healthy FSM with the given thresholds.
-func NewFSM(th Thresholds) *FSM {
-	return &FSM{th: th.withDefaults(), state: StateHealthy}
+// NewFSM returns a healthy FSM.
+func NewFSM() *FSM {
+	return &FSM{state: StateHealthy}
 }
 
 // State returns the current state.
@@ -108,7 +88,7 @@ func (f *FSM) Observe(ok bool) (State, bool) {
 		case StateSuspect:
 			f.state = StateHealthy
 		case StateDown:
-			if f.oks >= f.th.UpAfter {
+			if f.oks >= upAfter {
 				f.state = StateHealthy
 			}
 		}
@@ -116,9 +96,9 @@ func (f *FSM) Observe(ok bool) (State, bool) {
 		f.fails++
 		f.oks = 0
 		switch {
-		case f.fails >= f.th.DownAfter:
+		case f.fails >= downAfter:
 			f.state = StateDown
-		case f.state == StateHealthy && f.fails >= f.th.SuspectAfter:
+		case f.state == StateHealthy && f.fails >= suspectAfter:
 			f.state = StateSuspect
 		}
 	}

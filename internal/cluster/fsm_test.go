@@ -10,9 +10,9 @@ type step struct {
 
 // runScript feeds a probe script through a fresh FSM and checks the
 // state after every observation.
-func runScript(t *testing.T, th Thresholds, script []step) {
+func runScript(t *testing.T, script []step) {
 	t.Helper()
-	f := NewFSM(th)
+	f := NewFSM()
 	for i, s := range script {
 		got, _ := f.Observe(s.ok)
 		if got != s.want {
@@ -22,9 +22,9 @@ func runScript(t *testing.T, th Thresholds, script []step) {
 }
 
 // TestFSMHealthyToSuspectToDown walks the canonical failure path under
-// the default thresholds (suspect after 1 failure, down after 3).
+// the FSM's thresholds (suspect after 1 failure, down after 3).
 func TestFSMHealthyToSuspectToDown(t *testing.T) {
-	runScript(t, Thresholds{}, []step{
+	runScript(t, []step{
 		{true, StateHealthy},
 		{false, StateSuspect}, // 1st failure
 		{false, StateSuspect}, // 2nd
@@ -34,9 +34,9 @@ func TestFSMHealthyToSuspectToDown(t *testing.T) {
 }
 
 // TestFSMSuspectRecovers: one success clears suspicion without needing
-// the UpAfter streak.
+// the rejoin streak.
 func TestFSMSuspectRecovers(t *testing.T) {
-	runScript(t, Thresholds{}, []step{
+	runScript(t, []step{
 		{false, StateSuspect},
 		{true, StateHealthy},
 		{false, StateSuspect},
@@ -45,51 +45,24 @@ func TestFSMSuspectRecovers(t *testing.T) {
 	})
 }
 
-// TestFSMRejoinNeedsStreak: a down peer rejoins only after UpAfter
+// TestFSMRejoinNeedsStreak: a down peer rejoins only after two
 // consecutive successes, and an interleaved failure resets the streak.
 func TestFSMRejoinNeedsStreak(t *testing.T) {
-	runScript(t, Thresholds{UpAfter: 3}, []step{
+	runScript(t, []step{
 		{false, StateSuspect},
 		{false, StateSuspect},
 		{false, StateDown},
-		{true, StateDown},  // 1 of 3
-		{true, StateDown},  // 2 of 3
+		{true, StateDown},  // 1 of 2
 		{false, StateDown}, // streak broken
 		{true, StateDown},
-		{true, StateDown},
-		{true, StateHealthy}, // 3 consecutive: rejoin
+		{true, StateHealthy}, // 2 consecutive: rejoin
 		{true, StateHealthy},
-	})
-}
-
-// TestFSMCustomThresholds: SuspectAfter > 1 tolerates isolated blips
-// without ever leaving healthy.
-func TestFSMCustomThresholds(t *testing.T) {
-	runScript(t, Thresholds{SuspectAfter: 2, DownAfter: 4, UpAfter: 1}, []step{
-		{false, StateHealthy}, // one blip tolerated
-		{true, StateHealthy},
-		{false, StateHealthy},
-		{false, StateSuspect}, // 2 consecutive
-		{false, StateSuspect}, // 3
-		{false, StateDown},    // 4
-		{true, StateHealthy},  // UpAfter 1: instant rejoin
-	})
-}
-
-// TestFSMDownAfterClampedAboveSuspect: DownAfter <= SuspectAfter would
-// skip the suspect state entirely; the defaults must prevent that.
-func TestFSMDownAfterClampedAboveSuspect(t *testing.T) {
-	runScript(t, Thresholds{SuspectAfter: 3, DownAfter: 2}, []step{
-		{false, StateHealthy},
-		{false, StateHealthy},
-		{false, StateSuspect}, // 3rd failure: suspect first...
-		{false, StateDown},    // ...then down at SuspectAfter+1
 	})
 }
 
 // TestFSMChangedFlag: Observe reports exactly the transitions.
 func TestFSMChangedFlag(t *testing.T) {
-	f := NewFSM(Thresholds{})
+	f := NewFSM()
 	script := []struct {
 		ok          bool
 		wantChanged bool

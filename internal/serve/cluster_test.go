@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -74,7 +73,6 @@ func newServeCluster(t testing.TB, n int) []*clusterNode {
 			Peers:         urls,
 			ProbeInterval: 20 * time.Millisecond,
 			ProbeTimeout:  250 * time.Millisecond,
-			Thresholds:    cluster.Thresholds{SuspectAfter: 1, DownAfter: 2, UpAfter: 2},
 			Log:           quiet,
 		})
 		if err != nil {
@@ -436,76 +434,5 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 	if code, _ := status("/v1/healthz"); code != http.StatusOK {
 		t.Errorf("healthz while draining = %d, want 200", code)
-	}
-}
-
-// TestClusterClientFailover checks the peer-set bootstrap: a client
-// whose first peer is dead rotates to the live one and succeeds.
-func TestClusterClientFailover(t *testing.T) {
-	deadTS := httptest.NewServer(http.NotFoundHandler())
-	deadURL := deadTS.URL
-	deadTS.Close()
-	_, live := newTestServer(t, Config{})
-
-	c := NewClusterClient(deadURL, live.URL)
-	c.Retry.MaxAttempts = 4
-	c.Retry.BaseDelay = time.Millisecond
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	shape := testShape(4)
-	resp, err := c.ScheduleLayer(ctx, LayerRequest{Arch: "arch1", Shape: &shape})
-	if err != nil {
-		t.Fatalf("ScheduleLayer through dead-first peer set: %v", err)
-	}
-	if resp.Layer == "" {
-		t.Error("empty layer in response")
-	}
-	if got := c.baseURL(); got == deadURL {
-		t.Errorf("client still pinned to the dead peer %s", got)
-	}
-	if err := c.Healthz(ctx); err != nil {
-		t.Errorf("Healthz after rotation: %v", err)
-	}
-}
-
-// TestClientAttemptTimeout checks per-attempt deadlines are independent
-// of the overall context: a black-holed endpoint costs AttemptTimeout
-// per try, not the whole request deadline.
-func TestClientAttemptTimeout(t *testing.T) {
-	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-r.Context().Done() // hold the request until the client gives up
-	}))
-	t.Cleanup(hang.Close)
-
-	c := NewClusterClient(hang.URL)
-	c.Retry = &RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, AttemptTimeout: 50 * time.Millisecond}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	start := time.Now()
-	err := c.Readyz(ctx)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("Readyz against a black hole succeeded")
-	}
-	if ctx.Err() != nil {
-		t.Error("overall context expired; attempts should have timed out individually")
-	}
-	if elapsed > 5*time.Second {
-		t.Errorf("3 x 50ms attempts took %v; per-attempt timeout is not being applied", elapsed)
-	}
-}
-
-// TestClusterClientReadyzDraining checks Readyz surfaces the draining
-// state as a typed 503.
-func TestClusterClientReadyzDraining(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	s.BeginDrain()
-	c := NewClient(ts.URL)
-	err := c.Readyz(context.Background())
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("Readyz on a draining server = %v, want a 503 APIError", err)
 	}
 }

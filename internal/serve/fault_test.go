@@ -1,12 +1,8 @@
 package serve
 
 import (
-	"context"
 	"net/http"
-	"sync/atomic"
 	"testing"
-
-	"github.com/flexer-sched/flexer/internal/fault"
 )
 
 // TestStreamDegradedLayer streams a degraded-mode schedule request
@@ -16,33 +12,32 @@ import (
 // degraded evaluation.
 func TestStreamDegradedLayer(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	c := NewClient(ts.URL)
-
-	req := LayerRequest{
-		Arch:  "arch1",
-		Shape: &ConvJSON{Name: "deg", InH: 14, InW: 14, InC: 64, OutC: 64, KerH: 3},
-		FaultPlan: &fault.Plan{
-			CoreDown: []fault.CoreDown{{Core: 1, Cycle: 2000}},
-			DMA:      []fault.Derate{{From: 2000, Factor: 1.5}},
-		},
+	resp := postJSON(t, ts.URL+"/v1/schedule/layer?stream=1", `{"arch": "arch1", "shape": `+smallShape+`,
+		"fault_plan": {"core_down": [{"core": 1, "cycle": 2000}], "dma_derate": [{"from": 2000, "factor": 1.5}]}}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("streamed degraded POST = %d", resp.StatusCode)
 	}
-	var events atomic.Int64
-	resp, err := c.ScheduleLayerStream(context.Background(), req, func(StreamEvent) {
-		events.Add(1)
-	})
-	if err != nil {
-		t.Fatal(err)
+	events := readStream(t, resp.Body)
+	if len(events) == 0 || events[len(events)-1].LayerResult == nil {
+		t.Fatalf("stream ended without a layer result: %+v", events)
 	}
-	if resp.Degraded == nil {
+	lr := events[len(events)-1].LayerResult
+	if lr.Degraded == nil {
 		t.Fatal("no degraded schedule in streamed response")
 	}
-	if resp.DegradedRatio < 1 {
-		t.Errorf("degraded ratio %f < 1", resp.DegradedRatio)
+	if lr.DegradedRatio < 1 {
+		t.Errorf("degraded ratio %f < 1", lr.DegradedRatio)
 	}
-	if resp.Degraded.LatencyCycles < resp.OoO.LatencyCycles {
-		t.Errorf("degraded latency %d < nominal %d", resp.Degraded.LatencyCycles, resp.OoO.LatencyCycles)
+	if lr.Degraded.LatencyCycles < lr.OoO.LatencyCycles {
+		t.Errorf("degraded latency %d < nominal %d", lr.Degraded.LatencyCycles, lr.OoO.LatencyCycles)
 	}
-	if events.Load() == 0 {
+	progress := 0
+	for _, ev := range events {
+		if ev.Event == "progress" {
+			progress++
+		}
+	}
+	if progress == 0 {
 		t.Error("no progress events observed")
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -104,19 +103,6 @@ func TestSheddingReturns429(t *testing.T) {
 	}
 	if got := srv.metrics.shed.Value(); got != 1 {
 		t.Errorf("requests_shed_total = %d, want 1", got)
-	}
-
-	// The typed client surfaces the back-off hint.
-	_, cerr := NewClient(ts.URL).ScheduleLayer(context.Background(), LayerRequest{
-		Arch: "arch1", Network: "vgg16", Layer: "conv3_1",
-		Options: SearchOptionsJSON{Budget: "default"}, TimeoutMS: 60000,
-	})
-	var apiErr *APIError
-	if !errors.As(cerr, &apiErr) || apiErr.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("client error = %v, want *APIError with 429", cerr)
-	}
-	if apiErr.RetryAfter <= 0 || apiErr.State == nil || !apiErr.Temporary() {
-		t.Errorf("client APIError = %+v, want RetryAfter, State and Temporary()", apiErr)
 	}
 
 	// Cancel the blockers; the pool must recover for a normal request.

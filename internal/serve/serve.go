@@ -16,11 +16,11 @@
 // The preempted sweep is re-enqueued and restarted transparently; its
 // final result is identical to an uninterrupted run.
 //
-// The daemon binary cmd/flexerd is a thin wrapper around this package;
-// Client is the matching Go client. Handler holds the routing table of
-// the HTTP surface. With Config.Cluster set, schedule requests are
-// additionally routed across the peer set by consistent hashing with
-// health-gated failover (see cluster.go and internal/cluster).
+// The daemon binary cmd/flexerd is a thin wrapper around this package.
+// Handler holds the routing table of the HTTP surface. With
+// Config.Cluster set, schedule requests are additionally routed across
+// the peer set by consistent hashing with health-gated failover (see
+// cluster.go and internal/cluster).
 //
 // Request and response bodies are documented in docs/API.md; schedule
 // payloads reuse the trace package's JSON schema, so a daemon response
@@ -85,8 +85,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps client-requested timeouts (0 = 10min).
 	MaxTimeout time.Duration
-	// MaxBodyBytes caps request bodies (0 = 1 MiB).
-	MaxBodyBytes int64
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// Cluster, when non-nil, routes schedule requests across the peer
@@ -133,9 +131,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 10 * time.Minute
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
 	}
 	cacheSize := search.DefaultCacheCapacity
 	if cfg.CacheSize > 0 {
@@ -300,7 +295,7 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // search.
 func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 	var req LayerRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	s.serveJob(w, r, func() (job, error) {
@@ -342,7 +337,7 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 // request-level key, so identical sweeps coalesce on one home peer.
 func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 	var req NetworkRequest
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	s.serveJob(w, r, func() (job, error) {
@@ -430,13 +425,21 @@ func (s *Server) effectiveTimeout(timeoutMS int64) time.Duration {
 	return min(time.Duration(timeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
 }
 
-// decode reads a JSON request body, rejecting oversized bodies and
-// unknown fields.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+// maxBodyBytes caps request bodies.
+const maxBodyBytes = 1 << 20
+
+// decode reads a JSON request body, rejecting unknown fields with 400
+// and bodies over maxBodyBytes with 413.
+func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "invalid request body: " + err.Error()})
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, ErrorResponse{Error: "invalid request body: " + err.Error()})
 		return false
 	}
 	if err := dec.Decode(new(struct{})); !errors.Is(err, io.EOF) {

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"log"
 	"net/http"
@@ -118,21 +116,25 @@ func TestPresets(t *testing.T) {
 // unknown fields, trailing garbage, wrong content, and empty body.
 func TestMalformedBody(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for name, body := range map[string]string{
-		"syntax error":   `{"arch": `,
-		"unknown field":  `{"arch": "arch1", "bogus": 1}`,
-		"trailing data":  `{"arch": "arch1", "shape": ` + smallShape + `} trailing`,
-		"wrong type":     `{"arch": 42}`,
-		"empty body":     ``,
-		"missing layer":  `{"arch": "arch1"}`,
-		"shape and name": `{"arch": "arch1", "network": "vgg16", "layer": "conv1_1", "shape": ` + smallShape + `}`,
-		"unknown arch":   `{"arch": "arch99", "shape": ` + smallShape + `}`,
-		"unknown budget": `{"arch": "arch1", "shape": ` + smallShape + `, "options": {"budget": "lavish"}}`,
-		"bad shape":      `{"arch": "arch1", "shape": {"in_h": -3, "in_w": 14, "in_c": 4, "out_c": 4, "ker_h": 3}}`,
+	for name, c := range map[string]struct {
+		body string
+		want int
+	}{
+		"syntax error":   {`{"arch": `, http.StatusBadRequest},
+		"unknown field":  {`{"arch": "arch1", "bogus": 1}`, http.StatusBadRequest},
+		"trailing data":  {`{"arch": "arch1", "shape": ` + smallShape + `} trailing`, http.StatusBadRequest},
+		"wrong type":     {`{"arch": 42}`, http.StatusBadRequest},
+		"empty body":     {``, http.StatusBadRequest},
+		"missing layer":  {`{"arch": "arch1"}`, http.StatusBadRequest},
+		"shape and name": {`{"arch": "arch1", "network": "vgg16", "layer": "conv1_1", "shape": ` + smallShape + `}`, http.StatusBadRequest},
+		"unknown arch":   {`{"arch": "arch99", "shape": ` + smallShape + `}`, http.StatusBadRequest},
+		"unknown budget": {`{"arch": "arch1", "shape": ` + smallShape + `, "options": {"budget": "lavish"}}`, http.StatusBadRequest},
+		"bad shape":      {`{"arch": "arch1", "shape": {"in_h": -3, "in_w": 14, "in_c": 4, "out_c": 4, "ker_h": 3}}`, http.StatusBadRequest},
+		"oversized body": {`{"arch": "` + strings.Repeat("a", 1<<20) + `"}`, http.StatusRequestEntityTooLarge},
 	} {
-		resp := postJSON(t, ts.URL+"/v1/schedule/layer", body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		resp := postJSON(t, ts.URL+"/v1/schedule/layer", c.body)
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d", name, resp.StatusCode, c.want)
 		}
 		var e ErrorResponse
 		decodeBody(t, resp, &e)
@@ -292,46 +294,6 @@ func TestNetworkEndpoint(t *testing.T) {
 	}
 	if nr.DistinctLayerShapes <= 0 || nr.DistinctLayerShapes > 13 {
 		t.Errorf("distinct_layer_shapes = %d, want 1..13", nr.DistinctLayerShapes)
-	}
-}
-
-// TestClientRoundTrip drives the typed client against a live handler,
-// including the error path.
-func TestClientRoundTrip(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	c := NewClient(ts.URL)
-	ctx := context.Background()
-
-	if err := c.Healthz(ctx); err != nil {
-		t.Fatalf("Healthz: %v", err)
-	}
-	pr, err := c.Presets(ctx)
-	if err != nil {
-		t.Fatalf("Presets: %v", err)
-	}
-	if len(pr.Archs) != 8 {
-		t.Errorf("client presets: %d archs", len(pr.Archs))
-	}
-
-	req := LayerRequest{
-		Arch:  "arch2",
-		Shape: &ConvJSON{Name: "tiny", InH: 14, InW: 14, InC: 64, OutC: 64, KerH: 3},
-	}
-	lresp, err := c.ScheduleLayer(ctx, req)
-	if err != nil {
-		t.Fatalf("ScheduleLayer: %v", err)
-	}
-	if lresp.Layer != "tiny" || lresp.OoO.LatencyCycles <= 0 {
-		t.Errorf("bad layer response: %+v", lresp)
-	}
-	if got := srv.Cache().Stats().Misses; got != 1 {
-		t.Errorf("cache misses = %d, want 1", got)
-	}
-
-	_, err = c.ScheduleLayer(ctx, LayerRequest{Arch: "arch99", Shape: req.Shape})
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown arch error = %v, want *APIError with 400", err)
 	}
 }
 

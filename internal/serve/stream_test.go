@@ -242,55 +242,6 @@ func TestScheduleCoalescedConcurrent(t *testing.T) {
 	}
 }
 
-// TestClientStreamRoundTrip drives the typed streaming client against
-// a live handler: progress callbacks fire, the final result matches
-// the plain endpoint, and mid-stream errors surface as *APIError.
-func TestClientStreamRoundTrip(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	c := NewClient(ts.URL)
-	ctx := context.Background()
-
-	var mu sync.Mutex
-	var progress []StreamEvent
-	lresp, err := c.ScheduleLayerStream(ctx, LayerRequest{
-		Arch:  "arch1",
-		Shape: &ConvJSON{Name: "tiny", InH: 14, InW: 14, InC: 64, OutC: 64, KerH: 3},
-	}, func(ev StreamEvent) {
-		mu.Lock()
-		progress = append(progress, ev)
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatalf("ScheduleLayerStream: %v", err)
-	}
-	if lresp.Layer != "tiny" || lresp.OoO.LatencyCycles <= 0 {
-		t.Errorf("bad streamed layer response: %+v", lresp)
-	}
-	if len(progress) == 0 {
-		t.Error("no progress callbacks on a cold streamed search")
-	}
-
-	// A mid-stream timeout surfaces as *APIError with Temporary() true.
-	_, err = c.ScheduleLayerStream(ctx, LayerRequest{
-		Arch: "arch1", Network: "vgg16", Layer: "conv3_1",
-		Options:   SearchOptionsJSON{Budget: "default"},
-		TimeoutMS: 100,
-	}, nil)
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("streamed timeout = %v, want *APIError with 504", err)
-	}
-	if !apiErr.Temporary() {
-		t.Error("streamed 504 not Temporary()")
-	}
-
-	// Pre-stream failures keep their real status.
-	_, err = c.ScheduleNetworkStream(ctx, NetworkRequest{Network: "nope"}, nil)
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
-		t.Fatalf("streamed bad request = %v, want *APIError with 400", err)
-	}
-}
-
 // TestAwaitPrefersFinishedOutcome pins the rule both request modes now
 // share: a search that finished in the same instant its context ended
 // reports its result, not the context error.

@@ -84,19 +84,7 @@ func TestTenantResolution(t *testing.T) {
 		t.Errorf("header tenant granted after body override = %d, want still 1", got)
 	}
 
-	// The typed client stamps its Tenant on every request.
-	c := NewClient(ts.URL)
-	c.Tenant = "client-co"
-	if _, err := c.ScheduleLayer(context.Background(), LayerRequest{
-		Arch: "arch1", Shape: &ConvJSON{InH: 14, InW: 14, InC: 64, OutC: 64, KerH: 3},
-	}); err != nil {
-		t.Fatalf("client ScheduleLayer: %v", err)
-	}
-	if got := tenantGranted(srv, "client-co"); got != 1 {
-		t.Errorf("client tenant granted = %d, want 1", got)
-	}
-
-	// All four appear in the tenants expvar.
+	// All three appear in the tenants expvar.
 	resp, err := http.Get(ts.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +98,7 @@ func TestTenantResolution(t *testing.T) {
 	for _, ts := range vars.Tenants {
 		seen[ts.Name] = true
 	}
-	for _, want := range []string{"housecat", "header-co", "body-co", "client-co"} {
+	for _, want := range []string{"housecat", "header-co", "body-co"} {
 		if !seen[want] {
 			t.Errorf("tenants expvar missing %q (have %v)", want, vars.Tenants)
 		}
