@@ -7,7 +7,7 @@ GO ?= go
 # internal/search + internal/dfg + internal/sched.
 COVER_MIN ?= 70
 
-.PHONY: check build vet test hit-allocs test-short loc fairness cluster-e2e bench bench-smoke repo-bench-smoke experiments bench-guard fuzz-smoke lint cover cover-check run-flexerd
+.PHONY: check build vet test hit-allocs test-short loc fairness cluster-e2e bench bench-smoke repo-bench-smoke experiments bench-guard paper-guard fuzz-smoke lint cover cover-check run-flexerd
 
 check: build vet test
 
@@ -123,6 +123,14 @@ experiments:
 bench-guard:
 	rm -f experiments-new.json
 	$(FLEXERBENCH) -exp all -scale 4 -budget quick -json experiments-new.json -guard EXPERIMENTS.json > /dev/null
+
+# The same guard over the rest of the record: the paper's regime (scale
+# 1, default budget) and Figure 8 at scale 2. About two and a half
+# minutes, so CI leaves it out; a change meant to be result-identical
+# runs it by hand. It writes no file.
+paper-guard:
+	$(FLEXERBENCH) -exp all -scale 1 -budget default -guard EXPERIMENTS.json > /dev/null
+	$(FLEXERBENCH) -exp fig8 -scale 2 -budget default -guard EXPERIMENTS.json > /dev/null
 
 # Short native-fuzzing run over the packages with fuzz targets: the
 # schedule verifier (repaired schedules under random fault plans, and

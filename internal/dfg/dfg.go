@@ -370,15 +370,6 @@ func (gr *Graph) AppendInitialReady(dst []int) []int {
 	return dst
 }
 
-// TotalUses returns the total number of op accesses to tile id over the
-// whole layer (0 for tiles not in this grid).
-func (gr *Graph) TotalUses(id tile.ID) int {
-	if n, ok := gr.NumOK(id); ok {
-		return int(gr.uses[n])
-	}
-	return 0
-}
-
 // AppendUses appends the access-count table, indexed by tile number, to
 // dst and returns it. The scheduler decrements a copy as ops issue to
 // obtain remaining-use counts for the spill and priority heuristics.

@@ -102,12 +102,12 @@ func TestInitialReady(t *testing.T) {
 
 func TestUseCounts(t *testing.T) {
 	gr := smallGraph(t)
-	g := gr.Grid
+	g, uses := gr.Grid, gr.AppendUses(nil)
 	// Every input tile is used once per out-channel block.
 	for h := 0; h < g.NOH; h++ {
 		for w := 0; w < g.NOW; w++ {
 			for i := 0; i < g.NIC; i++ {
-				if got := gr.TotalUses(g.InTile(h, w, i)); got != g.NOC {
+				if got := int(uses[gr.Num(g.InTile(h, w, i))]); got != g.NOC {
 					t.Errorf("IN(%d,%d,%d) uses = %d, want %d", h, w, i, got, g.NOC)
 				}
 			}
@@ -116,7 +116,7 @@ func TestUseCounts(t *testing.T) {
 	// Every weight tile is used once per spatial block.
 	for c := 0; c < g.NOC; c++ {
 		for i := 0; i < g.NIC; i++ {
-			if got := gr.TotalUses(g.WtTile(c, i)); got != g.NOH*g.NOW {
+			if got := int(uses[gr.Num(g.WtTile(c, i))]); got != g.NOH*g.NOW {
 				t.Errorf("WT(%d,%d) uses = %d, want %d", c, i, got, g.NOH*g.NOW)
 			}
 		}
@@ -125,15 +125,15 @@ func TestUseCounts(t *testing.T) {
 	for h := 0; h < g.NOH; h++ {
 		for w := 0; w < g.NOW; w++ {
 			for c := 0; c < g.NOC; c++ {
-				if got := gr.TotalUses(g.OutTile(h, w, c)); got != g.NIC {
+				if got := int(uses[gr.Num(g.OutTile(h, w, c))]); got != g.NIC {
 					t.Errorf("OT(%d,%d,%d) uses = %d, want %d", h, w, c, got, g.NIC)
 				}
 			}
 		}
 	}
-	// A tile from another grid has no uses.
-	if got := gr.TotalUses(tile.ID{Kind: tile.In, A: 99}); got != 0 {
-		t.Errorf("foreign tile uses = %d", got)
+	// A tile from another grid has no number, so no uses.
+	if n, ok := gr.NumOK(tile.ID{Kind: tile.In, A: 99}); ok {
+		t.Errorf("foreign tile has number %d", n)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestUsesReturnsCopy(t *testing.T) {
 	u := gr.Uses()
 	id := gr.Ops[0].In
 	u[id] = -999
-	if gr.TotalUses(id) == -999 {
+	if gr.AppendUses(nil)[gr.Num(id)] == -999 {
 		t.Error("Uses() exposed internal map")
 	}
 }
@@ -187,8 +187,9 @@ func TestGraphInvariants(t *testing.T) {
 		}
 		gr := Build(g, model.New(arch.New("t", 2, arch.KiB(256), 32)))
 		var totalUses int
+		uses := gr.AppendUses(nil)
 		for _, id := range allTiles(g) {
-			totalUses += gr.TotalUses(id)
+			totalUses += int(uses[gr.Num(id)])
 		}
 		if totalUses != 3*len(gr.Ops) {
 			return false

@@ -150,8 +150,9 @@ func TestBuildFusedCovering(t *testing.T) {
 			}
 		}
 	}
+	uses := gr.AppendUses(nil)
 	for ot, n := range covered {
-		if got, want := gr.TotalUses(ot), g1.NIC+n; got != want {
+		if got, want := int(uses[gr.Num(ot)]), g1.NIC+n; got != want {
 			t.Errorf("uses of %v: %d, want %d (chain %d + covered %d)",
 				ot, got, want, g1.NIC, n)
 		}

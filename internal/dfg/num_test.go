@@ -118,8 +118,8 @@ func TestNumIsAnOrderedBijection(t *testing.T) {
 			if n, ok := gr.NumOK(bad); ok {
 				t.Fatalf("trial %d: NumOK(%v) = %d, want not a tile (grid %v)", trial, bad, n, g)
 			}
-			if gr.TotalUses(bad) != 0 || gr.Covering(bad) != nil {
-				t.Fatalf("trial %d: %v is not a tile but has uses or a cover", trial, bad)
+			if gr.Covering(bad) != nil {
+				t.Fatalf("trial %d: %v is not a tile but has a cover", trial, bad)
 			}
 		}
 	}
@@ -185,8 +185,8 @@ func TestUsesViewsAgree(t *testing.T) {
 			t.Fatalf("trial %d: %d tiles by ID, %d by number", trial, len(byID), len(byNum))
 		}
 		for n, u := range byNum {
-			if id := gr.Tile(n); byID[id] != int(u) || gr.TotalUses(id) != int(u) || u <= 0 {
-				t.Fatalf("trial %d: %v: %d by number, %d by ID, TotalUses %d", trial, id, u, byID[id], gr.TotalUses(id))
+			if id := gr.Tile(n); byID[id] != int(u) || gr.Num(id) != n || u <= 0 {
+				t.Fatalf("trial %d: %v: %d by number %d, %d by ID, number %d", trial, id, u, n, byID[id], gr.Num(id))
 			}
 		}
 	}

@@ -439,7 +439,7 @@ func (e *engine) stepFacts(window []int, dedup bool) {
 		state := tileAbsent
 		if e.mem.HasNum(n) {
 			state = tileResident
-		} else if e.fused && id.Kind == tile.In && id.L > 0 {
+		} else if id.Kind == tile.In && id.L > 0 {
 			if ots := e.gr.Covering(*id); len(ots) > 0 {
 				state = tileGatherable
 				for _, ot := range ots {
@@ -461,7 +461,7 @@ func (e *engine) stepFacts(window []int, dedup bool) {
 		// input is allowed it in any state, so the proof needs touch alone.
 		var bound int64
 		for s, t := range ts {
-			if k := f.keys[t]; k>>60&3 != tileAbsent || s == 0 && e.fused && op.In.L > 0 {
+			if k := f.keys[t]; k>>60&3 != tileAbsent || s == 0 && op.In.L > 0 {
 				bound += int64(k << 4 >> (4 + sigCountBits)) // the key's size field
 			}
 		}

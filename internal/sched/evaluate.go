@@ -102,7 +102,7 @@ func (e *engine) touch(ev *setEval, id *tile.ID, n int32, load bool) bool {
 	// DRAM load is tried before giving up on the set.
 	gather := false
 	e.pinned = e.pinned[:0]
-	if load && e.fused && id.Kind == tile.In && id.L > 0 {
+	if load && id.Kind == tile.In && id.L > 0 {
 		if ots := e.gr.Covering(*id); len(ots) > 0 {
 			gather = true
 			for _, ot := range ots {

@@ -98,7 +98,7 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 	// which tiles are dirty-resident at the fault cycle. Per tile the
 	// last of its writes and transfers decides: a tile is dirty iff no
 	// committed transfer of it starts after its last committed write,
-	// and (fused runs) its off-chip copy is current iff a spill or
+	// and its off-chip copy is current iff a spill or
 	// write-back does. Starts order them because a load finishes before
 	// its consumer starts and a spill starts no earlier than the write
 	// it flushes ends; the one tie goes to the write — a partial sum
@@ -124,7 +124,7 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 		e.account(rec)
 		if n := gr.Num(rec.Tile); rec.Start >= dirtyAt[n] {
 			dirtyAt[n] = 0
-			if e.fused && (rec.Kind == sim.Spill || rec.Kind == sim.Writeback) {
+			if rec.Kind == sim.Spill || rec.Kind == sim.Writeback {
 				e.hasDRAM[n] = true
 			}
 		}

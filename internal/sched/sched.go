@@ -215,7 +215,6 @@ func (r *Result) Metric() float64 {
 type engine struct {
 	cfg     Config
 	gr      *dfg.Graph
-	fused   bool // gr spans multiple layers
 	mem     *spm.SPM
 	remain  []int32 // remaining accesses to a tile
 	ready   []int
@@ -223,7 +222,7 @@ type engine struct {
 	opDone  []int64
 	writeAt []int64 // completion time of the last write to a tile
 	availAt []int64 // arrival time of the last load of a tile
-	hasDRAM []bool  // tiles whose current contents exist off-chip (fused runs)
+	hasDRAM []bool  // tiles whose current contents exist off-chip (read by fused rules)
 	tl      *sim.Timeline
 	res     *Result
 	pos     int       // next index into cfg.Order (in-order mode)
@@ -464,13 +463,10 @@ func (e *engine) reset(gr *dfg.Graph, cfg Config) {
 	}
 	e.mem.SetInPlace(!cfg.DisableInPlace)
 	e.mem.Bind(gr)
-	e.fused = gr.Fused()
 	e.remain = gr.AppendUses(e.remain[:0])
 	e.writeAt = zeroed(e.writeAt, gr.NumTiles())
 	e.availAt = zeroed(e.availAt, gr.NumTiles())
-	if e.fused {
-		e.hasDRAM = zeroed(e.hasDRAM, gr.NumTiles())
-	}
+	e.hasDRAM = zeroed(e.hasDRAM, gr.NumTiles())
 	// Readiness is in-degree based: ops with no unissued predecessor
 	// (chain or cross-layer) are ready. For single-layer graphs this is
 	// exactly the IC == 0 set in canonical order, bit-identical to the
@@ -604,7 +600,7 @@ func (e *engine) memOps(ev *setEval) (int64, error) {
 			}
 			rec = e.tl.Transfer(ld.id, sim.Gather, ld.size, e.cfg.Model.GatherCycles(ld.size), notBefore)
 		} else {
-			if e.fused && ld.id.Kind == tile.In && ld.id.L > 0 {
+			if ld.id.Kind == tile.In && ld.id.L > 0 {
 				if err := e.ensureDRAM(ld.id, ev); err != nil {
 					return 0, err
 				}
@@ -619,7 +615,7 @@ func (e *engine) memOps(ev *setEval) (int64, error) {
 		if !sp.Dirty || e.marks[i] {
 			continue // clean evictions drop data without traffic
 		}
-		if e.fused && sp.ID.Kind == tile.Out && sp.ID.L < e.gr.LastLayer() && sp.RemainUses == 0 {
+		if sp.ID.Kind == tile.Out && sp.ID.L < e.gr.LastLayer() && sp.RemainUses == 0 {
 			continue // dead intermediate output: dropped without ever touching DRAM
 		}
 		kind := sim.Spill
@@ -629,9 +625,7 @@ func (e *engine) memOps(ev *setEval) (int64, error) {
 		lat := e.cfg.Model.TransferCycles(sp.Size)
 		rec := e.tl.Transfer(sp.ID, kind, sp.Size, lat, e.writeAt[e.gr.Num(sp.ID)])
 		e.account(rec)
-		if e.fused {
-			e.hasDRAM[e.gr.Num(sp.ID)] = true
-		}
+		e.hasDRAM[e.gr.Num(sp.ID)] = true
 	}
 	return memEnd, nil
 }
@@ -698,15 +692,13 @@ func (e *engine) retire(rec sim.OpRecord) {
 	in, wt, out := ns[0], ns[1], ns[2]
 	e.opDone[rec.Op] = rec.End
 	e.writeAt[out] = rec.End
-	if e.fused {
-		// The write makes any off-chip copy of the tile stale (a
-		// mid-chain spill leaves a partial sum in DRAM).
-		e.hasDRAM[out] = false
-	}
+	// The write makes any off-chip copy of the tile stale (a mid-chain
+	// spill leaves a partial sum in DRAM).
+	e.hasDRAM[out] = false
 	e.remain[in]--
 	e.remain[wt]--
 	e.remain[out]--
-	if e.fused && op.In.L > 0 && e.remain[in] == 0 {
+	if op.In.L > 0 && e.remain[in] == 0 {
 		// The consumer input tile is exhausted: release its hold on
 		// the producer outputs covering it. Until this point each
 		// covering tile stays live (resident or backed by DRAM), so
@@ -823,7 +815,7 @@ func (e *engine) flush() {
 			continue
 		}
 		n := e.gr.Num(b.ID)
-		if e.fused && b.ID.Kind == tile.Out && b.ID.L < e.gr.LastLayer() && e.remain[n] == 0 {
+		if b.ID.Kind == tile.Out && b.ID.L < e.gr.LastLayer() && e.remain[n] == 0 {
 			continue
 		}
 		lat := e.cfg.Model.TransferCycles(b.Size)

@@ -55,7 +55,7 @@ func (e *engine) setSignature(ops []int) []byte {
 		}
 		present := e.mem.Has(id)
 		gather := false
-		if e.fused && !present && id.Kind == tile.In && id.L > 0 {
+		if !present && id.Kind == tile.In && id.L > 0 {
 			if ots := e.gr.Covering(id); len(ots) > 0 {
 				gather = true
 				for _, ot := range ots {
@@ -138,7 +138,7 @@ func randomResidency(t *testing.T, e *engine, rng *rand.Rand) {
 	for n := rng.Intn(3 * len(e.gr.Ops) / 2); n > 0; n-- {
 		op := &e.gr.Ops[rng.Intn(len(e.gr.Ops))]
 		switch id := [3]tile.ID{op.In, op.Wt, op.Out}[rng.Intn(3)]; {
-		case e.fused && id.Kind == tile.In && id.L > 0 && rng.Intn(2) == 0:
+		case id.Kind == tile.In && id.L > 0 && rng.Intn(2) == 0:
 			for _, ot := range e.gr.Covering(id) {
 				admit(ot)
 			}
@@ -184,7 +184,6 @@ func TestPackedSignaturesPartitionLikeReference(t *testing.T) {
 		for seed := int64(0); seed < 12; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			e := newTestEngine(t, gr, Config{Arch: a})
-			e.fused = gr.Fused()
 			randomResidency(t, e, rng)
 			window := rng.Perm(len(gr.Ops))[:4+rng.Intn(9)]
 

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/loop"
 )
@@ -158,12 +157,13 @@ func (c *Cache) shard(key string) *cacheShard {
 
 // Layer returns the memoized result for l under opts, computing it at
 // most once per key. It exists for internal/serve, which has the key
-// from routing the request: key is trusted to be CacheKey(l, opts),
-// unchecked (TestJobKeyIsCacheKey holds serve to it); everyone else
-// calls SearchLayerCtx. A context cancellation while waiting on another
-// caller's in-flight search returns ctx.Err() without disturbing the
-// entry; a cancellation of the computing caller removes the entry so a
-// later request retries.
+// from routing the request: key is trusted to be CacheKey(l, opts) and
+// l to be valid, unchecked (TestJobKeyIsCacheKey holds serve to it);
+// everyone else calls SearchLayerCtx. An error may be another caller's,
+// so it names neither layer nor arch. A context cancellation while
+// waiting on another caller's in-flight search returns ctx.Err()
+// without disturbing the entry; a cancellation of the computing caller
+// removes the entry so a later request retries.
 func (c *Cache) Layer(ctx context.Context, key string, l layer.Conv, opts Options) (*LayerResult, error) {
 	s := c.shard(key)
 
@@ -229,7 +229,7 @@ func (c *Cache) lead(ctx context.Context, s *cacheShard, e *cacheEntry, l layer.
 		close(e.done)
 		s.mu.Unlock()
 	}()
-	e.lr, e.err = searchLayerUncached(ctx, l, opts)
+	e.lr, e.err = searchLayerWith(ctx, l, opts, scheduleTiling)
 	e.cancelled = isCancellation(e.err)
 }
 
@@ -261,7 +261,7 @@ func finishLookup(e *cacheEntry, l layer.Conv, searched bool) (*LayerResult, err
 // and freed with it. An entry has one slot, filled by the first build
 // (racing ones store equal bytes), so Memo has one user: serve's summary
 // layer body. The bytes must depend on the entry alone, not on the
-// caller's lr.Layer.Name, and are shared: read-only. Outside a cache
+// caller's layer or arch name, and are shared: read-only. Outside a cache
 // every call builds.
 func (lr *LayerResult) Memo(build func() []byte) []byte {
 	if lr.memo == nil {
@@ -289,19 +289,15 @@ func (s *cacheShard) complete(c *Cache, e *cacheEntry) {
 	}
 }
 
-// CacheKey fingerprints everything that affects a layer search result
-// except the layer's name. Every result-relevant Options field must
-// participate — metric, budget (including the identity of each
-// baseline dataflow, not just their count), arch, priority, memory
-// policy and the ablation switches (TestCacheKeyCoversOptions walks
-// the field list) — so two requests differing in any of them are never
-// coalesced onto one search. FuseDepth participates too: layer results
-// themselves are fusion-independent today, but keeping the keys
-// disjoint guarantees a fused network request can never serve stale
-// entries to (or poison) a layerwise one. Fields that cannot change the
-// result (Workers, Cache, Progress, CheckIn) are
-// deliberately excluded so requests differing only in plumbing share
-// one search. Every request builds the key, hit or miss, so it is
+// CacheKey fingerprints what decides a layer search result: the shape
+// and every result-relevant Options field, metric, budget (each
+// baseline dataflow's identity, not just their count), the machine's
+// numbers, priority, memory policy, ablations and fault plan
+// (TestCacheKeyCoversOptions walks the field list). Requests differing
+// only in what cannot change the result share one search: the plumbing
+// (Workers, Cache, Progress, CheckIn), the layer's and the arch's names,
+// and FuseDepth, whose pass runs on top of layer results (NetworkKey
+// keys it). Every request builds the key, hit or miss, so it is
 // appended, not formatted; key_oracle_test.go keeps the fmt form.
 //
 // The cluster layer routes layer requests and filters snapshot shards
@@ -335,11 +331,8 @@ func appendInts[T int | int64](b []byte, sep byte, vs ...T) []byte {
 // between per-layer cache keys and whole-network routing keys.
 func appendOptionsKey(b []byte, o Options) []byte {
 	a, bu := o.Arch, o.Budget
-	b = appendInts(append(append(b, a.Name...), '/'), '/', int64(a.Cores), a.SPMBytes, int64(a.BandwidthBytesPerCycle))
-	// The default PE geometry adds nothing: keys older than it hold.
-	if a.PERows != arch.DefaultPERows || a.PECols != arch.DefaultPECols {
-		b = appendInts(append(b, "/pe"...), 'x', a.PERows, a.PECols)
-	}
+	b = appendInts(b, '/', int64(a.Cores), a.SPMBytes, int64(a.BandwidthBytesPerCycle))
+	b = appendInts(append(b, "/pe"...), 'x', a.PERows, a.PECols)
 	b = strconv.AppendFloat(append(b, "|{"...), o.Metric.LatExp, 'g', -1, 64)
 	b = strconv.AppendFloat(append(b, ' '), o.Metric.TrafficExp, 'g', -1, 64)
 	b = append(append(b, "}|"...), o.Priority.String()...)
@@ -361,7 +354,7 @@ func appendOptionsKey(b []byte, o Options) []byte {
 		b = strconv.AppendBool(b, off)
 	}
 	b = appendInts(append(b, '|'), ':', bu.MaxTilings, bu.MaxOps, bu.MaxValuesPerDim, bu.MaxReadyWindow, bu.MaxCandidateSets)
-	b = append(strconv.AppendInt(append(b, "|f"...), int64(o.FuseDepth), 10), '|')
+	b = append(b, '|')
 	// A fault plan gets its own entries; empty and nil ones add nothing.
 	if !o.FaultPlan.Empty() {
 		b = append(b, o.FaultPlan.String()...)
@@ -370,12 +363,13 @@ func appendOptionsKey(b []byte, o Options) []byte {
 }
 
 // NetworkKey fingerprints a whole-network schedule request (network
-// name, spatial scale and every result-relevant option) for cluster
-// routing. Identical network sweeps route to one home peer and
+// name, spatial scale, fuse depth and every option CacheKey keys) for
+// cluster routing. Identical network sweeps route to one home peer and
 // coalesce there; the per-layer cache entries the sweep creates still
 // carry their own CacheKey homes for snapshot sharding.
 func NetworkKey(network string, scale int, opts Options) string {
 	var buf [512]byte
 	b := append(append(append(buf[:0], "net|"...), network...), "|x"...)
-	return string(appendOptionsKey(append(strconv.AppendInt(b, int64(max(scale, 1)), 10), '|'), opts))
+	b = append(strconv.AppendInt(append(strconv.AppendInt(b, int64(max(scale, 1)), 10), "|f"...), int64(opts.FuseDepth), 10), '|')
+	return string(appendOptionsKey(b, opts))
 }

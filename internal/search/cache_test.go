@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/fault"
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/loop"
@@ -217,22 +218,21 @@ func TestCacheCancelledSearchNotPoisoned(t *testing.T) {
 }
 
 // TestCacheRealFailureNotClassifiedAsCancelled is the negative-cache
-// bugfix: a search that fails for a real reason (here an invalid
+// bugfix: a search that fails for a real reason (here an infeasible
 // shape) while the caller's context happens to be dead must stay
 // cached, so later callers inherit the verdict instead of recomputing
 // it. Before the fix any error under ctx.Err() != nil was treated as a
 // cancellation and forgotten.
 func TestCacheRealFailureNotClassifiedAsCancelled(t *testing.T) {
-	opts := quickOpts(t, "arch1")
+	opts := tinyOpts()
 	opts.Cache = NewCache()
-	bad := layer.Conv{Name: "bad", InH: -1, InW: 8, InC: 4, OutC: 4,
-		KerH: 3, KerW: 3, StrideH: 1, StrideW: 1, ElemBytes: 2}
+	bad := infeasibleLayer("bad")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // dead context, but the failure below is not a cancellation
 	_, err := SearchLayerCtx(ctx, bad, opts)
 	if err == nil || errors.Is(err, context.Canceled) {
-		t.Fatalf("invalid layer under dead context returned %v, want a validation error", err)
+		t.Fatalf("infeasible layer under dead context returned %v, want a search failure", err)
 	}
 	if n := opts.Cache.Len(); n != 1 {
 		t.Fatalf("cache has %d entries, want 1 (real failure cached)", n)
@@ -247,6 +247,42 @@ func TestCacheRealFailureNotClassifiedAsCancelled(t *testing.T) {
 	s := opts.Cache.Stats()
 	if s.Misses != 1 || s.Hits != 1 {
 		t.Fatalf("stats = %+v, want 1 miss 1 hit (no recompute)", s)
+	}
+}
+
+// tinyOpts is a one-core machine with a 1 KiB scratchpad, on which
+// infeasibleLayer has no tiling.
+func tinyOpts() Options {
+	return Options{Arch: arch.New("tiny", 1, arch.KiB(1), 32), Budget: QuickBudget()}
+}
+
+// infeasibleLayer is a valid layer whose 31x31 kernel tile alone
+// outgrows tinyOpts' scratchpad.
+func infeasibleLayer(name string) layer.Conv {
+	return layer.NewConv(name, 32, 32, 1, 1, 31)
+}
+
+// TestSharedFailureNamesItsCaller searches one infeasible shape under
+// two layer names and two arch names with equal numbers: the second
+// lookup is a hit on the first one's cached failure, and each error
+// names its own caller's layer and arch.
+func TestSharedFailureNamesItsCaller(t *testing.T) {
+	first, second := tinyOpts(), tinyOpts()
+	first.Arch.Name, second.Arch.Name = "tiny-a", "tiny-b"
+	first.Cache = NewCache()
+	second.Cache = first.Cache
+	_, err1 := SearchLayer(infeasibleLayer("first"), first)
+	_, err2 := SearchLayer(infeasibleLayer("second"), second)
+	for _, c := range []struct {
+		err         error
+		layer, arch string
+	}{{err1, "first", "tiny-a"}, {err2, "second", "tiny-b"}} {
+		if want := "search: no feasible tiling for layer " + c.layer + " on " + c.arch; c.err == nil || c.err.Error() != want {
+			t.Errorf("error = %v, want %q", c.err, want)
+		}
+	}
+	if s := first.Cache.Stats(); s.Misses != 1 || s.Hits != 1 {
+		t.Errorf("stats = %+v, want 1 miss 1 hit (one shared failure)", s)
 	}
 }
 
@@ -468,14 +504,20 @@ func TestCacheCoalescedJoinerCancelled(t *testing.T) {
 	}
 }
 
-// keyPlumbing names the fields that cannot change a search result and
-// therefore must not change its cache key: requests differing only in
-// these share one search. Every other field of Options, Budget and
-// arch.Config must change the key — so a field added later without
-// either keying it or listing it here fails this test.
-var keyPlumbing = map[string]bool{
-	"Workers": true, "Cache": true, "Progress": true, "CheckIn": true,
-	"sem": true, // unexported: the shared worker-pool semaphore
+// unkeyed names, with the reason, the fields that cannot change a layer
+// search result and therefore must not change its cache key: requests
+// differing only in these share one search. Every other field of
+// Options, Budget and arch.Config must change the key — so a field
+// added later without either keying it or listing it here fails
+// TestCacheKeyCoversOptions.
+var unkeyed = map[string]string{
+	"Workers":   "parallelism: it may move the effort counters, never the schedules",
+	"Cache":     "where the result is kept",
+	"Progress":  "a callback that observes the search",
+	"CheckIn":   "a callback that pauses or aborts the search, never alters a completed one",
+	"sem":       "the shared worker-pool semaphore",
+	"Arch.Name": "a label: the machine is its numbers, and callers echo their own name",
+	"FuseDepth": "the fusion pass runs on top of the layer results; NetworkKey keys it",
 }
 
 // perturb changes v to a different value of its type, reporting false
@@ -509,12 +551,13 @@ func perturb(v reflect.Value) bool {
 // TestCacheKeyCoversOptions is the regression test for wrong cache
 // hits from a forgotten field: it walks every field of Options — into
 // Budget, Metric and arch.Config — perturbs one at a time, and requires
-// the key to change unless the field is listed as plumbing, in which
-// case it must not.
+// the cache key and the network key to change unless the field is
+// listed as unkeyed, in which case they must not; FuseDepth, unkeyed
+// per layer, must change the network key.
 func TestCacheKeyCoversOptions(t *testing.T) {
 	l := layer.NewConv("l", 14, 14, 64, 64, 3)
 	base := quickOpts(t, "arch1")
-	baseKey := CacheKey(l, base)
+	baseKey, baseNet := CacheKey(l, base), NetworkKey("vgg16", 4, base)
 
 	var walk func(path string, index []int, typ reflect.Type)
 	walk = func(path string, index []int, typ reflect.Type) {
@@ -532,16 +575,20 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 				// A fresh pointer would be the empty plan, which keys as nil.
 				o.FaultPlan = &fault.Plan{CoreDown: []fault.CoreDown{{Core: 1, Cycle: 1000}}}
 			case !field.CanSet() || !perturb(field):
-				if !keyPlumbing[name] {
-					t.Errorf("field %s cannot be perturbed by this test: key it and teach perturb its kind, or list it in keyPlumbing", name)
+				if unkeyed[name] == "" {
+					t.Errorf("field %s cannot be perturbed by this test: key it and teach perturb its kind, or list it in unkeyed", name)
 				}
 				continue
 			}
+			_, skip := unkeyed[name]
 			switch changed := CacheKey(l, o) != baseKey; {
-			case keyPlumbing[name] && changed:
-				t.Errorf("plumbing field %s changed the cache key; identical searches would not coalesce", name)
-			case !keyPlumbing[name] && !changed:
+			case skip && changed:
+				t.Errorf("unkeyed field %s changed the cache key; identical searches would not coalesce", name)
+			case !skip && !changed:
 				t.Errorf("field %s does not change the cache key; requests differing in it would share a result", name)
+			}
+			if changed, want := NetworkKey("vgg16", 4, o) != baseNet, !skip || name == "FuseDepth"; changed != want {
+				t.Errorf("field %s: network key changed %v, want %v", name, changed, want)
 			}
 		}
 	}

@@ -170,19 +170,23 @@ func TestFuseNetworkDegraded(t *testing.T) {
 	}
 }
 
-// TestFuseDepthChangesCacheKey checks layer results computed for fused
-// and layerwise requests can never collide in the cache.
-func TestFuseDepthChangesCacheKey(t *testing.T) {
+// TestFuseDepthKeysNetworksOnly checks the fuse depth splits network
+// keys, whose sweeps run the fusion pass, and not layer keys: the pass
+// runs on top of the layer results, so fused and layerwise sweeps share
+// them.
+func TestFuseDepthKeysNetworksOnly(t *testing.T) {
 	l := layer.NewConv("k", 8, 8, 16, 16, 3)
 	opts := fuseOpts(t)
-	k0 := CacheKey(l, opts)
-	opts.FuseDepth = 1
-	k1 := CacheKey(l, opts)
-	if k0 == k1 {
-		t.Fatalf("cache key ignores FuseDepth: %q", k0)
+	layerKeys, netKeys := map[string]bool{}, map[string]bool{}
+	for depth := 0; depth <= 2; depth++ {
+		opts.FuseDepth = depth
+		layerKeys[CacheKey(l, opts)] = true
+		netKeys[NetworkKey("vgg16", 4, opts)] = true
 	}
-	opts.FuseDepth = 2
-	if k2 := CacheKey(l, opts); k2 == k1 {
-		t.Fatalf("cache key conflates fuse depths 1 and 2: %q", k1)
+	if len(layerKeys) != 1 {
+		t.Errorf("fuse depths 0, 1 and 2 give %d layer keys, want 1: %v", len(layerKeys), layerKeys)
+	}
+	if len(netKeys) != 3 {
+		t.Errorf("fuse depths 0, 1 and 2 give %d network keys, want 3: %v", len(netKeys), netKeys)
 	}
 }

@@ -17,10 +17,9 @@ import (
 var updateKeys = flag.Bool("update-keys", false, "rewrite internal/search/testdata/cache_keys.txt")
 
 // TestCacheKeysUnchanged pins CacheKey and NetworkKey for every preset
-// and a default-geometry custom arch against strings captured before
-// PE geometry joined the key: snapshots, ring homes and forwarded
-// shares all depend on these bytes, so they may only change together
-// with snapshotVersion.
+// and a default-geometry custom arch against the strings of snapshot
+// version 3: snapshots, ring homes and forwarded shares all depend on
+// these bytes, so they may only change together with snapshotVersion.
 func TestCacheKeysUnchanged(t *testing.T) {
 	l := layer.NewConv("l", 14, 14, 64, 64, 3)
 	archs := append(arch.Presets(), arch.New("lab", 2, arch.KiB(256), 32))

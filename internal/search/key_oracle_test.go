@@ -18,9 +18,9 @@ import (
 	"github.com/flexer-sched/flexer/internal/spm"
 )
 
-// The fmt-based key builders the appending ones in cache.go replaced,
-// kept verbatim as the oracle: keys are snapshot contents and ring
-// homes, so the new builders must produce the same bytes.
+// The fmt-based spelling of the key formats, kept as the oracle of the
+// appending builders in cache.go: keys are snapshot contents and ring
+// homes, so the builders must produce exactly these bytes.
 
 // oracleCacheKey was Sprintf("%+v|%s", shape, ...) with the shape's name
 // blanked; %+v called layer.Conv's String, then this Sprintf.
@@ -33,25 +33,17 @@ func oracleNetworkKey(network string, scale int, opts Options) string {
 	if scale <= 0 {
 		scale = 1
 	}
-	return fmt.Sprintf("net|%s|x%d|%s", network, scale, oracleOptionsKey(opts))
+	return fmt.Sprintf("net|%s|x%d|f%d|%s", network, scale, opts.FuseDepth, oracleOptionsKey(opts))
 }
 
 func oracleOptionsKey(opts Options) string {
 	b := opts.Budget
-	return fmt.Sprintf("%s/%d/%d/%d%s|%v|%v|%d|%s|%v%v%v%v|%d:%d:%d:%d:%d|f%d|%s",
-		opts.Arch.Name, opts.Arch.Cores, opts.Arch.SPMBytes, opts.Arch.BandwidthBytesPerCycle, oraclePEKey(opts.Arch),
+	return fmt.Sprintf("%d/%d/%d/pe%dx%d|%v|%v|%d|%s|%v%v%v%v|%d:%d:%d:%d:%d|%s",
+		opts.Arch.Cores, opts.Arch.SPMBytes, opts.Arch.BandwidthBytesPerCycle, opts.Arch.PERows, opts.Arch.PECols,
 		opts.Metric, opts.Priority, opts.MemPolicy, oracleDataflowsKey(b.Dataflows),
 		opts.DisableInPlace, opts.DisablePruning, opts.DisableDominance, b.HintedOoO,
 		b.MaxTilings, b.MaxOps, b.MaxValuesPerDim, b.MaxReadyWindow, b.MaxCandidateSets,
-		opts.FuseDepth,
 		oracleFaultKey(opts.FaultPlan))
-}
-
-func oraclePEKey(a arch.Config) string {
-	if a.PERows == arch.DefaultPERows && a.PECols == arch.DefaultPECols {
-		return ""
-	}
-	return fmt.Sprintf("/pe%dx%d", a.PERows, a.PECols)
 }
 
 func oracleFaultKey(p *fault.Plan) string {

@@ -353,31 +353,36 @@ func SearchLayer(l layer.Conv, opts Options) (*LayerResult, error) {
 
 // SearchLayerCtx is SearchLayer with cancellation: the search aborts
 // between tilings and between dataflow evaluations once ctx is done and
-// returns ctx.Err(). Long-running callers (servers, interactive tools)
-// use it to bound search time per request.
+// returns ctx.Err(), like every error, wrapped with the layer's and the
+// arch's names. Long-running callers (servers, interactive tools) use it
+// to bound search time per request.
 func SearchLayerCtx(ctx context.Context, l layer.Conv, opts Options) (*LayerResult, error) {
-	if opts.Cache != nil {
-		return opts.Cache.Layer(ctx, CacheKey(l, opts), l, opts)
-	}
-	return searchLayerUncached(ctx, l, opts)
-}
-
-func searchLayerUncached(ctx context.Context, l layer.Conv, opts Options) (*LayerResult, error) {
-	return searchLayerWith(ctx, l, opts, scheduleTiling)
-}
-
-// searchLayerWith is the layer search around schedule, which is
-// scheduleTiling — or, in tests, the per-tiling loop it replaced.
-func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule func(context.Context, *tile.Grid, model.Model, []loop.Dataflow, Options, *incumbents) (Candidate, int, error)) (*LayerResult, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
+	var lr *LayerResult
+	var err error
+	if opts.Cache != nil {
+		lr, err = opts.Cache.Layer(ctx, CacheKey(l, opts), l, opts)
+	} else {
+		lr, err = searchLayerWith(ctx, l, opts, scheduleTiling)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w for layer %s on %s", err, l.Name, opts.Arch.Name)
+	}
+	return lr, nil
+}
+
+// searchLayerWith is the search of the valid layer l around schedule
+// (scheduleTiling, or in tests the per-tiling loop it replaced). A cache
+// shares its errors between callers, so they name neither layer nor arch.
+func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule func(context.Context, *tile.Grid, model.Model, []loop.Dataflow, Options, *incumbents) (Candidate, int, error)) (*LayerResult, error) {
 	if err := opts.checkIn(); err != nil {
 		return nil, err
 	}
 	tilings := enumerateWithEscalation(l, opts.Arch, opts.Budget)
 	if len(tilings) == 0 {
-		return nil, fmt.Errorf("search: no feasible tiling for layer %s on %s", l.Name, opts.Arch.Name)
+		return nil, errors.New("search: no feasible tiling")
 	}
 	dataflows := opts.Budget.Dataflows
 	if dataflows == nil {
@@ -487,12 +492,12 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule f
 		}
 	}
 	if lr.BestOoO == nil || lr.BestStatic == nil {
-		return nil, fmt.Errorf("search: no schedulable tiling for layer %s on %s", l.Name, opts.Arch.Name)
+		return nil, errors.New("search: no schedulable tiling")
 	}
 	if !opts.FaultPlan.Empty() {
 		deg, err := RepairResult(l, lr.BestOoO, opts.FaultPlan, opts)
 		if err != nil {
-			return nil, fmt.Errorf("search: degraded evaluation of layer %s: %w", l.Name, err)
+			return nil, fmt.Errorf("search: degraded evaluation: %w", err)
 		}
 		lr.Degraded = deg
 		lr.FaultPlan = opts.FaultPlan
@@ -814,7 +819,7 @@ func SearchNetworkCtx(ctx context.Context, n nets.Network, opts Options) (*Netwo
 	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("search: layer %s: %w", n.Layers[i].Name, err)
+			return nil, fmt.Errorf("%w for layer %s on %s", err, n.Layers[i].Name, opts.Arch.Name)
 		}
 		if nr.Layers[i].searched {
 			nr.LayerSearches++

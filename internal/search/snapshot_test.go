@@ -105,17 +105,15 @@ func TestCacheSnapshotIsDeterministic(t *testing.T) {
 // (a layer whose search failed) are not persisted: a failure may be
 // transient, and a restart should get a fresh chance.
 func TestCacheSnapshotSkipsFailures(t *testing.T) {
-	opts := quickOpts(t, "arch1")
+	opts := tinyOpts()
 	opts.Cache = NewCache()
-	good := layer.NewConv("good", 8, 8, 4, 4, 3)
-	bad := layer.Conv{Name: "bad", InH: -1, InW: 8, InC: 4, OutC: 4,
-		KerH: 3, KerW: 3, StrideH: 1, StrideW: 1, ElemBytes: 2}
+	good := layer.NewConv("good", 8, 8, 1, 1, 1)
 
 	if _, err := SearchLayer(good, opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SearchLayer(bad, opts); err == nil {
-		t.Fatal("invalid layer searched without error")
+	if _, err := SearchLayer(infeasibleLayer("bad"), opts); err == nil {
+		t.Fatal("infeasible layer searched without error")
 	}
 	if n := opts.Cache.Len(); n != 2 {
 		t.Fatalf("cache has %d entries, want 2 (failure cached)", n)
@@ -132,33 +130,37 @@ func TestCacheSnapshotSkipsFailures(t *testing.T) {
 }
 
 // TestCacheSnapshotVersionMismatch checks that a snapshot from an
-// incompatible version is rejected whole with the typed
+// incompatible version — version 2, whose keys named the arch and the
+// fuse depth, or a future one — is rejected whole with the typed
 // ErrSnapshotVersion, degrading to a cold start.
 func TestCacheSnapshotVersionMismatch(t *testing.T) {
 	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(snapshotHeader{Magic: snapshotMagic, Version: snapshotVersion + 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(0); err != nil {
-		t.Fatal(err)
-	}
 	c := NewCache()
-	_, err := c.LoadFrom(&buf)
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("LoadFrom(future version) = %v, want version error", err)
-	}
-	if !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("LoadFrom(future version) = %v, want errors.Is(ErrSnapshotVersion)", err)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("cache has %d entries after rejected load, want 0", c.Len())
+	for _, v := range []int{2, snapshotVersion + 1} {
+		buf.Reset()
+		enc := gob.NewEncoder(&buf)
+		if err := enc.Encode(snapshotHeader{Magic: snapshotMagic, Version: v}); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Encode(0); err != nil {
+			t.Fatal(err)
+		}
+		_, err := c.LoadFrom(&buf)
+		if err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("LoadFrom(version %d) = %v, want version error", v, err)
+		}
+		if !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("LoadFrom(version %d) = %v, want errors.Is(ErrSnapshotVersion)", v, err)
+		}
+		if c.Len() != 0 {
+			t.Fatalf("cache has %d entries after rejected load, want 0", c.Len())
+		}
 	}
 
 	// A wrong magic is a different failure: not a snapshot at all, so
 	// it must NOT claim to be a version mismatch.
 	buf.Reset()
-	enc = gob.NewEncoder(&buf)
+	enc := gob.NewEncoder(&buf)
 	if err := enc.Encode(snapshotHeader{Magic: "something-else", Version: snapshotVersion}); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +229,7 @@ func TestCacheKeyFingerprintsRouting(t *testing.T) {
 		t.Error("different shapes must not share a key")
 	}
 	other := opts
-	other.FuseDepth = 2
+	other.DisableInPlace = true
 	if CacheKey(l, opts) == CacheKey(l, other) {
 		t.Error("different options must not share a key")
 	}

@@ -53,6 +53,7 @@ func writeBody(w http.ResponseWriter, code int, body []byte) {
 // layerEnvelope is a LayerResponse's per-request fields, names the same.
 type layerEnvelope struct {
 	Layer           string  `json:"layer"`
+	Arch            string  `json:"arch"`
 	ElapsedMS       float64 `json:"elapsed_ms"`
 	ServedBy        string  `json:"served_by,omitempty"`
 	DegradedRouting bool    `json:"degraded_routing,omitempty"`
@@ -60,27 +61,27 @@ type layerEnvelope struct {
 
 // layerBody returns lr's response in a buffer from getBuf, byte for byte
 // what encodeJSON makes of its LayerResponse. The summary shape is
-// assembled: the lines from "arch" to "elapsed_ms" are encoded once,
-// kept with lr's cache entry, and each request encodes its envelope
-// around them. Full timelines run to megabytes: encoded per request.
+// assembled: the lines that name nothing are encoded once, kept with lr's
+// cache entry, and each request encodes its names and envelope around
+// them. Full timelines run to megabytes: encoded per request.
 func layerBody(lr *search.LayerResult, archName string, full bool, elapsedMS float64, rt routeInfo) *bytes.Buffer {
 	if full {
 		resp := buildLayerResponse(lr, archName, true, elapsedMS)
 		resp.ServedBy, resp.DegradedRouting = rt.servedBy, rt.degraded
 		return encodeJSON(&resp)
 	}
-	// Both encodings open with the brace's line and the name's, which
-	// end at the second newline: a JSON string holds no raw one.
-	nameEnd := func(body []byte) int { return bytes.IndexByte(body[2:], '\n') + 3 }
+	// line is where a top-level field's line starts, given it with the
+	// newline and indent before it: no JSON string holds a raw newline.
+	line := func(body []byte, field string) int { return bytes.Index(body, []byte(field)) + 1 }
 	fixed := lr.Memo(func() []byte {
 		resp := buildLayerResponse(lr, archName, false, 0)
 		b := encodeJSON(&resp)
 		defer putBuf(b)
-		return bytes.Clone(b.Bytes()[nameEnd(b.Bytes()) : b.Len()-len("  \"elapsed_ms\": 0\n}\n")])
+		return bytes.Clone(b.Bytes()[line(b.Bytes(), "\n  \"candidates\":"):line(b.Bytes(), "\n  \"elapsed_ms\":")])
 	})
-	env := encodeJSON(&layerEnvelope{lr.Layer.Name, elapsedMS, rt.servedBy, rt.degraded})
+	env := encodeJSON(&layerEnvelope{lr.Layer.Name, archName, elapsedMS, rt.servedBy, rt.degraded})
 	defer putBuf(env)
-	buf, i := getBuf(), nameEnd(env.Bytes())
+	buf, i := getBuf(), line(env.Bytes(), "\n  \"elapsed_ms\":")
 	buf.Write(env.Bytes()[:i])
 	buf.Write(fixed)
 	buf.Write(env.Bytes()[i:])

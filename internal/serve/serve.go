@@ -322,7 +322,7 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 			run: func(ctx context.Context, a attempt) (*bytes.Buffer, error) {
 				lr, err := s.cache.Layer(ctx, key, l, a.options(opts))
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("%w for layer %s on %s", err, l.Name, cfg.Name)
 				}
 				return layerBody(lr, cfg.Name, req.Full, msSince(a.start), a.route), nil
 			},

@@ -321,3 +321,30 @@ func TestCustomArchAndFullTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCustomArchNameIsALabel sends one shape on two custom archs equal
+// but for their names: the second is a hit on the first one's search,
+// and each body echoes its own arch.
+func TestCustomArchNameIsALabel(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	var got [2]LayerResponse
+	for i, name := range []string{"a", "b"} {
+		body := `{"custom_arch": {"name": "` + name + `", "cores": 2, "spm_kib": 256, "bandwidth_bytes_per_cycle": 32},
+		          "shape": ` + smallShape + `}`
+		resp := postJSON(t, ts.URL+"/v1/schedule/layer", body)
+		if resp.StatusCode != http.StatusOK {
+			b, _ := io.ReadAll(resp.Body)
+			t.Fatalf("arch %s = %d: %s", name, resp.StatusCode, b)
+		}
+		decodeBody(t, resp, &got[i])
+		if got[i].Arch != name {
+			t.Errorf("arch %s: body echoes arch %q", name, got[i].Arch)
+		}
+	}
+	if s := srv.cache.Stats(); s.Misses != 1 || s.Hits != 1 {
+		t.Errorf("cache stats = %+v, want 1 miss 1 hit (the name is not the machine)", s)
+	}
+	if got[0].OoO.LatencyCycles != got[1].OoO.LatencyCycles {
+		t.Errorf("OoO cycles %d vs %d for one machine", got[0].OoO.LatencyCycles, got[1].OoO.LatencyCycles)
+	}
+}

@@ -93,8 +93,8 @@ type SearchOptionsJSON struct {
 	// FuseDepth enables the inter-layer fusion pass on network requests:
 	// up to this many consecutive layer boundaries may be scheduled as
 	// one fused graph when doing so strictly wins on both cycles and
-	// traffic (0 = layerwise; ignored on layer requests). The fused and
-	// layerwise variants of a request never share cached layer results.
+	// traffic (0 = layerwise; ignored on layer requests). Fused and
+	// layerwise requests share the layer results the pass runs on.
 	FuseDepth int `json:"fuse_depth,omitempty"`
 }
 
