@@ -50,10 +50,10 @@ loc:
 	@printf '%-24s %6d\n' verify+trace+stats $$(find internal/verify internal/trace internal/stats -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 	@printf '%-24s %6d\n' 'total (no bench)' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 
-# The allocation ceilings of the cache-hit path (a unary layer hit
-# through the handler, the cache key), of the tiling enumeration and of
-# a warm Schedule. They are `//go:build !race` tests — the race
-# detector allocates too — so `make check` skips them.
+# The allocation ceilings of the cache-hit path (a unary layer hit and
+# a unary network hit through the handler, the cache key), of the tiling
+# enumeration and of a warm Schedule. They are `//go:build !race` tests
+# — the race detector allocates too — so `make check` skips them.
 hit-allocs:
 	$(call named-tests,,TestHitAllocs|TestCacheKeyAllocs|TestEnumerateAllocs|TestScheduleAllocs,./internal/serve ./internal/search ./internal/tile ./internal/sched)
 

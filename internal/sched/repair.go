@@ -101,9 +101,8 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 	// and its off-chip copy is current iff a spill or
 	// write-back does. Starts order them because a load finishes before
 	// its consumer starts and a spill starts no earlier than the write
-	// it flushes ends; the one tie goes to the write — a partial sum
-	// evicted and re-loaded within one set has its spill wait for the
-	// previous chain op, which ends as the next one, writing it, starts.
+	// it flushes ends; should a transfer start on the cycle a write does,
+	// the write decides.
 	var commitOps []sim.OpRecord
 	var commitMems []sim.MemRecord
 	dirtyAt := make([]int64, gr.NumTiles()) // 1 + last write start of a dirty-resident tile, else 0

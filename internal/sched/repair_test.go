@@ -297,15 +297,14 @@ func TestRepairFallbackKeepsReadyOrder(t *testing.T) {
 	}
 }
 
-// TestRepairKeepsTileWrittenAsItsSpillStarts: a partial sum evicted and
-// re-loaded while its own set is placed has its spill queued behind the
-// set's loads, waiting for the previous chain op — so the spill starts
-// on the very cycle the next chain op, which writes the tile again,
-// does. The engine's scratchpad holds that tile dirty afterwards, and
-// so must the one Repair rebuilds: a same-cycle write decides over the
-// transfer. (Before PR 18 an unstable sort decided; here it dropped the
-// tile and the repair re-loaded the stale spilled copy.)
-func TestRepairKeepsTileWrittenAsItsSpillStarts(t *testing.T) {
+// TestRepairKeepsDirtyTilesAfterInSetReload: in this schedule one op of
+// a set evicts a dirty partial sum that a later op of the set reloads,
+// before the fault cycle. The spill must end before the reload starts,
+// so the reload reads what the tile's last write left. Repair must keep
+// every tile that is dirty-resident at the fault cycle — written since
+// its last committed transfer — resident: re-loading one reads an
+// off-chip copy older than its contents.
+func TestRepairKeepsDirtyTilesAfterInSetReload(t *testing.T) {
 	a := arch.New("tie3", 3, 13312, 32)
 	gr := buildGraph(t, layer.NewConv("tie", 16, 16, 16, 32, 5), tile.Factors{OH: 9, OW: 15, OC: 13, IC: 5}, a)
 	cfg := Config{Arch: a, Priority: PriorityChainDepth, MemPolicy: spm.PolicySmallestFirst}
@@ -314,17 +313,29 @@ func TestRepairKeepsTileWrittenAsItsSpillStarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	const fc = 10620
-	var tied tile.ID
-	found := false
-	for _, m := range nominal.MemRecords {
-		for _, o := range nominal.OpRecords {
-			if m.Kind == sim.Spill && m.Start == o.Start && o.Start < fc && gr.Ops[o.Op].Out == m.Tile {
-				tied, found = m.Tile, true
+	inSet := false
+	for i, m := range nominal.MemRecords[1:] {
+		if sp := nominal.MemRecords[i]; m.Kind == sim.Load && sp.Kind == sim.Spill && sp.Tile == m.Tile && m.Start < fc {
+			inSet = true
+			if sp.End > m.Start {
+				t.Errorf("reload of %v at %d overlaps its spill [%d,%d)", m.Tile, m.Start, sp.Start, sp.End)
 			}
 		}
 	}
-	if !found {
-		t.Fatal("nominal schedule has no spill starting with a write of its tile before the fault cycle")
+	if !inSet {
+		t.Fatal("nominal schedule reloads no spilled partial sum right after its spill before the fault cycle")
+	}
+	// A tile's last committed event decides; a write wins a tie.
+	lastWrite, lastMove := map[tile.ID]int64{}, map[tile.ID]int64{}
+	for _, o := range nominal.OpRecords {
+		if out := gr.Ops[o.Op].Out; o.Start < fc && o.Start+1 > lastWrite[out] {
+			lastWrite[out] = o.Start + 1
+		}
+	}
+	for _, m := range nominal.MemRecords {
+		if m.Start < fc && m.Start+1 > lastMove[m.Tile] {
+			lastMove[m.Tile] = m.Start + 1
+		}
 	}
 	plan := &fault.Plan{DMA: []fault.Derate{{From: fc, Factor: 2}}}
 	repaired, err := Repair(gr, nominal, plan, cfg)
@@ -332,13 +343,14 @@ func TestRepairKeepsTileWrittenAsItsSpillStarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	validateSchedule(t, gr, repaired, a.Cores)
+	first := map[tile.ID]bool{}
 	for _, m := range repaired.MemRecords {
-		if m.Tile != tied || m.Start < fc {
+		if m.Start < fc || first[m.Tile] {
 			continue
 		}
-		if m.Kind == sim.Load {
-			t.Errorf("repair re-loads %v at %d: it was dirty-resident at the fault cycle", tied, m.Start)
+		first[m.Tile] = true
+		if w := lastWrite[m.Tile]; m.Kind == sim.Load && w > 0 && w > lastMove[m.Tile] {
+			t.Errorf("repair re-loads %v at %d: it was dirty-resident at the fault cycle", m.Tile, m.Start)
 		}
-		break
 	}
 }

@@ -578,7 +578,9 @@ func (e *engine) apply(ev *setEval) error {
 // extend the makespan, but hardware double-buffers the vacated space,
 // so they do not stall this set's compute. Ordering loads first keeps
 // the DMA channel from idling on a write-back whose producing op has
-// not finished yet.
+// not finished yet. The exception is a partial sum that one op of the
+// set evicts dirty and a later one reloads: its spill is pulled ahead
+// of the reload, which would otherwise read an older off-chip copy.
 //
 // Fused runs add two wrinkles. A gather load assembles a consumer input
 // tile from resident producer outputs: it starts no earlier than the
@@ -604,6 +606,9 @@ func (e *engine) memOps(ev *setEval) (int64, error) {
 				if err := e.ensureDRAM(ld.id, ev); err != nil {
 					return 0, err
 				}
+			}
+			if ld.id.Kind == tile.Out {
+				e.pullSpill(ld.id, ev) // the reload reads the copy that spill writes
 			}
 			rec = e.tl.Transfer(ld.id, sim.Load, ld.size, e.cfg.Model.TransferCycles(ld.size), 0)
 		}
@@ -730,9 +735,8 @@ func (e *engine) wake(j int) {
 // input id exist off-chip before id is loaded from DRAM. Producers
 // still resident are flushed now (they stay resident, now clean);
 // producers evicted dirty by the current set have their spill pulled
-// ahead of the load (marked in e.marks so the main spill pass skips
-// them). Any other case breaks the liveness invariant and is an
-// internal error.
+// ahead of the load. Any other case breaks the liveness invariant and
+// is an internal error.
 func (e *engine) ensureDRAM(id tile.ID, ev *setEval) error {
 	for _, ot := range e.gr.Covering(id) {
 		n := e.gr.Num(ot)
@@ -747,26 +751,33 @@ func (e *engine) ensureDRAM(id tile.ID, ev *setEval) error {
 			e.hasDRAM[n] = true
 			continue
 		}
-		found := false
-		for i := range ev.spills {
-			sp := &ev.spills[i]
-			if sp.ID != ot || e.marks[i] {
-				continue
-			}
-			if sp.Dirty {
-				rec := e.tl.Transfer(ot, sim.Spill, sp.Size, e.cfg.Model.TransferCycles(sp.Size), e.writeAt[n])
-				e.account(rec)
-				e.hasDRAM[n] = true
-			}
-			e.marks[i] = true
-			found = true
-			break
-		}
-		if !found || !e.hasDRAM[n] {
+		if !e.pullSpill(ot, ev) || !e.hasDRAM[n] {
 			return fmt.Errorf("sched: internal: producer %v has no resident or off-chip copy for consumer %v", ot, id)
 		}
 	}
 	return nil
+}
+
+// pullSpill issues the current set's first eviction of id not yet
+// issued ahead of the load memOps is scheduling — a spill when the
+// evicted copy was dirty — and marks it in e.marks so the main spill
+// pass skips it. It reports whether the set evicted id at all.
+func (e *engine) pullSpill(id tile.ID, ev *setEval) bool {
+	for i := range ev.spills {
+		sp := &ev.spills[i]
+		if sp.ID != id || e.marks[i] {
+			continue
+		}
+		if sp.Dirty {
+			n := e.gr.Num(id)
+			rec := e.tl.Transfer(id, sim.Spill, sp.Size, e.cfg.Model.TransferCycles(sp.Size), e.writeAt[n])
+			e.account(rec)
+			e.hasDRAM[n] = true
+		}
+		e.marks[i] = true
+		return true
+	}
+	return false
 }
 
 // account records one DMA transfer in the per-kind statistics, and

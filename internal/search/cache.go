@@ -46,7 +46,8 @@ type cacheShard struct {
 	lru *list.List // completed entries, front = most recently used
 }
 
-// cacheEntry is one memoized (possibly still in-flight) layer search.
+// cacheEntry is one memoized (possibly still in-flight) layer search,
+// or a network memo, which has no lr.
 type cacheEntry struct {
 	key  string
 	done chan struct{} // closed when lr/err are valid
@@ -57,7 +58,8 @@ type cacheEntry struct {
 	// of inheriting the cancellation.
 	cancelled bool
 	elem      *list.Element // LRU position once completed, nil while in flight
-	// memo backs LayerResult.Memo: freed with the entry, in no snapshot.
+	// memo backs LayerResult.Memo, or holds the network memo: freed with
+	// the entry, in no snapshot.
 	memo atomic.Pointer[[]byte]
 }
 
@@ -186,10 +188,7 @@ func (c *Cache) Layer(ctx context.Context, key string, l layer.Conv, opts Option
 		if e.elem != nil {
 			s.lru.MoveToFront(e.elem)
 			s.mu.Unlock()
-			c.hits.Add(1)
-			if opts.Progress != nil {
-				opts.Progress(ProgressEvent{Layer: l.Name, CacheHit: true})
-			}
+			c.hit(l, opts.Progress)
 		} else {
 			s.mu.Unlock()
 			c.coalesced.Add(1)
@@ -211,6 +210,68 @@ func (c *Cache) Layer(ctx context.Context, key string, l layer.Conv, opts Option
 			continue
 		}
 		return finishLookup(e, l, false)
+	}
+}
+
+// Lookup returns key's completed result for l without waiting or
+// searching: nil when key is absent, still being searched or a cached
+// failure, all of which Layer handles. It exists for internal/serve,
+// which answers a hit before admitting the request, and trusts key as
+// Layer does. A result found is a hit, counted, reported to progress
+// and moved to the front of its shard's LRU, as in Layer.
+func (c *Cache) Lookup(key string, l layer.Conv, progress ProgressFunc) *LayerResult {
+	e := c.completed(key)
+	if e == nil || e.lr == nil {
+		return nil
+	}
+	c.hit(l, progress)
+	lr, _ := finishLookup(e, l, false)
+	return lr
+}
+
+// NetworkMemo returns the memo SetNetworkMemo stored under key, a
+// NetworkKey, or nil. One found is a hit and moves the LRU, as in
+// Lookup.
+func (c *Cache) NetworkMemo(key string) []byte {
+	e := c.completed(key)
+	if e == nil || e.lr != nil {
+		return nil
+	}
+	c.hits.Add(1)
+	return *e.memo.Load()
+}
+
+// SetNetworkMemo stores b under key, a NetworkKey: internal/serve's
+// response body of a whole-network search, less what each request
+// names. It is an entry like a layer result, in the LRU and its bound,
+// with no result and in no snapshot. The library's network search never
+// writes one; an existing memo is kept. b is shared: read-only.
+func (c *Cache) SetNetworkMemo(key string, b []byte) {
+	e := &cacheEntry{key: key}
+	e.memo.Store(&b)
+	c.insertCompleted(e)
+}
+
+// completed returns key's completed, successful entry moved to the
+// front of its shard's LRU, or nil.
+func (c *Cache) completed(key string) *cacheEntry {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.m[key]
+	if !ok || e.elem == nil || e.err != nil {
+		return nil
+	}
+	s.lru.MoveToFront(e.elem)
+	return e
+}
+
+// hit counts a lookup of l served from a completed entry and reports it
+// to progress.
+func (c *Cache) hit(l layer.Conv, progress ProgressFunc) {
+	c.hits.Add(1)
+	if progress != nil {
+		progress(ProgressEvent{Layer: l.Name, CacheHit: true})
 	}
 }
 

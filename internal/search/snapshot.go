@@ -22,7 +22,8 @@ import (
 // Nothing in a LayerResult is a map any more, so a snapshot is a
 // deterministic function of the cache's contents. In-flight and failed entries are
 // never persisted: the former are incomplete, and the latter may be
-// transient (a deadline hit) rather than a property of the key.
+// transient (a deadline hit) rather than a property of the key. Nor are
+// network memos (SetNetworkMemo), which hold no result.
 
 // snapshotMagic guards against feeding an arbitrary gob stream (or a
 // non-snapshot file) to LoadFrom.
@@ -137,26 +138,25 @@ func (c *Cache) LoadFrom(r io.Reader) (int, error) {
 			return loaded, fmt.Errorf("cache: read snapshot entry %d of %d: %w", i, n, err)
 		}
 		lr := e.Result
-		if c.insertCompleted(e.Key, &lr) {
+		if c.insertCompleted(&cacheEntry{key: e.Key, lr: &lr}) {
 			loaded++
 		}
 	}
 	return loaded, nil
 }
 
-// insertCompleted installs one already-computed result under key,
+// insertCompleted installs e, an already-computed entry, under its key,
 // reporting false when the key is already present.
-func (c *Cache) insertCompleted(key string, lr *LayerResult) bool {
-	s := c.shard(key)
+func (c *Cache) insertCompleted(e *cacheEntry) bool {
+	s := c.shard(e.key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.m[key]; ok {
+	if _, ok := s.m[e.key]; ok {
 		return false
 	}
-	done := make(chan struct{})
-	close(done)
-	e := &cacheEntry{key: key, done: done, lr: lr}
-	s.m[key] = e
+	e.done = make(chan struct{})
+	close(e.done)
+	s.m[e.key] = e
 	s.complete(c, e)
 	return true
 }

@@ -42,6 +42,21 @@ func searchSmall(t *testing.T, cache *search.Cache, plan *fault.Plan) (*search.L
 	return lr, cfg.Name
 }
 
+// envelopeInputs returns what the body oracle tests vary per request:
+// hostile names, elapsed times across encoding/json's float formats
+// (random ones drawn from rng among them) and every routing envelope.
+func envelopeInputs(rng *rand.Rand) (names []string, elapsed []float64, routes []routeInfo) {
+	names = []string{"", "adhoc", "conv3_1", `quo"te`, `back\slash`, "<script>&amp;</script>", "naïve-層", "tab\there", "nl\nhere",
+		"\x00\x1f", "  ", "bad\xffutf8", "~tilde ", strings.Repeat("long", 100)}
+	elapsed = []float64{0, 1e-7, 0.25, 1e21, 1e20, 9.999999e20, 1e-6, 9.99e-7, 5e-324, 2.2250738585072014e-308,
+		math.MaxFloat64, 1, 0.001234, 123456.789, 1.5e-9, 1e-10, 3e22, -0.5, -1e-9}
+	routes = []routeInfo{{}, {servedBy: "http://10.0.0.1:8080"}, {servedBy: `http://h/?a=<b>&c="d"`, degraded: true}, {degraded: true}}
+	for i := 0; i < 300; i++ {
+		elapsed = append(elapsed, math.Float64frombits(rng.Uint64()&^(1<<63)), rng.Float64()*math.Pow(10, float64(rng.Intn(40)-12)))
+	}
+	return names, elapsed, routes
+}
+
 // TestLayerBodyMatchesEncoder is the oracle test of the assembled layer
 // body: for hostile layer and arch names that change from request to
 // request against one memo, elapsed times across encoding/json's float
@@ -57,15 +72,8 @@ func TestLayerBodyMatchesEncoder(t *testing.T) {
 		t.Fatal("fault-plan search has no degraded schedule")
 	}
 
-	names := []string{"", "adhoc", "conv3_1", `quo"te`, `back\slash`, "<script>&amp;</script>", "naïve-層", "tab\there", "nl\nhere",
-		"\x00\x1f", "  ", "bad\xffutf8", "~tilde ", strings.Repeat("long", 100)}
-	elapsed := []float64{0, 1e-7, 0.25, 1e21, 1e20, 9.999999e20, 1e-6, 9.99e-7, 5e-324, 2.2250738585072014e-308,
-		math.MaxFloat64, 1, 0.001234, 123456.789, 1.5e-9, 1e-10, 3e22, -0.5, -1e-9}
-	routes := []routeInfo{{}, {servedBy: "http://10.0.0.1:8080"}, {servedBy: `http://h/?a=<b>&c="d"`, degraded: true}, {degraded: true}}
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 300; i++ {
-		elapsed = append(elapsed, math.Float64frombits(rng.Uint64()&^(1<<63)), rng.Float64()*math.Pow(10, float64(rng.Intn(40)-12)))
-	}
+	names, elapsed, routes := envelopeInputs(rng)
 
 	check := func(lr *search.LayerResult, full bool, name string, ms float64, rt routeInfo) {
 		t.Helper()
@@ -109,6 +117,89 @@ func TestLayerBodyMatchesEncoder(t *testing.T) {
 			check(lr, false, names[rng.Intn(len(names))], ms, routes[rng.Intn(len(routes))])
 		}
 		check(lr, true, "full <timeline>", 0.5, routes[1])
+	}
+}
+
+// TestNetworkBodyMatchesEncoder is the oracle test of the assembled
+// network body: against one memo per result — layerwise, fused, under a
+// fault plan, and with hostile names inside the memo — envelopes that
+// change from request to request (hostile network and arch names,
+// elapsed times, distinct_layer_shapes, every routing envelope) must
+// give what the indenting encoder makes of buildNetworkResponse, and
+// the streamed result line what the compact encoder makes of the event.
+func TestNetworkBodyMatchesEncoder(t *testing.T) {
+	n, err := resolveNetwork("squeezenet", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := resolveArch("arch1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := search.NewCache()
+	sweep := func(fuseDepth int, plan *fault.Plan) *search.NetworkResult {
+		opts, err := resolveOptions(SearchOptionsJSON{FuseDepth: fuseDepth}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Cache, opts.Workers, opts.FaultPlan = cache, 1, plan
+		nr, err := search.SearchNetworkCtx(context.Background(), n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nr
+	}
+	layerwise, fused := sweep(0, nil), sweep(1, nil)
+	degraded := sweep(0, &fault.Plan{CoreDown: []fault.CoreDown{{Core: 1, Cycle: 1000}}})
+	if len(fused.Segments) == 0 || degraded.DegradedCycles() == 0 {
+		t.Fatalf("fused sweep has %d segments, degraded sweep %d degraded cycles: the memo's optional fields go untested",
+			len(fused.Segments), degraded.DegradedCycles())
+	}
+	rng := rand.New(rand.NewSource(5))
+	names, elapsed, routes := envelopeInputs(rng)
+	// hostile is fused with a hostile name on every layer and boundary.
+	hostile := *fused
+	hostile.Layers = make([]*search.LayerResult, len(fused.Layers))
+	for i, lr := range fused.Layers {
+		named := *lr
+		named.Layer.Name = names[i%len(names)]
+		hostile.Layers[i] = &named
+	}
+	hostile.Boundaries = append([]search.BoundaryDecision(nil), fused.Boundaries...)
+	for i := range hostile.Boundaries {
+		hostile.Boundaries[i].Producer, hostile.Boundaries[i].Consumer = names[i%len(names)], names[(i+1)%len(names)]
+	}
+
+	for _, nr := range []*search.NetworkResult{layerwise, fused, degraded, &hostile} {
+		memo := networkMemo(nr)
+		for i := 0; i < 200; i++ {
+			ms := elapsed[rng.Intn(len(elapsed))]
+			if math.IsNaN(ms) || math.IsInf(ms, 0) {
+				continue // encoding/json rejects them; elapsed time is neither
+			}
+			rt := routes[rng.Intn(len(routes))]
+			env := networkEnvelope{names[rng.Intn(len(names))], names[rng.Intn(len(names))], ms, rng.Intn(3) * rng.Intn(60), rt.servedBy, rt.degraded}
+			named := *nr
+			named.Network, named.Arch = env.Network, env.Arch
+			resp := buildNetworkResponse(&named, env.ElapsedMS)
+			resp.DistinctLayerShapes, resp.ServedBy, resp.DegradedRouting = env.DistinctLayerShapes, env.ServedBy, env.DegradedRouting
+			want := encodeJSON(&resp)
+			got := networkBody(memo, env)
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("envelope %+v: body differs from the encoder's\n--- got\n%s--- want\n%s", env, got.Bytes(), want.Bytes())
+			}
+			var ev bytes.Buffer
+			if err := json.NewEncoder(&ev).Encode(StreamEvent{Event: "result", NetworkResult: &resp}); err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			(&streamSink{w: rec}).result(`{"event":"result","network_result":`, got.Bytes())
+			if !bytes.Equal(rec.Body.Bytes(), ev.Bytes()) {
+				t.Fatalf("envelope %+v: result event differs from the encoder's\n--- got\n%s--- want\n%s", env, rec.Body.Bytes(), ev.Bytes())
+			}
+			putBuf(got)
+			putBuf(want)
+		}
 	}
 }
 

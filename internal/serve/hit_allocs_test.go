@@ -8,24 +8,34 @@ import (
 	"testing"
 )
 
-// TestHitAllocs holds a unary layer hit through the handler under a
-// ceiling about a fifth above what PR 17 reached (58 allocations and
-// 11.2 KB an operation in BenchmarkLayerHit, of which the recorder and
-// httptest.NewRequest are some 5.5 KB; the parent commit took 126 and
-// 18.4 KB), so that a change which re-encodes, re-keys or pre-allocates
-// per request fails here and not in a later benchmark run. The bytes
-// are BenchmarkLayerHit's own figure, an average over its thousands of
-// hits, so what another goroutine allocates meanwhile does not decide
-// the test.
+// TestHitAllocs holds a unary layer hit and a unary network hit through
+// the handler under ceilings about a fifth above what the lookup stage
+// reached (BenchmarkLayerHit 44 allocations and 10.3 KB an operation, of
+// which the recorder and httptest.NewRequest are some 5.5 KB;
+// BenchmarkNetworkHit 45 and 16.1 KB), so that a change which
+// re-encodes, re-keys, re-searches, admits or pre-allocates per request
+// fails here and not in a later benchmark run. The bytes are each
+// benchmark's own figure, an average over its thousands of hits, so
+// what another goroutine allocates meanwhile does not decide the test.
 func TestHitAllocs(t *testing.T) {
-	const maxAllocs, maxBytes = 70, 13400
-	srv := New(Config{SearchParallelism: 1, Log: log.New(io.Discard, "", 0)})
-	post := hitPoster(t, srv.Handler(), "/v1/schedule/layer", hitLayerBody)
-	if n := testing.AllocsPerRun(200, func() { post() }); n > maxAllocs {
-		t.Errorf("a layer hit makes %v allocations, ceiling %d", n, maxAllocs)
-	}
-	r := testing.Benchmark(BenchmarkLayerHit)
-	if b := r.AllocedBytesPerOp(); r.N == 0 || b > maxBytes {
-		t.Errorf("a layer hit allocates %d bytes over %d runs, ceiling %d", b, r.N, maxBytes)
+	for _, c := range []struct {
+		name, path, body    string
+		bench               func(*testing.B)
+		maxAllocs, maxBytes int64
+	}{
+		{"layer", "/v1/schedule/layer", hitLayerBody, BenchmarkLayerHit, 53, 12400},
+		{"network", "/v1/schedule/network", hitNetworkBody, BenchmarkNetworkHit, 54, 19300},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := New(Config{SearchParallelism: 1, Log: log.New(io.Discard, "", 0)})
+			post := hitPoster(t, srv.Handler(), c.path, c.body)
+			if n := testing.AllocsPerRun(200, func() { post() }); n > float64(c.maxAllocs) {
+				t.Errorf("a %s hit makes %v allocations, ceiling %d", c.name, n, c.maxAllocs)
+			}
+			r := testing.Benchmark(c.bench)
+			if b := r.AllocedBytesPerOp(); r.N == 0 || b > c.maxBytes {
+				t.Errorf("a %s hit allocates %d bytes over %d runs, ceiling %d", c.name, b, r.N, c.maxBytes)
+			}
+		})
 	}
 }

@@ -13,7 +13,8 @@ import (
 // Hit-path benchmarks: one warm request through the handler with a
 // recorder (no TCP), so allocs/op is the server's share of a hit plus
 // the recorder and the request. docs/PERFORMANCE.md "PR 17" has the
-// numbers these reached; hit_allocs_test.go holds the unary one down.
+// numbers these reached; hit_allocs_test.go holds the unary layer and
+// network ones down.
 
 const (
 	hitLayerBody   = `{"arch": "arch1", "shape": ` + smallShape + `}`

@@ -35,10 +35,18 @@ type job struct {
 	hist *latencyHist
 	// result opens a streamed request's terminal event up to the body.
 	result string
+	// lookup answers the request from a completed cache entry, before
+	// admission and on the request's own goroutine, with the body run
+	// would return; (nil, nil) means the request must search. nil when
+	// the request always searches.
+	lookup runFunc
 	// run performs the search on a held worker slot and returns the
 	// unary endpoint's body in a buffer from getBuf.
-	run func(context.Context, attempt) (*bytes.Buffer, error)
+	run runFunc
 }
+
+// runFunc is a job's lookup or run.
+type runFunc func(context.Context, attempt) (*bytes.Buffer, error)
 
 // attempt is what the pipeline hands one run of a job. A preempted job
 // is run again with a new attempt that differs only in checkIn.
@@ -59,15 +67,15 @@ func (a attempt) options(o search.Options) search.Options {
 
 // serveJob is the pipeline behind both schedule endpoints: let the
 // handler's describe resolve the request into a job, route it to its
-// home peer or keep it, admit it under the request's deadline, run it,
-// and encode the outcome as a JSON body or — with ?stream=1 — as
-// NDJSON events.
+// home peer or keep it, answer it from the cache if it is a hit, else
+// admit it under the request's deadline and run it, and encode the
+// outcome as a JSON body or — with ?stream=1 — as NDJSON events.
 //
-// A failure before the first worker slot is granted (a malformed
-// request, shed load, a deadline spent queueing) is a plain JSON error
-// with its real HTTP status even on a streamed request; once a slot is
-// held the stream has committed to 200 and a failure becomes the
-// terminal "error" event.
+// A failure before a hit is found or the first worker slot is granted
+// (a malformed request, shed load, a deadline spent queueing) is a
+// plain JSON error with its real HTTP status even on a streamed
+// request; after it the stream has committed to 200 and a failure
+// becomes the terminal "error" event.
 func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, describe func() (job, error)) {
 	j, err := describe()
 	if err != nil {
@@ -78,17 +86,19 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, describe func(
 	if handled {
 		return
 	}
-	j.adm.Tenant = s.tenant(r, j.adm.Tenant)
-	ctx, cancel := context.WithTimeout(r.Context(), s.effectiveTimeout(j.timeoutMS))
-	defer cancel()
-
 	a := attempt{start: time.Now(), route: rt}
 	var sink streamSink
 	if wantStream(r) {
 		sink = streamSink{w: w, enc: json.NewEncoder(w), events: make(chan *StreamEvent, streamEventBuffer), written: s.metrics.progress}
 		a.progress = sink.progressFunc(a.start)
 	}
-	body, err := s.execute(ctx, j, a, &sink)
+	body, err := s.lookup(r.Context(), j, a, &sink)
+	if body == nil && err == nil {
+		j.adm.Tenant = s.tenant(r, j.adm.Tenant)
+		ctx, cancel := context.WithTimeout(r.Context(), s.effectiveTimeout(j.timeoutMS))
+		defer cancel()
+		body, err = s.execute(ctx, j, a, &sink)
+	}
 	if err == nil {
 		j.hist.Observe(time.Since(a.start))
 		defer putBuf(body)
@@ -103,6 +113,24 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, describe func(
 	default:
 		writeBody(w, http.StatusOK, body.Bytes())
 	}
+}
+
+// lookup is the pipeline's lookup stage: it answers j through j.lookup
+// when the cache holds its answer, taking no worker slot and starting
+// no goroutine. (nil, nil) sends j on to execute. A hit commits a
+// streamed request and writes the progress the lookup reported; so
+// does a lookup that panicked, whose error then goes out as the event
+// the same panic on a worker slot would have sent.
+func (s *Server) lookup(ctx context.Context, j job, a attempt, sink *streamSink) (*bytes.Buffer, error) {
+	if j.lookup == nil {
+		return nil, nil
+	}
+	body, err := s.recovered(ctx, j.lookup, a)
+	if body != nil || err != nil {
+		sink.commit()
+		sink.drain()
+	}
+	return body, err
 }
 
 // execute runs j on the worker pool until it finishes or ctx ends,
@@ -189,25 +217,30 @@ type searchOutcome struct {
 	err  error
 }
 
-// runOnGrant runs one attempt to completion on a held grant, converting
-// a panic into an errSearchPanicked error so the outcome channel always receives
-// exactly one value, and — panic or not — restores the searching gauge
-// and releases the worker slot. This is the only place a slot is
-// returned, so one panicking request can never shrink the pool.
-func (s *Server) runOnGrant(ctx context.Context, g *admission.Grant, run func(context.Context, attempt) (*bytes.Buffer, error), a attempt, out chan<- searchOutcome) {
-	var o searchOutcome
+// runOnGrant runs one attempt to completion on a held grant, so the
+// outcome channel always receives exactly one value, and — panic or
+// not — restores the searching gauge and releases the worker slot.
+// This is the only place a slot is returned, so one panicking request
+// can never shrink the pool.
+func (s *Server) runOnGrant(ctx context.Context, g *admission.Grant, run runFunc, a attempt, out chan<- searchOutcome) {
+	a.checkIn = g.CheckIn
+	body, err := s.recovered(ctx, run, a)
+	s.metrics.searching.Add(-1)
+	g.Release()
+	out <- searchOutcome{body, err}
+}
+
+// recovered calls f, converting a panic into an errSearchPanicked error:
+// the request answers 500 and the server goes on.
+func (s *Server) recovered(ctx context.Context, f runFunc, a attempt) (body *bytes.Buffer, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.panics.Add(1)
 			s.log.Printf("panic in search: %v\n%s", r, debug.Stack())
-			o = searchOutcome{err: fmt.Errorf("%w: %v", errSearchPanicked, r)}
+			body, err = nil, fmt.Errorf("%w: %v", errSearchPanicked, r)
 		}
-		s.metrics.searching.Add(-1)
-		g.Release()
-		out <- o
 	}()
-	a.checkIn = g.CheckIn
-	o.body, o.err = run(ctx, a)
+	return f(ctx, a)
 }
 
 // classify is the error taxonomy of the schedule endpoints, shared by

@@ -312,7 +312,7 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 			return job{}, err
 		}
 		key := search.CacheKey(l, opts)
-		return job{
+		j := job{
 			key:       key,
 			body:      &req,
 			timeoutMS: req.TimeoutMS,
@@ -326,7 +326,18 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 				}
 				return layerBody(lr, cfg.Name, req.Full, msSince(a.start), a.route), nil
 			},
-		}, nil
+		}
+		// A full timeline's encode grows with the schedule: its hit
+		// keeps a worker slot.
+		if !req.Full {
+			j.lookup = func(_ context.Context, a attempt) (*bytes.Buffer, error) {
+				if lr := s.cache.Lookup(key, l, a.progress); lr != nil {
+					return layerBody(lr, cfg.Name, false, msSince(a.start), a.route), nil
+				}
+				return nil, nil
+			}
+		}
+		return j, nil
 	})
 }
 
@@ -356,21 +367,36 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return job{}, err
 		}
+		key := search.NetworkKey(req.Network, req.Scale, opts)
+		envelope := func(a attempt, distinct int) networkEnvelope {
+			return networkEnvelope{n.Name, cfg.Name, msSince(a.start), distinct, a.route.servedBy, a.route.degraded}
+		}
 		return job{
-			key:       search.NetworkKey(req.Network, req.Scale, opts),
+			key:       key,
 			body:      &req,
 			timeoutMS: req.TimeoutMS,
 			adm:       admission.Request{Tenant: req.Tenant, Tier: admission.TierBatch, Preemptible: true},
 			hist:      s.metrics.netLat,
 			result:    `{"event":"result","network_result":`,
+			// A streamed sweep searches: its progress events are the
+			// per-layer lookups'.
+			lookup: func(_ context.Context, a attempt) (*bytes.Buffer, error) {
+				if a.progress != nil {
+					return nil, nil
+				}
+				if memo := s.cache.NetworkMemo(key); memo != nil {
+					return networkBody(memo, envelope(a, 0)), nil
+				}
+				return nil, nil
+			},
 			run: func(ctx context.Context, a attempt) (*bytes.Buffer, error) {
 				nr, err := search.SearchNetworkCtx(ctx, n, a.options(opts))
 				if err != nil {
 					return nil, err
 				}
-				resp := buildNetworkResponse(nr, msSince(a.start))
-				resp.ServedBy, resp.DegradedRouting = a.route.servedBy, a.route.degraded
-				return encodeJSON(&resp), nil
+				memo := networkMemo(nr)
+				s.cache.SetNetworkMemo(key, memo)
+				return networkBody(memo, envelope(a, nr.LayerSearches)), nil
 			},
 		}, nil
 	})

@@ -50,14 +50,22 @@ func postJSONTenant(t *testing.T, url, tenant, body string) *http.Response {
 
 // TestTenantResolution checks the billing identity order: body field
 // over header over the server default — and that each shows up in the
-// per-tenant accounting and the tenants expvar.
+// per-tenant accounting and the tenants expvar. Each request asks for a
+// new shape, so each searches; a hit is billed to no tenant.
 func TestTenantResolution(t *testing.T) {
 	srv, ts := newTestServer(t, Config{DefaultTenant: "housecat"})
 	url := ts.URL + "/v1/schedule/layer"
-	quick := `{"arch": "arch1", "shape": ` + smallShape + `}`
+	shapeFor := func(outC int, tenant string) string {
+		shape := testShape(outC)
+		b, err := json.Marshal(LayerRequest{Arch: "arch1", Shape: &shape, Tenant: tenant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
 
 	// No tenant anywhere: billed to the configured default.
-	if resp := postJSON(t, url, quick); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, url, shapeFor(16, "")); resp.StatusCode != http.StatusOK {
 		t.Fatalf("default-tenant POST = %d", resp.StatusCode)
 	}
 	if got := tenantGranted(srv, "housecat"); got != 1 {
@@ -65,7 +73,7 @@ func TestTenantResolution(t *testing.T) {
 	}
 
 	// Header names the tenant.
-	if resp := postJSONTenant(t, url, "header-co", quick); resp.StatusCode != http.StatusOK {
+	if resp := postJSONTenant(t, url, "header-co", shapeFor(24, "")); resp.StatusCode != http.StatusOK {
 		t.Fatalf("header-tenant POST = %d", resp.StatusCode)
 	}
 	if got := tenantGranted(srv, "header-co"); got != 1 {
@@ -73,8 +81,7 @@ func TestTenantResolution(t *testing.T) {
 	}
 
 	// Body field wins over the header.
-	body := `{"arch": "arch1", "shape": ` + smallShape + `, "tenant": "body-co"}`
-	if resp := postJSONTenant(t, url, "header-co", body); resp.StatusCode != http.StatusOK {
+	if resp := postJSONTenant(t, url, "header-co", shapeFor(32, "body-co")); resp.StatusCode != http.StatusOK {
 		t.Fatalf("body-tenant POST = %d", resp.StatusCode)
 	}
 	if got := tenantGranted(srv, "body-co"); got != 1 {
@@ -82,6 +89,14 @@ func TestTenantResolution(t *testing.T) {
 	}
 	if got := tenantGranted(srv, "header-co"); got != 1 {
 		t.Errorf("header tenant granted after body override = %d, want still 1", got)
+	}
+
+	// A hit takes no grant: its tenant is never seen.
+	if resp := postJSONTenant(t, url, "hit-co", shapeFor(16, "")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("hit POST = %d", resp.StatusCode)
+	}
+	if got := tenantGranted(srv, "hit-co"); got != -1 {
+		t.Errorf("hit tenant granted = %d, want never seen", got)
 	}
 
 	// All three appear in the tenants expvar.

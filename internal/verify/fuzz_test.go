@@ -3,6 +3,7 @@ package verify
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -114,13 +115,20 @@ func goodCases(tb testing.TB) (layerwise, fused goodCase) {
 }
 
 // numMutations is the number of ways mutate changes a record.
-const numMutations = 9
+const numMutations = 10
+
+// hoistReload is mutate's last way: the reload of a partial sum that
+// rec picks, modulo their number, trades intervals with the latest
+// spill of its tile before it, so it reads the off-chip copy before the
+// spill writes it. A schedule without such a reload is left as it is.
+const hoistReload = numMutations - 1
 
 // mutate returns a copy of r with one record changed, the way what
 // selects: an op record's index, core, interval (shifted by v) or end,
-// or a transfer record's interval (shifted by v), kind, or tile's
-// coordinate, kind or layer. rec picks the record modulo their count;
-// v is the new value or the shift.
+// a transfer record's interval (shifted by v), kind, or tile's
+// coordinate, kind or layer, or a reload hoisted ahead of its spill.
+// rec picks the record modulo their count; v is the new value or the
+// shift.
 func mutate(r *sched.Result, what uint8, rec int, v int64) *sched.Result {
 	c := *r
 	c.OpRecords, c.MemRecords = slices.Clone(r.OpRecords), slices.Clone(r.MemRecords)
@@ -144,6 +152,24 @@ func mutate(r *sched.Result, what uint8, rec int, v int64) *sched.Result {
 		m.Tile.Kind = tile.Kind(v)
 	case 8:
 		m.Tile.L = int(v)
+	case hoistReload:
+		var pairs [][2]int // (spill, reload) indices into MemRecords
+		for i, ld := range c.MemRecords {
+			if ld.Kind != sim.Load || ld.Tile.Kind != tile.Out {
+				continue
+			}
+			for j := i - 1; j >= 0; j-- {
+				if sp := c.MemRecords[j]; sp.Tile == ld.Tile && sp.Kind == sim.Spill {
+					pairs = append(pairs, [2]int{j, i})
+					break
+				}
+			}
+		}
+		if len(pairs) > 0 {
+			p := pairs[rec%len(pairs)]
+			sp, ld := &c.MemRecords[p[0]], &c.MemRecords[p[1]]
+			sp.Start, sp.End, ld.Start, ld.End = ld.Start, ld.End, sp.Start, sp.End
+		}
 	}
 	return &c
 }
@@ -152,7 +178,8 @@ func mutate(r *sched.Result, what uint8, rec int, v int64) *sched.Result {
 // real schedule, layerwise or fused, with one record changed by mutate.
 // Schedules reach the verifier from outside the program, so whatever
 // the change it must return a verdict, never panic; the unchanged
-// schedule must pass.
+// schedule must pass, and one with a reload hoisted ahead of its spill
+// must not.
 func FuzzVerify(f *testing.F) {
 	layerwise, fused := goodCases(f)
 	for _, c := range []goodCase{layerwise, fused} {
@@ -169,6 +196,26 @@ func FuzzVerify(f *testing.F) {
 		if isFused {
 			c = fused
 		}
-		_ = Schedule(c.gr, mutate(c.r, what, int(rec), v), c.a) // any verdict; a panic fails
+		m := mutate(c.r, what, int(rec), v)
+		err := Schedule(c.gr, m, c.a) // any verdict but this one; a panic fails
+		if what%numMutations == hoistReload && err == nil && !slices.Equal(m.MemRecords, c.r.MemRecords) {
+			t.Fatal("a partial-sum reload hoisted ahead of its spill was accepted")
+		}
 	})
+}
+
+// TestHoistedReloadRejected: FuzzVerify's layerwise schedule reloads
+// partial sums it spilled, and hoisting any such reload ahead of its
+// spill is caught as a read of a stale off-chip copy.
+func TestHoistedReloadRejected(t *testing.T) {
+	c, _ := goodCases(t)
+	for rec := range 4 {
+		m := mutate(c.r, hoistReload, rec, 0)
+		if slices.Equal(m.MemRecords, c.r.MemRecords) {
+			t.Fatal("no partial sum is reloaded after a spill")
+		}
+		if err := Schedule(c.gr, m, c.a); err == nil || !strings.Contains(err.Error(), "older than the tile's last write") {
+			t.Errorf("reload %d hoisted: %v", rec, err)
+		}
+	}
 }

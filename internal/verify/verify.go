@@ -12,15 +12,15 @@
 //   - a fused consumer input is gathered only after its covering
 //     producer outputs are computed, and loaded from DRAM only after
 //     they were written there;
+//   - a reload of a partial sum reads a current off-chip copy: no op
+//     that writes the tile starts after its last spill and before the
+//     load;
 //   - every output tile of the last layer reaches off-chip memory;
 //   - under a fault plan, no op starts on a dead core and flaky and
 //     derated work takes at least its stretched latency.
 //
-// It does not track evictions, so it checks neither resident bytes
-// against the scratchpad capacity nor which version of a tile a record
-// reads. It accepts, for one, a partial-sum reload timed before the
-// spill that writes the copy it reads: the scheduler issues a set's
-// loads before its spills, and no load waits for its tile's last write.
+// It does not track evictions, so it does not check resident bytes
+// against the scratchpad capacity.
 //
 // The scheduler's tests use it as an oracle; downstream users can
 // validate schedules they post-process with it.
@@ -106,8 +106,11 @@ type replay struct {
 // tileState is what the pass has seen of one tile.
 type tileState struct {
 	arrived, written bool
-	arrival          int64 // end of the first load or gather
-	lastWrite        int64 // start of the latest spill or writeback
+	// stale marks an output tile an op has written since its latest
+	// spill or writeback: its off-chip copy, if any, is out of date.
+	stale     bool
+	arrival   int64 // end of the first load or gather
+	lastWrite int64 // start of the latest spill or writeback
 }
 
 // ended reports whether op i was visited and had ended by cycle t: one
@@ -157,6 +160,7 @@ func (v *replay) op(rec sim.OpRecord) error {
 				i, rec.Start, v.gr.Tile(int(n)), t.arrival)
 		}
 	}
+	v.tiles[operands[2]].stale = true
 	v.end[i], v.coreEnd[rec.NPU] = rec.End, rec.End
 	return nil
 }
@@ -181,9 +185,12 @@ func (v *replay) transfer(m sim.MemRecord) error {
 	t := &v.tiles[n]
 	switch m.Kind {
 	case sim.Spill, sim.Writeback:
-		t.written, t.lastWrite = true, m.Start
+		t.written, t.stale, t.lastWrite = true, false, m.Start
 		return nil
 	case sim.Gather, sim.Load:
+		if t.stale {
+			return fmt.Errorf("verify: %s of %v at %d reads an off-chip copy older than the tile's last write", m.Kind, m.Tile, m.Start)
+		}
 		// Only a fused consumer input has covering producer outputs. A
 		// gather copies them, so each must have been computed; a DRAM load
 		// reads their off-chip copies, so each needs a write that started

@@ -9,6 +9,7 @@ import (
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/loop"
 	"github.com/flexer-sched/flexer/internal/model"
+	"github.com/flexer-sched/flexer/internal/nets"
 	"github.com/flexer-sched/flexer/internal/sched"
 	"github.com/flexer-sched/flexer/internal/sim"
 	"github.com/flexer-sched/flexer/internal/tile"
@@ -183,5 +184,57 @@ func BenchmarkVerify(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestReloadFollowsItsSpill: on vgg16/4 conv3_1, arch1, tiling
+// 3x5x256x26, one op of a set of the unhinted out-of-order run evicts
+// the dirty partial sum OT(0,2,0) and a later one reloads it. Issued
+// with the set's other loads, ahead of its spill, the reload would read
+// an off-chip copy older than the tile's last write: the spill must
+// come first, and the schedule must verify.
+func TestReloadFollowsItsSpill(t *testing.T) {
+	n, err := nets.ByName("vgg16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := n.Scale(4).Layer("conv3_1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := arch.Preset("arch1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := tile.NewGrid(l, tile.Factors{OH: 3, OW: 5, OC: 256, IC: 26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr := dfg.Build(g, model.New(a))
+	r, err := sched.Schedule(gr, sched.Config{Arch: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Schedule(gr, r, a); err != nil {
+		t.Fatal(err)
+	}
+	ot := tile.ID{Kind: tile.Out, A: 0, B: 2, C: 0}
+	var spilled, reloads int
+	for _, m := range r.MemRecords {
+		if m.Tile != ot {
+			continue
+		}
+		switch m.Kind {
+		case sim.Spill:
+			spilled++
+		case sim.Load:
+			reloads++
+			if spilled < reloads {
+				t.Errorf("reload %d of %v at %d precedes its spill", reloads, ot, m.Start)
+			}
+		}
+	}
+	if reloads == 0 {
+		t.Fatalf("%v is never reloaded: the case this test pins is gone", ot)
 	}
 }
