@@ -7,7 +7,7 @@ GO ?= go
 # internal/search + internal/dfg + internal/sched.
 COVER_MIN ?= 70
 
-.PHONY: check build vet test hit-allocs test-short loc fairness cluster-e2e bench bench-smoke repo-bench-smoke experiments bench-guard paper-guard fuzz-smoke lint cover cover-check run-flexerd
+.PHONY: check build vet test hit-allocs test-short loc loc-check fairness cluster-e2e bench bench-smoke repo-bench-smoke experiments bench-guard paper-guard fuzz-smoke lint cover cover-check run-flexerd
 
 check: build vet test
 
@@ -49,6 +49,18 @@ loc:
 	@printf '%-24s %6d\n' experiments+flexerbench $$(find internal/experiments cmd/flexerbench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 	@printf '%-24s %6d\n' verify+trace+stats $$(find internal/verify internal/trace internal/stats -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 	@printf '%-24s %6d\n' 'total (no bench)' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
+
+# The ratchet on those counts: fail when a row of `make loc` exceeds its
+# ceiling in loc-ceilings.txt (a row with no ceiling fails too). A change
+# that has to grow past a ceiling raises it in the same diff, so the
+# growth shows in review; one that shrinks a row lowers it.
+loc-check:
+	@$(MAKE) --no-print-directory -s loc | awk ' \
+		{ row = $$0; sub(/ +[0-9]+$$/, "", row) } \
+		NR == FNR { if (row !~ /^#/) ceil[row] = $$NF; next } \
+		!(row in ceil) { printf "loc-check: no ceiling for %s\n", row; bad = 1; next } \
+		$$NF > ceil[row] { printf "loc-check: %s is %d lines, over its ceiling of %d\n", row, $$NF, ceil[row]; bad = 1 } \
+		END { exit bad }' loc-ceilings.txt -
 
 # The allocation ceilings of the cache-hit path (a unary layer hit and
 # a unary network hit through the handler, the cache key), of the tiling

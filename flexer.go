@@ -261,8 +261,9 @@ func RandomFaultPlan(seed int64, cores int, horizon int64) *FaultPlan {
 }
 
 // RepairSchedule re-plans an existing schedule around a fault plan:
-// work started before the first disruption is kept, everything else is
-// rescheduled on the surviving resources from the fault cycle. See
+// the issued sets whose work all started before the first disruption
+// are kept, everything else is rescheduled on the surviving resources
+// from the fault cycle. s must have been built for l under opts. See
 // sched.Repair for the fault model.
 func RepairSchedule(l Conv, s *Schedule, plan *FaultPlan, opts Options) (*Schedule, error) {
 	return search.RepairResult(l, s, plan, opts)

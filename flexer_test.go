@@ -240,7 +240,8 @@ func TestMetrics(t *testing.T) {
 // schedule of another layer it used to return, without an error, a
 // "repair" mixing the two tilings — more op records than the schedule
 // had ops. It must fail and say why; so must a schedule that moves a
-// tile the layer's grid does not have.
+// tile the layer's grid does not have, and one of the same layer and
+// tiling built under another spill policy.
 func TestRepairScheduleRejectsForeignSchedule(t *testing.T) {
 	opts := flexer.Options{Arch: arch1(t), Budget: flexer.QuickBudget()}
 	f := flexer.Factors{OH: 7, OW: 7, OC: 32, IC: 32}
@@ -261,6 +262,21 @@ func TestRepairScheduleRejectsForeignSchedule(t *testing.T) {
 		t.Errorf("a %d-op schedule of %s was repaired as %s: %d op records, no error", len(s.OpRecords), small.Name, big.Name, len(r.OpRecords))
 	} else if !strings.Contains(err.Error(), "repair") {
 		t.Errorf("error does not say what failed: %v", err)
+	}
+	// The same layer and tiling under another spill policy: re-executed
+	// under opts' policy, its sets spill other tiles.
+	other := opts
+	other.MemPolicy = flexer.MemPolicyFirstFit
+	foreign, err := flexer.ScheduleLayer(big, f, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid, err := flexer.ParseFaultPlan(fmt.Sprintf("core1@%d", foreign.LatencyCycles/2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flexer.RepairSchedule(big, foreign, mid, opts); err == nil {
+		t.Errorf("a schedule built under %v was repaired under %v without an error", other.MemPolicy, opts.MemPolicy)
 	}
 	offGrid := *s
 	offGrid.MemRecords = append(offGrid.MemRecords[:0:0], s.MemRecords...)

@@ -11,8 +11,8 @@ import (
 )
 
 // lessID is the order tile numbers must follow: (Kind, L, A, B, C).
-// sched.Repair used to break ties between dirty tiles with it; it now
-// compares numbers.
+// verify relies on it: the last layer's output tiles, which must all
+// reach off-chip memory, are the graph's last numbers.
 func lessID(a, b tile.ID) bool {
 	if a.Kind != b.Kind {
 		return a.Kind < b.Kind

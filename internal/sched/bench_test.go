@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/flexer-sched/flexer/internal/arch"
+	"github.com/flexer-sched/flexer/internal/fault"
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/loop"
 	"github.com/flexer-sched/flexer/internal/tile"
@@ -209,5 +210,29 @@ func BenchmarkScheduleTiny(b *testing.B) {
 				sinkResult = r
 			}
 		})
+	}
+}
+
+// BenchmarkRepair times one Repair: pressureGraph on a 4-core machine
+// whose core 1 dies at mid-makespan. It re-executes the committed half
+// of the nominal's sets twice (once to find where the commit ends, once
+// to commit) and re-plans the rest on three cores.
+func BenchmarkRepair(b *testing.B) {
+	a := testArch(4)
+	gr := pressureGraph(b, a)
+	cfg := Config{Arch: a}
+	nominal, err := Schedule(gr, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := &fault.Plan{CoreDown: []fault.CoreDown{{Core: 1, Cycle: nominal.LatencyCycles / 2}}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := Repair(gr, nominal, plan, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkResult = r
 	}
 }

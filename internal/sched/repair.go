@@ -4,74 +4,47 @@ package sched
 // keep the prefix that started before the first disruption and re-plan
 // everything else on whatever the plan leaves alive. This is the
 // runtime answer to "core 2 just died mid-layer": the committed work
-// (including ops draining on the dying core) stands, live partial sums
-// stay in the scratchpad, and the list scheduler resumes from the fault
+// (including ops draining on the dying core) stands, the scratchpad
+// keeps what it holds, and the list scheduler resumes from the fault
 // cycle with the reduced machine.
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
 	"github.com/flexer-sched/flexer/internal/dfg"
 	"github.com/flexer-sched/flexer/internal/fault"
 	"github.com/flexer-sched/flexer/internal/sim"
-	"github.com/flexer-sched/flexer/internal/tile"
 )
 
-// checkNominal reports whether nominal can be a schedule of gr — every
-// op of gr issued exactly once, every transfer moving a tile of gr —
-// before Repair indexes its tables by nominal's op indices and tile
-// numbers. A schedule of another layer or tiling fails here instead of
-// coming back "repaired" as a mix of two. seen is scratch, one false
-// per op.
-func checkNominal(gr *dfg.Graph, nominal *Result, seen []bool) error {
-	if len(nominal.OpRecords) != len(gr.Ops) {
-		return fmt.Errorf("sched: repair: schedule issues %d ops, the graph has %d (a schedule of another layer or tiling?)",
-			len(nominal.OpRecords), len(gr.Ops))
-	}
-	for _, rec := range nominal.OpRecords {
-		if rec.Op < 0 || rec.Op >= len(gr.Ops) || seen[rec.Op] {
-			return fmt.Errorf("sched: repair: schedule issues op %d twice or outside the graph's %d ops", rec.Op, len(gr.Ops))
-		}
-		seen[rec.Op] = true
-	}
-	for _, rec := range nominal.MemRecords {
-		if _, ok := gr.NumOK(rec.Tile); !ok {
-			return fmt.Errorf("sched: repair: schedule moves %v, which is not a tile of the graph", rec.Tile)
-		}
-	}
-	return nil
-}
-
 // Repair re-plans nominal around plan and returns the degraded
-// schedule. Work that started before the plan's first disruption is
-// committed verbatim (an op already running when its core dies drains
-// to completion — fail-stop with drain); every other op is rescheduled
-// by the out-of-order list scheduler starting at the fault cycle. It is
-// the one engine started differently: instead of an empty machine at
-// cycle 0, the committed prefix is replayed into a reset engine — every
-// committed op retired, every committed transfer accounted, the
-// timeline charged with both and busy until the fault cycle — the
-// scratchpad is rebuilt, and the same run loop takes over.
+// schedule. The scheduler is deterministic, so a schedule is its
+// sequence of issued sets, and the machine at any point of it is what
+// issuing those sets again leaves behind. Repair re-executes nominal's
+// sets in order on a reset engine, through the apply every schedule
+// commits with, and commits the longest prefix of them whose records
+// all start before the plan's first disruption (an op already running
+// when its core dies drains to completion: fail-stop with drain). Then
+// it injects the plan, holds every core and the DMA channel until the
+// fault cycle, and the run loop every schedule runs re-plans the rest.
+// The scratchpad at the fault cycle is the nominal's, clean tiles and
+// addresses included, so nothing committed is loaded or computed again.
 //
-// Scratchpad state is reconstructed from the committed records: dirty
-// tiles (partial sums and unflushed outputs, which have no off-chip
-// copy) are provably resident — every eviction of a dirty block leaves
-// a Spill or Writeback record — and are re-admitted so chains resume
-// without replaying compute. Clean tiles are dropped and re-loaded on
-// demand: the scheduler's clean evictions and in-place overwrites are
-// traceless, so a clean tile's residency at the fault cycle cannot be
-// proven from the schedule alone and reusing it could read overwritten
-// data on a real machine.
+// The prefix is re-executed without the plan: under one, BestNPU may
+// pick another core than the healthy run did even before the first
+// disruption. Each re-executed set must reproduce nominal's records bit
+// for bit; a set that is empty, names an op that is not ready, does not
+// fit the scratchpad or makes other records is an error. So nominal must
+// be a complete schedule of gr under cfg's machine, model, MemPolicy and
+// DisableInPlace: a schedule of another layer, tiling or config fails
+// instead of coming back "repaired" as a mix of two.
 //
-// An empty plan returns nominal unchanged; otherwise nominal must be a
-// complete schedule of gr (checkNominal). cfg should be the config
-// nominal was built with; its Order, Hint and cutoff are ignored
-// (repair is always out-of-order — the nominal op sequence is
-// unachievable on the degraded machine, which is the point — and a
-// degraded schedule is expected to overrun whatever target a cutoff
-// encoded for the healthy one).
+// An empty plan, or one whose first disruption comes after every record
+// of nominal has started, returns nominal unchanged. cfg's Order, Hint
+// and cutoff are ignored: repair is always out-of-order — the nominal op
+// sequence is unachievable on the degraded machine, which is the point —
+// and a degraded schedule is expected to overrun whatever target a
+// cutoff encoded for the healthy one.
 func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Result, error) {
 	cfg.Order, cfg.Hint, cfg.Cutoff, cfg.CutoffCycles = nil, nil, nil, 0
 	cfg.FaultPlan = plan
@@ -82,115 +55,71 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 	if plan.Empty() {
 		return nominal, nil
 	}
-	committed := make([]bool, len(gr.Ops))
-	if err := checkNominal(gr, nominal, committed); err != nil {
-		return nil, err
-	}
-	clear(committed)
+	cfg.FaultPlan = nil
 	fc := plan.FirstDisruption()
 	e := enginePool.Get().(*engine)
 	defer e.recycle()
+
+	// First pass: find how many sets commit, checking each on the way.
 	e.reset(gr, cfg)
-
-	// Replay the part of the nominal schedule that started before the
-	// fault cycle: it ran at nominal timing on a healthy machine and is
-	// kept; the rest is discarded and re-planned. Along the way find
-	// which tiles are dirty-resident at the fault cycle. Per tile the
-	// last of its writes and transfers decides: a tile is dirty iff no
-	// committed transfer of it starts after its last committed write,
-	// and its off-chip copy is current iff a spill or
-	// write-back does. Starts order them because a load finishes before
-	// its consumer starts and a spill starts no earlier than the write
-	// it flushes ends; should a transfer start on the cycle a write does,
-	// the write decides.
-	var commitOps []sim.OpRecord
-	var commitMems []sim.MemRecord
-	dirtyAt := make([]int64, gr.NumTiles()) // 1 + last write start of a dirty-resident tile, else 0
-	for _, rec := range nominal.OpRecords {
-		if rec.Start >= fc {
-			continue
-		}
-		commitOps = append(commitOps, rec)
-		committed[rec.Op] = true
-		e.retire(rec)
-		dirtyAt[gr.Num(gr.Ops[rec.Op].Out)] = rec.Start + 1
-	}
-	for _, rec := range nominal.MemRecords {
-		if rec.Start >= fc {
-			continue
-		}
-		commitMems = append(commitMems, rec)
-		e.account(rec)
-		if n := gr.Num(rec.Tile); rec.Start >= dirtyAt[n] {
-			dirtyAt[n] = 0
-			if rec.Kind == sim.Spill || rec.Kind == sim.Writeback {
-				e.hasDRAM[n] = true
-			}
-		}
-	}
-	e.tl.Charge(commitOps, commitMems, fc)
-	// What retiring the prefix woke includes the prefix itself. Ascending
-	// op index is the order a from-scratch ready list starts in, and the
-	// single-op fallback of nextSetOoO enumerates in list order.
-	e.ready = slices.DeleteFunc(e.ready, func(op int) bool { return committed[op] })
-	slices.Sort(e.ready)
-
-	// Rebuild the scratchpad with exactly the dirty survivors, latest
-	// written first, equal times in tile-number order (the stable sort
-	// of an ascending list). They are guaranteed to fit: all were
-	// simultaneously resident in the nominal schedule and the rebuilt
-	// scratchpad is unfragmented. Everything stays pinned while placing
-	// so no pick evicts another. Dead fused intermediates are dropped
-	// traceless by the nominal engine (no writeback, no spill), so their
-	// residency at the fault cycle cannot be proven and nothing will
-	// ever read them again — they are left out, like flush leaves them.
-	var dirtyTiles []int
-	for n, at := range dirtyAt {
-		if at == 0 {
-			continue
-		}
-		if id := gr.Tile(n); id.Kind == tile.Out && id.L < gr.LastLayer() && e.remain[n] == 0 {
-			continue
-		}
-		dirtyTiles = append(dirtyTiles, n)
-	}
-	slices.SortStableFunc(dirtyTiles, func(a, b int) int { return cmp.Compare(dirtyAt[b], dirtyAt[a]) })
-	for _, n := range dirtyTiles {
-		id := gr.Tile(n)
-		if _, err := e.mem.AllocateBound(id, int32(n), gr.SizeOf(int32(n)), e.remain); err != nil {
-			return nil, fmt.Errorf("sched: repair cannot retain live tile %s: %w", id, err)
-		}
-		e.mem.SetDirtyNum(int32(n), true)
-	}
-
-	// Resume: the loop every schedule runs, from the replayed state.
-	res, err := e.run()
+	k, err := e.reexecute(nominal, nominal.Sets, fc)
 	if err != nil {
 		return nil, err
 	}
-
-	// Merge the committed prefix with the re-planned suffix. Both record
-	// slices stay start-ordered: every new record starts at or after the
-	// fault cycle the timeline was charged to.
-	var sets []SetRecord
-	for _, s := range nominal.Sets {
-		kept := slices.DeleteFunc(slices.Clone(s.Ops), func(op int) bool { return !committed[op] })
-		if len(kept) > 0 {
-			sets = append(sets, SetRecord{Ops: kept, Shared: s.Shared})
+	if k == len(nominal.Sets) {
+		if e.nDone < len(gr.Ops) || len(nominal.OpRecords) != len(gr.Ops) {
+			return nil, fmt.Errorf("sched: repair: the schedule's sets issue %d of the graph's %d ops and it records %d (a schedule of another layer or tiling?)",
+				e.nDone, len(gr.Ops), len(nominal.OpRecords))
+		}
+		// What is left are the flush write-backs, which belong to no set.
+		if !slices.ContainsFunc(nominal.MemRecords[len(e.tl.Mems()):], func(m sim.MemRecord) bool { return m.Start >= fc }) {
+			return nominal, nil
 		}
 	}
-	res.Sets = append(sets, res.Sets...)
-	res.OpRecords = append(commitOps, res.OpRecords...)
-	res.MemRecords = append(commitMems, res.MemRecords...)
-	// The makespan is when the merged work actually finishes — not the
-	// timeline's, whose resources were charged to the fault cycle even
-	// when the plan disrupts nothing (fault past the nominal makespan).
-	res.LatencyCycles = 0
-	for _, rec := range res.OpRecords {
-		res.LatencyCycles = max(res.LatencyCycles, rec.End)
+
+	// Second pass: the committed sets alone, then the plan, and resume.
+	e.reset(gr, cfg)
+	if _, err := e.reexecute(nominal, nominal.Sets[:k], fc); err != nil {
+		return nil, err
 	}
-	for _, rec := range res.MemRecords {
-		res.LatencyCycles = max(res.LatencyCycles, rec.End)
+	e.tl.SetFaults(plan)
+	e.tl.Hold(fc)
+	return e.run()
+}
+
+// reexecute commits sets in order, as the run that made nominal committed
+// them, and checks that each makes nominal's next records. It stops
+// after the first set with a record starting at or after fc and returns
+// how many sets before it start every record before fc.
+func (e *engine) reexecute(nominal *Result, sets []SetRecord, fc int64) (int, error) {
+	for i, s := range sets {
+		if len(s.Ops) == 0 {
+			return 0, fmt.Errorf("sched: repair: set %d of the schedule is empty", i)
+		}
+		for j, op := range s.Ops {
+			if !slices.Contains(e.ready, op) || slices.Contains(s.Ops[:j], op) {
+				return 0, fmt.Errorf("sched: repair: set %d issues op %d, which is not ready (a schedule of another layer or tiling?)", i, op)
+			}
+		}
+		nOps, nMems := len(e.tl.Ops()), len(e.tl.Mems())
+		ev := e.getEval()
+		ev.ops = append(ev.ops, s.Ops...)
+		if err := e.apply(ev); err != nil {
+			return 0, fmt.Errorf("sched: repair: set %d: %w", i, err)
+		}
+		ops, mems := e.tl.Ops()[nOps:], e.tl.Mems()[nMems:]
+		if !isPrefix(ops, nominal.OpRecords[nOps:]) || !isPrefix(mems, nominal.MemRecords[nMems:]) {
+			return 0, fmt.Errorf("sched: repair: set %d does not reproduce the schedule's records (a schedule of another layer, tiling or config?)", i)
+		}
+		if slices.ContainsFunc(ops, func(r sim.OpRecord) bool { return r.Start >= fc }) ||
+			slices.ContainsFunc(mems, func(m sim.MemRecord) bool { return m.Start >= fc }) {
+			return i, nil
+		}
 	}
-	return res, nil
+	return len(sets), nil
+}
+
+// isPrefix reports whether s starts t.
+func isPrefix[T comparable](s, t []T) bool {
+	return len(s) <= len(t) && slices.Equal(s, t[:len(s)])
 }

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/flexer-sched/flexer/internal/arch"
@@ -14,10 +16,11 @@ import (
 
 // TestRepairKillOneOfFourMidMakespan is the acceptance scenario: one of
 // four cores dies halfway through the nominal makespan. The repaired
-// schedule must keep the committed prefix verbatim, put nothing on the
-// dead core after its death, be no faster than the nominal schedule,
-// and be no slower than throwing the prefix away and rescheduling
-// everything on the three survivors starting at the fault cycle.
+// schedule must keep the committed sets' records verbatim, put nothing
+// on the dead core after its death, be no faster than the nominal
+// schedule, and be no slower than throwing the prefix away and
+// rescheduling everything on the three survivors starting at the fault
+// cycle.
 func TestRepairKillOneOfFourMidMakespan(t *testing.T) {
 	a := testArch(4)
 	gr := pressureGraph(t, a)
@@ -41,18 +44,25 @@ func TestRepairKillOneOfFourMidMakespan(t *testing.T) {
 		}
 	}
 
-	// The committed prefix survives verbatim, in order.
-	var nCommitted int
-	for _, rec := range nominal.OpRecords {
-		if rec.Start < fc {
-			if repaired.OpRecords[nCommitted] != rec {
-				t.Fatalf("committed op record %d changed: %+v vs %+v", nCommitted, repaired.OpRecords[nCommitted], rec)
-			}
-			nCommitted++
+	// The committed sets survive verbatim, in order: the records that
+	// start before the fault cycle are a prefix of the repaired ones and
+	// of the nominal's, they end on a set boundary, and no re-planned
+	// record starts before the fault cycle.
+	nOps := committedPrefix(t, repaired.OpRecords, nominal.OpRecords, func(r sim.OpRecord) int64 { return r.Start }, fc)
+	committedPrefix(t, repaired.MemRecords, nominal.MemRecords, func(m sim.MemRecord) int64 { return m.Start }, fc)
+	var nSets, setOps int
+	for setOps < nOps {
+		if !reflect.DeepEqual(repaired.Sets[nSets], nominal.Sets[nSets]) {
+			t.Fatalf("committed set %d changed: %+v vs %+v", nSets, repaired.Sets[nSets], nominal.Sets[nSets])
 		}
+		setOps += len(nominal.Sets[nSets].Ops)
+		nSets++
 	}
-	if nCommitted == 0 || nCommitted == len(gr.Ops) {
-		t.Fatalf("fault cycle %d not mid-makespan: %d of %d ops committed", fc, nCommitted, len(gr.Ops))
+	if setOps != nOps {
+		t.Fatalf("the %d committed op records end inside set %d", nOps, nSets-1)
+	}
+	if nOps == 0 || nOps == len(gr.Ops) {
+		t.Fatalf("fault cycle %d not mid-makespan: %d of %d ops committed", fc, nOps, len(gr.Ops))
 	}
 
 	if repaired.LatencyCycles < nominal.LatencyCycles {
@@ -84,6 +94,64 @@ func TestRepairKillOneOfFourMidMakespan(t *testing.T) {
 		if again.OpRecords[i] != repaired.OpRecords[i] {
 			t.Fatalf("repair not deterministic at op record %d", i)
 		}
+	}
+}
+
+// committedPrefix checks that the records of got that start before fc
+// come first and equal the first records of nominal, and returns how
+// many there are.
+func committedPrefix[R comparable](t *testing.T, got, nominal []R, start func(R) int64, fc int64) int {
+	t.Helper()
+	n := 0
+	for n < len(got) && start(got[n]) < fc {
+		n++
+	}
+	for i, r := range got[n:] {
+		if start(r) < fc {
+			t.Fatalf("re-planned record %d (%+v) starts before the fault cycle %d", n+i, r, fc)
+		}
+	}
+	if n > len(nominal) || !slices.Equal(got[:n], nominal[:n]) {
+		t.Fatalf("the %d committed records are not the nominal schedule's first ones", n)
+	}
+	return n
+}
+
+// TestRepairRejectsBrokenSets: Repair re-executes a schedule's sets, so
+// sets that do not make the schedule are an error — never a panic, and
+// never a schedule "repaired" from something else.
+func TestRepairRejectsBrokenSets(t *testing.T) {
+	a := testArch(4)
+	gr := pressureGraph(t, a)
+	cfg := Config{Arch: a}
+	nominal, err := Schedule(gr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &fault.Plan{CoreDown: []fault.CoreDown{{Core: 1, Cycle: nominal.LatencyCycles / 2}}}
+	broken := map[string]func(r *Result){
+		"no sets":              func(r *Result) { r.Sets = nil },
+		"an empty set":         func(r *Result) { r.Sets[1].Ops = nil },
+		"an op twice":          func(r *Result) { r.Sets[1] = r.Sets[0] },
+		"an op in a set twice": func(r *Result) { r.Sets[0].Ops = []int{r.Sets[0].Ops[0], r.Sets[0].Ops[0]} },
+		"an op off the graph":  func(r *Result) { r.Sets[0].Ops = []int{len(gr.Ops)} },
+		"sets swapped":         func(r *Result) { r.Sets[2], r.Sets[3] = r.Sets[3], r.Sets[2] },
+		"a record moved":       func(r *Result) { r.OpRecords[0].Start++ },
+	}
+	for name, breakIt := range broken {
+		r := *nominal
+		r.Sets = slices.Clone(nominal.Sets)
+		r.OpRecords = slices.Clone(nominal.OpRecords)
+		breakIt(&r)
+		if got, err := Repair(gr, &r, plan, cfg); err == nil {
+			t.Errorf("%s: repaired without an error (%d op records)", name, len(got.OpRecords))
+		}
+	}
+	// A set that fit the scratchpad it was formed for may not fit another.
+	small := cfg
+	small.Arch.SPMBytes = arch.KiB(24)
+	if _, err := Repair(gr, nominal, plan, small); !errors.Is(err, errNoProgress) {
+		t.Errorf("a schedule for 256 KiB repaired on 24 KiB: %v, want errNoProgress", err)
 	}
 }
 
@@ -120,8 +188,29 @@ func TestRepairFaultBeyondMakespan(t *testing.T) {
 	if repaired.LatencyCycles != nominal.LatencyCycles {
 		t.Errorf("fault after completion changed makespan: %d vs %d", repaired.LatencyCycles, nominal.LatencyCycles)
 	}
-	if len(repaired.OpRecords) != len(nominal.OpRecords) {
-		t.Errorf("fault after completion changed op records: %d vs %d", len(repaired.OpRecords), len(nominal.OpRecords))
+	if repaired != nominal {
+		t.Error("a plan that disrupts nothing that ran should return the nominal schedule unchanged")
+	}
+
+	// A derate that starts with the last final write-back: every set
+	// commits, and only the flush, which belongs to no set, is re-planned
+	// (all of it, from the fault cycle on).
+	last := nominal.MemRecords[len(nominal.MemRecords)-1]
+	if last.Kind != sim.Writeback {
+		t.Fatalf("the schedule ends with a %s, not a final write-back", last.Kind)
+	}
+	plan = &fault.Plan{DMA: []fault.Derate{{From: last.Start, Factor: 2}}}
+	repaired, err = Repair(gr, nominal, plan, Config{Arch: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	validateSchedule(t, gr, repaired, a.Cores)
+	if !slices.Equal(repaired.OpRecords, nominal.OpRecords) || !reflect.DeepEqual(repaired.Sets, nominal.Sets) {
+		t.Error("a derate among the final write-backs changed the sets or their ops")
+	}
+	committedPrefix(t, repaired.MemRecords, nominal.MemRecords, func(m sim.MemRecord) int64 { return m.Start }, last.Start)
+	if repaired.LatencyCycles <= nominal.LatencyCycles {
+		t.Errorf("derated flush ends at %d, the nominal one at %d", repaired.LatencyCycles, nominal.LatencyCycles)
 	}
 }
 
@@ -272,12 +361,9 @@ func TestRepairIgnoresCutoff(t *testing.T) {
 // scheduler's last resort: the scratchpad holds barely more than one
 // op's operands, so after the fault no op of the ranked window can be
 // placed and nextSetOoO falls back to single ops from the whole ready
-// list — enumerated, and pruned by signature, in list order. Replaying
-// the committed prefix wakes ops in issue order; Repair sorts the list
-// back to ascending op index, the order a from-scratch run starts in.
-// The numbers are those of the Repair that built its ready list by
-// scanning the ops in index order (PR 17); leaving the list in wake
-// order gives 30 583 cycles / 137 056 bytes instead.
+// list — enumerated, and pruned by signature, in list order. The run
+// resumes from a re-executed prefix, whose ready list is in the order
+// the nominal run left it, and takes the fallback six times.
 func TestRepairFallbackKeepsReadyOrder(t *testing.T) {
 	a := arch.New("sliver4", 4, 1479, 32)
 	gr := buildGraph(t, layer.NewConv("fb", 29, 29, 8, 16, 3), tile.Factors{OH: 5, OW: 4, OC: 8, IC: 4}, a)
@@ -292,17 +378,17 @@ func TestRepairFallbackKeepsReadyOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	validateSchedule(t, gr, repaired, a.Cores)
-	if repaired.LatencyCycles != 30628 || repaired.TrafficBytes() != 137632 {
-		t.Errorf("repair = %d cycles / %d bytes, want 30628 / 137632", repaired.LatencyCycles, repaired.TrafficBytes())
+	if repaired.LatencyCycles != 30608 || repaired.TrafficBytes() != 135904 {
+		t.Errorf("repair = %d cycles / %d bytes, want 30608 / 135904", repaired.LatencyCycles, repaired.TrafficBytes())
 	}
 }
 
 // TestRepairKeepsDirtyTilesAfterInSetReload: in this schedule one op of
 // a set evicts a dirty partial sum that a later op of the set reloads,
 // before the fault cycle. The spill must end before the reload starts,
-// so the reload reads what the tile's last write left. Repair must keep
-// every tile that is dirty-resident at the fault cycle — written since
-// its last committed transfer — resident: re-loading one reads an
+// so the reload reads what the tile's last write left. Every tile that
+// is dirty-resident at the fault cycle — written since its last
+// committed transfer — must stay resident: re-loading one reads an
 // off-chip copy older than its contents.
 func TestRepairKeepsDirtyTilesAfterInSetReload(t *testing.T) {
 	a := arch.New("tie3", 3, 13312, 32)
@@ -325,24 +411,25 @@ func TestRepairKeepsDirtyTilesAfterInSetReload(t *testing.T) {
 	if !inSet {
 		t.Fatal("nominal schedule reloads no spilled partial sum right after its spill before the fault cycle")
 	}
-	// A tile's last committed event decides; a write wins a tie.
-	lastWrite, lastMove := map[tile.ID]int64{}, map[tile.ID]int64{}
-	for _, o := range nominal.OpRecords {
-		if out := gr.Ops[o.Op].Out; o.Start < fc && o.Start+1 > lastWrite[out] {
-			lastWrite[out] = o.Start + 1
-		}
-	}
-	for _, m := range nominal.MemRecords {
-		if m.Start < fc && m.Start+1 > lastMove[m.Tile] {
-			lastMove[m.Tile] = m.Start + 1
-		}
-	}
 	plan := &fault.Plan{DMA: []fault.Derate{{From: fc, Factor: 2}}}
 	repaired, err := Repair(gr, nominal, plan, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	validateSchedule(t, gr, repaired, a.Cores)
+	// The committed records are those that start before the fault cycle.
+	// A tile's last committed event decides; a write wins a tie.
+	lastWrite, lastMove := map[tile.ID]int64{}, map[tile.ID]int64{}
+	for _, o := range repaired.OpRecords {
+		if out := gr.Ops[o.Op].Out; o.Start < fc && o.Start+1 > lastWrite[out] {
+			lastWrite[out] = o.Start + 1
+		}
+	}
+	for _, m := range repaired.MemRecords {
+		if m.Start < fc && m.Start+1 > lastMove[m.Tile] {
+			lastMove[m.Tile] = m.Start + 1
+		}
+	}
 	first := map[tile.ID]bool{}
 	for _, m := range repaired.MemRecords {
 		if m.Start < fc || first[m.Tile] {

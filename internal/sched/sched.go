@@ -356,10 +356,10 @@ func (e *engine) start(gr *dfg.Graph, cfg Config) error {
 }
 
 // run is the scheduler's one loop: from whatever state the engine is in
-// — empty after start, or mid-schedule after Repair's replay — form and
-// commit sets until every op has issued, then flush and hand out the
-// result. It fails when nothing ready fits the scratchpad, when a fault
-// plan leaves an op no core, or with ErrCutoff.
+// — empty after start, or mid-schedule after Repair's re-execution —
+// form and commit sets until every op has issued, then flush and hand
+// out the result. It fails when nothing ready fits the scratchpad, when
+// a fault plan leaves an op no core, or with ErrCutoff.
 func (e *engine) run() (*Result, error) {
 	for e.nDone < len(e.gr.Ops) {
 		if err := e.step(); err != nil {
@@ -547,13 +547,14 @@ type tileRef struct {
 // back, so apply repeats it; placement is deterministic and nothing it
 // reads has changed since, so the loads and spills recorded in ev come
 // out the same — and whatever they are, the timeline is built from the
-// ones that actually happened. It consumes ev. It fails only when a fault
-// plan has killed every core an op could run on.
+// ones that actually happened. It consumes ev. It fails when a fault
+// plan has killed every core an op could run on, and when the set does
+// not fit, which only a set Repair re-executes from a schedule can.
 func (e *engine) apply(ev *setEval) error {
 	defer e.releaseEval(ev)
 	*ev = setEval{ops: ev.ops, loads: ev.loads[:0], spills: ev.spills[:0]}
 	if !e.place(ev) {
-		panic("sched: committing a set whose evaluation succeeded failed")
+		return errNoProgress
 	}
 	// Every eviction before any load: one op of a set may evict what a
 	// later op of it reloads. (A tile that was resident owed nothing.)
@@ -688,9 +689,8 @@ func (e *engine) issue(ops []int, memEnd int64) error {
 	return nil
 }
 
-// retire is the bookkeeping of one op that has run as rec says, whether
-// issue just put it on the timeline or Repair replays it from a
-// committed schedule: its finish and write times, its operands' uses,
+// retire is the bookkeeping of one op issue has just put on the
+// timeline as rec says: its finish and write times, its operands' uses,
 // its successors' readiness.
 func (e *engine) retire(rec sim.OpRecord) {
 	op, ns := &e.gr.Ops[rec.Op], e.gr.Operands(rec.Op)

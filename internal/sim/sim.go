@@ -78,27 +78,6 @@ func New(cores int) *Timeline {
 	return &Timeline{npuFree: make([]int64, cores)}
 }
 
-// Charge marks the resources busy with work that has already run: each
-// core until the end of the last of ops on it, the DMA channel until the
-// end of the last of mems, and all of them until at least floor.
-// sched.Repair uses this to resume scheduling mid-makespan behind the
-// committed prefix of an existing schedule; the records themselves stay
-// with the caller. Ops naming a core the timeline lacks are ignored.
-func (t *Timeline) Charge(ops []OpRecord, mems []MemRecord, floor int64) {
-	for i := range t.npuFree {
-		t.npuFree[i] = max(t.npuFree[i], floor)
-	}
-	for _, rec := range ops {
-		if rec.NPU >= 0 && rec.NPU < len(t.npuFree) {
-			t.npuFree[rec.NPU] = max(t.npuFree[rec.NPU], rec.End)
-		}
-	}
-	t.dmaFree = max(t.dmaFree, floor)
-	for _, rec := range mems {
-		t.dmaFree = max(t.dmaFree, rec.End)
-	}
-}
-
 // Reset returns t to an empty timeline for the given core count,
 // reusing the per-core availability slice. The record slices are
 // dropped, not truncated: callers own them once handed out via
@@ -148,6 +127,16 @@ func (t *Timeline) SetFaults(p *fault.Plan) {
 		p = nil
 	}
 	t.faults = p
+}
+
+// Hold keeps every core and the DMA channel busy until at least cycle,
+// so nothing scheduled from now on starts earlier. sched.Repair holds
+// the machine at the fault cycle behind the prefix it re-executed.
+func (t *Timeline) Hold(cycle int64) {
+	for i := range t.npuFree {
+		t.npuFree[i] = max(t.npuFree[i], cycle)
+	}
+	t.dmaFree = max(t.dmaFree, cycle)
 }
 
 // Faults returns the injected fault plan, or nil.

@@ -96,26 +96,29 @@ func TestMemKindStrings(t *testing.T) {
 	}
 }
 
-func TestChargeSeedsResources(t *testing.T) {
+// TestHoldSeedsResources: Hold is a floor on every resource. It delays
+// what starts after it and leaves busier resources and the records
+// alone.
+func TestHoldSeedsResources(t *testing.T) {
 	tl := New(2)
-	ops := []OpRecord{{Op: 0, NPU: 0, Start: 10, End: 100}, {Op: 1, NPU: 0, Start: 0, End: 10}, {Op: 2, NPU: 7, Start: 0, End: 900}}
-	mems := []MemRecord{{Start: 0, End: 200}, {Start: 200, End: 120}}
-	tl.Charge(ops, mems, 50)
+	tl.Issue(0, 0, 0, 100)
+	tl.Transfer(tile.ID{}, Load, 8, 200, 0)
+	tl.Hold(50)
 	if tl.NPUFree(0) != 100 || tl.NPUFree(1) != 50 || tl.DMAFree() != 200 {
-		t.Fatalf("charged timeline: npu0=%d npu1=%d dma=%d, want 100 50 200", tl.NPUFree(0), tl.NPUFree(1), tl.DMAFree())
+		t.Fatalf("held timeline: npu0=%d npu1=%d dma=%d, want 100 50 200", tl.NPUFree(0), tl.NPUFree(1), tl.DMAFree())
 	}
-	if got := tl.Makespan(); got != 200 {
-		t.Fatalf("charged makespan = %d, want 200", got)
+	if len(tl.Ops()) != 1 || len(tl.Mems()) != 1 {
+		t.Fatalf("Hold changed the records: %d op and %d DMA records, want 1 and 1", len(tl.Ops()), len(tl.Mems()))
 	}
-	if len(tl.Ops()) != 0 || len(tl.Mems()) != 0 {
-		t.Fatalf("Charge kept %d op and %d DMA records, want none", len(tl.Ops()), len(tl.Mems()))
+	tl.Hold(300)
+	if rec := tl.Transfer(tile.ID{}, Load, 8, 10, 0); rec.Start != 300 {
+		t.Fatalf("transfer started at %d, want 300 (the floor)", rec.Start)
 	}
-	rec := tl.Transfer(tile.ID{}, Load, 8, 10, 0)
-	if rec.Start != 200 {
-		t.Fatalf("transfer started at %d, want 200 (charged dmaFree)", rec.Start)
+	if op := tl.Issue(3, 1, 0, 5); op.Start != 300 {
+		t.Fatalf("op started at %d, want 300 (the floor)", op.Start)
 	}
-	if op := tl.Issue(3, 1, 0, 5); op.Start != 50 {
-		t.Fatalf("op started at %d, want 50 (the floor)", op.Start)
+	if got := tl.Makespan(); got != 310 {
+		t.Fatalf("makespan = %d, want 310", got)
 	}
 }
 

@@ -68,8 +68,7 @@ func ScheduleFaults(gr *dfg.Graph, r *sched.Result, cfg arch.Config, plan *fault
 	v := &replay{gr: gr, plan: plan, model: model.New(cfg), dmaEnd: math.MinInt64, tiles: make([]tileState, gr.NumTiles()),
 		end: make([]int64, len(gr.Ops)), coreEnd: make([]int64, max(cfg.Cores, 0))}
 	// Machine order: by start cycle, a transfer first on a tie. A transfer
-	// that starts on the cycle an op writes a tile precedes that write —
-	// the tie sched.Repair relies on when it finds a tile's last write.
+	// that starts on the cycle an op writes a tile precedes that write.
 	for oi, mi := 0, 0; oi < len(ops) || mi < len(mems); {
 		var err error
 		if mi < len(mems) && (oi == len(ops) || mems[mi].Start <= ops[oi].Start) {
@@ -172,7 +171,11 @@ func (v *replay) transfer(m sim.MemRecord) error {
 		return fmt.Errorf("verify: DMA transfer %s of %v at %d overlaps the one before it", m.Kind, m.Tile, m.Start)
 	}
 	if f := v.plan.DMAFactor(m.Start); f > 1 {
-		if want := fault.Scale(v.model.TransferCycles(m.Bytes), f); m.End-m.Start < want {
+		lat := v.model.TransferCycles(m.Bytes)
+		if m.Kind == sim.Gather {
+			lat = v.model.GatherCycles(m.Bytes) // an on-chip copy, priced as the scheduler prices it
+		}
+		if want := fault.Scale(lat, f); m.End-m.Start < want {
 			return fmt.Errorf("verify: %s of %v starts at %d in a %gx derate window but takes %d cycles, want >= %d",
 				m.Kind, m.Tile, m.Start, f, m.End-m.Start, want)
 		}
