@@ -73,9 +73,10 @@ type Graph struct {
 	operands [][3]int32
 	sizes    []int64
 
-	grids    []*tile.Grid // per-layer grids, grids[0] == Grid
-	base     []int        // base[kind*NumLayers+layer]: number of that kind and layer's first tile
-	opOffset []int        // first op index of each layer
+	grids    []*tile.Grid  // per-layer grids, grids[0] == Grid
+	one      [1]*tile.Grid // grids' storage in a single-layer graph
+	base     []int         // base[kind*NumLayers+layer]: number of that kind and layer's first tile
+	opOffset []int         // first op index of each layer
 	floor    Floor
 
 	// Fused-graph state; nil for single-layer graphs.
@@ -261,17 +262,28 @@ func (gr *Graph) PendingInto(dst []int) []int {
 // Build constructs the DFG for grid g with latencies from m. Ops are
 // indexed in canonical (oh, ow, oc, ic) row-major order; the chain
 // predecessor of op x (when x.IC > 0) is always op x-1.
-func Build(g *tile.Grid, m model.Model) *Graph {
-	return build([]*tile.Grid{g}, m)
+func Build(g *tile.Grid, m model.Model) *Graph { return BuildInto(nil, g, m) }
+
+// BuildInto is Build into the storage of dst, a graph Build or
+// BuildInto returned that nothing reads any more (nil: fresh storage),
+// and returns it. A search that builds one graph per tiling reuses one
+// graph's storage for all of them.
+func BuildInto(dst *Graph, g *tile.Grid, m model.Model) *Graph {
+	if dst == nil {
+		dst = new(Graph)
+	}
+	dst.one[0] = g
+	return build(dst, dst.one[:], m)
 }
 
-// build lays out the ops of grids layer by layer and fills the
-// per-tile use counts of each layer on its own; BuildFused adds the
-// cross-layer parts.
-func build(grids []*tile.Grid, m model.Model) *Graph {
+// build lays out the ops of grids layer by layer into gr, reusing its
+// storage, and fills the per-tile use counts of each layer on its own;
+// BuildFused adds the cross-layer parts.
+func build(gr *Graph, grids []*tile.Grid, m model.Model) *Graph {
 	nl := len(grids)
-	offs := make([]int, (tile.NumKinds+1)*nl)
-	gr := &Graph{Grid: grids[0], grids: grids, base: offs[:tile.NumKinds*nl], opOffset: offs[tile.NumKinds*nl:]}
+	offs := resize(gr.base, (tile.NumKinds+1)*nl)
+	*gr = Graph{Grid: grids[0], grids: grids, one: gr.one, base: offs[:tile.NumKinds*nl], opOffset: offs[tile.NumKinds*nl:],
+		Ops: gr.Ops[:0], operands: gr.operands[:0], uses: gr.uses, sizes: gr.sizes}
 	tiles, ops := 0, 0
 	for k := 0; k < tile.NumKinds; k++ {
 		for l, g := range grids {
@@ -283,10 +295,10 @@ func build(grids []*tile.Grid, m model.Model) *Graph {
 		gr.opOffset[l] = ops
 		ops += g.NumOps()
 	}
-	gr.Ops = make([]Op, 0, ops)
-	gr.operands = make([][3]int32, 0, ops)
-	gr.uses = make([]int32, tiles)
-	gr.sizes = make([]int64, tiles)
+	gr.Ops = resize(gr.Ops, ops)[:0]
+	gr.operands = resize(gr.operands, ops)[:0]
+	gr.uses = resize(gr.uses, tiles) // every element is written below
+	gr.sizes = resize(gr.sizes, tiles)
 	for l, g := range grids {
 		opCycles, bytes, cycles := floorOf(g, m, [tile.NumKinds][]int64{gr.sizes[gr.base[l]:], gr.sizes[gr.base[nl+l]:], gr.sizes[gr.base[2*nl+l]:]})
 		gr.floor.OpCycles += opCycles
@@ -334,6 +346,15 @@ func build(grids []*tile.Grid, m model.Model) *Graph {
 	return gr
 }
 
+// resize returns s with length n, reusing its storage when it is large
+// enough; the elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // Pred returns the index of op i's chain predecessor, or -1 if i has no
 // dependency.
 func (gr *Graph) Pred(i int) int {
@@ -350,24 +371,6 @@ func (gr *Graph) Succ(i int) int {
 		return -1
 	}
 	return i + 1
-}
-
-// InitialReady returns the indices of all ops with no dependencies
-// (ic == 0), in canonical order.
-func (gr *Graph) InitialReady() []int {
-	return gr.AppendInitialReady(make([]int, 0, len(gr.Ops)/gr.Grid.NIC))
-}
-
-// AppendInitialReady appends the initially-ready op indices to dst and
-// returns it, letting callers that schedule many graphs reuse one
-// buffer.
-func (gr *Graph) AppendInitialReady(dst []int) []int {
-	for i := range gr.Ops {
-		if gr.Ops[i].IC == 0 {
-			dst = append(dst, i)
-		}
-	}
-	return dst
 }
 
 // AppendUses appends the access-count table, indexed by tile number, to

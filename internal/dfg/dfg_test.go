@@ -86,6 +86,18 @@ func TestOperandTiles(t *testing.T) {
 	}
 }
 
+// InitialReady returns the indices of all ops with no dependencies
+// (ic == 0), in canonical order.
+func (gr *Graph) InitialReady() []int {
+	var ready []int
+	for i := range gr.Ops {
+		if gr.Ops[i].IC == 0 {
+			ready = append(ready, i)
+		}
+	}
+	return ready
+}
+
 func TestInitialReady(t *testing.T) {
 	gr := smallGraph(t)
 	ready := gr.InitialReady()

@@ -52,7 +52,7 @@ func BuildFused(grids []*tile.Grid, m model.Model) (*Graph, error) {
 			return nil, err
 		}
 	}
-	gr := build(grids, m)
+	gr := build(new(Graph), grids, m)
 	gr.cover = make([][]tile.ID, gr.base[int(tile.Wt)*len(grids)]) // IN tiles number first
 	gr.crossSuccs = make([][]int, len(gr.Ops))
 	gr.crossPreds = make([][]int, len(gr.Ops))
@@ -62,7 +62,19 @@ func BuildFused(grids []*tile.Grid, m model.Model) (*Graph, error) {
 	// covered consumer input tile — released by the scheduler when that
 	// input tile's own uses run out — so spill heuristics see producer
 	// outputs as live until every consumer that needs them has read
-	// them (directly or via a DRAM round-trip).
+	// them (directly or via a DRAM round-trip). Every cover list is a
+	// window of one array, sized first: a tile's producer blocks are a
+	// box, so their count summed over all tiles is a product of sums.
+	// Each input tile is read by one op per out-channel block, each of
+	// which gets a cross edge per covering tile.
+	nCover, nEdges := 0, 0
+	for l := 1; l < len(grids); l++ {
+		gc, gp := grids[l], grids[l-1]
+		n := spans(gc.NOH, gc.InRowRange, gp.F.OH, gp.NOH) * spans(gc.NOW, gc.InColRange, gp.F.OW, gp.NOW) * spans(gc.NIC, gc.ICRange, gp.F.OC, gp.NOC)
+		nCover += n
+		nEdges += n * gc.NOC
+	}
+	flat := make([]tile.ID, 0, nCover)
 	for l := 1; l < len(grids); l++ {
 		gc, gp := grids[l], grids[l-1]
 		for oh := 0; oh < gc.NOH; oh++ {
@@ -78,17 +90,17 @@ func BuildFused(grids []*tile.Grid, m model.Model) (*Graph, error) {
 					h0, h1 := tile.BlockRange(rowLo, rowN, gp.F.OH, gp.NOH)
 					w0, w1 := tile.BlockRange(colLo, colN, gp.F.OW, gp.NOW)
 					c0, c1 := tile.BlockRange(chLo, chN, gp.F.OC, gp.NOC)
-					var ots []tile.ID
+					lo := len(flat)
 					for h := h0; h <= h1; h++ {
 						for w := w0; w <= w1; w++ {
 							for c := c0; c <= c1; c++ {
 								ot := tile.ID{Kind: tile.Out, A: h, B: w, C: c, L: l - 1}
-								ots = append(ots, ot)
+								flat = append(flat, ot)
 								gr.uses[gr.Num(ot)]++
 							}
 						}
 					}
-					gr.cover[gr.Num(in)] = ots
+					gr.cover[gr.Num(in)] = flat[lo:len(flat):len(flat)]
 				}
 			}
 		}
@@ -96,23 +108,52 @@ func BuildFused(grids []*tile.Grid, m model.Model) (*Graph, error) {
 
 	// Cross edges: every consumer op depends on the final accumulation
 	// op of each tile covering its input, so the scheduler cannot start
-	// it before the data it gathers (or round-trips) exists.
+	// it before the data it gathers (or round-trips) exists. The preds
+	// and the succs are windows of one array each; a producer's succs
+	// are counted into next[f+1] first, then placed in op order.
+	preds, succs, next := make([]int, 0, nEdges), make([]int, nEdges), make([]int, len(gr.Ops)+1)
 	for i := range gr.Ops {
-		op := &gr.Ops[i]
-		if op.Layer == 0 {
-			continue
-		}
-		ots := gr.cover[gr.Num(op.In)]
+		ots := gr.cover[gr.Num(gr.Ops[i].In)] // nil in the first layer
 		if len(ots) == 0 {
 			continue
 		}
-		preds := make([]int, 0, len(ots))
+		lo := len(preds)
 		for _, ot := range ots {
 			f := gr.FinalOp(ot)
 			preds = append(preds, f)
-			gr.crossSuccs[f] = append(gr.crossSuccs[f], i)
+			next[f+1]++
 		}
-		gr.crossPreds[i] = preds
+		gr.crossPreds[i] = preds[lo:len(preds):len(preds)]
+	}
+	for f := range gr.Ops {
+		next[f+1] += next[f]
+	}
+	for i, ps := range gr.crossPreds {
+		for _, f := range ps {
+			succs[next[f]] = i
+			next[f]++
+		}
+	}
+	lo := 0
+	for f, hi := range next[:len(gr.Ops)] { // next[f] is now where f's succs end
+		if hi > lo {
+			gr.crossSuccs[f] = succs[lo:hi:hi]
+		}
+		lo = hi
 	}
 	return gr, nil
+}
+
+// spans sums, over the n consumer blocks of one dimension, how many
+// producer blocks of size f (of np) the block's input range reads, as
+// rng(i) gives it; a block whose range is empty reads none.
+func spans(n int, rng func(int) (int, int), f, np int) int {
+	total := 0
+	for i := range n {
+		if lo, k := rng(i); k > 0 {
+			a, b := tile.BlockRange(lo, k, f, np)
+			total += b - a + 1
+		}
+	}
+	return total
 }

@@ -9,24 +9,28 @@ import (
 
 // TestScheduleAllocs holds a warm Schedule of BenchmarkScheduleTiny's
 // graph to the allocations the run hands its caller — the Result, its
-// set records and its timeline's records — 14 out of order and 16 in a
-// static order, so that a per-graph or per-step table which leaks into
-// the per-run path fails here. The collector is off while it measures:
-// a collection empties the engine pool, and the next run would pay a
-// cold engine's allocations.
+// set list, one array holding every set's ops, and its op and memory
+// records — 5 out of order and 5 in a static order, and a run its
+// cutoff abandons at the first step to none, so that a per-graph or
+// per-step table, or a record buffer, which leaks into the per-run path
+// fails here. The collector is off while it measures: a collection
+// empties the engine pool, and the next run would pay a cold engine's
+// allocations.
 func TestScheduleAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	gr := smallGraph(t, arch4)
+	always := func(int64, int64) bool { return true }
 	for _, c := range []struct {
 		name    string
 		cfg     Config
 		ceiling float64
 	}{
-		{"ooo", Config{Arch: arch4, MaxReadyWindow: 12, MaxCandidateSets: 32}, 14},
-		{"static", Config{Arch: arch4, Order: seq(len(gr.Ops))}, 16},
+		{"ooo", Config{Arch: arch4, MaxReadyWindow: 12, MaxCandidateSets: 32}, 5},
+		{"static", Config{Arch: arch4, Order: seq(len(gr.Ops))}, 5},
+		{"cut at the first step", Config{Arch: arch4, MaxReadyWindow: 12, MaxCandidateSets: 32, Cutoff: always}, 0},
 	} {
 		n := testing.AllocsPerRun(100, func() {
-			if _, err := Schedule(gr, c.cfg); err != nil {
+			if _, err := Schedule(gr, c.cfg); err != nil && (c.cfg.Cutoff == nil || err != ErrCutoff) {
 				t.Fatal(err)
 			}
 		})

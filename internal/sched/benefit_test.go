@@ -38,7 +38,7 @@ func TestEvalSetFreshLoadsAreNotReuse(t *testing.T) {
 	// different spatial): everything is cold, so reuse must be zero
 	// even though the weight tile is shared within the set.
 	var shared []int
-	for _, i := range gr.InitialReady() {
+	for _, i := range initialReady(gr) {
 		if gr.Ops[i].OC == 0 {
 			shared = append(shared, i)
 		}
@@ -76,7 +76,7 @@ func TestEvalSetCountsResidentReuse(t *testing.T) {
 	gr := smallGraph(t, a)
 	e := newTestEngine(t, gr, Config{Arch: a})
 	var shared []int
-	for _, i := range gr.InitialReady() {
+	for _, i := range initialReady(gr) {
 		if gr.Ops[i].OC == 0 {
 			shared = append(shared, i)
 		}
@@ -185,4 +185,15 @@ func TestAllWidthsConsidered(t *testing.T) {
 	if r.SetsEvaluated <= len(r.Sets) {
 		t.Errorf("only %d sets evaluated for %d issued", r.SetsEvaluated, len(r.Sets))
 	}
+}
+
+// initialReady returns the ops of gr that no op precedes, in index order.
+func initialReady(gr *dfg.Graph) []int {
+	var ready []int
+	for i, p := range gr.PendingInto(nil) {
+		if p == 0 {
+			ready = append(ready, i)
+		}
+	}
+	return ready
 }

@@ -205,7 +205,7 @@ func parentFloors(e *engine) (cycles, bytes int64) {
 		busy += e.tl.NPUFree(i)
 	}
 	n := int64(e.tl.Cores())
-	return max(e.tl.Makespan(), (busy+n-1)/n, e.tl.DMAFree()+loadCycles), e.res.TrafficBytes() + loadBytes + e.owed.WritebackBytes
+	return max(e.tl.Makespan(), (busy+n-1)/n, e.tl.DMAFree()+loadCycles), e.tot.TrafficBytes() + loadBytes + e.owed.WritebackBytes
 }
 
 // TestFloorsCountReloadDebt forces a thrash — an input-stationary static

@@ -441,3 +441,41 @@ func TestRepairKeepsDirtyTilesAfterInSetReload(t *testing.T) {
 		}
 	}
 }
+
+// TestResultsDoNotAlias pins the ownership rule: a Result owns its
+// records and sets, and the engine that made it reuses none of them.
+// Graph A is scheduled, then graph B on the pooled engine, then A's
+// result is repaired; A's records and sets must still equal a deep copy
+// taken when it was made, and one set's ops must not grow into the
+// next's.
+func TestResultsDoNotAlias(t *testing.T) {
+	a := testArch(4)
+	grA, grB := pressureGraph(t, a), smallGraph(t, a)
+	cfg := Config{Arch: a}
+	r, err := Schedule(grA, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Result{
+		OpRecords:  slices.Clone(r.OpRecords),
+		MemRecords: slices.Clone(r.MemRecords),
+		Sets:       slices.Clone(r.Sets),
+	}
+	for i := range want.Sets {
+		want.Sets[i].Ops = slices.Clone(r.Sets[i].Ops)
+	}
+	if _, err := Schedule(grB, cfg); err != nil {
+		t.Fatal(err)
+	}
+	plan := &fault.Plan{CoreDown: []fault.CoreDown{{Core: 1, Cycle: r.LatencyCycles / 2}}}
+	if _, err := Repair(grA, r, plan, cfg); err != nil {
+		t.Fatal(err)
+	}
+	_ = append(r.Sets[0].Ops, -1)
+	if !slices.Equal(r.OpRecords, want.OpRecords) || !slices.Equal(r.MemRecords, want.MemRecords) {
+		t.Fatal("a later run changed the records of a result handed out earlier")
+	}
+	if !reflect.DeepEqual(r.Sets, want.Sets) {
+		t.Fatal("a later run, or an append to one set's ops, changed the sets of a result handed out earlier")
+	}
+}

@@ -224,7 +224,8 @@ type engine struct {
 	availAt []int64 // arrival time of the last load of a tile
 	hasDRAM []bool  // tiles whose current contents exist off-chip (read by fused rules)
 	tl      *sim.Timeline
-	res     *Result
+	tot     Result    // the run's Factors and traffic so far; finish hands out a copy
+	sets    []setMark // the run's sets so far, in issue order
 	pos     int       // next index into cfg.Order (in-order mode)
 	rank    []int     // tie-break rank per op (hint position, or op index)
 	facts   stepFacts // the current step's operand table (OoO mode)
@@ -246,13 +247,21 @@ type engine struct {
 	// this free list and these buffers keep the steady state
 	// allocation-free. All fields are nil-safe: reset of a zero engine
 	// works, the buffers grow on first use.
-	evalFree []*setEval // retired set evaluations
-	window   []int      // selectWindow result buffer
-	kept     []windowOp // selectWindow: the best ready ops so far, with their keys
-	fresh    []int32    // placeOp: numbers of the tiles brought on-chip by the ops placed so far
-	pinned   []tile.ID  // touch: gather sources pinned for one fused input
-	refs     []tileRef  // apply: per-tile reference counts of one set
-	marks    []bool     // validateOrder: ops seen; apply: spills already issued early for a DRAM fallback
+	evalFree []*setEval      // retired set evaluations
+	window   []int           // selectWindow result buffer
+	kept     []windowOp      // selectWindow: the best ready ops so far, with their keys
+	fresh    []int32         // placeOp: numbers of the tiles brought on-chip by the ops placed so far
+	pinned   []tile.ID       // touch: gather sources pinned for one fused input
+	refs     []tileRef       // apply: per-tile reference counts of one set
+	marks    []bool          // validateOrder: ops seen; apply: spills already issued early for a DRAM fallback
+	blocks   []spm.BlockInfo // flush: the scratchpad's blocks
+}
+
+// setMark is one issued set while the run lasts: its ops are the next n
+// of the timeline's op records, which issue makes in the set's order.
+type setMark struct {
+	n      int
+	shared [tile.NumKinds]bool
 }
 
 // zeroed returns s with length n and every element zero, reusing it.
@@ -390,7 +399,7 @@ func (e *engine) floors() (cycles, bytes int64) {
 	}
 	spread := (busy + int64(n) - 1) / int64(n)
 	cycles = max(e.tl.Makespan(), spread, e.tl.DMAFree()+e.owed.LoadCycles)
-	return cycles, e.res.TrafficBytes() + e.owed.LoadBytes + e.owed.WritebackBytes
+	return cycles, e.tot.TrafficBytes() + e.owed.LoadBytes + e.owed.WritebackBytes
 }
 
 // step forms the next operation set and commits it.
@@ -413,16 +422,28 @@ func (e *engine) nextSet() *setEval {
 	return e.nextSetOoO()
 }
 
-// finish writes back what is still dirty and completes the result from
-// the timeline.
+// finish writes back what is still dirty and hands out the result: the
+// run's totals, and copies of its records and sets sized exactly, every
+// set's ops a window of one array. The engine keeps its own storage for
+// the next run, so nothing a Result holds is shared with it.
 func (e *engine) finish() *Result {
 	e.flush()
-	e.res.LatencyCycles = e.tl.Makespan()
-	e.res.OpRecords = e.tl.Ops()
-	e.res.MemRecords = e.tl.Mems()
-	e.res.SetsEvaluated = e.nEval
-	e.res.SetsPruned = e.nPruned
-	return e.res
+	r := new(Result)
+	*r = e.tot
+	r.LatencyCycles = e.tl.Makespan()
+	r.SetsEvaluated, r.SetsPruned = e.nEval, e.nPruned
+	r.OpRecords = append(make([]sim.OpRecord, 0, len(e.tl.Ops())), e.tl.Ops()...)
+	r.MemRecords = append(make([]sim.MemRecord, 0, len(e.tl.Mems())), e.tl.Mems()...)
+	ops := make([]int, len(r.OpRecords))
+	for i, rec := range r.OpRecords {
+		ops[i] = rec.Op
+	}
+	r.Sets = make([]SetRecord, len(e.sets))
+	for i, s := range e.sets {
+		r.Sets[i] = SetRecord{Ops: ops[:s.n:s.n], Shared: s.shared}
+		ops = ops[s.n:]
+	}
+	return r
 }
 
 func (e *engine) validateOrder(order []int) error {
@@ -450,9 +471,8 @@ func (e *engine) validateOrder(order []int) error {
 // reset returns a (possibly recycled) engine to the state before the
 // first step of a run: nothing issued, the scratchpad empty, the
 // timeline idle at cycle 0 with cfg's fault plan injected, ops ranked
-// by index. Everything handed out through the Result — the Result
-// itself, the timeline's record slices — is freshly allocated; all
-// other state is reused in place, at a cost linear in this graph's size.
+// by index. All state, the timeline's records included, is reused in
+// place, at a cost linear in this graph's size; only finish allocates.
 func (e *engine) reset(gr *dfg.Graph, cfg Config) {
 	e.cfg = cfg
 	e.gr = gr
@@ -484,11 +504,9 @@ func (e *engine) reset(gr *dfg.Graph, cfg Config) {
 	} else {
 		e.tl.Reset(cfg.Arch.Cores)
 	}
-	e.tl.Reserve(len(gr.Ops), len(gr.Ops))
 	e.tl.SetFaults(cfg.FaultPlan)
-	e.res = &Result{Factors: gr.Grid.F}
-	// A set holds at most one op per core, so this many sets at least.
-	e.res.Sets = make([]SetRecord, 0, (len(gr.Ops)+cfg.Arch.Cores-1)/cfg.Arch.Cores)
+	e.tot = Result{Factors: gr.Grid.F}
+	e.sets = e.sets[:0]
 	e.rank = zeroed(e.rank, len(gr.Ops))
 	for i := range e.rank {
 		e.rank[i] = i
@@ -501,12 +519,11 @@ func (e *engine) reset(gr *dfg.Graph, cfg Config) {
 }
 
 // recycle returns the engine to the pool, dropping the references that
-// would otherwise pin the caller's graph and result in the pool (the
+// would otherwise pin the caller's graph in the pool (the
 // scratchpad's, to the graph as its numbering, by emptying it).
 func (e *engine) recycle() {
 	e.mem.Reset(e.mem.Capacity(), e.cfg.MemPolicy)
 	e.gr = nil
-	e.res = nil
 	e.cfg = Config{}
 	enginePool.Put(e)
 }
@@ -640,7 +657,7 @@ func (e *engine) memOps(ev *setEval) (int64, error) {
 // earlier than the set's loads (memEnd) and their chain predecessors,
 // retires them, and records the set.
 func (e *engine) issue(ops []int, memEnd int64) error {
-	var setRec SetRecord
+	set := setMark{n: len(ops)}
 	e.refs = e.refs[:0]
 	addRef := func(kind tile.Kind, num int32) {
 		for i := range e.refs {
@@ -677,11 +694,10 @@ func (e *engine) issue(ops []int, memEnd int64) error {
 	}
 	for _, r := range e.refs {
 		if r.n >= 2 {
-			setRec.Shared[r.kind] = true
+			set.shared[r.kind] = true
 		}
 	}
-	setRec.Ops = append([]int(nil), ops...)
-	e.res.Sets = append(e.res.Sets, setRec)
+	e.sets = append(e.sets, set)
 
 	// Remove the issued ops from the ready list (a set holds at most
 	// #cores ops, so the scan is cheap).
@@ -784,12 +800,12 @@ func (e *engine) pullSpill(id tile.ID, ev *setEval) bool {
 // takes a mandatory load's first occurrence, an owed reload or a final
 // write-back off what the run still owes.
 func (e *engine) account(rec sim.MemRecord) {
-	ks := &e.res.PerKind[rec.Tile.Kind]
+	ks := &e.tot.PerKind[rec.Tile.Kind]
 	switch rec.Kind {
 	case sim.Load:
 		ks.LoadBytes += rec.Bytes
 		ks.LoadCount++
-		e.res.LoadBytes += rec.Bytes
+		e.tot.LoadBytes += rec.Bytes
 		if n := e.gr.Num(rec.Tile); !e.loaded[n] && (rec.Tile.Kind == tile.Wt || rec.Tile.Kind == tile.In && rec.Tile.L == 0) {
 			e.loaded[n] = true
 			e.owed.LoadBytes -= rec.Bytes
@@ -799,18 +815,18 @@ func (e *engine) account(rec sim.MemRecord) {
 	case sim.Spill:
 		ks.SpillBytes += rec.Bytes
 		ks.SpillCount++
-		e.res.SpillBytes += rec.Bytes
+		e.tot.SpillBytes += rec.Bytes
 	case sim.Writeback:
 		ks.WritebackBytes += rec.Bytes
 		ks.WritebackCount++
-		e.res.WritebackBytes += rec.Bytes
+		e.tot.WritebackBytes += rec.Bytes
 		if rec.Tile.Kind == tile.Out && rec.Tile.L == e.gr.LastLayer() {
 			e.owed.WritebackBytes -= rec.Bytes
 		}
 	case sim.Gather:
 		ks.GatherBytes += rec.Bytes
 		ks.GatherCount++
-		e.res.GatherBytes += rec.Bytes
+		e.tot.GatherBytes += rec.Bytes
 		e.owe(rec.Tile, rec.Bytes, false)
 	}
 }
@@ -821,7 +837,8 @@ func (e *engine) account(rec sim.MemRecord) {
 // to reach DRAM — their consumers have read them on-chip — so only the
 // last layer's outputs (and any still-live tile, defensively) flush.
 func (e *engine) flush() {
-	for _, b := range e.mem.Blocks() {
+	e.blocks = e.mem.AppendBlocks(e.blocks[:0])
+	for _, b := range e.blocks {
 		if !b.Dirty {
 			continue
 		}

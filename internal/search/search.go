@@ -570,6 +570,11 @@ const maxOoOHints = 3
 // just provably-worse work the search did not perform.
 var errDominated = errors.New("search: tiling dominated by incumbent")
 
+// graphPool holds the graphs scheduleTiling has finished with, whose
+// storage the next tiling's graph is built into: no Result or Candidate
+// points at a graph, so nothing reads one after its tiling.
+var graphPool = sync.Pool{New: func() any { return new(dfg.Graph) }}
+
 // scheduleTiling produces the OoO schedule and the best static schedule
 // for one tiling's grid: the unhinted OoO run, then every distinct static
 // order, then OoO hinted with the eligible ones. It aborts between runs
@@ -583,7 +588,8 @@ var errDominated = errors.New("search: tiling dominated by incumbent")
 // run dominated while a later hinted run was not attempted or also
 // dominated); a candidate with neither is reported as errDominated.
 func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflows []loop.Dataflow, opts Options, inc *incumbents) (Candidate, int, error) {
-	graph := dfg.Build(grid, m)
+	graph := dfg.BuildInto(graphPool.Get().(*dfg.Graph), grid, m)
+	defer graphPool.Put(graph)
 	base := opts.SchedConfig(m)
 	metric := opts.Metric
 	aborted := 0

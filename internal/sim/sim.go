@@ -79,10 +79,9 @@ func New(cores int) *Timeline {
 }
 
 // Reset returns t to an empty timeline for the given core count,
-// reusing the per-core availability slice. The record slices are
-// dropped, not truncated: callers own them once handed out via
-// Ops()/Mems(), so a reused timeline must start fresh ones (Reserve
-// pre-sizes them).
+// reusing the per-core availability slice and truncating the record
+// slices: their storage serves the next run, so records read through
+// Ops or Mems are valid only until Reset.
 func (t *Timeline) Reset(cores int) {
 	if cores <= 0 {
 		panic(fmt.Sprintf("sim: cores must be positive, got %d", cores))
@@ -96,26 +95,9 @@ func (t *Timeline) Reset(cores int) {
 		t.npuFree = make([]int64, cores)
 	}
 	t.dmaFree = 0
-	t.ops = nil
-	t.mems = nil
+	t.ops = t.ops[:0]
+	t.mems = t.mems[:0]
 	t.faults = nil
-}
-
-// Reserve pre-sizes the record storage for at least ops compute records
-// and mems DMA records beyond those already scheduled, eliminating the
-// append-growth reallocations of a run whose op count is known up
-// front.
-func (t *Timeline) Reserve(ops, mems int) {
-	if n := len(t.ops) + ops; n > cap(t.ops) {
-		grown := make([]OpRecord, len(t.ops), n)
-		copy(grown, t.ops)
-		t.ops = grown
-	}
-	if n := len(t.mems) + mems; n > cap(t.mems) {
-		grown := make([]MemRecord, len(t.mems), n)
-		copy(grown, t.mems)
-		t.mems = grown
-	}
 }
 
 // SetFaults injects a fault plan: dead cores refuse new ops from their
@@ -138,9 +120,6 @@ func (t *Timeline) Hold(cycle int64) {
 	}
 	t.dmaFree = max(t.dmaFree, cycle)
 }
-
-// Faults returns the injected fault plan, or nil.
-func (t *Timeline) Faults() *fault.Plan { return t.faults }
 
 // Cores returns the number of NPU cores.
 func (t *Timeline) Cores() int { return len(t.npuFree) }
@@ -239,9 +218,9 @@ func (t *Timeline) Makespan() int64 {
 }
 
 // Ops returns the compute records in issue order. The slice aliases
-// internal state; callers must not modify it.
+// internal state, which the next Reset truncates and the run after it
+// overwrites: callers must not modify it, and copy what they keep.
 func (t *Timeline) Ops() []OpRecord { return t.ops }
 
-// Mems returns the DMA records in issue order. The slice aliases
-// internal state; callers must not modify it.
+// Mems returns the DMA records in issue order, with Ops' aliasing rule.
 func (t *Timeline) Mems() []MemRecord { return t.mems }

@@ -194,7 +194,7 @@ func TestIssueOnDeadCorePanics(t *testing.T) {
 func TestSetFaultsEmptyPlanIsNominal(t *testing.T) {
 	tl := New(1)
 	tl.SetFaults(&fault.Plan{})
-	if tl.Faults() != nil {
+	if tl.faults != nil {
 		t.Fatal("empty plan not normalized to nil")
 	}
 }

@@ -7,6 +7,40 @@ import (
 	"github.com/flexer-sched/flexer/internal/tile"
 )
 
+// FragStats quantifies scratchpad fragmentation, the failure mode
+// Algorithm 2 exists to avoid: free space split into many small holes
+// prevents allocating large tiles even when total free bytes suffice.
+type FragStats struct {
+	// FreeBytes is the total unallocated space.
+	FreeBytes int64
+	// FreeRegions is the number of disjoint free holes.
+	FreeRegions int
+	// LargestFree is the biggest single hole.
+	LargestFree int64
+	// External is the external-fragmentation ratio
+	// 1 - largest/total free, in [0,1); 0 means all free space is one
+	// hole, values near 1 mean the free space is unusably shredded.
+	External float64
+}
+
+// Fragmentation returns the current fragmentation statistics.
+func (s *SPM) Fragmentation() FragStats {
+	st := FragStats{FreeBytes: s.FreeBytes()}
+	for _, r := range s.regs {
+		if r.alloc {
+			continue
+		}
+		st.FreeRegions++
+		if r.size > st.LargestFree {
+			st.LargestFree = r.size
+		}
+	}
+	if st.FreeBytes > 0 {
+		st.External = 1 - float64(st.LargestFree)/float64(st.FreeBytes)
+	}
+	return st
+}
+
 func TestFragmentationEmptyAndFull(t *testing.T) {
 	s := New(1000, PolicyFlexer)
 	st := s.Fragmentation()

@@ -253,10 +253,10 @@ func (s *SPM) Reset(capacity int64, policy Policy) {
 }
 
 // Checkpoint saves the scratchpad state so that the matching Rollback
-// undoes every Allocate, Evict, Pin, Unpin and SetDirty made in
-// between. It copies the region slice and journals index edits instead
-// of copying the index, so a checkpoint/rollback pair costs one small
-// memmove plus the edits actually made. Checkpoints nest: each opens a
+// undoes every Allocate (its evictions included), Pin, Unpin and
+// SetDirty made in between. It copies the region slice and journals
+// index edits instead of copying the index, so a checkpoint/rollback
+// pair costs one small memmove plus the edits actually made. Checkpoints nest: each opens a
 // frame on a stack, and Rollback closes the innermost open one,
 // returning to the state that frame saved — the scheduler walks its
 // candidate sets this way on its one scratchpad, one frame per placed
@@ -295,9 +295,6 @@ func (s *SPM) Rollback() {
 
 // Capacity returns the scratchpad size in bytes.
 func (s *SPM) Capacity() int64 { return s.cap }
-
-// AllocatedBytes returns the total bytes currently allocated.
-func (s *SPM) AllocatedBytes() int64 { return s.used }
 
 // FreeBytes returns the total unallocated bytes (possibly fragmented).
 func (s *SPM) FreeBytes() int64 { return s.cap - s.used }
@@ -393,12 +390,6 @@ func (s *SPM) SetDirtyNum(n int32, dirty bool) {
 	}
 }
 
-// IsDirty reports whether tile id is present and dirty.
-func (s *SPM) IsDirty(id tile.ID) bool {
-	i := s.regionAt(s.num(id))
-	return i >= 0 && s.regs[i].dirty
-}
-
 // BlockInfo describes one allocated block for inspection.
 type BlockInfo struct {
 	ID            tile.ID
@@ -406,15 +397,15 @@ type BlockInfo struct {
 	Dirty, Pinned bool
 }
 
-// Blocks returns the allocated blocks in address order.
-func (s *SPM) Blocks() []BlockInfo {
-	out := make([]BlockInfo, 0, s.NumBlocks())
+// AppendBlocks appends the allocated blocks to dst in address order and
+// returns it, letting a caller that walks them often reuse one buffer.
+func (s *SPM) AppendBlocks(dst []BlockInfo) []BlockInfo {
 	for _, r := range s.regs {
 		if r.alloc {
-			out = append(out, BlockInfo{ID: r.id, Addr: r.addr, Size: r.size, Dirty: r.dirty, Pinned: r.pin})
+			dst = append(dst, BlockInfo{ID: r.id, Addr: r.addr, Size: r.size, Dirty: r.dirty, Pinned: r.pin})
 		}
 	}
-	return out
+	return dst
 }
 
 // LargestFree returns the size of the largest contiguous free region.
@@ -426,19 +417,6 @@ func (s *SPM) LargestFree() int64 {
 		}
 	}
 	return max
-}
-
-// Evict removes tile id from the scratchpad, returning its eviction
-// record. It reports false when the tile is not present. remainUses is
-// consulted for the eviction record; it may be nil.
-func (s *SPM) Evict(id tile.ID, remainUses func(tile.ID) int) (Eviction, bool) {
-	i := s.regionAt(s.num(id))
-	if i < 0 {
-		return Eviction{}, false
-	}
-	ev := s.evictAt(i, useCounts{fn: remainUses})
-	s.coalesceAround(i)
-	return ev, true
 }
 
 // evictAt turns the allocated region at index i into free space and

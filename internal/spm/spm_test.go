@@ -6,6 +6,34 @@ import (
 	"github.com/flexer-sched/flexer/internal/tile"
 )
 
+// The scratchpad's inspection and eviction calls that only its tests
+// make.
+
+// Blocks returns the allocated blocks in address order.
+func (s *SPM) Blocks() []BlockInfo { return s.AppendBlocks(nil) }
+
+// AllocatedBytes returns the total bytes currently allocated.
+func (s *SPM) AllocatedBytes() int64 { return s.used }
+
+// IsDirty reports whether tile id is present and dirty.
+func (s *SPM) IsDirty(id tile.ID) bool {
+	i := s.regionAt(s.num(id))
+	return i >= 0 && s.regs[i].dirty
+}
+
+// Evict removes tile id from the scratchpad, returning its eviction
+// record. It reports false when the tile is not present. remainUses is
+// consulted for the eviction record; it may be nil.
+func (s *SPM) Evict(id tile.ID, remainUses func(tile.ID) int) (Eviction, bool) {
+	i := s.regionAt(s.num(id))
+	if i < 0 {
+		return Eviction{}, false
+	}
+	ev := s.evictAt(i, useCounts{fn: remainUses})
+	s.coalesceAround(i)
+	return ev, true
+}
+
 // mkID builds distinct tile IDs for tests.
 func mkID(n int) tile.ID { return tile.ID{Kind: tile.Kind(n % 3), A: n, B: n / 3, C: n / 7} }
 
