@@ -64,11 +64,12 @@ loc-check:
 
 # The allocation ceilings of the cache-hit path (a unary layer hit and
 # a unary network hit through the handler, the cache key), of the tiling
-# enumeration, of a warm Schedule and of BuildFused. They are
+# enumeration, of bounding a layer's tilings, of a warm Schedule and of
+# BuildFused. They are
 # `//go:build !race` tests — the race detector allocates too — so
 # `make check` skips them.
 hit-allocs:
-	$(call named-tests,,TestHitAllocs|TestCacheKeyAllocs|TestEnumerateAllocs|TestScheduleAllocs|TestBuildFusedAllocs,./internal/serve ./internal/search ./internal/tile ./internal/sched ./internal/dfg)
+	$(call named-tests,,TestHitAllocs|TestCacheKeyAllocs|TestEnumerateAllocs|TestBoundAllocs|TestScheduleAllocs|TestBuildFusedAllocs,./internal/serve ./internal/search ./internal/tile ./internal/sched ./internal/dfg)
 
 # Faster inner-loop variant (skips the slower network-level tests).
 test-short:

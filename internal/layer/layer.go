@@ -88,21 +88,6 @@ func outDim(in, ker, stride, pad int) int {
 	return (in+2*pad-ker)/stride + 1
 }
 
-// InputBytes returns the total input activation size in bytes.
-func (c Conv) InputBytes() int64 {
-	return int64(c.InH) * int64(c.InW) * int64(c.InC) * int64(c.ElemBytes)
-}
-
-// WeightBytes returns the total weight size in bytes.
-func (c Conv) WeightBytes() int64 {
-	return int64(c.KerH) * int64(c.KerW) * int64(c.InC) * int64(c.OutC) * int64(c.ElemBytes)
-}
-
-// OutputBytes returns the total output activation size in bytes.
-func (c Conv) OutputBytes() int64 {
-	return int64(c.OutH()) * int64(c.OutW()) * int64(c.OutC) * int64(c.ElemBytes)
-}
-
 // MACs returns the total multiply-accumulate count of the layer.
 func (c Conv) MACs() int64 {
 	return int64(c.OutH()) * int64(c.OutW()) * int64(c.OutC) *

@@ -37,15 +37,28 @@ func TestOutputDims(t *testing.T) {
 	}
 }
 
+// The tensor sizes in bytes, which only tests ask for.
+func (c Conv) inputBytes() int64 {
+	return int64(c.InH) * int64(c.InW) * int64(c.InC) * int64(c.ElemBytes)
+}
+
+func (c Conv) weightBytes() int64 {
+	return int64(c.KerH) * int64(c.KerW) * int64(c.InC) * int64(c.OutC) * int64(c.ElemBytes)
+}
+
+func (c Conv) outputBytes() int64 {
+	return int64(c.OutH()) * int64(c.OutW()) * int64(c.OutC) * int64(c.ElemBytes)
+}
+
 func TestByteSizesAndMACs(t *testing.T) {
 	c := NewConv("x", 4, 5, 6, 7, 3) // fp16
-	if got, want := c.InputBytes(), int64(4*5*6*2); got != want {
+	if got, want := c.inputBytes(), int64(4*5*6*2); got != want {
 		t.Errorf("InputBytes = %d, want %d", got, want)
 	}
-	if got, want := c.WeightBytes(), int64(3*3*6*7*2); got != want {
+	if got, want := c.weightBytes(), int64(3*3*6*7*2); got != want {
 		t.Errorf("WeightBytes = %d, want %d", got, want)
 	}
-	if got, want := c.OutputBytes(), int64(4*5*7*2); got != want {
+	if got, want := c.outputBytes(), int64(4*5*7*2); got != want {
 		t.Errorf("OutputBytes = %d, want %d", got, want)
 	}
 	if got, want := c.MACs(), int64(4*5*7*6*3*3); got != want {

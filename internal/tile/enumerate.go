@@ -37,27 +37,28 @@ const (
 	DefaultMaxValuesPerDim = 10
 )
 
-// CandidateValues returns the distinct useful tile extents for a
-// dimension of the given total size: for every possible block count n,
-// the smallest extent ceil(total/n) realizing it. The result is sorted
-// ascending and contains O(sqrt(total)) values.
-func CandidateValues(total int) []int {
-	var out []int
+// appendCandidateValues appends to dst the distinct useful tile extents
+// for a dimension of the given total size: for every possible block
+// count n, the smallest extent ceil(total/n) realizing it. They are
+// appended ascending, O(sqrt(total)) of them.
+func appendCandidateValues(dst []int, total int) []int {
+	start := len(dst)
 	// Extents fall as the block count rises: start from one block, step
 	// to the first count whose extent is smaller, take that extent.
 	for v := total; v >= 1; v = ceilDiv(total, ceilDiv(total, v-1)) {
-		out = append(out, v)
+		dst = append(dst, v)
 		if v == 1 {
 			break
 		}
 	}
-	slices.Reverse(out)
-	return out
+	slices.Reverse(dst[start:])
+	return dst
 }
 
 // subsample reduces vs to at most max values, always keeping the first
 // and last, sampling the rest evenly; at max 1 it keeps the last alone,
-// the whole dimension.
+// the whole dimension. It samples in place: the values kept are written
+// over vs's first ones, in order, and the result is vs's prefix or tail.
 func subsample(vs []int, max int) []int {
 	if max <= 0 || len(vs) <= max {
 		return vs
@@ -65,7 +66,7 @@ func subsample(vs []int, max int) []int {
 	if max == 1 {
 		return vs[len(vs)-1:]
 	}
-	out := make([]int, 0, max)
+	out := vs[:0] // the j-th value kept is read from position j or later
 	step := float64(len(vs)-1) / float64(max-1)
 	last := -1
 	for i := 0; i < max; i++ {
@@ -138,18 +139,21 @@ func Enumerate(l layer.Conv, lim EnumLimits) []Factors {
 		maxVals = DefaultMaxValuesPerDim
 	}
 	outH, outW := l.OutH(), l.OutW()
-	ohs := subsample(CandidateValues(outH), maxVals)
-	ows := subsample(CandidateValues(outW), maxVals)
-	ocs := subsample(CandidateValues(l.OutC), maxVals)
-	ics := subsample(CandidateValues(l.InC), maxVals)
+	buf := enumBufs.Get().(*enumBuf)
+	var dims [4][]int
+	for i, total := range [4]int{outH, outW, l.OutC, l.InC} {
+		start := len(buf.vals)
+		buf.vals = appendCandidateValues(buf.vals, total)
+		dims[i] = subsample(buf.vals[start:], maxVals)
+	}
+	ohs, ows, ocs, ics := dims[0], dims[1], dims[2], dims[3]
 
 	cores := max(lim.Cores, 1)
 	// One key per viable tiling, not its Factors: ascending extents,
 	// outermost loop first, so the tilings come in canonical order,
 	// ascending (OH, OW, OC, IC), and so does the mixed-radix index of
 	// their four value choices that each key holds.
-	buf := keyBufs.Get().(*[]sampleKey)
-	ks := (*buf)[:0]
+	ks := buf.keys
 	for a, oh := range ohs {
 		nOH := ceilDiv(outH, oh)
 		for b, ow := range ows {
@@ -184,13 +188,20 @@ func Enumerate(l layer.Conv, lim EnumLimits) []Factors {
 		i := int(k.i)
 		out[j] = Factors{ohs[i/len(ics)/len(ocs)/len(ows)], ows[i/len(ics)/len(ocs)%len(ows)], ocs[i/len(ics)%len(ocs)], ics[i%len(ics)]}
 	}
-	*buf = ks[:0]
-	keyBufs.Put(buf)
+	buf.keys, buf.vals = ks[:0], buf.vals[:0]
+	enumBufs.Put(buf)
 	return out
 }
 
-// keyBufs recycles Enumerate's key buffers.
-var keyBufs = sync.Pool{New: func() any { return new([]sampleKey) }}
+// enumBuf is Enumerate's scratch: the keys of the viable tilings, and
+// the candidate values of the four dimensions back to back.
+type enumBuf struct {
+	keys []sampleKey
+	vals []int
+}
+
+// enumBufs recycles Enumerate's scratch.
+var enumBufs = sync.Pool{New: func() any { return new(enumBuf) }}
 
 // sampleScore ranks a tiling for the sample: how well a full set of
 // cores concurrent ops fills (but does not overflow) the SPM, plus a

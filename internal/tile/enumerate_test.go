@@ -24,9 +24,9 @@ func TestCandidateValuesSmall(t *testing.T) {
 		{-3, nil},
 	}
 	for _, tc := range cases {
-		got := CandidateValues(tc.total)
+		got := appendCandidateValues(nil, tc.total)
 		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("CandidateValues(%d) = %v, want %v", tc.total, got, tc.want)
+			t.Errorf("appendCandidateValues(nil, %d) = %v, want %v", tc.total, got, tc.want)
 		}
 	}
 }
@@ -37,23 +37,23 @@ func TestCandidateValuesSmall(t *testing.T) {
 func TestCandidateValuesProperties(t *testing.T) {
 	ceil := func(a, b int) int { return (a + b - 1) / b }
 	for total := 1; total <= 600; total++ {
-		vs := CandidateValues(total)
+		vs := appendCandidateValues(nil, total)
 		if len(vs) == 0 {
-			t.Fatalf("CandidateValues(%d) empty", total)
+			t.Fatalf("appendCandidateValues(nil, %d) empty", total)
 		}
 		if vs[0] != 1 || vs[len(vs)-1] != total {
-			t.Fatalf("CandidateValues(%d) = %v missing 1 or total", total, vs)
+			t.Fatalf("appendCandidateValues(nil, %d) = %v missing 1 or total", total, vs)
 		}
 		if !sort.IntsAreSorted(vs) {
-			t.Fatalf("CandidateValues(%d) not sorted: %v", total, vs)
+			t.Fatalf("appendCandidateValues(nil, %d) not sorted: %v", total, vs)
 		}
 		counts := make(map[int]bool)
 		for i, v := range vs {
 			if v < 1 || v > total {
-				t.Fatalf("CandidateValues(%d)[%d] = %d out of range", total, i, v)
+				t.Fatalf("appendCandidateValues(nil, %d)[%d] = %d out of range", total, i, v)
 			}
 			if i > 0 && vs[i-1] == v {
-				t.Fatalf("CandidateValues(%d) duplicate %d", total, v)
+				t.Fatalf("appendCandidateValues(nil, %d) duplicate %d", total, v)
 			}
 			counts[ceil(total, v)] = true
 		}
@@ -63,14 +63,15 @@ func TestCandidateValuesProperties(t *testing.T) {
 			want[ceil(total, v)] = true
 		}
 		if len(counts) != len(want) {
-			t.Fatalf("CandidateValues(%d): %d distinct block counts, want %d", total, len(counts), len(want))
+			t.Fatalf("appendCandidateValues(nil, %d): %d distinct block counts, want %d", total, len(counts), len(want))
 		}
 	}
 }
 
 func TestSubsampleKeepsEnds(t *testing.T) {
-	vs := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	got := subsample(vs, 4)
+	// subsample samples in place, so each call gets its own values.
+	vs := func() []int { return []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} }
+	got := subsample(vs(), 4)
 	if len(got) > 4 {
 		t.Fatalf("subsample returned %d values, want <= 4", len(got))
 	}
@@ -80,17 +81,17 @@ func TestSubsampleKeepsEnds(t *testing.T) {
 	if !sort.IntsAreSorted(got) {
 		t.Errorf("subsample not sorted: %v", got)
 	}
-	if g := subsample(vs, 20); !reflect.DeepEqual(g, vs) {
+	if g := subsample(vs(), 20); !reflect.DeepEqual(g, vs()) {
 		t.Errorf("subsample with large max changed input: %v", g)
 	}
-	if g := subsample(vs, 0); !reflect.DeepEqual(g, vs) {
+	if g := subsample(vs(), 0); !reflect.DeepEqual(g, vs()) {
 		t.Errorf("subsample with max 0 changed input: %v", g)
 	}
 	// One value is the last, the whole dimension; two are both ends.
-	if g := subsample(vs, 1); !reflect.DeepEqual(g, []int{10}) {
+	if g := subsample(vs(), 1); !reflect.DeepEqual(g, []int{10}) {
 		t.Errorf("subsample to 1 value = %v, want [10]", g)
 	}
-	if g := subsample(vs, 2); !reflect.DeepEqual(g, []int{1, 10}) {
+	if g := subsample(vs(), 2); !reflect.DeepEqual(g, []int{1, 10}) {
 		t.Errorf("subsample to 2 values = %v, want [1 10]", g)
 	}
 }
@@ -125,7 +126,7 @@ func TestEnumerateFeasibility(t *testing.T) {
 		if g.NumOps() > lim.MaxOps {
 			t.Errorf("tiling %v: %d ops exceeds cap %d", f, g.NumOps(), lim.MaxOps)
 		}
-		if got := g.MaxOperandBytes(); got > lim.SPMBytes {
+		if got := g.maxOperandBytes(); got > lim.SPMBytes {
 			t.Errorf("tiling %v: operand footprint %d exceeds SPM %d", f, got, lim.SPMBytes)
 		}
 	}
@@ -212,7 +213,7 @@ func TestMaxOperandBytesFastIsUpperBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if exact, fast := g.MaxOperandBytes(), maxOperandBytesFast(l, f); exact > fast {
+		if exact, fast := g.maxOperandBytes(), maxOperandBytesFast(l, f); exact > fast {
 			t.Errorf("tiling %v: exact %d > fast bound %d", f, exact, fast)
 		}
 	}

@@ -10,6 +10,7 @@ package tile
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/flexer-sched/flexer/internal/layer"
 )
@@ -114,58 +115,64 @@ type Grid struct {
 
 // NewGrid builds the tile grid of l under factors f. Factors larger
 // than the corresponding layer dimension are clamped.
-func NewGrid(l layer.Conv, f Factors) (*Grid, error) {
+func NewGrid(l layer.Conv, f Factors) (*Grid, error) { return NewGridInto(nil, l, f) }
+
+// NewGridInto is NewGrid building into dst's storage (nil: fresh
+// storage), a grid nothing reads any more, and returning it; on an
+// error dst is left as it was. A search that bounds or schedules one
+// grid per tiling reuses one grid's storage for all of them.
+func NewGridInto(dst *Grid, l layer.Conv, f Factors) (*Grid, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
+	if dst == nil {
+		dst = new(Grid)
+	}
 	outH, outW := l.OutH(), l.OutW()
 	f.OH = min(f.OH, outH)
 	f.OW = min(f.OW, outW)
 	f.OC = min(f.OC, l.OutC)
 	f.IC = min(f.IC, l.InC)
-	g := &Grid{
-		Layer: l,
-		F:     f,
-		OutH:  outH,
-		OutW:  outW,
-		NOH:   ceilDiv(outH, f.OH),
-		NOW:   ceilDiv(outW, f.OW),
-		NOC:   ceilDiv(l.OutC, f.OC),
-		NIC:   ceilDiv(l.InC, f.IC),
+	*dst = Grid{
+		Layer:   l,
+		F:       f,
+		OutH:    outH,
+		OutW:    outW,
+		NOH:     ceilDiv(outH, f.OH),
+		NOW:     ceilDiv(outW, f.OW),
+		NOC:     ceilDiv(l.OutC, f.OC),
+		NIC:     ceilDiv(l.InC, f.IC),
+		rowSize: blockSizes(dst.rowSize[:0], outH, f.OH),
+		colSize: blockSizes(dst.colSize[:0], outW, f.OW),
+		ocSize:  blockSizes(dst.ocSize[:0], l.OutC, f.OC),
+		icSize:  blockSizes(dst.icSize[:0], l.InC, f.IC),
+		inRowSz: slices.Grow(dst.inRowSz[:0], ceilDiv(outH, f.OH)),
+		inColSz: slices.Grow(dst.inColSz[:0], ceilDiv(outW, f.OW)),
 	}
-	g.rowSize = blockSizes(outH, f.OH)
-	g.colSize = blockSizes(outW, f.OW)
-	g.ocSize = blockSizes(l.OutC, f.OC)
-	g.icSize = blockSizes(l.InC, f.IC)
-	g.inRowSz = make([]int, g.NOH)
-	for h := 0; h < g.NOH; h++ {
-		_, n := layer.InputRange(h*f.OH, g.rowSize[h], l.KerH, l.StrideH, l.PadH, l.InH)
-		g.inRowSz[h] = n
+	for h := 0; h < dst.NOH; h++ {
+		_, n := layer.InputRange(h*f.OH, dst.rowSize[h], l.KerH, l.StrideH, l.PadH, l.InH)
+		dst.inRowSz = append(dst.inRowSz, n)
 	}
-	g.inColSz = make([]int, g.NOW)
-	for w := 0; w < g.NOW; w++ {
-		_, n := layer.InputRange(w*f.OW, g.colSize[w], l.KerW, l.StrideW, l.PadW, l.InW)
-		g.inColSz[w] = n
+	for w := 0; w < dst.NOW; w++ {
+		_, n := layer.InputRange(w*f.OW, dst.colSize[w], l.KerW, l.StrideW, l.PadW, l.InW)
+		dst.inColSz = append(dst.inColSz, n)
 	}
-	return g, nil
+	return dst, nil
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-func blockSizes(total, per int) []int {
-	n := ceilDiv(total, per)
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		sz := per
-		if rem := total - i*per; rem < sz {
-			sz = rem
-		}
-		out[i] = sz
+// blockSizes appends the extents of the blocks of per elements (the
+// last one short) that total elements make to dst.
+func blockSizes(dst []int, total, per int) []int {
+	dst = slices.Grow(dst, ceilDiv(total, per))
+	for lo := 0; lo < total; lo += per {
+		dst = append(dst, min(per, total-lo))
 	}
-	return out
+	return dst
 }
 
 // NumOps returns the total number of tiled convolution operations:
@@ -271,21 +278,6 @@ func BlockRange(lo, count, per, n int) (first, last int) {
 // number of input channels accumulated by this step.
 func (g *Grid) OpDims(oh, ow, oc, ic int) (rows, cols, ochs, ichs int) {
 	return g.rowSize[oh], g.colSize[ow], g.ocSize[oc], g.icSize[ic]
-}
-
-// MaxOperandBytes returns the largest combined operand footprint of any
-// single op under this grid: input tile + weight tile + output tile.
-// A tiling is infeasible on an SPM smaller than this.
-func (g *Grid) MaxOperandBytes() int64 {
-	var total int64
-	for k := range numKinds {
-		var largest int64
-		for i := range g.NumTiles(k) {
-			largest = max(largest, g.Size(g.TileAt(k, i)))
-		}
-		total += largest
-	}
-	return total
 }
 
 // TotalTileBytes returns the summed size of all distinct tiles of kind

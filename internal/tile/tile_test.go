@@ -1,6 +1,8 @@
 package tile
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -73,8 +75,8 @@ func TestOutputCoverage(t *testing.T) {
 			}
 		}
 	}
-	if sum != l.OutputBytes() {
-		t.Errorf("output tiles sum to %d bytes, tensor is %d", sum, l.OutputBytes())
+	if want := int64(l.OutH() * l.OutW() * l.OutC * l.ElemBytes); sum != want {
+		t.Errorf("output tiles sum to %d bytes, tensor is %d", sum, want)
 	}
 }
 
@@ -91,8 +93,8 @@ func TestWeightCoverage(t *testing.T) {
 			sum += g.Size(g.WtTile(c, i))
 		}
 	}
-	if sum != l.WeightBytes() {
-		t.Errorf("weight tiles sum to %d bytes, tensor is %d", sum, l.WeightBytes())
+	if want := int64(l.KerH * l.KerW * l.InC * l.OutC * l.ElemBytes); sum != want {
+		t.Errorf("weight tiles sum to %d bytes, tensor is %d", sum, want)
 	}
 }
 
@@ -105,8 +107,8 @@ func TestInputTilesAtLeastTensor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := g.TotalTileBytes(In); got < l.InputBytes() {
-		t.Errorf("input tiles sum to %d bytes, tensor is %d", got, l.InputBytes())
+	if got, tensor := g.TotalTileBytes(In), int64(l.InH*l.InW*l.InC*l.ElemBytes); got < tensor {
+		t.Errorf("input tiles sum to %d bytes, tensor is %d", got, tensor)
 	}
 }
 
@@ -145,23 +147,38 @@ func TestInputTileHalo(t *testing.T) {
 	}
 }
 
+// maxOperandBytes returns the largest combined operand footprint of any
+// single op under this grid: input tile + weight tile + output tile.
+// A tiling is infeasible on an SPM smaller than this.
+func (g *Grid) maxOperandBytes() int64 {
+	var total int64
+	for k := range numKinds {
+		var largest int64
+		for i := range g.NumTiles(k) {
+			largest = max(largest, g.Size(g.TileAt(k, i)))
+		}
+		total += largest
+	}
+	return total
+}
+
 func TestMaxOperandBytes(t *testing.T) {
 	l := testLayer()
 	g, err := NewGrid(l, Factors{OH: 7, OW: 7, OC: 20, IC: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := g.MaxOperandBytes()
+	got := g.maxOperandBytes()
 	// Upper bound from the fast estimator used during enumeration.
 	eb := int64(l.ElemBytes)
 	inMax := int64(9*9*24) * eb // (7-1)*1+3 = 9 rows/cols of halo
 	wtMax := int64(3*3*24*20) * eb
 	outMax := int64(7*7*20) * eb
 	if got > inMax+wtMax+outMax {
-		t.Errorf("MaxOperandBytes = %d exceeds bound %d", got, inMax+wtMax+outMax)
+		t.Errorf("maxOperandBytes = %d exceeds bound %d", got, inMax+wtMax+outMax)
 	}
 	if got <= 0 {
-		t.Errorf("MaxOperandBytes = %d", got)
+		t.Errorf("maxOperandBytes = %d", got)
 	}
 }
 
@@ -222,6 +239,35 @@ func TestSizesPositive(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNewGridIntoMatchesNewGrid: a grid built into the storage of a grid
+// of another layer and tiling equals one built afresh, over random
+// layers (strides and pads included) and factors, and a build that
+// fails leaves the storage as it was.
+func TestNewGridIntoMatchesNewGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	used, err := NewGrid(testLayer(), Factors{OH: 1, OW: 1, OC: 1, IC: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		ker := []int{1, 3, 5, 7}[rng.Intn(4)]
+		l := layer.NewConv("r", ker+rng.Intn(40), ker+rng.Intn(40), 1+rng.Intn(96), 1+rng.Intn(96), ker).WithStride(1 + rng.Intn(2)).WithPad(rng.Intn(ker))
+		f := Factors{OH: 1 + rng.Intn(l.OutH()+2), OW: 1 + rng.Intn(l.OutW()+2), OC: 1 + rng.Intn(l.OutC+2), IC: 1 + rng.Intn(l.InC+2)}
+		want, err := NewGrid(l, f)
+		if err != nil {
+			t.Fatalf("%s %v: %v", l, f, err)
+		}
+		got, err := NewGridInto(used, l, f)
+		if err != nil || got != used || !reflect.DeepEqual(*got, *want) {
+			t.Fatalf("%s %v: built into used storage %+v (%v), afresh %+v", l, f, got, err, want)
+		}
+	}
+	before := *used
+	if g, err := NewGridInto(used, testLayer(), Factors{OH: 0, OW: 1, OC: 1, IC: 1}); err == nil || g != nil || !reflect.DeepEqual(*used, before) {
+		t.Errorf("a failed build returned %v, %v and left %+v, want an error and %+v", g, err, *used, before)
 	}
 }
 
