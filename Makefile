@@ -39,7 +39,8 @@ endef
 # of the experiment harness (the registry and its command), of the
 # schedule replay's readers (verify, trace, stats: ROADMAP's replay
 # item budgets against their sum), and of the repository outside
-# bench/. CI's check job echoes this, so each PR's log records progress
+# bench/; plus the lines of docs/ARCHITECTURE.md, which ROADMAP wants
+# back to a map. CI's check job echoes this, so each PR's log records progress
 # against the line targets.
 loc:
 	@for d in internal/sched internal/search internal/serve internal/spm internal/dfg; do \
@@ -48,6 +49,7 @@ loc:
 	@printf '%-24s %6d\n' sched/repair.go $$(wc -l < internal/sched/repair.go)
 	@printf '%-24s %6d\n' experiments+flexerbench $$(find internal/experiments cmd/flexerbench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 	@printf '%-24s %6d\n' verify+trace+stats $$(find internal/verify internal/trace internal/stats -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	@printf '%-24s %6d\n' docs/ARCHITECTURE.md $$(wc -l < docs/ARCHITECTURE.md)
 	@printf '%-24s %6d\n' 'total (no bench)' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 
 # The ratchet on those counts: fail when a row of `make loc` exceeds its

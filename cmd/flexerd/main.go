@@ -142,7 +142,7 @@ func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "max concurrent searches (0 = GOMAXPROCS)")
 	searchPar := flag.Int("search-parallelism", 0, "per-search worker count (0 = GOMAXPROCS)")
-	cacheSize := flag.Int("cache-size", 0, "result-cache capacity in entries (0 = default, -1 = unbounded)")
+	cacheSize := flag.Int("cache-size", 0, "result-cache capacity: at most this many completed entries, least recently used evicted first (0 = 4096, -1 = unbounded)")
 	cacheFile := flag.String("cache-file", "", "cache snapshot path: loaded on boot, saved periodically and on shutdown (empty = no persistence)")
 	snapEvery := flag.Duration("cache-snapshot-interval", 5*time.Minute, "period between cache snapshots (0 = only on shutdown; needs -cache-file)")
 	queueDepth := flag.Int("queue-depth", 0, "max schedule requests waiting for a worker before shedding with 429 (0 = 4x workers, -1 = unlimited)")

@@ -21,7 +21,7 @@ import (
 // same schedule — records, sets, totals and both effort counters — over
 // single-layer and fused graphs, every priority and spill policy, a
 // fault plan, and windows that do and do not hold the ready queue. Both
-// answers must occur, and only the op-order hint may be answered true.
+// answers must occur, and a hinted run must answer false.
 func TestHintRepeatsIsExact(t *testing.T) {
 	a := testArch(4)
 	graphs := map[string]*dfg.Graph{
@@ -45,10 +45,7 @@ func TestHintRepeatsIsExact(t *testing.T) {
 							t.Fatalf("%s: %v", label, err)
 						}
 						n := len(gr.Ops)
-						if r.HintRepeats(swapped(seq(n), 0, n-1)) || r.HintRepeats(seq(n-1)) {
-							t.Fatalf("%s: a hint other than the op order answers true", label)
-						}
-						if !r.HintRepeats(seq(n)) {
+						if !r.HintRepeats() {
 							differs++
 							continue
 						}
@@ -58,7 +55,7 @@ func TestHintRepeatsIsExact(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s hinted: %v", label, err)
 						}
-						if hinted.HintRepeats(seq(n)) {
+						if hinted.HintRepeats() {
 							t.Fatalf("%s: a hinted run answers true", label)
 						}
 						want := *r
@@ -81,7 +78,7 @@ func TestHintRepeatsIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !nominal.HintRepeats(seq(len(gr.Ops))) {
+	if !nominal.HintRepeats() {
 		t.Fatal("the nominal schedule is meant to repeat the op-order hint")
 	}
 	repaired, err := Repair(gr, nominal, &fault.Plan{CoreDown: []fault.CoreDown{{Core: 1, Cycle: nominal.LatencyCycles / 2}}}, Config{Arch: a})
@@ -96,7 +93,7 @@ func TestHintRepeatsIsExact(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(decoded); err != nil {
 		t.Fatal(err)
 	}
-	if repaired.HintRepeats(seq(len(gr.Ops))) || decoded.HintRepeats(seq(len(gr.Ops))) {
+	if repaired.HintRepeats() || decoded.HintRepeats() {
 		t.Error("a repaired or a decoded result answers true")
 	}
 }

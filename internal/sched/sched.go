@@ -202,22 +202,14 @@ type Result struct {
 	opOrderSame               bool // see HintRepeats; unexported, so no snapshot or wire carries it
 }
 
-// HintRepeats reports whether the run hinted with hint is provably this
-// run again: r is an unhinted out-of-order Schedule each of whose steps
-// formed the window a hint listing the ops in index order forms — the
-// op-order prefix of the ready queue — and hint is that order. Ranks
-// are op indices in both runs and only the window reads the hint, so by
-// induction over steps the hinted run makes the same sets, records and
-// counts. Results of Repair, of an order or a hint, and decoded ones
-// answer false.
-func (r *Result) HintRepeats(hint []int) bool {
-	for i, op := range hint {
-		if op != i {
-			return false
-		}
-	}
-	return r.opOrderSame && len(hint) == len(r.OpRecords)
-}
+// HintRepeats reports whether the run hinted with the op order — the
+// ops in index order — is provably this run again: r is an unhinted
+// out-of-order Schedule each of whose steps formed the window that hint
+// forms, the op-order prefix of the ready queue. Ranks are op indices
+// in both runs and only the window reads the hint, so by induction over
+// steps the hinted run makes the same sets, records and counts. Results
+// of Repair, of an order or a hint, and decoded ones answer false.
+func (r *Result) HintRepeats() bool { return r.opOrderSame }
 
 // TrafficBytes returns the total off-chip traffic of the schedule.
 func (r *Result) TrafficBytes() int64 { return r.LoadBytes + r.SpillBytes + r.WritebackBytes }

@@ -74,6 +74,31 @@ func BenchmarkSearchLayerCached(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheLookupParallel measures hits on the cache's one lock
+// from every P (run it with -cpu 1,2,...): 64 completed entries under
+// real keys, looked up round-robin from each goroutine.
+func BenchmarkCacheLookupParallel(b *testing.B) {
+	opts := benchOpts(b, "arch1")
+	c := NewCache()
+	var keys []string
+	for k := 0; k < 64; k++ {
+		key := CacheKey(layer.NewConv("bench", 14, 14, 64, 64+k, 3), opts)
+		c.insertCompleted(&cacheEntry{key: key, lr: &LayerResult{}})
+		keys = append(keys, key)
+	}
+	l := layer.NewConv("bench", 14, 14, 64, 64, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if c.Lookup(keys[i%len(keys)], l, nil) == nil {
+				b.Error("miss")
+				return
+			}
+		}
+	})
+}
+
 // BenchmarkCacheKey measures fingerprinting a layer + options into the
 // coalescing key — this runs on every request, hit or miss.
 func BenchmarkCacheKey(b *testing.B) {

@@ -37,9 +37,7 @@ func (b Bound) Score(m Metric) float64 { return m.Score(b.Cycles, b.Traffic) }
 // latency and traffic, the property dominance pruning relies on. The
 // zero metric means the paper's default (both exponents 1).
 func (m Metric) monotone() bool {
-	if m.LatExp == 0 && m.TrafficExp == 0 {
-		return true // zero value = default metric
-	}
+	m = m.orDefault()
 	return m.LatExp >= 0 && m.TrafficExp >= 0 &&
 		!math.IsNaN(m.LatExp) && !math.IsNaN(m.TrafficExp)
 }

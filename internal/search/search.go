@@ -44,6 +44,15 @@ type Metric struct {
 // MetricDefault is the paper's ranking metric: latency x traffic.
 func MetricDefault() Metric { return Metric{LatExp: 1, TrafficExp: 1} }
 
+// orDefault returns m, or MetricDefault for the zero metric: what m
+// ranks by, and so what the cache key names.
+func (m Metric) orDefault() Metric {
+	if m == (Metric{}) {
+		return MetricDefault()
+	}
+	return m
+}
+
 // MetricMinTransfer weights traffic reduction far above latency,
 // matching the Figure 9(b) experiment.
 func MetricMinTransfer() Metric { return Metric{LatExp: 0.1, TrafficExp: 1} }
@@ -64,9 +73,7 @@ func ParseMetric(name string) (Metric, error) {
 
 // Score computes the metric value; lower is better.
 func (m Metric) Score(latency, traffic int64) float64 {
-	if m.LatExp == 0 && m.TrafficExp == 0 {
-		m = MetricDefault()
-	}
+	m = m.orDefault()
 	return math.Pow(float64(latency), m.LatExp) * math.Pow(float64(traffic), m.TrafficExp)
 }
 
@@ -641,8 +648,8 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 	// cannot beat the static incumbent can never become BestStatic, so
 	// the tiling's own static best does not tighten its cutoff.
 	seen := make([][4]loop.Dim, 0, 24) // room for every permutation, off the heap
-	hints := make([][]int, 0, maxOoOHints)
-	var spare []int // the orders no hint keeps share one buffer
+	hints := make([]loop.Dataflow, 0, maxOoOHints)
+	var spare []int // every order, static or hint, is built here just before its run
 	for i, df := range dataflows {
 		if err := ctx.Err(); err != nil {
 			return Candidate{}, aborted, err
@@ -652,32 +659,34 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 			continue
 		}
 		seen = append(seen, seq)
-		cfg := base
 		if opts.Budget.HintedOoO && i < maxOoOHints {
-			cfg.Order = loop.AppendOrder(nil, graph, df)
-			hints = append(hints, cfg.Order)
-		} else {
-			spare = loop.AppendOrder(spare[:0], graph, df)
-			cfg.Order = spare
+			hints = append(hints, df)
 		}
+		spare = loop.AppendOrder(spare[:0], graph, df)
+		cfg := base
+		cfg.Order = spare
 		if res, err := run(cfg, staticInc, nil); err == nil && metric.beats(res, c.Static) {
 			c.Static, c.StaticOrder = res, df
 		}
 	}
-	// A hint the unhinted run proves it repeats (sched.Result.HintRepeats)
-	// is skipped: its floors never pass that run's score, which caps its
-	// target, and the global target has not moved since that run finished
-	// under it (with one worker; above, counts are timing-dependent
-	// anyway), so it would finish, tie, and lose the strict keep.
-	for _, hint := range hints {
+	// The hint whose sequence is the op order (dfg.OpAt numbers ops in
+	// this loop nest) is skipped when the unhinted run proves it repeats
+	// (sched.Result.HintRepeats): its floors never pass that run's score,
+	// which caps its target, and the global target has not moved since
+	// that run finished under it (with one worker; above, counts are
+	// timing-dependent anyway), so it would finish, tie, and lose the
+	// strict keep.
+	opOrder := loop.Reduce(grid, [4]loop.Dim{loop.OH, loop.OW, loop.OC, loop.IC})
+	for _, df := range hints {
 		if err := ctx.Err(); err != nil {
 			return Candidate{}, aborted, err
 		}
-		if ooo != nil && c.OoO == ooo && ooo.HintRepeats(hint) {
+		if ooo != nil && c.OoO == ooo && ooo.HintRepeats() && loop.Reduce(grid, df.Perm) == opOrder {
 			continue
 		}
+		spare = loop.AppendOrder(spare[:0], graph, df)
 		cfg := base
-		cfg.Hint = hint
+		cfg.Hint = spare
 		if res, err := run(cfg, oooInc, c.OoO); err == nil && metric.beats(res, c.OoO) {
 			c.OoO = res
 		}

@@ -54,8 +54,8 @@ type snapshotEntry struct {
 
 // SaveTo writes a snapshot of every completed, successful entry to w
 // and returns the number of entries written. Concurrent lookups may
-// proceed while saving: entry pointers are collected under the shard
-// locks, and completed results are immutable thereafter.
+// proceed while saving: entry pointers are collected under the cache's
+// lock, and completed results are immutable thereafter.
 func (c *Cache) SaveTo(w io.Writer) (int, error) {
 	return c.SaveShardTo(w, nil)
 }
@@ -93,19 +93,15 @@ func (c *Cache) SaveShardTo(w io.Writer, keep func(key string) bool) (int, error
 
 // snapshotEntries collects the persistable entries, least recently
 // used first, so that replaying them through LoadFrom's PushFront
-// reconstructs each shard's LRU order.
+// reconstructs the cache's LRU order.
 func (c *Cache) snapshotEntries() []*cacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var entries []*cacheEntry
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for el := s.lru.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*cacheEntry)
-			if e.err == nil && e.lr != nil {
-				entries = append(entries, e)
-			}
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
+		if e := el.Value.(*cacheEntry); e.err == nil && e.lr != nil {
+			entries = append(entries, e)
 		}
-		s.mu.Unlock()
 	}
 	return entries
 }
@@ -148,15 +144,14 @@ func (c *Cache) LoadFrom(r io.Reader) (int, error) {
 // insertCompleted installs e, an already-computed entry, under its key,
 // reporting false when the key is already present.
 func (c *Cache) insertCompleted(e *cacheEntry) bool {
-	s := c.shard(e.key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[e.key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.m[e.key]; ok {
 		return false
 	}
 	e.done = make(chan struct{})
 	close(e.done)
-	s.m[e.key] = e
-	s.complete(c, e)
+	c.m[e.key] = e
+	c.complete(e)
 	return true
 }

@@ -267,13 +267,17 @@ func TestCacheSnapshotGarbage(t *testing.T) {
 }
 
 // TestCacheSnapshotRespectsCapacity loads a snapshot into a smaller
-// cache and checks the LRU bound still holds.
+// cache: it keeps the k most recently used entries of the source, in
+// the source's recency order.
 func TestCacheSnapshotRespectsCapacity(t *testing.T) {
 	opts := quickOpts(t, "arch1")
 	opts.Cache = NewCacheSized(0) // unbounded source
-	const n = cacheShards + 4
-	for k := 0; k < n; k++ {
-		if _, err := SearchLayer(layer.NewConv("l", 8, 8, 4, 4+k, 3), opts); err != nil {
+	shape := func(k int) layer.Conv { return layer.NewConv("l", 8, 8, 4, 4+k, 3) }
+	const n, k = 6, 3
+	// Search 0..n-1, then touch 0 and 2: recency, most recent first, is
+	// 2, 0, n-1, n-2, ...
+	for _, s := range []int{0, 1, 2, 3, 4, 5, 0, 2} {
+		if _, err := SearchLayer(shape(s), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,12 +286,23 @@ func TestCacheSnapshotRespectsCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	small := NewCacheSized(cacheShards) // capacity 1 per shard
+	small := NewCacheSized(k)
 	if _, err := small.LoadFrom(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if small.Len() > cacheShards {
-		t.Fatalf("loaded cache has %d entries, exceeds capacity %d", small.Len(), cacheShards)
+	if small.Len() != k {
+		t.Fatalf("loaded cache has %d entries, want its capacity %d", small.Len(), k)
+	}
+	for s := 0; s < n; s++ {
+		if want := s == 2 || s == 0 || s == n-1; cached(small, CacheKey(shape(s), opts)) != want {
+			t.Errorf("shape %d loaded = %v, want %v", s, !want, want)
+		}
+	}
+	// The loaded order is the source's: one more entry evicts shape n-1,
+	// the least recent of the three.
+	small.SetNetworkMemo("net", nil)
+	if cached(small, CacheKey(shape(n-1), opts)) || !cached(small, CacheKey(shape(0), opts)) {
+		t.Error("the loaded cache did not keep the source's recency order")
 	}
 }
 

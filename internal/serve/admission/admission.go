@@ -232,9 +232,6 @@ func NewScheduler(cfg Config) *Scheduler {
 	return s
 }
 
-// Slots returns the arbitrated pool size.
-func (s *Scheduler) Slots() int { return s.slots }
-
 // QueueDepth returns the effective per-tenant queue bound (-1 =
 // unlimited).
 func (s *Scheduler) QueueDepth() int { return s.depth }
