@@ -154,13 +154,14 @@ paper-guard:
 # panicking), the
 # scratchpad allocator (nested checkpoints included), the fused-graph
 # pipeline (random two-layer fusions scheduled and verified end to end,
-# including the cross-layer residency checks), and the scheduler's set
+# including the cross-layer residency checks), the closed-form tiling
+# floor (random strided, padded layers and factors against the grid
+# walk and the built graph), and the scheduler's set
 # formation (the prefix walk against the per-width reference enumerator,
 # step by step, on a random graph, machine and limits) and look-ahead
 # floors (never falling, never above what the run reaches, on the same
 # draws plus a random fault plan). -fuzz must select one Fuzz* function:
-# verify and sched hold two each and name each, the other packages hold
-# one.
+# verify, dfg and sched hold two each and name each, spm holds one.
 # Skipped with a hint on toolchains without
 # native fuzzing support, so the target never hard-fails on an old
 # local Go (CI always has a current one).
@@ -171,7 +172,8 @@ fuzz-smoke:
 		$(GO) test -fuzz='^FuzzRepair$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/verify && \
 		$(GO) test -fuzz='^FuzzVerify$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/verify && \
 		$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) -run='^$$' ./internal/spm && \
-		$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dfg && \
+		$(GO) test -fuzz='^FuzzFusedResidency$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dfg && \
+		$(GO) test -fuzz='^FuzzFloor$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dfg && \
 		$(GO) test -fuzz='^FuzzSetWalk$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sched && \
 		$(GO) test -fuzz='^FuzzFloors$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sched; \
 	else \

@@ -14,6 +14,7 @@ package dfg
 import (
 	"fmt"
 
+	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/model"
 	"github.com/flexer-sched/flexer/internal/tile"
 )
@@ -106,31 +107,32 @@ type Floor struct {
 // Floor returns the graph's totals; see Floor.
 func (gr *Graph) Floor() Floor { return gr.floor }
 
-// FloorOf returns one grid's share of a Floor under m: the summed op
-// cycles, and per tile kind the summed size and DMA latency of its
-// tiles, each moved once. An op's cycles are its channel passes times
-// its output area and taps, plus a fill (model.ConvCycles), so one op
-// per channel pair spanning the whole output stands for its blocks.
-func FloorOf(g *tile.Grid, m model.Model) (opCycles int64, bytes, cycles [tile.NumKinds]int64) {
-	return floorOf(g, m, [tile.NumKinds][]int64{})
-}
-
-// floorOf is FloorOf that also writes every tile's byte size, where
-// sizes[kind] is not nil, to it in Index order: the walk that sums them.
-func floorOf(g *tile.Grid, m model.Model, sizes [tile.NumKinds][]int64) (opCycles int64, bytes, cycles [tile.NumKinds]int64) {
-	for oc := range g.NOC {
-		for ic := range g.NIC {
-			_, _, ochs, ichs := g.OpDims(0, 0, oc, ic)
-			opCycles += m.ConvCycles(g.OutH, g.OutW, ochs, ichs, g.Layer.KerH, g.Layer.KerW)
+// FloorOf returns the share of a Floor under m of the tiling c cuts l
+// into: the op cycles (one op per channel class pair over the whole
+// output, model.ConvCycles, and the other ops' fills), and per tile kind
+// the bytes and DMA cycles of its tiles, each moved once, by class.
+func FloorOf(l layer.Conv, c *tile.Cuts, m model.Model) (opCycles int64, bytes, cycles [tile.NumKinds]int64) {
+	eb, oh, ow, oc, ic := int64(l.ElemBytes), c.Classes(0), c.Classes(1), c.Classes(2), c.Classes(3)
+	add := func(k tile.Kind, n int, elems int64) {
+		bytes[k] += int64(n) * elems * eb
+		cycles[k] += int64(n) * m.TransferCycles(elems*eb)
+	}
+	for _, o := range oc {
+		for _, i := range ic {
+			opCycles += int64(o.N*i.N) * m.ConvCycles(l.OutH(), l.OutW(), o.Out, i.Out, l.KerH, l.KerW)
+			add(tile.Wt, o.N*i.N, int64(l.KerH*l.KerW)*int64(i.Out)*int64(o.Out))
 		}
 	}
-	opCycles += int64(g.NumOps()-g.NOC*g.NIC) * m.FillCycles() // the other ops' fills
-	for k := range tile.NumKinds {
-		cost := m.TransferCycles
-		if dst := sizes[k]; dst != nil {
-			cost = func(sz int64) int64 { dst[0], dst = sz, dst[1:]; return m.TransferCycles(sz) }
+	opCycles += int64(c.Dim[0].N*c.Dim[1].N-1) * int64(c.Dim[2].N*c.Dim[3].N) * m.FillCycles()
+	for _, r := range oh {
+		for _, w := range ow {
+			for _, i := range ic {
+				add(tile.In, r.N*w.N*i.N, int64(r.In)*int64(w.In)*int64(i.Out))
+			}
+			for _, o := range oc {
+				add(tile.Out, r.N*w.N*o.N, int64(r.Out)*int64(w.Out)*int64(o.Out))
+			}
 		}
-		bytes[k], cycles[k] = g.SumTiles(tile.Kind(k), cost)
 	}
 	return opCycles, bytes, cycles
 }
@@ -243,18 +245,12 @@ func (gr *Graph) FinalOp(ot tile.ID) int {
 // single-layer graphs pending[i] is 1 exactly when IC > 0, so readiness
 // is identical to the layerwise scheduler's.
 func (gr *Graph) PendingInto(dst []int) []int {
-	if cap(dst) >= len(gr.Ops) {
-		dst = dst[:len(gr.Ops)]
-	} else {
-		dst = make([]int, len(gr.Ops))
-	}
+	dst = resize(dst, len(gr.Ops))
 	for i := range gr.Ops {
-		n := 0
+		dst[i] = len(gr.CrossPreds(i))
 		if gr.Ops[i].IC > 0 {
-			n = 1
+			dst[i]++
 		}
-		n += len(gr.CrossPreds(i))
-		dst[i] = n
 	}
 	return dst
 }
@@ -300,7 +296,9 @@ func build(gr *Graph, grids []*tile.Grid, m model.Model) *Graph {
 	gr.uses = resize(gr.uses, tiles) // every element is written below
 	gr.sizes = resize(gr.sizes, tiles)
 	for l, g := range grids {
-		opCycles, bytes, cycles := floorOf(g, m, [tile.NumKinds][]int64{gr.sizes[gr.base[l]:], gr.sizes[gr.base[nl+l]:], gr.sizes[gr.base[2*nl+l]:]})
+		var classes [16]tile.Class
+		c, _ := tile.CutsOf(g.Layer, g.F, classes[:0])
+		opCycles, bytes, cycles := FloorOf(g.Layer, &c, m)
 		gr.floor.OpCycles += opCycles
 		gr.floor.LoadBytes += bytes[tile.Wt]
 		gr.floor.LoadCycles += cycles[tile.Wt]
@@ -317,6 +315,8 @@ func build(gr *Graph, grids []*tile.Grid, m model.Model) *Graph {
 			for i := range seg {
 				seg[i] = int32(n)
 			}
+			sizes := gr.sizes[gr.base[k*nl+l]:]
+			g.SumTiles(tile.Kind(k), func(sz int64) int64 { sizes[0], sizes = sz, sizes[1:]; return 0 })
 		}
 		conv := g.Layer
 		inBase, wtBase, outBase := int32(gr.base[int(tile.In)*nl+l]), int32(gr.base[int(tile.Wt)*nl+l]), int32(gr.base[int(tile.Out)*nl+l])

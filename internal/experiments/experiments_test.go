@@ -104,16 +104,22 @@ func TestFig1(t *testing.T) {
 	}
 }
 
-// TestFig8Subset checks the grid's shape and, on the VGG16 rows, that
-// the counted fields are consistent with the totals.
+// TestFig8Subset checks the grid's shape, that no schedule is below its
+// cell's floors and, on the VGG16 rows, that the counted fields are
+// consistent with the totals.
 func TestFig8Subset(t *testing.T) {
-	rows := quickRows[cell](t, "fig8")
+	rows := quickRows[floorCell](t, "fig8")
 	if len(rows) != 32 {
 		t.Fatalf("%d rows, want 4 networks x 8 archs", len(rows))
 	}
 	for _, r := range rows {
 		if r.Speedup <= 0 || r.Reduction <= 0 {
 			t.Errorf("degenerate row %+v", r)
+		}
+		if r.FloorCycles <= 0 || r.FloorCycles > min(r.OoOCycles, r.StaticCycles) ||
+			r.FloorBytes <= 0 || r.FloorBytes > min(r.OoOBytes, r.StaticBytes) {
+			t.Errorf("%s/%s: floors %d cycles / %d bytes against OoO %d / %d and static %d / %d",
+				r.Network, r.Arch, r.FloorCycles, r.FloorBytes, r.OoOCycles, r.OoOBytes, r.StaticCycles, r.StaticBytes)
 		}
 		// The OoO scheduler searches a superset of orders; end to end
 		// it must not lose badly to the static baseline.
@@ -142,7 +148,7 @@ func TestFig9a(t *testing.T) {
 	if len(rows) != 13 {
 		t.Fatalf("%d rows, want 13 VGG16 layers", len(rows))
 	}
-	var sum cell
+	var sum floorCell
 	for _, r := range rows {
 		if r.Speedup <= 0 || r.Reduction <= 0 || r.Tiling == "" || r.StaticOrder == "" {
 			t.Errorf("degenerate row %+v", r)
@@ -150,12 +156,14 @@ func TestFig9a(t *testing.T) {
 		sum.OoOCycles += r.OoOCycles
 		sum.StaticBytes += r.StaticBytes
 		sum.Aborted += r.Aborted
+		sum.FloorCycles += r.FloorCycles
+		sum.FloorBytes += r.FloorBytes
 	}
-	for _, c := range quickRows[cell](t, "fig8") {
+	for _, c := range quickRows[floorCell](t, "fig8") {
 		if c.Network == "vgg16" && c.Arch == "arch5" &&
-			(c.OoOCycles != sum.OoOCycles || c.StaticBytes != sum.StaticBytes || c.Aborted != sum.Aborted) {
-			t.Errorf("layers sum to %d cycles / %d static bytes / %d aborted, the cell says %d / %d / %d",
-				sum.OoOCycles, sum.StaticBytes, sum.Aborted, c.OoOCycles, c.StaticBytes, c.Aborted)
+			(c.OoOCycles != sum.OoOCycles || c.StaticBytes != sum.StaticBytes || c.Aborted != sum.Aborted || c.floors != sum.floors) {
+			t.Errorf("layers sum to %d cycles / %d static bytes / %d aborted / floors %+v, the cell says %d / %d / %d / %+v",
+				sum.OoOCycles, sum.StaticBytes, sum.Aborted, sum.floors, c.OoOCycles, c.StaticBytes, c.Aborted, c.floors)
 		}
 	}
 }

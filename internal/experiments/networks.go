@@ -92,17 +92,51 @@ func (c Config) measureNetwork(netName, archName string, fuseDepth int) (cell, *
 	return row, nr, nil
 }
 
+// floors are the lowest cycles floor and the lowest bytes floor of any
+// viable tiling (search.LayerFloor), summed over a row's layers. No
+// schedule of this model does better, so static_cycles / floor_cycles
+// caps the speedup any schedule can show over best static.
+type floors struct {
+	FloorCycles int64 `json:"floor_cycles"`
+	FloorBytes  int64 `json:"floor_bytes"`
+}
+
+// floorsOf sums the floors of layers of netName searched on archName
+// under the config's budget.
+func (c Config) floorsOf(netName, archName string, layers []*search.LayerResult) (floors, error) {
+	_, opts, err := c.resolve(netName, archName, nil)
+	if err != nil {
+		return floors{}, err
+	}
+	var f floors
+	for _, lr := range layers {
+		bd := search.LayerFloor(lr.Layer, opts.Arch, opts.Budget)
+		f.FloorCycles, f.FloorBytes = f.FloorCycles+bd.Cycles, f.FloorBytes+bd.Traffic
+	}
+	return f, nil
+}
+
+// floorCell is a Figure 8 cell with the floors of its layers.
+type floorCell struct {
+	cell
+	floors
+}
+
 // fig8 reproduces Figure 8: the four networks on the eight
 // architectures, OoO versus best static loop order.
-func fig8(c Config) ([]cell, error) {
-	var rows []cell
+func fig8(c Config) ([]floorCell, error) {
+	var rows []floorCell
 	for _, netName := range []string{"vgg16", "resnet50", "squeezenet", "yolov2"} {
 		for _, archName := range arch.PresetNames() {
-			row, _, err := c.measureNetwork(netName, archName, 0)
+			row, nr, err := c.measureNetwork(netName, archName, 0)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, row)
+			fl, err := c.floorsOf(netName, archName, nr.Layers)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, floorCell{row, fl})
 		}
 	}
 	return rows, nil
@@ -115,6 +149,7 @@ type layerRow struct {
 	StaticTiling string `json:"static_tiling"`
 	StaticOrder  string `json:"static_order"`
 	effort
+	floors
 }
 
 // fig9a reproduces Figure 9(a): the VGG16 on arch5 cell layer by layer.
@@ -129,6 +164,9 @@ func fig9a(c Config) ([]layerRow, error) {
 			Tiling: lr.BestOoO.Factors.String(), StaticTiling: lr.BestStatic.Factors.String(),
 			StaticOrder: lr.BestStaticOrder.String()}
 		rows[i].effort.add(lr)
+		if rows[i].floors, err = c.floorsOf("vgg16", "arch5", nr.Layers[i:i+1]); err != nil {
+			return nil, err
+		}
 	}
 	return rows, nil
 }

@@ -32,9 +32,9 @@ func committed(t *testing.T) *Record {
 // seeded is a small record the guard tests change one thing of.
 func seeded() *Record {
 	rec := &Record{SchemaVersion: SchemaVersion}
-	rec.Put(Table{Name: "fig8", Scale: 4, Budget: "quick", Rows: []cell{
-		{Network: "vgg16", Arch: "arch5", Layers: 13, versus: versusOf(1000, 5000, 1100, 5100)},
-		{Network: "resnet50", Arch: "arch5", Layers: 53, versus: versusOf(2000, 7000, 2000, 7000)},
+	rec.Put(Table{Name: "fig8", Scale: 4, Budget: "quick", Rows: []floorCell{
+		{cell: cell{Network: "vgg16", Arch: "arch5", Layers: 13, versus: versusOf(1000, 5000, 1100, 5100)}},
+		{cell: cell{Network: "resnet50", Arch: "arch5", Layers: 53, versus: versusOf(2000, 7000, 2000, 7000)}},
 	}})
 	rec.Put(Table{Name: "fig11", Scale: 4, Budget: "quick", Rows: []reuseRow{{"conv4_2", "static", "WT", 5}}})
 	return rec
@@ -60,7 +60,7 @@ func TestGuardCompareDetectsSeededRegression(t *testing.T) {
 		{"effort counter", func(r *cell) { r.Aborted = 7 }, []string{"aborted", "committed 0", "fresh 7"}},
 	} {
 		fresh := seeded()
-		tc.seed(&fresh.Tables[0].Rows.([]cell)[0])
+		tc.seed(&fresh.Tables[0].Rows.([]floorCell)[0].cell)
 		err := GuardCompare(seeded(), fresh)
 		if err == nil {
 			t.Errorf("%s: guard passed", tc.name)
@@ -83,7 +83,7 @@ func TestGuardCompareMismatches(t *testing.T) {
 		seed func(fresh *Record)
 		want string
 	}{
-		{"missing row", func(r *Record) { r.Tables[0].Rows = r.Tables[0].Rows.([]cell)[:1] },
+		{"missing row", func(r *Record) { r.Tables[0].Rows = r.Tables[0].Rows.([]floorCell)[:1] },
 			"table fig8 scale=4 budget=quick: 2 rows committed, 1 fresh"},
 		{"extra row", func(r *Record) { r.Tables[1].Rows = append(r.Tables[1].Rows.([]reuseRow), reuseRow{}) },
 			"table fig11 scale=4 budget=quick: 1 rows committed, 2 fresh"},
@@ -126,7 +126,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err := GuardCompare(got, seeded()); err != nil {
 		t.Errorf("reloaded record differs: %v", err)
 	}
-	if rows, ok := got.Tables[0].Rows.([]cell); !ok || rows[0].OoOCycles != 1000 || rows[0].Speedup != 1.1 {
+	if rows, ok := got.Tables[0].Rows.([]floorCell); !ok || rows[0].OoOCycles != 1000 || rows[0].Speedup != 1.1 {
 		t.Errorf("rows did not come back typed: %#v", got.Tables[0].Rows)
 	}
 	got.Put(seeded().Tables[1])
@@ -221,8 +221,10 @@ func TestCommittedRecordPinnedTotals(t *testing.T) {
 		}
 		var cells []cell
 		switch rows := table.Rows.(type) {
-		case []cell:
-			cells = rows
+		case []floorCell:
+			for _, r := range rows {
+				cells = append(cells, r.cell)
+			}
 		case []fusionRow:
 			cells = []cell{rows[want.fuseDepth].cell}
 		}

@@ -109,6 +109,19 @@ func All() []Dataflow {
 	return out
 }
 
+// Validate reports the first dataflow whose Perm is not a permutation of
+// the four loops: its order would skip every op (AppendOrder), and an
+// empty static order is no static schedule.
+func Validate(dfs []Dataflow) error {
+	for _, df := range dfs {
+		p := df.Perm
+		if slices.Sort(p[:]); p != [4]Dim{OC, OH, OW, IC} { // the loops in Dim order
+			return fmt.Errorf("loop: dataflow %s does not order each of the four loops once", df)
+		}
+	}
+	return nil
+}
+
 func permName(p [4]Dim) string {
 	// Classify by the innermost loop: the data type whose tile index
 	// does not involve it stays resident longest.

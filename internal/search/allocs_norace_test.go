@@ -31,10 +31,12 @@ func TestCacheKeyAllocs(t *testing.T) {
 // TestBoundAllocs holds bounding a layer's tilings to storage that does
 // not grow with their number: a layer search whose every tiling is
 // dominated at once, vgg16 conv3_1 on arch1 under the default budget
-// (24 tilings), makes 18 allocations — the enumeration, the per-tiling
-// tables, the error — where building a grid for each tiling made 213.
-// The collector is off while it measures: a collection empties the grid
-// pool.
+// (24 tilings), makes 15 allocations — the enumeration's sample and
+// ranks, one record per tiling and their order, the options and
+// incumbents its workers share, the worker pool, the result and the
+// error. Each tiling is bounded in closed form from cuts on the stack;
+// no grid is built. The collector is off while it measures, so that a
+// collection does not empty the pools the search draws on.
 func TestBoundAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	n, err := nets.ByName("vgg16")
@@ -51,7 +53,7 @@ func TestBoundAllocs(t *testing.T) {
 	dominated := func(context.Context, *tile.Grid, model.Model, []loop.Dataflow, Options, *incumbents) (Candidate, int, error) {
 		return Candidate{}, 0, errDominated
 	}
-	if n := testing.AllocsPerRun(20, func() { _, _ = searchLayerWith(context.Background(), l, opts, dominated) }); n > 18 {
-		t.Errorf("bounding %d tilings allocates %v times, ceiling 18", len(Tilings(l, opts.Arch, opts.Budget)), n)
+	if n := testing.AllocsPerRun(20, func() { _, _ = searchLayerWith(context.Background(), l, opts, dominated) }); n > 15 {
+		t.Errorf("bounding %d tilings allocates %v times, ceiling 15", len(Tilings(l, opts.Arch, opts.Budget)), n)
 	}
 }

@@ -5,7 +5,9 @@ import (
 
 	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/layer"
+	"github.com/flexer-sched/flexer/internal/model"
 	"github.com/flexer-sched/flexer/internal/nets"
+	"github.com/flexer-sched/flexer/internal/tile"
 )
 
 func benchOpts(b *testing.B, archName string) Options {
@@ -108,4 +110,47 @@ func BenchmarkCacheKey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = CacheKey(l, opts)
 	}
+}
+
+var sinkBound Bound
+
+// BenchmarkLowerBound bounds every viable tiling of full-size vgg16
+// conv3_1 on arch5 at the default budget's 10 values per dimension, no
+// sample: by walking a grid of each (walkBound, what the search did),
+// and in closed form from each tiling's cuts (what it does). ns/tiling
+// is one tiling's share.
+func BenchmarkLowerBound(b *testing.B) {
+	l, err := nets.VGG16().Layer("conv3_1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := arch.Preset("arch5")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := model.New(cfg)
+	tilings := tile.Enumerate(l, tile.EnumLimits{SPMBytes: cfg.SPMBytes, Cores: cfg.Cores, MaxValuesPerDim: 10})
+	perTiling := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tilings)), "ns/tiling")
+	}
+	b.Run("grid", func(b *testing.B) {
+		var g *tile.Grid
+		for range b.N {
+			for _, f := range tilings {
+				g, _ = tile.NewGridInto(g, l, f)
+				sinkBound = walkBound(g, m, cfg.Cores)
+			}
+		}
+		perTiling(b)
+	})
+	b.Run("closed", func(b *testing.B) {
+		var classes [16]tile.Class
+		for range b.N {
+			for _, f := range tilings {
+				c, _ := tile.CutsOf(l, f, classes[:0])
+				sinkBound = boundOf(l, &c, m, cfg.Cores)
+			}
+		}
+		perTiling(b)
+	})
 }

@@ -4,7 +4,9 @@ import (
 	"math"
 	"sync/atomic"
 
+	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/dfg"
+	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/model"
 	"github.com/flexer-sched/flexer/internal/tile"
 )
@@ -43,41 +45,53 @@ func (m Metric) monotone() bool {
 }
 
 // LowerBound computes the dominance-pruning bound for one tiling of a
-// layer. It runs in time linear in the tile counts (no DFG, no
-// scheduling), which is orders of magnitude cheaper than evaluating
-// the candidate.
-//
-// The three latency floors hold for every schedule the engine can
-// produce:
-//
-//   - compute floor: ops never overlap on one core, so the makespan is
-//     at least the summed op cycles divided by the core count;
-//   - chain floor: the accumulation steps of one output tile are
-//     serialized by true dependencies, and the finished tile must
-//     still be written off-chip after the last step;
-//   - DMA floor: every IN/WT tile is loaded at least once and every
-//     OT tile written back at least once, and all transfers serialize
-//     on the single DMA channel.
-//
-// The traffic floor is the byte sum of the same minimal transfer set.
-// All but the chain are the grid's dfg.FloorOf, the totals the
-// scheduler's own cutoff floors count down from.
+// layer in closed form from its cuts (no DFG, scheduling or tile walk).
+// Each floor holds for every schedule the engine can produce: ops never
+// overlap on a core (compute: op cycles over the cores); an output
+// tile's steps are serialized by true dependencies and it is still
+// written off-chip (chain); every tile moves at least once, on the one
+// DMA channel (DMA, and traffic). All but the chain are dfg.FloorOf,
+// the totals the scheduler's cutoff floors count down from.
 func LowerBound(g *tile.Grid, m model.Model, cores int) Bound {
-	opCycles, bytes, cycles := dfg.FloorOf(g, m)
-	var dma, traffic int64
-	for k := range tile.NumKinds {
-		dma += cycles[k]
-		traffic += bytes[k]
-	}
-	// The first output tile is the largest on every axis, so its chain —
-	// its accumulation steps, then its write-back — is the longest.
-	chain := m.TransferCycles(g.Size(g.OutTile(0, 0, 0)))
-	for ic := range g.NIC {
-		rows, cols, ochs, ichs := g.OpDims(0, 0, 0, ic)
-		chain += m.ConvCycles(rows, cols, ochs, ichs, g.Layer.KerH, g.Layer.KerW)
+	var classes [16]tile.Class
+	c, _ := tile.CutsOf(g.Layer, g.F, classes[:0])
+	return boundOf(g.Layer, &c, m, cores)
+}
+
+// boundOf is LowerBound of the tiling c cuts l into.
+func boundOf(l layer.Conv, c *tile.Cuts, m model.Model, cores int) Bound {
+	opCycles, bytes, cycles := dfg.FloorOf(l, c, m)
+	dma, traffic := cycles[tile.In]+cycles[tile.Wt]+cycles[tile.Out], bytes[tile.In]+bytes[tile.Wt]+bytes[tile.Out]
+	// The first output tile is full on every axis, so its chain — its
+	// accumulation steps, then its write-back — is the longest.
+	oh, ow, oc := c.Dim[0].Per, c.Dim[1].Per, c.Dim[2].Per
+	chain := m.TransferCycles(int64(oh) * int64(ow) * int64(oc) * int64(l.ElemBytes))
+	for _, ic := range c.Classes(3) {
+		chain += int64(ic.N) * m.ConvCycles(oh, ow, oc, ic.Out, l.KerH, l.KerW)
 	}
 	compute := (opCycles + int64(cores) - 1) / int64(cores)
 	return Bound{Cycles: max(compute, chain, dma), Traffic: traffic}
+}
+
+// LayerFloor returns the lowest cycles floor and the lowest traffic
+// floor over every viable tiling of the valid layer l on cfg — every
+// candidate value of each dimension, under b's MaxOps as escalate
+// relaxes it — which need not be one tiling's: no schedule of this
+// model does better on either axis. It is zero when no tiling is viable.
+func LayerFloor(l layer.Conv, cfg arch.Config, b Budget) (lo Bound) {
+	m := model.New(cfg)
+	escalate(cfg, b, func(lim tile.EnumLimits) bool {
+		lim.MaxValuesPerDim = -1
+		tile.Walk(l, lim, func(c *tile.Cuts) {
+			bd := boundOf(l, c, m, cfg.Cores)
+			if lo != (Bound{}) {
+				bd = Bound{Cycles: min(lo.Cycles, bd.Cycles), Traffic: min(lo.Traffic, bd.Traffic)}
+			}
+			lo = bd
+		})
+		return lo != Bound{}
+	})
+	return lo
 }
 
 // incumbent tracks the best actual metric score observed so far across

@@ -12,6 +12,7 @@ import (
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/loop"
 	"github.com/flexer-sched/flexer/internal/model"
+	"github.com/flexer-sched/flexer/internal/nets"
 	"github.com/flexer-sched/flexer/internal/sched"
 	"github.com/flexer-sched/flexer/internal/spm"
 	"github.com/flexer-sched/flexer/internal/tile"
@@ -30,7 +31,7 @@ func TestLowerBoundNeverExceedsSimulated(t *testing.T) {
 		}
 		m := model.New(cfg)
 		l := layer.NewConv("lb", 28, 28, 64, 96, 3)
-		tilings := enumerateWithEscalation(l, cfg, QuickBudget())
+		tilings := Tilings(l, cfg, QuickBudget())
 		if len(tilings) == 0 {
 			t.Fatalf("%s: no tilings", archName)
 		}
@@ -78,6 +79,78 @@ func TestLowerBoundNeverExceedsSimulated(t *testing.T) {
 				hcfg.Hint = order
 				hres, herr := sched.Schedule(graph, hcfg)
 				check("hinted/"+df.Name, hres, herr)
+			}
+		}
+	}
+}
+
+// walkBound is LowerBound as a walk of the grid: every tile's size
+// summed (tile.Grid.SumTiles), the op cycles one op per channel block
+// pair over the whole output plus the other ops' fills, and the chain
+// down the first output tile's steps.
+func walkBound(g *tile.Grid, m model.Model, cores int) Bound {
+	var ops, dma, traffic int64
+	for oc := range g.NOC {
+		for ic := range g.NIC {
+			_, _, ochs, ichs := g.OpDims(0, 0, oc, ic)
+			ops += m.ConvCycles(g.OutH, g.OutW, ochs, ichs, g.Layer.KerH, g.Layer.KerW)
+		}
+	}
+	ops += int64(g.NumOps()-g.NOC*g.NIC) * m.FillCycles()
+	for k := range tile.NumKinds {
+		bytes, cycles := g.SumTiles(tile.Kind(k), m.TransferCycles)
+		dma, traffic = dma+cycles, traffic+bytes
+	}
+	chain := m.TransferCycles(g.Size(g.OutTile(0, 0, 0)))
+	for ic := range g.NIC {
+		rows, cols, ochs, ichs := g.OpDims(0, 0, 0, ic)
+		chain += m.ConvCycles(rows, cols, ochs, ichs, g.Layer.KerH, g.Layer.KerW)
+	}
+	return Bound{Cycles: max((ops+int64(cores)-1)/int64(cores), chain, dma), Traffic: traffic}
+}
+
+// TestLowerBoundIsTheWalk holds the closed form, chain included, to the
+// grid walk on the viable tilings of vgg16/8 and squeezenet/8 (strided
+// and padded layers, remainder blocks) on a 2-core and a 4-core preset,
+// and LayerFloor, which walks every value of each dimension, to at most
+// the lowest of them: to the lowest of every viable tiling on squeezenet's
+// first layer.
+func TestLowerBoundIsTheWalk(t *testing.T) {
+	var g *tile.Grid
+	for _, archName := range []string{"arch1", "arch5"} {
+		cfg, err := arch.Preset(archName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := model.New(cfg)
+		for _, net := range []string{"vgg16", "squeezenet"} {
+			n, err := nets.ByName(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, l := range n.Scale(8).Layers {
+				lim := tile.EnumLimits{SPMBytes: cfg.SPMBytes, Cores: cfg.Cores}
+				if net == "squeezenet" && i == 0 {
+					lim.MaxValuesPerDim = -1
+				}
+				var lo Bound
+				for _, f := range tile.Enumerate(l, lim) {
+					if g, err = tile.NewGridInto(g, l, f); err != nil {
+						t.Fatal(err)
+					}
+					got, want := LowerBound(g, m, cfg.Cores), walkBound(g, m, cfg.Cores)
+					if got != want {
+						t.Fatalf("%s %s %s: closed form %+v, walk %+v", archName, l, f, got, want)
+					}
+					if lo == (Bound{}) {
+						lo = want
+					}
+					lo = Bound{Cycles: min(lo.Cycles, want.Cycles), Traffic: min(lo.Traffic, want.Traffic)}
+				}
+				got := LayerFloor(l, cfg, Budget{})
+				if lo == (Bound{}) || got.Cycles > lo.Cycles || got.Traffic > lo.Traffic || lim.MaxValuesPerDim < 0 && got != lo {
+					t.Errorf("%s %s: LayerFloor %+v, lowest walked %+v", archName, l, got, lo)
+				}
 			}
 		}
 	}

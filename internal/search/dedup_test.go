@@ -184,7 +184,7 @@ func TestRepeatedSequencesChangeNothing(t *testing.T) {
 		// How many runs of the list the distinct sequences save, over
 		// the tilings searched.
 		dataflows := opts.Budget.Dataflows
-		for _, f := range enumerateWithEscalation(l, cfg, opts.Budget) {
+		for _, f := range Tilings(l, cfg, opts.Budget) {
 			grid, err := tile.NewGrid(l, f)
 			if err != nil {
 				t.Fatal(err)

@@ -13,6 +13,7 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -364,7 +365,7 @@ func SearchLayer(l layer.Conv, opts Options) (*LayerResult, error) {
 // arch's names. Long-running callers (servers, interactive tools) use it
 // to bound search time per request.
 func SearchLayerCtx(ctx context.Context, l layer.Conv, opts Options) (*LayerResult, error) {
-	if err := l.Validate(); err != nil {
+	if err := errors.Join(l.Validate(), loop.Validate(opts.Budget.Dataflows)); err != nil {
 		return nil, err
 	}
 	var lr *LayerResult
@@ -387,7 +388,7 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule f
 	if err := opts.checkIn(); err != nil {
 		return nil, err
 	}
-	tilings := enumerateWithEscalation(l, opts.Arch, opts.Budget)
+	tilings := Tilings(l, opts.Arch, opts.Budget)
 	if len(tilings) == 0 {
 		return nil, errors.New("search: no feasible tiling")
 	}
@@ -398,28 +399,24 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule f
 	m := model.New(opts.Arch)
 	reporter := newProgressReporter(opts.Progress, opts.Metric, l.Name, len(tilings))
 
-	// Dominance pruning: bound every tiling up front (linear in tile
-	// counts, no DFG), then schedule candidates in ascending-bound
-	// order so the incumbent becomes competitive as early as possible.
-	// Results stay indexed by the original enumeration position, so
-	// the final reduction — and therefore every tie-break — is
-	// identical to the exhaustive search.
+	// Dominance pruning: bound every tiling up front (closed form, no
+	// grid), then schedule candidates in ascending-bound order so the
+	// incumbent becomes competitive as early as possible. Results stay
+	// indexed by the original enumeration position, so the final
+	// reduction — and therefore every tie-break — is identical to the
+	// exhaustive search.
 	pruning := !opts.DisableDominance && opts.Metric.monotone()
-	bounds, order := make([]Bound, len(tilings)), make([]int, len(tilings))
-	scratch := gridPool.Get().(*tile.Grid)
+	recs, order := make([]tilingRun, len(tilings)), make([]int, len(tilings))
+	var classes [16]tile.Class // every cut's classes, unless a tiling needs more
 	for i, f := range tilings {
-		g, err := tile.NewGridInto(scratch, l, f)
-		if err != nil {
-			return nil, err
-		}
-		bounds[i], order[i] = LowerBound(g, m, opts.Arch.Cores), i
+		c, _ := tile.CutsOf(l, f, classes[:0])
+		recs[i].bound, order[i] = boundOf(l, &c, m, opts.Arch.Cores), i
 	}
-	gridPool.Put(scratch)
 	if pruning {
 		// Stable, so unique: the order sort.SliceStable gave, without
 		// its reflective swapper.
 		slices.SortStableFunc(order, func(a, b int) int {
-			sa, sb := bounds[a].Score(opts.Metric), bounds[b].Score(opts.Metric)
+			sa, sb := recs[a].bound.Score(opts.Metric), recs[b].bound.Score(opts.Metric)
 			switch {
 			case better(sa, sb):
 				return -1
@@ -435,71 +432,62 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule f
 		cut = nil
 	}
 
-	results := make([]Candidate, len(tilings))
-	errs := make([]error, len(tilings))
-	aborted := make([]int, len(tilings))
 	// Tilings start in ascending-bound order (forEach). With one worker
 	// the incumbents each tiling prunes against — and so the
 	// pruned/aborted/sets counts — also repeat exactly.
 	forEach(ctx, len(order), opts.workers(), opts.sem, func(k int) {
-		i := order[k]
+		r := &recs[order[k]]
 		// Candidate boundary: the safe yield point. A preempting
 		// check-in aborts this tiling before any scheduling work;
 		// tilings already scheduled are simply discarded with the
 		// rest of the aborted search.
-		if err := opts.checkIn(); err != nil {
-			errs[i] = err
+		if r.err = opts.checkIn(); r.err != nil {
 			return
 		}
-		if pruning && inc.dominated(bounds[i], opts.Metric) {
-			errs[i] = errDominated
+		if pruning && inc.dominated(r.bound, opts.Metric) {
+			r.err = errDominated
 			reporter.record(nil, true)
 			return
 		}
-		grid, _ := tile.NewGridInto(gridPool.Get().(*tile.Grid), l, tilings[i]) // built without error above
-		results[i], aborted[i], errs[i] = schedule(ctx, grid, m, dataflows, opts, cut)
+		grid, _ := tile.NewGridInto(gridPool.Get().(*tile.Grid), l, tilings[order[k]]) // an enumerated tiling of a valid layer
+		r.c, r.aborted, r.err = schedule(ctx, grid, m, dataflows, opts, cut)
 		gridPool.Put(grid)
-		if errs[i] == nil {
-			inc.observe(results[i], opts.Metric)
-			reporter.record(results[i].OoO, false)
-		} else if !isCancellation(errs[i]) {
+		if r.err == nil {
+			inc.observe(r.c, opts.Metric)
+			reporter.record(r.c.OoO, false)
+		} else if !isCancellation(r.err) {
 			reporter.record(nil, false)
 		}
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// A yield aborts the whole search: the reduction below would
-	// otherwise skip yielded tilings as "infeasible" and return a
-	// result computed from a partial candidate set.
-	for _, err := range errs {
-		if err != nil && errors.Is(err, ErrYield) {
-			return nil, err
-		}
-	}
-
 	lr := &LayerResult{Layer: l, CandidatesEnumerated: len(tilings)}
-	for i := range results {
-		lr.SchedulesAborted += aborted[i]
-		if errs[i] == errDominated {
+	for _, r := range recs {
+		lr.SchedulesAborted += r.aborted
+		switch {
+		case errors.Is(r.err, ErrYield):
+			// A yield aborts the whole search, or its yielded tilings
+			// would be skipped as "infeasible" below and the result
+			// computed from a partial candidate set.
+			return nil, r.err
+		case r.err == errDominated:
 			lr.CandidatesPruned++
 			continue
-		}
-		if errs[i] != nil {
+		case r.err != nil:
 			// A tiling that cannot be scheduled (SPM too fragmented for
 			// its op footprint) is skipped, like infeasible tilings in
 			// the paper's search.
 			continue
 		}
-		c := results[i]
-		if c.OoO != nil {
-			lr.Candidates = append(lr.Candidates, c)
-			if opts.Metric.beats(c.OoO, lr.BestOoO) {
-				lr.BestOoO = c.OoO
+		if r.c.OoO != nil {
+			lr.Candidates = append(lr.Candidates, r.c)
+			if opts.Metric.beats(r.c.OoO, lr.BestOoO) {
+				lr.BestOoO = r.c.OoO
 			}
 		}
-		if c.Static != nil && opts.Metric.beats(c.Static, lr.BestStatic) {
-			lr.BestStatic, lr.BestStaticOrder = c.Static, c.StaticOrder
+		if r.c.Static != nil && opts.Metric.beats(r.c.Static, lr.BestStatic) {
+			lr.BestStatic, lr.BestStaticOrder = r.c.Static, r.c.StaticOrder
 		}
 	}
 	if lr.BestOoO == nil || lr.BestStatic == nil {
@@ -535,36 +523,34 @@ func RepairResult(l layer.Conv, r *sched.Result, plan *fault.Plan, opts Options)
 	return sched.Repair(dfg.Build(grid, m), r, plan, opts.SchedConfig(m))
 }
 
-// Tilings returns the tilings a search of l on cfg under b schedules.
+// Tilings returns the tilings a search of l on cfg under b schedules:
+// those of the first limits escalate finds some tiling viable under.
 func Tilings(l layer.Conv, cfg arch.Config, b Budget) []tile.Factors {
-	return enumerateWithEscalation(l, cfg, b)
+	var ts []tile.Factors
+	escalate(cfg, b, func(lim tile.EnumLimits) bool { ts = tile.Enumerate(l, lim); return len(ts) > 0 })
+	return ts
 }
 
-// enumerateWithEscalation relaxes the op-count cap and the values per
-// dimension until at least one tiling is feasible; very large layers need
-// more (smaller) tiles than the default cap allows.
-func enumerateWithEscalation(l layer.Conv, cfg arch.Config, b Budget) []tile.Factors {
-	if b.MaxOps <= 0 { // relaxed below from the defaults, unlike Enumerate's own
-		b.MaxOps = tile.DefaultMaxOps
-	}
-	if b.MaxValuesPerDim <= 0 {
-		b.MaxValuesPerDim = tile.DefaultMaxValuesPerDim
-	}
-	lim := tile.EnumLimits{
-		SPMBytes:        cfg.SPMBytes,
-		Cores:           cfg.Cores,
-		MaxOps:          b.MaxOps,
-		MaxTilings:      b.MaxTilings,
-		MaxValuesPerDim: b.MaxValuesPerDim,
-	}
-	for i := 0; i < 8; i++ {
-		if ts := tile.Enumerate(l, lim); len(ts) > 0 {
-			return ts
-		}
+// escalate calls try with b's enumeration limits on cfg, relaxing the
+// op-count cap and the values per dimension at most eight times until
+// try finds a tiling viable: very large layers need more, smaller tiles.
+func escalate(cfg arch.Config, b Budget, try func(tile.EnumLimits) bool) {
+	lim := tile.EnumLimits{SPMBytes: cfg.SPMBytes, Cores: cfg.Cores, MaxTilings: b.MaxTilings,
+		MaxOps:          cmp.Or(max(b.MaxOps, 0), tile.DefaultMaxOps), // defaulted here, so escalation doubles it
+		MaxValuesPerDim: cmp.Or(max(b.MaxValuesPerDim, 0), tile.DefaultMaxValuesPerDim)}
+	for i := 0; i < 8 && !try(lim); i++ {
 		lim.MaxOps *= 2
 		lim.MaxValuesPerDim += 4
 	}
-	return nil
+}
+
+// tilingRun is a layer search's record of one tiling: its bound, then
+// its candidate, error (errDominated: pruned) and runs abandoned.
+type tilingRun struct {
+	bound   Bound
+	c       Candidate
+	err     error
+	aborted int
 }
 
 // maxOoOHints bounds how many dataflows additionally seed hinted OoO
@@ -582,9 +568,9 @@ const maxOoOHints = 3
 var errDominated = errors.New("search: tiling dominated by incumbent")
 
 // graphPool and gridPool hold the graphs scheduleTiling and the grids a
-// layer search have finished with, whose storage the next tiling's graph
-// or grid is built into: no Result or Candidate points at either, so
-// nothing reads one after its tiling.
+// layer search have finished with, whose storage the next scheduled
+// tiling's graph or grid is built into: no Result or Candidate points at
+// either, so nothing reads one after its tiling.
 var (
 	graphPool = sync.Pool{New: func() any { return new(dfg.Graph) }}
 	gridPool  = sync.Pool{New: func() any { return new(tile.Grid) }}
@@ -813,7 +799,7 @@ func SearchNetwork(n nets.Network, opts Options) (*NetworkResult, error) {
 // the per-layer searches abort at their next tiling or dataflow
 // boundary and the call returns ctx.Err().
 func SearchNetworkCtx(ctx context.Context, n nets.Network, opts Options) (*NetworkResult, error) {
-	if err := n.Validate(); err != nil {
+	if err := errors.Join(n.Validate(), loop.Validate(opts.Budget.Dataflows)); err != nil {
 		return nil, err
 	}
 	if opts.Cache == nil {

@@ -7,6 +7,7 @@ import (
 
 	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/layer"
+	"github.com/flexer-sched/flexer/internal/loop"
 	"github.com/flexer-sched/flexer/internal/nets"
 	"github.com/flexer-sched/flexer/internal/tile"
 )
@@ -87,6 +88,29 @@ func TestSearchLayerRejectsInvalid(t *testing.T) {
 	opts := quickOpts(t, "arch1")
 	if _, err := SearchLayer(layer.Conv{Name: "bad"}, opts); err == nil {
 		t.Fatal("invalid layer accepted")
+	}
+}
+
+// TestSearchRejectsBadDataflows: a baseline dataflow whose Perm is not a
+// permutation of the four loops gets an empty order, and a run with an
+// empty Order is out of order, so its "static" schedule would be the OoO
+// run's. Both entry points refuse it before a cache entry is made.
+func TestSearchRejectsBadDataflows(t *testing.T) {
+	opts := quickOpts(t, "arch1")
+	opts.Budget.Dataflows = []loop.Dataflow{{Name: "bad", Perm: [4]loop.Dim{9, loop.IC, 77, loop.OC}}}
+	l := layer.NewConv("c", 8, 8, 4, 4, 3)
+	if lr, err := SearchLayer(l, opts); err == nil {
+		t.Errorf("SearchLayer accepted a non-permutation: best static %d cycles", lr.BestStatic.LatencyCycles)
+	}
+	opts.Cache = NewCache()
+	if _, err := SearchLayer(l, opts); err == nil {
+		t.Error("SearchLayer accepted a non-permutation through a cache")
+	}
+	if _, err := SearchNetwork(nets.Network{Name: "n", Layers: []layer.Conv{l}}, opts); err == nil {
+		t.Error("SearchNetwork accepted a non-permutation")
+	}
+	if n := opts.Cache.Len(); n != 0 {
+		t.Errorf("the cache holds %d entries for rejected options", n)
 	}
 }
 

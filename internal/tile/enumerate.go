@@ -27,7 +27,7 @@ type EnumLimits struct {
 	// Sampling is deterministic and diversity-preserving.
 	MaxTilings int
 	// MaxValuesPerDim caps the candidate factor values per dimension
-	// (0 means DefaultMaxValuesPerDim).
+	// (0 means DefaultMaxValuesPerDim, a negative value no cap).
 	MaxValuesPerDim int
 }
 
@@ -79,28 +79,22 @@ func subsample(vs []int, max int) []int {
 	return out
 }
 
-// operandBytesFast upper-bounds the per-operand tile sizes of a tiling
-// without building the grid.
-func operandBytesFast(l layer.Conv, f Factors) (in, wt, out int64) {
+// operandBytesFast upper-bounds the per-operand tile sizes of the
+// tiling c cuts l into, from its full blocks: the largest tile of each
+// kind, its halo clipped to the input's extent only.
+func operandBytesFast(l layer.Conv, c *Cuts) (in, wt, out int64) {
 	eb := int64(l.ElemBytes)
-	inRows := (f.OH-1)*l.StrideH + l.KerH
-	if inRows > l.InH {
-		inRows = l.InH
-	}
-	inCols := (f.OW-1)*l.StrideW + l.KerW
-	if inCols > l.InW {
-		inCols = l.InW
-	}
-	in = int64(inRows) * int64(inCols) * int64(f.IC) * eb
-	wt = int64(l.KerH) * int64(l.KerW) * int64(f.IC) * int64(f.OC) * eb
-	out = int64(f.OH) * int64(f.OW) * int64(f.OC) * eb
+	oh, ow, oc, ic := &c.Dim[0], &c.Dim[1], &c.Dim[2], &c.Dim[3]
+	in = int64(oh.Span) * int64(ow.Span) * int64(ic.Per) * eb
+	wt = int64(l.KerH) * int64(l.KerW) * int64(ic.Per) * int64(oc.Per) * eb
+	out = int64(oh.Per) * int64(ow.Per) * int64(oc.Per) * eb
 	return in, wt, out
 }
 
 // maxOperandBytesFast upper-bounds the single-op operand footprint of a
 // tiling without building the grid.
-func maxOperandBytesFast(l layer.Conv, f Factors) int64 {
-	in, wt, out := operandBytesFast(l, f)
+func maxOperandBytesFast(l layer.Conv, c *Cuts) int64 {
+	in, wt, out := operandBytesFast(l, c)
 	return in + wt + out
 }
 
@@ -110,8 +104,8 @@ func maxOperandBytesFast(l layer.Conv, f Factors) int64 {
 // set) or one weight tile (weight-stationary set); output tiles are
 // always distinct because two ops of one partial-sum chain can never
 // issue together.
-func minSetFootprintFast(l layer.Conv, f Factors, n int) int64 {
-	in, wt, out := operandBytesFast(l, f)
+func minSetFootprintFast(l layer.Conv, c *Cuts, n int) int64 {
+	in, wt, out := operandBytesFast(l, c)
 	shareIn := in + int64(n)*(wt+out)
 	shareWt := wt + int64(n)*(in+out)
 	if shareIn < shareWt {
@@ -130,74 +124,119 @@ func Enumerate(l layer.Conv, lim EnumLimits) []Factors {
 	if err := l.Validate(); err != nil {
 		return nil
 	}
+	buf := enumBufs.Get().(*enumBuf)
+	cores := max(lim.Cores, 1)
+	// One key per viable tiling, not its Factors: the tilings come in
+	// canonical order, and so does the mixed-radix index of their four
+	// values that each key holds.
+	ks := buf.keys
+	buf.walk(l, lim, false, func(i int, c *Cuts) {
+		ks = append(ks, sampleKey{sampleScore(l, c, lim.SPMBytes, cores), int64(i)})
+	})
+	if n := lim.MaxTilings; n > 0 && len(ks) > n {
+		ks = sampleTilings(ks, n)
+	}
+	oh, ow, oc, ic := buf.sample[0], buf.sample[1], buf.sample[2], buf.sample[3]
+	out := make([]Factors, len(ks))
+	for j, k := range ks {
+		i := int(k.i)
+		out[j] = Factors{oh[i/len(ic)/len(oc)/len(ow)], ow[i/len(ic)/len(oc)%len(ow)], oc[i/len(ic)%len(oc)], ic[i%len(ic)]}
+	}
+	buf.keys = ks[:0]
+	enumBufs.Put(buf)
+	return out
+}
+
+// Walk calls visit with the cuts of every viable tiling of the valid
+// layer l under lim, as Enumerate finds them, in canonical order and
+// with no sample: MaxTilings is not read. The cuts are read only during
+// the call. A negative MaxValuesPerDim takes every candidate value.
+func Walk(l layer.Conv, lim EnumLimits, visit func(c *Cuts)) {
+	buf := enumBufs.Get().(*enumBuf)
+	buf.walk(l, lim, true, func(_ int, c *Cuts) { visit(c) })
+	enumBufs.Put(buf)
+}
+
+// walk is Enumerate's loop: it lists and subsamples each dimension's
+// candidate values, into e.sample, and cuts the layer at each value
+// once, with classes only if asked for; then it calls visit with every
+// viable tiling's cuts and the mixed-radix index of its four values
+// (ascending extents, outermost loop first: canonical order, ascending
+// (OH, OW, OC, IC)). The op caps prune whole subtrees; the viability
+// test reads the same cuts.
+func (e *enumBuf) walk(l layer.Conv, lim EnumLimits, classes bool, visit func(i int, c *Cuts)) {
 	maxOps := lim.MaxOps
 	if maxOps <= 0 {
 		maxOps = DefaultMaxOps
 	}
 	maxVals := lim.MaxValuesPerDim
-	if maxVals <= 0 {
+	if maxVals == 0 {
 		maxVals = DefaultMaxValuesPerDim
 	}
-	outH, outW := l.OutH(), l.OutW()
-	buf := enumBufs.Get().(*enumBuf)
-	var dims [4][]int
-	for i, total := range [4]int{outH, outW, l.OutC, l.InC} {
-		start := len(buf.vals)
-		buf.vals = appendCandidateValues(buf.vals, total)
-		dims[i] = subsample(buf.vals[start:], maxVals)
+	e.vals = e.vals[:0]
+	n := 0
+	for d := range e.sample {
+		total, _, _, _, _ := dimOf(l, d)
+		start := len(e.vals)
+		e.vals = appendCandidateValues(e.vals, total)
+		e.sample[d] = subsample(e.vals[start:], maxVals)
+		n += len(e.sample[d])
 	}
-	ohs, ows, ocs, ics := dims[0], dims[1], dims[2], dims[3]
-
+	var local [64]Cut // a search's cuts fit: nothing to allocate where the pool was emptied
+	cuts := local[:0]
+	e.classes = e.classes[:0]
+	if n > len(local) {
+		e.cuts = slices.Grow(e.cuts[:0], n)
+		cuts = e.cuts
+	}
+	var dims [4][]Cut
+	for d, vs := range e.sample {
+		first := len(cuts)
+		for _, v := range vs {
+			c := cutOf(l, d, v)
+			if classes {
+				c, e.classes = appendCut(e.classes, l, d, v)
+			}
+			cuts = append(cuts, c)
+		}
+		dims[d] = cuts[first:]
+	}
 	cores := max(lim.Cores, 1)
-	// One key per viable tiling, not its Factors: ascending extents,
-	// outermost loop first, so the tilings come in canonical order,
-	// ascending (OH, OW, OC, IC), and so does the mixed-radix index of
-	// their four value choices that each key holds.
-	ks := buf.keys
-	for a, oh := range ohs {
-		nOH := ceilDiv(outH, oh)
-		for b, ow := range ows {
-			nOW := ceilDiv(outW, ow)
-			if nOH*nOW > maxOps {
+	c := &e.tiling // visit's, so it escapes: pooled, not allocated
+	c.classes = e.classes
+	d0, d1, d2, d3 := dims[0], dims[1], dims[2], dims[3]
+	for a := range d0 {
+		c.Dim[0] = d0[a]
+		for b := range d1 {
+			if c.Dim[1] = d1[b]; d0[a].N*d1[b].N > maxOps {
 				continue
 			}
-			for c, oc := range ocs {
-				nOC := ceilDiv(l.OutC, oc)
-				if nOH*nOW*nOC > maxOps {
+			for k := range d2 {
+				if c.Dim[2] = d2[k]; d0[a].N*d1[b].N*d2[k].N > maxOps {
 					continue
 				}
-				for d, ic := range ics {
-					nIC := ceilDiv(l.InC, ic)
-					if nOH*nOW*nOC*nIC > maxOps {
-						continue
+				for i := range d3 {
+					if c.Dim[3] = d3[i]; d0[a].N*d1[b].N*d2[k].N*d3[i].N <= maxOps && minSetFootprintFast(l, c, cores) <= lim.SPMBytes {
+						visit(((a*len(d1)+b)*len(d2)+k)*len(d3)+i, c)
 					}
-					f := Factors{OH: oh, OW: ow, OC: oc, IC: ic}
-					if minSetFootprintFast(l, f, cores) > lim.SPMBytes {
-						continue
-					}
-					ks = append(ks, sampleKey{sampleScore(l, f, lim.SPMBytes, cores), int64(((a*len(ows)+b)*len(ocs)+c)*len(ics) + d)})
 				}
 			}
 		}
 	}
-	if n := lim.MaxTilings; n > 0 && len(ks) > n {
-		ks = sampleTilings(ks, n)
-	}
-	out := make([]Factors, len(ks))
-	for j, k := range ks {
-		i := int(k.i)
-		out[j] = Factors{ohs[i/len(ics)/len(ocs)/len(ows)], ows[i/len(ics)/len(ocs)%len(ows)], ocs[i/len(ics)%len(ocs)], ics[i%len(ics)]}
-	}
-	buf.keys, buf.vals = ks[:0], buf.vals[:0]
-	enumBufs.Put(buf)
-	return out
 }
 
-// enumBuf is Enumerate's scratch: the keys of the viable tilings, and
-// the candidate values of the four dimensions back to back.
+// enumBuf is Enumerate's scratch: the keys of the viable tilings; the
+// candidate values of the four dimensions back to back, and each
+// dimension's sample of them; the cuts at the values sampled where they
+// outgrow walk's stack, and the cuts' classes; the tiling the walk is
+// at.
 type enumBuf struct {
-	keys []sampleKey
-	vals []int
+	keys    []sampleKey
+	vals    []int
+	sample  [4][]int
+	cuts    []Cut
+	classes []Class
+	tiling  Cuts
 }
 
 // enumBufs recycles Enumerate's scratch.
@@ -206,17 +245,17 @@ var enumBufs = sync.Pool{New: func() any { return new(enumBuf) }}
 // sampleScore ranks a tiling for the sample: how well a full set of
 // cores concurrent ops fills (but does not overflow) the SPM, plus a
 // bonus for each PE-friendly channel extent.
-func sampleScore(l layer.Conv, f Factors, spm int64, cores int) float64 {
+func sampleScore(l layer.Conv, c *Cuts, spm int64, cores int) float64 {
 	// fill in (0,1]: 1 means cores ops exactly fill the SPM.
-	fill := float64(maxOperandBytesFast(l, f)*int64(cores)) / float64(spm)
+	fill := float64(maxOperandBytesFast(l, c)*int64(cores)) / float64(spm)
 	if fill > 1 {
 		fill = 1 / fill
 	}
 	align := 0.0
-	if f.OC%16 == 0 || f.OC == l.OutC {
+	if oc := c.Dim[2].Per; oc%16 == 0 || oc == l.OutC {
 		align += 0.10
 	}
-	if f.IC%16 == 0 || f.IC == l.InC {
+	if ic := c.Dim[3].Per; ic%16 == 0 || ic == l.InC {
 		align += 0.10
 	}
 	return fill + align

@@ -213,7 +213,7 @@ func TestMaxOperandBytesFastIsUpperBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if exact, fast := g.maxOperandBytes(), maxOperandBytesFast(l, f); exact > fast {
+		if exact, fast := g.maxOperandBytes(), maxOperandBytesFast(l, cutsOf(l, f)); exact > fast {
 			t.Errorf("tiling %v: exact %d > fast bound %d", f, exact, fast)
 		}
 	}

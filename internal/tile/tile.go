@@ -289,8 +289,9 @@ func (g *Grid) TotalTileBytes(k Kind) int64 {
 
 // SumTiles returns the summed size of all distinct tiles of kind k and,
 // with cost non-nil, the summed cost of each tile's size. It walks the
-// coordinates in Index order without TileAt's divisions: the search
-// bounds every tiling it enumerates with it.
+// coordinates in Index order without TileAt's divisions: dfg.Build
+// writes its table of tile sizes with it, and the tests hold the closed
+// form over the tiling's Cuts (CutsOf) to it.
 func (g *Grid) SumTiles(k Kind, cost func(bytes int64) int64) (bytes, costs int64) {
 	na, nb, nc := g.dims(k)
 	for a := range na {
