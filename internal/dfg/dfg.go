@@ -80,10 +80,13 @@ type Graph struct {
 	opOffset []int         // first op index of each layer
 	floor    Floor
 
-	// Fused-graph state; nil for single-layer graphs.
+	// Fused-graph state; empty for single-layer graphs, which keep the
+	// storage for the next fused build into them.
 	cover      [][]tile.ID // by consumer IN tile number -> covering producer OTs
 	crossSuccs [][]int     // by producer final op -> dependent consumer ops
 	crossPreds [][]int     // by consumer op -> producer final ops of its IN's cover
+	ots        []tile.ID   // the array cover's lists are windows of
+	edges      []int       // the arrays of crossPreds' and crossSuccs' lists, and a count table
 }
 
 // Floor totals the work no schedule of a graph avoids, under the model
@@ -205,7 +208,7 @@ func (gr *Graph) Tile(n int) tile.ID {
 // consumer input tile id (nil for first-layer inputs and single-layer
 // graphs). The returned slice is shared; callers must not modify it.
 func (gr *Graph) Covering(id tile.ID) []tile.ID {
-	if n, ok := gr.NumOK(id); ok && gr.cover != nil && id.Kind == tile.In {
+	if n, ok := gr.NumOK(id); ok && id.Kind == tile.In && n < len(gr.cover) {
 		return gr.cover[n]
 	}
 	return nil
@@ -216,7 +219,7 @@ func (gr *Graph) Covering(id tile.ID) []tile.ID {
 // ops of every output tile covering op i's input tile. Nil for
 // first-layer ops and single-layer graphs.
 func (gr *Graph) CrossPreds(i int) []int {
-	if gr.crossPreds == nil {
+	if len(gr.crossPreds) == 0 {
 		return nil
 	}
 	return gr.crossPreds[i]
@@ -226,7 +229,7 @@ func (gr *Graph) CrossPreds(i int) []int {
 // fused boundary (non-empty only for producer final ops whose output
 // tile covers some consumer input).
 func (gr *Graph) CrossSuccs(i int) []int {
-	if gr.crossSuccs == nil {
+	if len(gr.crossSuccs) == 0 {
 		return nil
 	}
 	return gr.crossSuccs[i]
@@ -260,10 +263,10 @@ func (gr *Graph) PendingInto(dst []int) []int {
 // predecessor of op x (when x.IC > 0) is always op x-1.
 func Build(g *tile.Grid, m model.Model) *Graph { return BuildInto(nil, g, m) }
 
-// BuildInto is Build into the storage of dst, a graph Build or
-// BuildInto returned that nothing reads any more (nil: fresh storage),
-// and returns it. A search that builds one graph per tiling reuses one
-// graph's storage for all of them.
+// BuildInto is Build into the storage of dst, a graph Build, BuildInto,
+// BuildFused or BuildFusedInto returned that nothing reads any more
+// (nil: fresh storage), and returns it. A search that builds one graph
+// per tiling reuses one graph's storage for all of them.
 func BuildInto(dst *Graph, g *tile.Grid, m model.Model) *Graph {
 	if dst == nil {
 		dst = new(Graph)
@@ -279,7 +282,8 @@ func build(gr *Graph, grids []*tile.Grid, m model.Model) *Graph {
 	nl := len(grids)
 	offs := resize(gr.base, (tile.NumKinds+1)*nl)
 	*gr = Graph{Grid: grids[0], grids: grids, one: gr.one, base: offs[:tile.NumKinds*nl], opOffset: offs[tile.NumKinds*nl:],
-		Ops: gr.Ops[:0], operands: gr.operands[:0], uses: gr.uses, sizes: gr.sizes}
+		Ops: gr.Ops[:0], operands: gr.operands[:0], uses: gr.uses, sizes: gr.sizes,
+		cover: gr.cover[:0], crossSuccs: gr.crossSuccs[:0], crossPreds: gr.crossPreds[:0], ots: gr.ots, edges: gr.edges}
 	tiles, ops := 0, 0
 	for k := 0; k < tile.NumKinds; k++ {
 		for l, g := range grids {

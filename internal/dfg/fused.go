@@ -12,6 +12,7 @@ package dfg
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/model"
@@ -41,21 +42,31 @@ func CheckFusable(prev, next layer.Conv) error {
 // L = l. Every consecutive pair of grids must satisfy CheckFusable.
 // A single grid reduces exactly to Build.
 func BuildFused(grids []*tile.Grid, m model.Model) (*Graph, error) {
+	return BuildFusedInto(nil, grids, m)
+}
+
+// BuildFusedInto is BuildFused into the storage of dst, as BuildInto is
+// Build: dst is nil (fresh storage) or a graph any of the four builds
+// returned that nothing reads any more. On an error dst is untouched.
+func BuildFusedInto(dst *Graph, grids []*tile.Grid, m model.Model) (*Graph, error) {
 	if len(grids) == 0 {
 		return nil, fmt.Errorf("dfg: BuildFused needs at least one grid")
 	}
 	if len(grids) == 1 {
-		return Build(grids[0], m), nil
+		return BuildInto(dst, grids[0], m), nil
 	}
 	for l := 1; l < len(grids); l++ {
 		if err := CheckFusable(grids[l-1].Layer, grids[l].Layer); err != nil {
 			return nil, err
 		}
 	}
-	gr := build(new(Graph), grids, m)
-	gr.cover = make([][]tile.ID, gr.base[int(tile.Wt)*len(grids)]) // IN tiles number first
-	gr.crossSuccs = make([][]int, len(gr.Ops))
-	gr.crossPreds = make([][]int, len(gr.Ops))
+	if dst == nil {
+		dst = new(Graph)
+	}
+	gr := build(dst, grids, m)
+	gr.cover = zeroed(gr.cover, gr.base[int(tile.Wt)*len(grids)]) // IN tiles number first
+	gr.crossSuccs = zeroed(gr.crossSuccs, len(gr.Ops))
+	gr.crossPreds = zeroed(gr.crossPreds, len(gr.Ops))
 
 	// Stitch each boundary: map every consumer input tile's halo onto
 	// the producer's output blocks. The covering tiles gain one use per
@@ -74,7 +85,7 @@ func BuildFused(grids []*tile.Grid, m model.Model) (*Graph, error) {
 		nCover += n
 		nEdges += n * gc.NOC
 	}
-	flat := make([]tile.ID, 0, nCover)
+	flat := slices.Grow(gr.ots[:0], nCover)
 	for l := 1; l < len(grids); l++ {
 		gc, gp := grids[l], grids[l-1]
 		for oh := 0; oh < gc.NOH; oh++ {
@@ -108,10 +119,12 @@ func BuildFused(grids []*tile.Grid, m model.Model) (*Graph, error) {
 
 	// Cross edges: every consumer op depends on the final accumulation
 	// op of each tile covering its input, so the scheduler cannot start
-	// it before the data it gathers (or round-trips) exists. The preds
-	// and the succs are windows of one array each; a producer's succs
+	// it before the data it gathers (or round-trips) exists. The preds,
+	// the succs and their count table share one array; a producer's succs
 	// are counted into next[f+1] first, then placed in op order.
-	preds, succs, next := make([]int, 0, nEdges), make([]int, nEdges), make([]int, len(gr.Ops)+1)
+	gr.ots = flat
+	gr.edges = resize(gr.edges, 2*nEdges+len(gr.Ops)+1)
+	preds, succs, next := gr.edges[:0:nEdges], gr.edges[nEdges:2*nEdges], zeroed(gr.edges[2*nEdges:], len(gr.Ops)+1)
 	for i := range gr.Ops {
 		ots := gr.cover[gr.Num(gr.Ops[i].In)] // nil in the first layer
 		if len(ots) == 0 {
@@ -142,6 +155,13 @@ func BuildFused(grids []*tile.Grid, m model.Model) (*Graph, error) {
 		lo = hi
 	}
 	return gr, nil
+}
+
+// zeroed returns s with length n and every element zero, reusing it.
+func zeroed[T any](s []T, n int) []T {
+	s = resize(s, n)
+	clear(s)
+	return s
 }
 
 // spans sums, over the n consumer blocks of one dimension, how many

@@ -1,6 +1,7 @@
 package dfg
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/flexer-sched/flexer/internal/arch"
@@ -252,5 +253,88 @@ func TestFloorCountsWhatNoScheduleAvoids(t *testing.T) {
 	wtBytes, wtCycles := loads(g2, tile.Wt)
 	if got, want := fused.Floor(), (Floor{opCycles(fused), loadBytes + wtBytes, loadCycles + wtCycles, g2.TotalTileBytes(tile.Out)}); got != want {
 		t.Errorf("fused floor %+v, want %+v", got, want)
+	}
+}
+
+// sameGraph fails t unless got, built into recycled storage, reads as
+// want, a fresh build, through every accessor: ops, tile numbers, the
+// tables, the floor and the fused parts, nil where want's are nil.
+func sameGraph(t *testing.T, name string, got, want *Graph) {
+	t.Helper()
+	if !slices.Equal(got.Ops, want.Ops) || got.NumTiles() != want.NumTiles() || got.Floor() != want.Floor() ||
+		!slices.Equal(got.Grids(), want.Grids()) || got.Grid != want.Grid ||
+		!slices.Equal(got.AppendUses(nil), want.AppendUses(nil)) || !slices.Equal(got.PendingInto(nil), want.PendingInto(nil)) {
+		t.Fatalf("%s: ops, tiles, floor, grids, uses or pending differ from a fresh build", name)
+	}
+	for n := range want.NumTiles() {
+		id := want.Tile(n)
+		if got.Tile(n) != id || got.SizeOf(int32(n)) != want.SizeOf(int32(n)) {
+			t.Fatalf("%s: tile %d is %v of %d bytes, fresh %v of %d", name, n, got.Tile(n), got.SizeOf(int32(n)), id, want.SizeOf(int32(n)))
+		}
+		if a, b := got.Covering(id), want.Covering(id); !slices.Equal(a, b) || (a == nil) != (b == nil) {
+			t.Fatalf("%s: %v is covered by %v, fresh %v", name, id, a, b)
+		}
+	}
+	for i := range want.Ops {
+		if got.Operands(i) != want.Operands(i) {
+			t.Fatalf("%s: op %d operands %v, fresh %v", name, i, got.Operands(i), want.Operands(i))
+		}
+		for _, e := range [][2][]int{{got.CrossPreds(i), want.CrossPreds(i)}, {got.CrossSuccs(i), want.CrossSuccs(i)}} {
+			if !slices.Equal(e[0], e[1]) || (e[0] == nil) != (e[1] == nil) {
+				t.Fatalf("%s: op %d cross edges %v, fresh %v", name, i, e[0], e[1])
+			}
+		}
+	}
+}
+
+// TestBuildIntoRecycledStorage builds into storage another graph used,
+// as a pool hands it out: a smaller fused pair into a larger fused
+// graph's, a fused pair into a single-layer graph's, and one layer into
+// a fused graph's. Each reads as a fresh build, and the single-layer
+// graph has no fused parts left: Covering, CrossPreds and CrossSuccs
+// answer nil.
+func TestBuildIntoRecycledStorage(t *testing.T) {
+	m := model.New(arch.New("t", 2, arch.KiB(256), 32))
+	g1, g2 := fusedPair(t)
+	pair := []*tile.Grid{g1, g2}
+	fine1, err := tile.NewGrid(g1.Layer, tile.Factors{OH: 2, OW: 2, OC: 4, IC: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fine2, err := tile.NewGrid(g2.Layer, tile.Factors{OH: 2, OW: 2, OC: 2, IC: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused := func(dst *Graph, grids []*tile.Grid) *Graph {
+		t.Helper()
+		gr, err := BuildFusedInto(dst, grids, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gr
+	}
+	want := fused(nil, pair)
+
+	large := fused(nil, []*tile.Grid{fine1, fine2})
+	if len(large.Ops) <= len(want.Ops) {
+		t.Fatalf("the larger pair has %d ops, the smaller %d", len(large.Ops), len(want.Ops))
+	}
+	sameGraph(t, "fused pair into a larger fused graph", fused(large, pair), want)
+	sameGraph(t, "fused pair into a single-layer graph", fused(Build(fine1, m), pair), want)
+
+	single := BuildInto(fused(nil, []*tile.Grid{fine1, fine2}), g1, m)
+	sameGraph(t, "one layer into a fused graph", single, Build(g1, m))
+	if single.Fused() {
+		t.Error("one layer built into a fused graph reports Fused")
+	}
+	for n := range single.NumTiles() {
+		if id := single.Tile(n); single.Covering(id) != nil {
+			t.Fatalf("one layer built into a fused graph: %v is covered by %v", id, single.Covering(id))
+		}
+	}
+	for i := range single.Ops {
+		if single.CrossPreds(i) != nil || single.CrossSuccs(i) != nil {
+			t.Fatalf("one layer built into a fused graph: op %d has cross edges %v / %v", i, single.CrossPreds(i), single.CrossSuccs(i))
+		}
 	}
 }

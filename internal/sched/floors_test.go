@@ -74,7 +74,7 @@ func checkFloors(t testing.TB, c walkCase) (st floorStats) {
 		return st // no completion to hold the floors against; they did not fall
 	}
 	beforeFlush := e.tl.Makespan()
-	res := e.finish()
+	res, _ := e.finish() // no Keep: never refused
 	if e.owed != (dfg.Floor{}) {
 		t.Fatalf("%s: a flushed run still owes %+v", name, e.owed)
 	}
@@ -248,7 +248,7 @@ func TestFloorsCountReloadDebt(t *testing.T) {
 			cyclesAbove++
 		}
 	}
-	res := e.finish()
+	res, _ := e.finish() // no Keep: never refused
 	t.Logf("%d steps: bytes floor above the parent's after %d (by up to %d of %d bytes moved), cycles floor after %d",
 		steps, bytesAbove, peak, res.TrafficBytes(), cyclesAbove)
 	if bytesAbove == 0 || cyclesAbove == 0 {

@@ -40,13 +40,13 @@ import (
 // instead of coming back "repaired" as a mix of two.
 //
 // An empty plan, or one whose first disruption comes after every record
-// of nominal has started, returns nominal unchanged. cfg's Order, Hint
-// and cutoff are ignored: repair is always out-of-order — the nominal op
-// sequence is unachievable on the degraded machine, which is the point —
-// and a degraded schedule is expected to overrun whatever target a
-// cutoff encoded for the healthy one.
+// of nominal has started, returns nominal unchanged. cfg's Order, Hint,
+// cutoff and keep are ignored: repair is always out-of-order — the
+// nominal op sequence is unachievable on the degraded machine, which is
+// the point — and a degraded schedule is expected to overrun whatever
+// target a cutoff or a keep encoded for the healthy one.
 func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Result, error) {
-	cfg.Order, cfg.Hint, cfg.Cutoff, cfg.CutoffCycles = nil, nil, nil, 0
+	cfg.Order, cfg.Hint, cfg.Cutoff, cfg.CutoffCycles, cfg.Keep = nil, nil, nil, 0, nil
 	cfg.FaultPlan = plan
 	cfg, err := cfg.checked()
 	if err != nil {

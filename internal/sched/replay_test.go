@@ -91,7 +91,7 @@ func TestCommitReplaysWinningEvaluation(t *testing.T) {
 								}
 							}
 						}
-						if got := e.finish(); got.LatencyCycles != want.LatencyCycles || got.TrafficBytes() != want.TrafficBytes() {
+						if got, _ := e.finish(); got.LatencyCycles != want.LatencyCycles || got.TrafficBytes() != want.TrafficBytes() {
 							t.Fatalf("%s: hand-driven run ends at %d cycles / %d bytes, Schedule at %d / %d",
 								name, got.LatencyCycles, got.TrafficBytes(), want.LatencyCycles, want.TrafficBytes())
 						}

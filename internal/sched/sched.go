@@ -125,6 +125,11 @@ type Config struct {
 	// Cutoff of cyclesFloor > CutoffCycles. The repository benchmark
 	// (bench/) sets it; nothing else should.
 	CutoffCycles int64
+	// Keep, when non-nil, is asked once a run has issued every op and
+	// flushed, with its final LatencyCycles and TrafficBytes, whether its
+	// schedule is wanted; if not, the run ends with ErrNotKept before any
+	// record is copied out. The search passes its strict keep this way.
+	Keep func(cycles, bytes int64) bool
 }
 
 // Defaults for Config fields left zero.
@@ -322,6 +327,10 @@ var errNoProgress = errors.New("sched: no feasible operation set (tiling too lar
 // as infeasible.
 var ErrCutoff = errors.New("sched: schedule abandoned by its cutoff")
 
+// ErrNotKept reports a finished run that Config.Keep refused: a complete
+// schedule its caller would have dropped, so none was handed out.
+var ErrNotKept = errors.New("sched: finished schedule refused by its keep")
+
 // errAllCoresDead is defensive: Config.FaultPlan validation guarantees
 // a survivor, so BestNPU cannot run out of cores on a validated plan.
 var errAllCoresDead = errors.New("sched: every core is dead before the remaining ops could start")
@@ -383,7 +392,7 @@ func (e *engine) start(gr *dfg.Graph, cfg Config) error {
 // — empty after start, or mid-schedule after Repair's re-execution —
 // form and commit sets until every op has issued, then flush and hand
 // out the result. It fails when nothing ready fits the scratchpad, when
-// a fault plan leaves an op no core, or with ErrCutoff.
+// a fault plan leaves an op no core, or with ErrCutoff or ErrNotKept.
 func (e *engine) run() (*Result, error) {
 	for e.nDone < len(e.gr.Ops) {
 		if err := e.step(); err != nil {
@@ -393,7 +402,7 @@ func (e *engine) run() (*Result, error) {
 			return nil, ErrCutoff
 		}
 	}
-	return e.finish(), nil
+	return e.finish()
 }
 
 // floors returns what Config.Cutoff is asked with: lower bounds on the
@@ -437,12 +446,16 @@ func (e *engine) nextSet() *setEval {
 	return e.nextSetOoO()
 }
 
-// finish writes back what is still dirty and hands out the result: the
-// run's totals, and copies of its records and sets sized exactly, every
-// set's ops a window of one array. The engine keeps its own storage for
-// the next run, so nothing a Result holds is shared with it.
-func (e *engine) finish() *Result {
+// finish writes back what is still dirty and, unless Config.Keep refuses
+// the run, hands out the result: the run's totals, and copies of its
+// records and sets sized exactly, every set's ops a window of one array.
+// The engine keeps its own storage for the next run, so nothing a Result
+// holds is shared with it.
+func (e *engine) finish() (*Result, error) {
 	e.flush()
+	if e.cfg.Keep != nil && !e.cfg.Keep(e.tl.Makespan(), e.tot.TrafficBytes()) {
+		return nil, ErrNotKept
+	}
 	r := new(Result)
 	*r = e.tot
 	r.LatencyCycles = e.tl.Makespan()
@@ -458,7 +471,7 @@ func (e *engine) finish() *Result {
 		r.Sets[i] = SetRecord{Ops: ops[:s.n:s.n], Shared: s.shared}
 		ops = ops[s.n:]
 	}
-	return r
+	return r, nil
 }
 
 func (e *engine) validateOrder(order []int) error {

@@ -1,11 +1,14 @@
 package sched
 
 import (
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/dfg"
+	"github.com/flexer-sched/flexer/internal/fault"
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/loop"
 	"github.com/flexer-sched/flexer/internal/model"
@@ -390,5 +393,35 @@ func TestResultMetric(t *testing.T) {
 	}
 	if r.Metric() != 100 {
 		t.Fatalf("Metric = %f", r.Metric())
+	}
+}
+
+// TestKeepSeesTheFinalCosts: Config.Keep is asked once per finished run,
+// with the LatencyCycles and TrafficBytes the run hands out; a keep that
+// accepts changes nothing, and one that refuses ends the run with
+// ErrNotKept, not ErrCutoff, out of order, in a static order and under
+// a fault plan alike.
+func TestKeepSeesTheFinalCosts(t *testing.T) {
+	gr := pressureGraph(t, arch4)
+	plan := &fault.Plan{CoreDown: []fault.CoreDown{{Core: 1, Cycle: 5000}}}
+	for _, cfg := range []Config{{Arch: arch4}, {Arch: arch4, Order: seq(len(gr.Ops))}, {Arch: arch4, FaultPlan: plan}} {
+		want, err := Schedule(gr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var asked []int64
+		for _, keep := range []bool{true, false} {
+			cfg.Keep = func(cycles, bytes int64) bool { asked = append(asked, cycles, bytes); return keep }
+			got, err := Schedule(gr, cfg)
+			switch {
+			case keep && (err != nil || !reflect.DeepEqual(got, want)):
+				t.Errorf("order %v, plan %v: a keep that accepts changes the run: %v", cfg.Order != nil, cfg.FaultPlan, err)
+			case !keep && (got != nil || err != ErrNotKept):
+				t.Errorf("order %v, plan %v: a refused run returns %v, %v; want nil, ErrNotKept", cfg.Order != nil, cfg.FaultPlan, got, err)
+			}
+		}
+		if w := []int64{want.LatencyCycles, want.TrafficBytes()}; !slices.Equal(asked, append(w, w...)) {
+			t.Errorf("order %v, plan %v: keep asked with %v, want %v twice", cfg.Order != nil, cfg.FaultPlan, asked, w)
+		}
 	}
 }

@@ -234,7 +234,8 @@ func walkVsOracle(t testing.TB, name string, gr *dfg.Graph, cfg Config) (st walk
 		}
 		steps++
 	}
-	a, b := got.finish(), want.finish()
+	a, _ := got.finish() // no Keep: never refused
+	b, _ := want.finish()
 	if a.LatencyCycles != b.LatencyCycles || a.TrafficBytes() != b.TrafficBytes() ||
 		a.SetsEvaluated != b.SetsEvaluated || a.SetsPruned != b.SetsPruned || !reflect.DeepEqual(a.Sets, b.Sets) {
 		t.Fatalf("%s: walk ends at %d cycles / %d bytes / %d evaluated / %d pruned, oracle at %d / %d / %d / %d",

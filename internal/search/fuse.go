@@ -98,6 +98,9 @@ func fuseNetwork(ctx context.Context, nr *NetworkResult, opts Options) error {
 			dec.Fused = true
 			dec.Reason = "fused"
 			nr.Boundaries = append(nr.Boundaries, dec)
+			if seg != nil {
+				graphPool.Put(seg.gr) // the segment has grown past it
+			}
 			seg = cand
 			last++
 		}
@@ -123,6 +126,7 @@ func fuseNetwork(ctx context.Context, nr *NetworkResult, opts Options) error {
 				}
 				fs.Degraded = deg
 			}
+			graphPool.Put(seg.gr) // closed: Repair and verify have read it
 			nr.Segments = append(nr.Segments, fs)
 		}
 		i = last + 1
@@ -167,7 +171,7 @@ func scheduleFusedSegment(nr *NetworkResult, first, last int, m model.Model, opt
 		sumCycles += lr.BestOoO.LatencyCycles
 		sumTraffic += lr.BestOoO.TrafficBytes()
 	}
-	gr, err := dfg.BuildFused(grids, m)
+	gr, err := dfg.BuildFusedInto(graphPool.Get().(*dfg.Graph), grids, m)
 	if err != nil {
 		return nil, err.Error(), nil
 	}
@@ -176,17 +180,21 @@ func scheduleFusedSegment(nr *NetworkResult, first, last int, m model.Model, opt
 	cfg := opts.SchedConfig(m)
 	cfg.Cutoff = func(cycles, _ int64) bool { return cycles > sumCycles }
 	res, err := sched.Schedule(gr, cfg)
+	reject := func(reason string) (*fusedCandidate, string, error) {
+		graphPool.Put(gr) // nothing reads a rejected candidate's graph again
+		return nil, reason, nil
+	}
 	switch {
 	case errors.Is(err, sched.ErrCutoff):
-		return nil, fmt.Sprintf("fused schedule exceeds layerwise %d cycles", sumCycles), nil
+		return reject(fmt.Sprintf("fused schedule exceeds layerwise %d cycles", sumCycles))
 	case err != nil:
-		return nil, fmt.Sprintf("fused scheduling failed: %v", err), nil
+		return reject(fmt.Sprintf("fused scheduling failed: %v", err))
 	}
 	if res.LatencyCycles >= sumCycles {
-		return nil, fmt.Sprintf("no cycle win (fused %d vs layerwise %d)", res.LatencyCycles, sumCycles), nil
+		return reject(fmt.Sprintf("no cycle win (fused %d vs layerwise %d)", res.LatencyCycles, sumCycles))
 	}
 	if res.TrafficBytes() >= sumTraffic {
-		return nil, fmt.Sprintf("no traffic win (fused %d vs layerwise %d bytes)", res.TrafficBytes(), sumTraffic), nil
+		return reject(fmt.Sprintf("no traffic win (fused %d vs layerwise %d bytes)", res.TrafficBytes(), sumTraffic))
 	}
 	if err := verify.Schedule(gr, res, opts.Arch); err != nil {
 		return nil, "", fmt.Errorf("search: fused segment %s..%s fails verification: %w",

@@ -241,43 +241,67 @@ func (o Options) workers() int {
 // slots; none is taken once ctx is done or work has panicked. A panic is
 // raised again on the caller, with its value, once every worker returned.
 func forEach(ctx context.Context, n, workers int, sem chan struct{}, work func(i int)) {
-	var next atomic.Int64
-	var panicked atomic.Pointer[any]
-	item := func() bool { // runs the next item, if any is left
-		if sem != nil {
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return false
-			}
-			defer func() { <-sem }()
-		}
-		i := int(next.Add(1) - 1)
-		more := i < n && panicked.Load() == nil && ctx.Err() == nil
-		if more {
-			work(i)
-		}
-		return more
-	}
-	worker := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				panicked.CompareAndSwap(nil, &r)
-			}
-		}()
-		for item() {
-		}
-	}
-	var wg sync.WaitGroup
+	s := workLoops.Get().(*workLoop)
+	s.ctx, s.n, s.sem, s.work = ctx, n, sem, work
+	s.next.Store(0)
 	for range min(workers, n) - 1 {
-		wg.Add(1)
-		go func() { defer wg.Done(); worker() }()
+		s.wg.Add(1)
+		go s.helper()
 	}
-	worker()
-	wg.Wait()
-	if p := panicked.Load(); p != nil {
+	s.worker()
+	s.wg.Wait()
+	p := s.panicked.Swap(nil)
+	s.ctx, s.sem, s.work = nil, nil, nil
+	workLoops.Put(s)
+	if p != nil {
 		panic(*p)
 	}
+}
+
+// workLoop is what the workers of one forEach share: pooled, so that a loop
+// at one worker puts nothing on the heap.
+type workLoop struct {
+	ctx      context.Context
+	n        int
+	sem      chan struct{}
+	work     func(i int)
+	next     atomic.Int64
+	panicked atomic.Pointer[any]
+	wg       sync.WaitGroup
+}
+
+var workLoops = sync.Pool{New: func() any { return new(workLoop) }}
+
+func (s *workLoop) helper() { defer s.wg.Done(); s.worker() }
+
+// worker runs items until none is left, recording the first panic.
+func (s *workLoop) worker() {
+	defer func() {
+		if r := recover(); r != nil {
+			p := r
+			s.panicked.CompareAndSwap(nil, &p)
+		}
+	}()
+	for s.item() {
+	}
+}
+
+// item runs the next item, if any is left.
+func (s *workLoop) item() bool {
+	if s.sem != nil {
+		select {
+		case s.sem <- struct{}{}:
+		case <-s.ctx.Done():
+			return false
+		}
+		defer func() { <-s.sem }()
+	}
+	i := int(s.next.Add(1) - 1)
+	more := i < s.n && s.panicked.Load() == nil && s.ctx.Err() == nil
+	if more {
+		s.work(i)
+	}
+	return more
 }
 
 // Candidate is the outcome of one tiling: its out-of-order schedule and
@@ -384,7 +408,7 @@ func SearchLayerCtx(ctx context.Context, l layer.Conv, opts Options) (*LayerResu
 // searchLayerWith is the search of the valid layer l around schedule
 // (scheduleTiling, or in tests the per-tiling loop it replaced). A cache
 // shares its errors between callers, so they name neither layer nor arch.
-func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule func(context.Context, *tile.Grid, model.Model, []loop.Dataflow, Options, *incumbents) (Candidate, int, error)) (*LayerResult, error) {
+func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule tilingScheduler) (*LayerResult, error) {
 	if err := opts.checkIn(); err != nil {
 		return nil, err
 	}
@@ -392,12 +416,13 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule f
 	if len(tilings) == 0 {
 		return nil, errors.New("search: no feasible tiling")
 	}
-	dataflows := opts.Budget.Dataflows
-	if dataflows == nil {
-		dataflows = loop.Canonical()
+	s := layerSearches.Get().(*layerSearch)
+	defer s.release()
+	s.ctx, s.l, s.opts, s.m, s.tilings, s.schedule = ctx, l, opts, model.New(opts.Arch), tilings, schedule
+	if s.dataflows = opts.Budget.Dataflows; s.dataflows == nil {
+		s.dataflows = loop.Canonical()
 	}
-	m := model.New(opts.Arch)
-	reporter := newProgressReporter(opts.Progress, opts.Metric, l.Name, len(tilings))
+	s.reporter = newProgressReporter(opts.Progress, opts.Metric, l.Name, len(tilings))
 
 	// Dominance pruning: bound every tiling up front (closed form, no
 	// grid), then schedule candidates in ascending-bound order so the
@@ -405,18 +430,21 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule f
 	// indexed by the original enumeration position, so the final
 	// reduction — and therefore every tie-break — is identical to the
 	// exhaustive search.
-	pruning := !opts.DisableDominance && opts.Metric.monotone()
-	recs, order := make([]tilingRun, len(tilings)), make([]int, len(tilings))
+	if !opts.DisableDominance && opts.Metric.monotone() {
+		s.cut = &s.inc
+	}
+	s.recs = append(s.recs[:0], make([]tilingRun, len(tilings))...)
 	var classes [16]tile.Class // every cut's classes, unless a tiling needs more
 	for i, f := range tilings {
 		c, _ := tile.CutsOf(l, f, classes[:0])
-		recs[i].bound, order[i] = boundOf(l, &c, m, opts.Arch.Cores), i
+		s.recs[i].bound = boundOf(l, &c, s.m, opts.Arch.Cores)
+		s.order = append(s.order, i)
 	}
-	if pruning {
+	if s.cut != nil {
 		// Stable, so unique: the order sort.SliceStable gave, without
 		// its reflective swapper.
-		slices.SortStableFunc(order, func(a, b int) int {
-			sa, sb := recs[a].bound.Score(opts.Metric), recs[b].bound.Score(opts.Metric)
+		slices.SortStableFunc(s.order, func(a, b int) int {
+			sa, sb := s.recs[a].bound.Score(opts.Metric), s.recs[b].bound.Score(opts.Metric)
 			switch {
 			case better(sa, sb):
 				return -1
@@ -426,44 +454,23 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule f
 			return 0
 		})
 	}
-	inc := &incumbents{}
-	cut := inc // what runs are cut off against; nil: every run completes
-	if !pruning {
-		cut = nil
-	}
 
 	// Tilings start in ascending-bound order (forEach). With one worker
 	// the incumbents each tiling prunes against — and so the
 	// pruned/aborted/sets counts — also repeat exactly.
-	forEach(ctx, len(order), opts.workers(), opts.sem, func(k int) {
-		r := &recs[order[k]]
-		// Candidate boundary: the safe yield point. A preempting
-		// check-in aborts this tiling before any scheduling work;
-		// tilings already scheduled are simply discarded with the
-		// rest of the aborted search.
-		if r.err = opts.checkIn(); r.err != nil {
-			return
-		}
-		if pruning && inc.dominated(r.bound, opts.Metric) {
-			r.err = errDominated
-			reporter.record(nil, true)
-			return
-		}
-		grid, _ := tile.NewGridInto(gridPool.Get().(*tile.Grid), l, tilings[order[k]]) // an enumerated tiling of a valid layer
-		r.c, r.aborted, r.err = schedule(ctx, grid, m, dataflows, opts, cut)
-		gridPool.Put(grid)
-		if r.err == nil {
-			inc.observe(r.c, opts.Metric)
-			reporter.record(r.c.OoO, false)
-		} else if !isCancellation(r.err) {
-			reporter.record(nil, false)
-		}
-	})
+	forEach(ctx, len(s.order), opts.workers(), opts.sem, s.work)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	lr := &LayerResult{Layer: l, CandidatesEnumerated: len(tilings)}
-	for _, r := range recs {
+	n := 0 // the candidates: the tilings with an out-of-order schedule
+	for _, r := range s.recs {
+		if r.err == nil && r.c.OoO != nil {
+			n++
+		}
+	}
+	lr.Candidates = make([]Candidate, 0, n)
+	for _, r := range s.recs {
 		lr.SchedulesAborted += r.aborted
 		switch {
 		case errors.Is(r.err, ErrYield):
@@ -502,6 +509,66 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule f
 		lr.FaultPlan = opts.FaultPlan
 	}
 	return lr, nil
+}
+
+// tilingScheduler schedules one tiling's grid for a layer search:
+// scheduleTiling, or in tests a reference it is held to.
+type tilingScheduler func(context.Context, *tile.Grid, model.Model, []loop.Dataflow, Options, *incumbents) (Candidate, int, error)
+
+// layerSearch is what the workers of one layer search share: its inputs,
+// one record per tiling and their order, and its incumbents. It is
+// pooled with its worker function bound once, so a search puts neither
+// its options nor its loop state on the heap.
+type layerSearch struct {
+	ctx       context.Context
+	l         layer.Conv
+	opts      Options
+	m         model.Model
+	tilings   []tile.Factors
+	dataflows []loop.Dataflow
+	schedule  tilingScheduler
+	reporter  *progressReporter
+	recs      []tilingRun
+	order     []int
+	inc       incumbents
+	cut       *incumbents // what runs are cut off against: &inc when pruning, else nil
+	work      func(k int) // s.tiling, bound once per pooled state
+}
+
+var layerSearches = sync.Pool{New: func() any { s := new(layerSearch); s.work = s.tiling; return s }}
+
+// release returns s to the pool holding nothing of its search: no
+// schedule, options or context, only the records' and order's storage.
+func (s *layerSearch) release() {
+	clear(s.recs)
+	*s = layerSearch{recs: s.recs[:0], order: s.order[:0], work: s.work}
+	layerSearches.Put(s)
+}
+
+// tiling schedules the k-th tiling in order, unless the incumbents
+// dominate its bound.
+func (s *layerSearch) tiling(k int) {
+	r := &s.recs[s.order[k]]
+	// Candidate boundary: the safe yield point. A preempting check-in
+	// aborts this tiling before any scheduling work; tilings already
+	// scheduled are simply discarded with the rest of the aborted search.
+	if r.err = s.opts.checkIn(); r.err != nil {
+		return
+	}
+	if s.cut != nil && s.inc.dominated(r.bound, s.opts.Metric) {
+		r.err = errDominated
+		s.reporter.record(nil, true)
+		return
+	}
+	grid, _ := tile.NewGridInto(gridPool.Get().(*tile.Grid), s.l, s.tilings[s.order[k]]) // an enumerated tiling of a valid layer
+	r.c, r.aborted, r.err = s.schedule(s.ctx, grid, s.m, s.dataflows, s.opts, s.cut)
+	gridPool.Put(grid)
+	if r.err == nil {
+		s.inc.observe(r.c, s.opts.Metric)
+		s.reporter.record(r.c.OoO, false)
+	} else if !isCancellation(r.err) {
+		s.reporter.record(nil, false)
+	}
 }
 
 // RepairResult repairs a schedule previously produced for layer l
@@ -567,10 +634,10 @@ const maxOoOHints = 3
 // just provably-worse work the search did not perform.
 var errDominated = errors.New("search: tiling dominated by incumbent")
 
-// graphPool and gridPool hold the graphs scheduleTiling and the grids a
-// layer search have finished with, whose storage the next scheduled
-// tiling's graph or grid is built into: no Result or Candidate points at
-// either, so nothing reads one after its tiling.
+// graphPool and gridPool hold the graphs scheduleTiling and the fusion
+// pass and the grids a layer search have finished with, whose storage
+// the next graph or grid is built into: no Result or Candidate points at
+// either, so nothing reads one after its tiling or candidate segment.
 var (
 	graphPool = sync.Pool{New: func() any { return new(dfg.Graph) }}
 	gridPool  = sync.Pool{New: func() any { return new(tile.Grid) }}
@@ -601,14 +668,24 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 	}
 	// run schedules cfg. Its cutoff target is the incumbent in, tightened
 	// to own — the tiling's schedule the run must also beat — where own
-	// scores lower; a run abandoned by it is counted.
-	run := func(cfg sched.Config, in *incumbent, own *sched.Result) (*sched.Result, error) {
+	// scores lower; a run abandoned by it is counted. A run that finishes
+	// without beating keep, the tiling's schedule its result would have
+	// to replace, is refused before it copies out a record (Config.Keep):
+	// the caller's own strict keep, so nothing kept changes. Runs are
+	// sequential, so one cutoff and one keep, made once, read the current
+	// run's target and score.
+	var lim struct{ target, keep float64 }
+	cutoff := func(cycles, bytes int64) bool { return better(lim.target, metric.Score(cycles, bytes)) }
+	kept := func(cycles, bytes int64) bool { return better(metric.Score(cycles, bytes), lim.keep) }
+	run := func(cfg sched.Config, in *incumbent, own, keep *sched.Result) (*sched.Result, error) {
 		if in != nil {
-			target := in.value()
-			if own != nil && better(metric.score(own), target) {
-				target = metric.score(own)
+			lim.target, cfg.Cutoff = in.value(), cutoff
+			if own != nil && better(metric.score(own), lim.target) {
+				lim.target = metric.score(own)
 			}
-			cfg.Cutoff = func(cycles, bytes int64) bool { return better(target, metric.Score(cycles, bytes)) }
+		}
+		if keep != nil {
+			lim.keep, cfg.Keep = metric.score(keep), kept
 		}
 		res, err := sched.Schedule(graph, cfg)
 		if errors.Is(err, sched.ErrCutoff) {
@@ -617,7 +694,7 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 		return res, err
 	}
 
-	ooo, err := run(base, oooInc, nil)
+	ooo, err := run(base, oooInc, nil, nil)
 	switch {
 	case err == nil:
 		c.OoO = ooo
@@ -651,7 +728,7 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 		spare = loop.AppendOrder(spare[:0], graph, df)
 		cfg := base
 		cfg.Order = spare
-		if res, err := run(cfg, staticInc, nil); err == nil && metric.beats(res, c.Static) {
+		if res, err := run(cfg, staticInc, nil, c.Static); err == nil && metric.beats(res, c.Static) {
 			c.Static, c.StaticOrder = res, df
 		}
 	}
@@ -673,7 +750,7 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 		spare = loop.AppendOrder(spare[:0], graph, df)
 		cfg := base
 		cfg.Hint = spare
-		if res, err := run(cfg, oooInc, c.OoO); err == nil && metric.beats(res, c.OoO) {
+		if res, err := run(cfg, oooInc, c.OoO, c.OoO); err == nil && metric.beats(res, c.OoO) {
 			c.OoO = res
 		}
 	}
@@ -830,7 +907,7 @@ func SearchNetworkCtx(ctx context.Context, n nets.Network, opts Options) (*Netwo
 	// its shape must not keep that search's tilings from the pool.
 	forEach(ctx, len(n.Layers), opts.workers(), nil, func(i int) {
 		l := n.Layers[i]
-		nr.Layers[i], errs[i] = opts.Cache.Layer(ctx, layerKey(l, optsKey), l, lopts)
+		nr.Layers[i], errs[i] = lopts.Cache.Layer(ctx, layerKey(l, optsKey), l, lopts)
 		if emit != nil && errs[i] == nil {
 			emit(ProgressEvent{Layer: l.Name, LayerDone: true, LayersDone: int(layersDone.Add(1)), LayersTotal: total})
 		}

@@ -43,7 +43,7 @@ func (c *Cuts) Classes(d int) []Class { return c.classes[c.Dim[d].first:c.Dim[d]
 func CutsOf(l layer.Conv, f Factors, buf []Class) (Cuts, []Class) {
 	var c Cuts
 	for d, per := range [4]int{f.OH, f.OW, f.OC, f.IC} {
-		c.Dim[d], buf = appendCut(buf, l, d, per)
+		c.Dim[d], buf = appendCut(buf, &l, d, per)
 	}
 	c.classes = buf
 	return c, buf
@@ -53,7 +53,7 @@ func CutsOf(l layer.Conv, f Factors, buf []Class) (Cuts, []Class) {
 // extent, and the kernel, stride, padding and input extent that map its
 // blocks to input spans (1, 1, 0 and the extent itself for a channel
 // dimension, so a block reads what it covers).
-func dimOf(l layer.Conv, d int) (total, ker, stride, pad, in int) {
+func dimOf(l *layer.Conv, d int) (total, ker, stride, pad, in int) {
 	switch d {
 	case 0:
 		return l.OutH(), l.KerH, l.StrideH, l.PadH, l.InH
@@ -67,7 +67,7 @@ func dimOf(l layer.Conv, d int) (total, ker, stride, pad, in int) {
 
 // cutOf returns dimension d of l cut into blocks of per, clamped to its
 // extent, without classes: what the viability test reads.
-func cutOf(l layer.Conv, d, per int) Cut {
+func cutOf(l *layer.Conv, d, per int) Cut {
 	total, ker, stride, _, in := dimOf(l, d)
 	per = min(per, total)
 	return Cut{Per: per, N: ceilDiv(total, per), Span: min((per-1)*stride+ker, in)}
@@ -79,7 +79,7 @@ func cutOf(l layer.Conv, d, per int) Cut {
 // b·per·stride − pad and ends (per−1)·stride + ker − 1 later. The blocks
 // before and after it are walked one by one, run-length merged; padding
 // bounds their number.
-func appendCut(dst []Class, l layer.Conv, d, per int) (Cut, []Class) {
+func appendCut(dst []Class, l *layer.Conv, d, per int) (Cut, []Class) {
 	c := cutOf(l, d, per)
 	total, ker, stride, pad, in := dimOf(l, d)
 	per = c.Per

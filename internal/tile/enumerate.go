@@ -82,7 +82,7 @@ func subsample(vs []int, max int) []int {
 // operandBytesFast upper-bounds the per-operand tile sizes of the
 // tiling c cuts l into, from its full blocks: the largest tile of each
 // kind, its halo clipped to the input's extent only.
-func operandBytesFast(l layer.Conv, c *Cuts) (in, wt, out int64) {
+func operandBytesFast(l *layer.Conv, c *Cuts) (in, wt, out int64) {
 	eb := int64(l.ElemBytes)
 	oh, ow, oc, ic := &c.Dim[0], &c.Dim[1], &c.Dim[2], &c.Dim[3]
 	in = int64(oh.Span) * int64(ow.Span) * int64(ic.Per) * eb
@@ -93,7 +93,7 @@ func operandBytesFast(l layer.Conv, c *Cuts) (in, wt, out int64) {
 
 // maxOperandBytesFast upper-bounds the single-op operand footprint of a
 // tiling without building the grid.
-func maxOperandBytesFast(l layer.Conv, c *Cuts) int64 {
+func maxOperandBytesFast(l *layer.Conv, c *Cuts) int64 {
 	in, wt, out := operandBytesFast(l, c)
 	return in + wt + out
 }
@@ -104,7 +104,7 @@ func maxOperandBytesFast(l layer.Conv, c *Cuts) int64 {
 // set) or one weight tile (weight-stationary set); output tiles are
 // always distinct because two ops of one partial-sum chain can never
 // issue together.
-func minSetFootprintFast(l layer.Conv, c *Cuts, n int) int64 {
+func minSetFootprintFast(l *layer.Conv, c *Cuts, n int) int64 {
 	in, wt, out := operandBytesFast(l, c)
 	shareIn := in + int64(n)*(wt+out)
 	shareWt := wt + int64(n)*(in+out)
@@ -130,8 +130,8 @@ func Enumerate(l layer.Conv, lim EnumLimits) []Factors {
 	// canonical order, and so does the mixed-radix index of their four
 	// values that each key holds.
 	ks := buf.keys
-	buf.walk(l, lim, false, func(i int, c *Cuts) {
-		ks = append(ks, sampleKey{sampleScore(l, c, lim.SPMBytes, cores), int64(i)})
+	buf.walk(&l, lim, false, func(i int, c *Cuts) {
+		ks = append(ks, sampleKey{sampleScore(&l, c, lim.SPMBytes, cores), int64(i)})
 	})
 	if n := lim.MaxTilings; n > 0 && len(ks) > n {
 		ks = sampleTilings(ks, n)
@@ -153,7 +153,7 @@ func Enumerate(l layer.Conv, lim EnumLimits) []Factors {
 // the call. A negative MaxValuesPerDim takes every candidate value.
 func Walk(l layer.Conv, lim EnumLimits, visit func(c *Cuts)) {
 	buf := enumBufs.Get().(*enumBuf)
-	buf.walk(l, lim, true, func(_ int, c *Cuts) { visit(c) })
+	buf.walk(&l, lim, true, func(_ int, c *Cuts) { visit(c) })
 	enumBufs.Put(buf)
 }
 
@@ -164,7 +164,7 @@ func Walk(l layer.Conv, lim EnumLimits, visit func(c *Cuts)) {
 // (ascending extents, outermost loop first: canonical order, ascending
 // (OH, OW, OC, IC)). The op caps prune whole subtrees; the viability
 // test reads the same cuts.
-func (e *enumBuf) walk(l layer.Conv, lim EnumLimits, classes bool, visit func(i int, c *Cuts)) {
+func (e *enumBuf) walk(l *layer.Conv, lim EnumLimits, classes bool, visit func(i int, c *Cuts)) {
 	maxOps := lim.MaxOps
 	if maxOps <= 0 {
 		maxOps = DefaultMaxOps
@@ -245,7 +245,7 @@ var enumBufs = sync.Pool{New: func() any { return new(enumBuf) }}
 // sampleScore ranks a tiling for the sample: how well a full set of
 // cores concurrent ops fills (but does not overflow) the SPM, plus a
 // bonus for each PE-friendly channel extent.
-func sampleScore(l layer.Conv, c *Cuts, spm int64, cores int) float64 {
+func sampleScore(l *layer.Conv, c *Cuts, spm int64, cores int) float64 {
 	// fill in (0,1]: 1 means cores ops exactly fill the SPM.
 	fill := float64(maxOperandBytesFast(l, c)*int64(cores)) / float64(spm)
 	if fill > 1 {

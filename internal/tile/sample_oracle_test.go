@@ -51,7 +51,7 @@ func oracleSampleTilings(l layer.Conv, fs []Factors, lim EnumLimits) (keep []Fac
 	}
 	sc := make([]scored, len(fs))
 	for i, f := range fs {
-		foot := maxOperandBytesFast(l, cutsOf(l, f)) * int64(cores)
+		foot := maxOperandBytesFast(&l, cutsOf(l, f)) * int64(cores)
 		fill := float64(foot) / float64(lim.SPMBytes)
 		if fill > 1 {
 			fill = 1 / fill

@@ -10,11 +10,11 @@ import (
 func TestMinSetFootprintSharingPatterns(t *testing.T) {
 	l := layer.NewConv("v", 8, 8, 64, 64, 3)
 	f := Factors{OH: 4, OW: 4, OC: 32, IC: 64}
-	in, wt, out := operandBytesFast(l, cutsOf(l, f))
+	in, wt, out := operandBytesFast(&l, cutsOf(l, f))
 	if in <= 0 || wt <= 0 || out <= 0 {
 		t.Fatalf("operand bounds: %d %d %d", in, wt, out)
 	}
-	got := minSetFootprintFast(l, cutsOf(l, f), 2)
+	got := minSetFootprintFast(&l, cutsOf(l, f), 2)
 	shareIn := in + 2*(wt+out)
 	shareWt := wt + 2*(in+out)
 	want := shareIn
@@ -25,11 +25,11 @@ func TestMinSetFootprintSharingPatterns(t *testing.T) {
 		t.Errorf("minSetFootprintFast = %d, want %d", got, want)
 	}
 	// Width 1 degenerates to the single-op footprint.
-	if got1 := minSetFootprintFast(l, cutsOf(l, f), 1); got1 != in+wt+out {
+	if got1 := minSetFootprintFast(&l, cutsOf(l, f), 1); got1 != in+wt+out {
 		t.Errorf("width-1 footprint = %d, want %d", got1, in+wt+out)
 	}
 	// Footprint grows with width.
-	if minSetFootprintFast(l, cutsOf(l, f), 4) <= got {
+	if minSetFootprintFast(&l, cutsOf(l, f), 4) <= got {
 		t.Error("footprint did not grow with width")
 	}
 }
@@ -41,14 +41,14 @@ func TestEnumerateExcludesUnschedulableWidths(t *testing.T) {
 	l := layer.NewConv("v", 7, 7, 512, 512, 3)
 	lim := EnumLimits{SPMBytes: a.SPMBytes, Cores: a.Cores, MaxOps: 4096}
 	for _, f := range Enumerate(l, lim) {
-		if got := minSetFootprintFast(l, cutsOf(l, f), a.Cores); got > a.SPMBytes {
+		if got := minSetFootprintFast(&l, cutsOf(l, f), a.Cores); got > a.SPMBytes {
 			t.Errorf("tiling %v enumerated with set footprint %d > SPM %d", f, got, a.SPMBytes)
 		}
 	}
 	// The known-bad tiling from development: 4 ops of 7x3x10x512 need
 	// two 90 KiB weight tiles plus activations and cannot share enough.
 	bad := Factors{OH: 7, OW: 3, OC: 10, IC: 512}
-	if minSetFootprintFast(l, cutsOf(l, bad), a.Cores) <= a.SPMBytes {
+	if minSetFootprintFast(&l, cutsOf(l, bad), a.Cores) <= a.SPMBytes {
 		t.Skip("tiling unexpectedly viable under this model")
 	}
 	for _, f := range Enumerate(l, lim) {
