@@ -7,7 +7,7 @@ GO ?= go
 # internal/search + internal/dfg + internal/sched.
 COVER_MIN ?= 70
 
-.PHONY: check build vet test hit-allocs test-short loc loc-check fairness cluster-e2e bench bench-smoke repo-bench-smoke experiments bench-guard paper-guard fuzz-smoke lint cover cover-check run-flexerd
+.PHONY: check build vet test hit-allocs test-short loc loc-check exports fairness cluster-e2e bench bench-smoke repo-bench-smoke experiments bench-guard paper-guard fuzz-smoke lint cover cover-check run-flexerd
 
 check: build vet test
 
@@ -64,6 +64,14 @@ loc-check:
 		$$NF > ceil[row] { printf "loc-check: %s is %d lines, over its ceiling of %d\n", row, $$NF, ceil[row]; bad = 1 } \
 		END { exit bad }' loc-ceilings.txt -
 
+# Exported functions and methods of the internal packages that nothing
+# outside their package calls but tests (scripts/test-only-exports.sh):
+# silent when there is none, and failing with the list otherwise, so
+# test-only exports cannot creep back.
+exports:
+	@out=$$(scripts/test-only-exports.sh); \
+	if [ -n "$$out" ]; then echo "$$out"; echo "exports: unexport these or move them into a _test.go file"; exit 1; fi
+
 # The allocation ceilings of the cache-hit path (a unary layer hit and
 # a unary network hit through the handler, the cache key), of the tiling
 # enumeration, of bounding a layer's tilings, of a warm Schedule and of
@@ -81,7 +89,7 @@ test-short:
 	$(GO) test -short ./...
 
 # The multi-tenant admission suite on its own: weighted-fairness
-# convergence, priority overtaking, candidate-boundary preemption and
+# convergence, priority overtaking, preemption by cancellation and
 # the preempt-requeue determinism property. All of these also run as
 # part of `make check` via `go test -race ./...`.
 fairness:

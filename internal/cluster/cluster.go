@@ -129,18 +129,18 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:    cfg,
-		ring:   NewRing(peers, DefaultVirtualNodes),
+		ring:   newRing(peers, DefaultVirtualNodes),
 		client: &http.Client{Timeout: cfg.ProbeTimeout},
 		log:    cfg.Log,
 		peers:  make(map[string]*peerState),
 		stop:   make(chan struct{}),
 	}
-	for _, p := range c.ring.Peers() {
+	for _, p := range c.ring.peers {
 		if p == cfg.Self {
 			continue
 		}
 		c.peers[p] = &peerState{
-			fsm:   NewFSM(),
+			fsm:   newFSM(),
 			state: StateHealthy,
 			kick:  make(chan struct{}, 1),
 		}
@@ -269,7 +269,7 @@ func (c *Cluster) observe(addr string, ps *peerState, ok bool, err error, elapse
 		ps.transitions++
 		ps.lastChange = time.Now()
 	}
-	fails := ps.fsm.ConsecutiveFailures()
+	fails := ps.fsm.fails
 	c.mu.Unlock()
 
 	if changed {
@@ -337,7 +337,7 @@ type Route struct {
 // peer, or — when the home is down — the first alive successor on the
 // ring. Self counts as always alive, so the walk terminates.
 func (c *Cluster) Route(key string) Route {
-	seq := c.ring.Sequence(key)
+	seq := c.ring.sequence(key)
 	r := Route{Key: key}
 	if len(seq) == 0 {
 		r.Home, r.Target, r.Local = c.cfg.Self, c.cfg.Self, true
@@ -438,7 +438,7 @@ func (c *Cluster) Stats() Stats {
 		p := PeerStats{
 			Addr:                addr,
 			State:               ps.state.String(),
-			ConsecutiveFailures: ps.fsm.ConsecutiveFailures(),
+			ConsecutiveFailures: ps.fsm.fails,
 			Probes:              ps.probes,
 			LastProbeMS:         ps.lastMS,
 			EWMAProbeMS:         ps.ewmaMS,

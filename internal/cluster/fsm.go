@@ -59,23 +59,20 @@ const (
 
 // FSM tracks one peer's health from a stream of probe outcomes. It is
 // not safe for concurrent use; Cluster serializes Observe calls under
-// its own lock. The zero value is not usable; construct with NewFSM.
+// its own lock. The zero value is not usable; construct with newFSM.
 type FSM struct {
 	state State
 	fails int // consecutive failures
 	oks   int // consecutive successes
 }
 
-// NewFSM returns a healthy FSM.
-func NewFSM() *FSM {
+// newFSM returns a healthy FSM.
+func newFSM() *FSM {
 	return &FSM{state: StateHealthy}
 }
 
 // State returns the current state.
 func (f *FSM) State() State { return f.state }
-
-// ConsecutiveFailures returns the current failure streak length.
-func (f *FSM) ConsecutiveFailures() int { return f.fails }
 
 // Observe feeds one probe outcome into the FSM and returns the state
 // after the observation plus whether it changed.

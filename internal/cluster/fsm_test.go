@@ -12,7 +12,7 @@ type step struct {
 // state after every observation.
 func runScript(t *testing.T, script []step) {
 	t.Helper()
-	f := NewFSM()
+	f := newFSM()
 	for i, s := range script {
 		got, _ := f.Observe(s.ok)
 		if got != s.want {
@@ -62,7 +62,7 @@ func TestFSMRejoinNeedsStreak(t *testing.T) {
 
 // TestFSMChangedFlag: Observe reports exactly the transitions.
 func TestFSMChangedFlag(t *testing.T) {
-	f := NewFSM()
+	f := newFSM()
 	script := []struct {
 		ok          bool
 		wantChanged bool

@@ -35,9 +35,9 @@ type ringPoint struct {
 // ring construction or the sorted-points slice costly.
 const DefaultVirtualNodes = 64
 
-// NewRing builds a ring over the given peers (duplicates are dropped)
+// newRing builds a ring over the given peers (duplicates are dropped)
 // with vnodes virtual nodes per peer (<= 0 = DefaultVirtualNodes).
-func NewRing(peers []string, vnodes int) *Ring {
+func newRing(peers []string, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
 	}
@@ -94,9 +94,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Peers returns the distinct peers on the ring, sorted.
-func (r *Ring) Peers() []string { return r.peers }
-
 // Size returns the number of distinct peers.
 func (r *Ring) Size() int { return len(r.peers) }
 
@@ -127,11 +124,11 @@ func (r *Ring) searchIdx(key string) int {
 	return i
 }
 
-// Sequence returns every distinct peer in ring order starting from
-// key's home: Sequence(key)[0] is the home, and each later entry is
+// sequence returns every distinct peer in ring order starting from
+// key's home: sequence(key)[0] is the home, and each later entry is
 // the failover target should all earlier ones be down. The walk visits
 // each peer exactly once, so the slice length equals Size.
-func (r *Ring) Sequence(key string) []string {
+func (r *Ring) sequence(key string) []string {
 	if len(r.points) == 0 {
 		return nil
 	}

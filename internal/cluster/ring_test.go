@@ -17,9 +17,9 @@ func testPeers(n int) []string {
 // construction order and duplicates must not matter.
 func TestRingDeterministic(t *testing.T) {
 	peers := testPeers(5)
-	a := NewRing(peers, 64)
+	a := newRing(peers, 64)
 	shuffled := []string{peers[3], peers[0], peers[4], peers[0], peers[2], peers[1]}
-	b := NewRing(shuffled, 64)
+	b := newRing(shuffled, 64)
 	if a.Size() != 5 || b.Size() != 5 {
 		t.Fatalf("sizes = %d, %d, want 5 (duplicates dropped)", a.Size(), b.Size())
 	}
@@ -34,7 +34,7 @@ func TestRingDeterministic(t *testing.T) {
 // TestRingBalance: with enough virtual nodes no peer should own a
 // wildly disproportionate key share.
 func TestRingBalance(t *testing.T) {
-	r := NewRing(testPeers(4), 0) // default vnodes
+	r := newRing(testPeers(4), 0) // default vnodes
 	counts := map[string]int{}
 	const keys = 4000
 	for i := 0; i < keys; i++ {
@@ -56,8 +56,8 @@ func TestRingBalance(t *testing.T) {
 // failover cheap and rejoin exact.
 func TestRingStability(t *testing.T) {
 	peers := testPeers(5)
-	full := NewRing(peers, 64)
-	without := NewRing(peers[:4], 64) // drop the last peer
+	full := newRing(peers, 64)
+	without := newRing(peers[:4], 64) // drop the last peer
 	moved, kept := 0, 0
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("key-%d", i)
@@ -80,8 +80,8 @@ func TestRingStability(t *testing.T) {
 // TestRingSequence: the failover sequence starts at the home and
 // visits every peer exactly once.
 func TestRingSequence(t *testing.T) {
-	r := NewRing(testPeers(4), 32)
-	seq := r.Sequence("some-key")
+	r := newRing(testPeers(4), 32)
+	seq := r.sequence("some-key")
 	if len(seq) != 4 {
 		t.Fatalf("sequence length = %d, want 4", len(seq))
 	}
@@ -101,7 +101,7 @@ func TestRingSequence(t *testing.T) {
 // two-peer ring's successors point at each other.
 func TestRingSuccessor(t *testing.T) {
 	peers := testPeers(3)
-	r := NewRing(peers, 16)
+	r := newRing(peers, 16)
 	for _, p := range peers {
 		s := r.SuccessorOf(p)
 		if s == "" || s == p {
@@ -114,11 +114,11 @@ func TestRingSuccessor(t *testing.T) {
 	if got := r.SuccessorOf("http://not-a-peer:1"); got != "" {
 		t.Errorf("SuccessorOf(unknown) = %q, want \"\"", got)
 	}
-	two := NewRing(peers[:2], 16)
+	two := newRing(peers[:2], 16)
 	if two.SuccessorOf(peers[0]) != peers[1] || two.SuccessorOf(peers[1]) != peers[0] {
 		t.Errorf("two-peer successors should point at each other")
 	}
-	one := NewRing(peers[:1], 16)
+	one := newRing(peers[:1], 16)
 	if got := one.SuccessorOf(peers[0]); got != "" {
 		t.Errorf("single-peer SuccessorOf = %q, want \"\"", got)
 	}

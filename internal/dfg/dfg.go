@@ -76,7 +76,7 @@ type Graph struct {
 
 	grids    []*tile.Grid  // per-layer grids, grids[0] == Grid
 	one      [1]*tile.Grid // grids' storage in a single-layer graph
-	base     []int         // base[kind*NumLayers+layer]: number of that kind and layer's first tile
+	base     []int         // base[kind*len(grids)+layer]: number of that kind and layer's first tile
 	opOffset []int         // first op index of each layer
 	floor    Floor
 
@@ -143,13 +143,10 @@ func FloorOf(l layer.Conv, c *tile.Cuts, m model.Model) (opCycles int64, bytes, 
 // Fused reports whether the graph spans more than one layer.
 func (gr *Graph) Fused() bool { return len(gr.grids) > 1 }
 
-// NumLayers returns the number of stitched layers (1 for Build graphs).
-func (gr *Graph) NumLayers() int { return len(gr.grids) }
-
 // LastLayer returns the index of the final layer (0 for Build graphs).
 func (gr *Graph) LastLayer() int { return len(gr.grids) - 1 }
 
-// Grids returns the per-layer grids (length NumLayers). The slice is
+// Grids returns the per-layer grids, one per stitched layer. The slice is
 // shared; callers must not modify it.
 func (gr *Graph) Grids() []*tile.Grid { return gr.grids }
 

@@ -78,8 +78,8 @@ func TestBuildFusedSingleGridIsBuild(t *testing.T) {
 func TestBuildFusedLayout(t *testing.T) {
 	gr := buildFusedPair(t)
 	g1, g2 := gr.Grids()[0], gr.Grids()[1]
-	if !gr.Fused() || gr.NumLayers() != 2 || gr.LastLayer() != 1 {
-		t.Fatalf("Fused=%v NumLayers=%d LastLayer=%d", gr.Fused(), gr.NumLayers(), gr.LastLayer())
+	if !gr.Fused() || len(gr.Grids()) != 2 || gr.LastLayer() != 1 {
+		t.Fatalf("Fused=%v layers=%d LastLayer=%d", gr.Fused(), len(gr.Grids()), gr.LastLayer())
 	}
 	if want := g1.NumOps() + g2.NumOps(); len(gr.Ops) != want {
 		t.Fatalf("%d ops, want %d", len(gr.Ops), want)

@@ -111,7 +111,7 @@ func TestNumIsAnOrderedBijection(t *testing.T) {
 			{Kind: tile.Wt, C: 1, L: gr.LastLayer()},
 			{Kind: tile.Out, A: -1, L: gr.LastLayer()},
 			{Kind: tile.Out, C: g.NOC, L: gr.LastLayer()},
-			{Kind: tile.Out, L: gr.NumLayers()},
+			{Kind: tile.Out, L: len(gr.Grids())},
 			{Kind: tile.Out, L: -1},
 			{Kind: tile.Kind(tile.NumKinds)},
 		} {
@@ -157,8 +157,8 @@ func TestTablesMatchNames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gr.NumLayers() != len(grids) {
-			t.Fatalf("%s: %d layers, want %d", name, gr.NumLayers(), len(grids))
+		if len(gr.Grids()) != len(grids) {
+			t.Fatalf("%s: %d layers, want %d", name, len(gr.Grids()), len(grids))
 		}
 		for i, op := range gr.Ops {
 			want := [3]int32{int32(gr.Num(op.In)), int32(gr.Num(op.Wt)), int32(gr.Num(op.Out))}

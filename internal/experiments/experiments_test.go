@@ -44,7 +44,7 @@ func quickRecord(t *testing.T) *Record {
 // quickRows returns one experiment's rows of quickRecord.
 func quickRows[T any](t *testing.T, name string) []T {
 	t.Helper()
-	table, ok := quickRecord(t).Table(name + " scale=4 budget=quick")
+	table, ok := quickRecord(t).table(name + " scale=4 budget=quick")
 	if !ok {
 		t.Fatalf("no table for %s", name)
 	}

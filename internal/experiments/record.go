@@ -71,8 +71,8 @@ type Record struct {
 	Tables        []Table `json:"tables"`
 }
 
-// Table returns the table with the given ID.
-func (r *Record) Table(id string) (Table, bool) {
+// table returns the table with the given ID.
+func (r *Record) table(id string) (Table, bool) {
 	for _, t := range r.Tables {
 		if t.ID() == id {
 			return t, true
@@ -209,7 +209,7 @@ func GuardCompare(committed, fresh *Record) error {
 	}
 	var diffs []string
 	for _, nu := range fresh.Tables {
-		old, ok := committed.Table(nu.ID())
+		old, ok := committed.table(nu.ID())
 		if !ok {
 			diffs = append(diffs, fmt.Sprintf("table %s: not in the committed record", nu.ID()))
 			continue

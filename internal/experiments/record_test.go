@@ -214,7 +214,7 @@ func TestCommittedRecordPinnedTotals(t *testing.T) {
 		{"fig8 scale=4 budget=quick", "squeezenet", 0, 115609, 2960842, 115621, -1},
 		{"fig8 scale=2 budget=default", "vgg16", 0, 2013095, 50681452, 1874804, 1384},
 	} {
-		table, ok := rec.Table(want.table)
+		table, ok := rec.table(want.table)
 		if !ok {
 			t.Errorf("no table %s", want.table)
 			continue
@@ -247,7 +247,7 @@ func TestCommittedRecordPinnedTotals(t *testing.T) {
 	}
 	for _, name := range Names() {
 		for _, regime := range []string{" scale=4 budget=quick", " scale=1 budget=default"} {
-			if _, ok := rec.Table(name + regime); !ok {
+			if _, ok := rec.table(name + regime); !ok {
 				t.Errorf("the committed record has no table %s%s", name, regime)
 			}
 		}
@@ -271,7 +271,7 @@ func TestExperimentsMDInSync(t *testing.T) {
 	fresh := block.ReplaceAllFunc(md, func(old []byte) []byte {
 		blocks++
 		id := string(block.FindSubmatch(old)[1])
-		table, ok := rec.Table(id)
+		table, ok := rec.table(id)
 		if !ok {
 			t.Errorf("EXPERIMENTS.md has a block for %q, the committed record has no such table", id)
 			return old

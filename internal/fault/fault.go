@@ -103,7 +103,7 @@ func (p *Plan) Validate(cores int) error {
 			return fmt.Errorf("fault: dma_derate factor %g < 1", d.Factor)
 		}
 	}
-	if len(p.Survivors(cores)) == 0 {
+	if len(p.survivors(cores)) == 0 {
 		return fmt.Errorf("fault: plan kills all %d cores; at least one must survive", cores)
 	}
 	return nil
@@ -179,8 +179,8 @@ func (p *Plan) FirstDisruption() int64 {
 	return first
 }
 
-// Survivors returns the cores with no death event, in index order.
-func (p *Plan) Survivors(cores int) []int {
+// survivors returns the cores with no death event, in index order.
+func (p *Plan) survivors(cores int) []int {
 	out := make([]int, 0, cores)
 	for i := 0; i < cores; i++ {
 		if _, dead := p.DeathCycle(i); !dead {

@@ -42,8 +42,8 @@ func TestQueries(t *testing.T) {
 	if got := (&Plan{}).FirstDisruption(); got != math.MaxInt64 {
 		t.Errorf("empty FirstDisruption = %d, want MaxInt64", got)
 	}
-	if got := p.Survivors(4); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("Survivors(4) = %v, want [0 2 3]", got)
+	if got := p.survivors(4); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
+		t.Errorf("survivors(4) = %v, want [0 2 3]", got)
 	}
 }
 
@@ -146,7 +146,7 @@ func TestRandomDeterministicAndSurvivable(t *testing.T) {
 			if err := a.Validate(cores); err != nil {
 				t.Fatalf("seed %d cores %d: invalid plan %q: %v", seed, cores, a, err)
 			}
-			if len(a.Survivors(cores)) == 0 {
+			if len(a.survivors(cores)) == 0 {
 				t.Fatalf("seed %d cores %d: no survivors", seed, cores)
 			}
 		}

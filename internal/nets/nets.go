@@ -80,8 +80,8 @@ func conv(name string, in, inC, outC, ker int) layer.Conv {
 	return layer.NewConv(name, in, in, inC, outC, ker)
 }
 
-// VGG16 returns the 13 convolution layers of VGGNet-16.
-func VGG16() Network {
+// vgg16 returns the 13 convolution layers of VGGNet-16.
+func vgg16() Network {
 	return Network{Name: "vgg16", Layers: []layer.Conv{
 		conv("conv1_1", 224, 3, 64, 3),
 		conv("conv1_2", 224, 64, 64, 3),
@@ -99,9 +99,9 @@ func VGG16() Network {
 	}}
 }
 
-// ResNet50 returns the 53 convolution layers of ResNet-50 (v1.5
+// resNet50 returns the 53 convolution layers of ResNet-50 (v1.5
 // downsampling: the stride-2 sits on each transition block's 3x3).
-func ResNet50() Network {
+func resNet50() Network {
 	ls := []layer.Conv{
 		layer.NewConv("conv1", 224, 224, 3, 64, 7).WithStride(2).WithPad(3),
 	}
@@ -143,9 +143,9 @@ func ResNet50() Network {
 	return Network{Name: "resnet50", Layers: ls}
 }
 
-// SqueezeNet returns the convolution layers of SqueezeNet v1.1 (each
+// squeezeNet returns the convolution layers of SqueezeNet v1.1 (each
 // fire module contributes its squeeze and two expand convolutions).
-func SqueezeNet() Network {
+func squeezeNet() Network {
 	ls := []layer.Conv{
 		layer.NewConv("conv1", 224, 224, 3, 64, 3).WithStride(2).WithPad(0),
 	}
@@ -168,9 +168,9 @@ func SqueezeNet() Network {
 	return Network{Name: "squeezenet", Layers: ls}
 }
 
-// YOLOv2 returns the 23 convolution layers of YOLOv2 (Darknet-19
+// yoloV2 returns the 23 convolution layers of YOLOv2 (Darknet-19
 // backbone plus the detection head and passthrough convolution).
-func YOLOv2() Network {
+func yoloV2() Network {
 	return Network{Name: "yolov2", Layers: []layer.Conv{
 		conv("conv1", 416, 3, 32, 3),
 		conv("conv2", 208, 32, 64, 3),
@@ -204,7 +204,7 @@ var table = []struct {
 	name  string
 	build func() Network
 }{
-	{"vgg16", VGG16}, {"resnet50", ResNet50}, {"squeezenet", SqueezeNet}, {"yolov2", YOLOv2},
+	{"vgg16", vgg16}, {"resnet50", resNet50}, {"squeezenet", squeezeNet}, {"yolov2", yoloV2},
 }
 
 // ByName returns a network by its lower-case name.

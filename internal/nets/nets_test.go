@@ -32,7 +32,7 @@ func TestLayerCounts(t *testing.T) {
 }
 
 func TestVGG16Shapes(t *testing.T) {
-	n := VGG16()
+	n := vgg16()
 	first := n.Layers[0]
 	if first.InH != 224 || first.InC != 3 || first.OutC != 64 {
 		t.Errorf("conv1_1 shape wrong: %+v", first)
@@ -50,7 +50,7 @@ func TestVGG16Shapes(t *testing.T) {
 }
 
 func TestResNet50Structure(t *testing.T) {
-	n := ResNet50()
+	n := resNet50()
 	stem := n.Layers[0]
 	if stem.KerH != 7 || stem.StrideH != 2 || stem.OutH() != 112 {
 		t.Errorf("stem conv wrong: %+v out=%d", stem, stem.OutH())
@@ -85,7 +85,7 @@ func TestResNet50Structure(t *testing.T) {
 }
 
 func TestSqueezeNetFireModules(t *testing.T) {
-	n := SqueezeNet()
+	n := squeezeNet()
 	sq, err := n.Layer("fire5_squeeze")
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestSqueezeNetFireModules(t *testing.T) {
 }
 
 func TestYOLOv2Backbone(t *testing.T) {
-	n := YOLOv2()
+	n := yoloV2()
 	if n.Layers[0].InH != 416 {
 		t.Errorf("yolo input %d, want 416", n.Layers[0].InH)
 	}
@@ -150,7 +150,7 @@ func TestNames(t *testing.T) {
 }
 
 func TestScale(t *testing.T) {
-	n := VGG16().Scale(4)
+	n := vgg16().Scale(4)
 	if n.Name != "vgg16/4" {
 		t.Errorf("scaled name = %q", n.Name)
 	}
@@ -165,12 +165,12 @@ func TestScale(t *testing.T) {
 		t.Errorf("channels changed by scaling: %+v", n.Layers[0])
 	}
 	// Spatial dims never drop below the kernel.
-	deep := VGG16().Scale(1000)
+	deep := vgg16().Scale(1000)
 	if err := deep.Validate(); err != nil {
 		t.Fatalf("extreme scaling broke validity: %v", err)
 	}
 	// Scale(1) is the identity.
-	same := VGG16().Scale(1)
+	same := vgg16().Scale(1)
 	if same.Name != "vgg16" || same.Layers[0].InH != 224 {
 		t.Errorf("Scale(1) changed network: %+v", same.Layers[0])
 	}
@@ -188,13 +188,13 @@ func TestScaledNetworksValidate(t *testing.T) {
 }
 
 func TestLayerLookupError(t *testing.T) {
-	if _, err := VGG16().Layer("nope"); err == nil {
+	if _, err := vgg16().Layer("nope"); err == nil {
 		t.Fatal("unknown layer accepted")
 	}
 }
 
 func TestValidateCatchesDuplicates(t *testing.T) {
-	n := VGG16()
+	n := vgg16()
 	n.Layers = append(n.Layers, n.Layers[0])
 	if err := n.Validate(); err == nil {
 		t.Fatal("duplicate layer name accepted")

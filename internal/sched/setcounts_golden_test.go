@@ -35,7 +35,16 @@ func TestSetCountsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	squeezenet, vgg8, vgg4 := nets.SqueezeNet().Scale(8), nets.VGG16().Scale(8), nets.VGG16().Scale(4)
+	squeezenet, err := nets.ByName("squeezenet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vgg, err := nets.ByName("vgg16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	squeezenet = squeezenet.Scale(8)
+	vgg8, vgg4 := vgg.Scale(8), vgg.Scale(4)
 	var got bytes.Buffer
 	run := func(a arch.Config, name string, gr *dfg.Graph, mode string, cfg Config) {
 		cfg.Arch = a

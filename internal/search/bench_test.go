@@ -6,7 +6,6 @@ import (
 	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/model"
-	"github.com/flexer-sched/flexer/internal/nets"
 	"github.com/flexer-sched/flexer/internal/tile"
 )
 
@@ -37,7 +36,7 @@ func BenchmarkSearchLayerQuick(b *testing.B) {
 // overflow, so candidate schedules differ in traffic and most runs end
 // up dominated. One worker, so the incumbents — and the work — repeat.
 func BenchmarkSearchLayerPressured(b *testing.B) {
-	l, err := nets.VGG16().Scale(2).Layer("conv3_1")
+	l, err := mustNetwork(b, "vgg16", 2).Layer("conv3_1")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -120,7 +119,7 @@ var sinkBound Bound
 // and in closed form from each tiling's cuts (what it does). ns/tiling
 // is one tiling's share.
 func BenchmarkLowerBound(b *testing.B) {
-	l, err := nets.VGG16().Layer("conv3_1")
+	l, err := mustNetwork(b, "vgg16", 1).Layer("conv3_1")
 	if err != nil {
 		b.Fatal(err)
 	}

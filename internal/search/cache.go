@@ -256,14 +256,14 @@ func (c *Cache) lead(ctx context.Context, e *cacheEntry, l layer.Conv, opts Opti
 	e.cancelled = isCancellation(e.err)
 }
 
-// isCancellation reports whether err is the caller's context ending or
-// a check-in yield (preemption), as opposed to a real search failure
-// (infeasible layer, invalid shape). Only the former may forget a
-// cache entry: a preempted leader's waiters then retry as new leaders,
-// so a requeued search recomputes instead of inheriting the abort.
+// isCancellation reports whether err is the caller's context ending
+// (a deadline, a client gone, a preempted grant), as opposed to a real
+// search failure (infeasible layer, invalid shape). Only the former may
+// forget a cache entry: a preempted leader's waiters then retry as new
+// leaders, so a requeued search recomputes instead of inheriting the
+// abort.
 func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, ErrYield)
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // finishLookup unwraps a completed entry for one caller, shallow-copying
@@ -316,7 +316,7 @@ func (c *Cache) complete(e *cacheEntry) {
 // numbers, priority, memory policy, ablations and fault plan
 // (TestCacheKeyCoversOptions walks the field list). Requests differing
 // only in what cannot change the result share one search: the plumbing
-// (Workers, Cache, Progress, CheckIn), the layer's and the arch's names,
+// (Workers, Cache, Progress), the layer's and the arch's names,
 // and FuseDepth, whose pass runs on top of layer results (NetworkKey
 // keys it). Every request builds the key, hit or miss, so it is
 // appended, not formatted; key_oracle_test.go keeps the fmt form.

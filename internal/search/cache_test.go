@@ -572,7 +572,6 @@ var unkeyed = map[string]string{
 	"Workers":   "parallelism: it may move the effort counters, never the schedules",
 	"Cache":     "where the result is kept",
 	"Progress":  "a callback that observes the search",
-	"CheckIn":   "a callback that pauses or aborts the search, never alters a completed one",
 	"sem":       "the shared worker-pool semaphore",
 	"Arch.Name": "a label: the machine is its numbers, and callers echo their own name",
 	"FuseDepth": "the fusion pass runs on top of the layer results; NetworkKey keys it",
@@ -753,7 +752,7 @@ func TestSearchNetworkCtxCancelled(t *testing.T) {
 }
 
 // TestPanickingLeaderReleasesWaiters: a leader whose search panics — here
-// its first check-in, once a waiter has coalesced onto its entry —
+// its first progress event, once a waiter has coalesced onto its entry —
 // forgets the entry on the panic's way up and closes it, so the waiter
 // runs its own search at once instead of waiting out its deadline.
 func TestPanickingLeaderReleasesWaiters(t *testing.T) {
@@ -764,10 +763,13 @@ func TestPanickingLeaderReleasesWaiters(t *testing.T) {
 
 	started, release := make(chan struct{}), make(chan struct{})
 	leader := opts
-	leader.CheckIn = func() error {
-		close(started)
-		<-release
-		panic("leader check-in")
+	var first sync.Once
+	leader.Progress = func(ProgressEvent) {
+		first.Do(func() {
+			close(started)
+			<-release
+			panic("leader progress")
+		})
 	}
 	recovered := make(chan any, 1)
 	go func() {
@@ -789,8 +791,8 @@ func TestPanickingLeaderReleasesWaiters(t *testing.T) {
 	}()
 	waitForCoalesced(t, cache, 1)
 	close(release)
-	if r := <-recovered; r != "leader check-in" {
-		t.Fatalf("leader recovered %v, want its check-in's panic", r)
+	if r := <-recovered; r != "leader progress" {
+		t.Fatalf("leader recovered %v, want its progress callback's panic", r)
 	}
 	select {
 	case o := <-waiter:

@@ -7,7 +7,6 @@ import (
 	"github.com/flexer-sched/flexer/internal/fault"
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/model"
-	"github.com/flexer-sched/flexer/internal/nets"
 	"github.com/flexer-sched/flexer/internal/tile"
 	"github.com/flexer-sched/flexer/internal/verify"
 )
@@ -83,7 +82,7 @@ func TestFaultPlanChangesCacheKey(t *testing.T) {
 
 func TestSearchNetworkDegraded(t *testing.T) {
 	opts := quickOpts(t, "arch1")
-	n := nets.VGG16().Scale(8)
+	n := mustNetwork(t, "vgg16", 8)
 	n.Layers = n.Layers[:2]
 	opts.FaultPlan = &fault.Plan{Flaky: []fault.Flaky{{Core: 0, From: 0, To: 1 << 40, Slowdown: 2}}}
 	nr, err := SearchNetwork(n, opts)

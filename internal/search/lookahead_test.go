@@ -54,7 +54,7 @@ func TestLookaheadKeepsBest(t *testing.T) {
 		}
 	}
 
-	vgg2 := nets.VGG16().Scale(2)
+	vgg2 := mustNetwork(t, "vgg16", 2)
 	aborted := 0
 	for _, archName := range []string{"arch5", "arch1"} {
 		for _, v := range variants {
@@ -89,10 +89,10 @@ func TestLookaheadKeepsBest(t *testing.T) {
 		tune      func(*Options)
 		golden    bool // too large to search exhaustively here: held to the golden file alone
 	}{
-		{net: nets.VGG16().Scale(8), arch: "arch1", tune: minTransfer},
-		{net: nets.SqueezeNet().Scale(8), arch: "arch4", fuseDepth: 2, tune: func(*Options) {}},
-		{net: nets.VGG16().Scale(4), arch: "arch5", fuseDepth: 1, tune: func(*Options) {}, golden: true},
-		{net: nets.VGG16().Scale(8), arch: "arch5", fuseDepth: 2, tune: minTransfer},
+		{net: mustNetwork(t, "vgg16", 8), arch: "arch1", tune: minTransfer},
+		{net: mustNetwork(t, "squeezenet", 8), arch: "arch4", fuseDepth: 2, tune: func(*Options) {}},
+		{net: mustNetwork(t, "vgg16", 4), arch: "arch5", fuseDepth: 1, tune: func(*Options) {}, golden: true},
+		{net: mustNetwork(t, "vgg16", 8), arch: "arch5", fuseDepth: 2, tune: minTransfer},
 	} {
 		cut, exhaustive := options(c.arch, c.tune)
 		cut.FuseDepth, exhaustive.FuseDepth = c.fuseDepth, c.fuseDepth

@@ -194,17 +194,6 @@ type Options struct {
 	// Progress never affects the result and is excluded from the cache
 	// key, so callers with different callbacks still share one search.
 	Progress ProgressFunc
-	// CheckIn, when non-nil, is consulted at every candidate boundary
-	// (before each enumerated tiling is scheduled). A non-nil return
-	// aborts the search with an error wrapping both ErrYield and the
-	// returned cause; a CheckIn that blocks pauses the search in place.
-	// Serving layers use it for cooperative preemption: a preempted
-	// search's partial incumbents are discarded and — because the cache
-	// treats yields like cancellations — a requeued run recomputes and
-	// returns a result identical to an uninterrupted search. Like
-	// Progress it never affects the result of a completed search and is
-	// excluded from the cache key.
-	CheckIn CheckInFunc
 
 	// sem is a shared worker-pool semaphore; SearchNetwork installs one
 	// so nested layer searches share a single parallelism budget.
@@ -409,9 +398,6 @@ func SearchLayerCtx(ctx context.Context, l layer.Conv, opts Options) (*LayerResu
 // (scheduleTiling, or in tests the per-tiling loop it replaced). A cache
 // shares its errors between callers, so they name neither layer nor arch.
 func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule tilingScheduler) (*LayerResult, error) {
-	if err := opts.checkIn(); err != nil {
-		return nil, err
-	}
 	tilings := Tilings(l, opts.Arch, opts.Budget)
 	if len(tilings) == 0 {
 		return nil, errors.New("search: no feasible tiling")
@@ -473,11 +459,6 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule t
 	for _, r := range s.recs {
 		lr.SchedulesAborted += r.aborted
 		switch {
-		case errors.Is(r.err, ErrYield):
-			// A yield aborts the whole search, or its yielded tilings
-			// would be skipped as "infeasible" below and the result
-			// computed from a partial candidate set.
-			return nil, r.err
 		case r.err == errDominated:
 			lr.CandidatesPruned++
 			continue
@@ -549,12 +530,6 @@ func (s *layerSearch) release() {
 // dominate its bound.
 func (s *layerSearch) tiling(k int) {
 	r := &s.recs[s.order[k]]
-	// Candidate boundary: the safe yield point. A preempting check-in
-	// aborts this tiling before any scheduling work; tilings already
-	// scheduled are simply discarded with the rest of the aborted search.
-	if r.err = s.opts.checkIn(); r.err != nil {
-		return
-	}
 	if s.cut != nil && s.inc.dominated(r.bound, s.opts.Metric) {
 		r.err = errDominated
 		s.reporter.record(nil, true)

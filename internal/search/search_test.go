@@ -145,7 +145,7 @@ func TestSearchLayerHinted(t *testing.T) {
 func TestDisablePruningPlacesEverySet(t *testing.T) {
 	opts := quickOpts(t, "arch5")
 	opts.DisablePruning = true
-	l, err := nets.VGG16().Scale(2).Layer("conv4_2")
+	l, err := mustNetwork(t, "vgg16", 2).Layer("conv4_2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestMetricMinTransferChangesSelection(t *testing.T) {
 
 func TestSearchNetworkSmall(t *testing.T) {
 	opts := quickOpts(t, "arch1")
-	n := nets.VGG16().Scale(8)
+	n := mustNetwork(t, "vgg16", 8)
 	n.Layers = n.Layers[:4]
 	nr, err := SearchNetwork(n, opts)
 	if err != nil {

@@ -38,7 +38,7 @@ func settledGoroutines() int {
 	return n
 }
 
-// TestSearchPanicReachesCaller: a search whose CheckIn panics on a later
+// TestSearchPanicReachesCaller: a search whose Progress panics on a later
 // call — inside the per-tiling work, which above one worker may run on a
 // helper — panics on the caller's goroutine with the callback's value,
 // after the other workers have stopped, for a layer and a network search
@@ -51,11 +51,10 @@ func TestSearchPanicReachesCaller(t *testing.T) {
 			opts := quickOpts(t, "arch1")
 			opts.Workers = workers
 			var calls atomic.Int64
-			opts.CheckIn = func() error {
+			opts.Progress = func(ProgressEvent) {
 				if n := calls.Add(1); n == 3 {
 					panic(boom{n})
 				}
-				return nil
 			}
 			var got any
 			func() {
@@ -67,7 +66,7 @@ func TestSearchPanicReachesCaller(t *testing.T) {
 				}
 			}()
 			if got != (boom{3}) {
-				t.Errorf("%s: the caller recovered %v, want the check-in's panic value", name, got)
+				t.Errorf("%s: the caller recovered %v, want the progress callback's panic value", name, got)
 			}
 		}
 	}
@@ -124,7 +123,7 @@ func TestCancelledNetworkSearchLeavesNoGoroutine(t *testing.T) {
 }
 
 // mustNetwork returns a catalog network at a spatial scale.
-func mustNetwork(t *testing.T, name string, scale int) nets.Network {
+func mustNetwork(t testing.TB, name string, scale int) nets.Network {
 	t.Helper()
 	n, err := nets.ByName(name)
 	if err != nil {

@@ -15,13 +15,12 @@
 //     waiters in arbitrary order).
 //
 // A granted request may also be preempted: when an interactive request
-// arrives and every slot is busy, the scheduler signals one running
-// preemptible batch grant. The victim observes the signal at its next
-// CheckIn — the search's candidate boundary, a safe yield point —
-// aborts with ErrPreempted, releases its slot, and the server
-// re-enqueues it. Fairness is accounted in search-seconds: a grant
-// charges its tenant for the wall-clock it held the slot (preempted
-// work included — it consumed the resource).
+// arrives and every slot is busy, the scheduler cancels the context of
+// one running preemptible batch grant with cause ErrPreempted. The
+// victim's search stops at its next cancellation point, releases its
+// slot, and the server re-enqueues it. Fairness is accounted in
+// search-seconds: a grant charges its tenant for the wall-clock it held
+// the slot (preempted work included — it consumed the resource).
 package admission
 
 import (
@@ -33,9 +32,9 @@ import (
 	"time"
 )
 
-// ErrPreempted is returned by Grant.CheckIn once the grant has been
-// preempted by a higher-priority request. The holder must abandon its
-// partial work, release the grant, and re-acquire before retrying.
+// ErrPreempted is the cause of a grant's context once the grant has
+// been preempted by a higher-priority request. The holder must abandon
+// its partial work, release the grant, and re-acquire before retrying.
 var ErrPreempted = errors.New("admission: grant preempted by a higher-priority request")
 
 // Tier is a request's priority class. Lower tiers preempt higher ones;
@@ -150,13 +149,15 @@ type Request struct {
 	// Tier is the priority class; TierAuto resolves to the tenant's
 	// configured tier, or TierBatch.
 	Tier Tier
-	// Preemptible marks the holder as able to yield at CheckIn
-	// boundaries; only preemptible batch grants are ever preempted.
+	// Preemptible marks the holder as able to stop when its grant's
+	// context is cancelled; only preemptible batch grants are ever
+	// preempted.
 	Preemptible bool
 }
 
 // waiter is one queued Acquire call.
 type waiter struct {
+	ctx         context.Context
 	tenant      *tenant
 	tier        Tier
 	seq         uint64
@@ -332,11 +333,14 @@ func (s *Scheduler) dispatchLocked() {
 		s.free--
 		g := &Grant{
 			s:           s,
+			ctx:         w.ctx,
 			tenant:      t,
 			tier:        w.tier,
 			preemptible: w.preemptible,
 			start:       s.now(),
-			preemptCh:   make(chan struct{}),
+		}
+		if g.preemptible {
+			g.ctx, g.cancel = context.WithCancelCause(w.ctx)
 		}
 		t.running[g] = struct{}{}
 		t.granted++
@@ -344,10 +348,10 @@ func (s *Scheduler) dispatchLocked() {
 	}
 }
 
-// maybePreemptLocked signals running preemptible batch grants when
+// maybePreemptLocked cancels running preemptible batch grants when
 // queued interactive work cannot otherwise get a slot. One victim is
-// signalled per missing slot; the slot actually frees when the victim
-// yields at its next CheckIn and releases.
+// cancelled per missing slot; the slot actually frees when the victim
+// stops at its next cancellation point and releases.
 func (s *Scheduler) maybePreemptLocked() {
 	need := 0
 	for _, t := range s.tenants {
@@ -376,7 +380,7 @@ func (s *Scheduler) maybePreemptLocked() {
 		v.preempted = true
 		v.tenant.preempted++
 		s.pendingPreempts++
-		close(v.preemptCh)
+		v.cancel(ErrPreempted)
 		deficit--
 	}
 }
@@ -411,6 +415,7 @@ func (s *Scheduler) Acquire(ctx context.Context, req Request) (*Grant, error) {
 	tier := resolveTier(t, req.Tier)
 	s.seq++
 	w := &waiter{
+		ctx:         ctx,
 		tenant:      t,
 		tier:        tier,
 		seq:         s.seq,
@@ -451,7 +456,7 @@ func (s *Scheduler) Acquire(ctx context.Context, req Request) (*Grant, error) {
 			// A grant raced the cancellation; hand the slot back
 			// without charging.
 			s.mu.Unlock()
-			g.ReleaseCharge(0)
+			g.release(0)
 		default:
 			w.cancelled = true
 			w.tenant.queued--
@@ -464,36 +469,22 @@ func (s *Scheduler) Acquire(ctx context.Context, req Request) (*Grant, error) {
 // Grant is one held worker slot.
 type Grant struct {
 	s           *Scheduler
+	ctx         context.Context
+	cancel      context.CancelCauseFunc // nil unless preemptible
 	tenant      *tenant
 	tier        Tier
 	preemptible bool
 	start       time.Time
-	preemptCh   chan struct{}
 	preempted   bool // guarded by s.mu
 	once        sync.Once
 }
 
-// Tenant returns the tenant the grant bills.
-func (g *Grant) Tenant() string { return g.tenant.name }
-
-// Tier returns the grant's resolved priority tier.
-func (g *Grant) Tier() Tier { return g.tier }
-
-// Preempted returns a channel closed when the grant is preempted.
-func (g *Grant) Preempted() <-chan struct{} { return g.preemptCh }
-
-// CheckIn is the holder's candidate-boundary check-in: it returns
-// ErrPreempted once the grant has been preempted, and nil otherwise. It
-// is safe to call from multiple goroutines (a parallel search checks in
-// from every worker).
-func (g *Grant) CheckIn() error {
-	select {
-	case <-g.preemptCh:
-		return ErrPreempted
-	default:
-		return nil
-	}
-}
+// Context is what the holder runs its work under. A non-preemptible
+// grant's is Acquire's ctx itself. A preemptible grant's is a child of
+// it, cancelled with cause ErrPreempted when the grant is preempted and
+// with no cause of its own at Release, so context.Cause reports a
+// preemption even after the release.
+func (g *Grant) Context() context.Context { return g.ctx }
 
 // Release frees the slot and charges the tenant the wall-clock seconds
 // the grant was held. Safe to call more than once; only the first call
@@ -502,13 +493,9 @@ func (g *Grant) Release() {
 	g.release(g.s.now().Sub(g.start).Seconds())
 }
 
-// ReleaseCharge frees the slot charging an explicit number of
-// search-seconds instead of wall-clock time (deterministic tests,
-// callers that meter useful work themselves).
-func (g *Grant) ReleaseCharge(seconds float64) {
-	g.release(seconds)
-}
-
+// release frees the slot charging seconds of search time: Release's
+// wall-clock, or an explicit charge (0 for a grant that raced its
+// Acquire's cancellation).
 func (g *Grant) release(seconds float64) {
 	g.once.Do(func() {
 		s := g.s
@@ -521,6 +508,9 @@ func (g *Grant) release(seconds float64) {
 		}
 		s.dispatchLocked()
 		s.mu.Unlock()
+		if g.cancel != nil {
+			g.cancel(nil)
+		}
 	})
 }
 

@@ -52,14 +52,14 @@ func TestGrantOrderIsFIFO(t *testing.T) {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
-			g.ReleaseCharge(0)
+			g.release(0)
 		}(i)
 		// Admit strictly one at a time so queue order is the launch
 		// order.
 		waitFor(t, "request to queue", func() bool { return s.Stats().Queued == i+1 })
 	}
 
-	blocker.ReleaseCharge(0)
+	blocker.release(0)
 	wg.Wait()
 	for i, got := range order {
 		if got != i {
@@ -107,12 +107,12 @@ func TestWeightedFairness(t *testing.T) {
 				}
 				// Charge exactly one search-second per grant so the
 				// served ratio is deterministic.
-				g.ReleaseCharge(1)
+				g.release(1)
 			}(tenant)
 		}
 	}
 	waitFor(t, "every request to queue", func() bool { return s.Stats().Queued == 2*window })
-	blocker.ReleaseCharge(0)
+	blocker.release(0)
 	wg.Wait()
 
 	var heavy, light float64
@@ -155,28 +155,28 @@ func TestInteractiveOvertakesBatch(t *testing.T) {
 	}()
 	waitFor(t, "interactive request to queue", func() bool { return s.Stats().Queued == 2 })
 
-	blocker.ReleaseCharge(0)
+	blocker.release(0)
 	first := <-grants
 	if first.who != "interactive" {
 		t.Fatalf("first grant went to %s, want the later-queued interactive request", first.who)
 	}
-	first.g.ReleaseCharge(0)
+	first.g.release(0)
 	second := <-grants
 	if second.who != "batch" {
 		t.Fatalf("second grant went to %s, want batch", second.who)
 	}
-	second.g.ReleaseCharge(0)
+	second.g.release(0)
 }
 
-// TestPreemption: an interactive arrival with every slot busy signals
-// a running preemptible batch grant; the victim's CheckIn reports
-// ErrPreempted, and releasing it hands the slot to the interactive
-// request.
+// TestPreemption: an interactive arrival with every slot busy cancels
+// the context of a running preemptible batch grant with cause
+// ErrPreempted, and releasing the victim hands the slot to the
+// interactive request.
 func TestPreemption(t *testing.T) {
 	s := NewScheduler(Config{Slots: 1, MaxQueueDepth: -1})
 	victim := mustAcquire(t, s, Request{Tenant: "sweeps", Tier: TierBatch, Preemptible: true})
-	if err := victim.CheckIn(); err != nil {
-		t.Fatalf("CheckIn before preemption = %v, want nil", err)
+	if err := victim.Context().Err(); err != nil {
+		t.Fatalf("context before preemption ended: %v", err)
 	}
 
 	grants := make(chan *Grant, 1)
@@ -185,17 +185,20 @@ func TestPreemption(t *testing.T) {
 	}()
 
 	select {
-	case <-victim.Preempted():
+	case <-victim.Context().Done():
 	case <-time.After(10 * time.Second):
-		t.Fatal("victim was never signalled")
+		t.Fatal("victim was never preempted")
 	}
-	if err := victim.CheckIn(); !errors.Is(err, ErrPreempted) {
-		t.Fatalf("CheckIn after preemption = %v, want ErrPreempted", err)
+	if cause := context.Cause(victim.Context()); cause != ErrPreempted {
+		t.Fatalf("cause after preemption = %v, want ErrPreempted", cause)
 	}
 
 	victim.Release()
+	if cause := context.Cause(victim.Context()); cause != ErrPreempted {
+		t.Errorf("cause after the victim's release = %v, want ErrPreempted still", cause)
+	}
 	g := <-grants
-	g.ReleaseCharge(0)
+	g.release(0)
 
 	for _, ts := range s.Stats().Tenants {
 		if ts.Name == "sweeps" && ts.Preempted != 1 {
@@ -215,12 +218,59 @@ func TestNonPreemptibleIsNotPreempted(t *testing.T) {
 	waitFor(t, "interactive request to queue", func() bool { return s.Stats().Queued == 1 })
 
 	select {
-	case <-g.Preempted():
+	case <-g.Context().Done():
 		t.Fatal("non-preemptible grant was preempted")
 	case <-time.After(50 * time.Millisecond):
 	}
-	g.ReleaseCharge(0)
-	(<-done).ReleaseCharge(0)
+	g.release(0)
+	(<-done).release(0)
+}
+
+// TestGrantContext: a non-preemptible grant runs under its Acquire
+// context itself; a preemptible one under a child of it, which its
+// parent ending and its own Release both cancel.
+func TestGrantContext(t *testing.T) {
+	s := NewScheduler(Config{Slots: 2, MaxQueueDepth: -1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	plain, err := s.Acquire(ctx, Request{Tier: TierBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Context() != ctx {
+		t.Error("a non-preemptible grant's context is not its Acquire context")
+	}
+	plain.Release()
+	if err := plain.Context().Err(); err != nil {
+		t.Errorf("Release ended a non-preemptible grant's (the caller's) context: %v", err)
+	}
+
+	released, err := s.Acquire(ctx, Request{Tier: TierBatch, Preemptible: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if released.Context() == ctx || released.Context().Err() != nil {
+		t.Fatal("a preemptible grant's context is not a live child of its Acquire context")
+	}
+	released.Release()
+	if err := released.Context().Err(); !errors.Is(err, context.Canceled) {
+		t.Errorf("context after Release: %v, want context.Canceled", err)
+	}
+	if cause := context.Cause(released.Context()); cause != context.Canceled {
+		t.Errorf("cause after Release = %v, want context.Canceled, no preemption", cause)
+	}
+
+	orphan, err := s.Acquire(ctx, Request{Tier: TierBatch, Preemptible: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	<-orphan.Context().Done()
+	orphan.Release()
+	if st := s.Stats(); st.Free != 2 || st.Running != 0 {
+		t.Errorf("stats = %+v, want both slots free", st)
+	}
 }
 
 // TestQuota: a tenant's quota caps its concurrent grants even when
@@ -239,15 +289,15 @@ func TestQuota(t *testing.T) {
 
 	// The free slot is still available to another tenant.
 	other := mustAcquire(t, s, Request{Tenant: "other"})
-	other.ReleaseCharge(0)
+	other.release(0)
 
 	select {
 	case <-queued:
 		t.Fatal("quota-capped request was granted beyond its quota")
 	default:
 	}
-	g1.ReleaseCharge(0)
-	(<-queued).ReleaseCharge(0)
+	g1.release(0)
+	(<-queued).release(0)
 }
 
 // TestQueueFullShed: beyond the per-tenant depth bound Acquire returns
@@ -256,7 +306,7 @@ func TestQuota(t *testing.T) {
 func TestQueueFullShed(t *testing.T) {
 	s := NewScheduler(Config{Slots: 1, MaxQueueDepth: 1})
 	blocker := mustAcquire(t, s, Request{Tenant: "a"})
-	defer blocker.ReleaseCharge(0)
+	defer blocker.release(0)
 
 	waiter := make(chan *Grant, 1)
 	go func() { waiter <- mustAcquire(t, s, Request{Tenant: "a"}) }()
@@ -277,7 +327,7 @@ func TestQueueFullShed(t *testing.T) {
 	go func() {
 		g, err := s.Acquire(bCtx, Request{Tenant: "b"})
 		if g != nil {
-			g.ReleaseCharge(0)
+			g.release(0)
 		}
 		bErr <- err
 	}()
@@ -287,8 +337,8 @@ func TestQueueFullShed(t *testing.T) {
 		t.Fatalf("tenant b acquire = %v, want context.Canceled", err)
 	}
 
-	blocker.ReleaseCharge(0)
-	(<-waiter).ReleaseCharge(0)
+	blocker.release(0)
+	(<-waiter).release(0)
 
 	if s.Stats().Tenants[0].Shed != 1 {
 		t.Errorf("tenant a shed counter = %d, want 1", s.Stats().Tenants[0].Shed)
@@ -306,7 +356,7 @@ func TestCancelWhileQueued(t *testing.T) {
 	go func() {
 		g, err := s.Acquire(ctx, Request{})
 		if g != nil {
-			g.ReleaseCharge(0)
+			g.release(0)
 		}
 		errCh <- err
 	}()
@@ -317,9 +367,9 @@ func TestCancelWhileQueued(t *testing.T) {
 	}
 	waitFor(t, "queue to clear", func() bool { return s.Stats().Queued == 0 })
 
-	blocker.ReleaseCharge(0)
+	blocker.release(0)
 	g := mustAcquire(t, s, Request{})
-	g.ReleaseCharge(0)
+	g.release(0)
 }
 
 // TestUnknownTenantDefaults: tenants appear on first use with the
@@ -328,10 +378,10 @@ func TestCancelWhileQueued(t *testing.T) {
 func TestUnknownTenantDefaults(t *testing.T) {
 	s := NewScheduler(Config{Slots: 1})
 	g := mustAcquire(t, s, Request{})
-	if g.Tenant() != "default" {
-		t.Errorf("empty tenant billed to %q, want default", g.Tenant())
+	if g.tenant.name != "default" {
+		t.Errorf("empty tenant billed to %q, want default", g.tenant.name)
 	}
-	g.ReleaseCharge(2.5)
+	g.release(2.5)
 
 	st := s.Stats()
 	if len(st.Tenants) != 1 {
@@ -365,8 +415,8 @@ func TestForcedTenantTier(t *testing.T) {
 		Tenants:       []TenantConfig{{Name: "scans", Tier: TierBatch}},
 	})
 	g := mustAcquire(t, s, Request{Tenant: "scans", Tier: TierInteractive})
-	if g.Tier() != TierBatch {
-		t.Errorf("forced-tier grant ran at %v, want batch", g.Tier())
+	if g.tier != TierBatch {
+		t.Errorf("forced-tier grant ran at %v, want batch", g.tier)
 	}
-	g.ReleaseCharge(0)
+	g.release(0)
 }

@@ -351,7 +351,7 @@ func TestJobKeyIsCacheKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := attempt{progress: func(search.ProgressEvent) {}, checkIn: func() error { return nil }}
+	a := attempt{progress: func(search.ProgressEvent) {}}
 	want := map[string]bool{}
 	post := func(path string, req any, options SearchOptionsJSON, plan *fault.Plan, layers ...layer.Conv) {
 		t.Helper()

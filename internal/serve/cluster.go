@@ -259,9 +259,9 @@ func (s *Server) EndWarmup() { s.warming.Store(false) }
 // ends in process exit.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Ready reports whether the node should receive new work, and the
+// readiness reports whether the node should receive new work, and the
 // reason when not ("warming" or "draining").
-func (s *Server) Ready() (bool, string) {
+func (s *Server) readiness() (bool, string) {
 	if s.draining.Load() {
 		return false, "draining"
 	}
@@ -276,7 +276,7 @@ func (s *Server) Ready() (bool, string) {
 // Distinct from /v1/healthz (liveness): a draining node is alive but
 // not ready, and restarting it for failing readiness would be wrong.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if ready, reason := s.Ready(); !ready {
+	if ready, reason := s.readiness(); !ready {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": reason,
 		})

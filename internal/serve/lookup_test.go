@@ -102,7 +102,7 @@ func TestHitsSkipAdmission(t *testing.T) {
 
 // TestHitDoesNotPreemptSweep: a sweep runs on the only worker slot and
 // an interactive request arrives. A miss would preempt the sweep at its
-// next candidate boundary; a hit takes no slot, so the sweep runs to
+// next cancellation point; a hit takes no slot, so the sweep runs to
 // its end untouched.
 func TestHitDoesNotPreemptSweep(t *testing.T) {
 	if testing.Short() {

@@ -148,11 +148,11 @@ func (h *latencyHist) Observe(d time.Duration) {
 	h.buckets[len(h.buckets)-1]++
 }
 
-// DecayedMeanMS returns the exponentially-decayed mean latency in
+// decayedMeanMS returns the exponentially-decayed mean latency in
 // milliseconds, or 0 before any observation. Admission control derives
 // Retry-After estimates from it instead of the lifetime mean, which
 // never recovers from one cold multi-minute search.
-func (h *latencyHist) DecayedMeanMS() float64 {
+func (h *latencyHist) decayedMeanMS() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.ewmaMS

@@ -48,20 +48,19 @@ type job struct {
 // runFunc is a job's lookup or run.
 type runFunc func(context.Context, attempt) (*bytes.Buffer, error)
 
-// attempt is what the pipeline hands one run of a job. A preempted job
-// is run again with a new attempt that differs only in checkIn.
+// attempt is what the pipeline hands each run of a job; a preempted job
+// is run again with the same attempt.
 type attempt struct {
 	// start is when the request was admitted to the pipeline; elapsed_ms
 	// counts from it, queue wait included.
 	start    time.Time
 	route    routeInfo
 	progress search.ProgressFunc // nil on unary requests
-	checkIn  search.CheckInFunc
 }
 
-// options returns o with the attempt's callbacks installed.
+// options returns o with the attempt's progress callback installed.
 func (a attempt) options(o search.Options) search.Options {
-	o.Progress, o.CheckIn = a.progress, a.checkIn
+	o.Progress = a.progress
 	return o
 }
 
@@ -135,10 +134,10 @@ func (s *Server) lookup(ctx context.Context, j job, a attempt, sink *streamSink)
 
 // execute runs j on the worker pool until it finishes or ctx ends,
 // re-enqueueing and restarting it when a higher-priority arrival
-// preempts it at a candidate boundary. It returns promptly when ctx
-// ends — even while the search is still winding down in the
-// background, where it aborts at its next cancellation or check-in
-// and frees its slot. The sink commits on the first grant and relays
+// preempts it, which cancels its grant's context. It returns promptly
+// when ctx ends — even while the search is still winding down in the
+// background, where it aborts at its next cancellation point and frees
+// its slot. The sink commits on the first grant and relays
 // progress meanwhile; a unary request's zero sink has a nil event
 // queue, which is never selected, so it pays nothing for the
 // streaming half.
@@ -150,23 +149,24 @@ func (s *Server) execute(ctx context.Context, j job, a attempt, sink *streamSink
 			return nil, err
 		}
 		sink.commit()
-		go s.runOnGrant(ctx, g, j.run, a, done)
+		go s.runOnGrant(g, j.run, a, done)
 
 		o := await(ctx, done, sink)
 		// Flush progress that raced the outcome, so every buffered
 		// event precedes the next milestone.
 		sink.drain()
-		if !errors.Is(o.err, admission.ErrPreempted) {
+		// A run that finished wins over a preemption that raced it.
+		if o.err == nil || !errors.Is(context.Cause(g.Context()), admission.ErrPreempted) {
 			return o.body, o.err
 		}
 		if err := ctx.Err(); err != nil {
 			// Preempted right as the deadline hit; report the deadline,
-			// not the internal yield.
+			// not the internal preemption.
 			return nil, err
 		}
-		// Preempted at a candidate boundary: the partial incumbents are
-		// gone (the cache forgot the yielded entry), so tell a streaming
-		// client, re-enqueue and recompute from scratch.
+		// Preempted: the partial incumbents are gone (the cache forgot
+		// the cancelled entry), so tell a streaming client, re-enqueue
+		// and recompute from scratch.
 		s.metrics.preempted.Add(1)
 		s.metrics.requeued.Add(1)
 		sink.emit(StreamEvent{Event: "progress", Preempted: true, ElapsedMS: msSince(a.start)})
@@ -217,14 +217,13 @@ type searchOutcome struct {
 	err  error
 }
 
-// runOnGrant runs one attempt to completion on a held grant, so the
-// outcome channel always receives exactly one value, and — panic or
-// not — restores the searching gauge and releases the worker slot.
-// This is the only place a slot is returned, so one panicking request
-// can never shrink the pool.
-func (s *Server) runOnGrant(ctx context.Context, g *admission.Grant, run runFunc, a attempt, out chan<- searchOutcome) {
-	a.checkIn = g.CheckIn
-	body, err := s.recovered(ctx, run, a)
+// runOnGrant runs one attempt to completion on a held grant, under the
+// grant's context, so the outcome channel always receives exactly one
+// value, and — panic or not — restores the searching gauge and releases
+// the worker slot. This is the only place a slot is returned, so one
+// panicking request can never shrink the pool.
+func (s *Server) runOnGrant(g *admission.Grant, run runFunc, a attempt, out chan<- searchOutcome) {
+	body, err := s.recovered(g.Context(), run, a)
 	s.metrics.searching.Add(-1)
 	g.Release()
 	out <- searchOutcome{body, err}

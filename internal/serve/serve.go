@@ -4,7 +4,7 @@
 // persisted to disk across restarts), a bounded worker pool with
 // per-request timeouts, a multi-tenant admission scheduler
 // (internal/serve/admission) with weighted fair queues, priority
-// tiers and candidate-boundary preemption that sheds excess load with
+// tiers and preemption that sheds excess load with
 // 429 + Retry-After, and an expvar-style observability surface, and
 // exposes the whole thing as an http.Handler.
 //
@@ -12,7 +12,7 @@
 // X-Flexer-Tenant header; single-layer requests run at the
 // interactive tier and network sweeps at the batch tier, so an
 // interactive arrival overtakes queued sweeps and — when every slot
-// is busy — preempts a running one at its next candidate boundary.
+// is busy — preempts a running one at its next cancellation point.
 // The preempted sweep is re-enqueued and restarted transparently; its
 // final result is identical to an uninterrupted run.
 //
@@ -343,7 +343,7 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 
 // handleNetwork serves POST /v1/schedule/network. Sweeps are the
 // throughput-bound class: preemptible, so an interactive arrival can
-// take their slot at the next candidate boundary (the sweep is then
+// take their slot at the sweep's next cancellation point (it is then
 // requeued and restarted). A sweep routes as one unit by its
 // request-level key, so identical sweeps coalesce on one home peer.
 func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
@@ -482,7 +482,7 @@ func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 // one cold multi-minute sweep must not inflate every later hint for
 // the life of the process.
 func (s *Server) retryAfter() time.Duration {
-	mean := max(s.metrics.latency.DecayedMeanMS(), s.metrics.netLat.DecayedMeanMS())
+	mean := max(s.metrics.latency.decayedMeanMS(), s.metrics.netLat.decayedMeanMS())
 	if mean <= 0 {
 		mean = 1000
 	}

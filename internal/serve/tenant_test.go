@@ -12,9 +12,11 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/flexer-sched/flexer/internal/search"
 	"github.com/flexer-sched/flexer/internal/serve/admission"
 )
 
@@ -192,7 +194,7 @@ func TestPerTenant429State(t *testing.T) {
 
 // TestStreamPreemptionEndToEnd is the serving-layer determinism
 // acceptance path: with one worker, an interactive layer request
-// preempts a streaming network sweep at a candidate boundary; the
+// preempts a streaming network sweep, cancelling its grant; the
 // sweep reports a preempted progress event, requeues, restarts, and
 // its final result is bit-identical to an uninterrupted control run.
 func TestStreamPreemptionEndToEnd(t *testing.T) {
@@ -202,7 +204,7 @@ func TestStreamPreemptionEndToEnd(t *testing.T) {
 	// Full size: about 0.2 s of search at one worker, in tilings of a
 	// few milliseconds each. The interactive request reaches the queue
 	// within milliseconds of the sweep's first progress event, so a
-	// candidate boundary always follows it. At scale 4 the whole sweep
+	// cancellation point always follows it. At scale 4 the whole sweep
 	// was ~40 ms and sometimes finished first.
 	netBody := `{"arch": "arch1", "network": "vgg16",
 	             "options": {"budget": "quick"}, "timeout_ms": 300000, "tenant": "sweeps"}`
@@ -257,7 +259,7 @@ func TestStreamPreemptionEndToEnd(t *testing.T) {
 			}
 			if !stabbed {
 				// The sweep is on the worker; an interactive request must
-				// preempt it at the next candidate boundary.
+				// preempt it at its next cancellation point.
 				stabbed = true
 				quick := `{"arch": "arch1", "shape": ` + smallShape + `, "tenant": "dash", "timeout_ms": 60000}`
 				r := postJSON(t, ts.URL+"/v1/schedule/layer", quick)
@@ -305,6 +307,78 @@ func TestStreamPreemptionEndToEnd(t *testing.T) {
 			t.Errorf("layer %s: preempted run (%d cyc, %q, %q) differs from control (%d cyc, %q, %q)",
 				g.Layer, g.OoOCycles, g.Tiling, g.StaticOrder, c.OoOCycles, c.Tiling, c.StaticOrder)
 		}
+	}
+}
+
+// TestPreemptedWaiterLeavesAtOnce: a sweep whose layer search has
+// coalesced onto another caller's in-flight search of the same shape
+// gives up its slot as soon as an interactive arrival preempts it —
+// while that leader is still held, not when it finishes — and completes
+// after its requeue.
+func TestPreemptedWaiterLeavesAtOnce(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, SearchParallelism: 1})
+	cfg, err := resolveArch("arch1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := resolveNetwork("vgg16", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := srv.searchOptions(SearchOptionsJSON{Budget: "quick"}, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The leader: a search of the sweep's first layer, off the worker
+	// pool, held in flight by its first progress event.
+	started, release := make(chan struct{}), make(chan struct{})
+	var hold, unhold sync.Once
+	t.Cleanup(func() { unhold.Do(func() { close(release) }) })
+	leader := opts
+	leader.Progress = func(search.ProgressEvent) { hold.Do(func() { close(started); <-release }) }
+	leaderDone := make(chan error, 1)
+	go func() {
+		l := n.Layers[0]
+		_, err := srv.cache.Layer(context.Background(), search.CacheKey(l, leader), l, leader)
+		leaderDone <- err
+	}()
+	<-started
+
+	type reply struct {
+		code int
+		err  error
+	}
+	sweep := make(chan reply, 1)
+	go func() {
+		body := `{"arch": "arch1", "network": "vgg16", "scale": 8, "options": {"budget": "quick"}, "timeout_ms": 300000, "tenant": "sweeps"}`
+		resp, err := http.Post(ts.URL+"/v1/schedule/network", "application/json", strings.NewReader(body))
+		if err != nil {
+			sweep <- reply{err: err}
+			return
+		}
+		resp.Body.Close()
+		sweep <- reply{code: resp.StatusCode}
+	}()
+	waitFor(t, "the sweep to coalesce onto the held leader", func() bool { return srv.cache.Stats().CoalescedHits >= 1 })
+
+	quick := `{"arch": "arch1", "shape": ` + smallShape + `, "tenant": "dash", "timeout_ms": 10000}`
+	if r := postJSON(t, ts.URL+"/v1/schedule/layer", quick); r.StatusCode != http.StatusOK {
+		t.Fatalf("interactive request beside the held leader = %d, want 200 (the preempted sweep kept its slot)", r.StatusCode)
+	}
+	if n := srv.metrics.preempted.Value(); n != 1 {
+		t.Errorf("requests_preempted_total = %d, want 1", n)
+	}
+
+	unhold.Do(func() { close(release) })
+	if err := <-leaderDone; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if r := <-sweep; r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("requeued sweep = %d, %v; want 200", r.code, r.err)
+	}
+	if n := srv.metrics.requeued.Value(); n != 1 {
+		t.Errorf("requests_requeued_total = %d, want 1", n)
 	}
 }
 
@@ -460,8 +534,8 @@ func TestRetryAfterRecoversFromOutlier(t *testing.T) {
 	if published.MeanMS < 5000 {
 		t.Errorf("lifetime mean_ms = %.0f, want still dominated by the outlier", published.MeanMS)
 	}
-	if dm := srv.metrics.latency.DecayedMeanMS(); dm > 1000 {
-		t.Errorf("DecayedMeanMS = %.0f after fast burst, want < 1000 (recovered)", dm)
+	if dm := srv.metrics.latency.decayedMeanMS(); dm > 1000 {
+		t.Errorf("decayedMeanMS = %.0f after fast burst, want < 1000 (recovered)", dm)
 	}
 	if ra := srv.retryAfter(); ra > 2*time.Second {
 		t.Errorf("retryAfter = %v after fast burst, want back near the 1s floor", ra)

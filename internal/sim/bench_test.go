@@ -23,7 +23,7 @@ func BenchmarkTimelineIssue(b *testing.B) {
 	tl := New(4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		npu := tl.LeastBusyNPU()
+		npu := tl.leastBusyNPU()
 		tl.Issue(i, npu, 0, 128)
 	}
 }

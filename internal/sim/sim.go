@@ -130,8 +130,8 @@ func (t *Timeline) DMAFree() int64 { return t.dmaFree }
 // NPUFree returns the cycle at which core i next becomes idle.
 func (t *Timeline) NPUFree(i int) int64 { return t.npuFree[i] }
 
-// LeastBusyNPU returns the core with the earliest availability.
-func (t *Timeline) LeastBusyNPU() int {
+// leastBusyNPU returns the core with the earliest availability.
+func (t *Timeline) leastBusyNPU() int {
 	best := 0
 	for i := 1; i < len(t.npuFree); i++ {
 		if t.npuFree[i] < t.npuFree[best] {
@@ -144,11 +144,11 @@ func (t *Timeline) LeastBusyNPU() int {
 // BestNPU returns the core on which an op ready at earliest and taking
 // cycles (at nominal speed) would finish first, or -1 when every core
 // is dead by the time the op could start. Ties go to the lowest index.
-// Without a fault plan this is exactly LeastBusyNPU, so fault-free
+// Without a fault plan this is exactly leastBusyNPU, so fault-free
 // schedules are unchanged.
 func (t *Timeline) BestNPU(earliest, cycles int64) int {
 	if t.faults == nil {
-		return t.LeastBusyNPU()
+		return t.leastBusyNPU()
 	}
 	best, bestEnd := -1, int64(0)
 	for i, free := range t.npuFree {

@@ -41,17 +41,17 @@ func TestTransferHonorsNotBefore(t *testing.T) {
 
 func TestIssueAndLeastBusy(t *testing.T) {
 	tl := New(2)
-	r0 := tl.Issue(0, tl.LeastBusyNPU(), 0, 100)
+	r0 := tl.Issue(0, tl.leastBusyNPU(), 0, 100)
 	if r0.NPU != 0 || r0.Start != 0 || r0.End != 100 {
 		t.Fatalf("first op = %+v", r0)
 	}
-	r1 := tl.Issue(1, tl.LeastBusyNPU(), 0, 50)
+	r1 := tl.Issue(1, tl.leastBusyNPU(), 0, 50)
 	if r1.NPU != 1 {
 		t.Fatalf("second op on NPU %d, want 1", r1.NPU)
 	}
 	// NPU 1 is free at 50, so it is the least busy.
-	if got := tl.LeastBusyNPU(); got != 1 {
-		t.Fatalf("LeastBusyNPU = %d, want 1", got)
+	if got := tl.leastBusyNPU(); got != 1 {
+		t.Fatalf("leastBusyNPU = %d, want 1", got)
 	}
 	r2 := tl.Issue(2, 1, 200, 10)
 	if r2.Start != 200 || r2.End != 210 {
@@ -154,9 +154,9 @@ func TestFaultsDMADerate(t *testing.T) {
 
 func TestBestNPUSkipsDeadCores(t *testing.T) {
 	tl := New(2)
-	// Without faults, BestNPU is LeastBusyNPU.
-	if got := tl.BestNPU(0, 10); got != tl.LeastBusyNPU() {
-		t.Fatalf("BestNPU without faults = %d, want %d", got, tl.LeastBusyNPU())
+	// Without faults, BestNPU is leastBusyNPU.
+	if got := tl.BestNPU(0, 10); got != tl.leastBusyNPU() {
+		t.Fatalf("BestNPU without faults = %d, want %d", got, tl.leastBusyNPU())
 	}
 	tl.SetFaults(&fault.Plan{CoreDown: []fault.CoreDown{{Core: 0, Cycle: 100}}})
 	// Core 0 is free earlier but the op would start at its death cycle.

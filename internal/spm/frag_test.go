@@ -23,6 +23,20 @@ type FragStats struct {
 	External float64
 }
 
+// FreeBytes returns the total unallocated bytes (possibly fragmented).
+func (s *SPM) FreeBytes() int64 { return s.cap - s.used }
+
+// LargestFree returns the size of the largest contiguous free region.
+func (s *SPM) LargestFree() int64 {
+	var max int64
+	for _, r := range s.regs {
+		if !r.alloc && r.size > max {
+			max = r.size
+		}
+	}
+	return max
+}
+
 // Fragmentation returns the current fragmentation statistics.
 func (s *SPM) Fragmentation() FragStats {
 	st := FragStats{FreeBytes: s.FreeBytes()}

@@ -296,9 +296,6 @@ func (s *SPM) Rollback() {
 // Capacity returns the scratchpad size in bytes.
 func (s *SPM) Capacity() int64 { return s.cap }
 
-// FreeBytes returns the total unallocated bytes (possibly fragmented).
-func (s *SPM) FreeBytes() int64 { return s.cap - s.used }
-
 // Utilization returns allocated/capacity in [0,1].
 func (s *SPM) Utilization() float64 { return float64(s.used) / float64(s.cap) }
 
@@ -313,8 +310,8 @@ func (s *SPM) Has(id tile.ID) bool { return s.HasNum(s.num(id)) }
 // HasNum is Has for the tile numbered n.
 func (s *SPM) HasNum(n int32) bool { return n >= 0 && s.index[n] != 0 }
 
-// NumBlocks returns the number of allocated blocks.
-func (s *SPM) NumBlocks() int {
+// numBlocks returns the number of allocated blocks.
+func (s *SPM) numBlocks() int {
 	n := 0
 	for i := range s.regs {
 		if s.regs[i].alloc {
@@ -406,17 +403,6 @@ func (s *SPM) AppendBlocks(dst []BlockInfo) []BlockInfo {
 		}
 	}
 	return dst
-}
-
-// LargestFree returns the size of the largest contiguous free region.
-func (s *SPM) LargestFree() int64 {
-	var max int64
-	for _, r := range s.regs {
-		if !r.alloc && r.size > max {
-			max = r.size
-		}
-	}
-	return max
 }
 
 // evictAt turns the allocated region at index i into free space and
@@ -786,8 +772,8 @@ func (s *SPM) CheckInvariants() error {
 			entries++
 		}
 	}
-	if s.NumBlocks() != entries {
-		return fmt.Errorf("%d allocated regions, %d index entries", s.NumBlocks(), entries)
+	if s.numBlocks() != entries {
+		return fmt.Errorf("%d allocated regions, %d index entries", s.numBlocks(), entries)
 	}
 	return nil
 }

@@ -65,7 +65,7 @@ func TestNewEmpty(t *testing.T) {
 	if s.Utilization() != 0 {
 		t.Fatalf("fresh utilization = %f", s.Utilization())
 	}
-	if s.NumBlocks() != 0 || len(s.Blocks()) != 0 {
+	if s.numBlocks() != 0 || len(s.Blocks()) != 0 {
 		t.Fatal("fresh SPM has blocks")
 	}
 	if err := s.CheckInvariants(); err != nil {

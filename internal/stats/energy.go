@@ -30,11 +30,11 @@ func DefaultEnergyModel() EnergyModel {
 	return EnergyModel{MACpJ: 1.0, SPMpJPerByte: 6.0, DRAMpJPerByte: 160.0}
 }
 
-// EnergyPJ estimates the energy of a schedule in picojoules: compute
+// energyPJ estimates the energy of a schedule in picojoules: compute
 // energy for every MAC of the layer, scratchpad energy for every
 // operand byte touched by an op (three operands per op), and DRAM
 // energy for every byte of off-chip traffic.
-func (m EnergyModel) EnergyPJ(g *tile.Grid, r *sched.Result) float64 {
+func (m EnergyModel) energyPJ(g *tile.Grid, r *sched.Result) float64 {
 	macs := float64(g.Layer.MACs())
 	var spmBytes float64
 	for _, rec := range r.OpRecords {
@@ -69,7 +69,7 @@ type EnergyComparison struct {
 // model. Both schedules may use different tilings; each is charged
 // against its own grid.
 func (m EnergyModel) CompareEnergy(oooGrid, staticGrid *tile.Grid, ooo, static *sched.Result) EnergyComparison {
-	o := m.EnergyPJ(oooGrid, ooo)
-	s := m.EnergyPJ(staticGrid, static)
+	o := m.energyPJ(oooGrid, ooo)
+	s := m.energyPJ(staticGrid, static)
 	return EnergyComparison{OoOPJ: o, StaticPJ: s, Saving: s / o}
 }

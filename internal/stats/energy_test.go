@@ -12,7 +12,7 @@ import (
 func TestEnergyPJPositiveAndOrdered(t *testing.T) {
 	gr, r := schedulePressure(t)
 	m := DefaultEnergyModel()
-	e := m.EnergyPJ(gr.Grid, r)
+	e := m.energyPJ(gr.Grid, r)
 	if e <= 0 {
 		t.Fatalf("energy = %f", e)
 	}
@@ -20,7 +20,7 @@ func TestEnergyPJPositiveAndOrdered(t *testing.T) {
 	// constants; halving DRAM cost must reduce energy.
 	cheap := m
 	cheap.DRAMpJPerByte /= 2
-	if cheap.EnergyPJ(gr.Grid, r) >= e {
+	if cheap.energyPJ(gr.Grid, r) >= e {
 		t.Error("cheaper DRAM did not reduce energy")
 	}
 }
@@ -37,15 +37,15 @@ func TestEnergyTracksTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := DefaultEnergyModel()
-	eOoO := m.EnergyPJ(gr.Grid, ooo)
-	eStatic := m.EnergyPJ(gr.Grid, static)
+	eOoO := m.energyPJ(gr.Grid, ooo)
+	eStatic := m.energyPJ(gr.Grid, static)
 	if (ooo.TrafficBytes() < static.TrafficBytes()) != (eOoO < eStatic) {
 		t.Errorf("energy ordering disagrees with traffic: ooo %d B / %f pJ, static %d B / %f pJ",
 			ooo.TrafficBytes(), eOoO, static.TrafficBytes(), eStatic)
 	}
 	cmp := m.CompareEnergy(gr.Grid, gr.Grid, ooo, static)
 	if cmp.OoOPJ != eOoO || cmp.StaticPJ != eStatic {
-		t.Error("CompareEnergy disagrees with EnergyPJ")
+		t.Error("CompareEnergy disagrees with energyPJ")
 	}
 	if cmp.Saving <= 0 {
 		t.Errorf("saving = %f", cmp.Saving)

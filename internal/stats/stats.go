@@ -63,9 +63,9 @@ func OnChipIdeal(g *tile.Grid) [tile.NumKinds]int64 {
 	return out
 }
 
-// ReusePattern names which tile kinds an operation set shared between
+// reusePattern names which tile kinds an operation set shared between
 // NPUs, e.g. "IN+WT" or "none".
-func ReusePattern(shared [tile.NumKinds]bool) string {
+func reusePattern(shared [tile.NumKinds]bool) string {
 	var parts []string
 	for k := 0; k < tile.NumKinds; k++ {
 		if shared[k] {
@@ -85,7 +85,7 @@ func ReusePattern(shared [tile.NumKinds]bool) string {
 func ReusePatterns(r *sched.Result) map[string]int {
 	out := make(map[string]int)
 	for _, s := range r.Sets {
-		out[ReusePattern(s.Shared)]++
+		out[reusePattern(s.Shared)]++
 	}
 	return out
 }
@@ -99,14 +99,6 @@ func DistinctPatterns(r *sched.Result) int {
 		}
 	}
 	return n
-}
-
-// Ratio returns a/b as float64 (0 when b is 0).
-func Ratio(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
 }
 
 // FormatBytes renders a byte count with a binary suffix, e.g. "1.5 MiB".

@@ -134,18 +134,18 @@ func TestOnChipIdealIsLowerBound(t *testing.T) {
 
 func TestReusePattern(t *testing.T) {
 	var none [tile.NumKinds]bool
-	if got := ReusePattern(none); got != "none" {
+	if got := reusePattern(none); got != "none" {
 		t.Errorf("empty pattern = %q", got)
 	}
 	var inwt [tile.NumKinds]bool
 	inwt[tile.In] = true
 	inwt[tile.Wt] = true
-	if got := ReusePattern(inwt); got != "IN+WT" {
+	if got := reusePattern(inwt); got != "IN+WT" {
 		t.Errorf("IN+WT pattern = %q", got)
 	}
 	var wt [tile.NumKinds]bool
 	wt[tile.Wt] = true
-	if got := ReusePattern(wt); got != "WT" {
+	if got := reusePattern(wt); got != "WT" {
 		t.Errorf("WT pattern = %q", got)
 	}
 }
@@ -173,15 +173,6 @@ func TestSortedPatterns(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("SortedPatterns = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(10, 4) != 2.5 {
-		t.Errorf("Ratio(10,4) = %f", Ratio(10, 4))
-	}
-	if Ratio(10, 0) != 0 {
-		t.Errorf("Ratio(10,0) = %f", Ratio(10, 0))
 	}
 }
 
