@@ -65,12 +65,13 @@ loc-check:
 		END { exit bad }' loc-ceilings.txt -
 
 # Exported functions and methods of the internal packages that nothing
-# outside their package calls but tests (scripts/test-only-exports.sh):
-# silent when there is none, and failing with the list otherwise, so
-# test-only exports cannot creep back.
+# outside their package uses but tests, matched by type
+# (scripts/exports_test.go type-checks the module and bench/ from
+# source): passing when there is none, and failing with the list
+# otherwise, so test-only exports cannot creep back. `go test ./...`
+# runs the same test.
 exports:
-	@out=$$(scripts/test-only-exports.sh); \
-	if [ -n "$$out" ]; then echo "$$out"; echo "exports: unexport these or move them into a _test.go file"; exit 1; fi
+	$(call named-tests,-count=1,TestTestOnlyExports,./scripts)
 
 # The allocation ceilings of the cache-hit path (a unary layer hit and
 # a unary network hit through the handler, the cache key), of the tiling

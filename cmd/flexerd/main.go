@@ -41,8 +41,9 @@
 // -tenant name:weight[:quota[:tier]] (repeatable) configures weights,
 // concurrency quotas and a forced tier (auto, interactive or batch);
 // unlisted tenants get weight 1. Single-layer requests run at the
-// interactive tier and preempt running network sweeps at candidate
-// boundaries; preempted sweeps requeue and restart transparently.
+// interactive tier and preempt running network sweeps, which stop at
+// their next cancellation point; preempted sweeps requeue and restart
+// transparently.
 // When a tenant's queue exceeds -queue-depth, its further schedule
 // requests are shed with 429, a Retry-After estimate and the tenant's
 // queue position. Concurrent identical requests coalesce into one

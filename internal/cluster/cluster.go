@@ -162,7 +162,7 @@ func (c *Cluster) Ring() *Ring { return c.ring }
 
 // Enabled reports whether there is anything to route to: more than one
 // peer on the ring.
-func (c *Cluster) Enabled() bool { return c.ring.Size() > 1 }
+func (c *Cluster) Enabled() bool { return c.ring.size() > 1 }
 
 // Start launches one prober goroutine per remote peer. Calling Start
 // twice is a no-op.
@@ -249,7 +249,7 @@ func (c *Cluster) probe(ctx context.Context, addr string) (bool, error) {
 func (c *Cluster) observe(addr string, ps *peerState, ok bool, err error, elapsedMS float64) int {
 	c.mu.Lock()
 	prev := ps.state
-	st, changed := ps.fsm.Observe(ok)
+	st, changed := ps.fsm.observe(ok)
 	ps.state = st
 	ps.probes++
 	if elapsedMS >= 0 {
@@ -360,8 +360,8 @@ func (c *Cluster) Route(key string) Route {
 // snapshot shard filtering.
 func (c *Cluster) Home(key string) string { return c.ring.Home(key) }
 
-// SuccessorOf returns the ring successor of peer; see Ring.SuccessorOf.
-func (c *Cluster) SuccessorOf(peer string) string { return c.ring.SuccessorOf(peer) }
+// SuccessorOf returns the ring successor of peer; see Ring.successorOf.
+func (c *Cluster) SuccessorOf(peer string) string { return c.ring.successorOf(peer) }
 
 // CountForward records one proxied request.
 func (c *Cluster) CountForward() { c.forwards.Add(1) }

@@ -204,8 +204,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Ring().Size() != 2 {
-		t.Errorf("ring size = %d, want 2 (self deduped against peers)", c.Ring().Size())
+	if c.Ring().size() != 2 {
+		t.Errorf("ring size = %d, want 2 (self deduped against peers)", c.Ring().size())
 	}
 	if !c.Enabled() {
 		t.Error("two-peer cluster should be enabled")

@@ -71,12 +71,9 @@ func newFSM() *FSM {
 	return &FSM{state: StateHealthy}
 }
 
-// State returns the current state.
-func (f *FSM) State() State { return f.state }
-
-// Observe feeds one probe outcome into the FSM and returns the state
+// observe feeds one probe outcome into the FSM and returns the state
 // after the observation plus whether it changed.
-func (f *FSM) Observe(ok bool) (State, bool) {
+func (f *FSM) observe(ok bool) (State, bool) {
 	prev := f.state
 	if ok {
 		f.oks++

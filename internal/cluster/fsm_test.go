@@ -14,7 +14,7 @@ func runScript(t *testing.T, script []step) {
 	t.Helper()
 	f := newFSM()
 	for i, s := range script {
-		got, _ := f.Observe(s.ok)
+		got, _ := f.observe(s.ok)
 		if got != s.want {
 			t.Fatalf("step %d (ok=%v): state = %v, want %v", i, s.ok, got, s.want)
 		}
@@ -76,7 +76,7 @@ func TestFSMChangedFlag(t *testing.T) {
 		{true, false},
 	}
 	for i, s := range script {
-		if _, changed := f.Observe(s.ok); changed != s.wantChanged {
+		if _, changed := f.observe(s.ok); changed != s.wantChanged {
 			t.Fatalf("step %d: changed = %v, want %v", i, changed, s.wantChanged)
 		}
 	}

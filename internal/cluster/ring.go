@@ -94,8 +94,8 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Size returns the number of distinct peers.
-func (r *Ring) Size() int { return len(r.peers) }
+// size returns the number of distinct peers.
+func (r *Ring) size() int { return len(r.peers) }
 
 // Contains reports whether peer owns any ring segment.
 func (r *Ring) Contains(peer string) bool {
@@ -145,13 +145,13 @@ func (r *Ring) sequence(key string) []string {
 	return seq
 }
 
-// SuccessorOf returns the distinct peer owning the point immediately
+// successorOf returns the distinct peer owning the point immediately
 // after peer's first virtual node — the natural first stop for a
 // joining peer to pull its home shard from, because the successor
 // serves (and caches) a freshly-homed share of the joiner's keys while
 // the joiner is away. Returns "" when the ring has fewer than two
 // peers or peer is not on it.
-func (r *Ring) SuccessorOf(peer string) string {
+func (r *Ring) successorOf(peer string) string {
 	if len(r.peers) < 2 || !r.Contains(peer) {
 		return ""
 	}

@@ -20,8 +20,8 @@ func TestRingDeterministic(t *testing.T) {
 	a := newRing(peers, 64)
 	shuffled := []string{peers[3], peers[0], peers[4], peers[0], peers[2], peers[1]}
 	b := newRing(shuffled, 64)
-	if a.Size() != 5 || b.Size() != 5 {
-		t.Fatalf("sizes = %d, %d, want 5 (duplicates dropped)", a.Size(), b.Size())
+	if a.size() != 5 || b.size() != 5 {
+		t.Fatalf("sizes = %d, %d, want 5 (duplicates dropped)", a.size(), b.size())
 	}
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%d", i)
@@ -103,7 +103,7 @@ func TestRingSuccessor(t *testing.T) {
 	peers := testPeers(3)
 	r := newRing(peers, 16)
 	for _, p := range peers {
-		s := r.SuccessorOf(p)
+		s := r.successorOf(p)
 		if s == "" || s == p {
 			t.Errorf("SuccessorOf(%q) = %q, want a distinct peer", p, s)
 		}
@@ -111,15 +111,15 @@ func TestRingSuccessor(t *testing.T) {
 			t.Errorf("successor %q not on ring", s)
 		}
 	}
-	if got := r.SuccessorOf("http://not-a-peer:1"); got != "" {
+	if got := r.successorOf("http://not-a-peer:1"); got != "" {
 		t.Errorf("SuccessorOf(unknown) = %q, want \"\"", got)
 	}
 	two := newRing(peers[:2], 16)
-	if two.SuccessorOf(peers[0]) != peers[1] || two.SuccessorOf(peers[1]) != peers[0] {
+	if two.successorOf(peers[0]) != peers[1] || two.successorOf(peers[1]) != peers[0] {
 		t.Errorf("two-peer successors should point at each other")
 	}
 	one := newRing(peers[:1], 16)
-	if got := one.SuccessorOf(peers[0]); got != "" {
+	if got := one.successorOf(peers[0]); got != "" {
 		t.Errorf("single-peer SuccessorOf = %q, want \"\"", got)
 	}
 }

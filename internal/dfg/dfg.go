@@ -140,9 +140,6 @@ func FloorOf(l layer.Conv, c *tile.Cuts, m model.Model) (opCycles int64, bytes, 
 	return opCycles, bytes, cycles
 }
 
-// Fused reports whether the graph spans more than one layer.
-func (gr *Graph) Fused() bool { return len(gr.grids) > 1 }
-
 // LastLayer returns the index of the final layer (0 for Build graphs).
 func (gr *Graph) LastLayer() int { return len(gr.grids) - 1 }
 
@@ -308,13 +305,11 @@ func build(gr *Graph, grids []*tile.Grid, m model.Model) *Graph {
 			gr.floor.LoadCycles += cycles[tile.In]
 		}
 		gr.floor.WritebackBytes = bytes[tile.Out] // the last layer's stands
-		// Within a layer every tile of a kind is touched equally often:
-		// an input tile by each out-channel block, a weight tile by each
-		// spatial block, an output tile by each accumulation step.
-		for k, n := range [tile.NumKinds]int{tile.In: g.NOC, tile.Wt: g.NOH * g.NOW, tile.Out: g.NIC} {
+		// Within a layer every tile of a kind is touched equally often.
+		for k := range tile.NumKinds {
 			seg := gr.uses[gr.base[k*nl+l]:][:g.NumTiles(tile.Kind(k))]
 			for i := range seg {
-				seg[i] = int32(n)
+				seg[i] = int32(g.Readers(tile.Kind(k)))
 			}
 			sizes := gr.sizes[gr.base[k*nl+l]:]
 			g.SumTiles(tile.Kind(k), func(sz int64) int64 { sizes[0], sizes = sz, sizes[1:]; return 0 })

@@ -119,7 +119,7 @@ func TestUseCounts(t *testing.T) {
 	for h := 0; h < g.NOH; h++ {
 		for w := 0; w < g.NOW; w++ {
 			for i := 0; i < g.NIC; i++ {
-				if got := int(uses[gr.Num(g.InTile(h, w, i))]); got != g.NOC {
+				if got := int(uses[gr.Num(tile.ID{Kind: tile.In, A: h, B: w, C: i})]); got != g.NOC {
 					t.Errorf("IN(%d,%d,%d) uses = %d, want %d", h, w, i, got, g.NOC)
 				}
 			}
@@ -128,7 +128,7 @@ func TestUseCounts(t *testing.T) {
 	// Every weight tile is used once per spatial block.
 	for c := 0; c < g.NOC; c++ {
 		for i := 0; i < g.NIC; i++ {
-			if got := int(uses[gr.Num(g.WtTile(c, i))]); got != g.NOH*g.NOW {
+			if got := int(uses[gr.Num(tile.ID{Kind: tile.Wt, A: c, B: i})]); got != g.NOH*g.NOW {
 				t.Errorf("WT(%d,%d) uses = %d, want %d", c, i, got, g.NOH*g.NOW)
 			}
 		}
@@ -137,7 +137,7 @@ func TestUseCounts(t *testing.T) {
 	for h := 0; h < g.NOH; h++ {
 		for w := 0; w < g.NOW; w++ {
 			for c := 0; c < g.NOC; c++ {
-				if got := int(uses[gr.Num(g.OutTile(h, w, c))]); got != g.NIC {
+				if got := int(uses[gr.Num(tile.ID{Kind: tile.Out, A: h, B: w, C: c})]); got != g.NIC {
 					t.Errorf("OT(%d,%d,%d) uses = %d, want %d", h, w, c, got, g.NIC)
 				}
 			}
@@ -231,16 +231,16 @@ func allTiles(g *tile.Grid) []tile.ID {
 	for h := 0; h < g.NOH; h++ {
 		for w := 0; w < g.NOW; w++ {
 			for i := 0; i < g.NIC; i++ {
-				out = append(out, g.InTile(h, w, i))
+				out = append(out, tile.ID{Kind: tile.In, A: h, B: w, C: i})
 			}
 			for c := 0; c < g.NOC; c++ {
-				out = append(out, g.OutTile(h, w, c))
+				out = append(out, tile.ID{Kind: tile.Out, A: h, B: w, C: c})
 			}
 		}
 	}
 	for c := 0; c < g.NOC; c++ {
 		for i := 0; i < g.NIC; i++ {
-			out = append(out, g.WtTile(c, i))
+			out = append(out, tile.ID{Kind: tile.Wt, A: c, B: i})
 		}
 	}
 	return out

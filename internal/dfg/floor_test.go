@@ -23,7 +23,7 @@ func walkFloor(g *tile.Grid, m model.Model) (opCycles int64, bytes, cycles [tile
 	for oc := range g.NOC {
 		for ic := range g.NIC {
 			_, _, ochs, ichs := g.OpDims(0, 0, oc, ic)
-			opCycles += m.ConvCycles(g.OutH, g.OutW, ochs, ichs, g.Layer.KerH, g.Layer.KerW)
+			opCycles += m.ConvCycles(g.Layer.OutH(), g.Layer.OutW(), ochs, ichs, g.Layer.KerH, g.Layer.KerW)
 		}
 	}
 	opCycles += int64(g.NumOps()-g.NOC*g.NIC) * m.FillCycles()
@@ -33,10 +33,53 @@ func walkFloor(g *tile.Grid, m model.Model) (opCycles int64, bytes, cycles [tile
 	return opCycles, bytes, cycles
 }
 
-// checkFloor fails t unless the closed form of g's tiling equals the
-// walk of its grid.
+// checkBlocks fails t unless every block of g has the extents the layer
+// gives it block by block, the derivation a Grid's expansion of its
+// Cuts replaced: block b of a dimension cut into blocks of per covers
+// min(per, total − b·per) output elements and reads the input span
+// layer.InputRange clips for them.
+func checkBlocks(t *testing.T, g *tile.Grid) {
+	t.Helper()
+	l := g.Layer
+	type dim struct{ per, total, ker, stride, pad, in int }
+	var want [4][][2]int // by dimension and block: output and input extent
+	for d, x := range [4]dim{
+		{g.F.OH, l.OutH(), l.KerH, l.StrideH, l.PadH, l.InH},
+		{g.F.OW, l.OutW(), l.KerW, l.StrideW, l.PadW, l.InW},
+		{g.F.OC, l.OutC, 1, 1, 0, l.OutC},
+		{g.F.IC, l.InC, 1, 1, 0, l.InC},
+	} {
+		for b := 0; b*x.per < x.total; b++ {
+			out := min(x.per, x.total-b*x.per)
+			_, in := layer.InputRange(b*x.per, out, x.ker, x.stride, x.pad, x.in)
+			want[d] = append(want[d], [2]int{out, in})
+		}
+	}
+	if n := [4]int{g.NOH, g.NOW, g.NOC, g.NIC}; n != [4]int{len(want[0]), len(want[1]), len(want[2]), len(want[3])} {
+		t.Fatalf("%s %s: %v blocks, want %d, %d, %d, %d", l, g.F, n, len(want[0]), len(want[1]), len(want[2]), len(want[3]))
+	}
+	// Each block of each dimension, the other dimensions at block 0.
+	for d := range want {
+		for b, w := range want[d] {
+			var at [4]int
+			at[d] = b
+			rows, cols, ochs, ichs := g.OpDims(at[0], at[1], at[2], at[3])
+			in := tile.ID{Kind: tile.In, A: at[0], B: at[1], C: at[3]}
+			wantIn := int64(want[0][at[0]][1]) * int64(want[1][at[1]][1]) * int64(want[3][at[3]][0]) * int64(l.ElemBytes)
+			if got := [4]int{rows, cols, ochs, ichs}[d]; got != w[0] || g.Size(in) != wantIn {
+				t.Fatalf("%s %s: dimension %d block %d covers %d and %s is %d bytes; want %d and %d (input extent %d)",
+					l, g.F, d, b, got, in, g.Size(in), w[0], wantIn, w[1])
+			}
+		}
+	}
+}
+
+// checkFloor fails t unless g's blocks are those of its layer
+// (checkBlocks) and the closed form of g's tiling equals the walk of
+// its grid.
 func checkFloor(t *testing.T, g *tile.Grid, m model.Model) {
 	t.Helper()
+	checkBlocks(t, g)
 	var classes [16]tile.Class
 	c, _ := tile.CutsOf(g.Layer, g.F, classes[:0])
 	ops, bytes, cycles := FloorOf(g.Layer, &c, m)
@@ -86,9 +129,10 @@ func TestFloorOfMatchesWalk(t *testing.T) {
 
 // FuzzFloor draws a layer — strides above 1, padding up to the kernel,
 // kernels wider than the input — factors up to twice each dimension and
-// a preset machine, and holds the closed form to the walk, and Build's
-// graph to it: its floor's op cycles are the sum over its ops, and its
-// sizes table sums to the bytes.
+// a preset machine, and holds every block of the grid to its layer, the
+// closed form to the walk, and Build's graph to it: its floor's op
+// cycles are the sum over its ops, and its sizes table sums to the
+// bytes.
 func FuzzFloor(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, 1234, 99999} {
 		f.Add(seed)

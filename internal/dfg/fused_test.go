@@ -62,7 +62,7 @@ func TestBuildFusedSingleGridIsBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := Build(g1, m)
-	if fused.Fused() {
+	if fused.LastLayer() > 0 {
 		t.Error("single-grid graph reports Fused")
 	}
 	if len(fused.Ops) != len(plain.Ops) {
@@ -78,8 +78,8 @@ func TestBuildFusedSingleGridIsBuild(t *testing.T) {
 func TestBuildFusedLayout(t *testing.T) {
 	gr := buildFusedPair(t)
 	g1, g2 := gr.Grids()[0], gr.Grids()[1]
-	if !gr.Fused() || len(gr.Grids()) != 2 || gr.LastLayer() != 1 {
-		t.Fatalf("Fused=%v layers=%d LastLayer=%d", gr.Fused(), len(gr.Grids()), gr.LastLayer())
+	if len(gr.Grids()) != 2 || gr.LastLayer() != 1 {
+		t.Fatalf("layers=%d LastLayer=%d", len(gr.Grids()), gr.LastLayer())
 	}
 	if want := g1.NumOps() + g2.NumOps(); len(gr.Ops) != want {
 		t.Fatalf("%d ops, want %d", len(gr.Ops), want)
@@ -324,7 +324,7 @@ func TestBuildIntoRecycledStorage(t *testing.T) {
 
 	single := BuildInto(fused(nil, []*tile.Grid{fine1, fine2}), g1, m)
 	sameGraph(t, "one layer into a fused graph", single, Build(g1, m))
-	if single.Fused() {
+	if single.LastLayer() > 0 {
 		t.Error("one layer built into a fused graph reports Fused")
 	}
 	for n := range single.NumTiles() {

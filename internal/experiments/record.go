@@ -38,8 +38,8 @@ type Table struct {
 	Rows any `json:"rows"`
 }
 
-// ID names the table in messages and in EXPERIMENTS.md's block markers.
-func (t Table) ID() string { return fmt.Sprintf("%s scale=%d budget=%s", t.Name, t.Scale, t.Budget) }
+// id names the table in messages and in EXPERIMENTS.md's block markers.
+func (t Table) id() string { return fmt.Sprintf("%s scale=%d budget=%s", t.Name, t.Scale, t.Budget) }
 
 // UnmarshalJSON decodes the rows into the row type the registry holds
 // for the table's experiment.
@@ -58,7 +58,7 @@ func (t *Table) UnmarshalJSON(data []byte) error {
 	}
 	rows := reflect.New(reflect.SliceOf(e.row))
 	if err := json.Unmarshal(raw.Rows, rows.Interface()); err != nil {
-		return fmt.Errorf("table %s: %w", t.ID(), err)
+		return fmt.Errorf("table %s: %w", t.id(), err)
 	}
 	t.Rows = rows.Elem().Interface()
 	return nil
@@ -74,7 +74,7 @@ type Record struct {
 // table returns the table with the given ID.
 func (r *Record) table(id string) (Table, bool) {
 	for _, t := range r.Tables {
-		if t.ID() == id {
+		if t.id() == id {
 			return t, true
 		}
 	}
@@ -84,7 +84,7 @@ func (r *Record) table(id string) (Table, bool) {
 // Put replaces the table with t's ID, or appends t.
 func (r *Record) Put(t Table) {
 	for i := range r.Tables {
-		if r.Tables[i].ID() == t.ID() {
+		if r.Tables[i].id() == t.id() {
 			r.Tables[i] = t
 			return
 		}
@@ -209,15 +209,15 @@ func GuardCompare(committed, fresh *Record) error {
 	}
 	var diffs []string
 	for _, nu := range fresh.Tables {
-		old, ok := committed.table(nu.ID())
+		old, ok := committed.table(nu.id())
 		if !ok {
-			diffs = append(diffs, fmt.Sprintf("table %s: not in the committed record", nu.ID()))
+			diffs = append(diffs, fmt.Sprintf("table %s: not in the committed record", nu.id()))
 			continue
 		}
 		header, left, was := grid(old.Rows)
 		_, _, now := grid(nu.Rows)
 		if len(was) != len(now) {
-			diffs = append(diffs, fmt.Sprintf("table %s: %d rows committed, %d fresh", nu.ID(), len(was), len(now)))
+			diffs = append(diffs, fmt.Sprintf("table %s: %d rows committed, %d fresh", nu.id(), len(was), len(now)))
 		}
 		for i := 0; i < min(len(was), len(now)); i++ {
 			var label []string
@@ -229,7 +229,7 @@ func GuardCompare(committed, fresh *Record) error {
 			for j := range header {
 				if was[i][j] != now[i][j] {
 					diffs = append(diffs, fmt.Sprintf("table %s row %d (%s): %s committed %s, fresh %s",
-						nu.ID(), i, strings.Join(label, " "), header[j], was[i][j], now[i][j]))
+						nu.id(), i, strings.Join(label, " "), header[j], was[i][j], now[i][j]))
 				}
 			}
 		}

@@ -176,12 +176,12 @@ func TestQuickRegimeDeterministic(t *testing.T) {
 		header, _, now := grid(table.Rows)
 		_, _, was := grid(first.Tables[i].Rows)
 		if len(now) != len(was) {
-			t.Fatalf("%s: %d rows at two workers, %d at one", table.ID(), len(now), len(was))
+			t.Fatalf("%s: %d rows at two workers, %d at one", table.id(), len(now), len(was))
 		}
 		for r := range now {
 			for c := range header {
 				if now[r][c] != was[r][c] && !effortColumns[header[c]] {
-					t.Errorf("%s row %d: %s is %s at two workers, %s at one", table.ID(), r, header[c], now[r][c], was[r][c])
+					t.Errorf("%s row %d: %s is %s at two workers, %s at one", table.id(), r, header[c], now[r][c], was[r][c])
 				}
 			}
 		}

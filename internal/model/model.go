@@ -86,15 +86,6 @@ func (m Model) GatherCycles(n int64) int64 {
 // computations use it to price op counts without enumerating ops.
 func (m Model) FillCycles() int64 { return computeFillCycles }
 
-// PERows returns the PE-array row count (input-channel parallelism).
-func (m Model) PERows() int { return m.peRows }
-
-// PECols returns the PE-array column count (output-channel parallelism).
-func (m Model) PECols() int { return m.peCols }
-
-// BandwidthBytesPerCycle returns the modelled DMA bandwidth.
-func (m Model) BandwidthBytesPerCycle() int { return m.bwBytes }
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 func ceilDiv64(a, b int64) int64 { return (a + b - 1) / b }

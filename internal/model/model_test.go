@@ -57,7 +57,7 @@ func TestConvCyclesMonotone(t *testing.T) {
 }
 
 // TestConvCyclesLowerBound: the model can never beat the roofline of
-// PERows x PECols MACs per cycle.
+// peRows x peCols MACs per cycle.
 func TestConvCyclesLowerBound(t *testing.T) {
 	m := testModel()
 	check := func(r, c, oc, ic, k uint8) bool {
@@ -65,7 +65,7 @@ func TestConvCyclesLowerBound(t *testing.T) {
 		ochs, ichs := int(oc%96)+1, int(ic%96)+1
 		ker := int(k%5) + 1
 		macs := int64(rows) * int64(cols) * int64(ochs) * int64(ichs) * int64(ker) * int64(ker)
-		minCycles := macs / int64(m.PERows()*m.PECols())
+		minCycles := macs / int64(m.peRows*m.peCols)
 		return m.ConvCycles(rows, cols, ochs, ichs, ker, ker) >= minCycles
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
@@ -103,10 +103,10 @@ func TestBandwidthScalesTransfers(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	m := testModel()
-	if m.PERows() != 32 || m.PECols() != 32 {
-		t.Errorf("PE geometry = %dx%d, want 32x32", m.PERows(), m.PECols())
+	if m.peRows != 32 || m.peCols != 32 {
+		t.Errorf("PE geometry = %dx%d, want 32x32", m.peRows, m.peCols)
 	}
-	if m.BandwidthBytesPerCycle() != 32 {
-		t.Errorf("bandwidth = %d, want 32", m.BandwidthBytesPerCycle())
+	if m.bwBytes != 32 {
+		t.Errorf("bandwidth = %d, want 32", m.bwBytes)
 	}
 }

@@ -214,7 +214,7 @@ func ByName(name string) (Network, error) {
 			return e.build(), nil
 		}
 	}
-	return Network{}, fmt.Errorf("nets: unknown network %q (want one of %v)", name, Names())
+	return Network{}, fmt.Errorf("nets: unknown network %q (want one of %v)", name, names())
 }
 
 // All returns all four evaluation networks.
@@ -226,12 +226,12 @@ func All() []Network {
 	return ns
 }
 
-// Names returns the available network names, sorted.
-func Names() []string {
-	names := make([]string, len(table))
+// names returns the available network names, sorted.
+func names() []string {
+	out := make([]string, len(table))
 	for i, e := range table {
-		names[i] = e.name
+		out[i] = e.name
 	}
-	sort.Strings(names)
-	return names
+	sort.Strings(out)
+	return out
 }

@@ -138,13 +138,13 @@ func TestTableNames(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	names := Names()
-	if len(names) != 4 {
-		t.Fatalf("Names() = %v", names)
+	got := names()
+	if len(got) != 4 {
+		t.Fatalf("names() = %v", got)
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Names() unsorted: %v", names)
+	for i := 1; i < len(got); i++ {
+		if got[i-1] >= got[i] {
+			t.Fatalf("names() unsorted: %v", got)
 		}
 	}
 }

@@ -159,7 +159,7 @@ func TestFloors(t *testing.T) {
 		for _, tally := range []struct {
 			is bool
 			n  *int
-		}{{st.stalled, &stalled}, {c.gr.Fused(), &fused}, {c.cfg.Order != nil, &static}, {!c.cfg.FaultPlan.Empty(), &faulted}} {
+		}{{st.stalled, &stalled}, {c.gr.LastLayer() > 0, &fused}, {c.cfg.Order != nil, &static}, {!c.cfg.FaultPlan.Empty(), &faulted}} {
 			if tally.is {
 				*tally.n++
 			}

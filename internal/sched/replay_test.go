@@ -33,7 +33,7 @@ func TestCommitReplaysWinningEvaluation(t *testing.T) {
 	steps, loads, gathers, evictions := 0, 0, 0, 0
 	for _, gr := range []*dfg.Graph{single, fused} {
 		a := roomy
-		if gr.Fused() {
+		if gr.LastLayer() > 0 {
 			a = tight
 		}
 		for _, pr := range priorities {
@@ -49,12 +49,12 @@ func TestCommitReplaysWinningEvaluation(t *testing.T) {
 						switch {
 						case mode == "static":
 							cfg.Order = seq(len(gr.Ops))
-						case mode == "hinted" && gr.Fused():
+						case mode == "hinted" && gr.LastLayer() > 0:
 							cfg.Hint = seq(len(gr.Ops))
 						case mode == "hinted":
 							cfg.Hint = loop.Order(gr, loop.Canonical()[2])
 						}
-						name := fmt.Sprintf("fused=%v/%v/%v/faults=%v/%s", gr.Fused(), pr, pol, fp != nil, mode)
+						name := fmt.Sprintf("fused=%v/%v/%v/faults=%v/%s", gr.LastLayer() > 0, pr, pol, fp != nil, mode)
 						want, err := Schedule(gr, cfg)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
@@ -131,8 +131,8 @@ func TestFallbackScansWholeReadyQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corner := g.Size(g.InTile(32, 32, 0)) + g.Size(g.WtTile(0, 0)) + g.Size(g.OutTile(32, 32, 0))
-	edge := g.Size(g.InTile(0, 32, 0)) + g.Size(g.WtTile(0, 0)) + g.Size(g.OutTile(0, 32, 0))
+	corner := g.Size(tile.ID{Kind: tile.In, A: 32, B: 32, C: 0}) + g.Size(tile.ID{Kind: tile.Wt, A: 0, B: 0}) + g.Size(tile.ID{Kind: tile.Out, A: 32, B: 32, C: 0})
+	edge := g.Size(tile.ID{Kind: tile.In, A: 0, B: 32, C: 0}) + g.Size(tile.ID{Kind: tile.Wt, A: 0, B: 0}) + g.Size(tile.ID{Kind: tile.Out, A: 0, B: 32, C: 0})
 	if corner >= edge {
 		t.Fatalf("corner op footprint %d not below edge op footprint %d", corner, edge)
 	}

@@ -215,7 +215,7 @@ func TestPackedSignaturesPartitionLikeReference(t *testing.T) {
 			check(false, 1)
 		}
 		want := 2 // absent and resident
-		if gr.Fused() {
+		if gr.LastLayer() > 0 {
 			want = 3 // and gatherable
 		}
 		if len(states) != want {

@@ -304,12 +304,12 @@ func drawWalkCase(next func(n int) int) (walkCase, bool) {
 		mode, cfg.Order = "static", seq(len(gr.Ops))
 	case 1:
 		mode, cfg.Hint = "hinted", seq(len(gr.Ops))
-		if !gr.Fused() {
+		if gr.LastLayer() == 0 {
 			cfg.Hint = loop.Order(gr, loop.Canonical()[next(3)])
 		}
 	}
 	name := fmt.Sprintf("%dc/%dB/%v/%v/prune=%v/inplace=%v/w%d/c%d/%s/%v/fused=%v/%dops", cores, a.SPMBytes, cfg.Priority, cfg.MemPolicy,
-		!cfg.DisablePruning, !cfg.DisableInPlace, cfg.MaxReadyWindow, cfg.MaxCandidateSets, mode, f1, gr.Fused(), len(gr.Ops))
+		!cfg.DisablePruning, !cfg.DisableInPlace, cfg.MaxReadyWindow, cfg.MaxCandidateSets, mode, f1, gr.LastLayer() > 0, len(gr.Ops))
 	return walkCase{name: name, gr: gr, cfg: cfg}, true
 }
 
@@ -346,7 +346,7 @@ func TestSetWalkMatchesOracle(t *testing.T) {
 		if st.stalled {
 			stalled++
 		}
-		if c.gr.Fused() {
+		if c.gr.LastLayer() > 0 {
 			fused++
 		}
 		if c.cfg.Order != nil {

@@ -13,10 +13,10 @@ import (
 
 // Bound is a provable lower bound on the cost of *any* schedule of one
 // tiling — out-of-order, static, or hinted, under any priority or
-// memory policy. Dominance pruning compares Bound.Score against the
-// actual score of an already-scheduled candidate (the incumbent): a
-// tiling whose bound already exceeds the incumbent cannot contain the
-// best schedule and is skipped without ever building its DFG.
+// memory policy. Dominance pruning compares a monotone metric at the
+// bound, never above its score of any schedule of the tiling, with the
+// score of an already-scheduled candidate (the incumbent): a tiling whose
+// bound exceeds it cannot hold the best schedule and is never built.
 type Bound struct {
 	// Cycles is a latency floor: the maximum of the compute floor
 	// (total op cycles spread perfectly over all cores), the longest
@@ -28,12 +28,6 @@ type Bound struct {
 	// (cold loads of IN and WT, one final write of each OT).
 	Traffic int64
 }
-
-// Score evaluates the metric at the bound. Because the metric is
-// monotone in latency and traffic (for non-negative exponents), this
-// never exceeds the metric score of any realizable schedule of the
-// tiling.
-func (b Bound) Score(m Metric) float64 { return m.Score(b.Cycles, b.Traffic) }
 
 // monotone reports whether the metric is non-decreasing in both
 // latency and traffic, the property dominance pruning relies on. The
@@ -146,7 +140,7 @@ type incumbents struct {
 // equal-score schedule, and equal scores keep their pre-pruning
 // tie-break, so they are never skipped.
 func (in *incumbents) dominated(b Bound, m Metric) bool {
-	s := b.Score(m)
+	s := m.Score(b.Cycles, b.Traffic)
 	return better(in.ooo.value(), s) && better(in.static.value(), s)
 }
 

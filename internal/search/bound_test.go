@@ -93,7 +93,7 @@ func walkBound(g *tile.Grid, m model.Model, cores int) Bound {
 	for oc := range g.NOC {
 		for ic := range g.NIC {
 			_, _, ochs, ichs := g.OpDims(0, 0, oc, ic)
-			ops += m.ConvCycles(g.OutH, g.OutW, ochs, ichs, g.Layer.KerH, g.Layer.KerW)
+			ops += m.ConvCycles(g.Layer.OutH(), g.Layer.OutW(), ochs, ichs, g.Layer.KerH, g.Layer.KerW)
 		}
 	}
 	ops += int64(g.NumOps()-g.NOC*g.NIC) * m.FillCycles()
@@ -101,7 +101,7 @@ func walkBound(g *tile.Grid, m model.Model, cores int) Bound {
 		bytes, cycles := g.SumTiles(tile.Kind(k), m.TransferCycles)
 		dma, traffic = dma+cycles, traffic+bytes
 	}
-	chain := m.TransferCycles(g.Size(g.OutTile(0, 0, 0)))
+	chain := m.TransferCycles(g.Size(tile.ID{Kind: tile.Out, A: 0, B: 0, C: 0}))
 	for ic := range g.NIC {
 		rows, cols, ochs, ichs := g.OpDims(0, 0, 0, ic)
 		chain += m.ConvCycles(rows, cols, ochs, ichs, g.Layer.KerH, g.Layer.KerW)

@@ -351,7 +351,7 @@ func appendInts[T int | int64](b []byte, sep byte, vs ...T) []byte {
 // appendOptionsKey appends the options half of the fingerprint, shared
 // between per-layer cache keys and whole-network routing keys.
 func appendOptionsKey(b []byte, o Options) []byte {
-	a, bu, m := o.Arch, o.Budget, o.Metric.orDefault()
+	a, bu, m := o.Arch, o.Budget.resolved(), o.Metric.orDefault()
 	b = appendInts(b, '/', int64(a.Cores), a.SPMBytes, int64(a.BandwidthBytesPerCycle))
 	b = appendInts(append(b, "/pe"...), 'x', a.PERows, a.PECols)
 	b = strconv.AppendFloat(append(b, "|{"...), m.LatExp, 'g', -1, 64)

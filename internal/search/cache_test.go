@@ -15,6 +15,8 @@ import (
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/loop"
 	"github.com/flexer-sched/flexer/internal/nets"
+	"github.com/flexer-sched/flexer/internal/sched"
+	"github.com/flexer-sched/flexer/internal/tile"
 )
 
 // TestCacheStatsHitMiss checks the observable miss-then-hit sequence a
@@ -725,6 +727,31 @@ func TestZeroMetricIsDefaultKey(t *testing.T) {
 	l := layer.NewConv("l", 8, 8, 4, 4, 3)
 	if CacheKey(l, zero) != CacheKey(l, def) || NetworkKey("n", 1, zero) != NetworkKey("n", 1, def) {
 		t.Fatal("the zero metric and MetricDefault key differently")
+	}
+	for _, o := range []Options{zero, def} {
+		if _, err := SearchLayer(l, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := zero.Cache.Stats(); s.Misses != 1 || s.Hits != 1 || s.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 miss, 1 hit and 1 entry", s)
+	}
+}
+
+// TestZeroBudgetLimitsAreDefaultKey checks that a budget's
+// non-positive limits, which search as the defaults they stand for, also
+// key as them: one entry and one search for both, and one network key.
+func TestZeroBudgetLimitsAreDefaultKey(t *testing.T) {
+	zero := quickOpts(t, "arch1")
+	zero.Cache = NewCache()
+	zero.Budget.MaxTilings, zero.Budget.MaxOps, zero.Budget.MaxValuesPerDim = -2, 0, -1
+	zero.Budget.MaxReadyWindow, zero.Budget.MaxCandidateSets = 0, -5
+	def := zero
+	def.Budget.MaxTilings, def.Budget.MaxOps, def.Budget.MaxValuesPerDim = 0, tile.DefaultMaxOps, tile.DefaultMaxValuesPerDim
+	def.Budget.MaxReadyWindow, def.Budget.MaxCandidateSets = sched.DefaultMaxReadyWindow, sched.DefaultMaxCandidateSets
+	l := layer.NewConv("l", 8, 8, 4, 4, 3)
+	if CacheKey(l, zero) != CacheKey(l, def) || NetworkKey("n", 1, zero) != NetworkKey("n", 1, def) {
+		t.Fatalf("zero limits and the defaults key differently:\n%s\n%s", CacheKey(l, zero), CacheKey(l, def))
 	}
 	for _, o := range []Options{zero, def} {
 		if _, err := SearchLayer(l, o); err != nil {

@@ -18,7 +18,7 @@ var updateKeys = flag.Bool("update-keys", false, "rewrite internal/search/testda
 
 // TestCacheKeysUnchanged pins CacheKey and NetworkKey for every preset
 // and a default-geometry custom arch against the strings of snapshot
-// version 3: snapshots, ring homes and forwarded shares all depend on
+// version 4: snapshots, ring homes and forwarded shares all depend on
 // these bytes, so they may only change together with snapshotVersion.
 func TestCacheKeysUnchanged(t *testing.T) {
 	l := layer.NewConv("l", 14, 14, 64, 64, 3)

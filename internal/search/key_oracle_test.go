@@ -14,6 +14,7 @@ import (
 	"github.com/flexer-sched/flexer/internal/loop"
 	"github.com/flexer-sched/flexer/internal/sched"
 	"github.com/flexer-sched/flexer/internal/spm"
+	"github.com/flexer-sched/flexer/internal/tile"
 )
 
 // The fmt-based spelling of the key formats, kept as the oracle of the
@@ -34,13 +35,22 @@ func oracleNetworkKey(network string, scale int, opts Options) string {
 	return fmt.Sprintf("net|%s|x%d|f%d|%s", network, scale, opts.FuseDepth, oracleOptionsKey(opts))
 }
 
+// oracleOptionsKey writes the budget's limits as a search applies them:
+// a non-positive limit is the tile or sched default, MaxTilings 0.
 func oracleOptionsKey(opts Options) string {
 	b := opts.Budget
+	orDefault := func(v, def int) int {
+		if v <= 0 {
+			return def
+		}
+		return v
+	}
 	return fmt.Sprintf("%d/%d/%d/pe%dx%d|%v|%v|%d|%s|%v%v%v%v|%d:%d:%d:%d:%d|%s",
 		opts.Arch.Cores, opts.Arch.SPMBytes, opts.Arch.BandwidthBytesPerCycle, opts.Arch.PERows, opts.Arch.PECols,
 		opts.Metric.orDefault(), opts.Priority, opts.MemPolicy, oracleDataflowsKey(b.Dataflows),
 		opts.DisableInPlace, opts.DisablePruning, opts.DisableDominance, b.HintedOoO,
-		b.MaxTilings, b.MaxOps, b.MaxValuesPerDim, b.MaxReadyWindow, b.MaxCandidateSets,
+		max(b.MaxTilings, 0), orDefault(b.MaxOps, tile.DefaultMaxOps), orDefault(b.MaxValuesPerDim, tile.DefaultMaxValuesPerDim),
+		orDefault(b.MaxReadyWindow, sched.DefaultMaxReadyWindow), orDefault(b.MaxCandidateSets, sched.DefaultMaxCandidateSets),
 		oracleFaultKey(opts.FaultPlan))
 }
 

@@ -118,6 +118,17 @@ type Budget struct {
 	HintedOoO bool
 }
 
+// resolved is b with each non-positive limit the default it stands for
+// (MaxTilings: 0, no cap): the cache key and escalate read these.
+func (b Budget) resolved() Budget {
+	b.MaxTilings = max(b.MaxTilings, 0)
+	b.MaxOps = cmp.Or(max(b.MaxOps, 0), tile.DefaultMaxOps)
+	b.MaxValuesPerDim = cmp.Or(max(b.MaxValuesPerDim, 0), tile.DefaultMaxValuesPerDim)
+	b.MaxReadyWindow = cmp.Or(max(b.MaxReadyWindow, 0), sched.DefaultMaxReadyWindow)
+	b.MaxCandidateSets = cmp.Or(max(b.MaxCandidateSets, 0), sched.DefaultMaxCandidateSets)
+	return b
+}
+
 // DefaultBudget returns a budget suitable for CLI use: a broad tiling
 // sample and exhaustive (24-permutation) baseline.
 func DefaultBudget() Budget {
@@ -216,12 +227,7 @@ func (o Options) SchedConfig(m model.Model) sched.Config {
 	}
 }
 
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+func (o Options) workers() int { return cmp.Or(max(o.Workers, 0), runtime.GOMAXPROCS(0)) }
 
 // forEach runs work(0), ..., work(n-1) on the caller and at most
 // workers-1 helpers: at one worker it starts no goroutine. A worker takes
@@ -430,7 +436,8 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule t
 		// Stable, so unique: the order sort.SliceStable gave, without
 		// its reflective swapper.
 		slices.SortStableFunc(s.order, func(a, b int) int {
-			sa, sb := s.recs[a].bound.Score(opts.Metric), s.recs[b].bound.Score(opts.Metric)
+			ba, bb := s.recs[a].bound, s.recs[b].bound
+			sa, sb := opts.Metric.Score(ba.Cycles, ba.Traffic), opts.Metric.Score(bb.Cycles, bb.Traffic)
 			switch {
 			case better(sa, sb):
 				return -1
@@ -577,9 +584,8 @@ func Tilings(l layer.Conv, cfg arch.Config, b Budget) []tile.Factors {
 // op-count cap and the values per dimension at most eight times until
 // try finds a tiling viable: very large layers need more, smaller tiles.
 func escalate(cfg arch.Config, b Budget, try func(tile.EnumLimits) bool) {
-	lim := tile.EnumLimits{SPMBytes: cfg.SPMBytes, Cores: cfg.Cores, MaxTilings: b.MaxTilings,
-		MaxOps:          cmp.Or(max(b.MaxOps, 0), tile.DefaultMaxOps), // defaulted here, so escalation doubles it
-		MaxValuesPerDim: cmp.Or(max(b.MaxValuesPerDim, 0), tile.DefaultMaxValuesPerDim)}
+	b = b.resolved() // defaulted first, so escalation doubles the default
+	lim := tile.EnumLimits{SPMBytes: cfg.SPMBytes, Cores: cfg.Cores, MaxTilings: b.MaxTilings, MaxOps: b.MaxOps, MaxValuesPerDim: b.MaxValuesPerDim}
 	for i := 0; i < 8 && !try(lim); i++ {
 		lim.MaxOps *= 2
 		lim.MaxValuesPerDim += 4

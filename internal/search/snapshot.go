@@ -32,7 +32,7 @@ const snapshotMagic = "flexer-cache-snapshot"
 // snapshotVersion is bumped whenever CacheKey's format or LayerResult's
 // wire shape changes incompatibly; LoadFrom rejects other versions so a
 // stale snapshot degrades to a cold start instead of corrupt hits.
-const snapshotVersion = 3
+const snapshotVersion = 4
 
 // ErrSnapshotVersion marks a snapshot whose version does not match
 // this binary's. Callers (flexerd's boot path, cluster warm-up) match

@@ -131,12 +131,13 @@ func TestCacheSnapshotSkipsFailures(t *testing.T) {
 
 // TestCacheSnapshotVersionMismatch checks that a snapshot from an
 // incompatible version — version 2, whose keys named the arch and the
-// fuse depth, or a future one — is rejected whole with the typed
+// fuse depth, version 3, whose keys wrote a budget's zero limits as 0,
+// or a future one — is rejected whole with the typed
 // ErrSnapshotVersion, degrading to a cold start.
 func TestCacheSnapshotVersionMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCache()
-	for _, v := range []int{2, snapshotVersion + 1} {
+	for _, v := range []int{2, 3, snapshotVersion + 1} {
 		buf.Reset()
 		enc := gob.NewEncoder(&buf)
 		if err := enc.Encode(snapshotHeader{Magic: snapshotMagic, Version: v}); err != nil {

@@ -468,7 +468,7 @@ func TestForwardCopiesLargeReply(t *testing.T) {
 	// A scratchpad small enough that the layer is cut into hundreds of
 	// tile operations, each a timeline record; homed on node 1.
 	tiny := &ArchJSON{Name: "tiny", Cores: 2, SPMKiB: 32, BandwidthBytesPerCycle: 32}
-	opts, err := resolveOptions(SearchOptionsJSON{}, tiny.Config())
+	opts, err := resolveOptions(SearchOptionsJSON{}, tiny.config())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func poisonCache(t *testing.T, srv *Server, req LayerRequest) {
 		struct {
 			Magic   string
 			Version int
-		}{"flexer-cache-snapshot", 3},
+		}{"flexer-cache-snapshot", 4},
 		1,
 		struct {
 			Key    string

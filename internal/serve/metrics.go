@@ -124,8 +124,8 @@ func newLatencyHist() *latencyHist {
 	return &latencyHist{buckets: make([]int64, len(latencyBoundsMS)+1)}
 }
 
-// Observe records one duration.
-func (h *latencyHist) Observe(d time.Duration) {
+// observe records one duration.
+func (h *latencyHist) observe(d time.Duration) {
 	ms := float64(d) / float64(time.Millisecond)
 	h.mu.Lock()
 	defer h.mu.Unlock()

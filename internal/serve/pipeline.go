@@ -99,7 +99,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, describe func(
 		body, err = s.execute(ctx, j, a, &sink)
 	}
 	if err == nil {
-		j.hist.Observe(time.Since(a.start))
+		j.hist.observe(time.Since(a.start))
 		defer putBuf(body)
 	}
 	switch {

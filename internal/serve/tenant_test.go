@@ -517,12 +517,12 @@ func TestErrorTaxonomy(t *testing.T) {
 func TestRetryAfterRecoversFromOutlier(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Workers: 1})
 
-	srv.metrics.latency.Observe(4 * time.Minute)
+	srv.metrics.latency.observe(4 * time.Minute)
 	if ra := srv.retryAfter(); ra < 30*time.Second {
 		t.Fatalf("retryAfter right after outlier = %v, want a large hint", ra)
 	}
 	for i := 0; i < 40; i++ {
-		srv.metrics.latency.Observe(50 * time.Millisecond)
+		srv.metrics.latency.observe(50 * time.Millisecond)
 	}
 
 	var published struct {

@@ -68,8 +68,8 @@ type ArchJSON struct {
 	BandwidthBytesPerCycle int    `json:"bandwidth_bytes_per_cycle"`
 }
 
-// Config converts the wire form into an arch.Config.
-func (a ArchJSON) Config() arch.Config {
+// config converts the wire form into an arch.Config.
+func (a ArchJSON) config() arch.Config {
 	return arch.New(cmp.Or(a.Name, "custom"), a.Cores, arch.KiB(a.SPMKiB), a.BandwidthBytesPerCycle)
 }
 
@@ -367,7 +367,7 @@ func badf(format string, args ...any) error {
 // request; empty means arch1.
 func resolveArch(preset string, custom *ArchJSON) (arch.Config, error) {
 	if custom != nil {
-		cfg := custom.Config()
+		cfg := custom.config()
 		if err := cfg.Validate(); err != nil {
 			return arch.Config{}, badf("custom_arch: %v", err)
 		}

@@ -23,6 +23,10 @@ type FragStats struct {
 	External float64
 }
 
+// Clone returns a deep copy sharing no state with s (a bound Numbering,
+// which a scratchpad only reads, aside).
+func (s *SPM) Clone() *SPM { return s.CloneInto(&SPM{}) }
+
 // FreeBytes returns the total unallocated bytes (possibly fragmented).
 func (s *SPM) FreeBytes() int64 { return s.cap - s.used }
 

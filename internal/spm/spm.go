@@ -197,17 +197,13 @@ func (s *SPM) intern(id tile.ID, n int32) {
 // (used by the ablation benchmarks).
 func (s *SPM) SetInPlace(enabled bool) { s.inPlace = enabled }
 
-// Clone returns a deep copy sharing no state with s (a bound Numbering,
-// which a scratchpad only reads, aside).
-func (s *SPM) Clone() *SPM { return s.CloneInto(&SPM{}) }
-
 // CloneInto overwrites dst with a deep copy of s, reusing dst's
-// storage. dst must not be s. Returns dst. Like Clone it copies the
-// current state only — open checkpoints stay with s — and of a
-// first-seen numbering only the resident tiles' numbers: any other
-// tile is as good as new to the copy. The scheduler no longer clones
+// storage. dst must not be s. Returns dst. It copies the current state
+// only — open checkpoints stay with s — and of a first-seen numbering
+// only the resident tiles' numbers: any other tile is as good as new to
+// the copy. The scheduler no longer clones
 // per candidate set (it evaluates in place between Checkpoint and
-// Rollback); Clone and CloneInto remain for tests and the benchmark's
+// Rollback); CloneInto remains for tests and the benchmark's
 // spm.clone_ns row.
 func (s *SPM) CloneInto(dst *SPM) *SPM {
 	dst.Reset(s.cap, s.policy)

@@ -32,30 +32,15 @@ func DefaultEnergyModel() EnergyModel {
 
 // energyPJ estimates the energy of a schedule in picojoules: compute
 // energy for every MAC of the layer, scratchpad energy for every
-// operand byte touched by an op (three operands per op), and DRAM
-// energy for every byte of off-chip traffic.
+// operand byte its ops touch — each tile once per op that reads it —
+// and DRAM energy for every byte of off-chip traffic.
 func (m EnergyModel) energyPJ(g *tile.Grid, r *sched.Result) float64 {
-	macs := float64(g.Layer.MACs())
-	var spmBytes float64
-	for _, rec := range r.OpRecords {
-		op := opOperands(g, rec.Op)
-		spmBytes += float64(op)
+	var spmBytes int64
+	for k := range tile.NumKinds {
+		spmBytes += int64(g.Readers(tile.Kind(k))) * g.TotalTileBytes(tile.Kind(k))
 	}
-	dram := float64(r.TrafficBytes())
-	return macs*m.MACpJ + spmBytes*m.SPMpJPerByte + dram*m.DRAMpJPerByte
-}
-
-// opOperands returns the operand bytes of op index i in canonical
-// order (the scheduler issues ops by graph index).
-func opOperands(g *tile.Grid, i int) int64 {
-	nic := g.NIC
-	noc := g.NOC
-	now := g.NOW
-	ic := i % nic
-	oc := (i / nic) % noc
-	ow := (i / (nic * noc)) % now
-	oh := i / (nic * noc * now)
-	return g.Size(g.InTile(oh, ow, ic)) + g.Size(g.WtTile(oc, ic)) + g.Size(g.OutTile(oh, ow, oc))
+	macs, dram := float64(g.Layer.MACs()), float64(r.TrafficBytes())
+	return macs*m.MACpJ + float64(spmBytes)*m.SPMpJPerByte + dram*m.DRAMpJPerByte
 }
 
 // EnergyComparison reports OoO and static energy for one layer result

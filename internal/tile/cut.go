@@ -1,6 +1,10 @@
 package tile
 
-import "github.com/flexer-sched/flexer/internal/layer"
+import (
+	"slices"
+
+	"github.com/flexer-sched/flexer/internal/layer"
+)
 
 // Class is a run of blocks of one loop dimension that share a shape: N
 // blocks of Out elements each (output rows, columns or channels), each
@@ -36,10 +40,27 @@ type Cuts struct {
 // Classes returns the classes of dimension d.
 func (c *Cuts) Classes(d int) []Class { return c.classes[c.Dim[d].first:c.Dim[d].end] }
 
+// expand returns the per-block extents of dimension d, its blocks'
+// output extents or, with in, their input extents, written into dst's
+// storage, which grows to the dimension's block count at most once.
+func (c *Cuts) expand(dst []int, d int, in bool) []int {
+	dst = slices.Grow(dst[:0], c.Dim[d].N)
+	for _, k := range c.Classes(d) {
+		v := k.Out
+		if in {
+			v = k.In
+		}
+		for range k.N {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
 // CutsOf returns the cuts of the valid layer l under the positive
-// factors f, clamped to the layer as NewGrid clamps them, with their
-// classes appended to buf; and buf, for the next call to reuse once the
-// cuts are not read any more.
+// factors f, each clamped to its dimension, with their classes appended
+// to buf; and buf, for the next call to reuse once the cuts are not
+// read any more. NewGridInto expands them into a Grid's block extents.
 func CutsOf(l layer.Conv, f Factors, buf []Class) (Cuts, []Class) {
 	var c Cuts
 	for d, per := range [4]int{f.OH, f.OW, f.OC, f.IC} {

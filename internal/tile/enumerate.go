@@ -17,8 +17,10 @@ type EnumLimits struct {
 	// SPMBytes is the shared scratchpad capacity; tilings whose
 	// single-op operand footprint exceeds it are infeasible.
 	SPMBytes int64
-	// Cores is the NPU count; used only for ranking (tilings whose
-	// per-set footprint matches the SPM are preferred when sampling).
+	// Cores is the NPU count (at least 1 is assumed). A tiling whose
+	// full-width set — one op per core — cannot fit in the SPM is not
+	// viable, and sampling prefers tilings whose set footprint matches
+	// the SPM.
 	Cores int
 	// MaxOps skips tilings producing more tiled ops than this
 	// (0 means DefaultMaxOps).

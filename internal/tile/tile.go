@@ -4,13 +4,12 @@
 // A tiling is described by Factors (tile extents along the output
 // height, output width, output channel, and input channel dimensions).
 // A Grid combines a layer with factors and provides tile counts,
-// edge-aware tile sizes, and the identity of the data tiles each tiled
-// convolution operation touches.
+// edge-aware tile sizes, and how many tiled convolution operations read
+// each data tile.
 package tile
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/flexer-sched/flexer/internal/layer"
 )
@@ -85,8 +84,8 @@ func (f Factors) String() string {
 	return fmt.Sprintf("%dx%dx%dx%d", f.OH, f.OW, f.OC, f.IC)
 }
 
-// Validate reports whether the factors are positive.
-func (f Factors) Validate() error {
+// validate reports whether the factors are positive.
+func (f Factors) validate() error {
 	if f.OH <= 0 || f.OW <= 0 || f.OC <= 0 || f.IC <= 0 {
 		return fmt.Errorf("tile: factors must be positive: %s", f)
 	}
@@ -94,13 +93,12 @@ func (f Factors) Validate() error {
 }
 
 // Grid is a layer partitioned by a tiling. It precomputes tile counts
-// and provides size and operand queries. Grid is immutable and safe for
+// and each block's extents, expanded from the tiling's Cuts, and
+// provides size and operand queries. Grid is immutable and safe for
 // concurrent use.
 type Grid struct {
 	Layer   layer.Conv
 	F       Factors
-	OutH    int   // layer output height
-	OutW    int   // layer output width
 	NOH     int   // number of row blocks
 	NOW     int   // number of column blocks
 	NOC     int   // number of out-channel blocks
@@ -125,55 +123,32 @@ func NewGridInto(dst *Grid, l layer.Conv, f Factors) (*Grid, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	if err := f.Validate(); err != nil {
+	if err := f.validate(); err != nil {
 		return nil, err
 	}
 	if dst == nil {
 		dst = new(Grid)
 	}
-	outH, outW := l.OutH(), l.OutW()
-	f.OH = min(f.OH, outH)
-	f.OW = min(f.OW, outW)
-	f.OC = min(f.OC, l.OutC)
-	f.IC = min(f.IC, l.InC)
+	var classes [16]Class
+	c, _ := CutsOf(l, f, classes[:0])
 	*dst = Grid{
 		Layer:   l,
-		F:       f,
-		OutH:    outH,
-		OutW:    outW,
-		NOH:     ceilDiv(outH, f.OH),
-		NOW:     ceilDiv(outW, f.OW),
-		NOC:     ceilDiv(l.OutC, f.OC),
-		NIC:     ceilDiv(l.InC, f.IC),
-		rowSize: blockSizes(dst.rowSize[:0], outH, f.OH),
-		colSize: blockSizes(dst.colSize[:0], outW, f.OW),
-		ocSize:  blockSizes(dst.ocSize[:0], l.OutC, f.OC),
-		icSize:  blockSizes(dst.icSize[:0], l.InC, f.IC),
-		inRowSz: slices.Grow(dst.inRowSz[:0], ceilDiv(outH, f.OH)),
-		inColSz: slices.Grow(dst.inColSz[:0], ceilDiv(outW, f.OW)),
-	}
-	for h := 0; h < dst.NOH; h++ {
-		_, n := layer.InputRange(h*f.OH, dst.rowSize[h], l.KerH, l.StrideH, l.PadH, l.InH)
-		dst.inRowSz = append(dst.inRowSz, n)
-	}
-	for w := 0; w < dst.NOW; w++ {
-		_, n := layer.InputRange(w*f.OW, dst.colSize[w], l.KerW, l.StrideW, l.PadW, l.InW)
-		dst.inColSz = append(dst.inColSz, n)
+		F:       Factors{OH: c.Dim[0].Per, OW: c.Dim[1].Per, OC: c.Dim[2].Per, IC: c.Dim[3].Per},
+		NOH:     c.Dim[0].N,
+		NOW:     c.Dim[1].N,
+		NOC:     c.Dim[2].N,
+		NIC:     c.Dim[3].N,
+		rowSize: c.expand(dst.rowSize, 0, false),
+		colSize: c.expand(dst.colSize, 1, false),
+		ocSize:  c.expand(dst.ocSize, 2, false),
+		icSize:  c.expand(dst.icSize, 3, false),
+		inRowSz: c.expand(dst.inRowSz, 0, true),
+		inColSz: c.expand(dst.inColSz, 1, true),
 	}
 	return dst, nil
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// blockSizes appends the extents of the blocks of per elements (the
-// last one short) that total elements make to dst.
-func blockSizes(dst []int, total, per int) []int {
-	dst = slices.Grow(dst, ceilDiv(total, per))
-	for lo := 0; lo < total; lo += per {
-		dst = append(dst, min(per, total-lo))
-	}
-	return dst
-}
 
 // NumOps returns the total number of tiled convolution operations:
 // NOH * NOW * NOC * NIC.
@@ -196,6 +171,22 @@ func (g *Grid) dims(k Kind) (a, b, c int) {
 		return g.NOH, g.NOW, g.NOC
 	}
 	return 0, 0, 0
+}
+
+// Readers returns how many ops read each tile of kind k: an input tile
+// is read by each out-channel block, a weight tile by each spatial
+// block, and an output tile — a partial sum until its last update — by
+// each accumulation step.
+func (g *Grid) Readers(k Kind) int {
+	switch k {
+	case In:
+		return g.NOC
+	case Wt:
+		return g.NOH * g.NOW
+	case Out:
+		return g.NIC
+	}
+	return 0
 }
 
 // Index returns id's position among the grid's tiles of its kind in
@@ -230,18 +221,6 @@ func (g *Grid) Size(id ID) int64 {
 	}
 	return 0
 }
-
-// InTile returns the input tile read by the op at block coordinates
-// (oh, ow, *, ic).
-func (g *Grid) InTile(oh, ow, ic int) ID { return ID{Kind: In, A: oh, B: ow, C: ic} }
-
-// WtTile returns the weight tile read by the op at block coordinates
-// (*, *, oc, ic).
-func (g *Grid) WtTile(oc, ic int) ID { return ID{Kind: Wt, A: oc, B: ic} }
-
-// OutTile returns the output tile written by ops at block coordinates
-// (oh, ow, oc, *).
-func (g *Grid) OutTile(oh, ow, oc int) ID { return ID{Kind: Out, A: oh, B: ow, C: oc} }
 
 // ICRange returns the input-channel interval of channel block i.
 func (g *Grid) ICRange(i int) (lo, n int) { return i * g.F.IC, g.icSize[i] }

@@ -71,7 +71,7 @@ func TestOutputCoverage(t *testing.T) {
 	for h := 0; h < g.NOH; h++ {
 		for w := 0; w < g.NOW; w++ {
 			for c := 0; c < g.NOC; c++ {
-				sum += g.Size(g.OutTile(h, w, c))
+				sum += g.Size(ID{Kind: Out, A: h, B: w, C: c})
 			}
 		}
 	}
@@ -90,7 +90,7 @@ func TestWeightCoverage(t *testing.T) {
 	var sum int64
 	for c := 0; c < g.NOC; c++ {
 		for i := 0; i < g.NIC; i++ {
-			sum += g.Size(g.WtTile(c, i))
+			sum += g.Size(ID{Kind: Wt, A: c, B: i})
 		}
 	}
 	if want := int64(l.KerH * l.KerW * l.InC * l.OutC * l.ElemBytes); sum != want {
@@ -119,8 +119,8 @@ func TestEdgeTileSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	eb := int64(testLayer().ElemBytes)
-	full := g.Size(g.OutTile(0, 0, 0))
-	edge := g.Size(g.OutTile(3, 0, 0))
+	full := g.Size(ID{Kind: Out, A: 0, B: 0, C: 0})
+	edge := g.Size(ID{Kind: Out, A: 3, B: 0, C: 0})
 	if full != 4*14*40*eb {
 		t.Errorf("full tile = %d bytes, want %d", full, 4*14*40*eb)
 	}
@@ -137,8 +137,8 @@ func TestInputTileHalo(t *testing.T) {
 		t.Fatal(err)
 	}
 	eb := int64(testLayer().ElemBytes)
-	first := g.Size(g.InTile(0, 0, 0)) // rows 0..4 (pad clips top)
-	inner := g.Size(g.InTile(1, 0, 0)) // rows 3..8
+	first := g.Size(ID{Kind: In, A: 0, B: 0, C: 0}) // rows 0..4 (pad clips top)
+	inner := g.Size(ID{Kind: In, A: 1, B: 0, C: 0}) // rows 3..8
 	if first != 5*14*48*eb {
 		t.Errorf("boundary input tile = %d, want %d", first, 5*14*48*eb)
 	}
@@ -217,12 +217,12 @@ func TestSizesPositive(t *testing.T) {
 		for h := 0; h < g.NOH; h++ {
 			for w := 0; w < g.NOW; w++ {
 				for i := 0; i < g.NIC; i++ {
-					if g.Size(g.InTile(h, w, i)) <= 0 {
+					if g.Size(ID{Kind: In, A: h, B: w, C: i}) <= 0 {
 						return false
 					}
 				}
 				for c := 0; c < g.NOC; c++ {
-					if g.Size(g.OutTile(h, w, c)) <= 0 {
+					if g.Size(ID{Kind: Out, A: h, B: w, C: c}) <= 0 {
 						return false
 					}
 				}
@@ -230,7 +230,7 @@ func TestSizesPositive(t *testing.T) {
 		}
 		for c := 0; c < g.NOC; c++ {
 			for i := 0; i < g.NIC; i++ {
-				if g.Size(g.WtTile(c, i)) <= 0 {
+				if g.Size(ID{Kind: Wt, A: c, B: i}) <= 0 {
 					return false
 				}
 			}
