@@ -174,20 +174,25 @@ paper-guard:
 # floors (never falling, never above what the run reaches, on the same
 # draws plus a random fault plan). -fuzz must select one Fuzz* function:
 # verify, dfg and sched hold two each and name each, spm holds one.
+# Each line bounds minimization to a second: the fuzzer minimizes every
+# new interesting input for up to 60 s by default before it fuzzes on,
+# so minimizing one allocator stream once held FuzzAllocator at one exec
+# count from the 6th second of a 15 s run to its end.
 # Skipped with a hint on toolchains without
 # native fuzzing support, so the target never hard-fails on an old
 # local Go (CI always has a current one).
 FUZZTIME ?= 20s
+FUZZ = $(GO) test -run='^$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 
 fuzz-smoke:
 	@if $(GO) help testflag 2>/dev/null | grep -q -- '-fuzz '; then \
-		$(GO) test -fuzz='^FuzzRepair$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/verify && \
-		$(GO) test -fuzz='^FuzzVerify$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/verify && \
-		$(GO) test -fuzz=Fuzz -fuzztime=$(FUZZTIME) -run='^$$' ./internal/spm && \
-		$(GO) test -fuzz='^FuzzFusedResidency$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dfg && \
-		$(GO) test -fuzz='^FuzzFloor$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dfg && \
-		$(GO) test -fuzz='^FuzzSetWalk$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sched && \
-		$(GO) test -fuzz='^FuzzFloors$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sched; \
+		$(FUZZ) -fuzz='^FuzzRepair$$' ./internal/verify && \
+		$(FUZZ) -fuzz='^FuzzVerify$$' ./internal/verify && \
+		$(FUZZ) -fuzz='^FuzzAllocator$$' ./internal/spm && \
+		$(FUZZ) -fuzz='^FuzzFusedResidency$$' ./internal/dfg && \
+		$(FUZZ) -fuzz='^FuzzFloor$$' ./internal/dfg && \
+		$(FUZZ) -fuzz='^FuzzSetWalk$$' ./internal/sched && \
+		$(FUZZ) -fuzz='^FuzzFloors$$' ./internal/sched; \
 	else \
 		echo "fuzz-smoke: this Go toolchain lacks native fuzzing, skipping"; \
 	fi

@@ -19,35 +19,31 @@ import (
 	"github.com/flexer-sched/flexer/internal/tile"
 )
 
-// Op is one tiled convolution operation.
+// Op is one tiled convolution operation. Its index in Graph.Ops is its
+// number; its block coordinates are Out.A, Out.B, Out.C (rows, columns,
+// out-channels) and In.C (the accumulation step), and its layer within a
+// fused graph is Out.L.
 type Op struct {
-	// ID is the op's index in Graph.Ops.
-	ID int
-	// OH, OW, OC, IC are the block coordinates.
-	OH, OW, OC, IC int
 	// In and Wt are the input and weight tiles read.
 	In, Wt tile.ID
 	// Out is the output tile written (and read as partial sum when
 	// ReadsPsum).
 	Out tile.ID
 	// ReadsPsum reports whether the op accumulates onto a previously
-	// produced partial sum (IC > 0).
+	// produced partial sum (In.C > 0).
 	ReadsPsum bool
 	// Final reports whether the op produces the finished output tile
-	// (IC == NIC-1); the tile must then reach off-chip memory (or, in a
-	// fused graph, feed the next layer on-chip).
+	// (In.C == NIC-1); the tile must then reach off-chip memory (or, in
+	// a fused graph, feed the next layer on-chip).
 	Final bool
-	// Layer is the op's layer index within a fused graph (0 in
-	// single-layer graphs).
-	Layer int
 	// Cycles is the compute latency from the performance model.
 	Cycles int64
 }
 
 // String renders the op like the paper's figures, e.g.
-// "tCONV17 OT(0,1,2) <- IN(0,1,0) WT(2,0) +PS".
+// "tCONV OT(0,1,2) <- IN(0,1,0) WT(2,0) +PS".
 func (o Op) String() string {
-	s := fmt.Sprintf("tCONV%d %v <- %v %v", o.ID, o.Out, o.In, o.Wt)
+	s := fmt.Sprintf("tCONV %v <- %v %v", o.Out, o.In, o.Wt)
 	if o.ReadsPsum {
 		s += " +PS"
 	}
@@ -173,7 +169,7 @@ func (gr *Graph) NumTiles() int { return len(gr.uses) }
 // Num returns the number of id, which must be a tile of the graph (see
 // NumOK for IDs of unknown origin).
 func (gr *Graph) Num(id tile.ID) int {
-	return gr.base[int(id.Kind)*len(gr.grids)+id.L] + gr.grids[id.L].Index(id)
+	return gr.base[int(id.Kind)*len(gr.grids)+int(id.L)] + gr.grids[id.L].Index(id)
 }
 
 // NumOK is Num for an ID that arrives from outside — a schedule handed
@@ -194,7 +190,7 @@ func (gr *Graph) Tile(n int) tile.ID {
 	}
 	l := j % len(gr.grids)
 	id := gr.grids[l].TileAt(tile.Kind(j/len(gr.grids)), n-gr.base[j])
-	id.L = l
+	id.L = int16(l)
 	return id
 }
 
@@ -239,13 +235,13 @@ func (gr *Graph) FinalOp(ot tile.ID) int {
 // PendingInto fills dst with every op's dependency in-degree (chain
 // predecessor plus cross-layer predecessors) and returns it, reusing
 // dst's capacity. The scheduler seeds its ready tracking from this; for
-// single-layer graphs pending[i] is 1 exactly when IC > 0, so readiness
-// is identical to the layerwise scheduler's.
+// single-layer graphs pending[i] is 1 exactly when the op reads a
+// partial sum, so readiness is identical to the layerwise scheduler's.
 func (gr *Graph) PendingInto(dst []int) []int {
 	dst = resize(dst, len(gr.Ops))
 	for i := range gr.Ops {
 		dst[i] = len(gr.CrossPreds(i))
-		if gr.Ops[i].IC > 0 {
+		if gr.Ops[i].ReadsPsum {
 			dst[i]++
 		}
 	}
@@ -254,7 +250,7 @@ func (gr *Graph) PendingInto(dst []int) []int {
 
 // Build constructs the DFG for grid g with latencies from m. Ops are
 // indexed in canonical (oh, ow, oc, ic) row-major order; the chain
-// predecessor of op x (when x.IC > 0) is always op x-1.
+// predecessor of op x (when x.ReadsPsum) is always op x-1.
 func Build(g *tile.Grid, m model.Model) *Graph { return BuildInto(nil, g, m) }
 
 // BuildInto is Build into the storage of dst, a graph Build, BuildInto,
@@ -316,22 +312,19 @@ func build(gr *Graph, grids []*tile.Grid, m model.Model) *Graph {
 		}
 		conv := g.Layer
 		inBase, wtBase, outBase := int32(gr.base[int(tile.In)*nl+l]), int32(gr.base[int(tile.Wt)*nl+l]), int32(gr.base[int(tile.Out)*nl+l])
-		for oh := 0; oh < g.NOH; oh++ {
-			for ow := 0; ow < g.NOW; ow++ {
-				sp := int32(oh*g.NOW + ow) // (oh, ow) row-major: Num numbers In and Out tiles from it
-				for oc := 0; oc < g.NOC; oc++ {
-					for ic := 0; ic < g.NIC; ic++ {
-						gr.operands = append(gr.operands, [3]int32{inBase + sp*int32(g.NIC) + int32(ic), wtBase + int32(oc*g.NIC+ic), outBase + sp*int32(g.NOC) + int32(oc)})
-						rows, cols, ochs, ichs := g.OpDims(oh, ow, oc, ic)
+		for oh := range int32(g.NOH) {
+			for ow := range int32(g.NOW) {
+				sp := oh*int32(g.NOW) + ow // (oh, ow) row-major: Num numbers In and Out tiles from it
+				for oc := range int32(g.NOC) {
+					for ic := range int32(g.NIC) {
+						gr.operands = append(gr.operands, [3]int32{inBase + sp*int32(g.NIC) + ic, wtBase + oc*int32(g.NIC) + ic, outBase + sp*int32(g.NOC) + oc})
+						rows, cols, ochs, ichs := g.OpDims(int(oh), int(ow), int(oc), int(ic))
 						gr.Ops = append(gr.Ops, Op{
-							ID: len(gr.Ops),
-							OH: oh, OW: ow, OC: oc, IC: ic,
-							In:        tile.ID{Kind: tile.In, A: oh, B: ow, C: ic, L: l},
-							Wt:        tile.ID{Kind: tile.Wt, A: oc, B: ic, L: l},
-							Out:       tile.ID{Kind: tile.Out, A: oh, B: ow, C: oc, L: l},
+							In:        tile.ID{Kind: tile.In, A: oh, B: ow, C: ic, L: int16(l)},
+							Wt:        tile.ID{Kind: tile.Wt, A: oc, B: ic, L: int16(l)},
+							Out:       tile.ID{Kind: tile.Out, A: oh, B: ow, C: oc, L: int16(l)},
 							ReadsPsum: ic > 0,
-							Final:     ic == g.NIC-1,
-							Layer:     l,
+							Final:     int(ic) == g.NIC-1,
 							Cycles:    m.ConvCycles(rows, cols, ochs, ichs, conv.KerH, conv.KerW),
 						})
 					}
@@ -354,7 +347,7 @@ func resize[T any](s []T, n int) []T {
 // Pred returns the index of op i's chain predecessor, or -1 if i has no
 // dependency.
 func (gr *Graph) Pred(i int) int {
-	if gr.Ops[i].IC == 0 {
+	if !gr.Ops[i].ReadsPsum {
 		return -1
 	}
 	return i - 1

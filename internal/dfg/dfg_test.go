@@ -3,6 +3,7 @@ package dfg
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/layer"
@@ -24,6 +25,15 @@ func smallGraph(t *testing.T) *Graph {
 		tile.Factors{OH: 4, OW: 8, OC: 12, IC: 16})
 }
 
+// TestOpSize pins an op at 64 bytes: its three tile IDs, two flags and
+// its latency. Its index, block coordinates and layer are not stored;
+// they are its place in Graph.Ops and its tiles' coordinates.
+func TestOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 64 {
+		t.Errorf("dfg.Op is %d bytes, want 64", got)
+	}
+}
+
 func TestBuildCounts(t *testing.T) {
 	gr := smallGraph(t)
 	g := gr.Grid
@@ -39,25 +49,23 @@ func TestBuildCounts(t *testing.T) {
 func TestOpFieldsAndChains(t *testing.T) {
 	gr := smallGraph(t)
 	for i, op := range gr.Ops {
-		if op.ID != i {
-			t.Errorf("op %d has ID %d", i, op.ID)
+		ic := int(op.In.C)
+		if op.ReadsPsum != (ic > 0) {
+			t.Errorf("op %d: ReadsPsum=%v with IC=%d", i, op.ReadsPsum, ic)
 		}
-		if op.ReadsPsum != (op.IC > 0) {
-			t.Errorf("op %d: ReadsPsum=%v with IC=%d", i, op.ReadsPsum, op.IC)
-		}
-		if op.Final != (op.IC == gr.Grid.NIC-1) {
-			t.Errorf("op %d: Final=%v with IC=%d", i, op.Final, op.IC)
+		if op.Final != (ic == gr.Grid.NIC-1) {
+			t.Errorf("op %d: Final=%v with IC=%d", i, op.Final, ic)
 		}
 		if op.Cycles <= 0 {
 			t.Errorf("op %d: non-positive latency %d", i, op.Cycles)
 		}
-		if p := gr.Pred(i); op.IC == 0 {
+		if p := gr.Pred(i); ic == 0 {
 			if p != -1 {
 				t.Errorf("op %d (ic=0) has pred %d", i, p)
 			}
 		} else {
 			pre := gr.Ops[p]
-			if pre.OH != op.OH || pre.OW != op.OW || pre.OC != op.OC || pre.IC != op.IC-1 {
+			if pre.Out != op.Out || int(pre.In.C) != ic-1 {
 				t.Errorf("op %d pred %d has wrong coordinates", i, p)
 			}
 		}
@@ -65,22 +73,25 @@ func TestOpFieldsAndChains(t *testing.T) {
 			if s != -1 {
 				t.Errorf("op %d (final) has succ %d", i, s)
 			}
-		} else if gr.Ops[s].IC != op.IC+1 {
-			t.Errorf("op %d succ %d has ic %d", i, s, gr.Ops[s].IC)
+		} else if int(gr.Ops[s].In.C) != ic+1 {
+			t.Errorf("op %d succ %d has ic %d", i, s, gr.Ops[s].In.C)
 		}
 	}
 }
 
+// TestOperandTiles: an op's block coordinates are its output tile's and
+// its input tile's channel block, and its operands agree on them.
 func TestOperandTiles(t *testing.T) {
 	gr := smallGraph(t)
 	for i, op := range gr.Ops {
-		if op.In != (tile.ID{Kind: tile.In, A: op.OH, B: op.OW, C: op.IC}) {
+		oh, ow, oc, ic := op.Out.A, op.Out.B, op.Out.C, op.In.C
+		if op.In != (tile.ID{Kind: tile.In, A: oh, B: ow, C: ic}) {
 			t.Errorf("op %d: wrong input tile %v", i, op.In)
 		}
-		if op.Wt != (tile.ID{Kind: tile.Wt, A: op.OC, B: op.IC}) {
+		if op.Wt != (tile.ID{Kind: tile.Wt, A: oc, B: ic}) {
 			t.Errorf("op %d: wrong weight tile %v", i, op.Wt)
 		}
-		if op.Out != (tile.ID{Kind: tile.Out, A: op.OH, B: op.OW, C: op.OC}) {
+		if op.Out.Kind != tile.Out {
 			t.Errorf("op %d: wrong output tile %v", i, op.Out)
 		}
 	}
@@ -91,7 +102,7 @@ func TestOperandTiles(t *testing.T) {
 func (gr *Graph) InitialReady() []int {
 	var ready []int
 	for i := range gr.Ops {
-		if gr.Ops[i].IC == 0 {
+		if !gr.Ops[i].ReadsPsum {
 			ready = append(ready, i)
 		}
 	}
@@ -106,8 +117,8 @@ func TestInitialReady(t *testing.T) {
 		t.Fatalf("%d initially ready, want %d", len(ready), want)
 	}
 	for _, i := range ready {
-		if gr.Ops[i].IC != 0 {
-			t.Errorf("ready op %d has ic=%d", i, gr.Ops[i].IC)
+		if gr.Ops[i].In.C != 0 {
+			t.Errorf("ready op %d has ic=%d", i, gr.Ops[i].In.C)
 		}
 	}
 }
@@ -116,9 +127,9 @@ func TestUseCounts(t *testing.T) {
 	gr := smallGraph(t)
 	g, uses := gr.Grid, gr.AppendUses(nil)
 	// Every input tile is used once per out-channel block.
-	for h := 0; h < g.NOH; h++ {
-		for w := 0; w < g.NOW; w++ {
-			for i := 0; i < g.NIC; i++ {
+	for h := range int32(g.NOH) {
+		for w := range int32(g.NOW) {
+			for i := range int32(g.NIC) {
 				if got := int(uses[gr.Num(tile.ID{Kind: tile.In, A: h, B: w, C: i})]); got != g.NOC {
 					t.Errorf("IN(%d,%d,%d) uses = %d, want %d", h, w, i, got, g.NOC)
 				}
@@ -126,17 +137,17 @@ func TestUseCounts(t *testing.T) {
 		}
 	}
 	// Every weight tile is used once per spatial block.
-	for c := 0; c < g.NOC; c++ {
-		for i := 0; i < g.NIC; i++ {
+	for c := range int32(g.NOC) {
+		for i := range int32(g.NIC) {
 			if got := int(uses[gr.Num(tile.ID{Kind: tile.Wt, A: c, B: i})]); got != g.NOH*g.NOW {
 				t.Errorf("WT(%d,%d) uses = %d, want %d", c, i, got, g.NOH*g.NOW)
 			}
 		}
 	}
 	// Every output tile is touched once per accumulation step.
-	for h := 0; h < g.NOH; h++ {
-		for w := 0; w < g.NOW; w++ {
-			for c := 0; c < g.NOC; c++ {
+	for h := range int32(g.NOH) {
+		for w := range int32(g.NOW) {
+			for c := range int32(g.NOC) {
 				if got := int(uses[gr.Num(tile.ID{Kind: tile.Out, A: h, B: w, C: c})]); got != g.NIC {
 					t.Errorf("OT(%d,%d,%d) uses = %d, want %d", h, w, c, got, g.NIC)
 				}
@@ -162,8 +173,9 @@ func TestUsesReturnsCopy(t *testing.T) {
 func TestOpAtRoundTrip(t *testing.T) {
 	gr := smallGraph(t)
 	for i, op := range gr.Ops {
-		if got := gr.OpAt(op.OH, op.OW, op.OC, op.IC); got != i {
-			t.Errorf("OpAt(%d,%d,%d,%d) = %d, want %d", op.OH, op.OW, op.OC, op.IC, got, i)
+		oh, ow, oc, ic := int(op.Out.A), int(op.Out.B), int(op.Out.C), int(op.In.C)
+		if got := gr.OpAt(oh, ow, oc, ic); got != i {
+			t.Errorf("OpAt(%d,%d,%d,%d) = %d, want %d", oh, ow, oc, ic, got, i)
 		}
 	}
 }
@@ -228,18 +240,18 @@ func TestGraphInvariants(t *testing.T) {
 
 func allTiles(g *tile.Grid) []tile.ID {
 	var out []tile.ID
-	for h := 0; h < g.NOH; h++ {
-		for w := 0; w < g.NOW; w++ {
-			for i := 0; i < g.NIC; i++ {
+	for h := range int32(g.NOH) {
+		for w := range int32(g.NOW) {
+			for i := range int32(g.NIC) {
 				out = append(out, tile.ID{Kind: tile.In, A: h, B: w, C: i})
 			}
-			for c := 0; c < g.NOC; c++ {
+			for c := range int32(g.NOC) {
 				out = append(out, tile.ID{Kind: tile.Out, A: h, B: w, C: c})
 			}
 		}
 	}
-	for c := 0; c < g.NOC; c++ {
-		for i := 0; i < g.NIC; i++ {
+	for c := range int32(g.NOC) {
+		for i := range int32(g.NIC) {
 			out = append(out, tile.ID{Kind: tile.Wt, A: c, B: i})
 		}
 	}

@@ -64,7 +64,7 @@ func checkBlocks(t *testing.T, g *tile.Grid) {
 			var at [4]int
 			at[d] = b
 			rows, cols, ochs, ichs := g.OpDims(at[0], at[1], at[2], at[3])
-			in := tile.ID{Kind: tile.In, A: at[0], B: at[1], C: at[3]}
+			in := tile.ID{Kind: tile.In, A: int32(at[0]), B: int32(at[1]), C: int32(at[3])}
 			wantIn := int64(want[0][at[0]][1]) * int64(want[1][at[1]][1]) * int64(want[3][at[3]][0]) * int64(l.ElemBytes)
 			if got := [4]int{rows, cols, ochs, ichs}[d]; got != w[0] || g.Size(in) != wantIn {
 				t.Fatalf("%s %s: dimension %d block %d covers %d and %s is %d bytes; want %d and %d (input extent %d)",

@@ -12,6 +12,7 @@ package dfg
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/flexer-sched/flexer/internal/layer"
@@ -38,9 +39,10 @@ func CheckFusable(prev, next layer.Conv) error {
 // BuildFused constructs one DFG spanning all of grids, in layer order.
 // Ops are laid out layer by layer, each layer in the canonical
 // (oh, ow, oc, ic) order of Build, so the chain predecessor of any op
-// with IC > 0 is still the preceding op. Tile IDs of layer l carry
-// L = l. Every consecutive pair of grids must satisfy CheckFusable.
-// A single grid reduces exactly to Build.
+// that reads a partial sum is still the preceding op. Tile IDs of layer
+// l carry L = l, so at most math.MaxInt16 layers fuse. Every
+// consecutive pair of grids must satisfy CheckFusable. A single grid
+// reduces exactly to Build.
 func BuildFused(grids []*tile.Grid, m model.Model) (*Graph, error) {
 	return BuildFusedInto(nil, grids, m)
 }
@@ -54,6 +56,9 @@ func BuildFusedInto(dst *Graph, grids []*tile.Grid, m model.Model) (*Graph, erro
 	}
 	if len(grids) == 1 {
 		return BuildInto(dst, grids[0], m), nil
+	}
+	if len(grids) > math.MaxInt16 {
+		return nil, fmt.Errorf("dfg: BuildFused of %d layers, more than a tile ID numbers", len(grids))
 	}
 	for l := 1; l < len(grids); l++ {
 		if err := CheckFusable(grids[l-1].Layer, grids[l].Layer); err != nil {
@@ -94,7 +99,7 @@ func BuildFusedInto(dst *Graph, grids []*tile.Grid, m model.Model) (*Graph, erro
 				colLo, colN := gc.InColRange(ow)
 				for ic := 0; ic < gc.NIC; ic++ {
 					chLo, chN := gc.ICRange(ic)
-					in := tile.ID{Kind: tile.In, A: oh, B: ow, C: ic, L: l}
+					in := tile.ID{Kind: tile.In, A: int32(oh), B: int32(ow), C: int32(ic), L: int16(l)}
 					if rowN == 0 || colN == 0 || chN == 0 {
 						continue // halo fully in padding: nothing to cover
 					}
@@ -105,7 +110,7 @@ func BuildFusedInto(dst *Graph, grids []*tile.Grid, m model.Model) (*Graph, erro
 					for h := h0; h <= h1; h++ {
 						for w := w0; w <= w1; w++ {
 							for c := c0; c <= c1; c++ {
-								ot := tile.ID{Kind: tile.Out, A: h, B: w, C: c, L: l - 1}
+								ot := tile.ID{Kind: tile.Out, A: int32(h), B: int32(w), C: int32(c), L: int16(l - 1)}
 								flat = append(flat, ot)
 								gr.uses[gr.Num(ot)]++
 							}

@@ -1,7 +1,9 @@
 package dfg
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/flexer-sched/flexer/internal/arch"
@@ -34,6 +36,31 @@ func buildFusedPair(t *testing.T) *Graph {
 		t.Fatal(err)
 	}
 	return gr
+}
+
+// TestBuildFusedLayerLimit: a tile ID numbers math.MaxInt16 layers, so
+// BuildFused stitches that many, the last one's tiles carrying the
+// largest L, and refuses one more instead of truncating it.
+func TestBuildFusedLayerLimit(t *testing.T) {
+	g, err := tile.NewGrid(layer.NewConv("same", 2, 2, 1, 1, 1), tile.Factors{OH: 2, OW: 2, OC: 1, IC: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := model.New(arch.New("t", 2, arch.KiB(256), 32))
+	grids := make([]*tile.Grid, math.MaxInt16+1)
+	for i := range grids {
+		grids[i] = g
+	}
+	if _, err := BuildFused(grids, m); err == nil || !strings.Contains(err.Error(), "layers") {
+		t.Fatalf("BuildFused of %d layers = %v, want a layer-count error", len(grids), err)
+	}
+	gr, err := BuildFused(grids[:math.MaxInt16], m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := gr.Ops[len(gr.Ops)-1]; last.Out.L != math.MaxInt16-1 || gr.LastLayer() != math.MaxInt16-1 {
+		t.Fatalf("last op %v of %d layers", last, gr.LastLayer()+1)
+	}
 }
 
 func TestCheckFusable(t *testing.T) {
@@ -85,21 +112,18 @@ func TestBuildFusedLayout(t *testing.T) {
 		t.Fatalf("%d ops, want %d", len(gr.Ops), want)
 	}
 	for i, op := range gr.Ops {
-		wantLayer := 0
+		var wantLayer int16
 		if i >= g1.NumOps() {
 			wantLayer = 1
 		}
-		if op.Layer != wantLayer {
-			t.Fatalf("op %d: layer %d, want %d", i, op.Layer, wantLayer)
-		}
-		if op.In.L != op.Layer || op.Wt.L != op.Layer || op.Out.L != op.Layer {
-			t.Fatalf("op %d: tile layers %d/%d/%d for op layer %d",
-				i, op.In.L, op.Wt.L, op.Out.L, op.Layer)
+		if op.In.L != wantLayer || op.Wt.L != wantLayer || op.Out.L != wantLayer {
+			t.Fatalf("op %d: tile layers %d/%d/%d, want %d",
+				i, op.In.L, op.Wt.L, op.Out.L, wantLayer)
 		}
 		// The chain rule survives fusion: pred is i-1 exactly when IC>0.
 		p := gr.Pred(i)
-		if op.IC > 0 && p != i-1 || op.IC == 0 && p != -1 {
-			t.Fatalf("op %d (ic=%d): pred %d", i, op.IC, p)
+		if op.In.C > 0 && p != i-1 || op.In.C == 0 && p != -1 {
+			t.Fatalf("op %d (ic=%d): pred %d", i, op.In.C, p)
 		}
 	}
 }
@@ -137,9 +161,9 @@ func TestBuildFusedCovering(t *testing.T) {
 	// for a same conv), and uses bookkeeping matches: an OT is used NIC
 	// times by its own chain plus once per covered consumer input.
 	covered := map[tile.ID]int{}
-	for oh := 0; oh < g2.NOH; oh++ {
-		for ow := 0; ow < g2.NOW; ow++ {
-			for ic := 0; ic < g2.NIC; ic++ {
+	for oh := range int32(g2.NOH) {
+		for ow := range int32(g2.NOW) {
+			for ic := range int32(g2.NIC) {
 				id := tile.ID{Kind: tile.In, A: oh, B: ow, C: ic, L: 1}
 				c := gr.Covering(id)
 				if len(c) == 0 {
@@ -166,20 +190,20 @@ func TestBuildFusedCrossEdges(t *testing.T) {
 	for i, op := range gr.Ops {
 		preds := gr.CrossPreds(i)
 		want := 0
-		if op.IC > 0 {
+		if op.ReadsPsum {
 			want = 1
 		}
 		if pending[i] != want+len(preds) {
 			t.Fatalf("op %d: pending %d, want chain %d + cross %d",
 				i, pending[i], want, len(preds))
 		}
-		if op.Layer == 0 && len(preds) > 0 {
+		if op.Out.L == 0 && len(preds) > 0 {
 			t.Fatalf("layer-0 op %d has cross preds %v", i, preds)
 		}
 		for _, p := range preds {
 			pre := gr.Ops[p]
-			if pre.Layer != op.Layer-1 || !pre.Final {
-				t.Fatalf("op %d cross pred %d is layer %d final=%v", i, p, pre.Layer, pre.Final)
+			if pre.Out.L != op.Out.L-1 || !pre.Final {
+				t.Fatalf("op %d cross pred %d is layer %d final=%v", i, p, pre.Out.L, pre.Final)
 			}
 			found := false
 			for _, s := range gr.CrossSuccs(p) {

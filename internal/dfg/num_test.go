@@ -87,11 +87,11 @@ func TestNumIsAnOrderedBijection(t *testing.T) {
 			prev = id
 		}
 		seen := make([]bool, gr.NumTiles())
-		for _, op := range gr.Ops {
+		for i, op := range gr.Ops {
 			for _, id := range append([]tile.ID{op.In, op.Wt, op.Out}, gr.Covering(op.In)...) {
 				n, ok := gr.NumOK(id)
 				if !ok || gr.Tile(n) != id {
-					t.Fatalf("trial %d: operand %v of op %d: number %d ok=%v names %v", trial, id, op.ID, n, ok, gr.Tile(n))
+					t.Fatalf("trial %d: operand %v of op %d: number %d ok=%v names %v", trial, id, i, n, ok, gr.Tile(n))
 				}
 				seen[n] = true
 			}
@@ -102,16 +102,16 @@ func TestNumIsAnOrderedBijection(t *testing.T) {
 			}
 		}
 
-		g := gr.Grids()[gr.LastLayer()]
+		g, last := gr.Grids()[gr.LastLayer()], int16(gr.LastLayer())
 		for _, bad := range []tile.ID{
-			{Kind: tile.In, A: g.NOH, L: gr.LastLayer()},
-			{Kind: tile.In, B: g.NOW, L: gr.LastLayer()},
-			{Kind: tile.In, C: g.NIC, L: gr.LastLayer()},
-			{Kind: tile.Wt, A: g.NOC, L: gr.LastLayer()},
-			{Kind: tile.Wt, C: 1, L: gr.LastLayer()},
-			{Kind: tile.Out, A: -1, L: gr.LastLayer()},
-			{Kind: tile.Out, C: g.NOC, L: gr.LastLayer()},
-			{Kind: tile.Out, L: len(gr.Grids())},
+			{Kind: tile.In, A: int32(g.NOH), L: last},
+			{Kind: tile.In, B: int32(g.NOW), L: last},
+			{Kind: tile.In, C: int32(g.NIC), L: last},
+			{Kind: tile.Wt, A: int32(g.NOC), L: last},
+			{Kind: tile.Wt, C: 1, L: last},
+			{Kind: tile.Out, A: -1, L: last},
+			{Kind: tile.Out, C: int32(g.NOC), L: last},
+			{Kind: tile.Out, L: last + 1},
 			{Kind: tile.Out, L: -1},
 			{Kind: tile.Kind(tile.NumKinds)},
 		} {

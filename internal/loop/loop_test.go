@@ -108,7 +108,7 @@ func TestInputStationaryReusesInput(t *testing.T) {
 	order := Order(gr, df)
 	for i := 0; i+1 < len(order); i++ {
 		a, b := gr.Ops[order[i]], gr.Ops[order[i+1]]
-		sameSweep := a.OH == b.OH && a.OW == b.OW && a.IC == b.IC
+		sameSweep := a.Out.A == b.Out.A && a.Out.B == b.Out.B && a.In.C == b.In.C
 		if sameSweep && a.In != b.In {
 			t.Fatalf("input tile changed inside an oc sweep at %d", i)
 		}

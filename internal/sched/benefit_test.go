@@ -39,7 +39,7 @@ func TestEvalSetFreshLoadsAreNotReuse(t *testing.T) {
 	// even though the weight tile is shared within the set.
 	var shared []int
 	for _, i := range initialReady(gr) {
-		if gr.Ops[i].OC == 0 {
+		if gr.Ops[i].Out.C == 0 {
 			shared = append(shared, i)
 		}
 		if len(shared) == 2 {
@@ -77,7 +77,7 @@ func TestEvalSetCountsResidentReuse(t *testing.T) {
 	e := newTestEngine(t, gr, Config{Arch: a})
 	var shared []int
 	for _, i := range initialReady(gr) {
-		if gr.Ops[i].OC == 0 {
+		if gr.Ops[i].Out.C == 0 {
 			shared = append(shared, i)
 		}
 		if len(shared) == 2 {

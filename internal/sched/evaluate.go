@@ -12,8 +12,8 @@ import (
 // resident producer outputs instead of loaded from DRAM.
 type loadRec struct {
 	id     tile.ID
-	n      int32
 	size   int64
+	n      int32
 	gather bool
 }
 
@@ -122,15 +122,15 @@ func (e *engine) touch(ev *setEval, id *tile.ID, n int32, load bool) bool {
 		}
 	}
 	e.fresh = append(e.fresh, n)
-	evs, err := mem.AllocateBound(*id, n, size, e.remain)
-	if err != nil && gather {
+	evs, ok := mem.AllocateBound(*id, n, size, e.remain)
+	if !ok && gather {
 		for _, ot := range e.pinned {
 			mem.Unpin(ot)
 		}
 		gather = false
-		evs, err = mem.AllocateBound(*id, n, size, e.remain)
+		evs, ok = mem.AllocateBound(*id, n, size, e.remain)
 	}
-	if err != nil {
+	if !ok {
 		return false
 	}
 	if load {

@@ -82,7 +82,7 @@ func (e *engine) less(a, b *setEval) bool {
 func (e *engine) chainDepth(ops []int) int {
 	d := 0
 	for _, op := range ops {
-		d += e.gr.Ops[op].IC
+		d += int(e.gr.Ops[op].In.C)
 	}
 	return d
 }

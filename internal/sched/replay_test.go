@@ -149,7 +149,7 @@ func TestFallbackScansWholeReadyQueue(t *testing.T) {
 	if len(ev.ops) != 1 {
 		t.Fatalf("fallback issued %v, want a single op", ev.ops)
 	}
-	if op := gr.Ops[ev.ops[0]]; op.OH != 32 || op.OW != 32 || op.OC != 0 {
+	if op := gr.Ops[ev.ops[0]]; op.Out.A != 32 || op.Out.B != 32 || op.Out.C != 0 {
 		t.Errorf("fallback chose %v, want the first corner op", op)
 	}
 	if got, want := len(e.facts.keys), 3*len(e.ready); got != want {

@@ -564,7 +564,7 @@ func (e *engine) recycle() {
 // all be its consumers' holds, which no load serves.
 func (e *engine) owe(id tile.ID, size int64, owing bool) {
 	n := e.gr.Num(id)
-	if e.reload[n] == owing || id.Kind == tile.Out && id.L < e.gr.LastLayer() {
+	if e.reload[n] == owing || id.Kind == tile.Out && int(id.L) < e.gr.LastLayer() {
 		return
 	}
 	e.reload[n] = owing
@@ -666,7 +666,7 @@ func (e *engine) memOps(ev *setEval) (int64, error) {
 		if !sp.Dirty || e.marks[i] {
 			continue // clean evictions drop data without traffic
 		}
-		if sp.ID.Kind == tile.Out && sp.ID.L < e.gr.LastLayer() && sp.RemainUses == 0 {
+		if sp.ID.Kind == tile.Out && int(sp.ID.L) < e.gr.LastLayer() && sp.RemainUses == 0 {
 			continue // dead intermediate output: dropped without ever touching DRAM
 		}
 		kind := sim.Spill
@@ -848,7 +848,7 @@ func (e *engine) account(rec sim.MemRecord) {
 		ks.WritebackBytes += rec.Bytes
 		ks.WritebackCount++
 		e.tot.WritebackBytes += rec.Bytes
-		if rec.Tile.Kind == tile.Out && rec.Tile.L == e.gr.LastLayer() {
+		if rec.Tile.Kind == tile.Out && int(rec.Tile.L) == e.gr.LastLayer() {
 			e.owed.WritebackBytes -= rec.Bytes
 		}
 	case sim.Gather:
@@ -871,7 +871,7 @@ func (e *engine) flush() {
 			continue
 		}
 		n := e.gr.Num(b.ID)
-		if b.ID.Kind == tile.Out && b.ID.L < e.gr.LastLayer() && e.remain[n] == 0 {
+		if b.ID.Kind == tile.Out && int(b.ID.L) < e.gr.LastLayer() && e.remain[n] == 0 {
 			continue
 		}
 		lat := e.cfg.Model.TransferCycles(b.Size)

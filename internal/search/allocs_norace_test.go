@@ -74,9 +74,10 @@ func warmBytes(f func()) uint64 {
 // TestSearchLayerBytes holds one warm exhaustive search of a pressured
 // layer — vgg16/4 conv2_2 on arch5 (four cores), quick budget,
 // DisableDominance, one worker, so every run finishes and the keep
-// refuses each one that loses its tiling — to a byte ceiling: 617 232
-// bytes, against 890 928 when every finished run copies its records out
-// before the keep drops it. The collector is off while it measures.
+// refuses each one that loses its tiling — to a byte ceiling: 453 984
+// bytes, against 607 680 with 40-byte tile IDs and 890 928 when every
+// finished run copies its records out before the keep drops it. The
+// collector is off while it measures.
 func TestSearchLayerBytes(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	n, err := nets.ByName("vgg16")
@@ -92,7 +93,7 @@ func TestSearchLayerBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Arch: a, Budget: QuickBudget(), DisableDominance: true, Workers: 1}
-	const ceiling = 680_000
+	const ceiling = 500_000
 	if b := warmBytes(func() {
 		if _, err := SearchLayer(l, opts); err != nil {
 			t.Fatal(err)
@@ -104,8 +105,10 @@ func TestSearchLayerBytes(t *testing.T) {
 
 // TestFusionPassBytes holds a warm fusion pass over three fusable layers
 // on arch5 — a segment accepted over two layers, then grown to three —
-// to a byte ceiling: 193 952 bytes, against 469 248 when each candidate
-// segment's graph is built in fresh storage instead of a pooled one.
+// to a byte ceiling: 71 328 bytes, against 193 792 with 40-byte tile IDs
+// and each verification cloning the records and sizing its tables anew,
+// and 469 248 when each candidate segment's graph is built in fresh
+// storage instead of a pooled one.
 func TestFusionPassBytes(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	n := fusePairNet()
@@ -118,7 +121,7 @@ func TestFusionPassBytes(t *testing.T) {
 	}
 	opts.FuseDepth = 2
 	var segments int
-	const ceiling = 240_000
+	const ceiling = 80_000
 	if b := warmBytes(func() {
 		nr := &NetworkResult{Layers: base.Layers}
 		if err := fuseNetwork(context.Background(), nr, opts); err != nil {

@@ -846,6 +846,44 @@ func (nr *NetworkResult) DegradedRatio() float64 {
 	return float64(deg) / float64(oooLat)
 }
 
+// networkSearch is what the workers of one network search share, pooled
+// with its functions bound once, like layerSearch. Each layer searches
+// under opts, the network's options with their progress stamped: the
+// per-layer searches' candidate events carry the layers done, and each
+// finished layer emits one LayerDone event (cache hits included — they
+// produce no candidate events of their own).
+type networkSearch struct {
+	ctx      context.Context
+	nr       *NetworkResult
+	layers   []layer.Conv
+	errs     []error
+	opts     Options
+	optsKey  []byte
+	emit     ProgressFunc // the caller's progress
+	done     atomic.Int64
+	work     func(i int)         // s.layer
+	progress func(ProgressEvent) // s.stamp
+}
+
+var networkSearches = sync.Pool{New: func() any {
+	s := new(networkSearch)
+	s.work, s.progress = s.layer, s.stamp
+	return s
+}}
+
+func (s *networkSearch) layer(i int) {
+	l := s.layers[i]
+	s.nr.Layers[i], s.errs[i] = s.opts.Cache.Layer(s.ctx, layerKey(l, s.optsKey), l, s.opts)
+	if s.emit != nil && s.errs[i] == nil {
+		s.emit(ProgressEvent{Layer: l.Name, LayerDone: true, LayersDone: int(s.done.Add(1)), LayersTotal: len(s.layers)})
+	}
+}
+
+func (s *networkSearch) stamp(ev ProgressEvent) {
+	ev.LayersDone, ev.LayersTotal = int(s.done.Load()), len(s.layers)
+	s.emit(ev)
+}
+
 // SearchNetwork searches every layer of the network. Layers run
 // concurrently above one worker; repeated layer shapes are served from
 // the cache.
@@ -868,31 +906,17 @@ func SearchNetworkCtx(ctx context.Context, n nets.Network, opts Options) (*Netwo
 	}
 	nr := &NetworkResult{Network: n.Name, Arch: opts.Arch.Name, Layers: make([]*LayerResult, len(n.Layers))}
 	errs := make([]error, len(n.Layers))
-	// Network-level progress: candidate events from the per-layer
-	// searches are stamped with the layers-done counter, and each
-	// finished layer emits one LayerDone event (cache hits included —
-	// they produce no candidate events of their own).
-	emit := opts.Progress
-	var layersDone atomic.Int64
-	total := len(n.Layers)
-	optsKey := appendOptionsKey(make([]byte, 0, 512), opts) // once for all layers' keys
-	lopts := opts
-	if emit != nil {
-		lopts.Progress = func(ev ProgressEvent) {
-			ev.LayersDone = int(layersDone.Load())
-			ev.LayersTotal = total
-			emit(ev)
-		}
+	s := networkSearches.Get().(*networkSearch)
+	s.ctx, s.nr, s.layers, s.errs, s.opts, s.emit = ctx, nr, n.Layers, errs, opts, opts.Progress
+	s.optsKey = appendOptionsKey(s.optsKey[:0], opts) // once for all layers' keys
+	if s.emit != nil {
+		s.opts.Progress = s.progress
 	}
 	// No slot is held for a layer: a layer waiting on another's search for
 	// its shape must not keep that search's tilings from the pool.
-	forEach(ctx, len(n.Layers), opts.workers(), nil, func(i int) {
-		l := n.Layers[i]
-		nr.Layers[i], errs[i] = lopts.Cache.Layer(ctx, layerKey(l, optsKey), l, lopts)
-		if emit != nil && errs[i] == nil {
-			emit(ProgressEvent{Layer: l.Name, LayerDone: true, LayersDone: int(layersDone.Add(1)), LayersTotal: total})
-		}
-	})
+	forEach(ctx, len(n.Layers), opts.workers(), nil, s.work)
+	*s = networkSearch{optsKey: s.optsKey, work: s.work, progress: s.progress}
+	networkSearches.Put(s)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/flexer-sched/flexer/internal/layer"
+	"github.com/flexer-sched/flexer/internal/nets"
 )
 
 // TestCacheSnapshotRoundTrip is the warm-restart path: search, save,
@@ -98,6 +101,51 @@ func TestCacheSnapshotIsDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(first.Bytes(), reloaded.Bytes()) {
 		t.Error("the snapshot of a cache loaded from a snapshot differs from it")
+	}
+}
+
+// TestCacheSnapshotFromIntTileIDs loads
+// testdata/snapshot_v4_int_tile_ids.gob, the snapshot of vgg16/4's first
+// two layers on arch1 at the quick budget (one worker) written when
+// tile.ID's coordinates and layer were int: gob decodes them into the
+// narrower fields, so a version 4 snapshot stays good. Its entries
+// answer the keys a fresh search of those layers caches, and a save of
+// the loaded cache is the same bytes as a save of the fresh one.
+func TestCacheSnapshotFromIntTileIDs(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "snapshot_v4_int_tile_ids.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	loaded := NewCache()
+	if n, err := loaded.LoadFrom(f); err != nil || n != 2 {
+		t.Fatalf("LoadFrom = %d, %v; want 2 entries", n, err)
+	}
+
+	opts := quickOpts(t, "arch1")
+	opts.Workers = 1
+	opts.Cache = NewCache()
+	n, err := nets.ByName("vgg16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range n.Scale(4).Layers[:2] {
+		if _, err := SearchLayer(l, opts); err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Lookup(CacheKey(l, opts), l, nil) == nil {
+			t.Errorf("loaded snapshot has no entry for %s's key %q", l.Name, CacheKey(l, opts))
+		}
+	}
+	var fresh, reloaded bytes.Buffer
+	if _, err := opts.Cache.SaveTo(&fresh); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loaded.SaveTo(&reloaded); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fresh.Bytes(), reloaded.Bytes()) {
+		t.Error("the loaded snapshot's entries differ from a fresh search's")
 	}
 }
 

@@ -98,13 +98,23 @@ func poisonCache(t *testing.T, srv *Server, req LayerRequest) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The header is what an empty cache's snapshot opens with, so it
+	// carries this build's magic and version.
+	var header struct {
+		Magic   string
+		Version int
+	}
 	var snap bytes.Buffer
+	if _, err := search.NewCache().SaveTo(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(&snap).Decode(&header); err != nil {
+		t.Fatal(err)
+	}
+	snap.Reset()
 	enc := gob.NewEncoder(&snap)
 	for _, v := range []any{
-		struct {
-			Magic   string
-			Version int
-		}{"flexer-cache-snapshot", 4},
+		header,
 		1,
 		struct {
 			Key    string

@@ -2,10 +2,19 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/flexer-sched/flexer/internal/fault"
 	"github.com/flexer-sched/flexer/internal/tile"
 )
+
+// TestMemRecordSize pins a memory record at 48 bytes: a schedule keeps
+// one per load, gather, spill and write-back.
+func TestMemRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(MemRecord{}); got != 48 {
+		t.Errorf("sim.MemRecord is %d bytes, want 48", got)
+	}
+}
 
 func TestNewPanicsOnBadCores(t *testing.T) {
 	defer func() {

@@ -463,22 +463,31 @@ func (e *ErrNoSpace) Error() string {
 // owned by the SPM, valid only until the next Allocate call; callers
 // that keep evictions must copy them out.
 func (s *SPM) Allocate(id tile.ID, size int64, remainUses func(tile.ID) int) ([]Eviction, error) {
-	return s.allocate(id, s.num(id), size, useCounts{fn: remainUses})
+	if size <= 0 {
+		return nil, fmt.Errorf("spm: allocation size must be positive, got %d for %v", size, id)
+	}
+	evs, ok := s.allocate(id, s.num(id), size, useCounts{fn: remainUses})
+	if !ok {
+		return evs, &ErrNoSpace{ID: id, Size: size}
+	}
+	return evs, nil
 }
 
 // AllocateBound is Allocate on a bound scratchpad (Bind) of tile id
 // numbered n, for a caller that keeps the remaining-use counts in a
 // table by tile number: the victim search then reads a block's count
-// without naming its tile. The block keeps id, its evictions' name.
-func (s *SPM) AllocateBound(id tile.ID, n int32, size int64, remain []int32) ([]Eviction, error) {
+// without naming its tile. The block keeps id, its evictions' name. A
+// request Allocate refuses reports false: a failed placement allocates
+// no error value.
+func (s *SPM) AllocateBound(id tile.ID, n int32, size int64, remain []int32) ([]Eviction, bool) {
 	return s.allocate(id, n, size, useCounts{tab: remain})
 }
 
 // allocate places tile id numbered n, -1 when the first-seen numbering
-// has not met it yet.
-func (s *SPM) allocate(id tile.ID, n int32, size int64, remain useCounts) ([]Eviction, error) {
+// has not met it yet, or reports false.
+func (s *SPM) allocate(id tile.ID, n int32, size int64, remain useCounts) ([]Eviction, bool) {
 	if size <= 0 {
-		return nil, fmt.Errorf("spm: allocation size must be positive, got %d for %v", size, id)
+		return nil, false
 	}
 	if n < 0 {
 		n = int32(len(s.index))
@@ -486,10 +495,10 @@ func (s *SPM) allocate(id tile.ID, n int32, size int64, remain useCounts) ([]Evi
 		s.index = append(s.index, 0)
 	} else if s.index[n] != 0 {
 		s.regs[s.find(s.index[n]-1)].pin = true
-		return nil, nil
+		return nil, true
 	}
 	if size > s.cap {
-		return nil, &ErrNoSpace{ID: id, Size: size}
+		return nil, false
 	}
 
 	// 1. In-place replacement: an equally-sized, dead, unpinned block.
@@ -512,14 +521,14 @@ func (s *SPM) allocate(id tile.ID, n int32, size int64, remain useCounts) ([]Evi
 			ev := s.evictAt(best, remain)
 			s.place(best, id, n, size)
 			s.evScratch = append(s.evScratch[:0], ev)
-			return s.evScratch, nil
+			return s.evScratch, true
 		}
 	}
 
 	// 2. Best-fit free region.
 	if best := s.bestFit(size); best >= 0 {
 		s.place(best, id, n, size)
-		return nil, nil
+		return nil, true
 	}
 
 	// 3. Spill victims according to the policy.
@@ -534,9 +543,9 @@ func (s *SPM) allocate(id tile.ID, n int32, size int64, remain useCounts) ([]Evi
 		victims, ok = s.findAlg2Run(size, remain)
 	}
 	if !ok {
-		return nil, &ErrNoSpace{ID: id, Size: size}
+		return nil, false
 	}
-	return s.evictRunAndPlace(victims, id, n, size, remain)
+	return s.evictRunAndPlace(victims, id, n, size, remain), true
 }
 
 // bestFit returns the index of the smallest free region that holds
@@ -681,7 +690,7 @@ func (s *SPM) findFirstFitRun(size int64) (run, bool) {
 // evictRunAndPlace evicts the allocated regions inside the window,
 // coalesces the result into one free region, and places the new block
 // at its start.
-func (s *SPM) evictRunAndPlace(w run, id tile.ID, n int32, size int64, remain useCounts) ([]Eviction, error) {
+func (s *SPM) evictRunAndPlace(w run, id tile.ID, n int32, size int64, remain useCounts) []Eviction {
 	startAddr := s.regs[w.lo].addr
 	evs := s.evScratch[:0]
 	for i := w.lo; i <= w.hi; i++ {
@@ -700,19 +709,20 @@ func (s *SPM) evictRunAndPlace(w run, id tile.ID, n int32, size int64, remain us
 		panic("spm: evicted window is not free")
 	}
 	s.place(i, id, n, size)
-	return evs, nil
+	return evs
 }
 
 // allocateSmallestFirst is MemPolicy2: repeatedly evict the smallest
-// unpinned block until a free region large enough exists.
-func (s *SPM) allocateSmallestFirst(id tile.ID, n int32, size int64, remain useCounts) ([]Eviction, error) {
+// unpinned block until a free region large enough exists; on false, the
+// blocks it returns were evicted all the same.
+func (s *SPM) allocateSmallestFirst(id tile.ID, n int32, size int64, remain useCounts) ([]Eviction, bool) {
 	evs := s.evScratch[:0]
 	defer func() { s.evScratch = evs }()
 	for {
 		// A free region may have become large enough.
 		if best := s.bestFit(size); best >= 0 {
 			s.place(best, id, n, size)
-			return evs, nil
+			return evs, true
 		}
 		smallest := -1
 		for i := range s.regs {
@@ -725,7 +735,7 @@ func (s *SPM) allocateSmallestFirst(id tile.ID, n int32, size int64, remain useC
 			}
 		}
 		if smallest < 0 {
-			return evs, &ErrNoSpace{ID: id, Size: size}
+			return evs, false
 		}
 		evs = append(evs, s.evictAt(smallest, remain))
 		s.coalesceAround(smallest)

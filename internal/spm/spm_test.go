@@ -2,9 +2,21 @@ package spm
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/flexer-sched/flexer/internal/tile"
 )
+
+// TestBlockSizes pins an eviction and a region at 40 bytes each: a
+// checkpoint copies the regions, and a set's evaluation the evictions.
+func TestBlockSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Eviction{}); got != 40 {
+		t.Errorf("spm.Eviction is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(region{}); got != 40 {
+		t.Errorf("spm region is %d bytes, want 40", got)
+	}
+}
 
 // The scratchpad's inspection and eviction calls that only its tests
 // make.
@@ -35,7 +47,9 @@ func (s *SPM) Evict(id tile.ID, remainUses func(tile.ID) int) (Eviction, bool) {
 }
 
 // mkID builds distinct tile IDs for tests.
-func mkID(n int) tile.ID { return tile.ID{Kind: tile.Kind(n % 3), A: n, B: n / 3, C: n / 7} }
+func mkID(n int) tile.ID {
+	return tile.ID{Kind: tile.Kind(n % 3), A: int32(n), B: int32(n / 3), C: int32(n / 7)}
+}
 
 // noUses reports zero remaining uses for every tile.
 func noUses(tile.ID) int { return 0 }

@@ -11,7 +11,7 @@ import (
 type testNums int
 
 func (n testNums) NumTiles() int    { return int(n) }
-func (testNums) Num(id tile.ID) int { return id.A }
+func (testNums) Num(id tile.ID) int { return int(id.A) }
 
 // twin is one scratchpad run twice in lockstep: interned — tiles
 // numbered as first seen, named by tile.ID, remaining uses asked of the
@@ -63,12 +63,12 @@ func (w *twin) Allocate(id tile.ID, size int64, ru func(tile.ID) int) ([]Evictio
 	}
 	evA, errA := w.interned.Allocate(id, size, ru)
 	evA = slices.Clone(evA)
-	evB, errB := w.bound.AllocateBound(id, num(id), size, w.tab)
-	if !slices.Equal(evA, evB) || (errA == nil) != (errB == nil) {
-		w.t.Fatalf("Allocate(%v, %d): interned evicts %+v (%v), bound evicts %+v (%v)", id, size, evA, errA, evB, errB)
+	evB, okB := w.bound.AllocateBound(id, num(id), size, w.tab)
+	if !slices.Equal(evA, evB) || (errA == nil) != okB {
+		w.t.Fatalf("Allocate(%v, %d): interned evicts %+v (%v), bound evicts %+v (placed %v)", id, size, evA, errA, evB, okB)
 	}
 	w.agree("Allocate")
-	return evB, errB
+	return evB, errA
 }
 
 func (w *twin) Evict(id tile.ID, ru func(tile.ID) int) (Eviction, bool) {

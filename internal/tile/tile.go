@@ -10,6 +10,7 @@ package tile
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/flexer-sched/flexer/internal/layer"
 )
@@ -56,10 +57,16 @@ const NumKinds = int(numKinds)
 // L is the layer index within a fused multi-layer graph. Single-layer
 // graphs leave it zero, so IDs (and everything keyed by them) are
 // unchanged from the layerwise scheduler.
+//
+// An ID is 16 bytes: every op, schedule record and scratchpad block
+// carries one to three. NewGridInto refuses a dimension of more than
+// math.MaxInt32 blocks and dfg.BuildFused a stack of more than
+// math.MaxInt16 layers, so no coordinate is truncated. L stays signed so
+// that gob decodes a snapshot written when it was an int.
 type ID struct {
 	Kind    Kind
-	A, B, C int
-	L       int
+	L       int16
+	A, B, C int32
 }
 
 // String renders the ID, e.g. "IN(1,0,2)"; tiles of fused layers past
@@ -131,6 +138,11 @@ func NewGridInto(dst *Grid, l layer.Conv, f Factors) (*Grid, error) {
 	}
 	var classes [16]Class
 	c, _ := CutsOf(l, f, classes[:0])
+	for _, d := range c.Dim {
+		if d.N > math.MaxInt32 {
+			return nil, fmt.Errorf("tile: %s cuts %s into %d blocks along one dimension, more than a tile ID holds", f, l.Name, d.N)
+		}
+	}
 	*dst = Grid{
 		Layer:   l,
 		F:       Factors{OH: c.Dim[0].Per, OW: c.Dim[1].Per, OC: c.Dim[2].Per, IC: c.Dim[3].Per},
@@ -198,14 +210,14 @@ func (g *Grid) Index(id ID) int {
 	if uint(id.A) >= uint(a) || uint(id.B) >= uint(b) || uint(id.C) >= uint(c) {
 		return -1
 	}
-	return (id.A*b+id.B)*c + id.C
+	return (int(id.A)*b+int(id.B))*c + int(id.C)
 }
 
 // TileAt is the inverse of Index: the tile of kind k at position i
 // (L zero).
 func (g *Grid) TileAt(k Kind, i int) ID {
 	_, b, c := g.dims(k)
-	return ID{Kind: k, A: i / (b * c), B: i / c % b, C: i % c}
+	return ID{Kind: k, A: int32(i / (b * c)), B: int32(i / c % b), C: int32(i % c)}
 }
 
 // Size returns the byte size of the tile identified by id.
@@ -273,9 +285,9 @@ func (g *Grid) TotalTileBytes(k Kind) int64 {
 // form over the tiling's Cuts (CutsOf) to it.
 func (g *Grid) SumTiles(k Kind, cost func(bytes int64) int64) (bytes, costs int64) {
 	na, nb, nc := g.dims(k)
-	for a := range na {
-		for b := range nb {
-			for c := range nc {
+	for a := range int32(na) {
+		for b := range int32(nb) {
+			for c := range int32(nc) {
 				sz := g.Size(ID{Kind: k, A: a, B: b, C: c})
 				bytes += sz
 				if cost != nil {

@@ -1,16 +1,41 @@
 package tile
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/flexer-sched/flexer/internal/layer"
 )
 
 func testLayer() layer.Conv {
 	return layer.NewConv("t", 14, 14, 48, 40, 3)
+}
+
+// TestIDSize pins a tile ID at 16 bytes: ops, schedule records and
+// scratchpad blocks carry one to three each.
+func TestIDSize(t *testing.T) {
+	if got := unsafe.Sizeof(ID{}); got != 16 {
+		t.Errorf("tile.ID is %d bytes, want 16", got)
+	}
+}
+
+// TestGridRefusesBlocksAnIDCannotNumber: a dimension cut into more than
+// math.MaxInt32 blocks is an error, not a truncated coordinate. The
+// refusal comes before the grid's per-block tables are sized.
+func TestGridRefusesBlocksAnIDCannotNumber(t *testing.T) {
+	for _, l := range []layer.Conv{
+		layer.NewConv("wide-out", 1, 1, 1, math.MaxInt32+1, 1),
+		layer.NewConv("wide-in", 1, 1, math.MaxInt32+1, 1, 1),
+	} {
+		if g, err := NewGrid(l, Factors{OH: 1, OW: 1, OC: 1, IC: 1}); err == nil || !strings.Contains(err.Error(), "blocks") {
+			t.Errorf("%s: NewGrid = %v, %v; want a block-count error", l.Name, g, err)
+		}
+	}
 }
 
 func TestGridBlockCounts(t *testing.T) {
@@ -68,9 +93,9 @@ func TestOutputCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sum int64
-	for h := 0; h < g.NOH; h++ {
-		for w := 0; w < g.NOW; w++ {
-			for c := 0; c < g.NOC; c++ {
+	for h := range int32(g.NOH) {
+		for w := range int32(g.NOW) {
+			for c := range int32(g.NOC) {
 				sum += g.Size(ID{Kind: Out, A: h, B: w, C: c})
 			}
 		}
@@ -88,8 +113,8 @@ func TestWeightCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sum int64
-	for c := 0; c < g.NOC; c++ {
-		for i := 0; i < g.NIC; i++ {
+	for c := range int32(g.NOC) {
+		for i := range int32(g.NIC) {
 			sum += g.Size(ID{Kind: Wt, A: c, B: i})
 		}
 	}
@@ -214,22 +239,22 @@ func TestSizesPositive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for h := 0; h < g.NOH; h++ {
-			for w := 0; w < g.NOW; w++ {
-				for i := 0; i < g.NIC; i++ {
+		for h := range int32(g.NOH) {
+			for w := range int32(g.NOW) {
+				for i := range int32(g.NIC) {
 					if g.Size(ID{Kind: In, A: h, B: w, C: i}) <= 0 {
 						return false
 					}
 				}
-				for c := 0; c < g.NOC; c++ {
+				for c := range int32(g.NOC) {
 					if g.Size(ID{Kind: Out, A: h, B: w, C: c}) <= 0 {
 						return false
 					}
 				}
 			}
 		}
-		for c := 0; c < g.NOC; c++ {
-			for i := 0; i < g.NIC; i++ {
+		for c := range int32(g.NOC) {
+			for i := range int32(g.NIC) {
 				if g.Size(ID{Kind: Wt, A: c, B: i}) <= 0 {
 					return false
 				}

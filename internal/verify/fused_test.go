@@ -164,7 +164,7 @@ func TestVerifyRejectsCorruptedFusedSchedules(t *testing.T) {
 			"drop a final-layer writeback",
 			func(r *sched.Result) {
 				for i, m := range r.MemRecords {
-					if m.Kind == sim.Writeback && m.Tile.L == gr.LastLayer() {
+					if m.Kind == sim.Writeback && int(m.Tile.L) == gr.LastLayer() {
 						r.MemRecords = append(r.MemRecords[:i], r.MemRecords[i+1:]...)
 						return
 					}

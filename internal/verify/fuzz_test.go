@@ -147,11 +147,11 @@ func mutate(r *sched.Result, what uint8, rec int, v int64) *sched.Result {
 	case 5:
 		m.Kind = sim.MemKind(v)
 	case 6:
-		m.Tile.A = int(v)
+		m.Tile.A = int32(v)
 	case 7:
 		m.Tile.Kind = tile.Kind(v)
 	case 8:
-		m.Tile.L = int(v)
+		m.Tile.L = int16(v)
 	case hoistReload:
 		var pairs [][2]int // (spill, reload) indices into MemRecords
 		for i, ld := range c.MemRecords {

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/dfg"
@@ -61,20 +62,24 @@ func ScheduleFaults(gr *dfg.Graph, r *sched.Result, cfg arch.Config, plan *fault
 	if err := plan.Validate(cfg.Cores); err != nil {
 		return fmt.Errorf("verify: %w", err)
 	}
-	ops := slices.Clone(r.OpRecords)
-	slices.SortStableFunc(ops, func(a, b sim.OpRecord) int { return cmp.Compare(a.Start, b.Start) })
-	mems := slices.Clone(r.MemRecords)
-	slices.SortStableFunc(mems, func(a, b sim.MemRecord) int { return cmp.Compare(a.Start, b.Start) })
-	v := &replay{gr: gr, plan: plan, model: model.New(cfg), dmaEnd: math.MinInt64, tiles: make([]tileState, gr.NumTiles()),
-		end: make([]int64, len(gr.Ops)), coreEnd: make([]int64, max(cfg.Cores, 0))}
-	// Machine order: by start cycle, a transfer first on a tie. A transfer
+	v := replays.Get().(*replay)
+	defer func() { v.gr, v.plan = nil, nil; replays.Put(v) }()
+	ops, mems := r.OpRecords, r.MemRecords
+	*v = replay{gr: gr, plan: plan, model: model.New(cfg), dmaEnd: math.MinInt64, end: zeroed(v.end, len(gr.Ops)),
+		coreEnd: zeroed(v.coreEnd, max(cfg.Cores, 0)), tiles: zeroed(v.tiles, gr.NumTiles()),
+		opOrder: indices(v.opOrder, len(ops)), memOrder: indices(v.memOrder, len(mems))}
+	opOrder, memOrder := v.opOrder, v.memOrder
+	slices.SortFunc(opOrder, func(a, b int32) int { return cmp.Or(cmp.Compare(ops[a].Start, ops[b].Start), cmp.Compare(a, b)) })
+	slices.SortFunc(memOrder, func(a, b int32) int { return cmp.Or(cmp.Compare(mems[a].Start, mems[b].Start), cmp.Compare(a, b)) })
+	// Machine order: by start cycle, a transfer first on a tie, records
+	// of one kind that start together in the order given. A transfer
 	// that starts on the cycle an op writes a tile precedes that write.
 	for oi, mi := 0, 0; oi < len(ops) || mi < len(mems); {
 		var err error
-		if mi < len(mems) && (oi == len(ops) || mems[mi].Start <= ops[oi].Start) {
-			err, mi = v.transfer(mems[mi]), mi+1
+		if mi < len(mems) && (oi == len(ops) || mems[memOrder[mi]].Start <= ops[opOrder[oi]].Start) {
+			err, mi = v.transfer(&mems[memOrder[mi]]), mi+1
 		} else {
-			err, oi = v.op(ops[oi]), oi+1
+			err, oi = v.op(&ops[opOrder[oi]]), oi+1
 		}
 		if err != nil {
 			return err
@@ -91,7 +96,9 @@ func ScheduleFaults(gr *dfg.Graph, r *sched.Result, cfg arch.Config, plan *fault
 }
 
 // replay is the machine state the pass carries, in tables by op index,
-// by core and by the graph's tile number (dfg.Graph.NumOK).
+// by core and by the graph's tile number (dfg.Graph.NumOK), and the
+// records' machine order. Its storage is pooled (replays): a caller
+// verifying schedule after schedule sizes the tables once.
 type replay struct {
 	gr      *dfg.Graph
 	plan    *fault.Plan
@@ -100,6 +107,26 @@ type replay struct {
 	coreEnd []int64 // by core: the end of the last op visited on it
 	dmaEnd  int64   // the end of the last transfer visited
 	tiles   []tileState
+
+	opOrder, memOrder []int32 // the records' indices in machine order
+}
+
+var replays = sync.Pool{New: func() any { return new(replay) }}
+
+// zeroed returns s with length n and every element zero, reusing it.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// indices returns 0, 1, ..., n-1 in dst's storage.
+func indices(dst []int32, n int) []int32 {
+	dst = dst[:0]
+	for i := range int32(n) {
+		dst = append(dst, i)
+	}
+	return dst
 }
 
 // tileState is what the pass has seen of one tile.
@@ -117,7 +144,7 @@ type tileState struct {
 func (v *replay) ended(i int, t int64) bool { return v.end[i] > 0 && v.end[i] <= t }
 
 // op checks one op record against the state before it and records it.
-func (v *replay) op(rec sim.OpRecord) error {
+func (v *replay) op(rec *sim.OpRecord) error {
 	i := rec.Op
 	death, dead := v.plan.DeathCycle(rec.NPU)
 	switch {
@@ -166,7 +193,7 @@ func (v *replay) op(rec sim.OpRecord) error {
 
 // transfer checks one DMA record against the state before it and
 // records what it moves.
-func (v *replay) transfer(m sim.MemRecord) error {
+func (v *replay) transfer(m *sim.MemRecord) error {
 	if m.Start < v.dmaEnd {
 		return fmt.Errorf("verify: DMA transfer %s of %v at %d overlaps the one before it", m.Kind, m.Tile, m.Start)
 	}
