@@ -7,7 +7,7 @@ GO ?= go
 # internal/search + internal/dfg + internal/sched.
 COVER_MIN ?= 70
 
-.PHONY: check build vet test hit-allocs test-short loc loc-check exports fairness cluster-e2e bench bench-smoke repo-bench-smoke experiments bench-guard paper-guard fuzz-smoke lint cover cover-check run-flexerd
+.PHONY: check build vet test hit-allocs test-short loc loc-check exports doc-names fairness cluster-e2e bench bench-smoke repo-bench-smoke experiments bench-guard paper-guard fuzz-smoke lint cover cover-check run-flexerd
 
 check: build vet test
 
@@ -39,9 +39,10 @@ endef
 # of the experiment harness (the registry and its command), of the
 # schedule replay's readers (verify, trace, stats: ROADMAP's replay
 # item budgets against their sum), and of the repository outside
-# bench/; plus the lines of docs/ARCHITECTURE.md, which ROADMAP wants
-# back to a map. CI's check job echoes this, so each PR's log records progress
-# against the line targets.
+# bench/; plus the lines of docs/ARCHITECTURE.md, kept a map, and of
+# every page under docs/, so text moved out of the map shows as growth
+# elsewhere. CI's check job echoes this, so each PR's log records
+# progress against the line targets.
 loc:
 	@for d in internal/sched internal/search internal/serve internal/spm internal/dfg; do \
 		printf '%-24s %6d\n' $$d $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
@@ -50,6 +51,7 @@ loc:
 	@printf '%-24s %6d\n' experiments+flexerbench $$(find internal/experiments cmd/flexerbench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 	@printf '%-24s %6d\n' verify+trace+stats $$(find internal/verify internal/trace internal/stats -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 	@printf '%-24s %6d\n' docs/ARCHITECTURE.md $$(wc -l < docs/ARCHITECTURE.md)
+	@printf '%-24s %6d\n' 'docs (all .md)' $$(find docs -name '*.md' | xargs cat | wc -l)
 	@printf '%-24s %6d\n' 'total (no bench)' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 
 # The ratchet on those counts: fail when a row of `make loc` exceeds its
@@ -72,6 +74,13 @@ loc-check:
 # runs the same test.
 exports:
 	$(call named-tests,-count=1,TestTestOnlyExports,./scripts)
+
+# Every Go identifier, test function and file docs/ARCHITECTURE.md names
+# in a code span exists (scripts/docnames_test.go, the same type-checked
+# load as exports), so the map cannot point at code that moved or went.
+# `go test ./...` runs the same test.
+doc-names:
+	$(call named-tests,-count=1,TestArchitectureNamesExist,./scripts)
 
 # The allocation ceilings of the cache-hit path (a unary layer hit and
 # a unary network hit through the handler, the cache key), of the tiling

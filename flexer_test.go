@@ -237,9 +237,9 @@ func TestMetrics(t *testing.T) {
 
 // TestRepairScheduleRejectsForeignSchedule: RepairSchedule re-plans the
 // schedule it is handed on the graph of the layer it is handed. Given a
-// schedule of another layer it used to return, without an error, a
-// "repair" mixing the two tilings — more op records than the schedule
-// had ops. It must fail and say why; so must a schedule that moves a
+// schedule of another layer it must not return a "repair" mixing the
+// two tilings (more op records than the schedule had ops), but fail and
+// say why; so must a schedule that moves a
 // tile the layer's grid does not have, and one of the same layer and
 // tiling built under another spill policy.
 func TestRepairScheduleRejectsForeignSchedule(t *testing.T) {

@@ -8,9 +8,9 @@
 // The package is transport-agnostic glue: it probes peers over their
 // existing /v1/healthz endpoint and decides who should serve a key,
 // while internal/serve does the actual request forwarding (with an
-// X-Flexer-Forwarded hop guard) and cmd/flexerd wires the flags. The
-// design mirrors internal/fault one layer up: PR 5 schedules around
-// dead cores on chip, this package routes around dead peers off chip.
+// X-Flexer-Forwarded hop guard) and cmd/flexerd wires the flags. It
+// is internal/fault one layer up: the scheduler plans around dead cores
+// on chip, this package routes around dead peers off chip.
 package cluster
 
 import (

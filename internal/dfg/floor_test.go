@@ -34,15 +34,16 @@ func walkFloor(g *tile.Grid, m model.Model) (opCycles int64, bytes, cycles [tile
 }
 
 // checkBlocks fails t unless every block of g has the extents the layer
-// gives it block by block, the derivation a Grid's expansion of its
-// Cuts replaced: block b of a dimension cut into blocks of per covers
-// min(per, total − b·per) output elements and reads the input span
-// layer.InputRange clips for them.
+// gives it block by block, not by classes: block b of a dimension cut
+// into blocks of per covers min(per, total − b·per) output elements and
+// reads the input span layer.InputRange clips for them, which
+// InRowRange and InColRange return — start and count, (0, 0) for a
+// block whose window lies wholly in padding.
 func checkBlocks(t *testing.T, g *tile.Grid) {
 	t.Helper()
 	l := g.Layer
 	type dim struct{ per, total, ker, stride, pad, in int }
-	var want [4][][2]int // by dimension and block: output and input extent
+	var want [4][][3]int // by dimension and block: output extent, input start and extent
 	for d, x := range [4]dim{
 		{g.F.OH, l.OutH(), l.KerH, l.StrideH, l.PadH, l.InH},
 		{g.F.OW, l.OutW(), l.KerW, l.StrideW, l.PadW, l.InW},
@@ -51,8 +52,8 @@ func checkBlocks(t *testing.T, g *tile.Grid) {
 	} {
 		for b := 0; b*x.per < x.total; b++ {
 			out := min(x.per, x.total-b*x.per)
-			_, in := layer.InputRange(b*x.per, out, x.ker, x.stride, x.pad, x.in)
-			want[d] = append(want[d], [2]int{out, in})
+			lo, in := layer.InputRange(b*x.per, out, x.ker, x.stride, x.pad, x.in)
+			want[d] = append(want[d], [3]int{out, lo, in})
 		}
 	}
 	if n := [4]int{g.NOH, g.NOW, g.NOC, g.NIC}; n != [4]int{len(want[0]), len(want[1]), len(want[2]), len(want[3])} {
@@ -65,10 +66,16 @@ func checkBlocks(t *testing.T, g *tile.Grid) {
 			at[d] = b
 			rows, cols, ochs, ichs := g.OpDims(at[0], at[1], at[2], at[3])
 			in := tile.ID{Kind: tile.In, A: int32(at[0]), B: int32(at[1]), C: int32(at[3])}
-			wantIn := int64(want[0][at[0]][1]) * int64(want[1][at[1]][1]) * int64(want[3][at[3]][0]) * int64(l.ElemBytes)
+			wantIn := int64(want[0][at[0]][2]) * int64(want[1][at[1]][2]) * int64(want[3][at[3]][0]) * int64(l.ElemBytes)
 			if got := [4]int{rows, cols, ochs, ichs}[d]; got != w[0] || g.Size(in) != wantIn {
 				t.Fatalf("%s %s: dimension %d block %d covers %d and %s is %d bytes; want %d and %d (input extent %d)",
-					l, g.F, d, b, got, in, g.Size(in), w[0], wantIn, w[1])
+					l, g.F, d, b, got, in, g.Size(in), w[0], wantIn, w[2])
+			}
+			if d < 2 {
+				lo, n := [2]func(int) (int, int){g.InRowRange, g.InColRange}[d](b)
+				if lo != w[1] || n != w[2] {
+					t.Fatalf("%s %s: dimension %d block %d reads input [%d, +%d), want [%d, +%d)", l, g.F, d, b, lo, n, w[1], w[2])
+				}
 			}
 		}
 	}
@@ -134,7 +141,9 @@ func TestFloorOfMatchesWalk(t *testing.T) {
 // cycles are the sum over its ops, and its sizes table sums to the
 // bytes.
 func FuzzFloor(f *testing.F) {
-	for _, seed := range []int64{1, 7, 42, 1234, 99999} {
+	// Seeds 17 and 48 draw blocks at both edges whose windows lie wholly
+	// in padding.
+	for _, seed := range []int64{1, 7, 17, 42, 48, 1234, 99999} {
 		f.Add(seed)
 	}
 	presets := arch.Presets()

@@ -202,8 +202,8 @@ func TestStringContainsShape(t *testing.T) {
 	}
 }
 
-// TestAppendMatchesFmt pins Append (and String, built on it) to the
-// Sprintf it replaced, over random shapes with zero and negative fields.
+// TestAppendMatchesFmt pins Append (and String, built on it) to a
+// Sprintf form, over random shapes with zero and negative fields.
 func TestAppendMatchesFmt(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	dim := func() int { return rng.Intn(300) - 20 }

@@ -154,7 +154,7 @@ func TestDimAndDataflowStrings(t *testing.T) {
 		t.Error("unknown dim renders empty")
 	}
 	// The rendering is part of every search cache key: pin it against
-	// the fmt form it replaced, unknown dims included.
+	// an fmt form, unknown dims included.
 	for _, df := range append(All(), Canonical()[0], Dataflow{Name: "odd", Perm: [4]Dim{9, OC, 200, IC}}, Dataflow{}) {
 		want := fmt.Sprintf("%s (%s,%s,%s,%s)", df.Name, df.Perm[0], df.Perm[1], df.Perm[2], df.Perm[3])
 		if got := df.String(); got != want {

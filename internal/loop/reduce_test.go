@@ -104,7 +104,7 @@ func TestReduceDecidesOrderEquality(t *testing.T) {
 	}
 }
 
-// TestOrderMatchesOracle holds Order to the implementation it replaced,
+// TestOrderMatchesOracle holds Order to its reference implementation,
 // on every twentieth benchmark tiling, for the 24 loop orders and for
 // Perms that are not permutations: a repeated loop, a loop that does
 // not exist.

@@ -64,9 +64,8 @@ var sinkSig []uint64
 // candidate as the set walk does it: going through the width-#cores
 // combinations of the window in lexicographic order, each one pops back
 // to the prefix it shares with the one before and pushes the rest, one
-// push deriving a signature from the prefix's. (Up to PR 18 this
-// benchmark timed signing such a combination from scratch, which is now
-// the test oracle's comboSignature.)
+// push deriving a signature from the prefix's. The oracle's
+// comboSignature signs a combination from scratch.
 func BenchmarkComboSignature(b *testing.B) {
 	for _, a := range benchMachines {
 		b.Run(a.Name, func(b *testing.B) {

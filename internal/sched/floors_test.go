@@ -19,8 +19,8 @@ import (
 // Config.Cutoff is asked with are floors, and a cycles-only predicate
 // abandons the runs the parent's rule did.
 
-// oracleCutoffRun is the run loop as it was before the floors: abandon
-// once the partial makespan exceeds k. It returns the steps taken.
+// oracleCutoffRun is the run loop under the partial-makespan rule:
+// abandon once the partial makespan exceeds k. It returns the steps taken.
 func oracleCutoffRun(e *engine, k int64) (steps int, err error) {
 	for e.nDone < len(e.gr.Ops) {
 		if err := e.step(); err != nil {
@@ -140,7 +140,14 @@ func drawFloorCase(next func(n int) int) (walkCase, bool) {
 // every priority and spill policy — half of them on a machine degraded
 // by a random fault plan, the floors hold (checkFloors) and the
 // look-ahead cutoff abandons the partial-makespan rule's runs, most of
-// them sooner.
+// them sooner. The cycles floor is the largest of three: the partial
+// makespan, which only grows; the cores' busy time plus the cycles still
+// to issue spread evenly, since ops never overlap on a core and the
+// latest core ends no earlier than the average; and the DMA channel's
+// busy time plus the loads still owed, since every transfer shares the
+// one channel. Their state is updated where a set is placed, an op
+// retires and a transfer is accounted, all inside the apply that
+// Repair's re-execution goes through too.
 func TestFloors(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	target := 120
@@ -190,8 +197,8 @@ func FuzzFloors(f *testing.F) {
 	})
 }
 
-// parentFloors are the floors as they were before they counted reload
-// debt: of loads, only the mandatory ones not yet made.
+// parentFloors are the floors without reload debt: of loads, only the
+// mandatory ones not yet made.
 func parentFloors(e *engine) (cycles, bytes int64) {
 	var loadBytes, loadCycles int64
 	for n := 0; n < e.gr.NumTiles(); n++ {

@@ -20,8 +20,9 @@ import (
 // unhinted run says the op-order hint repeats it, the hinted run is the
 // same schedule — records, sets, totals and both effort counters — over
 // single-layer and fused graphs, every priority and spill policy, a
-// fault plan, and windows that do and do not hold the ready queue. Both
-// answers must occur, and a hinted run must answer false.
+// fault plan, and windows that do and do not hold the ready queue
+// (the single-op fallback walks the ready queue, the same in both runs).
+// Both answers must occur, and a hinted run must answer false.
 func TestHintRepeatsIsExact(t *testing.T) {
 	a := testArch(4)
 	graphs := map[string]*dfg.Graph{

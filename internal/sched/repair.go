@@ -60,7 +60,7 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 	e := enginePool.Get().(*engine)
 	defer e.recycle()
 
-	// First pass: find how many sets commit, checking each on the way.
+	// First pass: a set's records are known once it is applied; count the sets that commit.
 	e.reset(gr, cfg)
 	k, err := e.reexecute(nominal, nominal.Sets, fc)
 	if err != nil {

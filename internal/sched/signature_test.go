@@ -13,11 +13,10 @@ import (
 	"github.com/flexer-sched/flexer/internal/tile"
 )
 
-// The reference signature: the scheduler's dataflow-map signature as it
-// was before signatures were computed from per-step operand facts, kept
-// verbatim (scratch buffers made local) as the oracle the packed
-// signatures are checked against. It asks the scratchpad and the graph
-// about every operand of every candidate set.
+// The reference signature: the dataflow-map signature as a byte string
+// built per candidate set, the oracle the packed signatures computed
+// from per-step operand facts are checked against. It asks the
+// scratchpad and the graph about every operand of every candidate set.
 
 type sigRef struct {
 	id      tile.ID

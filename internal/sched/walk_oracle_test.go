@@ -16,12 +16,10 @@ import (
 	"github.com/flexer-sched/flexer/internal/tile"
 )
 
-// The reference set formation: the scheduler's candidate enumeration as
-// it was before it became one prefix walk, kept verbatim (scratch
-// buffers made local) as the oracle the walk is checked against. It
-// enumerates each set width on its own, widest first, signs every
-// combination from scratch and evaluates every survivor from its first
-// op between one checkpoint and one rollback.
+// The reference set formation, the oracle the prefix walk is checked
+// against: it enumerates each set width on its own, widest first, signs
+// every combination from scratch and evaluates every survivor from its
+// first op between one checkpoint and one rollback.
 
 // oracleNextSet is nextSet through the reference enumerators.
 func (e *engine) oracleNextSet() *setEval {

@@ -143,8 +143,14 @@ func sampled(n, k, budget int, visit func(combo []int)) {
 // holding j but not i (every one where a width has at most 40, evenly
 // spaced ones beyond), the combination and its image with i in j's
 // place have the same from-scratch signature. The image is the
-// lexicographically earlier of the two, which is why the walk may count
-// the later one as pruned without visiting it.
+// lexicographically earlier of the two at the same width, so it was
+// checked first, or sits in a subtree skipped for the same reason
+// (induction on the order). Every set extending the combination holds j
+// and not i too, and a width's evaluations left (setWalk.left) only
+// fall, so if the combination would still be checked its image was:
+// the walk may count the whole subtree as pruned without visiting it,
+// and left, open and SetsEvaluated come out as the full walk leaves
+// them.
 func TestTwinSwapKeepsSignature(t *testing.T) {
 	draws := 90
 	if testing.Short() {
@@ -203,7 +209,14 @@ func TestTwinSwapKeepsSignature(t *testing.T) {
 // width has at most 40, evenly spaced ones beyond) — the combination and
 // its image with each op naming t swapped for its partner naming t', the
 // k-th for the k-th, and vice versa, have the same from-scratch
-// signature, and the image is the lexicographically earlier of the two.
+// signature, and the image is the lexicographically earlier of the two:
+// the combination holds the pushed op but not its earlier partner, so
+// the lowest position the swap changes is a t op moved down. Only tiles
+// two window ops or more name are paired, since a tile one op names
+// mirrors only what a twin already catches, and the earlier-partner
+// clause orients the relation: without it a tile and its mirror could
+// each skip the other's sets. Dropping either clause fails this lemma
+// and TestSetWalkMatchesOracle.
 func TestMirrorSwapKeepsSignature(t *testing.T) {
 	draws := 90
 	if testing.Short() {
@@ -290,7 +303,12 @@ func TestMirrorSwapKeepsSignature(t *testing.T) {
 // touch: sets that gather, sets in which an earlier op evicts an operand
 // of a later one that was resident when the step began (the later op
 // reloads it and is credited nothing), sets that reach their bound and
-// sets that stay below it.
+// sets that stay below it. Since less compares benefit first, a set
+// whose bound falls short of the running best's benefit cannot win
+// (cannotWin); one that ties it is placed, as the tie-breaks need its
+// evaluation. A set left unplaced still spends its width's evaluation
+// and places no prefix, so a later set under it places the same ops in
+// the same order.
 func TestPositionBoundCoversBenefit(t *testing.T) {
 	draws := 90
 	if testing.Short() {

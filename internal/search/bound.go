@@ -137,7 +137,7 @@ type incumbents struct {
 // dominated reports whether a tiling with the given bound is provably
 // incapable of improving either best schedule. Strictly-greater is
 // required: a bound equal to an incumbent could still realize an
-// equal-score schedule, and equal scores keep their pre-pruning
+// equal-score schedule, and equal scores keep the exhaustive search's
 // tie-break, so they are never skipped.
 func (in *incumbents) dominated(b Bound, m Metric) bool {
 	s := m.Score(b.Cycles, b.Traffic)

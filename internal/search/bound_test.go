@@ -160,7 +160,15 @@ func TestLowerBoundIsTheWalk(t *testing.T) {
 // property: across seeded layers, budgets, metrics, and fault plans,
 // the pruned search returns bit-identical best OoO and static schedules
 // (cycles, traffic, and dataflow choice) to the exhaustive search —
-// pruning may only skip work, never change the answer.
+// pruning may only skip work, never change the answer. It holds because
+// the bound and the run floors never exceed what a schedule achieves
+// (TestLowerBoundNeverExceedsSimulated, TestFloors); every comparison is
+// strict, so a tie is never pruned and keeps its tie-break; results are
+// reduced in enumeration order whatever order tilings ran in; pruning
+// engages only for a metric monotone in both axes; and each run is cut
+// against its own axis — a static run the static incumbent, a hinted one
+// the lower of the OoO incumbent and its tiling's best OoO so far — so
+// running the static orders before the hints changes nothing.
 func TestDominancePruningMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	cfg, err := arch.Preset("arch1")

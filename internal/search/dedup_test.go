@@ -18,9 +18,9 @@ import (
 	"github.com/flexer-sched/flexer/internal/tile"
 )
 
-// oracleScheduleTiling is scheduleTiling as it was before it skipped
-// repeated op sequences: every dataflow of the list gets its static run
-// and, by its index, its hinted run.
+// oracleScheduleTiling is scheduleTiling without the repeat skip: every
+// dataflow of the list gets its static run and, by its index, its
+// hinted run.
 func oracleScheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflows []loop.Dataflow, opts Options, inc *incumbents) (Candidate, int, error) {
 	f := grid.F
 	graph := dfg.Build(grid, m)

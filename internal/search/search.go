@@ -401,7 +401,7 @@ func SearchLayerCtx(ctx context.Context, l layer.Conv, opts Options) (*LayerResu
 }
 
 // searchLayerWith is the search of the valid layer l around schedule
-// (scheduleTiling, or in tests the per-tiling loop it replaced). A cache
+// (scheduleTiling, or in tests a reference it is held to). A cache
 // shares its errors between callers, so they name neither layer nor arch.
 func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule tilingScheduler) (*LayerResult, error) {
 	tilings := Tilings(l, opts.Arch, opts.Budget)

@@ -16,12 +16,11 @@ import (
 // The format is a gob stream — a versioned header, an entry count,
 // then one record per entry. gob needs no schema beside the Go types,
 // writes the schedules' integer records compactly, and skips stream
-// fields the receiving type lacks, so dropping a field (as PR 18 did
-// with sched.KindStats' per-tile movement counts, the struct-keyed map
-// that once ruled out encoding/json) does not orphan older snapshots.
-// Nothing in a LayerResult is a map any more, so a snapshot is a
-// deterministic function of the cache's contents. In-flight and failed entries are
-// never persisted: the former are incomplete, and the latter may be
+// fields the receiving type lacks, so a dropped field does not orphan
+// older snapshots. Nothing in a LayerResult is a map, so a snapshot is
+// a deterministic function of the cache's contents. In-flight and
+// failed entries are never persisted: the former are incomplete, and
+// the latter may be
 // transient (a deadline hit) rather than a property of the key. Nor are
 // network memos (SetNetworkMemo), which hold no result.
 

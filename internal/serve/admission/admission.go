@@ -2,8 +2,7 @@
 // internal/serve: a scheduler-for-the-scheduler that decides which
 // schedule request gets the next worker slot.
 //
-// It replaces the single FIFO semaphore the server started with. Each
-// tenant has its own queues, a fairness weight and an optional
+// Each tenant has its own queues, a fairness weight and an optional
 // concurrency quota; requests carry a priority tier. Slots are granted
 //
 //   - strictly by tier first (an interactive layer request overtakes
@@ -11,8 +10,7 @@
 //   - then by dominant-resource fairness across tenants: the tenant
 //     whose served search-seconds per unit weight is lowest goes next,
 //   - and FIFO within one tenant and tier, so a tenant's own requests
-//     complete in arrival order (the old channel semaphore woke
-//     waiters in arbitrary order).
+//     complete in arrival order.
 //
 // A granted request may also be preempted: when an interactive request
 // arrives and every slot is busy, the scheduler cancels the context of

@@ -1,7 +1,7 @@
 package serve
 
 // Response bodies are encoded into pooled buffers and written with one
-// Write. Hits and misses share the path: docs/ARCHITECTURE.md, Hit path.
+// Write. Hits and misses share the path: docs/ARCHITECTURE.md, flexerd.
 
 import (
 	"bytes"

@@ -7,10 +7,9 @@ import (
 	"github.com/flexer-sched/flexer/internal/tile"
 )
 
-// findAlg2RunQuadratic is the victim search as it was before it became
-// one sliding-window pass, kept verbatim as the oracle: from every
-// start it re-walks its window, asking for a block's remaining uses
-// once per window the block sits in.
+// findAlg2RunQuadratic is the quadratic victim search, the oracle of
+// the one-pass one: from every start it re-walks its window, asking for
+// a block's remaining uses once per window the block sits in.
 func (s *SPM) findAlg2RunQuadratic(size int64, remain useCounts) (run, bool) {
 	bestFrag := int64(-1)
 	bestDisadv := int64(-1)
@@ -63,7 +62,10 @@ func (s *SPM) findAlg2RunQuadratic(size int64, remain useCounts) (run, bool) {
 // order decides), requests from one byte to more than any run holds —
 // and random remaining-use tables, the one-pass search picks the very
 // window the quadratic search picks, and reads each block's remaining
-// uses at most once.
+// uses at most once. When the end of a window reaches a pin or the end of
+// the scratchpad still short, no start up to the pin fits either, so the
+// pass jumps past it; it visits the quadratic search's windows in its
+// order, with the same integer sums and strict comparisons.
 func TestAlg2RunMatchesQuadraticOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	sizes := []int64{64, 64, 64, 128, 128, 256, 512, 96}

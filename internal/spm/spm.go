@@ -201,10 +201,8 @@ func (s *SPM) SetInPlace(enabled bool) { s.inPlace = enabled }
 // storage. dst must not be s. Returns dst. It copies the current state
 // only — open checkpoints stay with s — and of a first-seen numbering
 // only the resident tiles' numbers: any other tile is as good as new to
-// the copy. The scheduler no longer clones
-// per candidate set (it evaluates in place between Checkpoint and
-// Rollback); CloneInto remains for tests and the benchmark's
-// spm.clone_ns row.
+// the copy. The scheduler evaluates its sets in place between
+// Checkpoint and Rollback; tests and the benchmark clone.
 func (s *SPM) CloneInto(dst *SPM) *SPM {
 	dst.Reset(s.cap, s.policy)
 	dst.regs = append(dst.regs[:0], s.regs...)

@@ -237,17 +237,22 @@ func (g *Grid) Size(id ID) int64 {
 // ICRange returns the input-channel interval of channel block i.
 func (g *Grid) ICRange(i int) (lo, n int) { return i * g.F.IC, g.icSize[i] }
 
-// InRowRange returns the input-row interval read by row block h,
-// including the kernel halo and clipped to the layer's input extent.
+// InRowRange returns the input-row interval read by row block h: the
+// extent its Cut class holds (appendCut), from where the block's window
+// starts, clipped to the first row; (0, 0) when it reads only padding.
 func (g *Grid) InRowRange(h int) (lo, n int) {
-	l := g.Layer
-	return layer.InputRange(h*g.F.OH, g.rowSize[h], l.KerH, l.StrideH, l.PadH, l.InH)
+	if n = g.inRowSz[h]; n > 0 {
+		lo = max(h*g.F.OH*g.Layer.StrideH-g.Layer.PadH, 0)
+	}
+	return lo, n
 }
 
 // InColRange returns the input-column interval read by column block w.
 func (g *Grid) InColRange(w int) (lo, n int) {
-	l := g.Layer
-	return layer.InputRange(w*g.F.OW, g.colSize[w], l.KerW, l.StrideW, l.PadW, l.InW)
+	if n = g.inColSz[w]; n > 0 {
+		lo = max(w*g.F.OW*g.Layer.StrideW-g.Layer.PadW, 0)
+	}
+	return lo, n
 }
 
 // BlockRange returns the inclusive block-index interval [first, last]

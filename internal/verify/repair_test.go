@@ -110,12 +110,12 @@ func TestFuzzRepair(t *testing.T) {
 	}
 }
 
-// TestRepairPlacementRegression is a seed pair Repair used to fail: a
-// 56 KiB weight tile has to fit a 67 KiB scratchpad, and the scratchpad
-// Repair rebuilt at the fault cycle by best-fit — dirty tiles only, in a
-// new layout — left no room for it ("no feasible operation set").
-// Re-executing the committed sets leaves the nominal run's layout, in
-// which the remainder fits, so the pair must repair and verify.
+// TestRepairPlacementRegression is a seed pair in which a 56 KiB weight
+// tile has to fit a 67 KiB scratchpad. A scratchpad rebuilt at the fault
+// cycle by best fit — dirty tiles only, in a new layout — leaves no room
+// for it ("no feasible operation set"); re-executing the committed sets
+// keeps the nominal run's layout, in which the remainder fits, so the
+// pair must repair and verify.
 func TestRepairPlacementRegression(t *testing.T) {
 	const seed, planSeed = -8024249204223328135, -4653487590590366033
 	gr, cfg, nominal, ok := repairCase(seed)

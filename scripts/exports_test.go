@@ -38,23 +38,8 @@ var stdlibCalled = []string{"String", "Error", "Unwrap", "ServeHTTP", "MarshalJS
 // from another package. The root package is the library's public API
 // and is not surveyed; types are not surveyed either.
 func TestTestOnlyExports(t *testing.T) {
-	ctx := build.Default
-	ctx.CgoEnabled = false // the standard library's pure-Go files type-check without cgo
-	fset := token.NewFileSet()
-	ld := &loader{ctx: &ctx, fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*types.Package{}}
-	err := filepath.WalkDir("..", func(dir string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); dir != ".." && (strings.HasPrefix(name, ".") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		_, err = ld.Import(module + strings.TrimPrefix(filepath.ToSlash(dir), ".."))
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ld := loadModule(t)
+	fset := ld.fset
 
 	// used holds what some package uses of another's; called, the
 	// interface methods some package calls on another's interface.
@@ -142,6 +127,29 @@ func TestTestOnlyExports(t *testing.T) {
 	for _, s := range slices.Compact(out) {
 		t.Errorf("%s: only tests or its own package use it; unexport it or move it into a _test.go file", strings.TrimPrefix(s, "../"))
 	}
+}
+
+// loadModule type-checks every package of the module and of bench/
+// from its non-test files.
+func loadModule(t *testing.T) *loader {
+	ctx := build.Default
+	ctx.CgoEnabled = false // the standard library's pure-Go files type-check without cgo
+	fset := token.NewFileSet()
+	ld := &loader{ctx: &ctx, fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*types.Package{}}
+	err := filepath.WalkDir("..", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != ".." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		_, err = ld.Import(module + strings.TrimPrefix(filepath.ToSlash(dir), ".."))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ld
 }
 
 func hasMethod(n *types.Named, name string) bool {
