@@ -74,7 +74,7 @@ func checkFloors(t testing.TB, c walkCase) (st floorStats) {
 		return st // no completion to hold the floors against; they did not fall
 	}
 	beforeFlush := e.tl.Makespan()
-	res, _ := e.finish() // no Keep: never refused
+	res, _ := e.finish(nil) // no Keep: never refused
 	if e.owed != (dfg.Floor{}) {
 		t.Fatalf("%s: a flushed run still owes %+v", name, e.owed)
 	}
@@ -94,7 +94,7 @@ func checkFloors(t testing.TB, c walkCase) (st floorStats) {
 		asked := 0
 		cfg := c.cfg
 		cfg.Cutoff = func(cyclesFloor, _ int64) bool { asked++; return cyclesFloor > k }
-		_, gotErr := newTestEngine(t, c.gr, cfg).run()
+		_, gotErr := newTestEngine(t, c.gr, cfg).run(nil)
 		if !errors.Is(gotErr, wantErr) {
 			t.Fatalf("%s k=%d (%d%%): look-ahead cutoff ends with %v, the partial-makespan rule with %v", name, k, pct, gotErr, wantErr)
 		}
@@ -112,7 +112,7 @@ func checkFloors(t testing.TB, c walkCase) (st floorStats) {
 		}
 		// The benchmark's shorthand is the same predicate.
 		cfg.Cutoff, cfg.CutoffCycles = nil, k
-		if _, err := newTestEngine(t, c.gr, cfg).run(); (err == nil) != (gotErr == nil) {
+		if _, err := newTestEngine(t, c.gr, cfg).run(nil); (err == nil) != (gotErr == nil) {
 			t.Fatalf("%s k=%d: CutoffCycles ends with %v, Cutoff with %v", name, k, err, gotErr)
 		}
 	}
@@ -255,7 +255,7 @@ func TestFloorsCountReloadDebt(t *testing.T) {
 			cyclesAbove++
 		}
 	}
-	res, _ := e.finish() // no Keep: never refused
+	res, _ := e.finish(nil) // no Keep: never refused
 	t.Logf("%d steps: bytes floor above the parent's after %d (by up to %d of %d bytes moved), cycles floor after %d",
 		steps, bytesAbove, peak, res.TrafficBytes(), cyclesAbove)
 	if bytesAbove == 0 || cyclesAbove == 0 {

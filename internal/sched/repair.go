@@ -84,7 +84,7 @@ func Repair(gr *dfg.Graph, nominal *Result, plan *fault.Plan, cfg Config) (*Resu
 	}
 	e.tl.SetFaults(plan)
 	e.tl.Hold(fc)
-	return e.run()
+	return e.run(nil)
 }
 
 // reexecute commits sets in order, as the run that made nominal committed

@@ -204,7 +204,8 @@ type Result struct {
 	// MaxCandidateSets, placed or ruled out unplaced; SetsPruned those,
 	// visited or not, whose dataflow map an earlier set of the step had.
 	SetsEvaluated, SetsPruned int
-	opOrderSame               bool // see HintRepeats; unexported, so no snapshot or wire carries it
+	opOrderSame               bool  // see HintRepeats; unexported, so no snapshot or wire carries it
+	setOps                    []int // the array every Sets[i].Ops is a window of, for ScheduleInto; nil when decoded
 }
 
 // HintRepeats reports whether the run hinted with the op order — the
@@ -353,7 +354,17 @@ func (c Config) checked() (Config, error) {
 
 // Schedule generates a schedule for the DFG under cfg and returns its
 // cost breakdown.
-func Schedule(gr *dfg.Graph, cfg Config) (*Result, error) {
+func Schedule(gr *dfg.Graph, cfg Config) (*Result, error) { return ScheduleInto(nil, gr, cfg) }
+
+// ScheduleInto is Schedule writing the run over dst, a new Result when
+// nil, once it has finished and Config.Keep has accepted it. The run's
+// records and sets go into dst's slices where those can hold them, else
+// into new ones of exact size, so a written dst may keep more capacity
+// than it uses; it shares no storage with the engine, and its sets' ops
+// are windows of one array. Any error leaves dst untouched: ErrCutoff,
+// ErrNotKept, an invalid config, order or hint, no feasible set, no live
+// core. The search passes the schedule a run must beat as its keep and dst.
+func ScheduleInto(dst *Result, gr *dfg.Graph, cfg Config) (*Result, error) {
 	cfg, err := cfg.checked()
 	if err != nil {
 		return nil, err
@@ -363,7 +374,7 @@ func Schedule(gr *dfg.Graph, cfg Config) (*Result, error) {
 	if err := e.start(gr, cfg); err != nil {
 		return nil, err
 	}
-	return e.run()
+	return e.run(dst)
 }
 
 // start readies e to schedule gr under cfg from an empty machine at
@@ -390,10 +401,11 @@ func (e *engine) start(gr *dfg.Graph, cfg Config) error {
 
 // run is the scheduler's one loop: from whatever state the engine is in
 // — empty after start, or mid-schedule after Repair's re-execution —
-// form and commit sets until every op has issued, then flush and hand
-// out the result. It fails when nothing ready fits the scratchpad, when
-// a fault plan leaves an op no core, or with ErrCutoff or ErrNotKept.
-func (e *engine) run() (*Result, error) {
+// form and commit sets until every op has issued, then flush and write
+// the result over dst (see finish). It fails when nothing ready fits the
+// scratchpad, when a fault plan leaves an op no core, or with ErrCutoff
+// or ErrNotKept.
+func (e *engine) run(dst *Result) (*Result, error) {
 	for e.nDone < len(e.gr.Ops) {
 		if err := e.step(); err != nil {
 			return nil, err
@@ -402,7 +414,7 @@ func (e *engine) run() (*Result, error) {
 			return nil, ErrCutoff
 		}
 	}
-	return e.finish()
+	return e.finish(dst)
 }
 
 // floors returns what Config.Cutoff is asked with: lower bounds on the
@@ -447,26 +459,33 @@ func (e *engine) nextSet() *setEval {
 }
 
 // finish writes back what is still dirty and, unless Config.Keep refuses
-// the run, hands out the result: the run's totals, and copies of its
-// records and sets sized exactly, every set's ops a window of one array.
-// The engine keeps its own storage for the next run, so nothing a Result
-// holds is shared with it.
-func (e *engine) finish() (*Result, error) {
+// the run, writes it over r, a new Result when nil: the run's totals, and
+// copies of its records and sets in r's slices where they are long
+// enough and in new ones of exact size where not, every set's ops a
+// window of one array. The engine keeps its own storage for the next
+// run, so nothing a Result holds is shared with it.
+func (e *engine) finish(r *Result) (*Result, error) {
 	e.flush()
 	if e.cfg.Keep != nil && !e.cfg.Keep(e.tl.Makespan(), e.tot.TrafficBytes()) {
 		return nil, ErrNotKept
 	}
-	r := new(Result)
+	if r == nil {
+		r = new(Result)
+	}
+	old := *r
 	*r = e.tot
 	r.LatencyCycles = e.tl.Makespan()
 	r.SetsEvaluated, r.SetsPruned, r.opOrderSame = e.nEval, e.nPruned, e.opOrderSame
-	r.OpRecords = append(make([]sim.OpRecord, 0, len(e.tl.Ops())), e.tl.Ops()...)
-	r.MemRecords = append(make([]sim.MemRecord, 0, len(e.tl.Mems())), e.tl.Mems()...)
-	ops := make([]int, len(r.OpRecords))
+	r.OpRecords = zeroed(old.OpRecords, len(e.tl.Ops()))
+	copy(r.OpRecords, e.tl.Ops())
+	r.MemRecords = zeroed(old.MemRecords, len(e.tl.Mems()))
+	copy(r.MemRecords, e.tl.Mems())
+	r.setOps = zeroed(old.setOps, len(r.OpRecords))
 	for i, rec := range r.OpRecords {
-		ops[i] = rec.Op
+		r.setOps[i] = rec.Op
 	}
-	r.Sets = make([]SetRecord, len(e.sets))
+	r.Sets = zeroed(old.Sets, len(e.sets))
+	ops := r.setOps
 	for i, s := range e.sets {
 		r.Sets[i] = SetRecord{Ops: ops[:s.n:s.n], Shared: s.shared}
 		ops = ops[s.n:]

@@ -74,10 +74,12 @@ func warmBytes(f func()) uint64 {
 // TestSearchLayerBytes holds one warm exhaustive search of a pressured
 // layer — vgg16/4 conv2_2 on arch5 (four cores), quick budget,
 // DisableDominance, one worker, so every run finishes and the keep
-// refuses each one that loses its tiling — to a byte ceiling: 453 984
-// bytes, against 607 680 with 40-byte tile IDs and 890 928 when every
-// finished run copies its records out before the keep drops it. The
-// collector is off while it measures.
+// refuses each one that loses its tiling and writes each one that wins
+// over the schedule it replaces — to a byte ceiling: 363 616 bytes,
+// against 453 984 when every kept run is copied into new storage,
+// 607 680 with 40-byte tile IDs and 890 928 when every finished run
+// copies its records out before the keep drops it. The collector is off
+// while it measures.
 func TestSearchLayerBytes(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	n, err := nets.ByName("vgg16")
@@ -93,7 +95,7 @@ func TestSearchLayerBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Arch: a, Budget: QuickBudget(), DisableDominance: true, Workers: 1}
-	const ceiling = 500_000
+	const ceiling = 400_000
 	if b := warmBytes(func() {
 		if _, err := SearchLayer(l, opts); err != nil {
 			t.Fatal(err)

@@ -559,17 +559,19 @@ func (s *layerSearch) tiling(k int) {
 // Options.FaultPlan is set, exposed for callers that already hold a
 // schedule (the CLI's seeded fault mode repairs after the search).
 func RepairResult(l layer.Conv, r *sched.Result, plan *fault.Plan, opts Options) (*sched.Result, error) {
-	if plan != nil {
-		if err := plan.Validate(opts.Arch.Cores); err != nil {
-			return nil, err
-		}
+	if err := plan.Validate(opts.Arch.Cores); err != nil { // a nil plan is valid
+		return nil, err
 	}
-	grid, err := tile.NewGrid(l, r.Factors)
+	g := gridPool.Get().(*tile.Grid) // NewGridInto fails leaving it as it was
+	defer gridPool.Put(g)
+	grid, err := tile.NewGridInto(g, l, r.Factors)
 	if err != nil {
 		return nil, err
 	}
 	m := model.New(opts.Arch)
-	return sched.Repair(dfg.Build(grid, m), r, plan, opts.SchedConfig(m))
+	graph := dfg.BuildInto(graphPool.Get().(*dfg.Graph), grid, m)
+	defer graphPool.Put(graph)
+	return sched.Repair(graph, r, plan, opts.SchedConfig(m))
 }
 
 // Tilings returns the tilings a search of l on cfg under b schedules:
@@ -615,10 +617,10 @@ const maxOoOHints = 3
 // just provably-worse work the search did not perform.
 var errDominated = errors.New("search: tiling dominated by incumbent")
 
-// graphPool and gridPool hold the graphs scheduleTiling and the fusion
-// pass and the grids a layer search have finished with, whose storage
-// the next graph or grid is built into: no Result or Candidate points at
-// either, so nothing reads one after its tiling or candidate segment.
+// graphPool and gridPool hold the graphs and grids that searches, fusion
+// and RepairResult have finished with, whose storage the next one is
+// built into: no Result or Candidate points at either, so nothing reads
+// one after its tiling, candidate segment or repair.
 var (
 	graphPool = sync.Pool{New: func() any { return new(dfg.Graph) }}
 	gridPool  = sync.Pool{New: func() any { return new(tile.Grid) }}
@@ -649,12 +651,12 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 	}
 	// run schedules cfg. Its cutoff target is the incumbent in, tightened
 	// to own — the tiling's schedule the run must also beat — where own
-	// scores lower; a run abandoned by it is counted. A run that finishes
-	// without beating keep, the tiling's schedule its result would have
-	// to replace, is refused before it copies out a record (Config.Keep):
-	// the caller's own strict keep, so nothing kept changes. Runs are
-	// sequential, so one cutoff and one keep, made once, read the current
-	// run's target and score.
+	// scores lower; a run abandoned by it is counted. keep is the tiling's
+	// schedule the run would replace: a run that does not strictly beat it
+	// is refused (Config.Keep), one that does is written over it
+	// (sched.ScheduleInto), and nothing is written once the tiling returns.
+	// Runs are sequential, so one cutoff and one keep, made once, read the
+	// current run's target and score.
 	var lim struct{ target, keep float64 }
 	cutoff := func(cycles, bytes int64) bool { return better(lim.target, metric.Score(cycles, bytes)) }
 	kept := func(cycles, bytes int64) bool { return better(metric.Score(cycles, bytes), lim.keep) }
@@ -668,18 +670,15 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 		if keep != nil {
 			lim.keep, cfg.Keep = metric.score(keep), kept
 		}
-		res, err := sched.Schedule(graph, cfg)
+		res, err := sched.ScheduleInto(keep, graph, cfg)
 		if errors.Is(err, sched.ErrCutoff) {
 			aborted++
 		}
 		return res, err
 	}
 
-	ooo, err := run(base, oooInc, nil, nil)
-	switch {
-	case err == nil:
-		c.OoO = ooo
-	case !errors.Is(err, sched.ErrCutoff):
+	var err error
+	if c.OoO, err = run(base, oooInc, nil, nil); err != nil && !errors.Is(err, sched.ErrCutoff) {
 		return Candidate{}, aborted, err
 	}
 
@@ -709,29 +708,30 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 		spare = loop.AppendOrder(spare[:0], graph, df)
 		cfg := base
 		cfg.Order = spare
-		if res, err := run(cfg, staticInc, nil, c.Static); err == nil && metric.beats(res, c.Static) {
+		if res, err := run(cfg, staticInc, nil, c.Static); err == nil {
 			c.Static, c.StaticOrder = res, df
 		}
 	}
 	// The hint whose sequence is the op order (dfg.OpAt numbers ops in
-	// this loop nest) is skipped when the unhinted run proves it repeats
-	// (sched.Result.HintRepeats): its floors never pass that run's score,
-	// which caps its target, and the global target has not moved since
-	// that run finished under it (with one worker; above, counts are
-	// timing-dependent anyway), so it would finish, tie, and lose the
-	// strict keep.
+	// this loop nest) is skipped while the tiling's schedule is the
+	// unhinted run and proves it repeats (sched.Result.HintRepeats; a
+	// hinted run written over it answers false): its floors never pass
+	// that run's score, which caps its target, and the global target has
+	// not moved since that run finished under it (with one worker; above,
+	// counts are timing-dependent anyway), so it would finish, tie, and
+	// lose the strict keep.
 	opOrder := loop.Reduce(grid, [4]loop.Dim{loop.OH, loop.OW, loop.OC, loop.IC})
 	for _, df := range hints {
 		if err := ctx.Err(); err != nil {
 			return Candidate{}, aborted, err
 		}
-		if ooo != nil && c.OoO == ooo && ooo.HintRepeats() && loop.Reduce(grid, df.Perm) == opOrder {
+		if c.OoO != nil && c.OoO.HintRepeats() && loop.Reduce(grid, df.Perm) == opOrder {
 			continue
 		}
 		spare = loop.AppendOrder(spare[:0], graph, df)
 		cfg := base
 		cfg.Hint = spare
-		if res, err := run(cfg, oooInc, c.OoO, c.OoO); err == nil && metric.beats(res, c.OoO) {
+		if res, err := run(cfg, oooInc, c.OoO, c.OoO); err == nil {
 			c.OoO = res
 		}
 	}
