@@ -170,19 +170,19 @@ paper-guard:
 	$(FLEXERBENCH) -exp fig8 -scale 2 -budget default -guard EXPERIMENTS.json > /dev/null
 
 # Short native-fuzzing run over the packages with fuzz targets: the
-# schedule verifier (repaired schedules under random fault plans, and
-# real schedules with one record corrupted, which it must judge without
-# panicking), the
-# scratchpad allocator (nested checkpoints included), the fused-graph
-# pipeline (random two-layer fusions scheduled and verified end to end,
-# including the cross-layer residency checks), the closed-form tiling
-# floor (random strided, padded layers and factors against the grid
-# walk and the built graph), and the scheduler's set
-# formation (the prefix walk against the per-width reference enumerator,
-# step by step, on a random graph, machine and limits) and look-ahead
-# floors (never falling, never above what the run reaches, on the same
-# draws plus a random fault plan). -fuzz must select one Fuzz* function:
-# verify, dfg and sched hold two each and name each, spm holds one.
+# schedule verifier (real schedules with one record corrupted, which it
+# must judge without panicking), the scratchpad allocator (nested
+# checkpoints included), the closed-form tiling floor (random strided,
+# padded layers and factors against the grid walk and the built graph),
+# and, on the scheduler's one random case (a graph, single-layer or
+# fused, a machine and limits), its set formation (the prefix walk
+# against the per-width reference enumerator, step by step), its
+# look-ahead floors (never falling, never above what the run reaches,
+# on the same draws plus a random fault plan) and its schedules (the
+# nominal one, and a repaired and a degraded one under a random fault
+# plan, passing the verifier, which must reject a moved gather and a
+# dropped write-back). -fuzz must select one Fuzz* function: sched
+# holds three and verify, dfg and spm one each.
 # Each line bounds minimization to a second: the fuzzer minimizes every
 # new interesting input for up to 60 s by default before it fuzzes on,
 # so minimizing one allocator stream once held FuzzAllocator at one exec
@@ -195,10 +195,9 @@ FUZZ = $(GO) test -run='^$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 
 fuzz-smoke:
 	@if $(GO) help testflag 2>/dev/null | grep -q -- '-fuzz '; then \
-		$(FUZZ) -fuzz='^FuzzRepair$$' ./internal/verify && \
+		$(FUZZ) -fuzz='^FuzzDrawnSchedules$$' ./internal/sched && \
 		$(FUZZ) -fuzz='^FuzzVerify$$' ./internal/verify && \
 		$(FUZZ) -fuzz='^FuzzAllocator$$' ./internal/spm && \
-		$(FUZZ) -fuzz='^FuzzFusedResidency$$' ./internal/dfg && \
 		$(FUZZ) -fuzz='^FuzzFloor$$' ./internal/dfg && \
 		$(FUZZ) -fuzz='^FuzzSetWalk$$' ./internal/sched && \
 		$(FUZZ) -fuzz='^FuzzFloors$$' ./internal/sched; \

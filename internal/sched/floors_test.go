@@ -136,7 +136,7 @@ func drawFloorCase(next func(n int) int) (walkCase, bool) {
 }
 
 // TestFloors: over the random cases of TestSetWalkMatchesOracle — single
-// layers and fused pairs, out of order, hinted and static, 2 to 8 cores,
+// layers and fused pairs, out of order, hinted and static, 1 to 8 cores,
 // every priority and spill policy — half of them on a machine degraded
 // by a random fault plan, the floors hold (checkFloors) and the
 // look-ahead cutoff abandons the partial-makespan rule's runs, most of
@@ -179,17 +179,26 @@ func TestFloors(t *testing.T) {
 	}
 }
 
-// FuzzFloors draws the case from the fuzz input. Run with
-// `go test -fuzz='^FuzzFloors$'`; the seed corpus runs in normal test mode.
-func FuzzFloors(f *testing.F) {
-	f.Add([]byte{1, 20, 0, 0, 0, 0, 1, 1, 3, 3, 0, 6, 6, 16, 16, 2, 2, 8, 8, 1, 2, 1, 9})
-	f.Add([]byte{2, 3, 0, 1, 2, 1, 1, 2, 1, 0, 11, 4, 30, 20, 1, 3, 5, 9, 1, 0, 8, 2, 1, 4, 4, 0, 1, 200})
-	f.Add([]byte{0, 50, 1, 1, 3, 1, 0, 1, 0, 2, 1, 8, 8, 24, 8, 3, 3, 12, 4, 0, 0, 16, 1, 2, 2, 8, 8, 3, 0})
+// floorSeeds are FuzzFloors' and FuzzDrawnSchedules' seed corpus:
+// walkSeeds' first three cases, two of them under a fault plan, then
+// two pressured ones. TestPinnedSeedsDrawTheirCases names each.
+var floorSeeds = [][]byte{
+	{3, 20, 0, 0, 0, 0, 1, 1, 3, 3, 0, 8, 8, 16, 16, 0, 3, 3, 11, 11, 1, 2, 1, 9},
+	{4, 3, 0, 1, 2, 1, 1, 2, 1, 0, 1, 6, 8, 20, 1, 0, 4, 1, 8, 4, 0, 8, 0, 2, 5, 7, 3, 1, 0},
+	{1, 50, 1, 1, 3, 1, 0, 1, 0, 2, 1, 10, 10, 24, 8, 0, 4, 4, 15, 7, 0, 0, 0, 2, 3, 5, 11, 2, 1, 0},
 	// Pressured: a hinted run whose owed reloads reach a third of its
 	// traffic, and a fused one (DMA derated) that owes fused consumer
 	// inputs — the debt a gather may settle, cycles only.
-	f.Add([]byte{118, 120, 159, 124, 134, 4, 74, 31, 58, 171, 177, 85, 40, 70, 38, 229, 239, 91, 169, 164, 55, 169, 191, 227, 130, 131, 102, 216, 137})
-	f.Add([]byte{31, 12, 244, 93, 64, 147, 57, 59, 184, 94, 62, 86, 120, 208, 224, 170, 159, 80, 191, 225, 93, 59, 181, 178, 63, 131, 175, 233, 242})
+	{3, 0, 1, 0, 2, 1, 2, 7, 2, 3, 1, 3, 6, 30, 38, 0, 5, 5, 14, 12, 2, 1, 1, 1, 227},
+	{3, 12, 0, 1, 0, 0, 1, 3, 0, 2, 0, 4, 2, 8, 24, 0, 1, 5, 3, 15, 0, 21, 1, 2, 4, 18, 6, 1, 1, 242},
+}
+
+// FuzzFloors draws the case from the fuzz input. Run with
+// `go test -fuzz='^FuzzFloors$'`; the seed corpus runs in normal test mode.
+func FuzzFloors(f *testing.F) {
+	for _, seed := range floorSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if c, ok := drawFloorCase(fuzzDraws(data)); ok {
 			checkFloors(t, c)

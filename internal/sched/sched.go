@@ -95,7 +95,8 @@ type Config struct {
 	// (0 means DefaultMaxCandidateSets).
 	MaxCandidateSets int
 	// Order, when non-nil, switches the scheduler to in-order issue
-	// following this op sequence (the static loop-order baseline).
+	// following this op sequence (the static loop-order baseline). A loop
+	// order is per grid: Schedule refuses one on a fused graph.
 	Order []int
 	// Hint, when non-nil, seeds the out-of-order exploration with a
 	// preferred op sequence (a loop-order dataflow): ops earlier in the
@@ -385,6 +386,9 @@ func (e *engine) start(gr *dfg.Graph, cfg Config) error {
 	e.reset(gr, cfg)
 	switch {
 	case cfg.Order != nil:
+		if gr.LastLayer() > 0 { // in-order issue knows chain predecessors only, not gathers
+			return errors.New("sched: a static order is per grid: schedule a fused graph out of order")
+		}
 		return e.validateOrder(cfg.Order)
 	case cfg.Hint != nil:
 		if err := e.validateOrder(cfg.Hint); err != nil {

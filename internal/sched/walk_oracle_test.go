@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -252,9 +251,10 @@ type walkStats struct {
 	stalled                          bool
 }
 
-// walkCase is one randomly drawn scheduling problem for walkVsOracle:
-// everything the walk's behaviour depends on, drawn from a source of
-// small numbers (a rand.Rand or a fuzz input).
+// walkCase is one randomly drawn scheduling problem: everything a
+// schedule depends on, drawn from a source of small numbers (a
+// rand.Rand or a fuzz input). The set walk's, the floors' and the
+// verifier's randomized tests all read this one draw.
 type walkCase struct {
 	name string
 	gr   *dfg.Graph
@@ -262,9 +262,11 @@ type walkCase struct {
 }
 
 // drawWalkCase builds a case from next, which returns a number in
-// [0, n). It reports false when the drawn layers do not tile or fuse.
+// [0, n); TestDrawnSchedulesVerify tabulates its ranges. It reports
+// false when a drawn layer does not tile, or the layers make more ops
+// than the oracle stays cheap on.
 func drawWalkCase(next func(n int) int) (walkCase, bool) {
-	cores := []int{2, 4, 8}[next(3)]
+	cores := []int{1, 2, 3, 4, 8}[next(5)]
 	a := arch.New("walk", cores, arch.KiB(int64(4+next(60))*int64(1+3*next(2))), 32<<next(2))
 	cfg := Config{
 		Arch:             a,
@@ -275,52 +277,71 @@ func drawWalkCase(next func(n int) int) (walkCase, bool) {
 		MaxReadyWindow:   []int{0, 3, 6, 12}[next(4)],
 		MaxCandidateSets: []int{0, 1, 5, 32}[next(4)],
 	}
-	ker := 1 + 2*next(2)
-	l1 := layer.NewConv("a", 6+next(12), 6+next(12), 8+next(40), 8+next(40), ker)
-	f1 := tile.Factors{OH: 2 + next(5), OW: 2 + next(5), OC: 4 + next(16), IC: 4 + next(16)}
-	g1, err := tile.NewGrid(l1, f1)
-	if err != nil || g1.NumOps() > 160 {
+	ker := []int{1, 3, 5}[next(3)]
+	l1 := layer.NewConv("a", 4+next(20), 4+next(20), 8+next(89), 8+next(89), ker).WithStride(1 + next(2))
+	g1, shape, ok := drawGrid(next, l1)
+	if !ok || g1.NumOps() > maxDrawnOps {
 		return walkCase{}, false
 	}
-	m := model.New(a)
-	var gr *dfg.Graph
+	grids := []*tile.Grid{g1}
 	if fused := next(3) == 0; fused {
-		l2 := layer.NewConv("b", l1.OutH(), l1.OutW(), l1.OutC, 8+next(24), 1+2*next(2))
-		g2, err := tile.NewGrid(l2, tile.Factors{OH: 2 + next(5), OW: 2 + next(5), OC: 4 + next(16), IC: 4 + next(16)})
-		if err != nil || dfg.CheckFusable(l1, l2) != nil || g1.NumOps()+g2.NumOps() > 200 {
+		l2 := layer.NewConv("b", l1.OutH(), l1.OutW(), l1.OutC, 8+next(89), []int{1, 3, 5}[next(3)])
+		g2, shape2, ok := drawGrid(next, l2)
+		if !ok || g1.NumOps()+g2.NumOps() > maxDrawnFusedOps {
 			return walkCase{}, false
 		}
-		if gr, err = dfg.BuildFused([]*tile.Grid{g1, g2}, m); err != nil {
-			return walkCase{}, false
-		}
-	} else {
-		gr = dfg.Build(g1, m)
+		grids, shape = append(grids, g2), shape+"+"+shape2
+	}
+	gr, err := dfg.BuildFused(grids, model.New(a))
+	if err != nil {
+		panic(err) // the second layer reads what the first writes: the pair is fusable
 	}
 	mode := "ooo"
 	switch next(6) {
 	case 0:
-		mode, cfg.Order = "static", seq(len(gr.Ops))
+		if gr.LastLayer() == 0 { // a loop order is per grid: Schedule refuses one on a fused graph
+			df := loop.All()[next(24)]
+			mode, cfg.Order = "static "+df.Name, loop.Order(gr, df)
+		}
 	case 1:
 		mode, cfg.Hint = "hinted", seq(len(gr.Ops))
 		if gr.LastLayer() == 0 {
-			cfg.Hint = loop.Order(gr, loop.Canonical()[next(3)])
+			df := loop.Canonical()[next(6)]
+			mode, cfg.Hint = "hinted "+df.Name, loop.Order(gr, df)
 		}
 	}
-	name := fmt.Sprintf("%dc/%dB/%v/%v/prune=%v/inplace=%v/w%d/c%d/%s/%v/fused=%v/%dops", cores, a.SPMBytes, cfg.Priority, cfg.MemPolicy,
-		!cfg.DisablePruning, !cfg.DisableInPlace, cfg.MaxReadyWindow, cfg.MaxCandidateSets, mode, f1, gr.LastLayer() > 0, len(gr.Ops))
+	name := fmt.Sprintf("%dc/%dB/%v/%v/prune=%v/inplace=%v/w%d/c%d/%s/%s/%dops", cores, a.SPMBytes, cfg.Priority, cfg.MemPolicy,
+		!cfg.DisablePruning, !cfg.DisableInPlace, cfg.MaxReadyWindow, cfg.MaxCandidateSets, mode, shape, len(gr.Ops))
 	return walkCase{name: name, gr: gr, cfg: cfg}, true
 }
 
-// TestSetWalkMatchesOracle: over random layers, tilings, 2/4/8-core
-// machines from starved to roomy, all four priorities, all three spill
-// policies, pruning on and off, window and cap settings, single-layer
-// and fused graphs, out of order, hinted and in a static order, the
-// prefix walk forms at every step the set the per-width enumerator
-// does, with the same evaluation, having evaluated and pruned as many
-// candidates. The draw must have exercised what the walk adds: pruned
-// candidates, sets narrower than the machine, infeasible prefixes
-// (evaluations that placed nothing), capped widths, and the single-op
-// fallback's stall.
+// The largest graphs drawWalkCase returns, single-layer and fused.
+const maxDrawnOps, maxDrawnFusedOps = 300, 400
+
+// drawGrid tiles l with factors from 1 to the whole of each dimension,
+// and names the grid for a case name: input, output channels, kernel,
+// stride and tiling, "12x12x24>24k3s1@4x4x12x12".
+func drawGrid(next func(n int) int, l layer.Conv) (*tile.Grid, string, bool) {
+	if l.Validate() != nil {
+		return nil, "", false
+	}
+	g, err := tile.NewGrid(l, tile.Factors{OH: 1 + next(l.OutH()), OW: 1 + next(l.OutW()), OC: 1 + next(l.OutC), IC: 1 + next(l.InC)})
+	if err != nil {
+		return nil, "", false
+	}
+	return g, fmt.Sprintf("%dx%dx%d>%dk%ds%d@%v", l.InH, l.InW, l.InC, l.OutC, l.KerH, l.StrideH, g.F), true
+}
+
+// TestSetWalkMatchesOracle: over drawWalkCase's layers, tilings, 1- to
+// 8-core machines from starved to roomy, all four priorities, all three
+// spill policies, pruning on and off, window and cap settings,
+// single-layer and fused graphs, out of order, hinted and in a static
+// order, the prefix walk forms at every step the set the per-width
+// enumerator does, with the same evaluation, having evaluated and pruned
+// as many candidates. The draw must have exercised what the walk adds:
+// pruned candidates, sets narrower than the machine, infeasible
+// prefixes (evaluations that placed nothing), capped widths, and the
+// single-op fallback's stall.
 func TestSetWalkMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	cases, steps, narrow, evaluated, pruned, stalled, fused, static := 0, 0, 0, 0, 0, 0, 0, 0
@@ -361,7 +382,60 @@ func TestSetWalkMatchesOracle(t *testing.T) {
 // stalledSeed is a FuzzSetWalk input that drawWalkCase turns into an
 // 18-op out-of-order case on 8 cores and a 4 KiB scratchpad, which
 // stalls after three steps.
-var stalledSeed = []byte{185, 60, 44, 63, 176, 197, 237, 197, 31, 96, 245, 112, 75, 86, 175, 48, 241, 7, 157, 124, 56, 91, 153, 249}
+var stalledSeed = []byte{4, 0, 0, 1, 0, 2, 1, 5, 3, 0, 1, 6, 5, 6, 15, 0, 4, 2, 10, 13, 1, 2}
+
+// walkSeeds are FuzzSetWalk's seed corpus: four out-of-order cases,
+// two of them fused, then stalledSeed and twinRichSeeds.
+// TestPinnedSeedsDrawTheirCases names each.
+var walkSeeds = append([][]byte{
+	{3, 20, 0, 0, 0, 0, 1, 1, 3, 3, 0, 8, 8, 16, 16, 0, 3, 3, 11, 11, 1, 2},
+	{4, 3, 0, 1, 2, 1, 1, 2, 1, 0, 1, 6, 8, 20, 1, 0, 4, 1, 8, 4, 0, 8, 0, 2, 5, 7, 3, 0},
+	{1, 50, 1, 1, 3, 1, 0, 1, 0, 2, 1, 10, 10, 24, 8, 0, 4, 4, 15, 7, 0, 0, 0, 2, 3, 5, 11, 2},
+	{3, 1, 0, 1, 1, 1, 3, 1, 0, 3, 1, 6, 9, 1, 4, 0, 3, 2, 7, 8, 1, 4},
+	stalledSeed,
+}, twinRichSeeds...)
+
+// TestPinnedSeedsDrawTheirCases: each fuzz input a test names draws
+// the case its comment describes, so that a change to drawWalkCase
+// that moves one shows here rather than as a corpus entry that quietly
+// tests something else.
+func TestPinnedSeedsDrawTheirCases(t *testing.T) {
+	for _, set := range []struct {
+		seeds [][]byte
+		draw  func(next func(n int) int) (walkCase, bool)
+		want  []string
+	}{
+		{walkSeeds, drawWalkCase, []string{
+			"4c/24576B/default/flexer/prune=true/inplace=true/w12/c32/ooo/12x12x24>24k1s1@4x4x12x12/36ops",
+			"8c/7168B/min-spill/first-fit/prune=true/inplace=true/w3/c0/ooo/10x12x28>9k3s1@5x2x9x5+10x12x9>16k1s1@3x6x8x4/120ops",
+			"2c/221184B/chain-depth/first-fit/prune=false/inplace=true/w0/c5/ooo/14x14x32>16k3s1@5x5x16x8+14x14x16>8k1s1@3x4x6x12/116ops",
+			"4c/5120B/min-transfer/first-fit/prune=true/inplace=true/w0/c32/ooo/10x13x9>12k3s1@4x3x8x9/30ops",
+			"8c/4096B/default/small-spill/prune=true/inplace=true/w12/c0/ooo/10x9x14>23k3s1@5x3x11x14/18ops",
+			"4c/24576B/default/flexer/prune=true/inplace=true/w0/c0/hinted output-stationary/6x6x16>47k3s1@6x6x4x8/24ops",
+			"8c/45056B/min-transfer/first-fit/prune=true/inplace=true/w12/c0/hinted input-stationary/6x6x8>47k1s1@6x6x4x4/24ops",
+			"2c/12288B/default/small-spill/prune=true/inplace=true/w0/c5/hinted weight-stationary/6x6x12>47k3s1@6x6x4x4/36ops",
+			"4c/258048B/default/flexer/prune=true/inplace=true/w0/c0/ooo/12x6x16>24k3s1@4x6x4x8/36ops",
+			"4c/24576B/default/first-fit/prune=true/inplace=true/w6/c32/hinted weight-stationary/8x6x16>24k3s1@4x6x4x8/24ops",
+			"8c/34816B/min-transfer/small-spill/prune=true/inplace=true/w12/c0/ooo/12x6x16>24k3s1@4x6x4x8/36ops",
+		}},
+		{floorSeeds, drawFloorCase, []string{
+			"4c/24576B/default/flexer/prune=true/inplace=true/w12/c32/ooo/12x12x24>24k1s1@4x4x12x12/36ops/core1@652,flaky1@1070-1537x3.01008260984646",
+			"8c/7168B/min-spill/first-fit/prune=true/inplace=true/w3/c0/hinted/10x12x28>9k3s1@5x2x9x5+10x12x9>16k1s1@3x6x8x4/120ops",
+			"2c/221184B/chain-depth/first-fit/prune=false/inplace=true/w0/c5/ooo/14x14x32>16k3s1@5x5x16x8+14x14x16>8k1s1@3x4x6x12/116ops/core0@5274,dma@2224-6366x3.0263630320961497",
+			"4c/16384B/min-spill/first-fit/prune=true/inplace=true/w6/c32/hinted input-stationary/7x10x38>46k3s1@6x6x15x13/48ops/core0@2781,flaky2@2112-3198x1.3869536236552942",
+			"4c/16384B/default/flexer/prune=true/inplace=true/w0/c5/hinted/8x6x16>32k1s1@2x6x4x16+8x6x32>29k3s1@3x5x19x7/92ops/core0@2574,dma@3008-5812x6.258981536577139",
+		}},
+	} {
+		if len(set.seeds) != len(set.want) {
+			t.Fatalf("%d seeds, %d names", len(set.seeds), len(set.want))
+		}
+		for i, seed := range set.seeds {
+			if c, ok := set.draw(fuzzDraws(seed)); !ok || c.name != set.want[i] {
+				t.Errorf("seed %v draws %q (ok %v), want %q", seed, c.name, ok, set.want[i])
+			}
+		}
+	}
+}
 
 // fuzzDraws turns a fuzz input into the source of small numbers a case
 // is drawn from: one byte a draw, zeros once the input runs out.
@@ -381,12 +455,7 @@ func fuzzDraws(data []byte) func(n int) int {
 // the oracle step by step. Run with `go test -fuzz=FuzzSetWalk`; the
 // seed corpus runs in normal test mode.
 func FuzzSetWalk(f *testing.F) {
-	f.Add([]byte{1, 20, 0, 0, 0, 0, 1, 1, 3, 3, 0, 6, 6, 16, 16, 2, 2, 8, 8, 1, 2})
-	f.Add([]byte{2, 3, 0, 1, 2, 1, 1, 2, 1, 0, 11, 4, 30, 20, 1, 3, 5, 9, 1, 0, 8, 2, 1, 4, 4, 0})
-	f.Add([]byte{0, 50, 1, 1, 3, 1, 0, 1, 0, 2, 1, 8, 8, 24, 8, 3, 3, 12, 4, 0, 0, 16, 1, 2, 2, 8, 8, 3})
-	f.Add(bytes.Repeat([]byte{7, 1, 4}, 12))
-	f.Add(stalledSeed)
-	for _, seed := range twinRichSeeds {
+	for _, seed := range walkSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -36,16 +36,16 @@ import (
 // three on a pressured 8-core machine under min-transfer with the
 // window cut to 12.
 var twinRichSeeds = [][]byte{
-	{1, 20, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 8, 39, 4, 4, 0, 4, 1, 1, 0},
-	{2, 40, 0, 1, 1, 1, 1, 1, 3, 0, 0, 0, 0, 0, 39, 4, 4, 0, 0, 1, 1, 1},
-	{0, 8, 0, 0, 0, 2, 1, 1, 0, 2, 1, 0, 0, 4, 39, 4, 4, 0, 0, 1, 1, 2},
-	{1, 59, 1, 1, 0, 0, 1, 1, 0, 0, 1, 6, 0, 8, 16, 2, 4, 0, 4, 1, 2, 0},
-	{1, 20, 0, 0, 0, 1, 1, 1, 2, 3, 1, 2, 0, 8, 16, 2, 4, 0, 4, 1, 1, 2},
-	{2, 30, 0, 1, 1, 2, 1, 1, 3, 0, 1, 6, 0, 8, 16, 2, 4, 0, 4, 1, 2, 0},
+	{3, 20, 0, 0, 0, 0, 1, 1, 0, 0, 1, 2, 2, 8, 39, 0, 5, 5, 3, 7, 1, 1, 0},
+	{4, 40, 0, 1, 1, 1, 1, 1, 3, 0, 0, 2, 2, 0, 39, 0, 5, 5, 3, 3, 1, 1, 1},
+	{1, 8, 0, 0, 0, 2, 1, 1, 0, 2, 1, 2, 2, 4, 39, 0, 5, 5, 3, 3, 1, 1, 2},
+	{3, 59, 1, 1, 0, 0, 1, 1, 0, 0, 1, 8, 2, 8, 16, 0, 3, 5, 3, 7, 1, 2},
+	{3, 20, 0, 0, 0, 1, 1, 1, 2, 3, 1, 4, 2, 8, 16, 0, 3, 5, 3, 7, 1, 1, 2},
+	{4, 30, 0, 1, 1, 2, 1, 1, 3, 0, 1, 8, 2, 8, 16, 0, 3, 5, 3, 7, 1, 2},
 }
 
-// twinRichCases are built by hand where drawWalkCase's ranges do not
-// reach: one spatial tile by sixteen output-channel tiles by two
+// twinRichCases are built by hand, as drawWalkCase reaches them only
+// rarely: one spatial tile by sixteen output-channel tiles by two
 // input-channel tiles, hinted by each of the six canonical dataflows and
 // unhinted, on a pressured and a roomy 4-core machine; and grids of two
 // and three row tiles by six output-channel tiles by two input-channel

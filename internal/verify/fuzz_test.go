@@ -1,97 +1,16 @@
 package verify
 
 import (
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"github.com/flexer-sched/flexer/internal/arch"
 	"github.com/flexer-sched/flexer/internal/dfg"
-	"github.com/flexer-sched/flexer/internal/layer"
-	"github.com/flexer-sched/flexer/internal/loop"
-	"github.com/flexer-sched/flexer/internal/model"
 	"github.com/flexer-sched/flexer/internal/sched"
 	"github.com/flexer-sched/flexer/internal/sim"
-	"github.com/flexer-sched/flexer/internal/spm"
 	"github.com/flexer-sched/flexer/internal/tile"
 )
-
-// TestFuzzScheduler generates random small layers, tilings, machines
-// and scheduler configurations, schedules them, and checks every
-// produced schedule against the independent verifier. Infeasible
-// combinations (tilings too large for the scratchpad) must fail with an
-// error, never panic or emit a bogus schedule.
-func TestFuzzScheduler(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		inH := rng.Intn(20) + 4
-		inC := []int{8, 16, 32, 64, 96}[rng.Intn(5)]
-		outC := []int{8, 16, 32, 48, 64}[rng.Intn(5)]
-		ker := []int{1, 3, 5}[rng.Intn(3)]
-		l := layer.NewConv("f", inH, inH, inC, outC, ker)
-		if rng.Intn(4) == 0 {
-			l = l.WithStride(2)
-		}
-		if err := l.Validate(); err != nil {
-			return true
-		}
-		f := tile.Factors{
-			OH: rng.Intn(l.OutH()) + 1,
-			OW: rng.Intn(l.OutW()) + 1,
-			OC: rng.Intn(outC) + 1,
-			IC: rng.Intn(inC) + 1,
-		}
-		g, err := tile.NewGrid(l, f)
-		if err != nil {
-			return true
-		}
-		if g.NumOps() > 600 {
-			return true // keep the fuzz cheap
-		}
-		cores := rng.Intn(4) + 1
-		spmKiB := int64(rng.Intn(192) + 64)
-		a := arch.New("f", cores, arch.KiB(spmKiB), 32)
-		gr := dfg.Build(g, model.New(a))
-
-		cfg := sched.Config{
-			Arch:      a,
-			Model:     model.New(a),
-			Priority:  sched.Priority(rng.Intn(3)),
-			MemPolicy: spm.Policy(rng.Intn(3)),
-		}
-		switch rng.Intn(3) {
-		case 1:
-			dfs := loop.All()
-			cfg.Order = loop.Order(gr, dfs[rng.Intn(len(dfs))])
-		case 2:
-			dfs := loop.Canonical()
-			cfg.Hint = loop.Order(gr, dfs[rng.Intn(len(dfs))])
-		}
-		if rng.Intn(5) == 0 {
-			cfg.DisablePruning = true
-		}
-		if rng.Intn(5) == 0 {
-			cfg.DisableInPlace = true
-		}
-
-		r, err := sched.Schedule(gr, cfg)
-		if err != nil {
-			return true // infeasible is a legal outcome
-		}
-		if err := Schedule(gr, r, a); err != nil {
-			t.Logf("seed %d (%s, tiling %s, %d cores, %d KiB, prio %v, policy %v, order=%v hint=%v): %v",
-				seed, l, f, cores, spmKiB, cfg.Priority, cfg.MemPolicy,
-				cfg.Order != nil, cfg.Hint != nil, err)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
 
 // goodCase is a real schedule and the graph and machine it is for.
 type goodCase struct {
