@@ -85,14 +85,15 @@ doc-names:
 # The allocation ceilings of the cache-hit path (a unary layer hit and
 # a unary network hit through the handler, the cache key), of the tiling
 # enumeration, of bounding a layer's tilings, of a warm Schedule and of
-# BuildFused; and the byte ceilings of a warm exhaustive layer search and
-# a warm fusion pass, with the two equalities that make those cheap:
+# BuildFused; the byte ceilings of a warm exhaustive layer search, of a
+# warm fusion pass and of a cache entry loaded from a snapshot, with the
+# two equalities that make the first two cheap:
 # a search whose keep refuses losing runs returns what one copying every
 # run returns, and a graph built into recycled storage reads as a fresh
 # one. The ceilings are `//go:build !race` tests — the race detector
 # allocates too — so `make check` skips them.
 hit-allocs:
-	$(call named-tests,,TestHitAllocs|TestCacheKeyAllocs|TestEnumerateAllocs|TestBoundAllocs|TestScheduleAllocs|TestBuildFusedAllocs|TestSearchLayerBytes|TestFusionPassBytes|TestKeepChangesNothing|TestBuildIntoRecycledStorage,./internal/serve ./internal/search ./internal/tile ./internal/sched ./internal/dfg)
+	$(call named-tests,,TestHitAllocs|TestCacheKeyAllocs|TestEnumerateAllocs|TestBoundAllocs|TestScheduleAllocs|TestBuildFusedAllocs|TestSearchLayerBytes|TestFusionPassBytes|TestCacheEntryBytes|TestKeepChangesNothing|TestBuildIntoRecycledStorage,./internal/serve ./internal/search ./internal/tile ./internal/sched ./internal/dfg)
 
 # Faster inner-loop variant (skips the slower network-level tests).
 test-short:

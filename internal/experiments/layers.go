@@ -156,17 +156,23 @@ type reuseRow struct {
 func fig11(c Config) ([]reuseRow, error) {
 	// The flexer-alt sweep below inspects every scheduled tiling, so
 	// keep the candidate list exhaustive.
-	lr, err := c.searchLayer("vgg16", "conv4_2", "arch6", func(o *search.Options) { o.DisableDominance = true })
+	var opts search.Options
+	lr, err := c.searchLayer("vgg16", "conv4_2", "arch6", func(o *search.Options) { o.DisableDominance = true; opts = *o })
 	if err != nil {
 		return nil, err
 	}
 	// The metric-best tiling is not always the most illustrative one;
 	// also report the OoO candidate with the most distinct sharing
-	// patterns, which is the behaviour Figure 11 visualizes.
+	// patterns, which is the behaviour Figure 11 visualizes. A candidate
+	// keeps totals only, so each tiling is scheduled again for its sets.
 	alt := lr.BestOoO
 	for _, cand := range lr.Candidates {
-		if stats.DistinctPatterns(cand.OoO) > stats.DistinctPatterns(alt) {
-			alt = cand.OoO
+		ooo, _, err := search.TilingSchedules(lr.Layer, cand.Factors, opts)
+		if err != nil {
+			return nil, err
+		}
+		if stats.DistinctPatterns(ooo) > stats.DistinctPatterns(alt) {
+			alt = ooo
 		}
 	}
 	schedules := []schedule{{"static", lr.BestStatic}, {"flexer", lr.BestOoO}}

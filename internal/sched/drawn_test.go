@@ -4,6 +4,7 @@ package sched_test
 // because verify imports sched.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -24,14 +25,15 @@ import (
 
 // checkCase is the property, on the case name: gr scheduled under cfg.
 // The nominal schedule — under cfg's fault plan, if it has one — passes
-// verify.ScheduleFaults; with a gather moved to cycle 0, or a final
-// write-back that is its tile's only off-chip copy dropped, it does
-// not. A plan-free case is then repaired under fault.Random(repairSeed),
-// and both the repaired schedule and one made from scratch under that
-// plan verify. A case whose tiles fit no scratchpad may fail to
-// schedule, and the repair of a static or hinted nominal may stall;
-// nothing else may fail. It returns what a scheduled case exercised, as
-// tally labels.
+// verify.ScheduleFaults; with a gather moved to cycle 0, a gather moved
+// into an idle stretch of the DMA channel before its producers finish
+// (earlyGather), or a final write-back that is its tile's only off-chip
+// copy dropped, it does not. A plan-free case is then repaired under
+// fault.Random(repairSeed), and both the repaired schedule and one made
+// from scratch under that plan verify. A case whose tiles fit no
+// scratchpad may fail to schedule, and the repair of a static or hinted
+// nominal may stall; nothing else may fail. It returns what a scheduled
+// case exercised, as tally labels.
 func checkCase(t testing.TB, name string, gr *dfg.Graph, cfg sched.Config, repairSeed int64) []string {
 	t.Helper()
 	nominal, err := sched.Schedule(gr, cfg)
@@ -65,6 +67,13 @@ func checkCase(t testing.TB, name string, gr *dfg.Graph, cfg sched.Config, repai
 			return ms
 		})
 	}
+	i, at, early := earlyGather(gr, nominal, cfg.FaultPlan)
+	if early {
+		rejected("a gather moved before its producers finish", func(ms []sim.MemRecord) []sim.MemRecord {
+			ms[i].Start, ms[i].End = at, at+ms[i].End-ms[i].Start
+			return ms
+		})
+	}
 	if i := slices.IndexFunc(nominal.MemRecords, func(m sim.MemRecord) bool {
 		return m.Kind == sim.Writeback && offchip[m.Tile] == 1
 	}); i >= 0 {
@@ -83,6 +92,7 @@ func checkCase(t testing.TB, name string, gr *dfg.Graph, cfg sched.Config, repai
 		add(f.OH == l.OutH() || f.OW == l.OutW() || f.OC == l.OutC || f.IC == l.InC, "whole-dimension tile")
 	}
 	add(gr.LastLayer() > 0, "fused")
+	add(early, "gather before its producers")
 	add(cfg.Order != nil, "static")
 	add(cfg.Hint != nil, "hinted")
 	if !cfg.FaultPlan.Empty() {
@@ -109,6 +119,44 @@ func checkCase(t testing.TB, name string, gr *dfg.Graph, cfg sched.Config, repai
 	return append(seen, "repaired")
 }
 
+// earlyGather finds a gather of r, by its index in r.MemRecords, and a
+// cycle to move it to that breaks verify's producer rule alone: its
+// covering producers have not all finished by then, the DMA channel is
+// idle from then for as long as the gather takes, and plan derates the
+// channel no more there than where the gather ran. The tile then
+// arrives no later than it did.
+func earlyGather(gr *dfg.Graph, r *sched.Result, plan *fault.Plan) (int, int64, bool) {
+	end := make([]int64, len(gr.Ops))
+	for _, rec := range r.OpRecords {
+		end[rec.Op] = rec.End
+	}
+	mems := slices.Clone(r.MemRecords)
+	slices.SortStableFunc(mems, func(a, b sim.MemRecord) int { return cmp.Compare(a.Start, b.Start) })
+	for i, g := range r.MemRecords {
+		if g.Kind != sim.Gather {
+			continue
+		}
+		var fin int64 // when the last of its producers finishes
+		for _, ot := range gr.Covering(g.Tile) {
+			fin = max(fin, end[gr.FinalOp(ot)])
+		}
+		var free int64 // the channel is idle from here to the next transfer
+		for _, m := range mems {
+			if free >= fin {
+				break
+			}
+			if m == g {
+				continue
+			}
+			if m.Start-free >= g.End-g.Start && plan.DMAFactor(free) <= plan.DMAFactor(g.Start) {
+				return i, free, true
+			}
+			free = max(free, m.End)
+		}
+	}
+	return 0, 0, false
+}
+
 // TestDrawnSchedulesVerify runs checkCase over seeded draws of the
 // repository's one random scheduling case, drawWalkCase with
 // drawFloorCase's fault plans, after a regression case. The draw is
@@ -132,8 +180,8 @@ func checkCase(t testing.TB, name string, gr *dfg.Graph, cfg sched.Config, repai
 // TestFuzzScheduler's graphs of 300 to 600 ops are left out: the set
 // walk's oracle, which reads the same draw, costs too much on them.
 // The tally must reach each priority, 1-, 3- and 8-core machines,
-// stride 2, kernel 5, a whole-dimension tile, and fused, static,
-// hinted, faulted and repaired cases.
+// stride 2, kernel 5, a whole-dimension tile, a gather it can move before
+// its producers, and fused, static, hinted, faulted and repaired cases.
 func TestDrawnSchedulesVerify(t *testing.T) {
 	t.Run("fused-1442", func(t *testing.T) {
 		// FuzzFusedResidency's corpus entry (its seed 1442), written out.
@@ -161,7 +209,7 @@ func TestDrawnSchedulesVerify(t *testing.T) {
 	}
 	t.Logf("%d cases: %v", target, tally)
 	for _, label := range append(sched.PriorityNames(), "1-core", "3-core", "8-core", "stride 2", "kernel 5",
-		"whole-dimension tile", "fused", "static", "hinted", "faulted", "repaired") {
+		"whole-dimension tile", "fused", "gather before its producers", "static", "hinted", "faulted", "repaired") {
 		if tally[label] == 0 {
 			t.Errorf("the draw scheduled no %s case", label)
 		}

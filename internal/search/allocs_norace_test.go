@@ -3,6 +3,7 @@
 package search
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"runtime/debug"
@@ -52,8 +53,8 @@ func TestBoundAllocs(t *testing.T) {
 	opts := quickOpts(t, "arch1")
 	opts.Budget = DefaultBudget()
 	opts.Workers = 1
-	dominated := func(context.Context, *tile.Grid, model.Model, []loop.Dataflow, Options, *incumbents) (Candidate, int, error) {
-		return Candidate{}, 0, errDominated
+	dominated := func(context.Context, *tile.Grid, model.Model, []loop.Dataflow, Options, *incumbents) tilingRun {
+		return tilingRun{err: errDominated}
 	}
 	if n := testing.AllocsPerRun(20, func() { _, _ = searchLayerWith(context.Background(), l, opts, dominated) }); n > 4 {
 		t.Errorf("bounding %d tilings allocates %v times, ceiling 4", len(Tilings(l, opts.Arch, opts.Budget)), n)
@@ -78,13 +79,16 @@ func warmBytes(f func()) uint64 {
 // layer — vgg16/4 conv2_2 on arch5 (four cores), quick budget,
 // DisableDominance, one worker, so every run finishes and the keep
 // refuses each one that loses its tiling and writes each one that wins
-// over the schedule it replaces — to a byte ceiling of 370 000. It
-// allocates 363 616 bytes, against 453 984 when every kept run is
-// copied into new storage, 607 680 with 40-byte tile IDs and 890 928
-// when every finished run copies its records out before the keep drops
-// it. The collector is off while it measures, and warmBytes holds both
-// searches to one P, without which it read up to 9 552 bytes more in
-// two runs of fifteen.
+// over the schedule it replaces — to a byte ceiling of 220 000. It
+// allocates 212 608 bytes, against 363 616 when every tiling's
+// candidate keeps its schedules and each tiling's first runs get new
+// ones, 453 984 when every kept run is also copied into new storage,
+// 607 680 with 40-byte tile IDs and 890 928 when every finished run
+// copies its records out before the keep drops it. A third search reads
+// 167 424: the first warm one still regrows pooled schedules that a
+// smaller tiling's run left too short. The collector is off while it
+// measures, and warmBytes holds both searches to one P, without which
+// it read up to 9 552 bytes more in two runs of fifteen.
 func TestSearchLayerBytes(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	n, err := nets.ByName("vgg16")
@@ -100,7 +104,7 @@ func TestSearchLayerBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Arch: a, Budget: QuickBudget(), DisableDominance: true, Workers: 1}
-	const ceiling = 370_000
+	const ceiling = 220_000
 	if b := warmBytes(func() {
 		if _, err := SearchLayer(l, opts); err != nil {
 			t.Fatal(err)
@@ -140,5 +144,51 @@ func TestFusionPassBytes(t *testing.T) {
 	}
 	if segments != 1 {
 		t.Errorf("the pass fused %d segments, want 1", segments)
+	}
+}
+
+// TestCacheEntryBytes holds what a cache entry keeps resident to a
+// ceiling: vgg16/8 and squeezenet/8 searched on arch1 (quick budget, one
+// worker, so the candidate lists repeat), saved, and the snapshot loaded
+// into a fresh Cache, two collections on each side of the load. The 26
+// entries keep 4 266–4 267 bytes each and the snapshot is 38 955 bytes,
+// against 8 011–8 216 and 67 127 when every candidate kept its two
+// schedules' records.
+func TestCacheEntryBytes(t *testing.T) {
+	opts := quickOpts(t, "arch1")
+	opts.Workers = 1
+	opts.Cache = NewCache()
+	for _, name := range []string{"vgg16", "squeezenet"} {
+		n, err := nets.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SearchNetwork(n.Scale(8), opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if _, err := opts.Cache.SaveTo(&snap); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	loaded := NewCache()
+	entries, err := loaded.LoadFrom(bytes.NewReader(snap.Bytes()))
+	if err != nil || entries == 0 {
+		t.Fatalf("LoadFrom = %d, %v", entries, err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(loaded)
+	const entryCeiling, snapCeiling = 4_700, 40_000
+	if b := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(entries); b > entryCeiling {
+		t.Errorf("%d loaded entries keep %d bytes each, ceiling %d", entries, b, entryCeiling)
+	}
+	if snap.Len() > snapCeiling {
+		t.Errorf("the snapshot of %d entries is %d bytes, ceiling %d", entries, snap.Len(), snapCeiling)
 	}
 }

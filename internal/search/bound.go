@@ -145,11 +145,11 @@ func (in *incumbents) dominated(b Bound, m Metric) bool {
 }
 
 // observe lowers the incumbents to c's scores where c beats them.
-func (in *incumbents) observe(c Candidate, m Metric) {
-	if c.OoO != nil {
-		in.ooo.observe(m.score(c.OoO))
+func (in *incumbents) observe(c *tilingRun, m Metric) {
+	if c.ooo != nil {
+		in.ooo.observe(m.score(c.ooo))
 	}
-	if c.Static != nil {
-		in.static.observe(m.score(c.Static))
+	if c.static != nil {
+		in.static.observe(m.score(c.static))
 	}
 }

@@ -307,11 +307,7 @@ func TestSearchEffortRepeatsWithOneWorker(t *testing.T) {
 	measure := func(lr *LayerResult) effort {
 		e := effort{pruned: lr.CandidatesPruned, aborted: lr.SchedulesAborted}
 		for _, c := range lr.Candidates {
-			for _, r := range []*sched.Result{c.OoO, c.Static} {
-				if r != nil {
-					e.sets += r.SetsEvaluated
-				}
-			}
+			e.sets += c.OoO.SetsEvaluated + c.Static.SetsEvaluated
 		}
 		return e
 	}

@@ -21,13 +21,13 @@ import (
 // oracleScheduleTiling is scheduleTiling without the repeat skip: every
 // dataflow of the list gets its static run and, by its index, its
 // hinted run.
-func oracleScheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflows []loop.Dataflow, opts Options, inc *incumbents) (Candidate, int, error) {
+func oracleScheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflows []loop.Dataflow, opts Options, inc *incumbents) tilingRun {
 	f := grid.F
 	graph := dfg.Build(grid, m)
 	base := opts.SchedConfig(m)
 	metric := opts.Metric
 	aborted := 0
-	c := Candidate{Factors: f}
+	var c tilingRun
 	over := func(target float64) func(cycles, bytes int64) bool {
 		return func(cycles, bytes int64) bool { return metric.Score(cycles, bytes) > target }
 	}
@@ -46,16 +46,16 @@ func oracleScheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, d
 	ooo, err := sched.Schedule(graph, ocfg)
 	switch {
 	case err == nil:
-		c.OoO = ooo
+		c.ooo = ooo
 	case errors.Is(err, sched.ErrCutoff):
 		aborted++
 	default:
-		return Candidate{}, aborted, err
+		return tilingRun{aborted: aborted, err: err}
 	}
 
 	for i, df := range dataflows {
 		if err := ctx.Err(); err != nil {
-			return Candidate{}, aborted, err
+			return tilingRun{aborted: aborted, err: err}
 		}
 		order := loop.Order(graph, df)
 		cfg := base
@@ -65,10 +65,10 @@ func oracleScheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, d
 		}
 		res, err := cutoffRun(graph, cfg, &aborted)
 		if err == nil {
-			if c.Static == nil || metric.Score(res.LatencyCycles, res.TrafficBytes()) <
-				metric.Score(c.Static.LatencyCycles, c.Static.TrafficBytes()) {
-				c.Static = res
-				c.StaticOrder = df
+			if c.static == nil || metric.Score(res.LatencyCycles, res.TrafficBytes()) <
+				metric.Score(c.static.LatencyCycles, c.static.TrafficBytes()) {
+				c.static = res
+				c.order = df
 			}
 		}
 		if opts.Budget.HintedOoO && i < maxOoOHints {
@@ -76,30 +76,31 @@ func oracleScheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, d
 			hcfg.Hint = order
 			if inc != nil {
 				target := inc.ooo.value()
-				if c.OoO != nil {
-					if s := metric.Score(c.OoO.LatencyCycles, c.OoO.TrafficBytes()); s < target {
+				if c.ooo != nil {
+					if s := metric.Score(c.ooo.LatencyCycles, c.ooo.TrafficBytes()); s < target {
 						target = s
 					}
 				}
 				hcfg.Cutoff = over(target)
 			}
 			if h, err := cutoffRun(graph, hcfg, &aborted); err == nil &&
-				(c.OoO == nil || metric.Score(h.LatencyCycles, h.TrafficBytes()) <
-					metric.Score(c.OoO.LatencyCycles, c.OoO.TrafficBytes())) {
-				c.OoO = h
+				(c.ooo == nil || metric.Score(h.LatencyCycles, h.TrafficBytes()) <
+					metric.Score(c.ooo.LatencyCycles, c.ooo.TrafficBytes())) {
+				c.ooo = h
 			}
 		}
 	}
-	if c.OoO == nil && c.Static == nil {
+	if c.ooo == nil && c.static == nil {
 		if aborted > 0 {
-			return Candidate{}, aborted, errDominated
+			return tilingRun{aborted: aborted, err: errDominated}
 		}
-		return Candidate{}, aborted, fmt.Errorf("search: no static schedule for tiling %s", f)
+		return tilingRun{aborted: aborted, err: fmt.Errorf("search: no static schedule for tiling %s", f)}
 	}
-	if c.Static == nil && aborted == 0 {
-		return Candidate{}, aborted, fmt.Errorf("search: no static schedule for tiling %s", f)
+	if c.static == nil && aborted == 0 {
+		return tilingRun{aborted: aborted, err: fmt.Errorf("search: no static schedule for tiling %s", f)}
 	}
-	return c, aborted, nil
+	c.aborted = aborted
+	return c
 }
 
 // TestRepeatedSequencesChangeNothing: the layer search that runs each

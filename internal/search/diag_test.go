@@ -23,7 +23,7 @@ func TestDiagHeavyLayer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range lr.Candidates {
-		if c.Static == nil { // every static run of a surviving candidate abandoned: see LayerResult
+		if c.Static.LatencyCycles == 0 { // every static run of a surviving candidate abandoned: see LayerResult
 			t.Logf("tiling %-14s ooo: lat=%-9d traf=%-9d | static: every run abandoned",
 				c.Factors, c.OoO.LatencyCycles, c.OoO.TrafficBytes())
 			continue

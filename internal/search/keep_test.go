@@ -22,12 +22,12 @@ import (
 // unkeptScheduleTiling is scheduleTiling with no sched.Config.Keep: every
 // run that finishes hands out its schedule, and the strict keep after it
 // alone decides what the tiling keeps.
-func unkeptScheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflows []loop.Dataflow, opts Options, inc *incumbents) (Candidate, int, error) {
+func unkeptScheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflows []loop.Dataflow, opts Options, inc *incumbents) tilingRun {
 	graph := dfg.Build(grid, m)
 	base := opts.SchedConfig(m)
 	metric := opts.Metric
 	aborted := 0
-	c := Candidate{Factors: grid.F}
+	var c tilingRun
 	var oooInc, staticInc *incumbent
 	if inc != nil {
 		oooInc, staticInc = &inc.ooo, &inc.static
@@ -49,15 +49,15 @@ func unkeptScheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, d
 	ooo, err := run(base, oooInc, nil)
 	switch {
 	case err == nil:
-		c.OoO = ooo
+		c.ooo = ooo
 	case !errors.Is(err, sched.ErrCutoff):
-		return Candidate{}, aborted, err
+		return tilingRun{aborted: aborted, err: err}
 	}
 	var seen [][4]loop.Dim
 	var hints []loop.Dataflow
 	for i, df := range dataflows {
 		if err := ctx.Err(); err != nil {
-			return Candidate{}, aborted, err
+			return tilingRun{aborted: aborted, err: err}
 		}
 		seq := loop.Reduce(grid, df.Perm)
 		if slices.Contains(seen, seq) {
@@ -69,31 +69,32 @@ func unkeptScheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, d
 		}
 		cfg := base
 		cfg.Order = loop.Order(graph, df)
-		if res, err := run(cfg, staticInc, nil); err == nil && metric.beats(res, c.Static) {
-			c.Static, c.StaticOrder = res, df
+		if res, err := run(cfg, staticInc, nil); err == nil && metric.beats(res, c.static) {
+			c.static, c.order = res, df
 		}
 	}
 	opOrder := loop.Reduce(grid, [4]loop.Dim{loop.OH, loop.OW, loop.OC, loop.IC})
 	for _, df := range hints {
 		if err := ctx.Err(); err != nil {
-			return Candidate{}, aborted, err
+			return tilingRun{aborted: aborted, err: err}
 		}
-		if ooo != nil && c.OoO == ooo && ooo.HintRepeats() && loop.Reduce(grid, df.Perm) == opOrder {
+		if ooo != nil && c.ooo == ooo && ooo.HintRepeats() && loop.Reduce(grid, df.Perm) == opOrder {
 			continue
 		}
 		cfg := base
 		cfg.Hint = loop.Order(graph, df)
-		if res, err := run(cfg, oooInc, c.OoO); err == nil && metric.beats(res, c.OoO) {
-			c.OoO = res
+		if res, err := run(cfg, oooInc, c.ooo); err == nil && metric.beats(res, c.ooo) {
+			c.ooo = res
 		}
 	}
 	switch {
-	case c.Static == nil && aborted == 0:
-		return Candidate{}, aborted, fmt.Errorf("search: no static schedule for tiling %s", grid.F)
-	case c.Static == nil && c.OoO == nil:
-		return Candidate{}, aborted, errDominated
+	case c.static == nil && aborted == 0:
+		return tilingRun{aborted: aborted, err: fmt.Errorf("search: no static schedule for tiling %s", grid.F)}
+	case c.static == nil && c.ooo == nil:
+		return tilingRun{aborted: aborted, err: errDominated}
 	}
-	return c, aborted, nil
+	c.aborted = aborted
+	return c
 }
 
 // TestKeepChangesNothing: a layer search whose finished runs are refused

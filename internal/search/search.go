@@ -129,6 +129,14 @@ func (b Budget) resolved() Budget {
 	return b
 }
 
+// dataflows is the static baseline search space b names.
+func (b Budget) dataflows() []loop.Dataflow {
+	if b.Dataflows == nil {
+		return loop.Canonical()
+	}
+	return b.Dataflows
+}
+
 // DefaultBudget returns a budget suitable for CLI use: a broad tiling
 // sample and exhaustive (24-permutation) baseline.
 func DefaultBudget() Budget {
@@ -299,17 +307,38 @@ func (s *workLoop) item() bool {
 	return more
 }
 
-// Candidate is the outcome of one tiling: its out-of-order schedule and
-// the best static loop-order schedule for the same tiling.
+// Candidate is the outcome of one tiling: the totals of its out-of-order
+// schedule and of the best static loop-order schedule for the same
+// tiling, not their records. TilingSchedules re-runs a tiling for them.
 type Candidate struct {
 	Factors     tile.Factors
-	OoO         *sched.Result
-	Static      *sched.Result
+	OoO         Summary
+	Static      Summary // zero when the tiling has no static schedule
 	StaticOrder loop.Dataflow
 }
 
+// Summary is a sched.Result's totals under its field names (a snapshot's
+// full schedules decode into it), without its tiling, which the
+// Candidate names, its per-kind breakdown, its sets and its records.
+type Summary struct {
+	LatencyCycles, LoadBytes, SpillBytes, WritebackBytes, GatherBytes int64
+	SetsEvaluated, SetsPruned                                         int
+}
+
+// summaryOf returns r's totals, or the zero Summary for nil.
+func summaryOf(r *sched.Result) Summary {
+	if r == nil {
+		return Summary{}
+	}
+	return Summary{r.LatencyCycles, r.LoadBytes, r.SpillBytes, r.WritebackBytes, r.GatherBytes, r.SetsEvaluated, r.SetsPruned}
+}
+
+// TrafficBytes returns the total off-chip traffic, as sched.Result's does.
+func (s Summary) TrafficBytes() int64 { return s.LoadBytes + s.SpillBytes + s.WritebackBytes }
+
 // LayerResult is the outcome of searching one layer: the per-tiling
-// candidates plus the best OoO and best static schedules overall.
+// candidates, which keep totals, plus the best OoO and best static
+// schedules overall, records and all.
 //
 // With dominance pruning active (the default), Candidates holds only
 // the tilings with an out-of-order schedule that ran to completion:
@@ -317,7 +346,7 @@ type Candidate struct {
 // entirely, runs are abandoned as soon as the scheduler's floors on
 // their final cycles and bytes score above the incumbent (which is
 // most losing runs, early), and a surviving candidate's Static may be
-// nil when every static run for it was abandoned. BestOoO, BestStatic
+// zero when every static run for it was abandoned. BestOoO, BestStatic
 // and BestStaticOrder are identical with and without pruning;
 // len(Candidates) and the effort counters are not. Set
 // Options.DisableDominance to recover the exhaustive candidate list.
@@ -411,9 +440,7 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule t
 	s := layerSearches.Get().(*layerSearch)
 	defer s.release()
 	s.ctx, s.l, s.opts, s.m, s.tilings, s.schedule = ctx, l, opts, model.New(opts.Arch), tilings, schedule
-	if s.dataflows = opts.Budget.Dataflows; s.dataflows == nil {
-		s.dataflows = loop.Canonical()
-	}
+	s.dataflows = opts.Budget.dataflows()
 	s.reporter = newProgressReporter(opts.Progress, opts.Metric, l.Name, len(tilings))
 
 	// Dominance pruning: bound every tiling up front (closed form, no
@@ -458,12 +485,6 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule t
 	lr := &LayerResult{Layer: l, CandidatesEnumerated: len(tilings)}
 	n := 0 // the candidates: the tilings with an out-of-order schedule
 	for _, r := range s.recs {
-		if r.err == nil && r.c.OoO != nil {
-			n++
-		}
-	}
-	lr.Candidates = make([]Candidate, 0, n)
-	for _, r := range s.recs {
 		lr.SchedulesAborted += r.aborted
 		switch {
 		case r.err == errDominated:
@@ -475,14 +496,25 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule t
 			// the paper's search.
 			continue
 		}
-		if r.c.OoO != nil {
-			lr.Candidates = append(lr.Candidates, r.c)
-			if opts.Metric.beats(r.c.OoO, lr.BestOoO) {
-				lr.BestOoO = r.c.OoO
+		if r.ooo != nil {
+			n++
+			if opts.Metric.beats(r.ooo, lr.BestOoO) {
+				lr.BestOoO = r.ooo
 			}
 		}
-		if r.c.Static != nil && opts.Metric.beats(r.c.Static, lr.BestStatic) {
-			lr.BestStatic, lr.BestStaticOrder = r.c.Static, r.c.StaticOrder
+		if r.static != nil && opts.Metric.beats(r.static, lr.BestStatic) {
+			lr.BestStatic, lr.BestStaticOrder = r.static, r.order
+		}
+	}
+	lr.Candidates = make([]Candidate, 0, n)
+	for i, r := range s.recs { // a failed tiling has no schedule; losers go back to the pool
+		if r.ooo != nil {
+			lr.Candidates = append(lr.Candidates, Candidate{s.tilings[i], summaryOf(r.ooo), summaryOf(r.static), r.order})
+		}
+		for _, res := range [...]*sched.Result{r.ooo, r.static} {
+			if res != nil && res != lr.BestOoO && res != lr.BestStatic {
+				resultPool.Put(res)
+			}
 		}
 	}
 	if lr.BestOoO == nil || lr.BestStatic == nil {
@@ -499,9 +531,9 @@ func searchLayerWith(ctx context.Context, l layer.Conv, opts Options, schedule t
 	return lr, nil
 }
 
-// tilingScheduler schedules one tiling's grid for a layer search:
-// scheduleTiling, or in tests a reference it is held to.
-type tilingScheduler func(context.Context, *tile.Grid, model.Model, []loop.Dataflow, Options, *incumbents) (Candidate, int, error)
+// tilingScheduler schedules one tiling's grid for a layer search, its
+// record but the bound: scheduleTiling, or in tests a reference.
+type tilingScheduler func(context.Context, *tile.Grid, model.Model, []loop.Dataflow, Options, *incumbents) tilingRun
 
 // layerSearch is what the workers of one layer search share: its inputs,
 // one record per tiling and their order, and its incumbents. It is
@@ -543,11 +575,13 @@ func (s *layerSearch) tiling(k int) {
 		return
 	}
 	grid, _ := tile.NewGridInto(gridPool.Get().(*tile.Grid), s.l, s.tilings[s.order[k]]) // an enumerated tiling of a valid layer
-	r.c, r.aborted, r.err = s.schedule(s.ctx, grid, s.m, s.dataflows, s.opts, s.cut)
+	b := r.bound
+	*r = s.schedule(s.ctx, grid, s.m, s.dataflows, s.opts, s.cut)
+	r.bound = b
 	gridPool.Put(grid)
 	if r.err == nil {
-		s.inc.observe(r.c, s.opts.Metric)
-		s.reporter.record(r.c.OoO, false)
+		s.inc.observe(r, s.opts.Metric)
+		s.reporter.record(r.ooo, false)
 	} else if !isCancellation(r.err) {
 		s.reporter.record(nil, false)
 	}
@@ -594,13 +628,15 @@ func escalate(cfg arch.Config, b Budget, try func(tile.EnumLimits) bool) {
 	}
 }
 
-// tilingRun is a layer search's record of one tiling: its bound, then
-// its candidate, error (errDominated: pruned) and runs abandoned.
+// tilingRun is a layer search's record of one tiling: its bound, then its
+// schedules (nil where no run of the role finished) and the static one's
+// dataflow, its error (errDominated: pruned) and runs abandoned.
 type tilingRun struct {
-	bound   Bound
-	c       Candidate
-	err     error
-	aborted int
+	bound       Bound
+	ooo, static *sched.Result
+	order       loop.Dataflow
+	err         error
+	aborted     int
 }
 
 // maxOoOHints bounds how many dataflows additionally seed hinted OoO
@@ -620,10 +656,12 @@ var errDominated = errors.New("search: tiling dominated by incumbent")
 // graphPool and gridPool hold the graphs and grids that searches, fusion
 // and RepairResult have finished with, whose storage the next one is
 // built into: no Result or Candidate points at either, so nothing reads
-// one after its tiling, candidate segment or repair.
+// one after its tiling, candidate segment or repair. resultPool holds the
+// schedules no search returned, for runs with none of their tiling's to reuse.
 var (
-	graphPool = sync.Pool{New: func() any { return new(dfg.Graph) }}
-	gridPool  = sync.Pool{New: func() any { return new(tile.Grid) }}
+	graphPool  = sync.Pool{New: func() any { return new(dfg.Graph) }}
+	gridPool   = sync.Pool{New: func() any { return new(tile.Grid) }}
+	resultPool = sync.Pool{New: func() any { return new(sched.Result) }}
 )
 
 // scheduleTiling produces the OoO schedule and the best static schedule
@@ -634,17 +672,16 @@ var (
 // scheduler's cycles and bytes floors score above the incumbent it would
 // have to beat — by the very metric the final reduction compares with, so
 // a run is dropped only when every schedule it could become loses that
-// comparison; aborted counts them. A candidate may then come back with a
-// nil Static (every static run dominated) or nil OoO (the unhinted run
+// comparison; aborted counts them. A tiling may then come back with a
+// nil static (every static run dominated) or nil ooo (the unhinted run
 // dominated while a later hinted run was not attempted or also dominated);
-// a candidate with neither is reported as errDominated.
-func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflows []loop.Dataflow, opts Options, inc *incumbents) (Candidate, int, error) {
+// one with neither is reported as errDominated.
+func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflows []loop.Dataflow, opts Options, inc *incumbents) tilingRun {
 	graph := dfg.BuildInto(graphPool.Get().(*dfg.Graph), grid, m)
 	defer graphPool.Put(graph)
 	base := opts.SchedConfig(m)
 	metric := opts.Metric
-	aborted := 0
-	c := Candidate{Factors: grid.F}
+	var c tilingRun
 	var oooInc, staticInc *incumbent // nil: an exhaustive search, no cutoffs
 	if inc != nil {
 		oooInc, staticInc = &inc.ooo, &inc.static
@@ -654,9 +691,10 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 	// scores lower; a run abandoned by it is counted. keep is the tiling's
 	// schedule the run would replace: a run that does not strictly beat it
 	// is refused (Config.Keep), one that does is written over it
-	// (sched.ScheduleInto), and nothing is written once the tiling returns.
-	// Runs are sequential, so one cutoff and one keep, made once, read the
-	// current run's target and score.
+	// (sched.ScheduleInto; with no keep, over one from resultPool), and
+	// nothing is written once the tiling returns. Runs are sequential, so
+	// one cutoff and one keep, made once, read the current run's target and
+	// score.
 	var lim struct{ target, keep float64 }
 	cutoff := func(cycles, bytes int64) bool { return better(lim.target, metric.Score(cycles, bytes)) }
 	kept := func(cycles, bytes int64) bool { return better(metric.Score(cycles, bytes), lim.keep) }
@@ -667,19 +705,25 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 				lim.target = metric.score(own)
 			}
 		}
+		dst := keep
 		if keep != nil {
 			lim.keep, cfg.Keep = metric.score(keep), kept
+		} else {
+			dst = resultPool.Get().(*sched.Result)
 		}
-		res, err := sched.ScheduleInto(keep, graph, cfg)
+		res, err := sched.ScheduleInto(dst, graph, cfg)
 		if errors.Is(err, sched.ErrCutoff) {
-			aborted++
+			c.aborted++
+		}
+		if err != nil && keep == nil {
+			resultPool.Put(dst)
 		}
 		return res, err
 	}
 
 	var err error
-	if c.OoO, err = run(base, oooInc, nil, nil); err != nil && !errors.Is(err, sched.ErrCutoff) {
-		return Candidate{}, aborted, err
+	if c.ooo, err = run(base, oooInc, nil, nil); err != nil && !errors.Is(err, sched.ErrCutoff) {
+		return tilingRun{aborted: c.aborted, err: err}
 	}
 
 	// A loop of one iteration orders nothing, so on most grids several
@@ -695,7 +739,7 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 	var spare []int // every order, static or hint, is built here just before its run
 	for i, df := range dataflows {
 		if err := ctx.Err(); err != nil {
-			return Candidate{}, aborted, err
+			return tilingRun{aborted: c.aborted, err: err}
 		}
 		seq := loop.Reduce(grid, df.Perm)
 		if slices.Contains(seen, seq) {
@@ -708,8 +752,8 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 		spare = loop.AppendOrder(spare[:0], graph, df)
 		cfg := base
 		cfg.Order = spare
-		if res, err := run(cfg, staticInc, nil, c.Static); err == nil {
-			c.Static, c.StaticOrder = res, df
+		if res, err := run(cfg, staticInc, nil, c.static); err == nil {
+			c.static, c.order = res, df
 		}
 	}
 	// The hint whose sequence is the op order (dfg.OpAt numbers ops in
@@ -723,25 +767,37 @@ func scheduleTiling(ctx context.Context, grid *tile.Grid, m model.Model, dataflo
 	opOrder := loop.Reduce(grid, [4]loop.Dim{loop.OH, loop.OW, loop.OC, loop.IC})
 	for _, df := range hints {
 		if err := ctx.Err(); err != nil {
-			return Candidate{}, aborted, err
+			return tilingRun{aborted: c.aborted, err: err}
 		}
-		if c.OoO != nil && c.OoO.HintRepeats() && loop.Reduce(grid, df.Perm) == opOrder {
+		if c.ooo != nil && c.ooo.HintRepeats() && loop.Reduce(grid, df.Perm) == opOrder {
 			continue
 		}
 		spare = loop.AppendOrder(spare[:0], graph, df)
 		cfg := base
 		cfg.Hint = spare
-		if res, err := run(cfg, oooInc, c.OoO, c.OoO); err == nil {
-			c.OoO = res
+		if res, err := run(cfg, oooInc, c.ooo, c.ooo); err == nil {
+			c.ooo = res
 		}
 	}
 	switch {
-	case c.Static == nil && aborted == 0:
-		return Candidate{}, aborted, fmt.Errorf("search: no static schedule for tiling %s", grid.F)
-	case c.Static == nil && c.OoO == nil:
-		return Candidate{}, aborted, errDominated
+	case c.static == nil && c.aborted == 0:
+		return tilingRun{err: fmt.Errorf("search: no static schedule for tiling %s", grid.F)}
+	case c.static == nil && c.ooo == nil:
+		return tilingRun{aborted: c.aborted, err: errDominated}
 	}
-	return c, aborted, nil
+	return c
+}
+
+// TilingSchedules returns tiling f of l's out-of-order and best static
+// schedules, records included: the runs a search of l under opts with
+// DisableDominance makes of f, which its Candidate summarizes.
+func TilingSchedules(l layer.Conv, f tile.Factors, opts Options) (ooo, static *sched.Result, err error) {
+	grid, err := tile.NewGrid(l, f) // checks l
+	if err = errors.Join(err, loop.Validate(opts.Budget.Dataflows)); err != nil {
+		return nil, nil, err
+	}
+	r := scheduleTiling(context.Background(), grid, model.New(opts.Arch), opts.Budget.dataflows(), opts, nil)
+	return r.ooo, r.static, r.err
 }
 
 // NetworkResult aggregates per-layer results end to end.

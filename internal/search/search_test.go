@@ -6,10 +6,15 @@ import (
 	"testing"
 
 	"github.com/flexer-sched/flexer/internal/arch"
+	"github.com/flexer-sched/flexer/internal/dfg"
 	"github.com/flexer-sched/flexer/internal/layer"
 	"github.com/flexer-sched/flexer/internal/loop"
+	"github.com/flexer-sched/flexer/internal/model"
 	"github.com/flexer-sched/flexer/internal/nets"
+	"github.com/flexer-sched/flexer/internal/sched"
+	"github.com/flexer-sched/flexer/internal/sim"
 	"github.com/flexer-sched/flexer/internal/tile"
+	"github.com/flexer-sched/flexer/internal/verify"
 )
 
 func quickOpts(t *testing.T, archName string) Options {
@@ -63,6 +68,66 @@ func TestSearchLayerBasics(t *testing.T) {
 	}
 	if lr.Speedup() <= 0 || lr.TrafficReduction() <= 0 {
 		t.Errorf("ratios: %f %f", lr.Speedup(), lr.TrafficReduction())
+	}
+}
+
+// TestCandidatesKeepTotals pins what an exhaustive layer search keeps.
+// A Candidate holds totals, no records: each one's equal the totals of
+// the schedules TilingSchedules makes for its tiling, and the winning
+// tilings' equal BestOoO's and BestStatic's. Those two hold the only
+// records, and a search of another layer, which writes its runs over the
+// storage of the first search's losers, leaves them as they were and
+// passing the verifier.
+func TestCandidatesKeepTotals(t *testing.T) {
+	opts := quickOpts(t, "arch5")
+	opts.Budget.MaxTilings = 8
+	opts.DisableDominance = true
+	opts.Workers = 1
+	l := layer.NewConv("totals", 28, 28, 64, 96, 3)
+	lr, err := SearchLayer(l, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lr.Candidates) < 3 {
+		t.Fatalf("%d candidates: too few for a losing one", len(lr.Candidates))
+	}
+	best := []*sched.Result{lr.BestOoO, lr.BestStatic}
+	records := [][]sim.OpRecord{slices.Clone(lr.BestOoO.OpRecords), slices.Clone(lr.BestStatic.OpRecords)}
+	totals := []Summary{summaryOf(lr.BestOoO), summaryOf(lr.BestStatic)}
+	if _, err := SearchLayer(layer.NewConv("other", 14, 14, 96, 64, 3), opts); err != nil {
+		t.Fatal(err)
+	}
+	m := model.New(opts.Arch)
+	for i, r := range best {
+		grid, err := tile.NewGrid(l, r.Factors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := verify.Schedule(dfg.Build(grid, m), r, opts.Arch); err != nil {
+			t.Errorf("best schedule %d after another search: %v", i, err)
+		}
+		if !slices.Equal(r.OpRecords, records[i]) || summaryOf(r) != totals[i] {
+			t.Errorf("best schedule %d changed under another search", i)
+		}
+	}
+	var wonOoO, wonStatic bool
+	for _, c := range lr.Candidates {
+		ooo, static, err := TilingSchedules(l, c.Factors, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.OoO != summaryOf(ooo) || c.Static != summaryOf(static) {
+			t.Errorf("tiling %s: candidate %+v, TilingSchedules' totals %+v and %+v", c.Factors, c, summaryOf(ooo), summaryOf(static))
+		}
+		if c.Factors == lr.BestOoO.Factors {
+			wonOoO = c.OoO == totals[0]
+		}
+		if c.Factors == lr.BestStatic.Factors {
+			wonStatic = c.Static == totals[1] && c.StaticOrder == lr.BestStaticOrder
+		}
+	}
+	if !wonOoO || !wonStatic {
+		t.Errorf("the winning candidates' totals are not the best schedules' (out of order %v, static %v)", wonOoO, wonStatic)
 	}
 }
 
